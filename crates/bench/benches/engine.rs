@@ -1,14 +1,11 @@
 //! Benchmarks of the `ExplainEngine` batch mode: one rayon-parallel
 //! `explain_batch` call against the per-call serial loop over the same
-//! non-answers — the speedup the engine refactor exists to deliver —
-//! plus the `ShardedExplainEngine` over the same workload (partition
-//! fan-out per call instead of data-parallelism across calls).
+//! non-answers — the speedup the engine refactor exists to deliver.
 //!
-//! Before timing anything, the harness asserts the parallel batch and
-//! every sharded configuration are **bit-identical** to the serial
-//! unsharded path (the engine's contract), so `cargo bench -p
-//! crp-bench --bench engine -- --test` doubles as a smoke check of the
-//! sharding contract in CI.
+//! Before timing anything, the harness asserts the parallel batch is
+//! **bit-identical** to the serial path (the engine's contract), so
+//! `cargo bench -p crp-bench --bench engine -- --test` doubles as a
+//! smoke check of that contract in CI.
 
 // The deprecated per-call entry points are exercised deliberately:
 // these measurements/examples pin the legacy surface, which now
@@ -19,7 +16,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use crp_bench::exp::centroid_query;
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
-use crp_core::{EngineConfig, ExplainEngine, ExplainStrategy, ShardPolicy, ShardedExplainEngine};
+use crp_core::{EngineConfig, ExplainEngine, ExplainStrategy};
 use crp_data::{uncertain_dataset, UncertainConfig};
 use crp_uncertain::ObjectId;
 use std::hint::black_box;
@@ -30,63 +27,45 @@ struct Fixture {
     engine: ExplainEngine,
     q: crp_geom::Point,
     ids: Vec<ObjectId>,
-    /// Serial reference causes per non-answer (`None` = error case) —
-    /// the bit-identity target every other configuration is checked
-    /// against.
-    serial_causes: Vec<Option<Vec<crp_core::Cause>>>,
 }
 
-/// The 20k-object fixture and its serial reference, built once and
-/// shared by every bench group (dataset generation + PRSQ selection is
-/// the dominant setup cost, especially in CI's `--test` smoke mode).
-fn fixture() -> &'static Fixture {
-    static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
-    FIXTURE.get_or_init(|| {
-        let ds = uncertain_dataset(&UncertainConfig {
-            cardinality: 20_000,
-            dim: 3,
-            radius_range: (0.0, 5.0),
-            seed: 0xBA7C4,
-            ..UncertainConfig::default()
-        });
-        let engine =
-            ExplainEngine::new(ds, EngineConfig::with_alpha(ALPHA)).expect("valid engine config");
-        let q = centroid_query(engine.dataset());
-        let ids = select_prsq_non_answers(
-            engine.dataset(),
-            engine.object_tree(),
-            &q,
-            &PrsqSelectionConfig {
-                count: 64,
-                alpha_classify: ALPHA,
-                alpha_tractability: ALPHA,
-                min_candidates: 4,
-                max_candidates: 18,
-                max_free_candidates: 12,
-                seed: 0x5EED_BA7,
-            },
-        );
-        assert!(
-            ids.len() >= 32,
-            "batch benchmark needs >= 32 non-answers, selected {}",
-            ids.len()
-        );
-        let serial_causes = engine
-            .explain_batch_serial_as(ExplainStrategy::Cp, &q, ALPHA, &ids)
-            .into_iter()
-            .map(|r| r.ok().map(|o| o.causes))
-            .collect();
-        Fixture {
-            engine,
-            q,
-            ids,
-            serial_causes,
-        }
-    })
+/// The 20k-object fixture: a session and the PRSQ non-answers it
+/// explains.
+fn fixture() -> Fixture {
+    let ds = uncertain_dataset(&UncertainConfig {
+        cardinality: 20_000,
+        dim: 3,
+        radius_range: (0.0, 5.0),
+        seed: 0xBA7C4,
+        ..UncertainConfig::default()
+    });
+    let engine =
+        ExplainEngine::new(ds, EngineConfig::with_alpha(ALPHA)).expect("valid engine config");
+    let q = centroid_query(engine.dataset());
+    let ids = select_prsq_non_answers(
+        engine.dataset(),
+        engine.object_tree(),
+        &q,
+        &PrsqSelectionConfig {
+            count: 64,
+            alpha_classify: ALPHA,
+            alpha_tractability: ALPHA,
+            min_candidates: 4,
+            max_candidates: 18,
+            max_free_candidates: 12,
+            seed: 0x5EED_BA7,
+        },
+    );
+    assert!(
+        ids.len() >= 32,
+        "batch benchmark needs >= 32 non-answers, selected {}",
+        ids.len()
+    );
+    Fixture { engine, q, ids }
 }
 
 fn bench_engine_batch(c: &mut Criterion) {
-    let Fixture { engine, q, ids, .. } = fixture();
+    let Fixture { engine, q, ids } = &fixture();
     eprintln!(
         "[engine bench] {} non-answers, {} rayon threads",
         ids.len(),
@@ -119,68 +98,5 @@ fn bench_engine_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded sessions over the batch fixture: candidate generation fans
-/// out across shard trees; outcomes must stay bit-identical to the
-/// unsharded engine.
-fn bench_engine_sharded(c: &mut Criterion) {
-    let Fixture {
-        engine,
-        q,
-        ids,
-        serial_causes,
-    } = fixture();
-
-    let mut group = c.benchmark_group("engine/sharded");
-    for shards in [2usize, 4] {
-        let sharded = ShardedExplainEngine::new(
-            engine.dataset().clone(),
-            EngineConfig::with_alpha(ALPHA),
-            shards,
-            ShardPolicy::RoundRobin,
-        )
-        .expect("valid engine config");
-        // Contract check before timing: bit-identical causes and error
-        // cases on every non-answer.
-        let outcomes = sharded.explain_batch_as(ExplainStrategy::Cp, q, ALPHA, ids);
-        for ((r, expected), &an) in outcomes.iter().zip(serial_causes).zip(ids) {
-            let got = r.as_ref().ok().map(|o| o.causes.clone());
-            assert_eq!(
-                &got, expected,
-                "sharded divergence at {shards} shards, an {an}"
-            );
-        }
-        group.bench_with_input(
-            BenchmarkId::new(format!("explain_batch_{shards}shards"), ids.len()),
-            ids,
-            |b, ids| {
-                b.iter(|| black_box(sharded.explain_batch_as(ExplainStrategy::Cp, q, ALPHA, ids)))
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("candgen_{shards}shards"), ids.len()),
-            ids,
-            |b, ids| {
-                b.iter(|| {
-                    for &an in ids.iter() {
-                        black_box(sharded.candidate_ids(q, an).unwrap());
-                    }
-                })
-            },
-        );
-    }
-    group.bench_with_input(
-        BenchmarkId::new("candgen_unsharded", ids.len()),
-        ids,
-        |b, ids| {
-            b.iter(|| {
-                for &an in ids.iter() {
-                    black_box(engine.candidate_ids(q, an).unwrap());
-                }
-            })
-        },
-    );
-    group.finish();
-}
-
-criterion_group!(benches, bench_engine_batch, bench_engine_sharded);
+criterion_group!(benches, bench_engine_batch);
 criterion_main!(benches);

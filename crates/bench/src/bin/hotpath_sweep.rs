@@ -30,7 +30,7 @@
 //!   workload rides along.
 //! * **Bit-identity** (engine level): explain outcomes with the
 //!   columnar kernel on/off and batched probes on/off, across
-//!   discrete + pdf workloads and 1/2/4 shards, must be identical to
+//!   discrete + pdf workloads, must be identical to
 //!   each other — and, on discrete data, to the definition-level
 //!   oracle.
 //!
@@ -54,7 +54,7 @@ use crp_bench::report::fnum;
 use crp_core::hotpath::{modeled_bytes_per_check, refine_matrix};
 use crp_core::{
     active_kernel, set_kernel, simd_supported, CpConfig, CrpError, CrpOutcome, DominanceMatrix,
-    EngineConfig, ExplainEngine, ExplainStrategy, KernelKind, ShardPolicy, ShardedExplainEngine,
+    EngineConfig, ExplainEngine, ExplainStrategy, KernelKind,
 };
 use crp_data::{pdf_dataset, uncertain_dataset, UncertainConfig};
 use crp_uncertain::ObjectId;
@@ -218,10 +218,9 @@ fn oracle_sig(result: &Result<Vec<crp_core::Cause>, CrpError>) -> Option<Vec<(u3
 }
 
 /// The engine-level bit-identity pin: columnar (batched and unbatched)
-/// vs reference kernels, unsharded and 1/2/4 shards, discrete + pdf;
-/// discrete additionally against the definition-level oracle. Returns
-/// (discrete_ok, pdf_ok).
-fn identity_checks(shard_counts: &[usize]) -> (bool, bool) {
+/// vs reference kernels, discrete + pdf; discrete additionally against
+/// the definition-level oracle. Returns (discrete_ok, pdf_ok).
+fn identity_checks() -> (bool, bool) {
     let columnar = CpConfig::default(); // batched probes on
     let unbatched = CpConfig {
         use_batched_probes: false,
@@ -274,34 +273,10 @@ fn identity_checks(shard_counts: &[usize]) -> (bool, bool) {
                 }
                 _ => {}
             }
-            for &shards in shard_counts {
-                let sharded = ShardedExplainEngine::new(
-                    ds.clone(),
-                    EngineConfig::with_alpha(alpha),
-                    shards,
-                    ShardPolicy::Spatial,
-                )
-                .expect("valid config");
-                for cp in &configs {
-                    let got = signature(sharded.explain_configured(
-                        ExplainStrategy::Cp,
-                        &q,
-                        alpha,
-                        an,
-                        cp,
-                    ));
-                    if got != base {
-                        eprintln!(
-                            "[hotpath_sweep] shard divergence (discrete, {shards} shards, α={alpha})"
-                        );
-                        discrete_ok = false;
-                    }
-                }
-            }
         }
     }
 
-    // --- pdf (no oracle; pinned against the unsharded columnar run) --
+    // --- pdf (no oracle; pinned against the columnar run) -----------
     let pdf_cfg = UncertainConfig {
         cardinality: 8,
         dim: 2,
@@ -322,24 +297,6 @@ fn identity_checks(shard_counts: &[usize]) -> (bool, bool) {
             if got != base {
                 eprintln!("[hotpath_sweep] kernel divergence (pdf, an={an:?})");
                 pdf_ok = false;
-            }
-        }
-        for &shards in shard_counts {
-            let sharded = ShardedExplainEngine::for_pdf(
-                pds.clone(),
-                3,
-                EngineConfig::with_alpha(alpha),
-                shards,
-                ShardPolicy::RoundRobin,
-            )
-            .expect("valid config");
-            for cp in &configs {
-                let got =
-                    signature(sharded.explain_configured(ExplainStrategy::Cp, &pq, alpha, an, cp));
-                if got != base {
-                    eprintln!("[hotpath_sweep] shard divergence (pdf, {shards} shards)");
-                    pdf_ok = false;
-                }
             }
         }
     }
@@ -459,8 +416,7 @@ fn main() {
         set_kernel(KernelKind::Auto).expect("auto always resolves");
     }
     eprintln!("[hotpath_sweep] running engine-level bit-identity checks…");
-    let shard_counts = [1usize, 2, 4];
-    let (discrete_ok, pdf_ok) = identity_checks(&shard_counts);
+    let (discrete_ok, pdf_ok) = identity_checks();
 
     // --- report ------------------------------------------------------
     println!("\nHot-path sweep — refine subset-check throughput per kernel variant");
@@ -485,9 +441,9 @@ fn main() {
         }
     }
     println!(
-        "bit-identity: discrete {} (incl. oracle), pdf {} — shards {:?} × {{columnar, \
+        "bit-identity: discrete {} (incl. oracle), pdf {} — {{columnar, \
          columnar+unbatched, reference}}",
-        discrete_ok, pdf_ok, shard_counts
+        discrete_ok, pdf_ok
     );
 
     let headline_runs = &rows
@@ -550,7 +506,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"identity\": {{\"discrete_vs_oracle_and_reference\": {discrete_ok}, \
-         \"pdf_vs_reference\": {pdf_ok}, \"shard_counts\": [1, 2, 4], \
+         \"pdf_vs_reference\": {pdf_ok}, \
          \"configs\": [\"columnar\", \"columnar+unbatched\", \"reference\"]}},"
     );
     let _ = writeln!(

@@ -1,7 +1,7 @@
 //! Plan-layer sweep: measures what the `Request → Plan → Execute`
 //! layer saves over the pre-planner per-call loop on the two workloads
 //! it was built for, asserts planned outcomes are **bit-identical** to
-//! per-call explains (unsharded and sharded), and writes the series to
+//! per-call explains, and writes the series to
 //! `bench_out/BENCH_plan.json`.
 //!
 //! Workloads:
@@ -31,7 +31,7 @@ use crp_bench::report::fnum;
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_core::{
     CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
-    ExplainStrategy, PlanCounters, ShardPolicy, ShardedExplainEngine,
+    ExplainStrategy, PlanCounters,
 };
 use crp_data::{uncertain_dataset, UncertainConfig};
 use crp_geom::Point;
@@ -109,8 +109,8 @@ fn planned_run(
     )
 }
 
-/// Task-for-task agreement: causes and the partition/plan-independent
-/// search counters must match exactly (node accesses legitimately
+/// Task-for-task agreement: causes and the plan-independent search
+/// counters must match exactly (node accesses legitimately
 /// differ — that is the saving being measured).
 fn agrees(a: &Result<CrpOutcome, CrpError>, b: &Result<CrpOutcome, CrpError>) -> bool {
     match (a, b) {
@@ -134,23 +134,8 @@ fn measure_workload(
 ) -> WorkloadRow {
     let (naive, naive_ms, naive_io) = naive_loop(ds, queries, ans, alphas);
     let (planned, planned_ms, counters, planned_io) = planned_run(ds, queries, ans, alphas);
-    let mut bit_identical =
+    let bit_identical =
         naive.len() == planned.len() && naive.iter().zip(&planned).all(|(a, b)| agrees(a, b));
-
-    // The sharded engine executes the same plan over its partitioned
-    // indexes; outcomes must still match the per-call reference.
-    let sharded = ShardedExplainEngine::new(
-        ds.clone(),
-        EngineConfig::with_alpha(ALPHA),
-        2,
-        ShardPolicy::Spatial,
-    )
-    .expect("valid config");
-    let report = sharded.run(&[ExplainRequest::query_sweep(queries.to_vec(), ans)
-        .with_strategy(ExplainStrategy::Cp)
-        .with_alphas(alphas.to_vec())]);
-    bit_identical &= report.results.len() == naive.len()
-        && naive.iter().zip(&report.results).all(|(a, b)| agrees(a, b));
 
     // The per-call loop pays one stage-1 traversal per distinct
     // (an, q) pair (its session row cache shares repeats at equal

@@ -36,8 +36,8 @@ use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir};
 use crp_bench::report::fnum;
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_core::{
-    ClientClass, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
-    ShardPolicy, ShardedExplainEngine,
+    merge_candidate_ids, ClientClass, CrpError, CrpOutcome, EngineConfig, ExplainEngine,
+    ExplainRequest, ExplainSession,
 };
 use crp_data::wire::{WireCause, WireResult};
 use crp_data::{uncertain_dataset, UncertainConfig};
@@ -249,27 +249,23 @@ fn offline_reference(
         .collect()
 }
 
-/// Stage-1 over the worker fleet: two shard-worker servers (each
-/// holding one shard's share of a 2-way split) behind a parent that
-/// merges — the merged set must equal the in-process candidate set for
-/// every non-answer.
+/// Stage-1 over the worker fleet: two shard-worker servers of a 2-way
+/// split (each over a full engine, answering its id-hash share) behind
+/// a parent that merges — the shares must be disjoint, and both the
+/// parent's merge and a client-side merge must equal the in-process
+/// candidate set for every non-answer.
 fn fleet_merge_identical(ds: &UncertainDataset, queries: &[Vec<Point>], ans: &[ObjectId]) -> bool {
-    let worker = |_: usize| {
-        let sharded = ShardedExplainEngine::new(
-            ds.clone(),
-            EngineConfig::with_alpha(ALPHA),
-            2,
-            ShardPolicy::Spatial,
-        )
-        .expect("valid sharded engine");
+    let worker = || {
+        let engine = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA))
+            .expect("valid worker engine");
         let config = ServeConfig {
-            stage1_only: true,
+            shard_worker: Some(2),
             ..ServeConfig::default()
         };
-        Server::start(Arc::new(VolatileBackend::new(sharded)), config).expect("bind worker")
+        Server::start(Arc::new(VolatileBackend::new(engine)), config).expect("bind worker")
     };
-    let w0 = worker(0);
-    let w1 = worker(1);
+    let w0 = worker();
+    let w1 = worker();
     let parent_engine = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA))
         .expect("valid parent engine");
     let parent = Server::start(
@@ -284,14 +280,21 @@ fn fleet_merge_identical(ds: &UncertainDataset, queries: &[Vec<Point>], ans: &[O
     let reference = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA))
         .expect("valid reference engine");
     let mut client = Client::connect(parent.local_addr()).expect("connect parent");
+    let mut workers = [
+        Client::connect(w0.local_addr()).expect("connect worker 0"),
+        Client::connect(w1.local_addr()).expect("connect worker 1"),
+    ];
     let q = &queries[0][0];
     let ok = ans.iter().all(|&an| {
         let merged = client.candidates(q, an, None).expect("fleet candidates");
         let expected =
             ExplainSession::candidate_ids(&reference, q, an).expect("in-process candidates");
-        merged == expected
+        let [s0, s1] = [0, 1].map(|i| workers[i].candidates(q, an, Some(i)).expect("worker share"));
+        let disjoint = s0.iter().all(|id| !s1.contains(id));
+        merged == expected && disjoint && merge_candidate_ids([s0, s1]) == expected
     });
     drop(client);
+    drop(workers);
     for server in [parent, w0, w1] {
         server.request_shutdown();
         server.join();

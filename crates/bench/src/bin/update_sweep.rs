@@ -8,8 +8,6 @@
 //!
 //! Also reported:
 //!
-//! * a spatial 4-shard session absorbing the same stream (one shard's
-//!   tree patched per update, stale/overflow self-maintenance),
 //! * the explanation-cache payoff of an α-sweep over one non-answer
 //!   (first α pays the traversal; the rest are served from the row
 //!   cache),
@@ -28,10 +26,7 @@
 
 use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir};
 use crp_bench::report::fnum;
-use crp_core::{
-    Cause, CpConfig, CrpError, EngineConfig, ExplainEngine, ExplainStrategy, ShardPolicy,
-    ShardedExplainEngine, Update,
-};
+use crp_core::{Cause, CpConfig, CrpError, EngineConfig, ExplainEngine, ExplainStrategy, Update};
 use crp_data::{uncertain_dataset, UncertainConfig};
 use crp_geom::Point;
 use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
@@ -123,7 +118,6 @@ struct BatchRow {
     batch: usize,
     updates: usize,
     incremental_ms: f64,
-    sharded_ms: f64,
     rebuild_ms: f64,
     reinserts: u64,
     cache_evictions: u64,
@@ -165,12 +159,6 @@ fn main() {
     let t = Instant::now();
     incremental.object_tree();
     let initial_build_ms = ms(t);
-    // …a spatial 4-shard mutable session absorbing the same stream…
-    let mut sharded =
-        ShardedExplainEngine::new(ds.clone(), sweep_config(), 4, ShardPolicy::Spatial)
-            .expect("valid config");
-    let warm: Vec<ObjectId> = ds.iter().take(1).map(|o| o.id()).collect();
-    let _ = sharded.explain_batch_as(ExplainStrategy::Cp, &q, ALPHA, &warm);
     // …and the baseline: the dataset is kept current, but every batch
     // ends in a full index rebuild (what the engine did before updates
     // existed).
@@ -225,15 +213,6 @@ fn main() {
         let incremental_ms = ms(t);
         let after = incremental.accumulated_io();
 
-        // Sharded spatial: the same deltas, one shard touched per update.
-        let t = Instant::now();
-        for update in &batch {
-            sharded
-                .apply(update.clone())
-                .expect("synthetic updates are valid");
-        }
-        let sharded_ms = ms(t);
-
         // Rebuild baseline: mutate the dataset, then build a fresh
         // index over the full cardinality.
         let t = Instant::now();
@@ -246,7 +225,7 @@ fn main() {
         rebuilt.object_tree();
         let rebuild_ms = ms(t);
 
-        // Correctness pin: the mutated sessions answer like the freshly
+        // Correctness pin: the mutated session answers like the freshly
         // rebuilt engine — full pipeline on the cheap probe targets,
         // stage-1 candidate sets on a wider sample spread across the
         // dataset (traversal-only, so the pin stays cheap at any
@@ -255,17 +234,13 @@ fn main() {
         let mut identical = true;
         for &an in &probe {
             let reference = signature(rebuilt.explain_as(ExplainStrategy::Cp, &q, ALPHA, an));
-            if signature(incremental.explain_as(ExplainStrategy::Cp, &q, ALPHA, an)) != reference
-                || signature(sharded.explain_as(ExplainStrategy::Cp, &q, ALPHA, an)) != reference
-            {
+            if signature(incremental.explain_as(ExplainStrategy::Cp, &q, ALPHA, an)) != reference {
                 identical = false;
             }
         }
         for &an in live.iter().step_by(live.len() / 32 + 1) {
             let reference = rebuilt.candidate_ids(&q, an).ok();
-            if incremental.candidate_ids(&q, an).ok() != reference
-                || sharded.candidate_ids(&q, an).ok() != reference
-            {
+            if incremental.candidate_ids(&q, an).ok() != reference {
                 identical = false;
             }
         }
@@ -274,16 +249,14 @@ fn main() {
             batch: batch_idx,
             updates: batch.len(),
             incremental_ms,
-            sharded_ms,
             rebuild_ms,
             reinserts: after.reinserts - before.reinserts,
             cache_evictions: after.cache_evictions - before.cache_evictions,
             identical,
         });
         eprintln!(
-            "[update_sweep] batch {batch_idx}: incr {} ms, sharded {} ms, rebuild {} ms",
+            "[update_sweep] batch {batch_idx}: incr {} ms, rebuild {} ms",
             fnum(incremental_ms),
-            fnum(sharded_ms),
             fnum(rebuild_ms)
         );
     }
@@ -337,7 +310,6 @@ fn main() {
 
     // --- report ------------------------------------------------------
     let total_incremental: f64 = rows.iter().map(|r| r.incremental_ms).sum();
-    let total_sharded: f64 = rows.iter().map(|r| r.sharded_ms).sum();
     let total_rebuild: f64 = rows.iter().map(|r| r.rebuild_ms).sum();
     let all_identical = rows.iter().all(|r| r.identical);
     let speedup = total_rebuild / total_incremental.max(1e-9);
@@ -348,23 +320,15 @@ fn main() {
         fnum(initial_build_ms)
     );
     println!(
-        "{:>6} {:>8} {:>10} {:>12} {:>12} {:>10} {:>10} {:>7}",
-        "batch",
-        "updates",
-        "incr(ms)",
-        "sharded(ms)",
-        "rebuild(ms)",
-        "reinserts",
-        "evictions",
-        "ok"
+        "{:>6} {:>8} {:>10} {:>12} {:>10} {:>10} {:>7}",
+        "batch", "updates", "incr(ms)", "rebuild(ms)", "reinserts", "evictions", "ok"
     );
     for r in &rows {
         println!(
-            "{:>6} {:>8} {:>10} {:>12} {:>12} {:>10} {:>10} {:>7}",
+            "{:>6} {:>8} {:>10} {:>12} {:>10} {:>10} {:>7}",
             r.batch,
             r.updates,
             fnum(r.incremental_ms),
-            fnum(r.sharded_ms),
             fnum(r.rebuild_ms),
             r.reinserts,
             r.cache_evictions,
@@ -372,20 +336,13 @@ fn main() {
         );
     }
     println!(
-        "totals: incremental {} ms, sharded {} ms, rebuild {} ms → {speedup:.1}× | α-sweep: \
+        "totals: incremental {} ms, rebuild {} ms → {speedup:.1}× | α-sweep: \
          first α {} node accesses, 8 more α {} node accesses ({} row-cache hit(s))",
         fnum(total_incremental),
-        fnum(total_sharded),
         fnum(total_rebuild),
         first_io,
         rest_io,
         sweep_io.cache_hits
-    );
-    println!(
-        "sharded: sizes {:?}, rebuilds {:?}, {} repartition(s)",
-        sharded.shard_sizes(),
-        sharded.shard_rebuilds(),
-        sharded.repartitions()
     );
 
     // --- JSON series -------------------------------------------------
@@ -403,12 +360,11 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"batch\": {}, \"updates\": {}, \"incremental_ms\": {:.3}, \
-             \"sharded_spatial_ms\": {:.3}, \"rebuild_ms\": {:.3}, \"reinserts\": {}, \
+             \"rebuild_ms\": {:.3}, \"reinserts\": {}, \
              \"cache_evictions\": {}, \"identical\": {}}}{}",
             r.batch,
             r.updates,
             r.incremental_ms,
-            r.sharded_ms,
             r.rebuild_ms,
             r.reinserts,
             r.cache_evictions,
@@ -425,13 +381,6 @@ fn main() {
         sweep_target.0,
         alphas.len(),
         sweep_io.cache_hits
-    );
-    let _ = writeln!(
-        json,
-        "  \"sharded\": {{\"policy\": \"spatial\", \"shards\": 4, \"total_ms\": \
-         {total_sharded:.3}, \"rebuilds\": {:?}, \"repartitions\": {}}},",
-        sharded.shard_rebuilds(),
-        sharded.repartitions()
     );
     let _ = writeln!(
         json,

@@ -3,11 +3,10 @@
 //!
 //! Since the `ExplainEngine` refactor these free functions are thin
 //! wrappers over the shared `filter → refine → fmcs` pipeline in
-//! [`crate::engine`] — the identical single-partition code path the
-//! engine (and, per shard, the [`crate::ShardedExplainEngine`])
-//! dispatches; candidate impact ordering lives in the engine's merge
-//! stage (`engine::merge`), so there is exactly one implementation of
-//! every stage. Prefer [`crate::ExplainEngine`], which owns the R-tree
+//! [`crate::engine`] — the identical code path the engine dispatches;
+//! candidate impact ordering lives in the engine's merge stage
+//! (`engine::merge`), so there is exactly one implementation of every
+//! stage. Prefer [`crate::ExplainEngine`], which owns the R-tree
 //! and amortises it across calls.
 
 use crate::config::CpConfig;

@@ -12,7 +12,7 @@
 //! verification stage; prefer [`crate::ExplainEngine`] with
 //! [`crate::ExplainStrategy::Cr`].
 
-use crate::engine::certain::{run_certain, Lemma7ClosedForm, PointTreeDominators};
+use crate::engine::certain::{run_certain, Lemma7ClosedForm};
 use crate::error::CrpError;
 use crate::types::CrpOutcome;
 use crp_geom::Point;
@@ -41,14 +41,7 @@ pub fn cr(
     q: &Point,
     an_id: ObjectId,
 ) -> Result<CrpOutcome, CrpError> {
-    run_certain(
-        ds,
-        &PointTreeDominators { tree },
-        q,
-        an_id,
-        &Lemma7ClosedForm { k: 0 },
-        None,
-    )
+    run_certain(ds, tree, q, an_id, &Lemma7ClosedForm { k: 0 }, None)
 }
 
 #[cfg(test)]

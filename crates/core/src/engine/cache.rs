@@ -396,10 +396,10 @@ pub(crate) struct ServeTrace {
 }
 
 /// The **single seam** every indexed CP explain goes through — the
-/// unsharded session, every shard fan-out, and the plan executor all
-/// assemble the same cache-key/finish tuple here instead of
-/// hand-rolling it per call site: outcome-layer lookup, input
-/// validation, candidate-region derivation, then [`cached_cp_finish`].
+/// per-call dispatch and the plan executor both assemble the same
+/// cache-key/finish tuple here instead of hand-rolling it per call
+/// site: outcome-layer lookup, input validation, candidate-region
+/// derivation, then [`cached_cp_finish`].
 ///
 /// `fresh` produces the stage-1 output (candidates + dominance matrix)
 /// when neither cache layer can serve it; it receives the validated
@@ -408,7 +408,7 @@ pub(crate) struct ServeTrace {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_cp_discrete(
     cache: &ExplanationCache,
-    io: Option<&AtomicQueryStats>,
+    io: &AtomicQueryStats,
     ds: &UncertainDataset,
     q: &Point,
     an: ObjectId,
@@ -446,7 +446,7 @@ pub(crate) fn serve_cp_discrete(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn serve_cp_pdf(
     cache: &ExplanationCache,
-    io: Option<&AtomicQueryStats>,
+    io: &AtomicQueryStats,
     ds: &PdfDataset,
     q: &Point,
     an: ObjectId,
@@ -480,20 +480,18 @@ pub(crate) fn serve_cp_pdf(
     })
 }
 
-/// The shared tail of every cached CP path — unsharded (discrete and
-/// pdf), sharded, and planned: row-cache lookup (or a fresh stage 1 via
-/// `fresh`), α-dependent refinement, and population of both cache
-/// layers. One body, so the caching protocol — stats replay on hits,
-/// cacheability of outcomes — cannot drift between workloads, engines,
-/// or the plan executor.
+/// The shared tail of every cached CP path — discrete, pdf, per-call
+/// and planned: row-cache lookup (or a fresh stage 1 via `fresh`),
+/// α-dependent refinement, and population of both cache layers. One
+/// body, so the caching protocol — stats replay on hits, cacheability
+/// of outcomes — cannot drift between workloads or the plan executor.
 ///
-/// `io`, when given, receives the freshly paid traversal cost (the
-/// unsharded session's accumulator; sharded sessions account traversal
-/// inside their shards and pass `None`).
+/// `io` (the session accumulator) receives the freshly paid traversal
+/// cost.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn cached_cp_finish(
+fn cached_cp_finish(
     cache: &ExplanationCache,
-    io: Option<&AtomicQueryStats>,
+    io: &AtomicQueryStats,
     q: &Point,
     an: ObjectId,
     alpha: f64,
@@ -513,9 +511,7 @@ pub(crate) fn cached_cp_finish(
         None => {
             let stage1 = fresh(&mut stats)?;
             // Only freshly paid traversal enters the session totals.
-            if let Some(io) = io {
-                io.absorb(stats.query);
-            }
+            io.absorb(stats.query);
             cache.store_rows(
                 an,
                 q,

@@ -19,51 +19,11 @@ use crp_geom::{dominance_rect, dominates, Point};
 use crp_rtree::{AtomicQueryStats, RTree};
 use crp_uncertain::{ObjectId, UncertainDataset};
 
-/// Stage 1 of the certain pipeline, abstracted over the partition
-/// layout: produces the ids of every object dominating `q` w.r.t. the
-/// non-answer (sorted, deduplicated, excluding the non-answer itself).
-///
-/// Implementations: [`PointTreeDominators`] (the single global point
-/// tree of an unsharded session) and the shard fan-out of
-/// [`super::shard::ShardedExplainEngine`], which queries one point tree
-/// per shard and merges. Both produce the identical dominator list, so
-/// everything downstream of stage 1 is partition-agnostic.
-pub(crate) trait DominatorSource: Sync {
-    fn dominators(
-        &self,
-        q: &Point,
-        an: &Point,
-        an_id: ObjectId,
-        stats: &mut RunStats,
-    ) -> Vec<ObjectId>;
-}
-
-/// The unsharded stage 1: one window query against the global point
-/// tree.
-pub(crate) struct PointTreeDominators<'t> {
-    pub tree: &'t RTree<ObjectId>,
-}
-
-impl DominatorSource for PointTreeDominators<'_> {
-    fn dominators(
-        &self,
-        q: &Point,
-        an: &Point,
-        an_id: ObjectId,
-        stats: &mut RunStats,
-    ) -> Vec<ObjectId> {
-        let mut dominators = collect_dominators(self.tree, q, an, an_id, &mut stats.query);
-        dominators.sort_unstable();
-        dominators.dedup();
-        dominators
-    }
-}
-
-/// One dominance-window traversal of a point tree: everything inside
-/// the dominance rectangle of `(an, q)`, refined by the exact
-/// strictness check. Unsorted; shared by the single-tree source and the
-/// per-shard fan-out.
-pub(crate) fn collect_dominators(
+/// Stage 1 of the certain pipeline: one dominance-window traversal of
+/// the point tree — everything inside the dominance rectangle of
+/// `(an, q)`, refined by the exact strictness check — returned sorted
+/// and deduplicated, without the non-answer itself.
+fn collect_dominators(
     tree: &RTree<ObjectId>,
     q: &Point,
     an: &Point,
@@ -77,6 +37,8 @@ pub(crate) fn collect_dominators(
             dominators.push(id);
         }
     });
+    dominators.sort_unstable();
+    dominators.dedup();
     dominators
 }
 
@@ -231,21 +193,20 @@ impl CertainSearch for SubsetVerify {
     }
 }
 
-/// The certain-data pipeline: validate, run the shared window filter
-/// (stage 1, partition-generic through [`DominatorSource`]), then the
-/// selected verification stage. `io`, when given, receives the call's
-/// node accesses whether it succeeds or errors (sharded sessions
-/// account per shard inside the source instead).
+/// The certain-data pipeline: validate, run the dominance-window
+/// filter over the point tree (stage 1), then the selected
+/// verification stage. `io`, when given, receives the call's node
+/// accesses whether it succeeds or errors.
 pub(crate) fn run_certain(
     ds: &UncertainDataset,
-    source: &dyn DominatorSource,
+    tree: &RTree<ObjectId>,
     q: &Point,
     an_id: ObjectId,
     search: &dyn CertainSearch,
     io: Option<&AtomicQueryStats>,
 ) -> Result<CrpOutcome, CrpError> {
     let mut stats = RunStats::default();
-    let result = run_certain_inner(ds, source, q, an_id, search, &mut stats);
+    let result = run_certain_inner(ds, tree, q, an_id, search, &mut stats);
     if let Some(io) = io {
         io.absorb(stats.query);
     }
@@ -254,7 +215,7 @@ pub(crate) fn run_certain(
 
 fn run_certain_inner(
     ds: &UncertainDataset,
-    source: &dyn DominatorSource,
+    tree: &RTree<ObjectId>,
     q: &Point,
     an_id: ObjectId,
     search: &dyn CertainSearch,
@@ -269,9 +230,8 @@ fn run_certain_inner(
     let an_pos = ds.index_of(an_id).ok_or(CrpError::UnknownObject(an_id))?;
     let an = ds.object_at(an_pos).certain_point();
 
-    // Stage 1: the dominator window query, fanned out across however
-    // many partitions the source spans.
-    let dominators = source.dominators(q, an, an_id, stats);
+    // Stage 1: the dominator window query.
+    let dominators = collect_dominators(tree, q, an, an_id, &mut stats.query);
     stats.candidates = dominators.len();
 
     if dominators.is_empty() {

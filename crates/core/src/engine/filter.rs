@@ -73,10 +73,8 @@ impl<Q: WindowQuery<ObjectId> + Sync + ?Sized> FilterStage for SampleWindowFilte
 /// superset of the dominance relation — boundary ties do not dominate).
 /// Returns sorted, deduplicated positions in `ds`, excluding `an`.
 ///
-/// The single implementation behind both [`SampleWindowFilter`] (the
-/// global tree) and each shard of the sharded engine (`ds` and `tree`
-/// then describe one partition, while `an` may live elsewhere) — one
-/// body, so the sharded/unsharded bit-identity contract cannot drift.
+/// The body of [`SampleWindowFilter`], over either view of the tree
+/// (pointer or packed — generic through [`WindowQuery`]).
 pub(crate) fn window_candidate_positions<Q: WindowQuery<ObjectId> + ?Sized>(
     tree: &Q,
     ds: &UncertainDataset,

@@ -1,23 +1,24 @@
-//! The **merge** stage of the sharded pipeline: combines per-shard
-//! stage-1 outputs into the single global view the refinement and FMCS
-//! stages consume.
+//! The **merge law** of stage 1, plus the candidate ordering every FMCS
+//! driver shares.
 //!
-//! Sharding only parallelises candidate *generation* — each shard runs
-//! the window filter against its own R-tree. Everything after stage 1
-//! (dominance matrix, lemma classification, FMCS) is partition-agnostic
-//! and must see exactly the candidate set an unsharded session would
-//! have produced. This module owns that contract:
+//! The CP filter (Lemma 2) keeps an object as a candidate cause by
+//! testing that object alone, so the candidate set of a non-answer
+//! splits over any partition of the objects. Everything after stage 1
+//! (dominance matrix, lemma classification, FMCS) must see exactly the
+//! candidate set one engine produces. This module owns that contract:
 //!
+//! * [`shard_share`] — one partition's share of a candidate list, by
+//!   id hash: what a `crp serve --shard-worker` process answers,
 //! * [`merge_candidate_ids`] — deduplicated id-ordered union of
-//!   per-shard candidate sets (shards partition the dataset, so the
+//!   per-partition candidate sets (the partitions are disjoint, so the
 //!   union is exact, not approximate),
-//! * `global_positions` — maps merged ids back to positions in the
-//!   global dataset, restoring the unsharded pipeline's candidate
-//!   order (ascending dataset position) bit-for-bit,
+//! * `global_positions` — maps candidate ids back to dataset
+//!   positions, restoring the filter's candidate order (ascending
+//!   dataset position) bit-for-bit,
 //! * `impacts` / `order_by_impact` — the global impact ordering of
 //!   the FMCS search space. Ordering lives here (not per driver) so the
-//!   serial and candidate-parallel FMCS drivers, and any sharded
-//!   session, rank candidates through one code path.
+//!   serial and candidate-parallel FMCS drivers rank candidates through
+//!   one code path.
 
 use crate::matrix::DominanceMatrix;
 use crp_uncertain::{ObjectId, UncertainDataset};
@@ -36,18 +37,48 @@ pub fn merge_candidate_ids(parts: impl IntoIterator<Item = Vec<ObjectId>>) -> Ve
     merged
 }
 
-/// Maps merged candidate ids to their positions in the global dataset,
-/// sorted ascending — exactly the candidate list the unsharded filter
-/// produces, which is what makes sharded outcomes bit-identical.
+/// Shard `shard`'s share of a candidate list when the objects are split
+/// `shards` ways by id hash: the ids with
+/// `splitmix64(id) % shards == shard`, in input order. The shares of
+/// `0..shards` are pairwise disjoint, and [`merge_candidate_ids`] over
+/// all of them gives back the (sorted, deduplicated) input.
 ///
-/// Ids unknown to `ds` are ignored (they cannot occur for shards built
-/// by partitioning `ds`, but the merge stage must not panic on foreign
-/// input).
+/// # Panics
+///
+/// Panics when `shard >= shards`.
+pub fn shard_share(ids: &[ObjectId], shard: usize, shards: usize) -> Vec<ObjectId> {
+    assert!(
+        shard < shards,
+        "shard {shard} out of range for {shards} shard(s)"
+    );
+    ids.iter()
+        .copied()
+        .filter(|id| splitmix64(u64::from(id.0)) % shards as u64 == shard as u64)
+        .collect()
+}
+
+/// Maps candidate ids to their positions in the dataset, sorted
+/// ascending — exactly the candidate list the window filter produces,
+/// which is what makes the planner's containment-derived stage 1
+/// bit-identical to a traversal.
+///
+/// Ids unknown to `ds` are ignored (a merged list must not panic on
+/// foreign input).
 pub(crate) fn global_positions(ds: &UncertainDataset, ids: &[ObjectId]) -> Vec<usize> {
     let mut positions: Vec<usize> = ids.iter().filter_map(|&id| ds.index_of(id)).collect();
     positions.sort_unstable();
     positions.dedup();
     positions
+}
+
+/// Finalizer of splitmix64 — a deterministic, well-mixed 64-bit hash
+/// (no `std` `RandomState`, whose per-process seed would make the split
+/// differ between worker processes).
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The per-candidate impact scores of a dominance matrix (how much
@@ -61,7 +92,7 @@ pub(crate) fn impacts(matrix: &DominanceMatrix) -> Vec<f64> {
 /// of each cardinality is then the greedy removal set, which on deep
 /// non-answers is very likely already a valid contingency set. Any
 /// order is correct; this one converges fastest, and keeping it here
-/// guarantees every driver (serial, candidate-parallel, sharded) ranks
+/// guarantees every driver (serial, candidate-parallel) ranks
 /// identically.
 pub(crate) fn order_by_impact(search: &mut [usize], impacts: &[f64]) {
     search.sort_by(|&a, &b| impacts[b].partial_cmp(&impacts[a]).expect("finite impacts"));
@@ -84,6 +115,25 @@ mod tests {
             vec![ObjectId(2), ObjectId(4), ObjectId(7)]
         );
         assert!(merge_candidate_ids(Vec::<Vec<ObjectId>>::new()).is_empty());
+    }
+
+    #[test]
+    fn shard_shares_are_a_deterministic_partition() {
+        let ids: Vec<ObjectId> = (0..200).map(ObjectId).collect();
+        for shards in 1..=5 {
+            let shares: Vec<Vec<ObjectId>> =
+                (0..shards).map(|i| shard_share(&ids, i, shards)).collect();
+            assert_eq!(shares.iter().map(Vec::len).sum::<usize>(), ids.len());
+            assert_eq!(merge_candidate_ids(shares.clone()), ids);
+            // Same input, same split: worker processes agree.
+            let again: Vec<Vec<ObjectId>> =
+                (0..shards).map(|i| shard_share(&ids, i, shards)).collect();
+            assert_eq!(shares, again);
+            if shards > 1 {
+                assert!(shares.iter().all(|s| !s.is_empty()), "{shards} shards");
+            }
+        }
+        assert_eq!(shard_share(&ids, 0, 1), ids, "one shard is the whole list");
     }
 
     #[test]

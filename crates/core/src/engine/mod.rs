@@ -34,12 +34,11 @@
 //! parallelism is available through [`CpConfig::parallel_fmcs`]
 //! whenever the lemma configuration keeps candidates independent.
 //!
-//! Every stage-1 implementation is **partition-generic**: the same
-//! pipelines drive this single-tree session and the
-//! [`ShardedExplainEngine`], which splits
-//! the dataset across per-shard R-trees (see [`shard`]) and merges
-//! per-shard candidate sets (see [`merge`]) into bit-identical
-//! outcomes.
+//! Stage 1 of CP tests each object alone (Lemma 2), so its candidate
+//! set splits over any partition of the objects: a multi-process shard
+//! worker answers its share with [`merge::shard_share`], and
+//! [`merge::merge_candidate_ids`] reassembles the shares into exactly
+//! [`ExplainEngine::candidate_ids`].
 //!
 //! ```
 //! use crp_core::{EngineConfig, ExplainEngine};
@@ -69,13 +68,11 @@ pub(crate) mod pipeline;
 pub mod plan;
 pub(crate) mod refine;
 pub mod session;
-pub mod shard;
 pub mod window;
 
 pub use budget::{PartialProgress, PlanLimits, StopReason};
 pub use plan::{ExplainRequest, PlanCounters, PlanReport};
 pub use session::ExplainSession;
-pub use shard::{ShardPolicy, ShardedExplainEngine};
 pub use window::{
     admission, derive_limits, execute_window, fan_out, Admission, ClientClass, WindowReport,
 };
@@ -85,7 +82,7 @@ use crate::error::CrpError;
 use crate::oracle::{oracle_cp, oracle_cr, OracleCause};
 use crate::types::{Cause, CrpOutcome, RunStats};
 use cache::{ExplanationCache, ServeTrace};
-use certain::{run_certain, Lemma7ClosedForm, PointTreeDominators, SubsetVerify};
+use certain::{run_certain, Lemma7ClosedForm, SubsetVerify};
 use crp_geom::{HyperRect, Point};
 use crp_rtree::{AtomicQueryStats, QueryStats, RTree, RTreeParams, WindowQuery};
 use crp_skyline::{build_object_rtree, build_point_rtree};
@@ -250,9 +247,7 @@ fn update_error(e: UncertainError) -> CrpError {
     }
 }
 
-/// The data a session explains over — shared with the sharded engine,
-/// which keeps a global `Workload` for validation and matrix building
-/// while all index I/O happens in the shards.
+/// The data a session explains over.
 #[derive(Clone)]
 pub(crate) enum Workload {
     Discrete(UncertainDataset),
@@ -262,7 +257,7 @@ pub(crate) enum Workload {
 /// Clones a lazily initialised slot: a built value is cloned into the
 /// fork, an unbuilt one stays unbuilt (the fork pays the same lazy
 /// build a fresh engine would).
-pub(crate) fn clone_slot<T: Clone>(slot: &OnceLock<T>) -> OnceLock<T> {
+fn clone_slot<T: Clone>(slot: &OnceLock<T>) -> OnceLock<T> {
     let out = OnceLock::new();
     if let Some(value) = slot.get() {
         let _ = out.set(value.clone());
@@ -774,10 +769,9 @@ impl ExplainEngine {
     /// matrix or FMCS work. For pdf sessions these are the region hits
     /// of the per-quadrant windows.
     ///
-    /// A [`ShardedExplainEngine`] over the same dataset merges its
-    /// per-shard stage-1 outputs to exactly this list (the sharding
-    /// contract); the shard-sweep bench pins that and measures the
-    /// fan-out's speedup.
+    /// A shard worker answers its share of this list with
+    /// [`merge::shard_share`]; merging every share with
+    /// [`merge::merge_candidate_ids`] gives back exactly this list.
     pub fn candidate_ids(&self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, CrpError> {
         match &self.data {
             Workload::Discrete(ds) => {
@@ -936,7 +930,7 @@ impl ExplainEngine {
     /// computation (the cached rows carry their original traversal
     /// stats, and refinement is deterministic). The protocol body is
     /// [`cache::serve_cp_discrete`] — the single seam shared with the
-    /// sharded engine and the plan executor.
+    /// plan executor.
     fn cached_cp_discrete(
         &self,
         ds: &UncertainDataset,
@@ -948,7 +942,7 @@ impl ExplainEngine {
         crate::matrix::with_scratch(|scratch| {
             cache::serve_cp_discrete(
                 &self.cache,
-                Some(&self.io),
+                &self.io,
                 ds,
                 q,
                 an,
@@ -956,16 +950,7 @@ impl ExplainEngine {
                 cp,
                 &mut ServeTrace::default(),
                 scratch,
-                |an_pos, stats| {
-                    let tree = self.guarded_object_tree(ds)?;
-                    Ok(pipeline::stage1_probabilistic(
-                        ds,
-                        q,
-                        an_pos,
-                        &SampleWindowFilter::new(self.filter_view(tree)),
-                        stats,
-                    ))
-                },
+                |an_pos, stats| self.fresh_stage1_discrete(q, an_pos, stats),
             )
         })
     }
@@ -984,7 +969,7 @@ impl ExplainEngine {
         crate::matrix::with_scratch(|scratch| {
             cache::serve_cp_pdf(
                 &self.cache,
-                Some(&self.io),
+                &self.io,
                 ds,
                 q,
                 an,
@@ -992,10 +977,7 @@ impl ExplainEngine {
                 cp,
                 &mut ServeTrace::default(),
                 scratch,
-                |_windows, stats| {
-                    let tree = self.pdf_source(self.guarded_pdf_tree(ds)?);
-                    Ok(pipeline::stage1_pdf(ds, tree, q, an, resolution, stats))
-                },
+                |_windows, stats| self.fresh_stage1_pdf(q, an, resolution, stats),
             )
         })
     }
@@ -1020,9 +1002,7 @@ impl ExplainEngine {
         if ds.is_empty() || !ds.is_certain() || ds.index_of(an).is_none() {
             return run_certain(
                 ds,
-                &PointTreeDominators {
-                    tree: self.guarded_point_tree(ds)?,
-                },
+                self.guarded_point_tree(ds)?,
                 q,
                 an,
                 search,
@@ -1036,9 +1016,7 @@ impl ExplainEngine {
         let region = crp_geom::dominance_rect(an_point, q);
         let result = run_certain(
             ds,
-            &PointTreeDominators {
-                tree: self.guarded_point_tree(ds)?,
-            },
+            self.guarded_point_tree(ds)?,
             q,
             an,
             search,
@@ -1105,58 +1083,16 @@ impl ExplainEngine {
     }
 }
 
-/// The engine-side seams of the plan executor: the unsharded session
+/// The stage-1 seams of the plan executor ([`plan`]): the session
 /// serves stage 1 from its single object tree and accounts traversal
 /// in its own accumulator.
-impl plan::PlanHost for ExplainEngine {
-    fn host_config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    fn host_workload(&self) -> &Workload {
-        &self.data
-    }
-
-    fn host_cache(&self) -> &ExplanationCache {
-        &self.cache
-    }
-
-    fn host_io(&self) -> Option<&AtomicQueryStats> {
-        Some(&self.io)
-    }
-
-    fn resolve_strategy(&self, strategy: ExplainStrategy) -> ExplainStrategy {
-        self.resolve(strategy)
-    }
-
-    fn prepare_strategy(&self, strategy: ExplainStrategy) {
-        self.prepare(strategy);
-    }
-
-    fn cp_pre_guard(&self) -> Result<(), CrpError> {
-        // The unsharded session lets pipeline validation produce the
-        // empty-dataset error (after the outcome-cache lookup), exactly
-        // like the pre-planner entry points.
-        Ok(())
-    }
-
-    fn per_call(
-        &self,
-        strategy: ExplainStrategy,
-        q: &Point,
-        alpha: f64,
-        an: ObjectId,
-        cp: &CpConfig,
-        _fan_parallel: bool,
-    ) -> Result<CrpOutcome, CrpError> {
-        self.dispatch(strategy, q, alpha, an, cp)
-    }
-
+impl ExplainEngine {
+    /// The discrete CP stage 1: the multi-window filter over the object
+    /// tree, then the dominance-matrix build.
     fn fresh_stage1_discrete(
         &self,
         q: &Point,
         an_pos: usize,
-        _fan_parallel: bool,
         stats: &mut RunStats,
     ) -> Result<pipeline::StageOne, CrpError> {
         let ds = self.discrete();
@@ -1170,12 +1106,13 @@ impl plan::PlanHost for ExplainEngine {
         ))
     }
 
+    /// The pdf CP stage 1: region hits of the per-quadrant windows,
+    /// then the discretised matrix build.
     fn fresh_stage1_pdf(
         &self,
         q: &Point,
         an: ObjectId,
         resolution: usize,
-        _fan_parallel: bool,
         stats: &mut RunStats,
     ) -> Result<pipeline::StageOne, CrpError> {
         let ds = self.pdf();
@@ -1183,11 +1120,13 @@ impl plan::PlanHost for ExplainEngine {
         Ok(pipeline::stage1_pdf(ds, tree, q, an, resolution, stats))
     }
 
+    /// Every indexed id whose MBR/region intersects `region`
+    /// (ascending, deduplicated, `exclude` removed) — the coverage list
+    /// containment-derived plan units are filtered from.
     fn coverage_ids(
         &self,
         region: &HyperRect,
         exclude: ObjectId,
-        _fan_parallel: bool,
         stats: &mut RunStats,
     ) -> Result<Vec<ObjectId>, CrpError> {
         let tree = match &self.data {
@@ -1202,13 +1141,20 @@ impl plan::PlanHost for ExplainEngine {
         ))
     }
 
-    /// The unsharded engine fuses a plan's traversing units into one
-    /// grouped descent of the packed image. Per-group hit lists and
-    /// counters are exactly what each unit's solo descent produces
-    /// (the packed traversal threads group liveness down the tree), so
-    /// planned outcomes — including their per-explain `QueryStats` —
-    /// stay bit-identical to unfused execution; only the *physical*
-    /// node reads shrink, which the `filter_sweep` bench measures.
+    /// Fuses a plan's traversing units into one grouped descent of the
+    /// packed image, each shared upper node read a single time.
+    /// Per-group hit lists and counters are exactly what each unit's
+    /// solo descent produces (the packed traversal threads group
+    /// liveness down the tree), so planned outcomes — including their
+    /// per-explain `QueryStats` — stay bit-identical to unfused
+    /// execution; only the *physical* node reads shrink, which the
+    /// `filter_sweep` bench measures. `None` when the packed filter is
+    /// off or the dataset empty.
+    ///
+    /// The pre-pass is eager: a unit later served from the session
+    /// cache wastes its share of the descent. That trade is accepted —
+    /// cold plans (the planner's main workload) fuse fully, and the
+    /// wasted share on warm plans is one already-shared descent.
     fn fused_unit_hits(
         &self,
         groups: &[plan::FusedGroup],
@@ -1256,11 +1202,7 @@ impl plan::PlanHost for ExplainEngine {
 /// built lazily from the current dataset. The rare dimension-switch
 /// case (the dataset was emptied and restarted with different
 /// dimensionality) drops the tree for a lazy rebuild instead.
-///
-/// The single implementation behind both the unsharded engine and
-/// every shard — one body, so the incremental-maintenance invariants
-/// cannot drift between them.
-pub(crate) fn patch_rect_tree(
+fn patch_rect_tree(
     slot: &mut OnceLock<RTree<ObjectId>>,
     remove: Option<(HyperRect, ObjectId)>,
     insert: Option<(HyperRect, ObjectId)>,
@@ -1290,11 +1232,11 @@ pub(crate) fn patch_rect_tree(
 }
 
 /// [`patch_rect_tree`] for the certain-data point tree. Non-certain
-/// objects cannot be indexed as points: when the dataset (or shard) is
+/// objects cannot be indexed as points: when the dataset is
 /// no longer certain, or the touched object had no indexable point on
 /// either side, the tree is dropped and rebuilt lazily if/when the
 /// data is certain again.
-pub(crate) fn patch_point_tree_slot(
+fn patch_point_tree_slot(
     slot: &mut OnceLock<RTree<ObjectId>>,
     still_certain: bool,
     remove: Option<(Point, ObjectId)>,
@@ -1320,12 +1262,8 @@ pub(crate) fn patch_point_tree_slot(
 }
 
 /// Converts the oracle's position-level causes into the engine's
-/// id-level [`CrpOutcome`] — shared with the sharded engine's oracle
-/// dispatch.
-pub(crate) fn oracle_outcome(
-    ds: &UncertainDataset,
-    causes: Vec<(ObjectId, OracleCause)>,
-) -> CrpOutcome {
+/// id-level [`CrpOutcome`].
+fn oracle_outcome(ds: &UncertainDataset, causes: Vec<(ObjectId, OracleCause)>) -> CrpOutcome {
     let causes = causes
         .into_iter()
         .map(|(id, c)| Cause {
@@ -1508,7 +1446,7 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(matches!(
-            ExplainEngine::new(ds.clone(), zero_budget)
+            ExplainEngine::new(ds, zero_budget)
                 .err()
                 .expect("construction must fail"),
             CrpError::InvalidConfig {
@@ -1521,28 +1459,6 @@ mod tests {
             ExplainEngine::for_pdf(PdfDataset::new(), 0, EngineConfig::default())
                 .err()
                 .expect("construction must fail"),
-            CrpError::InvalidConfig {
-                field: "resolution",
-                ..
-            }
-        ));
-        // The sharded constructors run the same validation.
-        assert!(matches!(
-            ShardedExplainEngine::new(ds, EngineConfig::with_alpha(7.0), 2, ShardPolicy::Spatial)
-                .err()
-                .expect("construction must fail"),
-            CrpError::InvalidConfig { field: "alpha", .. }
-        ));
-        assert!(matches!(
-            ShardedExplainEngine::for_pdf(
-                PdfDataset::new(),
-                0,
-                EngineConfig::default(),
-                2,
-                ShardPolicy::RoundRobin
-            )
-            .err()
-            .expect("construction must fail"),
             CrpError::InvalidConfig {
                 field: "resolution",
                 ..

@@ -26,7 +26,7 @@
 //! (outcome *and* `stats.query`) to a fresh serial engine replayed to
 //! that epoch — incremental R*-tree patching is deterministic, so the
 //! forked trees equal the replayed trees node for node; the concurrency
-//! stress suite pins this across engines, workloads and shard counts.
+//! stress suite pins this across workloads and reader counts.
 //!
 //! Durability (write-ahead logging of update batches + snapshot
 //! manifests) composes on top: see `crp_data::wal` and the `crp` CLI's
@@ -34,7 +34,7 @@
 //! [`MvccEngine::apply_batch`].
 
 use super::session::ExplainSession;
-use super::{ExplainEngine, ShardedExplainEngine};
+use super::ExplainEngine;
 use crate::error::CrpError;
 use crp_uncertain::{Epoch, PdfObject, UncertainDataset, UncertainObject, Update};
 use std::collections::VecDeque;
@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// What the MVCC session needs from an engine: single-writer update
 /// application plus an immutable snapshot fork for readers. Implemented
-/// by both [`ExplainEngine`] and [`ShardedExplainEngine`].
+/// by [`ExplainEngine`]; test and benchmark adapters wrap it.
 pub trait SnapshotEngine: ExplainSession + Send + Sync {
     /// Forks an immutable reader snapshot of the current state.
     fn fork_snapshot(&self) -> Self
@@ -64,28 +64,6 @@ pub trait SnapshotEngine: ExplainSession + Send + Sync {
 }
 
 impl SnapshotEngine for ExplainEngine {
-    fn fork_snapshot(&self) -> Self {
-        self.fork()
-    }
-
-    fn apply_update(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError> {
-        self.apply(update)
-    }
-
-    fn apply_pdf_update(&mut self, update: Update<PdfObject>) -> Result<Epoch, CrpError> {
-        self.apply_pdf(update)
-    }
-
-    fn discrete_dataset(&self) -> Option<&UncertainDataset> {
-        if self.pdf_dataset().is_some() {
-            None
-        } else {
-            Some(self.dataset())
-        }
-    }
-}
-
-impl SnapshotEngine for ShardedExplainEngine {
     fn fork_snapshot(&self) -> Self {
         self.fork()
     }

@@ -17,14 +17,12 @@ use crp_geom::{dominance_rect, HyperRect, Point, PROB_EPSILON};
 use crp_rtree::{AtomicQueryStats, PackedRTree, QueryStats, RTree, WindowQuery};
 use crp_uncertain::{ObjectId, PdfDataset, UncertainDataset};
 
-/// Stage 1 of the pdf pipeline, abstracted over the partition layout:
-/// the ids of every indexed region intersecting any of the per-quadrant
-/// filter windows (sorted, deduplicated, `exclude` removed).
+/// Stage 1 of the pdf pipeline, abstracted over the tree view: the ids
+/// of every indexed region intersecting any of the per-quadrant filter
+/// windows (sorted, deduplicated, `exclude` removed).
 ///
-/// Implemented by the single global region tree and by the shard
-/// fan-out of [`super::shard::ShardedExplainEngine`]; both produce the
-/// identical hit list, so the integration stages below are
-/// partition-agnostic.
+/// Implemented by the pointer region tree and its packed image; both
+/// produce the identical hit list.
 pub(crate) trait RegionHitSource: Sync {
     fn region_hits(
         &self,
@@ -59,8 +57,7 @@ impl RegionHitSource for PackedRTree<ObjectId> {
 /// The pdf window traversal over one region tree (pointer or packed —
 /// generic through [`WindowQuery`]): ids intersecting any window,
 /// `exclude` removed, sorted and deduplicated. The single
-/// implementation behind the global tree and each shard of the sharded
-/// engine.
+/// implementation behind both [`RegionHitSource`] views.
 pub(crate) fn tree_region_hits<Q: WindowQuery<ObjectId> + ?Sized>(
     tree: &Q,
     windows: &[HyperRect],
@@ -198,9 +195,9 @@ pub(crate) fn finish(
         return Err(CrpError::NotANonAnswer { prob: pr_an });
     }
     // Stage 2: refine (lemma classification), then stage 3: FMCS — over
-    // the lent scratch workspace, so one rayon worker (or one shard
-    // thread, or one plan unit) reuses a single allocation-free
-    // workspace across every explain it serves.
+    // the lent scratch workspace, so one rayon worker (or one plan
+    // unit) reuses a single allocation-free workspace across every
+    // explain it serves.
     let recs = crate::refine::refine(matrix, alpha, config, stats, scratch)?;
     let causes = recs
         .into_iter()
@@ -218,7 +215,7 @@ pub(crate) fn finish(
 }
 
 /// The pdf-model pipeline (Section 3.2): per-quadrant farthest-corner
-/// windows for stage 1 (partition-generic through [`RegionHitSource`]),
+/// windows for stage 1 (pointer or packed tree, through [`RegionHitSource`]),
 /// closed-form box integrals for the matrix, then the shared
 /// stages 2–3.
 #[allow(clippy::too_many_arguments)]

@@ -18,11 +18,10 @@
 //!    in another unit's box for the same `an` is *derived* from the
 //!    larger unit's coverage list instead of paying its own R-tree
 //!    traversal,
-//! 3. **Execute** — one engine-agnostic executor drives the plan over
-//!    any plan host (the unsharded [`ExplainEngine`] or the
-//!    [`ShardedExplainEngine`]), rayon-parallel
-//!    across units exactly like the legacy batch paths, and returns a
-//!    [`PlanReport`] with per-plan [`PlanCounters`].
+//! 3. **Execute** — the executor drives the plan over the
+//!    [`ExplainEngine`], rayon-parallel across units exactly like the
+//!    legacy batch paths, and returns a [`PlanReport`] with per-plan
+//!    [`PlanCounters`].
 //!
 //! ## Why window containment is sound
 //!
@@ -47,19 +46,19 @@
 //! unchanged.
 //!
 //! [`ExplainEngine`]: super::ExplainEngine
-//! [`ShardedExplainEngine`]: super::ShardedExplainEngine
 
 use super::budget::{self, Cancel, PlanLimits};
-use super::cache::{self, ExplanationCache, ServeTrace};
+use super::cache::{self, ServeTrace};
 use super::filter;
+use super::merge;
 use super::pipeline::{self, StageOne};
-use super::{EngineConfig, ExplainStrategy, Workload};
+use super::{ExplainEngine, ExplainStrategy, Workload};
 use crate::config::CpConfig;
 use crate::error::CrpError;
 use crate::matrix::{with_scratch, DominanceMatrix, Scratch};
 use crate::types::{CrpOutcome, RunStats};
 use crp_geom::{HyperRect, Point};
-use crp_rtree::{AtomicQueryStats, QueryStats};
+use crp_rtree::QueryStats;
 use crp_uncertain::{ObjectId, PdfDataset, UncertainDataset};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -310,86 +309,6 @@ impl PlanReport {
     }
 }
 
-/// The engine-side seams the executor drives — implemented by
-/// [`ExplainEngine`](super::ExplainEngine) and
-/// [`ShardedExplainEngine`](super::ShardedExplainEngine). Everything
-/// partition-specific (which trees, which fan-out) lives behind these
-/// methods; the planning and execution logic above them is shared.
-pub(crate) trait PlanHost: Sync {
-    fn host_config(&self) -> &EngineConfig;
-    fn host_workload(&self) -> &Workload;
-    fn host_cache(&self) -> &ExplanationCache;
-    /// The session accumulator fresh traversal costs fold into
-    /// (`None` for sharded hosts, whose shards self-account).
-    fn host_io(&self) -> Option<&AtomicQueryStats>;
-    fn resolve_strategy(&self, strategy: ExplainStrategy) -> ExplainStrategy;
-    /// Builds the indexes `strategy` needs before a parallel phase.
-    fn prepare_strategy(&self, strategy: ExplainStrategy);
-    /// Guards evaluated before the cached CP path (the sharded engine
-    /// rejects empty datasets before consulting the cache; the
-    /// unsharded one lets validation do it) — kept per-engine so error
-    /// ordering stays bit-identical to the legacy entry points.
-    fn cp_pre_guard(&self) -> Result<(), CrpError>;
-    /// The legacy per-call dispatch (cache included) for strategies
-    /// the planner does not dedup. `fan_parallel` controls intra-call
-    /// partition parallelism where the host has any.
-    fn per_call(
-        &self,
-        strategy: ExplainStrategy,
-        q: &Point,
-        alpha: f64,
-        an: ObjectId,
-        cp: &CpConfig,
-        fan_parallel: bool,
-    ) -> Result<CrpOutcome, CrpError>;
-    /// The legacy stage-1 traversal of the discrete CP pipeline
-    /// (multi-window filter + matrix build).
-    fn fresh_stage1_discrete(
-        &self,
-        q: &Point,
-        an_pos: usize,
-        fan_parallel: bool,
-        stats: &mut RunStats,
-    ) -> Result<StageOne, CrpError>;
-    /// The legacy stage-1 traversal of the pdf CP pipeline.
-    fn fresh_stage1_pdf(
-        &self,
-        q: &Point,
-        an: ObjectId,
-        resolution: usize,
-        fan_parallel: bool,
-        stats: &mut RunStats,
-    ) -> Result<StageOne, CrpError>;
-    /// Every indexed id whose MBR/region intersects `region`
-    /// (ascending, deduplicated, `exclude` removed) — the coverage
-    /// list containment-derived units are filtered from.
-    fn coverage_ids(
-        &self,
-        region: &HyperRect,
-        exclude: ObjectId,
-        fan_parallel: bool,
-        stats: &mut RunStats,
-    ) -> Result<Vec<ObjectId>, CrpError>;
-    /// Fused stage-1 pre-pass: one grouped descent of the packed tree
-    /// serves every traversing unit of the plan at once, each shared
-    /// upper node read a single time. Returns `None` when the host
-    /// cannot fuse (sharded hosts, packed filter off, empty data); an
-    /// entry per group otherwise — the unit's raw hit list (ascending,
-    /// deduplicated, the excluded id removed) plus the traversal
-    /// counters of that unit's *solo* descent, so the per-outcome stats
-    /// and the session I/O metric stay bit-identical to unfused
-    /// execution while the physical node reads shrink.
-    ///
-    /// The pre-pass is eager: a unit later served from the session
-    /// cache wastes its share of the descent. That trade is accepted —
-    /// cold plans (the planner's main workload) fuse fully, and the
-    /// wasted share on warm plans is one already-shared descent.
-    fn fused_unit_hits(&self, groups: &[FusedGroup]) -> Option<Vec<(Vec<ObjectId>, QueryStats)>> {
-        let _ = groups;
-        None
-    }
-}
-
 /// One group of a fused stage-1 descent: a traversing unit's filter
 /// windows and the non-answer its hit list excludes.
 pub(crate) struct FusedGroup {
@@ -514,11 +433,11 @@ fn unit_region(workload: &Workload, an: ObjectId, q: &Point) -> Option<HyperRect
     }
 }
 
-/// Compiles `requests` against a host: expand tasks, dedup `(an, q)`
+/// Compiles `requests` against an engine: expand tasks, dedup `(an, q)`
 /// units, link containment derivations.
-fn compile<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest]) -> Plan {
-    let config = host.host_config();
-    let workload = host.host_workload();
+fn compile(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Plan {
+    let config = &engine.config;
+    let workload = &engine.data;
 
     let mut qtable: Vec<Point> = Vec::new();
     let mut qindex: HashMap<Vec<u64>, usize> = HashMap::new();
@@ -554,7 +473,7 @@ fn compile<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest]) -> Plan 
     let mut units: Vec<Unit> = Vec::new();
     let mut unit_index: HashMap<(ObjectId, usize), usize> = HashMap::new();
     for (ti, task) in tasks.iter_mut().enumerate() {
-        if host.resolve_strategy(task.strategy) != ExplainStrategy::Cp {
+        if engine.resolve(task.strategy) != ExplainStrategy::Cp {
             continue;
         }
         let ui = *unit_index.entry((task.an, task.q)).or_insert_with(|| {
@@ -635,9 +554,7 @@ fn stage1_discrete_from_coverage(
     coverage: &[ObjectId],
 ) -> StageOne {
     let an = ds.object_at(an_pos);
-    let mut positions: Vec<usize> = coverage.iter().filter_map(|&id| ds.index_of(id)).collect();
-    positions.sort_unstable();
-    positions.dedup();
+    let mut positions = merge::global_positions(ds, coverage);
     positions.retain(|&pos| pos != an_pos);
     filter::retain_causal(ds, an, q, &mut positions);
     let matrix = DominanceMatrix::build(ds, an_pos, q, &positions);
@@ -679,8 +596,8 @@ fn stage1_pdf_from_coverage(
 /// traversal would return (and its counters the solo counters), so all
 /// three paths produce the identical [`StageOne`].
 #[allow(clippy::too_many_arguments)]
-fn unit_stage1_discrete<H: PlanHost + ?Sized>(
-    host: &H,
+fn unit_stage1_discrete(
+    engine: &ExplainEngine,
     units: &[Unit],
     ui: usize,
     coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
@@ -688,7 +605,6 @@ fn unit_stage1_discrete<H: PlanHost + ?Sized>(
     ds: &UncertainDataset,
     q: &Point,
     an_pos: usize,
-    fan_parallel: bool,
     stats: &mut RunStats,
     flags: &mut UnitFlags,
 ) -> Result<StageOne, CrpError> {
@@ -716,18 +632,18 @@ fn unit_stage1_discrete<H: PlanHost + ?Sized>(
             .region
             .clone()
             .expect("coverage roots have regions");
-        let cov = Arc::new(host.coverage_ids(&region, units[ui].an, fan_parallel, stats)?);
+        let cov = Arc::new(engine.coverage_ids(&region, units[ui].an, stats)?);
         let stage1 = stage1_discrete_from_coverage(ds, q, an_pos, &cov);
         let _ = coverage[ui].set(cov);
         return Ok(stage1);
     }
-    host.fresh_stage1_discrete(q, an_pos, fan_parallel, stats)
+    engine.fresh_stage1_discrete(q, an_pos, stats)
 }
 
 /// [`unit_stage1_discrete`] for pdf workloads.
 #[allow(clippy::too_many_arguments)]
-fn unit_stage1_pdf<H: PlanHost + ?Sized>(
-    host: &H,
+fn unit_stage1_pdf(
+    engine: &ExplainEngine,
     units: &[Unit],
     ui: usize,
     coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
@@ -736,7 +652,6 @@ fn unit_stage1_pdf<H: PlanHost + ?Sized>(
     q: &Point,
     resolution: usize,
     windows: &[HyperRect],
-    fan_parallel: bool,
     stats: &mut RunStats,
     flags: &mut UnitFlags,
 ) -> Result<StageOne, CrpError> {
@@ -771,33 +686,30 @@ fn unit_stage1_pdf<H: PlanHost + ?Sized>(
             .region
             .clone()
             .expect("coverage roots have regions");
-        let cov = Arc::new(host.coverage_ids(&region, an, fan_parallel, stats)?);
+        let cov = Arc::new(engine.coverage_ids(&region, an, stats)?);
         let stage1 = stage1_pdf_from_coverage(ds, q, an, resolution, windows, &cov);
         let _ = coverage[ui].set(cov);
         return Ok(stage1);
     }
-    host.fresh_stage1_pdf(q, an, resolution, fan_parallel, stats)
+    engine.fresh_stage1_pdf(q, an, resolution, stats)
 }
 
 /// Runs every task of one unit (first task computes or fetches the
 /// rows, the rest share them through the session row cache), filling
 /// `results` and returning the unit's execution flags.
 #[allow(clippy::too_many_arguments)]
-fn run_unit<H: PlanHost + ?Sized>(
-    host: &H,
+fn run_unit(
+    engine: &ExplainEngine,
     plan: &Plan,
     ui: usize,
     coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
     fused: &[Option<(Vec<ObjectId>, QueryStats)>],
-    fan_parallel: bool,
     cancel: Option<&Arc<Cancel>>,
     results: &[OnceLock<Result<CrpOutcome, CrpError>>],
 ) -> UnitFlags {
     let mut flags = UnitFlags::default();
     let unit = &plan.units[ui];
     let q = &plan.qtable[unit.q];
-    let cache = host.host_cache();
-    let io = host.host_io();
     // Install the plan's budget handle on *this* thread (rayon workers
     // included) so the pipeline and FMCS loops below can poll it.
     budget::with_cancel(cancel, || {
@@ -814,19 +726,7 @@ fn run_unit<H: PlanHost + ?Sized>(
                 let task = &plan.tasks[ti];
                 let mut trace = ServeTrace::default();
                 let outcome = run_cp_task(
-                    host,
-                    plan,
-                    ui,
-                    task,
-                    q,
-                    coverage,
-                    fused,
-                    fan_parallel,
-                    cache,
-                    io,
-                    scratch,
-                    &mut trace,
-                    &mut flags,
+                    engine, plan, ui, task, q, coverage, fused, scratch, &mut trace, &mut flags,
                 );
                 if trace.outcome_hit {
                     flags.outcome_hits += 1;
@@ -852,26 +752,22 @@ fn run_unit<H: PlanHost + ?Sized>(
 /// One CP task through the shared cache seam, with the unit-appropriate
 /// fresh-stage-1 closure.
 #[allow(clippy::too_many_arguments)]
-fn run_cp_task<H: PlanHost + ?Sized>(
-    host: &H,
+fn run_cp_task(
+    engine: &ExplainEngine,
     plan: &Plan,
     ui: usize,
     task: &Task,
     q: &Point,
     coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
     fused: &[Option<(Vec<ObjectId>, QueryStats)>],
-    fan_parallel: bool,
-    cache: &ExplanationCache,
-    io: Option<&AtomicQueryStats>,
     scratch: &mut Scratch,
     trace: &mut ServeTrace,
     flags: &mut UnitFlags,
 ) -> Result<CrpOutcome, CrpError> {
-    host.cp_pre_guard()?;
-    match host.host_workload() {
+    match &engine.data {
         Workload::Discrete(ds) => cache::serve_cp_discrete(
-            cache,
-            io,
+            &engine.cache,
+            &engine.io,
             ds,
             q,
             task.an,
@@ -881,7 +777,7 @@ fn run_cp_task<H: PlanHost + ?Sized>(
             scratch,
             |an_pos, stats| {
                 unit_stage1_discrete(
-                    host,
+                    engine,
                     &plan.units,
                     ui,
                     coverage,
@@ -889,15 +785,14 @@ fn run_cp_task<H: PlanHost + ?Sized>(
                     ds,
                     q,
                     an_pos,
-                    fan_parallel,
                     stats,
                     flags,
                 )
             },
         ),
         Workload::Pdf { ds, resolution } => cache::serve_cp_pdf(
-            cache,
-            io,
+            &engine.cache,
+            &engine.io,
             ds,
             q,
             task.an,
@@ -907,7 +802,7 @@ fn run_cp_task<H: PlanHost + ?Sized>(
             scratch,
             |windows, stats| {
                 unit_stage1_pdf(
-                    host,
+                    engine,
                     &plan.units,
                     ui,
                     coverage,
@@ -916,7 +811,6 @@ fn run_cp_task<H: PlanHost + ?Sized>(
                     q,
                     *resolution,
                     windows,
-                    fan_parallel,
                     stats,
                     flags,
                 )
@@ -925,12 +819,12 @@ fn run_cp_task<H: PlanHost + ?Sized>(
     }
 }
 
-/// Compiles and executes a workload over one host — the single body
+/// Compiles and executes a workload over one engine — the single body
 /// behind [`ExplainSession::run`](super::session::ExplainSession::run)
 /// and every legacy entry-point shim.
-pub(crate) fn execute<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest]) -> PlanReport {
-    let plan = compile(host, requests);
-    let config = host.host_config();
+pub(crate) fn execute(engine: &ExplainEngine, requests: &[ExplainRequest]) -> PlanReport {
+    let plan = compile(engine, requests);
+    let config = &engine.config;
     // One budget handle for the whole plan: the most restrictive limit
     // of each kind across the joined requests. `None` (the common
     // case) costs nothing on the hot paths.
@@ -939,17 +833,14 @@ pub(crate) fn execute<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest
         .fold(PlanLimits::default(), |acc, r| acc.merge_min(r.limits));
     let cancel = Cancel::new(limits, plan.tasks.len() as u64);
     let cancel = cancel.as_ref();
-    // Mirror the legacy dispatch exactly: batches (> 1 task) run
-    // task-parallel with partition fan-out disabled per call; a single
-    // task keeps the per-call fan-out the legacy `explain` used.
+    // Batches (> 1 task) run task-parallel; a single task runs inline.
     let parallel = config.parallel && !plan.serial_forced && plan.tasks.len() > 1;
-    let fan_parallel = config.parallel && !plan.serial_forced && plan.tasks.len() == 1;
     if parallel {
         let mut prepared: Vec<ExplainStrategy> = Vec::new();
         for task in &plan.tasks {
             if !prepared.contains(&task.strategy) {
                 prepared.push(task.strategy);
-                host.prepare_strategy(task.strategy);
+                engine.prepare(task.strategy);
             }
         }
     }
@@ -969,7 +860,7 @@ pub(crate) fn execute<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest
         .filter(|&ui| matches!(plan.units[ui].kind, UnitKind::Derived { .. }))
         .collect();
 
-    // Fused stage-1 pre-pass: when the host can fuse and at least two
+    // Fused stage-1 pre-pass: when the engine can fuse and at least two
     // phase-1 units would traverse, one grouped packed descent computes
     // every unit's hit list up front — shared upper nodes read once.
     // Units the serve path fails before stage 1 (no windows) stay
@@ -977,7 +868,7 @@ pub(crate) fn execute<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest
     let mut fused: Vec<Option<(Vec<ObjectId>, QueryStats)>> =
         (0..plan.units.len()).map(|_| None).collect();
     if phase1.len() >= 2 {
-        let workload = host.host_workload();
+        let workload = &engine.data;
         let groups: Vec<FusedGroup> = phase1
             .iter()
             .filter_map(|&ui| {
@@ -990,7 +881,7 @@ pub(crate) fn execute<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest
             })
             .collect();
         if groups.len() >= 2 {
-            if let Some(hits) = host.fused_unit_hits(&groups) {
+            if let Some(hits) = engine.fused_unit_hits(&groups) {
                 for (group, hit) in groups.into_iter().zip(hits) {
                     fused[group.unit] = Some(hit);
                 }
@@ -1002,16 +893,7 @@ pub(crate) fn execute<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest
         let one_unit = |ui: usize| {
             (
                 ui,
-                run_unit(
-                    host,
-                    &plan,
-                    ui,
-                    &coverage,
-                    &fused,
-                    fan_parallel,
-                    cancel,
-                    &results,
-                ),
+                run_unit(engine, &plan, ui, &coverage, &fused, cancel, &results),
             )
         };
         if parallel && unit_ids.len() > 1 {
@@ -1037,13 +919,12 @@ pub(crate) fn execute<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest
         }
         let task = &plan.tasks[ti];
         let outcome = budget::with_cancel(cancel, || {
-            host.per_call(
+            engine.dispatch(
                 task.strategy,
                 &plan.qtable[task.q],
                 task.alpha,
                 task.an,
                 &task.cp,
-                fan_parallel,
             )
         });
         let finished = !matches!(outcome, Err(CrpError::Partial(_)));
@@ -1095,12 +976,9 @@ pub(crate) fn execute<H: PlanHost + ?Sized>(host: &H, requests: &[ExplainRequest
 
 /// Plans and executes a single-task request, unwrapping the one result
 /// — the tail every legacy per-call shim forwards through.
-pub(crate) fn one<H: PlanHost + ?Sized>(
-    host: &H,
-    request: ExplainRequest,
-) -> Result<CrpOutcome, CrpError> {
+pub(crate) fn one(engine: &ExplainEngine, request: ExplainRequest) -> Result<CrpOutcome, CrpError> {
     debug_assert_eq!(request.task_count(), 1);
-    execute(host, std::slice::from_ref(&request)).into_single()
+    execute(engine, std::slice::from_ref(&request)).into_single()
 }
 
 #[cfg(test)]

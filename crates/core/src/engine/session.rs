@@ -1,11 +1,11 @@
-//! The **[`ExplainSession`]** trait: one serving surface over every
-//! engine flavour.
+//! The **[`ExplainSession`]** trait: the serving surface of an explain
+//! session.
 //!
-//! [`ExplainEngine`] and [`ShardedExplainEngine`] used to expose six
-//! near-duplicate explain entry points *each*. All twelve now forward
-//! through the planner ([`super::plan`]); this trait is the surface a
-//! serving layer (the `crp` CLI, a future async front-end) programs
-//! against without caring which engine flavour sits behind it:
+//! [`ExplainEngine`]'s explain entry points all forward through the
+//! planner ([`super::plan`]); this trait is the surface a serving layer
+//! (the `crp` CLI, `crp serve`, an MVCC snapshot) programs against, so
+//! decorators — a tracing wrapper, an epoch snapshot — can stand in for
+//! the engine:
 //!
 //! ```
 //! use crp_core::engine::{ExplainRequest, ExplainSession};
@@ -32,19 +32,16 @@
 //! ```
 
 use super::plan::{self, ExplainRequest, PlanReport};
-use super::{EngineConfig, ExplainEngine, ShardedExplainEngine};
+use super::{EngineConfig, ExplainEngine};
 use crate::error::CrpError;
 use crate::types::CrpOutcome;
 use crp_geom::Point;
 use crp_rtree::QueryStats;
 use crp_uncertain::{Epoch, ObjectId};
 
-/// A planned explain session: any engine that can compile
+/// A planned explain session: anything that can compile
 /// [`ExplainRequest`] workloads into deduplicated stage-1 work units
-/// and execute them. Implemented by [`ExplainEngine`] (one index) and
-/// [`ShardedExplainEngine`] (partitioned indexes); both produce
-/// bit-identical outcomes for the same workload, so callers can swap
-/// flavours freely.
+/// and execute them — the [`ExplainEngine`], or a decorator over one.
 pub trait ExplainSession: Sync {
     /// The session configuration (default α, strategy, lemma
     /// switches, parallelism).
@@ -67,22 +64,22 @@ pub trait ExplainSession: Sync {
     /// saved.
     fn run(&self, requests: &[ExplainRequest]) -> PlanReport;
 
-    /// How many stage-1 partitions back this session (1 when
-    /// unsharded). A serving front-end uses this to size a
-    /// multi-process shard fleet.
+    /// How many stage-1 partitions back this session. A session is one
+    /// partition; multi-process shard workers split its candidates with
+    /// [`crate::engine::merge::shard_share`] instead.
     fn shard_count(&self) -> usize {
         1
     }
 
-    /// Merged stage-1 candidate ids for one non-answer: sorted,
-    /// deduplicated, bit-identical across engine flavours for the
-    /// same dataset.
+    /// Stage-1 candidate ids for one non-answer: sorted and
+    /// deduplicated.
     fn candidate_ids(&self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, CrpError>;
 
-    /// One partition's share of the stage-1 candidates, for serving
-    /// stage-1 across OS processes. Merging every shard's output with
+    /// One partition's share of the stage-1 candidates. Merging every
+    /// partition's share with
     /// [`crate::engine::merge::merge_candidate_ids`] reproduces
-    /// [`candidate_ids`](Self::candidate_ids) exactly.
+    /// [`candidate_ids`](Self::candidate_ids) exactly; with the single
+    /// partition of a session, shard 0 is the whole list.
     ///
     /// # Panics
     ///
@@ -92,7 +89,14 @@ pub trait ExplainSession: Sync {
         shard: usize,
         q: &Point,
         an: ObjectId,
-    ) -> Result<Vec<ObjectId>, CrpError>;
+    ) -> Result<Vec<ObjectId>, CrpError> {
+        let shards = self.shard_count();
+        assert!(
+            shard < shards,
+            "shard {shard} out of range for {shards} shard(s)"
+        );
+        self.candidate_ids(q, an)
+    }
 
     /// Convenience: one explanation at the session defaults, through
     /// the planner.
@@ -128,55 +132,6 @@ impl ExplainSession for ExplainEngine {
         ExplainEngine::candidate_ids(self, q, an)
     }
 
-    fn shard_candidate_ids(
-        &self,
-        shard: usize,
-        q: &Point,
-        an: ObjectId,
-    ) -> Result<Vec<ObjectId>, CrpError> {
-        assert!(shard < 1, "shard {shard} out of range for 1 shard");
-        ExplainEngine::candidate_ids(self, q, an)
-    }
-
-    fn run(&self, requests: &[ExplainRequest]) -> PlanReport {
-        plan::execute(self, requests)
-    }
-}
-
-impl ExplainSession for ShardedExplainEngine {
-    fn config(&self) -> &EngineConfig {
-        ShardedExplainEngine::config(self)
-    }
-
-    fn epoch(&self) -> Epoch {
-        ShardedExplainEngine::epoch(self)
-    }
-
-    fn accumulated_io(&self) -> QueryStats {
-        ShardedExplainEngine::accumulated_io(self)
-    }
-
-    fn cache_len(&self) -> (usize, usize) {
-        ShardedExplainEngine::cache_len(self)
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedExplainEngine::shard_count(self)
-    }
-
-    fn candidate_ids(&self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, CrpError> {
-        ShardedExplainEngine::candidate_ids(self, q, an)
-    }
-
-    fn shard_candidate_ids(
-        &self,
-        shard: usize,
-        q: &Point,
-        an: ObjectId,
-    ) -> Result<Vec<ObjectId>, CrpError> {
-        ShardedExplainEngine::shard_candidates(self, shard, q, an)
-    }
-
     fn run(&self, requests: &[ExplainRequest]) -> PlanReport {
         plan::execute(self, requests)
     }
@@ -185,8 +140,8 @@ impl ExplainSession for ShardedExplainEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ShardPolicy;
-    use crp_uncertain::{UncertainDataset, UncertainObject};
+    use crp_geom::HyperRect;
+    use crp_uncertain::{PdfDataset, PdfObject, UncertainDataset, UncertainObject};
 
     fn pt(x: f64, y: f64) -> Point {
         Point::from([x, y])
@@ -205,23 +160,29 @@ mod tests {
 
     #[test]
     fn trait_objects_serve_both_engine_flavours() {
-        let config = EngineConfig::with_alpha(0.75);
-        let single = ExplainEngine::new(fixture(), config).expect("valid engine config");
-        let sharded = ShardedExplainEngine::new(fixture(), config, 2, ShardPolicy::Spatial)
+        // The discrete-sample and the continuous-pdf session behind one
+        // trait object type.
+        let discrete = ExplainEngine::new(fixture(), EngineConfig::with_alpha(0.75))
             .expect("valid engine config");
-        let sessions: Vec<&dyn ExplainSession> = vec![&single, &sharded];
+        let pdf = ExplainEngine::for_pdf(
+            PdfDataset::from_objects(vec![
+                PdfObject::uniform(ObjectId(0), HyperRect::new(pt(9.5, 9.5), pt(10.5, 10.5))),
+                PdfObject::uniform(ObjectId(1), HyperRect::new(pt(6.9, 6.9), pt(7.1, 7.1))),
+                PdfObject::uniform(ObjectId(3), HyperRect::new(pt(39.0, 39.0), pt(41.0, 41.0))),
+            ])
+            .unwrap(),
+            3,
+            EngineConfig::with_alpha(0.5),
+        )
+        .expect("valid engine config");
+        let sessions: Vec<&dyn ExplainSession> = vec![&discrete, &pdf];
         let q = pt(5.0, 5.0);
-        let outcomes: Vec<_> = sessions
-            .iter()
-            .map(|s| s.explain_one(&q, ObjectId(0)).expect("non-answer"))
-            .collect();
-        assert_eq!(
-            outcomes[0].causes, outcomes[1].causes,
-            "sharded ≡ unsharded through the session trait"
-        );
         for s in &sessions {
+            let one = s.explain_one(&q, ObjectId(0)).expect("non-answer");
+            assert!(one.cause(ObjectId(1)).is_some(), "object 1 blocks object 0");
             let batch = s.explain_many(&q, &[ObjectId(0), ObjectId(3)]);
             assert_eq!(batch.len(), 2);
+            assert_eq!(batch[0].as_ref().unwrap(), &one, "batch ≡ single call");
             assert!(s.accumulated_io().node_accesses > 0);
             assert!(s.cache_len().0 >= 1, "rows cached through the planner");
         }

@@ -403,31 +403,37 @@ mod tests {
 
     #[test]
     fn session_candidate_seam_agrees_across_flavours() {
-        use crate::engine::merge::merge_candidate_ids;
-        use crate::engine::mvcc::SnapshotEngine;
-        use crate::engine::{ShardPolicy, ShardedExplainEngine};
+        use crate::engine::merge::{merge_candidate_ids, shard_share};
+        use crp_geom::HyperRect;
+        use crp_uncertain::{PdfDataset, PdfObject};
 
-        let single = fixture_engine();
-        let ds = single.discrete_dataset().expect("discrete fixture").clone();
-        let sharded =
-            ShardedExplainEngine::new(ds, EngineConfig::with_alpha(0.75), 2, ShardPolicy::Spatial)
-                .unwrap();
+        // A session is one partition, discrete or pdf: shard 0 is the
+        // whole candidate list, and a shard worker's id-hash split of
+        // that list merges back bit-identically.
+        let discrete = fixture_engine();
+        let pdf = ExplainEngine::for_pdf(
+            PdfDataset::from_objects(vec![
+                PdfObject::uniform(ObjectId(0), HyperRect::new(pt(9.5, 9.5), pt(10.5, 10.5))),
+                PdfObject::uniform(ObjectId(1), HyperRect::new(pt(6.9, 6.9), pt(7.1, 7.1))),
+                PdfObject::uniform(ObjectId(2), HyperRect::new(pt(7.5, 7.5), pt(8.0, 8.0))),
+            ])
+            .unwrap(),
+            3,
+            EngineConfig::with_alpha(0.5),
+        )
+        .unwrap();
         let q = pt(5.0, 5.0);
-        let sessions: [&dyn ExplainSession; 2] = [&single, &sharded];
-        assert_eq!(sessions[0].shard_count(), 1);
-        assert_eq!(sessions[1].shard_count(), 2);
-        let merged_single = ExplainSession::candidate_ids(&single, &q, ObjectId(0)).unwrap();
+        let sessions: [&dyn ExplainSession; 2] = [&discrete, &pdf];
         for session in sessions {
-            let merged = session.candidate_ids(&q, ObjectId(0)).unwrap();
-            assert_eq!(merged, merged_single, "merged stage-1 is flavour-invariant");
-            let shards: Vec<_> = (0..session.shard_count())
-                .map(|s| session.shard_candidate_ids(s, &q, ObjectId(0)).unwrap())
-                .collect();
+            let ids = session.candidate_ids(&q, ObjectId(0)).unwrap();
+            assert!(ids.len() >= 2, "fixture needs candidates: {ids:?}");
+            assert_eq!(session.shard_count(), 1);
             assert_eq!(
-                merge_candidate_ids(shards),
-                merged,
-                "per-shard outputs merge back bit-identically"
+                session.shard_candidate_ids(0, &q, ObjectId(0)).unwrap(),
+                ids
             );
+            let shares: Vec<_> = (0..3).map(|i| shard_share(&ids, i, 3)).collect();
+            assert_eq!(merge_candidate_ids(shares), ids);
         }
     }
 }

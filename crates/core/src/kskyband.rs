@@ -15,7 +15,7 @@
 //! `1/(|D| − k)`**, and `k = 0` recovers the paper's Lemma 7 / Eq. 4
 //! exactly. Like CR, the algorithm is a single window query.
 
-use crate::engine::certain::{run_certain, Lemma7ClosedForm, PointTreeDominators};
+use crate::engine::certain::{run_certain, Lemma7ClosedForm};
 use crate::error::CrpError;
 use crate::types::CrpOutcome;
 use crp_geom::Point;
@@ -41,14 +41,7 @@ pub fn cr_kskyband(
     an_id: ObjectId,
     k: usize,
 ) -> Result<CrpOutcome, CrpError> {
-    run_certain(
-        ds,
-        &PointTreeDominators { tree },
-        q,
-        an_id,
-        &Lemma7ClosedForm { k },
-        None,
-    )
+    run_certain(ds, tree, q, an_id, &Lemma7ClosedForm { k }, None)
 }
 
 #[cfg(test)]

@@ -33,10 +33,10 @@
 //!   parallelism for the ablation experiments,
 //! * [`ExplainEngine::explain_batch`] — many non-answers in one call,
 //!   data-parallel with rayon and bit-identical to the serial path,
-//! * [`ShardedExplainEngine`] — the same sessions over a dataset split
-//!   into per-shard R-trees by a [`ShardPolicy`]; candidate generation
-//!   fans out across shards and the merged results are bit-identical
-//!   to the unsharded engine (see [`engine::shard`]).
+//! * [`shard_share`] / [`merge_candidate_ids`] — the stage-1 merge law:
+//!   a shard worker answers the id-hash share of the candidate set, and
+//!   the merged shares equal [`ExplainEngine::candidate_ids`] (see
+//!   [`engine::merge`]).
 //!
 //! The pre-engine free functions ([`cp`], [`cr`], [`naive_i`],
 //! [`naive_ii`], [`cp_pdf`], [`cr_kskyband`]) remain as deprecated thin
@@ -66,21 +66,21 @@ pub use combinations::{
 };
 pub use config::CpConfig;
 pub use cp::collect_candidates;
-pub use engine::merge::merge_candidate_ids;
+pub use engine::merge::{merge_candidate_ids, shard_share};
 pub use engine::mvcc::{EpochSnapshot, MvccCounters, MvccEngine, SnapshotEngine};
 pub use engine::window::{
     admission, derive_limits, execute_window, fan_out, Admission, ClientClass, WindowReport,
 };
 pub use engine::{
     EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy, PartialProgress,
-    PlanCounters, PlanLimits, PlanReport, ShardPolicy, ShardedExplainEngine, StopReason,
+    PlanCounters, PlanLimits, PlanReport, StopReason,
 };
 pub use error::CrpError;
 pub use kernel::{active_kernel, set_kernel, simd_supported, KernelKind};
 pub use matrix::{DominanceMatrix, PrEvaluator};
 // The live-session vocabulary: updates are applied through
-// `ExplainEngine::apply` / `ShardedExplainEngine::apply`, which return
-// the dataset epoch the session now serves.
+// `ExplainEngine::apply`, which returns the dataset epoch the session
+// now serves.
 pub use crp_uncertain::{Epoch, Update};
 // `ExplainSession::accumulated_io` speaks this type; re-exported so
 // session consumers (and `SnapshotEngine` adapters in downstream

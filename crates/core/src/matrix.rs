@@ -537,8 +537,8 @@ thread_local! {
 /// Lends a per-thread [`Scratch`] to `f`. A stack (not a single slot)
 /// so re-entrant borrows — the candidate-parallel FMCS driver running a
 /// worker item on the calling thread — get their own workspace instead
-/// of a `RefCell` panic. One scratch per rayon worker / per shard
-/// thread on steady state; nothing is allocated once the pool is warm.
+/// of a `RefCell` panic. One scratch per rayon worker on steady state;
+/// nothing is allocated once the pool is warm.
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     let mut scratch = SCRATCH_POOL
         .with(|p| p.borrow_mut().pop())

@@ -17,7 +17,7 @@
 //! [`crate::ExplainStrategy::NaiveII`].
 
 use crate::config::CpConfig;
-use crate::engine::certain::{run_certain, PointTreeDominators, SubsetVerify};
+use crate::engine::certain::{run_certain, SubsetVerify};
 use crate::engine::filter::SampleWindowFilter;
 use crate::engine::pipeline;
 use crate::error::CrpError;
@@ -73,14 +73,7 @@ pub fn naive_ii(
     an_id: ObjectId,
     max_subsets: Option<u64>,
 ) -> Result<CrpOutcome, CrpError> {
-    run_certain(
-        ds,
-        &PointTreeDominators { tree },
-        q,
-        an_id,
-        &SubsetVerify { max_subsets },
-        None,
-    )
+    run_certain(ds, tree, q, an_id, &SubsetVerify { max_subsets }, None)
 }
 
 #[cfg(test)]

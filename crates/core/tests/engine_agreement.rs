@@ -2,12 +2,11 @@
 //! **exactly** with the definition-level oracles on small random
 //! datasets, through every dispatch path — per-call `explain_as`,
 //! serial batch, rayon-parallel batch, the candidate-parallel FMCS
-//! mode, and the partition-parallel `ShardedExplainEngine` (every
-//! `ShardPolicy` × 1/2/4/7 shards must be bit-identical to the
-//! unsharded session on both discrete and pdf workloads). The batch
-//! paths must additionally be bit-identical to each other (the engine's
-//! ordering contract), and the combinatorics primitives FMCS leans on
-//! must behave at their boundary sizes.
+//! mode and the planner. The batch paths must additionally be
+//! bit-identical to each other (the engine's ordering contract), the
+//! stage-1 candidate set must split into disjoint id-hash shares that
+//! merge back exactly (the shard-worker law), and the combinatorics
+//! primitives FMCS leans on must behave at their boundary sizes.
 
 // The deprecated `explain_*_as` entry points are exercised throughout
 // on purpose: these tests pin that the thin shims stay bit-identical to
@@ -15,9 +14,9 @@
 #![allow(deprecated)]
 
 use crp_core::{
-    binomial, for_each_combination, oracle_cp, oracle_cr, CpConfig, CrpError, CrpOutcome,
-    EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy, ShardPolicy,
-    ShardedExplainEngine,
+    binomial, for_each_combination, merge_candidate_ids, oracle_cp, oracle_cr, shard_share,
+    CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
+    ExplainStrategy,
 };
 use crp_geom::{HyperRect, Point};
 use crp_uncertain::{ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainObject};
@@ -130,20 +129,16 @@ fn pdf_dataset(dim: usize) -> impl Strategy<Value = PdfDataset> {
     })
 }
 
-/// Shard counts the sharding satellite pins: the degenerate 1, even
-/// splits, and a count exceeding the object count (empty shards).
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 7];
-
-/// Asserts one sharded outcome equals the unsharded reference:
-/// bit-identical causes and error cases, and partition-independent
-/// search counters (node accesses legitimately differ — several small
-/// trees instead of one big one).
-fn assert_sharded_matches(
+/// Asserts one outcome equals a reference: bit-identical causes and
+/// error cases, and equal search counters. Node accesses are left out:
+/// they legitimately differ between a warm session (cached rows replay
+/// their original traversal) and a fresh one.
+fn assert_outcomes_match(
     reference: &Result<CrpOutcome, CrpError>,
-    sharded: Result<CrpOutcome, CrpError>,
+    got: Result<CrpOutcome, CrpError>,
     context: &str,
 ) -> Result<(), TestCaseError> {
-    match (reference, sharded) {
+    match (reference, got) {
         (Ok(a), Ok(b)) => {
             prop_assert_eq!(&a.causes, &b.causes, "causes diverged: {}", context);
             prop_assert_eq!(a.stats.candidates, b.stats.candidates, "{}", context);
@@ -250,21 +245,12 @@ proptest! {
             ..CpConfig::default()
         };
         let reference_cfg = CpConfig { use_columnar_kernel: false, ..columnar_cfg };
-        let engine = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(alpha))
+        let engine = ExplainEngine::new(ds, EngineConfig::with_alpha(alpha))
             .expect("valid engine config");
-        let sharded = ShardedExplainEngine::new(
-            ds,
-            EngineConfig::with_alpha(alpha),
-            2,
-            ShardPolicy::RoundRobin,
-        )
-        .expect("valid engine config");
         for an in engine.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
             let a = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &columnar_cfg);
             let b = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &reference_cfg);
-            assert_sharded_matches(&a, b, "reference kernel, unsharded")?;
-            let c = sharded.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &reference_cfg);
-            assert_sharded_matches(&a, c, "reference kernel, 2 shards")?;
+            assert_outcomes_match(&a, b, "reference kernel")?;
         }
     }
 
@@ -282,21 +268,12 @@ proptest! {
         let batched_cfg = CpConfig::default();
         prop_assert!(batched_cfg.use_batched_probes, "default must exercise the batched path");
         let sequential_cfg = CpConfig { use_batched_probes: false, ..batched_cfg };
-        let engine = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(alpha))
+        let engine = ExplainEngine::new(ds, EngineConfig::with_alpha(alpha))
             .expect("valid engine config");
-        let sharded = ShardedExplainEngine::new(
-            ds,
-            EngineConfig::with_alpha(alpha),
-            2,
-            ShardPolicy::Spatial,
-        )
-        .expect("valid engine config");
         for an in engine.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
             let a = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &batched_cfg);
             let b = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &sequential_cfg);
-            assert_sharded_matches(&a, b, "sequential probes, unsharded")?;
-            let c = sharded.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &sequential_cfg);
-            assert_sharded_matches(&a, c, "sequential probes, 2 shards")?;
+            assert_outcomes_match(&a, b, "sequential probes")?;
         }
     }
 
@@ -331,136 +308,7 @@ proptest! {
 }
 
 proptest! {
-    // The sharded sweeps run 3 policies × 4 shard counts × every object
-    // per case; fewer cases keep the suite fast without losing the
-    // space (the datasets are freshly random each case).
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn sharded_engine_is_bit_identical_on_discrete_cp(
-        ds in uncertain_dataset(2),
-        q in query(2),
-        alpha in prop::sample::select(vec![0.25, 0.5, 0.75, 1.0]),
-    ) {
-        let single = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(alpha)).expect("valid engine config");
-        let ids: Vec<ObjectId> = single.dataset().iter().map(|o| o.id()).collect();
-        let reference = single.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
-        // Pin the shared reference against the (exponential) oracle
-        // once per object — it is invariant across the policy × shard
-        // sweep below, which then only needs reference equality to be
-        // oracle-correct transitively.
-        for (&an, reference) in ids.iter().zip(&reference) {
-            match (reference, oracle_cp(single.dataset(), &q, an, alpha)) {
-                (Ok(out), Ok(oracle)) => prop_assert_eq!(
-                    signature(out),
-                    oracle_signature(&oracle),
-                    "reference vs oracle: an = {}, α = {}",
-                    an,
-                    alpha
-                ),
-                (Err(CrpError::NotANonAnswer { .. }), Err(CrpError::NotANonAnswer { .. })) => {}
-                (g, e) => prop_assert!(false, "oracle divergence an = {}: {:?} vs {:?}", an, g, e),
-            }
-        }
-        for policy in ShardPolicy::ALL {
-            for shards in SHARD_COUNTS {
-                let sharded = ShardedExplainEngine::new(
-                    ds.clone(),
-                    EngineConfig::with_alpha(alpha),
-                    shards,
-                    policy,
-                ).expect("valid engine config");
-                // Per-call, serial batch and parallel batch all agree.
-                let par = sharded.explain_batch_as(ExplainStrategy::Cp, &q, alpha, &ids);
-                let ser = sharded.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
-                prop_assert_eq!(&par, &ser, "sharded parallel batch diverged from serial");
-                for ((&an, reference), sharded_out) in ids.iter().zip(&reference).zip(par) {
-                    let context = format!("{policy} × {shards}, an = {an}, α = {alpha}");
-                    assert_sharded_matches(reference, sharded_out, &context)?;
-                    let single_call = sharded.explain_as(ExplainStrategy::Cp, &q, alpha, an);
-                    assert_sharded_matches(reference, single_call, &context)?;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_is_bit_identical_on_certain_cr(
-        ds in certain_dataset(2),
-        q in query(2),
-    ) {
-        let single = ExplainEngine::new(ds.clone(), EngineConfig::default()).expect("valid engine config");
-        let ids: Vec<ObjectId> = single.dataset().iter().map(|o| o.id()).collect();
-        // The oracle comparison is invariant across policies and shard
-        // counts — run it once per object against the shared reference.
-        let reference: Vec<_> = ids
-            .iter()
-            .map(|&an| single.explain_as(ExplainStrategy::Cr, &q, 0.5, an))
-            .collect();
-        for (&an, reference) in ids.iter().zip(&reference) {
-            match (reference, oracle_cr(single.dataset(), &q, an)) {
-                (Ok(out), Ok(oracle)) => prop_assert_eq!(
-                    signature(out),
-                    oracle_signature(&oracle),
-                    "reference vs oracle: an = {}",
-                    an
-                ),
-                (Err(CrpError::NotANonAnswer { .. }), Err(CrpError::NotANonAnswer { .. })) => {}
-                (g, e) => prop_assert!(false, "oracle divergence an = {}: {:?} vs {:?}", an, g, e),
-            }
-        }
-        for policy in ShardPolicy::ALL {
-            for shards in SHARD_COUNTS {
-                let sharded = ShardedExplainEngine::new(
-                    ds.clone(),
-                    EngineConfig::default(),
-                    shards,
-                    policy,
-                ).expect("valid engine config");
-                for (&an, reference) in ids.iter().zip(&reference) {
-                    let context = format!("{policy} × {shards}, an = {an}");
-                    let got = sharded.explain_as(ExplainStrategy::Cr, &q, 0.5, an);
-                    assert_sharded_matches(reference, got, &context)?;
-                    // Auto resolves identically on both engines.
-                    let auto_single = single.explain(&q, an);
-                    let auto_sharded = sharded.explain(&q, an);
-                    assert_sharded_matches(&auto_single, auto_sharded, &context)?;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_engine_is_bit_identical_on_pdf(
-        ds in pdf_dataset(2),
-        q in query(2),
-        alpha in prop::sample::select(vec![0.3, 0.6]),
-    ) {
-        let resolution = 3;
-        let single = ExplainEngine::for_pdf(ds.clone(), resolution, EngineConfig::with_alpha(alpha)).expect("valid engine config");
-        let ids: Vec<ObjectId> = ds.iter().map(|o| o.id()).collect();
-        for policy in ShardPolicy::ALL {
-            for shards in SHARD_COUNTS {
-                let sharded = ShardedExplainEngine::for_pdf(
-                    ds.clone(),
-                    resolution,
-                    EngineConfig::with_alpha(alpha),
-                    shards,
-                    policy,
-                ).expect("valid engine config");
-                for &an in &ids {
-                    let context = format!("pdf {policy} × {shards}, an = {an}, α = {alpha}");
-                    let reference = single.explain(&q, an);
-                    let got = sharded.explain(&q, an);
-                    assert_sharded_matches(&reference, got, &context)?;
-                    // Stage-1 outputs merge to the unsharded hit list.
-                    let merged = sharded.candidate_ids(&q, an).unwrap();
-                    let direct = single.candidate_ids(&q, an).unwrap();
-                    prop_assert_eq!(merged, direct, "candidate merge diverged: {}", context);
-                }
-            }
-        }
-    }
 
     #[test]
     fn batched_probes_agree_on_pdf(
@@ -478,29 +326,46 @@ proptest! {
         for an in ds.iter().map(|o| o.id()).collect::<Vec<_>>() {
             let a = single.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &batched_cfg);
             let b = single.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &sequential_cfg);
-            assert_sharded_matches(&a, b, "pdf sequential probes")?;
+            assert_outcomes_match(&a, b, "pdf sequential probes")?;
         }
     }
 
+    /// The shard-worker merge law: for N ∈ 1..=4, the id-hash shares of
+    /// a non-answer's stage-1 candidates are pairwise disjoint, and
+    /// merging them gives back exactly the engine's candidate list —
+    /// on discrete and pdf workloads alike.
     #[test]
     fn sharded_candidate_merge_equals_unsharded_filter(
         ds in uncertain_dataset(2),
+        pdf in pdf_dataset(2),
         q in query(2),
     ) {
-        let single = ExplainEngine::new(ds.clone(), EngineConfig::default()).expect("valid engine config");
-        let ids: Vec<ObjectId> = single.dataset().iter().map(|o| o.id()).collect();
-        for policy in ShardPolicy::ALL {
-            let sharded = ShardedExplainEngine::new(ds.clone(), EngineConfig::default(), 4, policy).expect("valid engine config");
-            for &an in &ids {
-                let direct = single.candidate_ids(&q, an).unwrap();
-                // The engine-level merge and a hand-rolled per-shard
-                // merge (the distributed router's recombine) both
-                // reproduce the unsharded filter output.
-                prop_assert_eq!(&sharded.candidate_ids(&q, an).unwrap(), &direct);
-                let parts: Vec<Vec<ObjectId>> = (0..sharded.shard_count())
-                    .map(|i| sharded.shard_candidates(i, &q, an).unwrap())
-                    .collect();
-                prop_assert_eq!(crp_core::merge_candidate_ids(parts), direct);
+        let discrete = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
+        let continuous = ExplainEngine::for_pdf(pdf, 3, EngineConfig::default())
+            .expect("valid engine config");
+        let mut lists = Vec::new();
+        for an in discrete.dataset().iter().map(|o| o.id()) {
+            lists.push(discrete.candidate_ids(&q, an).unwrap());
+        }
+        for an in continuous.pdf_dataset().unwrap().0.iter().map(|o| o.id()) {
+            lists.push(continuous.candidate_ids(&q, an).unwrap());
+        }
+        for ids in &lists {
+            for shards in 1..=4 {
+                let shares: Vec<Vec<ObjectId>> =
+                    (0..shards).map(|i| shard_share(ids, i, shards)).collect();
+                for (i, a) in shares.iter().enumerate() {
+                    for b in &shares[i + 1..] {
+                        prop_assert!(
+                            a.iter().all(|id| !b.contains(id)),
+                            "shares overlap at {} shard(s): {:?} / {:?}",
+                            shards,
+                            a,
+                            b
+                        );
+                    }
+                }
+                prop_assert_eq!(&merge_candidate_ids(shares), ids, "{} shard(s)", shards);
             }
         }
     }
@@ -546,15 +411,10 @@ fn live_op(dim: usize) -> impl Strategy<Value = LiveOp> {
     ]
 }
 
-/// Shard grid of the live-dataset satellite: 1/2/4 shards.
-const LIVE_SHARDS: [usize; 3] = [1, 2, 4];
-
 proptest! {
-    // Each case replays the op sequence against the mutable unsharded
-    // engine AND 3 policies × 3 shard counts of mutable sharded
-    // engines, comparing everything to fresh engines mid-stream and at
-    // the end; few cases still cover a lot of ground.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // Each case replays the op sequence against a mutable engine,
+    // comparing everything to fresh engines mid-stream and at the end.
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn mutable_discrete_engines_match_fresh_after_updates(
@@ -565,17 +425,6 @@ proptest! {
     ) {
         let config = EngineConfig::with_alpha(alpha);
         let mut single = ExplainEngine::new(ds.clone(), config).expect("valid config");
-        let mut sharded: Vec<(ShardPolicy, usize, ShardedExplainEngine)> = Vec::new();
-        for policy in ShardPolicy::ALL {
-            for shards in LIVE_SHARDS {
-                sharded.push((
-                    policy,
-                    shards,
-                    ShardedExplainEngine::new(ds.clone(), config, shards, policy)
-                        .expect("valid config"),
-                ));
-            }
-        }
         let mut next_id = ds.iter().map(|o| o.id().0).max().unwrap_or(0) + 1;
         for op in ops {
             let live: Vec<ObjectId> = single.dataset().iter().map(|o| o.id()).collect();
@@ -607,18 +456,11 @@ proptest! {
                     )
                     .expect("valid config");
                     let reference = fresh.explain_as(ExplainStrategy::Cp, &q, alpha, an);
-                    assert_sharded_matches(
+                    assert_outcomes_match(
                         &reference,
                         single.explain_as(ExplainStrategy::Cp, &q, alpha, an),
-                        "mutable unsharded, mid-stream",
+                        "mutable engine, mid-stream",
                     )?;
-                    for (policy, shards, engine) in &sharded {
-                        assert_sharded_matches(
-                            &reference,
-                            engine.explain_as(ExplainStrategy::Cp, &q, alpha, an),
-                            &format!("mid-stream {policy} × {shards}"),
-                        )?;
-                    }
                     None
                 }
                 _ => None,
@@ -627,9 +469,6 @@ proptest! {
                 let epoch_before = single.epoch();
                 let epoch = single.apply(update.clone()).expect("valid update");
                 prop_assert!(epoch > epoch_before, "epoch must advance");
-                for (_, _, engine) in &mut sharded {
-                    engine.apply(update.clone()).expect("valid update");
-                }
             }
         }
 
@@ -644,21 +483,11 @@ proptest! {
             let reference = fresh.explain_batch_serial_as(ExplainStrategy::Cp, &q, a, &ids);
             let got = single.explain_batch_as(ExplainStrategy::Cp, &q, a, &ids);
             for ((&an, reference), got) in ids.iter().zip(&reference).zip(got) {
-                assert_sharded_matches(
+                assert_outcomes_match(
                     reference,
                     got,
-                    &format!("mutable unsharded, final, an = {an}, α = {a}"),
+                    &format!("mutable engine, final, an = {an}, α = {a}"),
                 )?;
-            }
-            for (policy, shards, engine) in &sharded {
-                let got = engine.explain_batch_serial_as(ExplainStrategy::Cp, &q, a, &ids);
-                for ((&an, reference), got) in ids.iter().zip(&reference).zip(got) {
-                    assert_sharded_matches(
-                        reference,
-                        got,
-                        &format!("final {policy} × {shards}, an = {an}, α = {a}"),
-                    )?;
-                }
             }
         }
         // A second pass over the same questions is served from the
@@ -666,7 +495,7 @@ proptest! {
         let reference = fresh.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
         let cached = single.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
         for ((&an, reference), got) in ids.iter().zip(&reference).zip(cached) {
-            assert_sharded_matches(reference, got, &format!("cached repeat, an = {an}"))?;
+            assert_outcomes_match(reference, got, &format!("cached repeat, an = {an}"))?;
         }
     }
 
@@ -715,7 +544,7 @@ proptest! {
                     )
                     .expect("valid config");
                     let reference = fresh.explain(&q, an);
-                    assert_sharded_matches(&reference, single.explain(&q, an), "auto mid-stream")?;
+                    assert_outcomes_match(&reference, single.explain(&q, an), "auto mid-stream")?;
                 }
                 _ => {}
             }
@@ -728,9 +557,9 @@ proptest! {
         .expect("valid config");
         for an in fresh.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
             let reference = fresh.explain(&q, an);
-            assert_sharded_matches(&reference, single.explain(&q, an), "auto final")?;
+            assert_outcomes_match(&reference, single.explain(&q, an), "auto final")?;
             // Twice: the second answer comes from the outcome cache.
-            assert_sharded_matches(&reference, single.explain(&q, an), "auto final cached")?;
+            assert_outcomes_match(&reference, single.explain(&q, an), "auto final cached")?;
         }
     }
 
@@ -745,17 +574,6 @@ proptest! {
         let config = EngineConfig::with_alpha(alpha);
         let mut single =
             ExplainEngine::for_pdf(ds.clone(), resolution, config).expect("valid config");
-        let mut sharded: Vec<(ShardPolicy, usize, ShardedExplainEngine)> = Vec::new();
-        for policy in ShardPolicy::ALL {
-            for shards in LIVE_SHARDS {
-                sharded.push((
-                    policy,
-                    shards,
-                    ShardedExplainEngine::for_pdf(ds.clone(), resolution, config, shards, policy)
-                        .expect("valid config"),
-                ));
-            }
-        }
         let mut next_id = ds.iter().map(|o| o.id().0).max().unwrap_or(0) + 1;
         let as_box = |points: &[Point]| {
             // Reuse the sample generator as box corners: lo = floor of
@@ -796,27 +614,13 @@ proptest! {
                     )
                     .expect("valid config");
                     let reference = fresh.explain(&q, an);
-                    assert_sharded_matches(
-                        &reference,
-                        single.explain(&q, an),
-                        "pdf mid-stream unsharded",
-                    )?;
-                    for (policy, shards, engine) in &sharded {
-                        assert_sharded_matches(
-                            &reference,
-                            engine.explain(&q, an),
-                            &format!("pdf mid-stream {policy} × {shards}"),
-                        )?;
-                    }
+                    assert_outcomes_match(&reference, single.explain(&q, an), "pdf mid-stream")?;
                     None
                 }
                 _ => None,
             };
             if let Some(update) = update {
-                single.apply_pdf(update.clone()).expect("valid update");
-                for (_, _, engine) in &mut sharded {
-                    engine.apply_pdf(update.clone()).expect("valid update");
-                }
+                single.apply_pdf(update).expect("valid update");
             }
         }
         let final_ds =
@@ -827,16 +631,9 @@ proptest! {
         let ids: Vec<ObjectId> = fresh.pdf_dataset().unwrap().0.iter().map(|o| o.id()).collect();
         for &an in &ids {
             let reference = fresh.explain(&q, an);
-            assert_sharded_matches(&reference, single.explain(&q, an), "pdf final unsharded")?;
+            assert_outcomes_match(&reference, single.explain(&q, an), "pdf final")?;
             // Cached repeat.
-            assert_sharded_matches(&reference, single.explain(&q, an), "pdf final cached")?;
-            for (policy, shards, engine) in &sharded {
-                assert_sharded_matches(
-                    &reference,
-                    engine.explain(&q, an),
-                    &format!("pdf final {policy} × {shards}, an = {an}"),
-                )?;
-            }
+            assert_outcomes_match(&reference, single.explain(&q, an), "pdf final cached")?;
         }
     }
 
@@ -907,11 +704,10 @@ fn interp(q: &Point, target: &Point, t: f64) -> Point {
 }
 
 proptest! {
-    // Each case executes a planned multi-query workload on the
-    // unsharded engine AND 3 policies × 3 shard counts, comparing
+    // Each case executes a planned multi-query workload, comparing
     // every task against the pre-planner per-call dispatch on a fresh
-    // session; few cases cover a lot of ground.
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    // session.
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The acceptance pin of the plan layer: planned execution —
     /// α-sweeps sharing stage-1 rows, nearby queries deriving their
@@ -956,22 +752,7 @@ proptest! {
             report.counters.tasks - distinct_q * ids.len()
         );
         for (i, (want, got)) in expected.iter().zip(&report.results).enumerate() {
-            assert_sharded_matches(want, got.clone(), &format!("unsharded planned, task {i}"))?;
-        }
-
-        for policy in ShardPolicy::ALL {
-            for shards in LIVE_SHARDS {
-                let engine = ShardedExplainEngine::new(ds.clone(), config, shards, policy)
-                    .expect("valid config");
-                let report = engine.run(std::slice::from_ref(&request));
-                for (i, (want, got)) in expected.iter().zip(&report.results).enumerate() {
-                    assert_sharded_matches(
-                        want,
-                        got.clone(),
-                        &format!("planned {policy} × {shards}, task {i}"),
-                    )?;
-                }
-            }
+            assert_outcomes_match(want, got.clone(), &format!("planned, task {i}"))?;
         }
     }
 
@@ -1005,23 +786,7 @@ proptest! {
         let engine = ExplainEngine::for_pdf(ds.clone(), resolution, config).expect("valid config");
         let report = engine.run(std::slice::from_ref(&request));
         for (i, (want, got)) in expected.iter().zip(&report.results).enumerate() {
-            assert_sharded_matches(want, got.clone(), &format!("pdf planned, task {i}"))?;
-        }
-
-        for policy in ShardPolicy::ALL {
-            for shards in LIVE_SHARDS {
-                let engine =
-                    ShardedExplainEngine::for_pdf(ds.clone(), resolution, config, shards, policy)
-                        .expect("valid config");
-                let report = engine.run(std::slice::from_ref(&request));
-                for (i, (want, got)) in expected.iter().zip(&report.results).enumerate() {
-                    assert_sharded_matches(
-                        want,
-                        got.clone(),
-                        &format!("pdf planned {policy} × {shards}, task {i}"),
-                    )?;
-                }
-            }
+            assert_outcomes_match(want, got.clone(), &format!("pdf planned, task {i}"))?;
         }
     }
 
@@ -1053,29 +818,13 @@ proptest! {
             .map(|&an| reference.explain_direct(ExplainStrategy::Cp, &q, alpha, an, &cp))
             .collect();
 
-        // Unsharded: warm the caches with a plan, mutate, re-plan.
-        let mut engine = ExplainEngine::new(ds.clone(), config).expect("valid config");
+        // Warm the caches with a plan, mutate, re-plan.
+        let mut engine = ExplainEngine::new(ds, config).expect("valid config");
         let _ = engine.run(std::slice::from_ref(&request));
-        engine.apply(Update::Insert(obj.clone())).expect("fresh id");
+        engine.apply(Update::Insert(obj)).expect("fresh id");
         let report = engine.run(std::slice::from_ref(&request));
         for (i, (want, got)) in expected.iter().zip(&report.results).enumerate() {
-            assert_sharded_matches(want, got.clone(), &format!("post-apply planned, an {i}"))?;
-        }
-
-        // Sharded: same protocol across policies at 2 shards.
-        for policy in ShardPolicy::ALL {
-            let mut engine = ShardedExplainEngine::new(ds.clone(), config, 2, policy)
-                .expect("valid config");
-            let _ = engine.run(std::slice::from_ref(&request));
-            engine.apply(Update::Insert(obj.clone())).expect("fresh id");
-            let report = engine.run(std::slice::from_ref(&request));
-            for (i, (want, got)) in expected.iter().zip(&report.results).enumerate() {
-                assert_sharded_matches(
-                    want,
-                    got.clone(),
-                    &format!("post-apply planned {policy}, an {i}"),
-                )?;
-            }
+            assert_outcomes_match(want, got.clone(), &format!("post-apply planned, an {i}"))?;
         }
     }
 }
@@ -1225,10 +974,10 @@ fn for_each_combination_boundary_sizes() {
 // ---------------------------------------------------------------------
 // Packed stage-1 read path: the frozen SoA image must be bit-identical
 // to the pointer traversal — candidates, causes, AND every counter in
-// `stats.query` — at every engine shape. Unlike the sharded sweeps
-// above (which tolerate node-access drift via `assert_sharded_matches`),
-// these compare full `CrpOutcome` equality: same engine shape, only the
-// filter representation differs, so nothing is allowed to move.
+// `stats.query` — on every workload. Unlike the sweeps above (which
+// tolerate node-access drift via `assert_outcomes_match`), these
+// compare full `CrpOutcome` equality: only the filter representation
+// differs, so nothing is allowed to move.
 // ---------------------------------------------------------------------
 
 /// Same configuration as the packed default, with only the stage-1
@@ -1311,35 +1060,6 @@ proptest! {
                 "pdf candidate filter diverged: an = {}",
                 an
             );
-        }
-    }
-
-    #[test]
-    fn packed_filter_is_bit_identical_when_sharded(
-        ds in uncertain_dataset(2),
-        q in query(2),
-    ) {
-        // Every shard freezes its own sub-tree; the fan-out/merge must
-        // not notice which representation served the hits.
-        let ids: Vec<ObjectId> = ds.iter().map(|o| o.id()).collect();
-        for policy in ShardPolicy::ALL {
-            for shards in LIVE_SHARDS {
-                let packed = ShardedExplainEngine::new(
-                    ds.clone(),
-                    EngineConfig::with_alpha(0.5),
-                    shards,
-                    policy,
-                ).expect("valid engine config");
-                let pointer = ShardedExplainEngine::new(
-                    ds.clone(),
-                    pointer_config(0.5),
-                    shards,
-                    policy,
-                ).expect("valid engine config");
-                let a = packed.explain_batch_as(ExplainStrategy::Cp, &q, 0.5, &ids);
-                let b = pointer.explain_batch_as(ExplainStrategy::Cp, &q, 0.5, &ids);
-                prop_assert_eq!(&a, &b, "sharded packed vs pointer: {} × {}", policy, shards);
-            }
         }
     }
 

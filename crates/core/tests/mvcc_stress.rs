@@ -6,8 +6,7 @@
 //! pinned epoch (incremental R*-tree patching is deterministic, so the
 //! forked trees equal the replayed trees node for node). Readers must
 //! also never observe a torn epoch: every pinned epoch is a batch
-//! boundary. The grid covers discrete and continuous-pdf workloads at
-//! 1, 2 and 4 shards.
+//! boundary. Both discrete and continuous-pdf workloads are covered.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -15,7 +14,7 @@ use std::time::Duration;
 
 use crp_core::{
     CpConfig, CrpError, CrpOutcome, EngineConfig, Epoch, ExplainEngine, ExplainSession, MvccEngine,
-    ShardPolicy, ShardedExplainEngine, SnapshotEngine, Update,
+    Update,
 };
 use crp_geom::{HyperRect, Point};
 use crp_uncertain::{ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainObject};
@@ -107,15 +106,15 @@ fn make_batches<T, F: FnMut(u32, &mut Rng) -> T>(
 /// it served.
 type Observation = (Epoch, Vec<(ObjectId, Result<CrpOutcome, CrpError>)>);
 
-/// Drives the full stress protocol for one engine shape:
+/// Drives the full stress protocol for one workload:
 /// `make_engine(k)` must deterministically build the engine replayed
 /// through the first `k` batches (the serial reference); `k = 0` seeds
 /// the MVCC writer.
 fn run_stress<U, A, M>(batches: &[Vec<U>], q: &Point, apply: A, make_engine: M, label: &str)
 where
     U: Clone + Send + Sync,
-    A: Fn(&MvccEngine<AnyShape>, Vec<U>) -> Result<Epoch, CrpError>,
-    M: Fn(usize) -> AnyShape,
+    A: Fn(&MvccEngine<ExplainEngine>, Vec<U>) -> Result<Epoch, CrpError>,
+    M: Fn(usize) -> ExplainEngine,
 {
     let mvcc = MvccEngine::with_ring_capacity(make_engine(0), batches.len() + 1);
     let base_epoch = mvcc.pin().epoch();
@@ -136,7 +135,7 @@ where
                     loop {
                         let finished = done.load(Ordering::Acquire);
                         let snapshot = mvcc.pin();
-                        let ids: Vec<ObjectId> = snapshot.engine().live_ids();
+                        let ids: Vec<ObjectId> = live_ids(snapshot.engine());
                         let outcomes = (0..IDS_PER_PIN)
                             .map(|i| {
                                 let an = ids[(reader * 3 + round + i * 5) % ids.len()];
@@ -167,7 +166,7 @@ where
     // Verification: every pinned epoch is a published batch boundary
     // (no torn epochs), and every outcome is bit-identical to a fresh
     // serial engine replayed to that boundary.
-    let mut references: HashMap<Epoch, AnyShape> = HashMap::new();
+    let mut references: HashMap<Epoch, ExplainEngine> = HashMap::new();
     let mut checked = 0usize;
     for (epoch, outcomes) in observations.into_iter().flatten() {
         let depth = *boundary
@@ -215,187 +214,40 @@ fn discrete_engine(
     base: &UncertainDataset,
     batches: &[Vec<Update<UncertainObject>>],
     depth: usize,
-    shards: usize,
     q: &Point,
-) -> AnyShape {
-    let config = stress_config();
-    let warm_an = base.object_at(0).id();
-    if shards == 1 {
-        let mut engine = ExplainEngine::new(base.clone(), config).expect("valid config");
-        let _ = engine.explain_one(q, warm_an);
-        for batch in &batches[..depth] {
-            for update in batch {
-                engine.apply(update.clone()).expect("valid update");
-            }
+) -> ExplainEngine {
+    let mut engine = ExplainEngine::new(base.clone(), stress_config()).expect("valid config");
+    let _ = engine.explain_one(q, base.object_at(0).id());
+    for batch in &batches[..depth] {
+        for update in batch {
+            engine.apply(update.clone()).expect("valid update");
         }
-        AnyShape::Single(engine)
-    } else {
-        let mut engine =
-            ShardedExplainEngine::new(base.clone(), config, shards, ShardPolicy::RoundRobin)
-                .expect("valid config");
-        let _ = engine.explain_one(q, warm_an);
-        for batch in &batches[..depth] {
-            for update in batch {
-                engine.apply(update.clone()).expect("valid update");
-            }
-        }
-        AnyShape::Sharded(engine)
     }
+    engine
 }
 
 fn pdf_engine(
     base: &PdfDataset,
     batches: &[Vec<Update<PdfObject>>],
     depth: usize,
-    shards: usize,
     q: &Point,
-) -> AnyShape {
-    let config = stress_config();
-    let resolution = 3;
-    let warm_an = base.objects()[0].id();
-    if shards == 1 {
-        let mut engine =
-            ExplainEngine::for_pdf(base.clone(), resolution, config).expect("valid config");
-        let _ = engine.explain_one(q, warm_an);
-        for batch in &batches[..depth] {
-            for update in batch {
-                engine.apply_pdf(update.clone()).expect("valid update");
-            }
+) -> ExplainEngine {
+    let mut engine =
+        ExplainEngine::for_pdf(base.clone(), 3, stress_config()).expect("valid config");
+    let _ = engine.explain_one(q, base.objects()[0].id());
+    for batch in &batches[..depth] {
+        for update in batch {
+            engine.apply_pdf(update.clone()).expect("valid update");
         }
-        AnyShape::Single(engine)
-    } else {
-        let mut engine = ShardedExplainEngine::for_pdf(
-            base.clone(),
-            resolution,
-            config,
-            shards,
-            ShardPolicy::RoundRobin,
-        )
-        .expect("valid config");
-        let _ = engine.explain_one(q, warm_an);
-        for batch in &batches[..depth] {
-            for update in batch {
-                engine.apply_pdf(update.clone()).expect("valid update");
-            }
-        }
-        AnyShape::Sharded(engine)
     }
+    engine
 }
 
-/// Unified engine shape so one generic runner covers the whole
-/// unsharded × sharded grid.
-#[allow(clippy::large_enum_variant)] // a handful per test; size is irrelevant
-enum AnyShape {
-    Single(ExplainEngine),
-    Sharded(ShardedExplainEngine),
-}
-
-impl AnyShape {
-    /// Live ids at this engine's epoch, for either workload.
-    fn live_ids(&self) -> Vec<ObjectId> {
-        match self {
-            AnyShape::Single(e) => match e.pdf_dataset() {
-                Some((pdf, _)) => pdf.objects().iter().map(|o| o.id()).collect(),
-                None => e.dataset().iter().map(|o| o.id()).collect(),
-            },
-            AnyShape::Sharded(e) => match e.pdf_dataset() {
-                Some((pdf, _)) => pdf.objects().iter().map(|o| o.id()).collect(),
-                None => e.dataset().iter().map(|o| o.id()).collect(),
-            },
-        }
-    }
-}
-
-impl ExplainSession for AnyShape {
-    fn config(&self) -> &EngineConfig {
-        match self {
-            AnyShape::Single(e) => ExplainSession::config(e),
-            AnyShape::Sharded(e) => ExplainSession::config(e),
-        }
-    }
-
-    fn epoch(&self) -> Epoch {
-        match self {
-            AnyShape::Single(e) => ExplainSession::epoch(e),
-            AnyShape::Sharded(e) => ExplainSession::epoch(e),
-        }
-    }
-
-    fn accumulated_io(&self) -> crp_core::QueryStats {
-        match self {
-            AnyShape::Single(e) => ExplainSession::accumulated_io(e),
-            AnyShape::Sharded(e) => ExplainSession::accumulated_io(e),
-        }
-    }
-
-    fn cache_len(&self) -> (usize, usize) {
-        match self {
-            AnyShape::Single(e) => ExplainSession::cache_len(e),
-            AnyShape::Sharded(e) => ExplainSession::cache_len(e),
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            AnyShape::Single(e) => ExplainSession::shard_count(e),
-            AnyShape::Sharded(e) => ExplainSession::shard_count(e),
-        }
-    }
-
-    fn candidate_ids(&self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, crp_core::CrpError> {
-        match self {
-            AnyShape::Single(e) => ExplainSession::candidate_ids(e, q, an),
-            AnyShape::Sharded(e) => ExplainSession::candidate_ids(e, q, an),
-        }
-    }
-
-    fn shard_candidate_ids(
-        &self,
-        shard: usize,
-        q: &Point,
-        an: ObjectId,
-    ) -> Result<Vec<ObjectId>, crp_core::CrpError> {
-        match self {
-            AnyShape::Single(e) => ExplainSession::shard_candidate_ids(e, shard, q, an),
-            AnyShape::Sharded(e) => ExplainSession::shard_candidate_ids(e, shard, q, an),
-        }
-    }
-
-    fn run(&self, requests: &[crp_core::ExplainRequest]) -> crp_core::PlanReport {
-        match self {
-            AnyShape::Single(e) => e.run(requests),
-            AnyShape::Sharded(e) => e.run(requests),
-        }
-    }
-}
-
-impl SnapshotEngine for AnyShape {
-    fn fork_snapshot(&self) -> Self {
-        match self {
-            AnyShape::Single(e) => AnyShape::Single(e.fork()),
-            AnyShape::Sharded(e) => AnyShape::Sharded(e.fork()),
-        }
-    }
-
-    fn apply_update(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError> {
-        match self {
-            AnyShape::Single(e) => e.apply(update),
-            AnyShape::Sharded(e) => e.apply(update),
-        }
-    }
-
-    fn apply_pdf_update(&mut self, update: Update<PdfObject>) -> Result<Epoch, CrpError> {
-        match self {
-            AnyShape::Single(e) => e.apply_pdf(update),
-            AnyShape::Sharded(e) => e.apply_pdf(update),
-        }
-    }
-
-    fn discrete_dataset(&self) -> Option<&UncertainDataset> {
-        match self {
-            AnyShape::Single(e) => e.discrete_dataset(),
-            AnyShape::Sharded(e) => e.discrete_dataset(),
-        }
+/// Live ids at this engine's epoch, for either workload.
+fn live_ids(engine: &ExplainEngine) -> Vec<ObjectId> {
+    match engine.pdf_dataset() {
+        Some((pdf, _)) => pdf.objects().iter().map(|o| o.id()).collect(),
+        None => engine.dataset().iter().map(|o| o.id()).collect(),
     }
 }
 
@@ -406,15 +258,13 @@ fn concurrent_readers_stay_bit_identical_to_serial_replay_discrete() {
         UncertainDataset::from_objects((0..48u32).map(|id| discrete_object(id, &mut rng))).unwrap();
     let (_, batches) = make_batches(base.len(), 6, &mut rng, discrete_object);
     let q = Point::from([4.0, 4.0]);
-    for shards in [1usize, 2, 4] {
-        run_stress(
-            &batches,
-            &q,
-            |mvcc, batch| mvcc.apply_batch(batch),
-            |depth| discrete_engine(&base, &batches, depth, shards, &q),
-            &format!("discrete × {shards} shard(s)"),
-        );
-    }
+    run_stress(
+        &batches,
+        &q,
+        |mvcc, batch| mvcc.apply_batch(batch),
+        |depth| discrete_engine(&base, &batches, depth, &q),
+        "discrete",
+    );
 }
 
 #[test]
@@ -423,13 +273,78 @@ fn concurrent_readers_stay_bit_identical_to_serial_replay_pdf() {
     let base = PdfDataset::from_objects((0..16u32).map(|id| pdf_object(id, &mut rng))).unwrap();
     let (_, batches) = make_batches(base.len(), 4, &mut rng, pdf_object);
     let q = Point::from([4.0, 4.0]);
-    for shards in [1usize, 2, 4] {
-        run_stress(
-            &batches,
-            &q,
-            |mvcc, batch| mvcc.apply_pdf_batch(batch),
-            |depth| pdf_engine(&base, &batches, depth, shards, &q),
-            &format!("pdf × {shards} shard(s)"),
+    run_stress(
+        &batches,
+        &q,
+        |mvcc, batch| mvcc.apply_pdf_batch(batch),
+        |depth| pdf_engine(&base, &batches, depth, &q),
+        "pdf",
+    );
+}
+
+/// Deletes and replaces at the paper's scale (100k lUrU objects,
+/// d = 3): the bulk-loaded object tree condenses underfull path nodes
+/// whose child on the deletion path survives. Every update must apply,
+/// the tree must stay structurally sound, and the mutated engine must
+/// filter exactly like one built fresh on the final dataset. Sized for
+/// release builds: run with `cargo test --release -p crp-core --test
+/// mvcc_stress -- --ignored`.
+#[test]
+#[ignore = "paper-scale; run in release mode"]
+fn paper_scale_deletes_and_replaces_apply() {
+    let ds = crp_data::uncertain_dataset(&crp_data::UncertainConfig {
+        cardinality: 100_000,
+        dim: 3,
+        seed: 13,
+        ..crp_data::UncertainConfig::default()
+    });
+    let mut engine = ExplainEngine::new(ds, EngineConfig::with_alpha(0.6)).expect("valid config");
+    let probe = Point::from([5_000.0, 5_000.0, 5_000.0]);
+    let _ = engine.candidate_ids(&probe, ObjectId(0));
+
+    let mut rng = Rng(0x5EED_0003);
+    let mut live: Vec<ObjectId> = engine.dataset().iter().map(|o| o.id()).collect();
+    const UPDATES: usize = 240;
+    for step in 0..UPDATES {
+        let pos = rng.below(live.len());
+        let id = live[pos];
+        let update = if step % 2 == 0 {
+            live.swap_remove(pos);
+            Update::Delete(id)
+        } else {
+            let old = engine.dataset().get(id).expect("live id").mbr();
+            let shifted: Vec<f64> = old.lo().coords().iter().map(|c| c + 1.0).collect();
+            Update::Replace(UncertainObject::certain(id, Point::new(shifted)))
+        };
+        engine
+            .apply(update)
+            .unwrap_or_else(|e| panic!("update {step} on {id}: {e}"));
+    }
+    let tree = engine.object_tree();
+    tree.assert_packed_invariants();
+    assert_eq!(tree.len(), engine.dataset().len());
+    assert_eq!(engine.dataset().len(), 100_000 - UPDATES / 2);
+
+    let fresh = ExplainEngine::new(engine.dataset().clone(), EngineConfig::with_alpha(0.6))
+        .expect("valid config");
+    for &an in live.iter().take(20) {
+        let lo = engine
+            .dataset()
+            .get(an)
+            .expect("live id")
+            .mbr()
+            .lo()
+            .clone();
+        let q = Point::new(
+            lo.coords()
+                .iter()
+                .map(|c| c - 1_000.0)
+                .collect::<Vec<f64>>(),
+        );
+        assert_eq!(
+            engine.candidate_ids(&q, an).unwrap(),
+            fresh.candidate_ids(&q, an).unwrap(),
+            "stage 1 of {an} after the updates"
         );
     }
 }

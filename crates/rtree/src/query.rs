@@ -86,8 +86,8 @@ impl std::ops::AddAssign for QueryStats {
     }
 }
 
-/// Rolls per-shard (or per-query) counters up into one total —
-/// `shards.iter().map(|s| s.io.snapshot()).sum()`.
+/// Rolls per-query (or per-accumulator) counters up into one total —
+/// `runs.iter().map(|r| r.query).sum()`.
 impl std::iter::Sum for QueryStats {
     fn sum<I: Iterator<Item = QueryStats>>(iter: I) -> QueryStats {
         iter.fold(QueryStats::default(), |acc, s| acc + s)

@@ -55,9 +55,8 @@ impl AtomicQueryStats {
         self.eval_slow.fetch_add(stats.eval_slow, Ordering::Relaxed);
     }
 
-    /// [`AtomicQueryStats::absorb`] by reference — the engine-level
-    /// rollup a sharded session uses to fold per-shard totals into one
-    /// accumulator without consuming the shard snapshots.
+    /// [`AtomicQueryStats::absorb`] by reference — folds another
+    /// accumulator's snapshot into this one without consuming it.
     pub fn merge(&self, other: &QueryStats) {
         self.absorb(*other);
     }

@@ -344,17 +344,21 @@ impl<T> RTree<T> {
     /// parent, walking from the deepest node to the root.
     fn refresh_rects_along(&mut self, path: &[NodeId]) {
         for w in (1..path.len()).rev() {
-            let child = path[w];
-            let parent = path[w - 1];
-            let Some(child_mbr) = self.node(child).mbr() else {
-                continue;
-            };
-            let pnode = self.node_mut(parent);
-            for e in pnode.branch_entries_mut().iter_mut() {
-                if e.child == child {
-                    e.rect = child_mbr;
-                    break;
-                }
+            self.refresh_child_rect(path[w - 1], path[w]);
+        }
+    }
+
+    /// Recomputes the rectangle `parent` stores for `child`; a no-op
+    /// for an empty child.
+    fn refresh_child_rect(&mut self, parent: NodeId, child: NodeId) {
+        let Some(child_mbr) = self.node(child).mbr() else {
+            return;
+        };
+        let pnode = self.node_mut(parent);
+        for e in pnode.branch_entries_mut().iter_mut() {
+            if e.child == child {
+                e.rect = child_mbr;
+                break;
             }
         }
     }
@@ -672,10 +676,12 @@ impl<T: PartialEq> RTree<T> {
     /// rectangles, shrink the root, then reinsert orphans at their level.
     fn condense(&mut self, path: Vec<NodeId>) {
         let mut orphans: Vec<(u32, HyperRect, Item<T>)> = Vec::new();
+        let mut dissolved = vec![false; path.len()];
         for i in (1..path.len()).rev() {
             let node_id = path[i];
             let parent = path[i - 1];
             if self.node(node_id).len() < self.params.min_entries {
+                dissolved[i] = true;
                 let entries = self.node_mut(parent).branch_entries_mut();
                 let pos = entries
                     .iter()
@@ -700,10 +706,15 @@ impl<T: PartialEq> RTree<T> {
         // Only the path nodes' own MBRs can have changed, so the shared
         // path walk suffices (recomputing every sibling's MBR here made
         // deletion O(fanout²) — measurably slower than a bulk rebuild
-        // at the paper's 4 KiB fanout). Dissolved path nodes were
-        // released (their arena slot now holds an empty leaf
-        // placeholder, whose `mbr()` is `None`) and are skipped.
-        self.refresh_rects_along(&path);
+        // at the paper's 4 KiB fanout). A dissolved path node was
+        // released (its arena slot now holds an empty leaf placeholder):
+        // it neither gets a rectangle nor stores one for its surviving
+        // child, which is an orphan now.
+        for w in (1..path.len()).rev() {
+            if !dissolved[w] && !dissolved[w - 1] {
+                self.refresh_child_rect(path[w - 1], path[w]);
+            }
+        }
         // Shrink the root while it is an internal node with one child.
         while !self.node(self.root).is_leaf() && self.node(self.root).len() == 1 {
             let old_root = self.root;
@@ -735,6 +746,9 @@ impl<T: PartialEq> RTree<T> {
                     if self.node(self.root).level > child_level {
                         self.upkeep.reinserts += 1;
                         let mut reinserted = vec![false; self.height()];
+                        // The rectangle the dissolved parent stored is
+                        // stale when the subtree lay on the deletion path.
+                        let rect = self.node(child).mbr().unwrap_or(rect);
                         self.insert_item(
                             rect,
                             Item::Subtree(child),
@@ -1058,6 +1072,33 @@ mod tests {
             tree.check_invariants();
         }
         assert_eq!(tree.len(), live.len());
+    }
+
+    #[test]
+    fn draining_a_bulk_loaded_tree_in_reverse_keeps_invariants() {
+        // Draining in reverse empties the STR tiles back to front, so
+        // condense dissolves underfull path nodes whose child on the
+        // deletion path survived — that child's stored rectangle is
+        // stale, and the dissolved node's arena slot is released.
+        let mut rng = StdRng::seed_from_u64(7);
+        let items: Vec<(Point, usize)> = (0..97usize)
+            .map(|i| {
+                let p = pt(rng.random_range(0.0..100.0), rng.random_range(0.0..100.0));
+                (p, i)
+            })
+            .collect();
+        // STR leaves the last node of each level underfull, so the
+        // min-fill rule of `check_invariants` cannot hold until the tree
+        // is drained; everything else (balance, exact child rectangles,
+        // levels, entry count) is checked after every removal.
+        let mut tree = RTree::bulk_load_points(2, RTreeParams::with_fanout(4), items.clone());
+        tree.assert_packed_invariants();
+        for (p, i) in items.iter().rev() {
+            assert!(tree.remove(&HyperRect::from_point(p), i), "remove {i}");
+            tree.assert_packed_invariants();
+        }
+        assert!(tree.is_empty());
+        tree.check_invariants();
     }
 
     #[test]

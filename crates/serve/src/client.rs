@@ -219,8 +219,8 @@ fn unexpected(resp: Response) -> ClientError {
 }
 
 /// A set of stage-1 shard workers driven from one process: worker `i`
-/// answers shard `i`, and the merged set is bit-identical to an
-/// in-process sharded engine's by the merge law.
+/// answers shard `i`, and the merged set is bit-identical to one
+/// engine's candidate list by the merge law.
 pub struct ShardFleet {
     workers: Vec<Client>,
 }

@@ -17,10 +17,11 @@
 //!   [`crp_core::PlanLimits`] deterministically; past capacity the
 //!   server sheds with a typed `busy retry-after-ms=…` instead of
 //!   queueing unboundedly.
-//! * **Multi-process stage-1** — `crp serve --shard-worker` children
-//!   answer per-shard `candidates` requests over the wire and the
+//! * **Multi-process stage-1** — `crp serve --shard-worker --shards N`
+//!   children answer per-shard `candidates` requests over the wire
+//!   with their id-hash share ([`crp_core::shard_share`]) and the
 //!   parent merges them with [`crp_core::merge_candidate_ids`],
-//!   bit-identical to the in-process sharded engine.
+//!   bit-identical to one engine's candidate list.
 //! * **Epoch discipline** ([`backend`]) — every window executes
 //!   against one pinned MVCC snapshot; update batches apply through
 //!   the backend only at window boundaries, and graceful shutdown

@@ -23,19 +23,21 @@
 //!   per-publish cost amortizes across the batch.
 //!
 //! Stage-1 can additionally be served **across OS processes**: a
-//! server started with [`ServeConfig::stage1_only`] answers only
-//! `candidates … shard=i` (a shard worker), and a parent configured
-//! with [`ServeConfig::fleet`] resolves shard-less `candidates`
-//! requests by fanning out to its workers and merging with
-//! [`crp_core::merge_candidate_ids`] — bit-identical to the in-process
-//! sharded engine by the merge law tested in `crp-core`.
+//! server started with [`ServeConfig::shard_worker`] set to `N`
+//! answers only `candidates … shard=i` — its engine's candidate list
+//! filtered to the id-hash share [`crp_core::shard_share`]`(…, i, N)`
+//! — and a parent configured with [`ServeConfig::fleet`] resolves
+//! shard-less `candidates` requests by fanning out to its workers and
+//! merging with [`crp_core::merge_candidate_ids`]. The shares are
+//! disjoint and merge back to exactly one engine's candidate list (the
+//! merge law tested in `crp-core`).
 
 use crate::backend::ServeBackend;
 use crate::client::Client;
 use crate::stats::ServeStats;
 use crp_core::StopReason;
 use crp_core::{
-    admission, execute_window, merge_candidate_ids, Admission, ClientClass, CrpError,
+    admission, execute_window, merge_candidate_ids, shard_share, Admission, ClientClass, CrpError,
     ExplainRequest, PlanLimits,
 };
 use crp_data::wire::{
@@ -70,9 +72,12 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Query point for explain requests that don't carry their own.
     pub default_query: Option<Point>,
-    /// Serve only `candidates` (a stage-1 shard worker): `explain` and
-    /// `update` come back as typed errors.
-    pub stage1_only: bool,
+    /// `Some(n)`: serve as a stage-1 shard worker of an `n`-way split —
+    /// only `candidates … shard=i` (`i < n`) is answered, with the
+    /// id-hash share [`crp_core::shard_share`]; `explain` and `update`
+    /// come back as typed errors. `None`: a full server, whose
+    /// `candidates` treat the session as one shard.
+    pub shard_worker: Option<usize>,
     /// Addresses of stage-1 shard workers; worker `i` answers shard
     /// `i`. Empty → stage-1 is answered in-process.
     pub fleet: Vec<String>,
@@ -86,7 +91,7 @@ impl Default for ServeConfig {
             window_ms: 4,
             queue_cap: 64,
             default_query: None,
-            stage1_only: false,
+            shard_worker: None,
             fleet: Vec::new(),
         }
     }
@@ -386,7 +391,7 @@ fn handle_payload(
             query,
             alphas,
         } => {
-            if shared.config.stage1_only {
+            if shared.config.shard_worker.is_some() {
                 conn.send(&Response::Error {
                     message: "stage-1 shard worker: explain is not served here".into(),
                 });
@@ -444,7 +449,7 @@ fn handle_payload(
             }
         }
         Request::Update { updates } => {
-            if shared.config.stage1_only {
+            if shared.config.shard_worker.is_some() {
                 conn.send(&Response::Error {
                     message: "stage-1 shard worker: updates are not served here".into(),
                 });
@@ -481,19 +486,20 @@ fn handle_payload(
     true
 }
 
-/// Answer one stage-1 candidates request: a specific shard from the
-/// local session, or the merged set — via the worker fleet when one is
-/// configured, in-process otherwise.
+/// Answer one stage-1 candidates request: one shard's share of the
+/// local session's candidates, or the merged set — via the worker
+/// fleet when one is configured, in-process otherwise.
 fn candidates_reply(shared: &Shared, q: &Point, an: ObjectId, shard: Option<usize>) -> Response {
     let snapshot = shared.backend.pin();
     let session = snapshot.session();
+    let shards = shared.config.shard_worker.unwrap_or(1);
     let outcome = match shard {
-        Some(i) if i >= session.shard_count() => Err(format!(
-            "shard {i} out of range: this session has {} shard(s)",
-            session.shard_count()
+        Some(i) if i >= shards => Err(format!(
+            "shard {i} out of range: this server splits stage 1 into {shards} shard(s)"
         )),
         Some(i) => session
-            .shard_candidate_ids(i, q, an)
+            .candidate_ids(q, an)
+            .map(|ids| shard_share(&ids, i, shards))
             .map_err(|e| e.to_string()),
         None if !shared.config.fleet.is_empty() => fleet_candidates(&shared.config.fleet, q, an),
         None => session.candidate_ids(q, an).map_err(|e| e.to_string()),
@@ -506,7 +512,7 @@ fn candidates_reply(shared: &Shared, q: &Point, an: ObjectId, shard: Option<usiz
 
 /// Fan one stage-1 request out across the worker fleet — worker `i`
 /// answers shard `i` — and merge. The merge law
-/// (`merge_candidate_ids` over per-shard outputs ≡ the unsharded
+/// (`merge_candidate_ids` over the per-shard shares ≡ one engine's
 /// candidate set) makes this bit-identical to in-process stage-1.
 fn fleet_candidates(fleet: &[String], q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, String> {
     let parts: Vec<Result<Vec<ObjectId>, String>> = std::thread::scope(|scope| {

@@ -1,13 +1,12 @@
 //! Serving is a *transport*, not a different engine: everything a
 //! client reads off the wire must be bit-identical to what the same
-//! workload computes offline — across engine flavours (unsharded,
-//! 2-way, 4-way sharded; discrete and continuous-pdf), across
-//! concurrent clients, through planner windows, and through the
-//! multi-process stage-1 fleet.
+//! workload computes offline — on discrete and continuous-pdf
+//! sessions, across concurrent clients, through planner windows, and
+//! through the multi-process stage-1 fleet.
 
 use crp_core::{
-    ClientClass, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
-    ShardPolicy, ShardedExplainEngine,
+    merge_candidate_ids, ClientClass, CrpError, CrpOutcome, EngineConfig, ExplainEngine,
+    ExplainRequest, ExplainSession,
 };
 use crp_data::wire::{Request, Response, WireCause, WireResult};
 use crp_data::{uncertain_dataset, UncertainConfig};
@@ -52,81 +51,60 @@ fn expected_wire(results: &[Result<CrpOutcome, CrpError>]) -> Vec<WireResult> {
         .collect()
 }
 
-fn start_discrete(shards: usize, config: ServeConfig) -> (Server, Vec<ObjectId>, Point) {
+fn start_discrete(config: ServeConfig) -> (Server, Vec<ObjectId>, Point) {
     let ds = dataset();
     let ids: Vec<ObjectId> = ds.iter().map(|o| o.id()).take(24).collect();
     let q = Point::new(vec![4000.0, 4000.0]);
-    let engine_config = EngineConfig::with_alpha(0.5);
-    let server = if shards <= 1 {
-        let engine = ExplainEngine::new(ds, engine_config).unwrap();
-        Server::start(Arc::new(VolatileBackend::new(engine)), config).unwrap()
-    } else {
-        let engine =
-            ShardedExplainEngine::new(ds, engine_config, shards, ShardPolicy::Spatial).unwrap();
-        Server::start(Arc::new(VolatileBackend::new(engine)), config).unwrap()
-    };
+    let engine = ExplainEngine::new(ds, EngineConfig::with_alpha(0.5)).unwrap();
+    let server = Server::start(Arc::new(VolatileBackend::new(engine)), config).unwrap();
     (server, ids, q)
 }
 
-fn offline_discrete(shards: usize, ids: &[ObjectId], q: &Point) -> Vec<WireResult> {
-    let ds = dataset();
-    let engine_config = EngineConfig::with_alpha(0.5);
-    let results = if shards <= 1 {
-        let engine = ExplainEngine::new(ds, engine_config).unwrap();
-        engine.run(&[ExplainRequest::batch(q, ids)]).results
-    } else {
-        let engine =
-            ShardedExplainEngine::new(ds, engine_config, shards, ShardPolicy::Spatial).unwrap();
-        engine.run(&[ExplainRequest::batch(q, ids)]).results
-    };
-    expected_wire(&results)
+fn offline_discrete(ids: &[ObjectId], q: &Point) -> Vec<WireResult> {
+    let engine = ExplainEngine::new(dataset(), EngineConfig::with_alpha(0.5)).unwrap();
+    expected_wire(&engine.run(&[ExplainRequest::batch(q, ids)]).results)
 }
 
 #[test]
-fn concurrent_clients_match_offline_serial_across_shard_grid() {
-    for shards in [1usize, 2, 4] {
-        let (server, ids, q) = start_discrete(shards, ServeConfig::default());
-        let addr = server.local_addr();
-        let offline = offline_discrete(shards, &ids, &q);
+fn concurrent_clients_match_offline_serial() {
+    let (server, ids, q) = start_discrete(ServeConfig::default());
+    let addr = server.local_addr();
+    let offline = offline_discrete(&ids, &q);
 
-        // Six concurrent clients, each explaining its own slice — the
-        // slices overlap so windows have stage-1 work to share.
-        let slices: Vec<Vec<ObjectId>> = (0..6).map(|i| ids[i..i + 16].to_vec()).collect();
-        let served: Vec<Vec<WireResult>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slices
-                .iter()
-                .map(|slice| {
-                    let q = q.clone();
-                    scope.spawn(move || {
-                        let (mut client, _) = Client::connect_as(addr, ClientClass::Batch).unwrap();
-                        let (_, results) = client.explain(slice, Some(&q), &[]).unwrap();
-                        results
-                    })
+    // Six concurrent clients, each explaining its own slice — the
+    // slices overlap so windows have stage-1 work to share.
+    let slices: Vec<Vec<ObjectId>> = (0..6).map(|i| ids[i..i + 16].to_vec()).collect();
+    let served: Vec<Vec<WireResult>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = slices
+            .iter()
+            .map(|slice| {
+                let q = q.clone();
+                scope.spawn(move || {
+                    let (mut client, _) = Client::connect_as(addr, ClientClass::Batch).unwrap();
+                    let (_, results) = client.explain(slice, Some(&q), &[]).unwrap();
+                    results
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
 
-        for (i, (slice, got)) in slices.iter().zip(&served).enumerate() {
-            let want: Vec<WireResult> = slice
-                .iter()
-                .map(|id| {
-                    let at = ids.iter().position(|x| x == id).unwrap();
-                    offline[at].clone()
-                })
-                .collect();
-            assert_eq!(
-                got, &want,
-                "client {i}, {shards} shard(s): served ≡ offline"
-            );
-        }
-
-        let stats = server.stats();
-        assert_eq!(stats.requests(), 6);
-        assert!(stats.windows() >= 1);
-        server.request_shutdown();
-        server.join();
+    for (i, (slice, got)) in slices.iter().zip(&served).enumerate() {
+        let want: Vec<WireResult> = slice
+            .iter()
+            .map(|id| {
+                let at = ids.iter().position(|x| x == id).unwrap();
+                offline[at].clone()
+            })
+            .collect();
+        assert_eq!(got, &want, "client {i}: served ≡ offline");
     }
+
+    let stats = server.stats();
+    assert_eq!(stats.requests(), 6);
+    assert!(stats.windows() >= 1);
+    server.request_shutdown();
+    server.join();
 }
 
 #[test]
@@ -168,14 +146,11 @@ fn pdf_sessions_serve_bit_identically() {
 
 #[test]
 fn pipelined_requests_share_one_window() {
-    let (server, ids, q) = start_discrete(
-        1,
-        ServeConfig {
-            window_max: 16,
-            window_ms: 250,
-            ..ServeConfig::default()
-        },
-    );
+    let (server, ids, q) = start_discrete(ServeConfig {
+        window_max: 16,
+        window_ms: 250,
+        ..ServeConfig::default()
+    });
     let (mut client, _) = Client::connect_as(server.local_addr(), ClientClass::Batch).unwrap();
     // Eight α-variants of the same (q, an): pipelined back-to-back,
     // they land in the collector's backlog together, so the planner
@@ -218,14 +193,11 @@ fn pipelined_requests_share_one_window() {
 
 #[test]
 fn admission_sheds_with_a_typed_busy_and_counts_it() {
-    let (server, ids, q) = start_discrete(
-        1,
-        ServeConfig {
-            queue_cap: 1,
-            window_ms: 400,
-            ..ServeConfig::default()
-        },
-    );
+    let (server, ids, q) = start_discrete(ServeConfig {
+        queue_cap: 1,
+        window_ms: 400,
+        ..ServeConfig::default()
+    });
     let mut client = Client::connect(server.local_addr()).unwrap();
     // Request 1 is admitted (queue 0/1) and holds its window open for
     // 400 ms; request 2 is read well within that and finds the queue
@@ -257,7 +229,7 @@ fn admission_sheds_with_a_typed_busy_and_counts_it() {
 
 #[test]
 fn updates_apply_at_window_boundaries_and_move_the_epoch() {
-    let (server, _, q) = start_discrete(1, ServeConfig::default());
+    let (server, _, q) = start_discrete(ServeConfig::default());
     let (mut client, epoch0) = Client::connect_as(server.local_addr(), ClientClass::Batch).unwrap();
 
     let fresh = UncertainObject::certain(ObjectId(9_000), Point::new(vec![4100.0, 4100.0]));
@@ -287,29 +259,27 @@ fn updates_apply_at_window_boundaries_and_move_the_epoch() {
 fn shard_fleet_merges_bit_identically_to_in_process_stage1() {
     let ds = dataset();
     let q = Point::new(vec![4000.0, 4000.0]);
-    let an = ds.iter().next().unwrap().id();
     let config = EngineConfig::with_alpha(0.5);
 
-    // Ground truth: the unsharded and in-process sharded candidate
-    // sets (themselves bit-identical by the merge law).
+    // Ground truth: one engine's candidate set, for the non-answer with
+    // the most candidates (so the two shares are both non-trivial).
     let single = ExplainEngine::new(ds.clone(), config).unwrap();
-    let truth = ExplainSession::candidate_ids(&single, &q, an).unwrap();
-    let sharded = ShardedExplainEngine::new(ds.clone(), config, 2, ShardPolicy::Spatial).unwrap();
-    assert_eq!(
-        ShardedExplainEngine::candidate_ids(&sharded, &q, an).unwrap(),
-        truth
-    );
+    let (an, truth) = ds
+        .iter()
+        .map(|o| (o.id(), single.candidate_ids(&q, o.id()).unwrap()))
+        .max_by_key(|(_, ids)| ids.len())
+        .unwrap();
+    assert!(truth.len() >= 4, "fixture needs a real candidate set");
 
-    // Two stage-1 worker servers, each holding the same 2-way sharded
-    // session; worker i answers shard i.
+    // Two stage-1 worker servers of a 2-way split, each over a plain
+    // engine on the full dataset; worker i answers shard i.
     let workers: Vec<Server> = (0..2)
         .map(|_| {
-            let engine =
-                ShardedExplainEngine::new(ds.clone(), config, 2, ShardPolicy::Spatial).unwrap();
+            let engine = ExplainEngine::new(ds.clone(), config).unwrap();
             Server::start(
                 Arc::new(VolatileBackend::new(engine)),
                 ServeConfig {
-                    stage1_only: true,
+                    shard_worker: Some(2),
                     ..ServeConfig::default()
                 },
             )
@@ -326,9 +296,16 @@ fn shard_fleet_merges_bit_identically_to_in_process_stage1() {
     ));
     // …but answers its shard, and rejects out-of-range shards with a
     // typed error instead of dying.
-    assert!(probe.candidates(&q, an, Some(0)).is_ok());
+    let share0 = probe.candidates(&q, an, Some(0)).unwrap();
+    let share1 = probe.candidates(&q, an, Some(1)).unwrap();
+    assert!(
+        share0.iter().all(|id| !share1.contains(id)),
+        "shares must be disjoint: {share0:?} / {share1:?}"
+    );
+    assert!(!share0.is_empty() && !share1.is_empty());
+    assert_eq!(merge_candidate_ids([share0, share1]), truth);
     assert!(matches!(
-        probe.candidates(&q, an, Some(7)),
+        probe.candidates(&q, an, Some(2)),
         Err(ClientError::Server(_))
     ));
 
@@ -337,9 +314,9 @@ fn shard_fleet_merges_bit_identically_to_in_process_stage1() {
     assert_eq!(fleet.shard_count(), 2);
     assert_eq!(fleet.candidate_ids(&q, an).unwrap(), truth);
 
-    // Server-side merge: a parent serving an UNSHARDED session but
-    // configured with the worker fleet answers merged `candidates`
-    // from the fleet — bit-identical to its own in-process stage-1.
+    // Server-side merge: a parent configured with the worker fleet
+    // answers merged `candidates` from the fleet — bit-identical to
+    // its own in-process stage-1.
     let parent = Server::start(
         Arc::new(VolatileBackend::new(single)),
         ServeConfig {
@@ -361,13 +338,10 @@ fn shard_fleet_merges_bit_identically_to_in_process_stage1() {
 
 #[test]
 fn graceful_shutdown_serves_everything_already_queued() {
-    let (server, ids, q) = start_discrete(
-        1,
-        ServeConfig {
-            window_ms: 100,
-            ..ServeConfig::default()
-        },
-    );
+    let (server, ids, q) = start_discrete(ServeConfig {
+        window_ms: 100,
+        ..ServeConfig::default()
+    });
     let (mut client, _) = Client::connect_as(server.local_addr(), ClientClass::Batch).unwrap();
     let explain = Request::Explain {
         ids: vec![ids[0], ids[1]],

@@ -1,7 +1,7 @@
 //! A **live dataset** session: one mutable engine absorbing a stream of
 //! inserts/deletes/replaces while explanations keep being served.
 //!
-//! Shows the three pillars of the live path:
+//! Shows the two pillars of the live path:
 //!
 //! * **incremental index maintenance** — every update patches the
 //!   R-trees in place (condense + reinsert); the session never
@@ -10,10 +10,7 @@
 //! * **the explanation cache** — repeated questions and α-sweeps over
 //!   the same non-answer are served from memoised stage-1 rows, while
 //!   updates evict exactly the entries whose candidate region they
-//!   touch,
-//! * **per-shard routing** — a spatial sharded session absorbs the same
-//!   stream with one shard patched per update, self-rebuilding shards
-//!   that go stale.
+//!   touch.
 //!
 //! ```text
 //! cargo run --release --example live_session
@@ -38,11 +35,7 @@ fn main() {
     let q = Point::from([5_000.0, 5_000.0]);
     let alpha = 0.6;
 
-    let mut live =
-        ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(alpha)).expect("valid config");
-    let mut sharded =
-        ShardedExplainEngine::new(ds, EngineConfig::with_alpha(alpha), 4, ShardPolicy::Spatial)
-            .expect("valid config");
+    let mut live = ExplainEngine::new(ds, EngineConfig::with_alpha(alpha)).expect("valid config");
 
     // Pick a non-answer to keep asking about.
     let an = live
@@ -89,22 +82,15 @@ fn main() {
             Point::from([4_000.0 + 10.0 * jitter, 4_000.0 + 7.0 * jitter]),
         );
         let update = Update::Insert(obj);
-        live.apply(update.clone()).expect("valid update");
-        sharded.apply(update).expect("valid update");
+        live.apply(update).expect("valid update");
         next_id += 1;
         if step % 3 == 2 {
             let retired = ObjectId(next_id - 3);
             live.apply(Update::Delete(retired)).expect("valid update");
-            sharded
-                .apply(Update::Delete(retired))
-                .expect("valid update");
         }
         if step % 50 == 0 {
-            // The session answers against the current version; the two
-            // engines must agree cause-for-cause.
-            let a = live.explain(&q, an).expect("still a non-answer");
-            let b = sharded.explain(&q, an).expect("still a non-answer");
-            assert_eq!(a.causes, b.causes, "sharded diverged from unsharded");
+            // The session answers against the current version.
+            live.explain(&q, an).expect("still a non-answer");
             explained += 1;
         }
     }
@@ -117,20 +103,9 @@ fn main() {
 
     let io = live.accumulated_io();
     println!(
-        "unsharded session: {} inserted, {} removed, {} reinserted by tree maintenance; \
+        "session: {} inserted, {} removed, {} reinserted by tree maintenance; \
          cache: {} hit(s), {} miss(es), {} eviction(s)",
         io.inserts, io.removes, io.reinserts, io.cache_hits, io.cache_misses, io.cache_evictions
-    );
-    let sio = sharded.accumulated_io();
-    println!(
-        "sharded session:   {} inserted, {} removed, {} reinserted (merged across shards)",
-        sio.inserts, sio.removes, sio.reinserts
-    );
-    println!(
-        "per-shard state:   sizes {:?}, rebuilds {:?}, {} repartition(s)",
-        sharded.shard_sizes(),
-        sharded.shard_rebuilds(),
-        sharded.repartitions()
     );
 
     // The answers still match a fresh engine built on the final data.

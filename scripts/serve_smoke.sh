@@ -11,7 +11,8 @@
 #                       results.
 #   2. fleet merge    — stage-1 candidates through a parent +
 #                       two --shard-worker child processes must match
-#                       a single local server bit-for-bit.
+#                       a single local server bit-for-bit, and the two
+#                       workers' shares must be disjoint.
 #   3. group commit   — pipelined updates ack and the stats verb
 #                       reports updates/update_batches.
 #   4. admission shed — a best-effort client hitting a saturated
@@ -76,6 +77,13 @@ strip_session() {
   grep -v '^connected to ' "$1"
 }
 
+# ids_of FILE — the candidate ids of a `client --candidates` transcript,
+# one per line, sorted.
+ids_of() {
+  grep -m1 'stage-1 candidate' "$1" | sed 's/.*\[\(.*\)\]/\1/' | tr ',' '\n' \
+    | tr -d ' ' | sed '/^$/d' | sort
+}
+
 echo "== generate dataset =="
 "$BIN" generate --kind nba --out "$OUT/nba_full.csv"
 # A small slice keeps the contingency searches cheap; truncating at a
@@ -136,13 +144,19 @@ for an in 2 5 9; do
   diff <(strip_session "$OUT/fleet_cand_$an.txt") \
        <(strip_session "$OUT/local_cand_$an.txt") \
     || fail "fleet-merged candidates differ from the local engine for $an"
+  # Each worker also serves its own shard's share directly: the shares
+  # are disjoint and together hold exactly the local candidate set.
+  "$BIN" client --addr "127.0.0.1:$PC0" --candidates "$an" --query "$QUERY" --shard 0 \
+    >"$OUT/shard0_cand_$an.txt" 2>&1 || fail "shard 0 share for $an"
+  "$BIN" client --addr "127.0.0.1:$PC1" --candidates "$an" --query "$QUERY" --shard 1 \
+    >"$OUT/shard1_cand_$an.txt" 2>&1 || fail "shard 1 share for $an"
+  common=$(comm -12 <(ids_of "$OUT/shard0_cand_$an.txt") <(ids_of "$OUT/shard1_cand_$an.txt"))
+  [[ -z "$common" ]] || fail "worker shares overlap for $an: $common"
+  diff <(sort -m <(ids_of "$OUT/shard0_cand_$an.txt") <(ids_of "$OUT/shard1_cand_$an.txt")) \
+       <(ids_of "$OUT/local_cand_$an.txt") \
+    || fail "worker shares do not add up to the local candidate set for $an"
 done
-# A worker also serves its own shard's share directly.
-"$BIN" client --addr "127.0.0.1:$PC0" --candidates 5 --query "$QUERY" --shard 0 \
-  >"$OUT/shard0_cand.txt" 2>&1 || fail "shard 0 share"
-"$BIN" client --addr "127.0.0.1:$PC0" --candidates 5 --query "$QUERY" --shard 1 \
-  >"$OUT/shard1_cand.txt" 2>&1 || fail "shard 1 share"
-echo "ok: 3 merged candidate sets bit-identical across processes"
+echo "ok: 3 merged candidate sets bit-identical across processes, shares disjoint"
 
 echo "== 3. group commit + stats verb =="
 cat >"$OUT/inserts.txt" <<'EOF'

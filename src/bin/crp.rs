@@ -15,19 +15,13 @@
 //! crp explain-batch --data cars.csv --schema points --query 11580,49000 \
 //!                   --objects 42,57,93 [--serial]
 //!
-//! # Partition-parallel: shard the dataset across engines (one R-tree
-//! # pair per shard) and merge per-shard candidate sets. Results are
-//! # bit-identical to the unsharded session.
-//! crp explain --data cars.csv --schema points --query 11580,49000 \
-//!             --object 42 --shards 4 --shard-policy spatial
-//!
 //! # Replay a live-session workload: interleaved inserts/deletes/
 //! # replaces and explain calls against one mutable engine session
 //! # (incremental index maintenance + explanation cache; see
 //! # crp_data::workload for the file format). Ends with the session's
-//! # update/cache counters, merged across shards when sharded.
+//! # update/cache counters.
 //! crp replay --data cars.csv --schema points --query 11580,49000 \
-//!            --workload ops.txt [--shards 4 --shard-policy spatial]
+//!            --workload ops.txt
 //!
 //! # Concurrent replay (MVCC): consecutive updates are applied as one
 //! # batch publishing an epoch snapshot, and every explain op fans its
@@ -46,21 +40,22 @@
 //! # α range (shared dominance rows), and reports what it saved.
 //! crp sweep --data nba.csv --schema seasons --query 3500,1500,600,800 \
 //!           --objects 23,42 --alphas 0.3,0.5,0.7 \
-//!           --q-grid 10:10,25:25 [--shards 4 --shard-policy spatial]
+//!           --q-grid 10:10,25:25
 //!
 //! # Serve the session over TCP: concurrent clients' explain requests
 //! # are gathered into planner windows (closed on size or a few-ms
 //! # deadline) and compiled as ONE workload each, so stage-1 work
 //! # dedups across clients; admission control sheds past the queue cap
 //! # with a typed retry hint. --session-dir makes updates durable
-//! # (WAL + checkpoint on graceful shutdown). --shard-worker serves
-//! # only per-shard stage-1 `candidates`; a parent started with
+//! # (WAL + checkpoint on graceful shutdown). --shard-worker --shards N
+//! # serves only stage-1 `candidates … shard=i`: the engine's candidate
+//! # ids whose id hash falls in shard i of N. A parent started with
 //! # --fleet answers merged `candidates` from those worker processes,
 //! # bit-identical to its in-process stage-1.
 //! crp serve --data cars.csv --schema points --query 11580,49000 \
 //!           [--addr 127.0.0.1:0 --window-max 16 --window-ms 4 \
 //!            --queue-cap 64 --session-dir state/ \
-//!            --shard-worker | --fleet host:p1,host:p2]
+//!            --shard-worker --shards N | --fleet host:p1,host:p2]
 //!
 //! # Talk to a running server (the wire format lives in crp_data::wire).
 //! crp client --addr 127.0.0.1:4820 --objects 42,57 [--alphas 0.3,0.5]
@@ -80,7 +75,8 @@
 //!
 //! Unknown flags are rejected with a usage error and a nonzero exit —
 //! a typo like `--aplha` fails loudly instead of silently running with
-//! the default.
+//! the default. `--shards` is a shard worker's partition count and is
+//! accepted by `serve` only, together with `--shard-worker`.
 
 use prsq_crp::data::wire::WireResult;
 use prsq_crp::data::{
@@ -102,10 +98,9 @@ const USAGE: &str = "usage: crp <query|explain|explain-batch|sweep|replay|serve|
      --budget N --serial --workload FILE --readers N --session-dir DIR \
      --inject seed=N[,eio-every=K,enospc-at=K,torn-at=K,lying-every=K] \
      --deadline-ms N --budget-nodes N --budget-subsets N \
-     --shards N --shard-policy round-robin|hash-by-id|spatial \
      --kernel auto|scalar|simd --filter auto|pointer|packed \
      --addr HOST:PORT --window-max N --window-ms N --queue-cap N \
-     --shard-worker --fleet HOST:PORT,… \
+     --shard-worker --shards N --fleet HOST:PORT,… \
      --class interactive|batch|best-effort --update FILE \
      --candidates ID --shard N --stats --shutdown \
      | --kind nba|cardb --out FILE]";
@@ -132,8 +127,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--alpha", true),
         ("--budget", true),
         ("--object", true),
-        ("--shards", true),
-        ("--shard-policy", true),
         ("--kernel", true),
         ("--filter", true),
     ];
@@ -145,8 +138,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--budget", true),
         ("--objects", true),
         ("--serial", false),
-        ("--shards", true),
-        ("--shard-policy", true),
         ("--kernel", true),
         ("--filter", true),
     ];
@@ -158,8 +149,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--budget", true),
         ("--workload", true),
         ("--serial", false),
-        ("--shards", true),
-        ("--shard-policy", true),
         ("--kernel", true),
         ("--filter", true),
         ("--readers", true),
@@ -179,8 +168,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--budget", true),
         ("--objects", true),
         ("--serial", false),
-        ("--shards", true),
-        ("--shard-policy", true),
         ("--kernel", true),
         ("--filter", true),
     ];
@@ -191,8 +178,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--alpha", true),
         ("--budget", true),
         ("--serial", false),
-        ("--shards", true),
-        ("--shard-policy", true),
         ("--kernel", true),
         ("--filter", true),
         ("--addr", true),
@@ -201,6 +186,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--queue-cap", true),
         ("--session-dir", true),
         ("--shard-worker", false),
+        ("--shards", true),
         ("--fleet", true),
     ];
     const CLIENT: &[(&str, bool)] = &[
@@ -287,15 +273,23 @@ impl Cli {
     }
 }
 
-/// Sharding options of the explain commands: `--shards N` (default 1 =
-/// unsharded) and `--shard-policy P` (default round-robin).
-fn parse_sharding(cli: &Cli) -> Result<(usize, ShardPolicy), String> {
-    let shards: usize = cli.parse("--shards")?.unwrap_or(1);
-    if shards == 0 {
-        return Err("bad --shards: must be at least 1".into());
+/// `serve --shard-worker [--shards N]`: the partition count of a
+/// stage-1 shard worker (default 1), or `None` for a full server.
+/// `--shards` means nothing without `--shard-worker` and is rejected.
+fn parse_shard_worker(cli: &Cli) -> Result<Option<usize>, String> {
+    let shards: Option<usize> = cli.parse("--shards")?;
+    if !cli.has("--shard-worker") {
+        return match shards {
+            Some(_) => {
+                Err("--shards is a shard worker's partition count: it needs --shard-worker".into())
+            }
+            None => Ok(None),
+        };
     }
-    let policy = cli.parse("--shard-policy")?.unwrap_or_default();
-    Ok((shards, policy))
+    match shards.unwrap_or(1) {
+        0 => Err("bad --shards: must be at least 1".into()),
+        n => Ok(Some(n)),
+    }
 }
 
 /// `--kernel auto|scalar|simd` — pins the dominance-kernel dispatch
@@ -432,156 +426,9 @@ fn cmd_query(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), String>
     Ok(())
 }
 
-/// The engine behind `explain` / `explain-batch`: unsharded for
-/// `--shards 1`, partition-parallel otherwise. Both expose the same
-/// calls and produce bit-identical outcomes.
-#[allow(clippy::large_enum_variant)] // one engine per process; size is irrelevant
-enum AnyEngine {
-    Single(ExplainEngine),
-    Sharded(ShardedExplainEngine),
-}
-
-impl AnyEngine {
-    fn dataset(&self) -> &UncertainDataset {
-        match self {
-            AnyEngine::Single(e) => e.dataset(),
-            AnyEngine::Sharded(e) => e.dataset(),
-        }
-    }
-
-    fn explain(&self, q: &Point, an: ObjectId) -> Result<CrpOutcome, CrpError> {
-        match self {
-            AnyEngine::Single(e) => e.explain(q, an),
-            AnyEngine::Sharded(e) => e.explain(q, an),
-        }
-    }
-
-    fn explain_batch(&self, q: &Point, ans: &[ObjectId]) -> Vec<Result<CrpOutcome, CrpError>> {
-        match self {
-            AnyEngine::Single(e) => e.explain_batch(q, ans),
-            AnyEngine::Sharded(e) => e.explain_batch(q, ans),
-        }
-    }
-
-    fn accumulated_io(&self) -> QueryStats {
-        match self {
-            AnyEngine::Single(e) => e.accumulated_io(),
-            AnyEngine::Sharded(e) => e.accumulated_io(),
-        }
-    }
-
-    fn apply(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError> {
-        match self {
-            AnyEngine::Single(e) => e.apply(update),
-            AnyEngine::Sharded(e) => e.apply(update),
-        }
-    }
-
-    /// Plans and executes a whole workload (both flavours implement
-    /// [`ExplainSession`], so this is one trait call either way).
-    fn run(&self, requests: &[ExplainRequest]) -> PlanReport {
-        match self {
-            AnyEngine::Single(e) => e.run(requests),
-            AnyEngine::Sharded(e) => e.run(requests),
-        }
-    }
-}
-
-// The MVCC session surface, so `--readers`/`--session-dir` replay can
-// wrap either flavour in `MvccEngine<AnyEngine>` / a `DurableSession`.
-impl ExplainSession for AnyEngine {
-    fn config(&self) -> &EngineConfig {
-        match self {
-            AnyEngine::Single(e) => ExplainSession::config(e),
-            AnyEngine::Sharded(e) => ExplainSession::config(e),
-        }
-    }
-
-    fn epoch(&self) -> Epoch {
-        match self {
-            AnyEngine::Single(e) => ExplainSession::epoch(e),
-            AnyEngine::Sharded(e) => ExplainSession::epoch(e),
-        }
-    }
-
-    fn accumulated_io(&self) -> QueryStats {
-        match self {
-            AnyEngine::Single(e) => ExplainSession::accumulated_io(e),
-            AnyEngine::Sharded(e) => ExplainSession::accumulated_io(e),
-        }
-    }
-
-    fn cache_len(&self) -> (usize, usize) {
-        match self {
-            AnyEngine::Single(e) => ExplainSession::cache_len(e),
-            AnyEngine::Sharded(e) => ExplainSession::cache_len(e),
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            AnyEngine::Single(e) => ExplainSession::shard_count(e),
-            AnyEngine::Sharded(e) => ExplainSession::shard_count(e),
-        }
-    }
-
-    fn candidate_ids(&self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, CrpError> {
-        match self {
-            AnyEngine::Single(e) => ExplainSession::candidate_ids(e, q, an),
-            AnyEngine::Sharded(e) => ExplainSession::candidate_ids(e, q, an),
-        }
-    }
-
-    fn shard_candidate_ids(
-        &self,
-        shard: usize,
-        q: &Point,
-        an: ObjectId,
-    ) -> Result<Vec<ObjectId>, CrpError> {
-        match self {
-            AnyEngine::Single(e) => ExplainSession::shard_candidate_ids(e, shard, q, an),
-            AnyEngine::Sharded(e) => ExplainSession::shard_candidate_ids(e, shard, q, an),
-        }
-    }
-
-    fn run(&self, requests: &[ExplainRequest]) -> PlanReport {
-        AnyEngine::run(self, requests)
-    }
-}
-
-impl SnapshotEngine for AnyEngine {
-    fn fork_snapshot(&self) -> Self {
-        match self {
-            AnyEngine::Single(e) => AnyEngine::Single(e.fork()),
-            AnyEngine::Sharded(e) => AnyEngine::Sharded(e.fork()),
-        }
-    }
-
-    fn apply_update(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError> {
-        self.apply(update)
-    }
-
-    fn apply_pdf_update(&mut self, update: Update<PdfObject>) -> Result<Epoch, CrpError> {
-        match self {
-            AnyEngine::Single(e) => e.apply_pdf(update),
-            AnyEngine::Sharded(e) => e.apply_pdf(update),
-        }
-    }
-
-    fn discrete_dataset(&self) -> Option<&UncertainDataset> {
-        match self {
-            AnyEngine::Single(e) => e.discrete_dataset(),
-            AnyEngine::Sharded(e) => e.discrete_dataset(),
-        }
-    }
-}
-
-/// Builds the engine session the `explain` / `explain-batch` commands
-/// share: auto strategy (CR for certain data, CP otherwise) with the
-/// probability-bound extension and the CLI's subset budget; sharded
-/// when `--shards` exceeds 1.
 /// The session configuration every CLI engine shares: auto strategy
-/// with the probability-bound extension and the CLI's subset budget.
+/// (CR for certain data, CP otherwise) with the probability-bound
+/// extension and the CLI's subset budget.
 fn cli_engine_config(
     alpha: f64,
     budget: Option<u64>,
@@ -601,42 +448,15 @@ fn cli_engine_config(
     }
 }
 
-/// Everything [`build_any`] needs besides the dataset, so replay can
-/// rebuild the engine over a recovered dataset.
-struct EngineSpec {
-    config: EngineConfig,
-    shards: usize,
-    policy: ShardPolicy,
-}
-
-/// One engine over `ds`: unsharded for `--shards 1`, partition-parallel
-/// otherwise. Also the `make_engine` factory durable replay hands to
-/// [`DurableSession::open`], which may feed it a recovered dataset
-/// instead of the one from `--data`.
-fn build_any(
-    ds: UncertainDataset,
-    config: EngineConfig,
-    shards: usize,
-    policy: ShardPolicy,
-) -> Result<AnyEngine, CrpError> {
-    Ok(if shards > 1 {
-        AnyEngine::Sharded(ShardedExplainEngine::new(ds, config, shards, policy)?)
-    } else {
-        AnyEngine::Single(ExplainEngine::new(ds, config)?)
-    })
-}
-
 fn build_engine(
     ds: UncertainDataset,
     alpha: f64,
     budget: Option<u64>,
     parallel: bool,
-    shards: usize,
-    policy: ShardPolicy,
     packed_filter: bool,
-) -> Result<AnyEngine, String> {
+) -> Result<ExplainEngine, String> {
     let config = cli_engine_config(alpha, budget, parallel, packed_filter);
-    build_any(ds, config, shards, policy).map_err(|e| e.to_string())
+    ExplainEngine::new(ds, config).map_err(|e| e.to_string())
 }
 
 fn print_outcome(ds: &UncertainDataset, object: ObjectId, outcome: &CrpOutcome) {
@@ -659,7 +479,7 @@ fn print_outcome(ds: &UncertainDataset, object: ObjectId, outcome: &CrpOutcome) 
     }
 }
 
-fn cmd_explain(engine: &AnyEngine, q: &Point, object: ObjectId) -> Result<(), String> {
+fn cmd_explain(engine: &ExplainEngine, q: &Point, object: ObjectId) -> Result<(), String> {
     let ds = engine.dataset();
     match engine.explain(q, object) {
         Ok(out) => {
@@ -680,7 +500,11 @@ fn cmd_explain(engine: &AnyEngine, q: &Point, object: ObjectId) -> Result<(), St
 
 /// `explain-batch`: one engine session, many non-answers, one
 /// rayon-parallel `explain_batch` call.
-fn cmd_explain_batch(engine: &AnyEngine, q: &Point, objects: &[ObjectId]) -> Result<(), String> {
+fn cmd_explain_batch(
+    engine: &ExplainEngine,
+    q: &Point,
+    objects: &[ObjectId],
+) -> Result<(), String> {
     let ds = engine.dataset();
     let started = std::time::Instant::now();
     let outcomes = engine.explain_batch(q, objects);
@@ -725,9 +549,8 @@ fn cmd_explain_batch(engine: &AnyEngine, q: &Point, objects: &[ObjectId]) -> Res
 /// of updates and explain calls. Updates are applied incrementally
 /// (condense + reinsert on the R-trees, geometric cache invalidation)
 /// — the dataset is never re-indexed from scratch — and the session's
-/// maintenance and cache counters are reported at the end, merged
-/// across shards for a sharded session.
-fn cmd_replay(engine: &mut AnyEngine, q: &Point, ops: &[WorkloadOp]) -> Result<(), String> {
+/// maintenance and cache counters are reported at the end.
+fn cmd_replay(engine: &mut ExplainEngine, q: &Point, ops: &[WorkloadOp]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let mut updates = 0usize;
     let mut explains = 0usize;
@@ -785,15 +608,6 @@ fn cmd_replay(engine: &mut AnyEngine, q: &Point, ops: &[WorkloadOp]) -> Result<(
         io.cache_misses,
         io.cache_evictions
     );
-    if let AnyEngine::Sharded(sharded) = engine {
-        println!(
-            "shards: sizes {:?}, rebuilds {:?}, {} repartition(s), epoch {}",
-            sharded.shard_sizes(),
-            sharded.shard_rebuilds(),
-            sharded.repartitions(),
-            sharded.epoch()
-        );
-    }
     if failures > 0 {
         return Err(format!("{failures} operation(s) failed"));
     }
@@ -803,12 +617,12 @@ fn cmd_replay(engine: &mut AnyEngine, q: &Point, ops: &[WorkloadOp]) -> Result<(
 /// What `--readers`/`--session-dir` replay runs against: a volatile
 /// MVCC session, or one whose batches are write-ahead logged first.
 enum ReplaySession {
-    Volatile(MvccEngine<AnyEngine>),
-    Durable(DurableSession<AnyEngine>),
+    Volatile(MvccEngine<ExplainEngine>),
+    Durable(DurableSession<ExplainEngine>),
 }
 
 impl ReplaySession {
-    fn mvcc(&self) -> &MvccEngine<AnyEngine> {
+    fn mvcc(&self) -> &MvccEngine<ExplainEngine> {
         match self {
             ReplaySession::Volatile(mvcc) => mvcc,
             ReplaySession::Durable(session) => session.mvcc(),
@@ -842,11 +656,11 @@ fn cmd_replay_mvcc(
     ops: &[WorkloadOp],
     readers: usize,
     session_dir: Option<&str>,
-    spec: EngineSpec,
+    config: EngineConfig,
     limits: PlanLimits,
     inject: Option<FaultSpec>,
 ) -> Result<(), String> {
-    let make = move |ds: UncertainDataset| build_any(ds, spec.config, spec.shards, spec.policy);
+    let make = move |ds: UncertainDataset| ExplainEngine::new(ds, config);
     let fault = inject.map(FaultVfs::over_real);
     let mut session = match session_dir {
         Some(dir) => {
@@ -992,7 +806,7 @@ fn cmd_replay_mvcc(
 /// session cache — the counters the `plan_sweep` bench tracks, on the
 /// user's own data.
 fn cmd_sweep(
-    engine: &AnyEngine,
+    engine: &ExplainEngine,
     queries: Vec<Point>,
     objects: &[ObjectId],
     alphas: Vec<f64>,
@@ -1090,11 +904,11 @@ fn cmd_generate(kind: &str, out: &str) -> Result<(), String> {
 /// and checkpoint compacts the log into a manifest. The mutex guards
 /// the writer only; pinned snapshots read lock-free.
 struct DurableBackend {
-    session: Mutex<DurableSession<AnyEngine>>,
+    session: Mutex<DurableSession<ExplainEngine>>,
 }
 
 impl DurableBackend {
-    fn lock(&self) -> std::sync::MutexGuard<'_, DurableSession<AnyEngine>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, DurableSession<ExplainEngine>> {
         self.session.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
@@ -1164,7 +978,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     };
     let alpha: f64 = cli.parse("--alpha")?.unwrap_or(0.5);
     let budget = cli.parse("--budget")?.or(Some(5_000_000));
-    let (shards, policy) = parse_sharding(cli)?;
+    let shard_worker = parse_shard_worker(cli)?;
     apply_kernel(cli)?;
     let packed_filter = parse_filter(cli)?;
     let ds = load(schema, data)?;
@@ -1190,17 +1004,15 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
         window_ms: cli.parse("--window-ms")?.unwrap_or(4),
         queue_cap: cli.parse("--queue-cap")?.unwrap_or(64),
         default_query,
-        stage1_only: cli.has("--shard-worker"),
+        shard_worker,
         fleet,
     };
     let objects = ds.len();
     let parallel = !cli.has("--serial");
     let make = move |ds: UncertainDataset| {
-        build_any(
+        ExplainEngine::new(
             ds,
             cli_engine_config(alpha, budget, parallel, packed_filter),
-            shards,
-            policy,
         )
     };
     let backend: Arc<dyn ServeBackend> = match cli.get("--session-dir") {
@@ -1230,7 +1042,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     let window_max = serve_config.window_max;
     let window_ms = serve_config.window_ms;
     let queue_cap = serve_config.queue_cap;
-    let stage1_only = serve_config.stage1_only;
     let fleet_size = serve_config.fleet.len();
     let server = Server::start(backend, serve_config).map_err(|e| e.to_string())?;
     let stats = server.stats();
@@ -1238,10 +1049,9 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
         "serving on {} — {objects} object(s), window ≤{window_max} req / {window_ms} ms, \
          queue cap {queue_cap}{}{}",
         server.local_addr(),
-        if stage1_only {
-            " [stage-1 shard worker]"
-        } else {
-            ""
+        match shard_worker {
+            Some(n) => format!(" [stage-1 shard worker of {n}]"),
+            None => String::new(),
         },
         if fleet_size > 0 {
             format!(" [fleet of {fleet_size} worker(s)]")
@@ -1437,7 +1247,6 @@ fn run() -> Result<(), String> {
                 return cmd_query(&ds, &q, alpha);
             }
             let budget = cli.parse("--budget")?.or(Some(5_000_000));
-            let (shards, policy) = parse_sharding(&cli)?;
             apply_kernel(&cli)?;
             let packed_filter = parse_filter(&cli)?;
             if cli.command == "replay" {
@@ -1458,36 +1267,21 @@ fn run() -> Result<(), String> {
                     );
                 }
                 if readers > 0 || session_dir.is_some() || !limits.is_unlimited() {
-                    let spec = EngineSpec {
-                        config: cli_engine_config(
-                            alpha,
-                            budget,
-                            !cli.has("--serial"),
-                            packed_filter,
-                        ),
-                        shards,
-                        policy,
-                    };
+                    let config =
+                        cli_engine_config(alpha, budget, !cli.has("--serial"), packed_filter);
                     return cmd_replay_mvcc(
                         ds,
                         &q,
                         &ops,
                         readers.max(1),
                         session_dir,
-                        spec,
+                        config,
                         limits,
                         inject,
                     );
                 }
-                let mut engine = build_engine(
-                    ds,
-                    alpha,
-                    budget,
-                    !cli.has("--serial"),
-                    shards,
-                    policy,
-                    packed_filter,
-                )?;
+                let mut engine =
+                    build_engine(ds, alpha, budget, !cli.has("--serial"), packed_filter)?;
                 return cmd_replay(&mut engine, &q, &ops);
             }
             if cli.command == "sweep" {
@@ -1501,15 +1295,7 @@ fn run() -> Result<(), String> {
                     Some(raw) => parse_q_grid(raw, &q)?,
                     None => vec![q.clone()],
                 };
-                let engine = build_engine(
-                    ds,
-                    alpha,
-                    budget,
-                    !cli.has("--serial"),
-                    shards,
-                    policy,
-                    packed_filter,
-                )?;
+                let engine = build_engine(ds, alpha, budget, !cli.has("--serial"), packed_filter)?;
                 return cmd_sweep(&engine, queries, &objects, alphas, cli.has("--serial"));
             }
             if cli.command == "explain" {
@@ -1518,20 +1304,12 @@ fn run() -> Result<(), String> {
                         .parse()
                         .map_err(|e| format!("bad --object: {e}"))?,
                 );
-                let engine = build_engine(ds, alpha, budget, true, shards, policy, packed_filter)?;
+                let engine = build_engine(ds, alpha, budget, true, packed_filter)?;
                 cmd_explain(&engine, &q, id)
             } else {
                 let raw = cli.require("--objects", "ID,ID,… (or 'all')")?;
                 let ids = parse_objects(raw, &ds)?;
-                let engine = build_engine(
-                    ds,
-                    alpha,
-                    budget,
-                    !cli.has("--serial"),
-                    shards,
-                    policy,
-                    packed_filter,
-                )?;
+                let engine = build_engine(ds, alpha, budget, !cli.has("--serial"), packed_filter)?;
                 cmd_explain_batch(&engine, &q, &ids)
             }
         }
@@ -1551,8 +1329,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{apply_kernel, parse_cli, parse_query_point, parse_sharding};
-    use prsq_crp::prelude::ShardPolicy;
+    use super::{apply_kernel, parse_cli, parse_query_point, parse_shard_worker};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1592,32 +1369,54 @@ mod tests {
 
     #[test]
     fn shards_flag_parsing() {
-        // Default: one shard, round-robin.
-        let cli = parse_cli(&args(&["explain", "--data", "x.csv"])).unwrap();
-        assert_eq!(parse_sharding(&cli).unwrap(), (1, ShardPolicy::RoundRobin));
-        // Explicit count and policy.
-        let cli = parse_cli(&args(&[
+        // --shards is a shard worker's partition count: serve only,
+        // with --shard-worker (default 1 without it).
+        let worker = |argv: &[&str]| parse_shard_worker(&parse_cli(&args(argv)).unwrap());
+        assert_eq!(worker(&["serve", "--data", "x.csv"]).unwrap(), None);
+        assert_eq!(worker(&["serve", "--shard-worker"]).unwrap(), Some(1));
+        assert_eq!(
+            worker(&["serve", "--shard-worker", "--shards", "4"]).unwrap(),
+            Some(4)
+        );
+        // Without --shard-worker it means nothing, and is an error.
+        let err = worker(&["serve", "--data", "x.csv", "--shards", "2"]).unwrap_err();
+        assert!(err.contains("--shard-worker"), "{err}");
+        // Invalid counts are errors.
+        for bad in ["0", "four", "-1"] {
+            let err = worker(&["serve", "--shard-worker", "--shards", bad]).unwrap_err();
+            assert!(err.contains("--shards"), "{bad}: {err}");
+        }
+        // No other command takes --shards, and nothing takes a shard
+        // policy: stage 1 splits by id hash only.
+        for command in [
+            "query",
+            "explain",
             "explain-batch",
-            "--shards",
-            "4",
-            "--shard-policy",
-            "spatial",
-        ]))
-        .unwrap();
-        assert_eq!(parse_sharding(&cli).unwrap(), (4, ShardPolicy::Spatial));
-        // Aliases go through ShardPolicy::from_str.
-        let cli = parse_cli(&args(&["explain", "--shard-policy", "hash"])).unwrap();
-        assert_eq!(parse_sharding(&cli).unwrap().1, ShardPolicy::HashById);
-        // Invalid values are errors.
-        let cli = parse_cli(&args(&["explain", "--shards", "0"])).unwrap();
-        assert!(parse_sharding(&cli).unwrap_err().contains("--shards"));
-        let cli = parse_cli(&args(&["explain", "--shards", "four"])).unwrap();
-        assert!(parse_sharding(&cli).unwrap_err().contains("--shards"));
-        let cli = parse_cli(&args(&["explain", "--shard-policy", "mystery"])).unwrap();
-        assert!(parse_sharding(&cli).unwrap_err().contains("--shard-policy"));
-        // --shards is rejected where sharding makes no sense.
-        assert!(parse_cli(&args(&["query", "--shards", "4"])).is_err());
-        assert!(parse_cli(&args(&["generate", "--shards", "4"])).is_err());
+            "sweep",
+            "replay",
+            "client",
+            "generate",
+        ] {
+            assert!(
+                parse_cli(&args(&[command, "--shards", "4"])).is_err(),
+                "{command} --shards"
+            );
+        }
+        for command in [
+            "query",
+            "explain",
+            "explain-batch",
+            "sweep",
+            "replay",
+            "serve",
+            "client",
+            "generate",
+        ] {
+            assert!(
+                parse_cli(&args(&[command, "--shard-policy", "spatial"])).is_err(),
+                "{command} --shard-policy"
+            );
+        }
     }
 
     #[test]
@@ -1683,8 +1482,6 @@ mod tests {
             "5,5",
             "--alpha",
             "0.6",
-            "--shards",
-            "2",
             "--addr",
             "127.0.0.1:0",
             "--window-max",
@@ -1789,15 +1586,12 @@ mod tests {
             "0.3,0.5,0.7",
             "--q-grid",
             "1:1,2.5:2.5",
-            "--shards",
-            "2",
             "--serial",
         ]))
         .unwrap();
         assert_eq!(cli.get("--alphas"), Some("0.3,0.5,0.7"));
         assert_eq!(cli.get("--q-grid"), Some("1:1,2.5:2.5"));
         assert!(cli.has("--serial"));
-        assert_eq!(parse_sharding(&cli).unwrap().0, 2);
 
         // Value parsing: α lists and offset grids, strictly validated.
         assert_eq!(parse_alphas("0.3, 0.5").unwrap(), vec![0.3, 0.5]);
@@ -1823,23 +1617,18 @@ mod tests {
 
     #[test]
     fn replay_flag_parsing() {
-        // The replay subcommand accepts workload + sharding flags.
+        // The replay subcommand accepts the workload flags.
         let cli = parse_cli(&args(&[
             "replay",
             "--data",
             "x.csv",
             "--workload",
             "ops.txt",
-            "--shards",
-            "2",
-            "--shard-policy",
-            "spatial",
             "--serial",
         ]))
         .unwrap();
         assert_eq!(cli.get("--workload"), Some("ops.txt"));
         assert!(cli.has("--serial"));
-        assert_eq!(parse_sharding(&cli).unwrap(), (2, ShardPolicy::Spatial));
         // --workload belongs to replay only.
         assert!(parse_cli(&args(&["explain", "--workload", "ops.txt"])).is_err());
         assert!(parse_cli(&args(&["query", "--workload", "ops.txt"])).is_err());

@@ -84,8 +84,7 @@ pub mod prelude {
         merge_candidate_ids, oracle_cp, oracle_cr, set_kernel, simd_supported, Admission, Cause,
         ClientClass, CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest,
         ExplainSession, ExplainStrategy, KernelKind, MvccCounters, MvccEngine, PartialProgress,
-        PlanCounters, PlanLimits, PlanReport, RunStats, ShardPolicy, ShardedExplainEngine,
-        SnapshotEngine, StopReason, WindowReport,
+        PlanCounters, PlanLimits, PlanReport, RunStats, SnapshotEngine, StopReason, WindowReport,
     };
     #[allow(deprecated)]
     pub use crp_core::{cp, cp_pdf, cp_unindexed, cr, cr_kskyband, naive_i, naive_ii};

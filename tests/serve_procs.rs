@@ -1,7 +1,7 @@
-//! Stage-1 across OS processes: `crp serve --shard-worker` children
-//! answer per-shard `candidates` requests over the wire, and a parent
-//! started with `--fleet` merges their shares with the same merge law
-//! as the in-process sharded engine — so the merged set must be
+//! Stage-1 across OS processes: `crp serve --shard-worker --shards 2`
+//! children answer per-shard `candidates` requests over the wire with
+//! their id-hash share, and a parent started with `--fleet` merges the
+//! shares — so the shares must be disjoint and the merged set
 //! bit-identical to what one local engine computes.
 
 use prsq_crp::data::{uncertain_dataset, write_season_records, UncertainConfig};
@@ -101,12 +101,14 @@ fn worker_fleet_merges_bit_identically_to_one_process() {
         &fleet,
     ]);
 
-    // Ground truth: one local unsharded engine over the same dataset.
+    // Ground truth: one local engine over the same dataset.
     let engine = ExplainEngine::new(ds, EngineConfig::with_alpha(0.5)).expect("local engine");
     let q = Point::from([4000.0, 4000.0]);
 
     let mut via_fleet = Client::connect(("127.0.0.1", pp)).expect("connect parent");
     let mut via_worker = Client::connect(("127.0.0.1", p0)).expect("connect worker 0");
+    let mut via_worker1 = Client::connect(("127.0.0.1", p1)).expect("connect worker 1");
+    let mut split = 0;
     for id in [0u32, 7, 23, 55, 90, 119] {
         let an = ObjectId(id);
         let expected = ExplainSession::candidate_ids(&engine, &q, an).expect("local stage-1");
@@ -115,15 +117,27 @@ fn worker_fleet_merges_bit_identically_to_one_process() {
             .candidates(&q, an, None)
             .expect("fleet candidates");
         assert_eq!(merged, expected, "fleet merge for {an}");
-        // Each worker's shares merge to the same set client-side.
+        // Worker i's share of shard i: disjoint, and merging them
+        // client-side gives the same set.
         let s0 = via_worker.candidates(&q, an, Some(0)).expect("shard 0");
-        let s1 = via_worker.candidates(&q, an, Some(1)).expect("shard 1");
+        let s1 = via_worker1.candidates(&q, an, Some(1)).expect("shard 1");
+        assert!(
+            s0.iter().all(|id| !s1.contains(id)),
+            "shares of {an} overlap: {s0:?} / {s1:?}"
+        );
+        if !s0.is_empty() && !s1.is_empty() {
+            split += 1;
+        }
         assert_eq!(
             merge_candidate_ids([s0, s1]),
             expected,
             "share merge for {an}"
         );
     }
+    assert!(
+        split > 0,
+        "no probe split its candidates across both workers"
+    );
 
     // Shard workers answer stage-1 only, and range-check the shard.
     let err = via_worker
@@ -137,10 +151,7 @@ fn worker_fleet_merges_bit_identically_to_one_process() {
 
     via_fleet.shutdown().expect("parent bye");
     via_worker.shutdown().expect("worker 0 bye");
-    Client::connect(("127.0.0.1", p1))
-        .expect("connect worker 1")
-        .shutdown()
-        .expect("worker 1 bye");
+    via_worker1.shutdown().expect("worker 1 bye");
     for (name, child) in [("parent", &mut parent), ("w0", &mut w0), ("w1", &mut w1)] {
         let status = child.wait().expect("reap");
         assert!(status.success(), "{name} exits cleanly");
