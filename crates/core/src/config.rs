@@ -30,31 +30,6 @@ pub struct CpConfig {
     /// Abort with [`crate::CrpError::BudgetExhausted`] after examining
     /// this many candidate contingency sets (`None` = unlimited).
     pub max_subsets: Option<u64>,
-    /// Candidate-level FMCS parallelism (rayon). Only takes effect when
-    /// candidates are independent — Lemma 6 off (witnesses couple
-    /// candidates) and no `max_subsets` budget (the counter is global);
-    /// the search silently stays serial otherwise. Results are
-    /// bit-identical to the serial search either way.
-    pub parallel_fmcs: bool,
-    /// The columnar hot path: delta-driven subset enumeration over the
-    /// sample-major complement layout, with guard-banded fast
-    /// classifications. `false` runs the pre-rewrite reference kernel
-    /// (per-subset removal lists over the candidate-major layout) —
-    /// kept for the before/after throughput sweep and the
-    /// kernel-agreement tests. Explanations and search counters are
-    /// identical either way.
-    pub use_columnar_kernel: bool,
-    /// Candidate-batched probe evaluation on the columnar kernel: the
-    /// Lemma 5 singleton sweep computes all `|Cc|` single-candidate
-    /// probabilities in one prefix/suffix streaming pass, FMCS
-    /// condition-(i)/(ii) pairs share one pass over the complement
-    /// matrix in direct mode, and the incremental evaluator screens
-    /// provably-below-α subsets in log space without calling `exp`.
-    /// `false` reproduces the sequential single-probe protocol (the
-    /// before/after baseline of `hotpath_sweep`). Explanations and the
-    /// `subsets_examined`/`prsq_evaluations` counters are identical
-    /// either way.
-    pub use_batched_probes: bool,
 }
 
 impl Default for CpConfig {
@@ -66,9 +41,6 @@ impl Default for CpConfig {
             alpha_one_fast_path: true,
             use_probability_bound: false,
             max_subsets: None,
-            parallel_fmcs: false,
-            use_columnar_kernel: true,
-            use_batched_probes: true,
         }
     }
 }
@@ -83,9 +55,6 @@ impl CpConfig {
             alpha_one_fast_path: false,
             use_probability_bound: false,
             max_subsets: None,
-            parallel_fmcs: false,
-            use_columnar_kernel: true,
-            use_batched_probes: true,
         }
     }
 

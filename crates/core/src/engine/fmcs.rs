@@ -4,45 +4,25 @@
 //!
 //! The stage consumes a [`RefinePlan`](super::refine::RefinePlan)
 //! produced by stage 2 and emits every actual cause with a minimal
-//! contingency set. Two drivers exist:
+//! contingency set. [`search`] visits the open candidates in ascending
+//! order under the global subset budget, seeding Lemma 6 witnesses as
+//! it goes.
 //!
-//! * [`search`] — the serial driver (global subset budget, Lemma 6
-//!   witnesses),
-//! * a candidate-parallel driver used automatically when
-//!   [`CpConfig::parallel_fmcs`] is set *and* the configuration makes
-//!   candidates independent (Lemma 6 off — witnesses couple candidates —
-//!   and no global budget). Results and counters are bit-identical to
-//!   the serial driver because each candidate's search is a pure
-//!   function of the shared [`RefinePlan`] and per-candidate counters
-//!   are folded in candidate order.
-//!
-//! Two kernels drive the subset loop, selected by
-//! [`CpConfig::use_columnar_kernel`]:
-//!
-//! * **columnar/delta** (default) — the enumerator reports each subset
-//!   as add/remove-one moves ([`for_each_combination_delta`]), the
-//!   [`Checker`] maintains `Pr(an | P − Γ)` incrementally in the
-//!   per-thread [`Scratch`], and classifications come from the
-//!   sample-major fast kernels with a guard-banded exact fallback —
-//!   `O(L)` per subset, no allocation per candidate,
-//! * **reference** — the pre-rewrite path: a removal list rebuilt per
-//!   subset and evaluated over the candidate-major layout. Kept for
-//!   the before/after throughput sweep (`hotpath_sweep`) and the
-//!   kernel-agreement tests; explanations and the
-//!   `subsets_examined`/`prsq_evaluations` counters are identical to
-//!   the columnar kernel's.
+//! The subset loop is delta-driven: the enumerator reports each subset
+//! as add/remove-one moves ([`for_each_combination_delta`]), the
+//! [`Checker`] maintains `Pr(an | P − Γ)` incrementally in the
+//! per-thread [`Scratch`], and classifications come from the
+//! sample-major fast kernels with a guard-banded exact fallback —
+//! `O(L)` per subset, no allocation per candidate.
 
 use super::refine::RefinePlan;
-use crate::combinations::{for_each_combination, for_each_combination_delta, DeltaEvent, DeltaOp};
+use crate::combinations::{for_each_combination_delta, DeltaEvent, DeltaOp};
 use crate::config::CpConfig;
 use crate::error::CrpError;
-use crate::matrix::{
-    with_scratch, DominanceMatrix, FastVerdict, PrEvaluator, Scratch, SharedBounds, GUARD,
-};
+use crate::matrix::{DominanceMatrix, FastVerdict, PrEvaluator, Scratch, GUARD};
 use crate::types::RunStats;
 use crp_geom::PROB_EPSILON;
 use crp_rtree::QueryStats;
-use rayon::prelude::*;
 use std::cell::Cell;
 
 /// A cause expressed in candidate indices (mapped to object ids by the
@@ -66,80 +46,30 @@ pub(crate) fn is_answer(pr: f64, alpha: f64) -> bool {
 /// the direct `O(|Cc|·L)` product (see [`PrEvaluator`]).
 pub(crate) const INCREMENTAL_THRESHOLD: usize = 64;
 
-/// The evaluator a [`Checker`] consults: owned by the serial driver,
-/// borrowed from a shared instance by the parallel workers (building
-/// [`PrEvaluator`] is `O(|Cc|·L)`, too much to repeat per candidate).
-enum Evaluator<'m> {
-    /// Small candidate sets: direct `O(|Cc|·L)` product evaluation.
-    Direct,
-    Owned(PrEvaluator<'m>),
-    Shared(&'m PrEvaluator<'m>),
-}
-
 /// Uniform contingency-condition checker: direct evaluation for small
 /// candidate sets, incremental (guard-banded) for large ones.
-/// Classifications are identical either way, and identical between the
-/// columnar and reference kernels.
+/// Classifications are identical either way.
 ///
 /// All mutable working state lives in the caller-supplied [`Scratch`]
 /// (one per rayon worker), so the checker itself is shared by `&` and
 /// every hot-path call allocates nothing.
 pub(crate) struct Checker<'m> {
     matrix: &'m DominanceMatrix,
-    evaluator: Evaluator<'m>,
-    /// Columnar/delta kernels vs the pre-rewrite reference path.
-    columnar: bool,
-    /// Candidate-batched probes: the fused condition pair / singleton
-    /// sweep / log-domain screen ([`CpConfig::use_batched_probes`]);
-    /// only meaningful on the columnar kernel.
-    batched: bool,
+    /// The incremental evaluator, built at [`INCREMENTAL_THRESHOLD`]
+    /// candidates or more; `None` runs the direct `O(|Cc|·L)` product.
+    evaluator: Option<PrEvaluator<'m>>,
     /// Memoised log-domain screen threshold, keyed by `α` bits (the
-    /// evaluator's weight sum is fixed per checker). A `Cell` — each
-    /// parallel worker owns its own checker, only the [`PrEvaluator`]
-    /// is shared.
+    /// evaluator's weight sum is fixed per checker). A `Cell`, so the
+    /// checker stays shared by `&`.
     screen: Cell<(u64, f64)>,
 }
 
 impl<'m> Checker<'m> {
-    pub(crate) fn new(
-        matrix: &'m DominanceMatrix,
-        config: &CpConfig,
-        scratch: &mut Scratch,
-    ) -> Self {
-        let n = matrix.candidates();
-        let evaluator = if n >= INCREMENTAL_THRESHOLD {
-            Evaluator::Owned(matrix.evaluator())
-        } else {
-            Evaluator::Direct
-        };
+    pub(crate) fn new(matrix: &'m DominanceMatrix, scratch: &mut Scratch) -> Self {
         scratch.reset_for(matrix);
         Self {
             matrix,
-            evaluator,
-            columnar: config.use_columnar_kernel,
-            batched: config.use_batched_probes && config.use_columnar_kernel,
-            screen: Cell::new((f64::NAN.to_bits(), f64::NEG_INFINITY)),
-        }
-    }
-
-    /// A checker borrowing an already-built evaluator (`None` = direct
-    /// evaluation) — the parallel driver builds the evaluator once and
-    /// hands every worker a reference.
-    fn with_shared(
-        matrix: &'m DominanceMatrix,
-        evaluator: Option<&'m PrEvaluator<'m>>,
-        config: &CpConfig,
-        scratch: &mut Scratch,
-    ) -> Self {
-        scratch.reset_for(matrix);
-        Self {
-            matrix,
-            evaluator: match evaluator {
-                Some(ev) => Evaluator::Shared(ev),
-                None => Evaluator::Direct,
-            },
-            columnar: config.use_columnar_kernel,
-            batched: config.use_batched_probes && config.use_columnar_kernel,
+            evaluator: (matrix.candidates() >= INCREMENTAL_THRESHOLD).then(|| matrix.evaluator()),
             screen: Cell::new((f64::NAN.to_bits(), f64::NEG_INFINITY)),
         }
     }
@@ -168,18 +98,9 @@ impl<'m> Checker<'m> {
         thr
     }
 
-    fn evaluator(&self) -> Option<&PrEvaluator<'_>> {
-        match &self.evaluator {
-            Evaluator::Owned(ev) => Some(ev),
-            Evaluator::Shared(ev) => Some(ev),
-            Evaluator::Direct => None,
-        }
-    }
-
     /// Is `an` an answer on `P − removed`? The removal-*list* entry
-    /// point of the classification and Lemma 6 paths (the subset loop
-    /// uses the delta protocol below instead). Clobbers the scratch
-    /// mask.
+    /// point of the Lemma 6 witness check (the subset loop uses the
+    /// delta protocol below instead). Clobbers the scratch mask.
     pub(crate) fn is_answer(
         &self,
         removed: &[usize],
@@ -187,30 +108,24 @@ impl<'m> Checker<'m> {
         scratch: &mut Scratch,
         query: &mut QueryStats,
     ) -> bool {
-        let Some(ev) = self.evaluator() else {
-            // Small candidate set: exact masked product (reference), or
-            // its guard-banded columnar counterpart.
+        let fill_mask = |scratch: &mut Scratch| {
             scratch.clear_mask();
             for &c in removed {
                 scratch.set_removed(c);
             }
-            if !self.columnar {
-                return is_answer(self.matrix.pr_with_removed_fmask(&scratch.mask), alpha);
-            }
+        };
+        let Some(ev) = self.evaluator.as_ref() else {
+            // Small candidate set: the guard-banded columnar product.
+            fill_mask(scratch);
             let fast = self.matrix.pr_with_removed_columnar(&scratch.mask);
             return self.settle(fast, alpha, &scratch.mask, query);
         };
-        if !self.columnar {
-            return ev.is_answer_with_removed(removed, alpha);
-        }
+        // Large candidate set: walk the list; the `O(|Cc|)` mask is only
+        // filled for the exact fallback.
         let fast = ev.pr_with_removed_list(removed);
         if (fast - alpha).abs() <= GUARD {
-            query.eval_slow += 1;
-            scratch.clear_mask();
-            for &c in removed {
-                scratch.set_removed(c);
-            }
-            return is_answer(self.matrix.pr_with_removed_fmask(&scratch.mask), alpha);
+            fill_mask(scratch);
+            return self.settle(fast, alpha, &scratch.mask, query);
         }
         query.eval_fast += 1;
         is_answer(fast, alpha)
@@ -249,13 +164,13 @@ impl<'m> Checker<'m> {
         is_answer(fast, alpha)
     }
 
-    // --- the delta protocol of the columnar subset loop ---------------
+    // --- the delta protocol of the subset loop ------------------------
 
     /// Resets the maintained removal set to exactly `forced` (start of
     /// one cardinality's enumeration).
     fn begin(&self, forced: &[usize], scratch: &mut Scratch) {
         scratch.clear_mask();
-        if let Some(ev) = self.evaluator() {
+        if let Some(ev) = self.evaluator.as_ref() {
             ev.delta_begin(scratch);
             for &c in forced {
                 scratch.set_removed(c);
@@ -275,71 +190,32 @@ impl<'m> Checker<'m> {
             DeltaOp::Add(s) => {
                 let c = search[s];
                 scratch.set_removed(c);
-                if let Some(ev) = self.evaluator() {
+                if let Some(ev) = self.evaluator.as_ref() {
                     ev.delta_add(c, scratch);
                 }
             }
             DeltaOp::Remove(s) => {
                 let c = search[s];
                 scratch.unset_removed(c);
-                if let Some(ev) = self.evaluator() {
+                if let Some(ev) = self.evaluator.as_ref() {
                     ev.delta_remove(c, scratch);
                 }
             }
         }
     }
 
-    /// FMCS condition (i): is `an` an answer on `P − Γ` for the
-    /// maintained `Γ`?
-    fn current_is_answer(&self, alpha: f64, scratch: &mut Scratch, query: &mut QueryStats) -> bool {
-        let fast = match self.evaluator() {
-            Some(ev) => ev.delta_pr(scratch),
-            None => self.matrix.pr_with_removed_columnar(&scratch.mask),
-        };
-        self.settle(fast, alpha, &scratch.mask, query)
-    }
-
-    /// FMCS condition (ii): is `an` an answer on `P − Γ − {cc}`? Leaves
-    /// the maintained state untouched.
-    fn extra_is_answer(
-        &self,
-        cc: usize,
-        alpha: f64,
-        scratch: &mut Scratch,
-        query: &mut QueryStats,
-    ) -> bool {
-        debug_assert!(!scratch.is_removed(cc));
-        let fast = match self.evaluator() {
-            Some(ev) => ev.delta_pr_with_extra(cc, scratch),
-            None => {
-                scratch.set_removed(cc);
-                let fast = self.matrix.pr_with_removed_columnar(&scratch.mask);
-                scratch.unset_removed(cc);
-                fast
-            }
-        };
-        self.settle_extra(cc, fast, alpha, scratch, query)
-    }
-
     /// One FMCS subset check — both conditions for the maintained `Γ`
-    /// and its extension candidate `cc` — through the fastest route the
-    /// checker's mode allows. The caller owns the counter protocol:
-    /// `flips` is only meaningful when `answer` is false (condition (ii)
-    /// is never *charged* — nor, in unbatched mode, evaluated — when
-    /// condition (i) already holds).
+    /// and its extension candidate `cc`. The caller owns the counter
+    /// protocol: `flips` is only meaningful when `answer` is false
+    /// (condition (ii) is never *charged* when condition (i) already
+    /// holds).
     fn probe(&self, cc: usize, alpha: f64, scratch: &mut Scratch, query: &mut QueryStats) -> Probe {
-        if !self.batched {
-            let answer = self.current_is_answer(alpha, scratch, query);
-            let flips = !answer && self.extra_is_answer(cc, alpha, scratch, query);
-            return Probe { answer, flips };
-        }
-        match self.evaluator() {
+        match self.evaluator.as_ref() {
             Some(ev) => {
                 // Screened incremental route: the log-domain screen
                 // certifies almost every deep probe `< α − GUARD` with
                 // zero `exp` calls; anything it cannot certify runs the
-                // exact same guard-banded evaluation as unbatched mode,
-                // so verdicts are identical.
+                // guard-banded evaluation, so verdicts are exact.
                 let thr = self.ln_threshold(alpha, ev.weight_sum());
                 let answer = match ev.delta_verdict(scratch, thr) {
                     FastVerdict::Below => {
@@ -387,13 +263,12 @@ impl<'m> Checker<'m> {
     }
 
     /// Max per-removal loosening of the cardinality screen over the
-    /// search space, or 0.0 when this checker cannot use the screen
-    /// (no evaluator, or batching off).
+    /// search space, or 0.0 when this checker has no evaluator (the
+    /// screen needs one).
     pub(crate) fn search_neg_bound(&self, search: &[usize]) -> f64 {
-        match self.evaluator() {
-            Some(ev) if self.batched => ev.max_neg_over(search),
-            _ => 0.0,
-        }
+        self.evaluator
+            .as_ref()
+            .map_or(0.0, |ev| ev.max_neg_over(search))
     }
 
     /// Certifies — at the start of one cardinality's enumeration, with
@@ -411,10 +286,7 @@ impl<'m> Checker<'m> {
         alpha: f64,
         scratch: &Scratch,
     ) -> bool {
-        if !self.batched {
-            return false;
-        }
-        let Some(ev) = self.evaluator() else {
+        let Some(ev) = self.evaluator.as_ref() else {
             return false;
         };
         let thr = self.ln_threshold(alpha, ev.weight_sum());
@@ -422,25 +294,18 @@ impl<'m> Checker<'m> {
     }
 
     /// The batched Lemma 5 sweep: fills `scratch.batch_prs` with every
-    /// singleton-removal probability in one prefix/suffix pass. Returns
-    /// false when this checker's mode runs sequential probes instead
-    /// (reference kernel, or batching disabled).
-    pub(crate) fn batch_singletons(&self, scratch: &mut Scratch) -> bool {
-        if !self.batched {
-            return false;
-        }
+    /// singleton-removal probability in one prefix/suffix pass.
+    pub(crate) fn batch_singletons(&self, scratch: &mut Scratch) {
         let mut prefix = std::mem::take(&mut scratch.batch_prefix);
         let mut prs = std::mem::take(&mut scratch.batch_prs);
         self.matrix.singleton_prs(&mut prefix, &mut prs);
         scratch.batch_prefix = prefix;
         scratch.batch_prs = prs;
-        true
     }
 
     /// Settles one batched singleton verdict (`fast` =
     /// `scratch.batch_prs[c]`): near-threshold values re-verify against
-    /// the exact singleton reference, so classifications match the
-    /// sequential probe protocol exactly.
+    /// the exact singleton reference, so classifications are exact.
     pub(crate) fn settle_singleton(
         &self,
         c: usize,
@@ -465,20 +330,10 @@ struct Probe {
     flips: bool,
 }
 
-/// Outcome of one candidate's FMCS run.
-struct CandidateSearch {
-    /// The minimal contingency set found strictly below the witness
-    /// bound, if any.
-    found: Option<Vec<usize>>,
-}
-
 /// FMCS for a single candidate `cc`: enumerate candidate contingency
 /// sets in ascending cardinality over the search space (on top of the
-/// forced set), strictly below `upper_exclusive`.
-///
-/// Pure with respect to the other candidates: given the same plan
-/// inputs it always produces the same result and the same counter
-/// increments, which is what makes the parallel driver exact.
+/// forced set), strictly below the witness size. Returns the minimal
+/// contingency set found below that bound, if any.
 #[allow(clippy::too_many_arguments)]
 fn search_candidate(
     matrix: &DominanceMatrix,
@@ -491,9 +346,8 @@ fn search_candidate(
     witness_len: Option<usize>,
     checker: &Checker<'_>,
     scratch: &mut Scratch,
-    shared_bounds: Option<&SharedBounds>,
     stats: &mut RunStats,
-) -> Result<CandidateSearch, CrpError> {
+) -> Result<Option<Vec<usize>>, CrpError> {
     let n = matrix.candidates();
     // The index buffers are borrowed out of the scratch for the whole
     // candidate search (the checker only touches the mask/delta state).
@@ -504,14 +358,14 @@ fn search_candidate(
     search.clear();
     search.extend((0..n).filter(|&c| c != cc && !forced_mask[c] && !excluded[c]));
     // Global impact ordering (see `super::merge`): `impacts` is
-    // precomputed once per matrix by the drivers — the weighted sum is
+    // precomputed once per matrix by the driver — the weighted sum is
     // O(L) and this sort runs per candidate.
     super::merge::order_by_impact(&mut search, impacts);
     // Search strictly below the witness size (Lemma 6 already proves a
     // set of that size exists); otherwise everything up to the whole
     // search space.
     let upper_exclusive = witness_len.unwrap_or(forced.len() + search.len() + 1);
-    // Loosening bound of the batched cardinality screen (one O(|search|)
+    // Loosening bound of the cardinality screen (one O(|search|)
     // scan per candidate search; 0.0 when the screen does not apply).
     let search_maxneg = checker.search_neg_bound(&search);
 
@@ -524,140 +378,81 @@ fn search_candidate(
     let cancel = super::budget::active();
     let mut cancel_err: Option<CrpError> = None;
     let mut uncharged: u64 = 0;
-    'sizes: for total in forced.len()..upper_exclusive {
+    for total in forced.len()..upper_exclusive {
         let k = total - forced.len();
         if k > search.len() {
             break;
         }
         // Probability-based pruning (extension): if even the most
         // damaging total+1 removals cannot reach α, no Γ of this size
-        // can satisfy condition (ii). Served from a memo — the
-        // worker-shared table in candidate-parallel mode (one factor
-        // sort per explain, each size computed once across workers),
-        // the per-thread scratch otherwise; values are bit-identical
-        // to the reference bound either way.
-        if config.use_probability_bound {
-            let bound = match shared_bounds {
-                Some(sb) => sb.get(matrix, total + 1),
-                None => scratch.max_pr_bound(matrix, total + 1),
-            };
-            if !is_answer(bound, alpha) {
-                continue;
-            }
+        // can satisfy condition (ii). Served from the scratch memo,
+        // bit-identical to the reference bound.
+        if config.use_probability_bound
+            && !is_answer(scratch.max_pr_bound(matrix, total + 1), alpha)
+        {
+            continue;
         }
         let budget = config.max_subsets;
-        if config.use_columnar_kernel {
-            checker.begin(&forced, scratch);
-            // Whole-cardinality certification: when every size-k subset
-            // is provably inert, the walk below skips the delta moves
-            // and evaluations and only advances the counters — exactly
-            // the increments per-subset probing would produce (cond (i)
-            // false → both conditions charged, both screened fast).
-            let inert = checker.cardinality_is_inert(cc, k, search_maxneg, alpha, scratch);
-            for_each_combination_delta(search.len(), k, |event| {
-                let _combo = match event {
-                    DeltaEvent::Move(op) => {
-                        if !inert {
-                            checker.apply(op, &search, scratch);
-                        }
-                        return false;
-                    }
-                    DeltaEvent::Subset(combo) => combo,
-                };
-                stats.subsets_examined += 1;
-                if let Some(max) = budget {
-                    if stats.subsets_examined > max {
-                        budget_hit = Some(stats.subsets_examined);
+        checker.begin(&forced, scratch);
+        // Whole-cardinality certification: when every size-k subset
+        // is provably inert, the walk below skips the delta moves
+        // and evaluations and only advances the counters — exactly
+        // the increments per-subset probing would produce (cond (i)
+        // false → both conditions charged, both screened fast).
+        let inert = checker.cardinality_is_inert(cc, k, search_maxneg, alpha, scratch);
+        for_each_combination_delta(search.len(), k, |event| {
+            if let DeltaEvent::Move(op) = event {
+                if !inert {
+                    checker.apply(op, &search, scratch);
+                }
+                return false;
+            }
+            stats.subsets_examined += 1;
+            if let Some(max) = budget {
+                if stats.subsets_examined > max {
+                    budget_hit = Some(stats.subsets_examined);
+                    return true;
+                }
+            }
+            uncharged += 1;
+            if uncharged >= super::budget::CHECK_INTERVAL {
+                if let Some(c) = &cancel {
+                    c.charge_subsets(uncharged);
+                    if let Err(e) = c.check() {
+                        cancel_err = Some(e);
                         return true;
                     }
                 }
-                uncharged += 1;
-                if uncharged >= super::budget::CHECK_INTERVAL {
-                    if let Some(c) = &cancel {
-                        c.charge_subsets(uncharged);
-                        if let Err(e) = c.check() {
-                            cancel_err = Some(e);
-                            return true;
-                        }
-                    }
-                    uncharged = 0;
-                }
+                uncharged = 0;
+            }
+            stats.prsq_evaluations += 1;
+            if inert {
                 stats.prsq_evaluations += 1;
-                if inert {
-                    stats.prsq_evaluations += 1;
-                    stats.query.eval_fast += 2;
-                    return false;
-                }
-                // Condition (i): P − Γ still a non-answer.
-                let probe = checker.probe(cc, alpha, scratch, &mut stats.query);
-                if !probe.answer {
-                    stats.prsq_evaluations += 1;
-                    // Condition (ii): P − Γ − {cc} becomes an answer.
-                    if probe.flips {
-                        // Γ = the maintained mask, already ascending.
-                        found = Some(
-                            scratch
-                                .mask
-                                .iter()
-                                .enumerate()
-                                .filter_map(|(c, &gone)| (gone != 0.0).then_some(c))
-                                .collect(),
-                        );
-                        return true;
-                    }
-                }
-                false
-            });
-        } else {
-            // The pre-rewrite reference kernel: removal list per subset.
-            let mut removal_list = std::mem::take(&mut scratch.list);
-            for_each_combination(search.len(), k, |combo| {
-                stats.subsets_examined += 1;
-                if let Some(max) = budget {
-                    if stats.subsets_examined > max {
-                        budget_hit = Some(stats.subsets_examined);
-                        return true;
-                    }
-                }
-                uncharged += 1;
-                if uncharged >= super::budget::CHECK_INTERVAL {
-                    if let Some(c) = &cancel {
-                        c.charge_subsets(uncharged);
-                        if let Err(e) = c.check() {
-                            cancel_err = Some(e);
-                            return true;
-                        }
-                    }
-                    uncharged = 0;
-                }
-                removal_list.clear();
-                removal_list.extend_from_slice(&forced);
-                removal_list.extend(combo.iter().map(|&s| search[s]));
+                stats.query.eval_fast += 2;
+                return false;
+            }
+            // Condition (i): P − Γ still a non-answer.
+            let probe = checker.probe(cc, alpha, scratch, &mut stats.query);
+            if !probe.answer {
                 stats.prsq_evaluations += 1;
-                // Condition (i): P − Γ still a non-answer.
-                if !checker.is_answer(&removal_list, alpha, scratch, &mut stats.query) {
-                    removal_list.push(cc);
-                    stats.prsq_evaluations += 1;
-                    // Condition (ii): P − Γ − {cc} becomes an answer.
-                    let becomes =
-                        checker.is_answer(&removal_list, alpha, scratch, &mut stats.query);
-                    removal_list.pop();
-                    if becomes {
-                        let mut gamma = removal_list.clone();
-                        gamma.sort_unstable();
-                        found = Some(gamma);
-                        return true;
-                    }
+                // Condition (ii): P − Γ − {cc} becomes an answer.
+                if probe.flips {
+                    // Γ = the maintained mask, already ascending.
+                    found = Some(
+                        scratch
+                            .mask
+                            .iter()
+                            .enumerate()
+                            .filter_map(|(c, &gone)| (gone != 0.0).then_some(c))
+                            .collect(),
+                    );
+                    return true;
                 }
-                false
-            });
-            scratch.list = removal_list;
-        }
-        if budget_hit.is_some() || cancel_err.is_some() {
-            break 'sizes;
-        }
-        if found.is_some() {
-            break 'sizes;
+            }
+            false
+        });
+        if budget_hit.is_some() || cancel_err.is_some() || found.is_some() {
+            break;
         }
     }
     scratch.forced = forced;
@@ -671,12 +466,11 @@ fn search_candidate(
     if let Some(examined) = budget_hit {
         return Err(CrpError::BudgetExhausted { examined });
     }
-    Ok(CandidateSearch { found })
+    Ok(found)
 }
 
-/// The serial FMCS driver with Lemma 6 witness propagation — stage 3 of
-/// the pipeline. Dispatches to the candidate-parallel driver when the
-/// configuration allows it (see module docs).
+/// The FMCS driver with Lemma 6 witness propagation — stage 3 of the
+/// pipeline.
 pub(crate) fn search(
     matrix: &DominanceMatrix,
     alpha: f64,
@@ -698,29 +492,6 @@ pub(crate) fn search(
         return Ok(results);
     }
 
-    // Candidate-level parallelism is exact only when candidates are
-    // independent: Lemma 6 couples them through witnesses, and a global
-    // subset budget couples them through the shared counter. A plan
-    // budget also stays serial: its cancellation handle is scoped to
-    // this thread, and serial order keeps the progress counters
-    // deterministic up to the trip.
-    if config.parallel_fmcs
-        && !config.use_lemma6
-        && config.max_subsets.is_none()
-        && super::budget::active().is_none()
-    {
-        return search_parallel(
-            matrix,
-            alpha,
-            config,
-            &forced_mask,
-            &excluded,
-            &done,
-            results,
-            stats,
-        );
-    }
-
     let n = matrix.candidates();
     let impacts = super::merge::impacts(matrix);
     let cancel = super::budget::active();
@@ -735,7 +506,7 @@ pub(crate) fn search(
         if let Some(c) = &cancel {
             c.check()?;
         }
-        let outcome = search_candidate(
+        let found = search_candidate(
             matrix,
             alpha,
             config,
@@ -746,16 +517,12 @@ pub(crate) fn search(
             witness[cc].as_ref().map(|w| w.len()),
             &checker,
             scratch,
-            None,
             stats,
         )?;
 
-        let gamma = match outcome.found {
-            Some(g) => Some(g),
-            // Nothing strictly smaller than the witness: the witness set
-            // is minimal (Algorithm 1, lines 23–24).
-            None => witness[cc].take(),
-        };
+        // Nothing strictly smaller than the witness: the witness set is
+        // minimal (Algorithm 1, lines 23–24).
+        let gamma = found.or_else(|| witness[cc].take());
         done[cc] = true;
         let Some(gamma) = gamma else {
             continue; // not an actual cause
@@ -796,77 +563,6 @@ pub(crate) fn search(
         });
     }
 
-    results.sort_by_key(|r| r.cand);
-    Ok(results)
-}
-
-/// Candidate-parallel FMCS: every open candidate searched concurrently.
-///
-/// Preconditions (checked by [`search`]): Lemma 6 off, no subset budget.
-/// Per-candidate counters are folded in ascending candidate order, so
-/// the aggregate [`RunStats`] equals the serial driver's exactly. Each
-/// worker borrows its own thread-local [`Scratch`].
-#[allow(clippy::too_many_arguments)]
-fn search_parallel(
-    matrix: &DominanceMatrix,
-    alpha: f64,
-    config: &CpConfig,
-    forced_mask: &[bool],
-    excluded: &[bool],
-    done: &[bool],
-    mut results: Vec<CauseRec>,
-    stats: &mut RunStats,
-) -> Result<Vec<CauseRec>, CrpError> {
-    let n = matrix.candidates();
-    let impacts = super::merge::impacts(matrix);
-    // One evaluator for every worker: its O(|Cc|·L) precompute must not
-    // be repeated per candidate (workers only read it). Likewise one
-    // probability-bound table: its factor sort must not be repeated per
-    // worker scratch.
-    let shared_evaluator = (n >= INCREMENTAL_THRESHOLD).then(|| matrix.evaluator());
-    let shared_bounds = config
-        .use_probability_bound
-        .then(|| SharedBounds::new(matrix));
-    let open: Vec<usize> = (0..n).filter(|&cc| !done[cc]).collect();
-    let per_candidate: Vec<(usize, Option<Vec<usize>>, RunStats)> = open
-        .par_iter()
-        .map(|&cc| {
-            let mut local_stats = RunStats::default();
-            let outcome = with_scratch(|scratch| {
-                let checker =
-                    Checker::with_shared(matrix, shared_evaluator.as_ref(), config, scratch);
-                search_candidate(
-                    matrix,
-                    alpha,
-                    config,
-                    cc,
-                    forced_mask,
-                    excluded,
-                    &impacts,
-                    None,
-                    &checker,
-                    scratch,
-                    shared_bounds.as_ref(),
-                    &mut local_stats,
-                )
-            })
-            .expect("parallel FMCS runs without a budget");
-            (cc, outcome.found, local_stats)
-        })
-        .collect();
-
-    for (cc, found, local_stats) in per_candidate {
-        stats.subsets_examined += local_stats.subsets_examined;
-        stats.prsq_evaluations += local_stats.prsq_evaluations;
-        stats.query.absorb(local_stats.query);
-        if let Some(gamma) = found {
-            results.push(CauseRec {
-                cand: cc,
-                counterfactual: gamma.is_empty(),
-                gamma,
-            });
-        }
-    }
     results.sort_by_key(|r| r.cand);
     Ok(results)
 }

@@ -16,9 +16,7 @@
 //!   positions, restoring the filter's candidate order (ascending
 //!   dataset position) bit-for-bit,
 //! * `impacts` / `order_by_impact` — the global impact ordering of
-//!   the FMCS search space. Ordering lives here (not per driver) so the
-//!   serial and candidate-parallel FMCS drivers rank candidates through
-//!   one code path.
+//!   the FMCS search space.
 
 use crate::matrix::DominanceMatrix;
 use crp_uncertain::{ObjectId, UncertainDataset};
@@ -91,9 +89,7 @@ pub(crate) fn impacts(matrix: &DominanceMatrix) -> Vec<f64> {
 /// Orders an FMCS search space high-impact-first: the first combination
 /// of each cardinality is then the greedy removal set, which on deep
 /// non-answers is very likely already a valid contingency set. Any
-/// order is correct; this one converges fastest, and keeping it here
-/// guarantees every driver (serial, candidate-parallel) ranks
-/// identically.
+/// order is correct; this one converges fastest.
 pub(crate) fn order_by_impact(search: &mut [usize], impacts: &[f64]) {
     search.sort_by(|&a, &b| impacts[b].partial_cmp(&impacts[a]).expect("finite impacts"));
 }

@@ -30,9 +30,7 @@
 //! [`ExplainEngine::explain_batch`] answers many non-answers in one
 //! call, data-parallel over the batch with `rayon` (order-preserving,
 //! so results are **bit-identical** to the serial path — a property the
-//! test suite pins). Within one non-answer, candidate-level FMCS
-//! parallelism is available through [`CpConfig::parallel_fmcs`]
-//! whenever the lemma configuration keeps candidates independent.
+//! test suite pins).
 //!
 //! Stage 1 of CP tests each object alone (Lemma 2), so its candidate
 //! set splits over any partition of the objects: a multi-process shard
@@ -84,7 +82,7 @@ use crate::types::{Cause, CrpOutcome, RunStats};
 use cache::{ExplanationCache, ServeTrace};
 use certain::{run_certain, Lemma7ClosedForm, SubsetVerify};
 use crp_geom::{HyperRect, Point};
-use crp_rtree::{AtomicQueryStats, QueryStats, RTree, RTreeParams, WindowQuery};
+use crp_rtree::{AtomicQueryStats, QueryStats, RTree, RTreeParams};
 use crp_skyline::{build_object_rtree, build_point_rtree};
 use crp_uncertain::{
     Epoch, ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainError, UncertainObject,
@@ -157,13 +155,6 @@ pub struct EngineConfig {
     pub rtree: Option<RTreeParams>,
     /// Run [`ExplainEngine::explain_batch`] data-parallel with rayon.
     pub parallel: bool,
-    /// Route stage-1 window filtering through the packed SoA projection
-    /// of the R*-tree ([`crp_rtree::PackedRTree`], frozen lazily and
-    /// invalidated by [`ExplainEngine::apply`]) instead of the pointer
-    /// traversal. Bit-identical candidates and node-access counters
-    /// either way; the pointer path is retained as the reference for
-    /// before/after sweeps.
-    pub use_packed_filter: bool,
 }
 
 impl Default for EngineConfig {
@@ -174,7 +165,6 @@ impl Default for EngineConfig {
             cp: CpConfig::default(),
             rtree: None,
             parallel: true,
-            use_packed_filter: true,
         }
     }
 }
@@ -570,12 +560,8 @@ impl ExplainEngine {
     /// Re-freezes the packed images of whichever trees are built, so
     /// the first post-update explain finds a warm snapshot instead of
     /// paying the rebuild inside its latency budget. Counted in
-    /// [`QueryStats::refreezes`]; skipped entirely when the packed
-    /// filter is disabled (the pointer traversal never freezes).
+    /// [`QueryStats::refreezes`].
     fn refreeze_trees(&mut self) {
-        if !self.config.use_packed_filter {
-            return;
-        }
         for slot in [&mut self.object_tree, &mut self.point_tree] {
             if let Some(tree) = slot.get_mut() {
                 tree.refreeze();
@@ -780,7 +766,7 @@ impl ExplainEngine {
                 }
                 let an_pos = ds.index_of(an).ok_or(CrpError::UnknownObject(an))?;
                 let mut stats = RunStats::default();
-                let filter = SampleWindowFilter::new(self.filter_view(self.object_tree()));
+                let filter = SampleWindowFilter::new(self.object_tree().frozen());
                 let positions = filter.candidates(ds, q, an_pos, &mut stats);
                 self.io.absorb(stats.query);
                 let mut ids: Vec<ObjectId> = positions
@@ -791,12 +777,12 @@ impl ExplainEngine {
                 Ok(ids)
             }
             Workload::Pdf { ds, .. } => {
-                let tree = self.pdf_source(self.guarded_pdf_tree(ds)?);
+                let tree = self.guarded_pdf_tree(ds)?.frozen();
                 let an_obj = ds.get(an).ok_or(CrpError::UnknownObject(an))?;
                 let windows = crate::pdf::pdf_windows(q, an_obj.region());
-                let mut stats = RunStats::default();
-                let hits = tree.region_hits(&windows, an, &mut stats);
-                self.io.absorb(stats.query);
+                let mut query = QueryStats::default();
+                let hits = pipeline::tree_region_hits(tree, &windows, an, &mut query);
+                self.io.absorb(query);
                 Ok(hits)
             }
         }
@@ -870,7 +856,7 @@ impl ExplainEngine {
                         an,
                         alpha,
                         &config,
-                        &SampleWindowFilter::new(self.filter_view(self.guarded_object_tree(ds)?)),
+                        &SampleWindowFilter::new(self.guarded_object_tree(ds)?.frozen()),
                         Some(&self.io),
                     )
                 }
@@ -906,7 +892,7 @@ impl ExplainEngine {
                     };
                     pipeline::run_pdf(
                         ds,
-                        self.pdf_source(self.guarded_pdf_tree(ds)?),
+                        self.guarded_pdf_tree(ds)?.frozen(),
                         q,
                         an,
                         alpha,
@@ -1027,31 +1013,6 @@ impl ExplainEngine {
         result
     }
 
-    /// The stage-1 window-filter view of a tree: the packed frozen
-    /// image when [`EngineConfig::use_packed_filter`] is on (built
-    /// lazily, cached inside the tree, and invalidated by the
-    /// generation bump every [`ExplainEngine::apply`] mutation makes),
-    /// else the pointer tree itself. Both views satisfy the same
-    /// [`WindowQuery`] contract, so candidates and counters are
-    /// bit-identical either way.
-    fn filter_view<'t>(&self, tree: &'t RTree<ObjectId>) -> &'t (dyn WindowQuery<ObjectId> + Sync) {
-        if self.config.use_packed_filter {
-            tree.frozen()
-        } else {
-            tree
-        }
-    }
-
-    /// [`ExplainEngine::filter_view`] for the pdf pipeline's
-    /// [`pipeline::RegionHitSource`] seam.
-    fn pdf_source<'t>(&self, tree: &'t RTree<ObjectId>) -> &'t dyn pipeline::RegionHitSource {
-        if self.config.use_packed_filter {
-            tree.frozen()
-        } else {
-            tree
-        }
-    }
-
     /// The pdf region tree, with empty datasets surfaced as the
     /// pipeline's `EmptyDataset` error instead of an index-build panic.
     fn guarded_pdf_tree(&self, ds: &PdfDataset) -> Result<&RTree<ObjectId>, CrpError> {
@@ -1101,7 +1062,7 @@ impl ExplainEngine {
             ds,
             q,
             an_pos,
-            &SampleWindowFilter::new(self.filter_view(tree)),
+            &SampleWindowFilter::new(tree.frozen()),
             stats,
         ))
     }
@@ -1116,7 +1077,7 @@ impl ExplainEngine {
         stats: &mut RunStats,
     ) -> Result<pipeline::StageOne, CrpError> {
         let ds = self.pdf();
-        let tree = self.pdf_source(self.guarded_pdf_tree(ds)?);
+        let tree = self.guarded_pdf_tree(ds)?.frozen();
         Ok(pipeline::stage1_pdf(ds, tree, q, an, resolution, stats))
     }
 
@@ -1134,7 +1095,7 @@ impl ExplainEngine {
             Workload::Pdf { ds, .. } => self.guarded_pdf_tree(ds)?,
         };
         Ok(pipeline::tree_region_hits(
-            self.filter_view(tree),
+            tree.frozen(),
             std::slice::from_ref(region),
             exclude,
             &mut stats.query,
@@ -1148,8 +1109,7 @@ impl ExplainEngine {
     /// liveness down the tree), so planned outcomes — including their
     /// per-explain `QueryStats` — stay bit-identical to unfused
     /// execution; only the *physical* node reads shrink, which the
-    /// `filter_sweep` bench measures. `None` when the packed filter is
-    /// off or the dataset empty.
+    /// `filter_sweep` bench measures. `None` when the dataset is empty.
     ///
     /// The pre-pass is eager: a unit later served from the session
     /// cache wastes its share of the descent. That trade is accepted —
@@ -1159,7 +1119,7 @@ impl ExplainEngine {
         &self,
         groups: &[plan::FusedGroup],
     ) -> Option<Vec<(Vec<ObjectId>, QueryStats)>> {
-        if !self.config.use_packed_filter || self.is_empty_data() {
+        if self.is_empty_data() {
             return None;
         }
         let packed = self.object_tree().frozen();

@@ -198,7 +198,7 @@ pub(crate) fn finish(
     // the lent scratch workspace, so one rayon worker (or one plan
     // unit) reuses a single allocation-free workspace across every
     // explain it serves.
-    let recs = crate::refine::refine(matrix, alpha, config, stats, scratch)?;
+    let recs = super::refine::refine(matrix, alpha, config, stats, scratch)?;
     let causes = recs
         .into_iter()
         .map(|r| {

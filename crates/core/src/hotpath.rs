@@ -24,8 +24,9 @@ pub fn refine_matrix(
     config: &CpConfig,
 ) -> (Result<Vec<(usize, Vec<usize>)>, CrpError>, RunStats) {
     let mut stats = RunStats::default();
-    let result =
-        with_scratch(|scratch| crate::refine::refine(matrix, alpha, config, &mut stats, scratch));
+    let result = with_scratch(|scratch| {
+        crate::engine::refine::refine(matrix, alpha, config, &mut stats, scratch)
+    });
     (
         result.map(|recs| recs.into_iter().map(|r| (r.cand, r.gamma)).collect()),
         stats,
@@ -40,29 +41,14 @@ pub fn refine_matrix(
 /// removal mask), **not** cache behaviour: small working sets stay
 /// resident in L1/L2, so the derived GB/s can legitimately exceed the
 /// machine's DRAM streaming peak and is best read as *effective*
-/// (algorithmic) bandwidth per kernel variant.
-///
-/// `gamma_len` is the typical removal-set size of the workload (only
-/// the reference evaluator's list walk depends on it).
-pub fn modeled_bytes_per_check(
-    candidates: usize,
-    samples: usize,
-    gamma_len: usize,
-    columnar: bool,
-    batched: bool,
-) -> f64 {
+/// (algorithmic) bandwidth.
+pub fn modeled_bytes_per_check(candidates: usize, samples: usize) -> f64 {
     let n = candidates as f64;
     let l = samples as f64;
     if candidates < crate::engine::fmcs::INCREMENTAL_THRESHOLD {
-        // Direct mode streams the comp matrix plus the f64 mask per
-        // pass; the fused batched pair serves both conditions from one
-        // pass where the sequential protocol takes two.
-        let pass = (n * l + n) * 8.0;
-        return if columnar && batched {
-            pass
-        } else {
-            2.0 * pass
-        };
+        // Direct mode: the fused condition pair streams the comp matrix
+        // plus the f64 mask once for both conditions.
+        return (n * l + n) * 8.0;
     }
     // Evaluator mode. Per condition: the per-sample state (ones u32 +
     // delta_ones u32 + log_prod f64 + delta_logq f64 = 24 B/sample);
@@ -70,13 +56,7 @@ pub fn modeled_bytes_per_check(
     // enumerator's ~2 delta moves per subset each read one log-factor
     // column and read-modify-write the delta state (16 B/sample).
     let per_sample_state = 24.0 * l;
-    if columnar {
-        let cond_pair = 2.0 * per_sample_state + 8.0 * l;
-        let moves = 2.0 * (8.0 * l + 16.0 * l);
-        cond_pair + moves
-    } else {
-        // The reference protocol re-walks the whole removal list's
-        // log-factor columns for both conditions.
-        (2.0 * gamma_len as f64 + 1.0) * 8.0 * l + 2.0 * per_sample_state
-    }
+    let cond_pair = 2.0 * per_sample_state + 8.0 * l;
+    let moves = 2.0 * (8.0 * l + 16.0 * l);
+    cond_pair + moves
 }

@@ -29,8 +29,8 @@
 //! * [`ExplainStrategy::OracleCp`] / [`ExplainStrategy::OracleCr`] —
 //!   definition-level brute force used by the test suites as ground
 //!   truth (also callable directly as [`oracle_cp`] / [`oracle_cr`]),
-//! * [`CpConfig`] — lemma on/off switches, work budgets and FMCS
-//!   parallelism for the ablation experiments,
+//! * [`CpConfig`] — lemma on/off switches and work budgets for the
+//!   ablation experiments,
 //! * [`ExplainEngine::explain_batch`] — many non-answers in one call,
 //!   data-parallel with rayon and bit-identical to the serial path,
 //! * [`shard_share`] / [`merge_candidate_ids`] — the stage-1 merge law:
@@ -57,7 +57,6 @@ mod matrix;
 mod naive;
 mod oracle;
 mod pdf;
-mod refine;
 mod types;
 
 pub use answers::answer_causes;

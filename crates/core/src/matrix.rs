@@ -237,7 +237,7 @@ impl DominanceMatrix {
     /// Values can differ from the reference by a few ulp because the
     /// lane chunking reassociates the per-sample product, so
     /// classification call sites re-verify near-threshold verdicts
-    /// against the exact reference kernel.
+    /// against the exact reference product.
     pub fn pr_with_removed_columnar(&self, mask: &[f64]) -> f64 {
         debug_assert_eq!(mask.len(), self.candidates);
         let n = self.candidates;
@@ -386,7 +386,7 @@ pub struct Scratch {
     pub(crate) forced: Vec<usize>,
     /// FMCS search-space buffer (candidate indices, impact-ordered).
     pub(crate) search: Vec<usize>,
-    /// General removal-list buffer (Lemma 5/6 checks).
+    /// Removal-list buffer of the Lemma 6 witness check.
     pub(crate) list: Vec<usize>,
 }
 
@@ -473,71 +473,15 @@ impl Scratch {
     }
 }
 
-/// The probability-bound table shared by the candidate-parallel FMCS
-/// workers: the per-sample factor sort is paid once at construction
-/// (not once per candidate, which a per-worker [`Scratch`] memo would
-/// cost), and each subset size's bound is computed at most once across
-/// all workers — values are deterministic, so the lock-free publish is
-/// idempotent and every reader sees the same (reference-bit-identical)
-/// bound.
-pub(crate) struct SharedBounds {
-    /// Per sample, ascending `(1 − dp)` factors (`samples × candidates`).
-    sorted: Vec<f64>,
-    /// `max_pr_after_removing(t)` per `t`, as f64 bits; NaN bits = unset
-    /// (a bound is a finite probability, so NaN cannot collide).
-    memo: Vec<std::sync::atomic::AtomicU64>,
-}
-
-impl SharedBounds {
-    pub(crate) fn new(matrix: &DominanceMatrix) -> Self {
-        let n = matrix.candidates();
-        let l = matrix.samples();
-        let mut sorted = matrix.comp.clone();
-        for i in 0..l {
-            sorted[i * n..(i + 1) * n]
-                .sort_by(|a, b| a.partial_cmp(b).expect("finite probabilities"));
-        }
-        Self {
-            sorted,
-            memo: (0..=n)
-                .map(|_| std::sync::atomic::AtomicU64::new(f64::NAN.to_bits()))
-                .collect(),
-        }
-    }
-
-    /// The bound for subset size `t` — bit-identical to
-    /// [`DominanceMatrix::max_pr_after_removing`] (same factor order,
-    /// same product order).
-    pub(crate) fn get(&self, matrix: &DominanceMatrix, t: usize) -> f64 {
-        use std::sync::atomic::Ordering;
-        let n = matrix.candidates();
-        let t = t.min(n);
-        let cached = f64::from_bits(self.memo[t].load(Ordering::Relaxed));
-        if !cached.is_nan() {
-            return cached;
-        }
-        let mut total = 0.0;
-        for (i, &w) in matrix.weights.iter().enumerate() {
-            let mut prod = 1.0f64;
-            for &f in &self.sorted[i * n + t..(i + 1) * n] {
-                prod *= f;
-            }
-            total += w * prod;
-        }
-        self.memo[t].store(total.to_bits(), Ordering::Relaxed);
-        total
-    }
-}
-
 thread_local! {
     static SCRATCH_POOL: std::cell::RefCell<Vec<Scratch>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Lends a per-thread [`Scratch`] to `f`. A stack (not a single slot)
-/// so re-entrant borrows — the candidate-parallel FMCS driver running a
-/// worker item on the calling thread — get their own workspace instead
-/// of a `RefCell` panic. One scratch per rayon worker on steady state;
+/// so re-entrant borrows — a rayon worker stealing another explain
+/// while it waits inside `f` — get their own workspace instead of a
+/// `RefCell` panic. One scratch per rayon worker on steady state;
 /// nothing is allocated once the pool is warm.
 pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     let mut scratch = SCRATCH_POOL
@@ -693,8 +637,9 @@ impl<'a> PrEvaluator<'a> {
     }
 
     /// `Pr(an | P − Γ)` for a removal *list* of candidate indices
-    /// (duplicates not allowed). Exact up to the guard band; use
-    /// [`PrEvaluator::is_answer_with_removed`] for classifications.
+    /// (duplicates not allowed). Exact up to the guard band: a
+    /// classification re-verifies values within `GUARD` of α with the
+    /// exact product.
     pub fn pr_with_removed_list(&self, removed: &[usize]) -> f64 {
         let l = self.matrix.samples();
         let mut total = 0.0;
@@ -715,22 +660,6 @@ impl<'a> PrEvaluator<'a> {
             }
         }
         total
-    }
-
-    /// Classifies `Pr(an | P − Γ) ≥ α` (within the shared probability
-    /// tolerance), re-verifying near-threshold values with the exact
-    /// direct evaluation.
-    pub fn is_answer_with_removed(&self, removed: &[usize], alpha: f64) -> bool {
-        let fast = self.pr_with_removed_list(removed);
-        if (fast - alpha).abs() <= GUARD {
-            // Near the decision boundary: recompute exactly.
-            let mut mask = vec![false; self.matrix.candidates()];
-            for &c in removed {
-                mask[c] = true;
-            }
-            return self.matrix.pr_with_removed(&mask) >= alpha - crp_geom::PROB_EPSILON;
-        }
-        fast >= alpha - crp_geom::PROB_EPSILON
     }
 
     // --- delta-maintained state (the FMCS hot path) -------------------
@@ -1066,10 +995,16 @@ mod tests {
                     "round {round}: exact {exact} vs fast {fast}"
                 );
                 // Classification agreement at assorted thresholds,
-                // including right at the computed value.
+                // including right at the computed value, through the
+                // FMCS checker's guard-banded removal-list verdict.
                 for alpha in [0.1, 0.5, 0.9, exact.clamp(1e-6, 1.0)] {
+                    let verdict = with_scratch(|scratch| {
+                        let checker = crate::engine::fmcs::Checker::new(&m, scratch);
+                        let mut query = crp_rtree::QueryStats::default();
+                        checker.is_answer(&removed, alpha, scratch, &mut query)
+                    });
                     assert_eq!(
-                        ev.is_answer_with_removed(&removed, alpha),
+                        verdict,
                         exact >= alpha - crp_geom::PROB_EPSILON,
                         "round {round} alpha {alpha}"
                     );
@@ -1230,24 +1165,6 @@ mod tests {
             for t in [3usize, 0, 7, 3, n + 5, 1, 0] {
                 let reference = m.max_pr_after_removing(t);
                 let served = scratch.max_pr_bound(&m, t);
-                assert_eq!(reference.to_bits(), served.to_bits(), "t = {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_bounds_are_bit_identical_to_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x5B_0B);
-        for _ in 0..10 {
-            let n = rng.random_range(1..=40);
-            let l = rng.random_range(1..=4);
-            let m = random_matrix(&mut rng, n, l);
-            let shared = SharedBounds::new(&m);
-            for t in [0usize, 1, 3, n / 2, n, n + 3, 1] {
-                let reference = m.max_pr_after_removing(t);
-                let served = shared.get(&m, t);
                 assert_eq!(reference.to_bits(), served.to_bits(), "t = {t}");
             }
         }

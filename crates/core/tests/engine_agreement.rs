@@ -1,8 +1,8 @@
 //! Property tests of the `ExplainEngine`: the session object must agree
 //! **exactly** with the definition-level oracles on small random
 //! datasets, through every dispatch path — per-call `explain_as`,
-//! serial batch, rayon-parallel batch, the candidate-parallel FMCS
-//! mode and the planner. The batch paths must additionally be
+//! serial batch, rayon-parallel batch and the planner. The batch paths
+//! must additionally be
 //! bit-identical to each other (the engine's ordering contract), the
 //! stage-1 candidate set must split into disjoint id-hash shares that
 //! merge back exactly (the shard-worker law), and the combinatorics
@@ -14,9 +14,9 @@
 #![allow(deprecated)]
 
 use crp_core::{
-    binomial, for_each_combination, merge_candidate_ids, oracle_cp, oracle_cr, shard_share,
-    CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
-    ExplainStrategy,
+    binomial, collect_candidates, for_each_combination, merge_candidate_ids, oracle_cp, oracle_cr,
+    shard_share, CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest,
+    ExplainSession, ExplainStrategy,
 };
 use crp_geom::{HyperRect, Point};
 use crp_uncertain::{ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainObject};
@@ -208,76 +208,6 @@ proptest! {
     }
 
     #[test]
-    fn parallel_fmcs_is_bit_identical_to_serial(
-        ds in uncertain_dataset(2),
-        q in query(2),
-        alpha in prop::sample::select(vec![0.3, 0.6, 0.9]),
-    ) {
-        // Candidate-level FMCS parallelism requires Lemma 6 off; with it,
-        // results (causes AND counters) must be bit-identical to the
-        // serial search under the same configuration.
-        let serial_cfg = CpConfig { use_lemma6: false, ..CpConfig::default() };
-        let parallel_cfg = CpConfig { parallel_fmcs: true, ..serial_cfg };
-        let engine = ExplainEngine::new(ds, EngineConfig::with_alpha(alpha)).expect("valid engine config");
-        for an in engine.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
-            let a = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &serial_cfg);
-            let b = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &parallel_cfg);
-            prop_assert_eq!(a, b, "an = {}", an);
-        }
-    }
-
-    #[test]
-    fn columnar_and_reference_kernels_agree(
-        ds in uncertain_dataset(2),
-        q in query(2),
-        alpha in prop::sample::select(vec![0.25, 0.5, 0.75, 1.0]),
-        probability_bound in prop::sample::select(vec![false, true]),
-    ) {
-        // The columnar/delta hot path forced on and off: explanations
-        // and the search counters (`subsets_examined`,
-        // `prsq_evaluations`) must be identical — the kernels enumerate
-        // the same subsets in the same order and classify identically
-        // (guard-banded fast verdicts fall back to the same exact
-        // product). Only the evaluator-tap counters may differ.
-        let columnar_cfg = CpConfig {
-            use_columnar_kernel: true,
-            use_probability_bound: probability_bound,
-            ..CpConfig::default()
-        };
-        let reference_cfg = CpConfig { use_columnar_kernel: false, ..columnar_cfg };
-        let engine = ExplainEngine::new(ds, EngineConfig::with_alpha(alpha))
-            .expect("valid engine config");
-        for an in engine.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
-            let a = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &columnar_cfg);
-            let b = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &reference_cfg);
-            assert_outcomes_match(&a, b, "reference kernel")?;
-        }
-    }
-
-    #[test]
-    fn batched_and_sequential_probes_agree(
-        ds in uncertain_dataset(2),
-        q in query(2),
-        alpha in prop::sample::select(vec![0.25, 0.5, 0.75, 1.0]),
-    ) {
-        // Candidate-batched condition-(ii) probes forced on and off:
-        // the fused-pair and singleton-sweep kernels answer through the
-        // same guard-banded verdict protocol, so causes AND the search
-        // counters (`subsets_examined`, `prsq_evaluations`) must be
-        // identical — batching changes memory traffic, never outcomes.
-        let batched_cfg = CpConfig::default();
-        prop_assert!(batched_cfg.use_batched_probes, "default must exercise the batched path");
-        let sequential_cfg = CpConfig { use_batched_probes: false, ..batched_cfg };
-        let engine = ExplainEngine::new(ds, EngineConfig::with_alpha(alpha))
-            .expect("valid engine config");
-        for an in engine.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
-            let a = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &batched_cfg);
-            let b = engine.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &sequential_cfg);
-            assert_outcomes_match(&a, b, "sequential probes")?;
-        }
-    }
-
-    #[test]
     fn naive_strategies_agree_with_lemma_strategies(
         ds in certain_dataset(2),
         q in query(2),
@@ -309,26 +239,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn batched_probes_agree_on_pdf(
-        ds in pdf_dataset(2),
-        q in query(2),
-        alpha in prop::sample::select(vec![0.3, 0.6]),
-    ) {
-        // The batched-probe parity pin again, on the continuous-pdf
-        // pipeline (quadrant-sample matrices with very different
-        // annihilator structure than discrete data).
-        let batched_cfg = CpConfig::default();
-        let sequential_cfg = CpConfig { use_batched_probes: false, ..batched_cfg };
-        let single = ExplainEngine::for_pdf(ds.clone(), 3, EngineConfig::with_alpha(alpha))
-            .expect("valid engine config");
-        for an in ds.iter().map(|o| o.id()).collect::<Vec<_>>() {
-            let a = single.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &batched_cfg);
-            let b = single.explain_configured(ExplainStrategy::Cp, &q, alpha, an, &sequential_cfg);
-            assert_outcomes_match(&a, b, "pdf sequential probes")?;
-        }
-    }
 
     /// The shard-worker merge law: for N ∈ 1..=4, the id-hash shares of
     /// a non-answer's stage-1 candidates are pairwise disjoint, and
@@ -972,21 +882,54 @@ fn for_each_combination_boundary_sizes() {
 }
 
 // ---------------------------------------------------------------------
-// Packed stage-1 read path: the frozen SoA image must be bit-identical
-// to the pointer traversal — candidates, causes, AND every counter in
-// `stats.query` — on every workload. Unlike the sweeps above (which
-// tolerate node-access drift via `assert_outcomes_match`), these
-// compare full `CrpOutcome` equality: only the filter representation
-// differs, so nothing is allowed to move.
+// Packed stage-1 read path: the engine's filter descends the frozen SoA
+// image; `collect_candidates` over the pointer `RTree` is the reference.
+// Candidates AND the stage-1 node accesses must be identical on every
+// workload — only the tree representation differs, so nothing is
+// allowed to move.
 // ---------------------------------------------------------------------
 
-/// Same configuration as the packed default, with only the stage-1
-/// filter routed through the pointer arena instead of the frozen image.
-fn pointer_config(alpha: f64) -> EngineConfig {
-    EngineConfig {
-        use_packed_filter: false,
-        ..EngineConfig::with_alpha(alpha)
+use crp_rtree::{QueryStats, RTreeParams, WindowQuery};
+
+/// The engine's stage-1 candidates of `an` and the node accesses that
+/// one filter run charged to the session.
+fn engine_stage1(engine: &ExplainEngine, q: &Point, an: ObjectId) -> (Vec<ObjectId>, u64) {
+    engine.reset_io();
+    let ids = engine.candidate_ids(q, an).expect("valid non-answer id");
+    (ids, engine.reset_io().node_accesses)
+}
+
+/// The pointer-tree reference for discrete data: `collect_candidates`
+/// over `tree`, mapped to sorted ids.
+fn pointer_stage1(
+    ds: &UncertainDataset,
+    tree: &crp_rtree::RTree<ObjectId>,
+    q: &Point,
+    an: ObjectId,
+) -> (Vec<ObjectId>, u64) {
+    let an_pos = ds.index_of(an).expect("live id");
+    let mut stats = crp_core::RunStats::default();
+    let mut ids: Vec<ObjectId> = collect_candidates(ds, tree, q, an_pos, &mut stats)
+        .into_iter()
+        .map(|pos| ds.object_at(pos).id())
+        .collect();
+    ids.sort_unstable();
+    (ids, stats.query.node_accesses)
+}
+
+/// Asserts the packed stage 1 matches the pointer reference for every
+/// object of the engine's dataset, over the engine's own pointer tree.
+fn assert_stage1_matches_pointer(engine: &ExplainEngine, q: &Point) -> Result<(), TestCaseError> {
+    let ds = engine.dataset();
+    for an in ds.iter().map(|o| o.id()) {
+        prop_assert_eq!(
+            engine_stage1(engine, q, an),
+            pointer_stage1(ds, engine.object_tree(), q, an),
+            "packed vs pointer stage 1 diverged: an = {}",
+            an
+        );
     }
+    Ok(())
 }
 
 proptest! {
@@ -996,23 +939,17 @@ proptest! {
     fn packed_filter_is_bit_identical_on_discrete(
         ds in uncertain_dataset(2),
         q in query(2),
-        alpha in prop::sample::select(vec![0.25, 0.5, 1.0]),
     ) {
-        let packed = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(alpha))
+        // The reference tree is bulk-loaded independently of the engine
+        // with the same (default) shape, so it has the same nodes.
+        let engine = ExplainEngine::new(ds.clone(), EngineConfig::default())
             .expect("valid engine config");
-        let pointer = ExplainEngine::new(ds.clone(), pointer_config(alpha))
-            .expect("valid engine config");
-        let ids: Vec<ObjectId> = ds.iter().map(|o| o.id()).collect();
-        for strategy in [ExplainStrategy::Cr, ExplainStrategy::Cp] {
-            let a = packed.explain_batch_as(strategy, &q, alpha, &ids);
-            let b = pointer.explain_batch_as(strategy, &q, alpha, &ids);
-            prop_assert_eq!(&a, &b, "packed vs pointer batch diverged: {:?}", strategy);
-        }
-        for &an in &ids {
+        let tree = crp_skyline::build_object_rtree(&ds, RTreeParams::paper_default(2));
+        for an in ds.iter().map(|o| o.id()) {
             prop_assert_eq!(
-                packed.candidate_ids(&q, an),
-                pointer.candidate_ids(&q, an),
-                "candidate filter diverged: an = {}",
+                engine_stage1(&engine, &q, an),
+                pointer_stage1(&ds, &tree, &q, an),
+                "packed vs pointer stage 1 diverged: an = {}",
                 an
             );
         }
@@ -1025,39 +962,41 @@ proptest! {
     ) {
         // Odd dimension: the SIMD kernel's 4-lane chunks straddle slot
         // boundaries differently than dim 2 — parity must still hold.
-        let packed = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(0.5))
-            .expect("valid engine config");
-        let pointer = ExplainEngine::new(ds.clone(), pointer_config(0.5))
-            .expect("valid engine config");
-        let ids: Vec<ObjectId> = ds.iter().map(|o| o.id()).collect();
-        let a = packed.explain_batch_as(ExplainStrategy::Cp, &q, 0.5, &ids);
-        let b = pointer.explain_batch_as(ExplainStrategy::Cp, &q, 0.5, &ids);
-        prop_assert_eq!(&a, &b, "packed vs pointer diverged in dim 3");
+        let engine = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
+        assert_stage1_matches_pointer(&engine, &q)?;
     }
 
     #[test]
     fn packed_filter_is_bit_identical_on_pdf(
         ds in pdf_dataset(2),
         q in query(2),
-        alpha in prop::sample::select(vec![0.3, 0.6]),
     ) {
-        let resolution = 3;
-        let packed = ExplainEngine::for_pdf(ds.clone(), resolution, EngineConfig::with_alpha(alpha))
+        // The pdf filter (Section 3.2): one dominance window per
+        // sub-quadrant of an's region, centred at the region's farthest
+        // corner from q, walked over the pointer region tree.
+        let engine = ExplainEngine::for_pdf(ds.clone(), 3, EngineConfig::default())
             .expect("valid engine config");
-        let pointer = ExplainEngine::for_pdf(ds.clone(), resolution, pointer_config(alpha))
-            .expect("valid engine config");
-        for an in ds.iter().map(|o| o.id()).collect::<Vec<_>>() {
+        let tree = crp_core::build_pdf_rtree(&ds, RTreeParams::paper_default(2));
+        for obj in ds.iter() {
+            let an = obj.id();
+            let windows: Vec<HyperRect> = crp_geom::quadrant_corners(&q, obj.region())
+                .into_iter()
+                .map(|(_, sub)| crp_geom::dominance_rect(&sub.farthest_corner(&q), &q))
+                .collect();
+            let mut query = QueryStats::default();
+            let mut ids = Vec::new();
+            tree.visit_windows(&windows, &mut query, &mut |&id| {
+                if id != an {
+                    ids.push(id);
+                }
+                true
+            });
+            ids.sort_unstable();
+            ids.dedup();
             prop_assert_eq!(
-                packed.explain(&q, an),
-                pointer.explain(&q, an),
-                "pdf packed vs pointer diverged: an = {}, α = {}",
-                an,
-                alpha
-            );
-            prop_assert_eq!(
-                packed.candidate_ids(&q, an),
-                pointer.candidate_ids(&q, an),
-                "pdf candidate filter diverged: an = {}",
+                engine_stage1(&engine, &q, an),
+                (ids, query.node_accesses),
+                "pdf packed vs pointer stage 1 diverged: an = {}",
                 an
             );
         }
@@ -1069,27 +1008,19 @@ proptest! {
         q in query(2),
         points in live_points(2),
     ) {
-        // Mutations invalidate the frozen image (generation bump); the
-        // next explain refreezes lazily. Warm both engines, apply the
-        // same insert-then-delete, and the refrozen packed path must
-        // still be bit-identical to the pointer path.
-        let config = EngineConfig::with_alpha(0.5);
+        // Mutations patch the pointer tree and refreeze the packed
+        // image. Warm the image, apply an insert-then-delete, and the
+        // refrozen image must still match the patched pointer tree.
         let next_id = ObjectId(ds.iter().map(|o| o.id().0).max().unwrap_or(0) + 1);
         let obj = UncertainObject::with_equal_probs(next_id, points).expect("non-empty samples");
         let victim = ds.iter().map(|o| o.id()).next().expect("non-empty dataset");
 
-        let mut packed = ExplainEngine::new(ds.clone(), config).expect("valid engine config");
-        let mut pointer = ExplainEngine::new(ds.clone(), pointer_config(0.5))
+        let mut engine = ExplainEngine::new(ds, EngineConfig::with_alpha(0.5))
             .expect("valid engine config");
-        for engine in [&mut packed, &mut pointer] {
-            let _ = engine.explain_as(ExplainStrategy::Cp, &q, 0.5, victim);
-            engine.apply(Update::Insert(obj.clone())).expect("fresh id");
-            engine.apply(Update::Delete(victim)).expect("live id");
-        }
-        let ids: Vec<ObjectId> = packed.dataset().iter().map(|o| o.id()).collect();
-        let a = packed.explain_batch_as(ExplainStrategy::Cp, &q, 0.5, &ids);
-        let b = pointer.explain_batch_as(ExplainStrategy::Cp, &q, 0.5, &ids);
-        prop_assert_eq!(&a, &b, "post-apply refreeze diverged from pointer path");
+        let _ = engine.explain_as(ExplainStrategy::Cp, &q, 0.5, victim);
+        engine.apply(Update::Insert(obj)).expect("fresh id");
+        engine.apply(Update::Delete(victim)).expect("live id");
+        assert_stage1_matches_pointer(&engine, &q)?;
     }
 
     #[test]
@@ -1098,20 +1029,25 @@ proptest! {
         q in query(2),
         alpha in prop::sample::select(vec![0.5, 0.8]),
     ) {
-        // A multi-an batch plan triggers the fused multi-query descent
-        // on the packed engine; the pointer engine runs the same plan
-        // unfused. Results — including per-query node accesses, which
-        // the fused pre-pass attributes solo-equivalently — must match.
+        // A multi-an batch plan triggers the fused multi-query descent;
+        // a single-an plan traverses alone. Results — including
+        // per-query node accesses, which the fused pre-pass attributes
+        // solo-equivalently — must match.
         let ids: Vec<ObjectId> = ds.iter().map(|o| o.id()).collect();
-        let request = ExplainRequest::batch(&q, &ids)
-            .with_strategy(ExplainStrategy::Cp)
-            .with_alpha(alpha);
-        let packed = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(alpha))
+        let plan = |ans: &[ObjectId]| {
+            ExplainRequest::batch(&q, ans)
+                .with_strategy(ExplainStrategy::Cp)
+                .with_alpha(alpha)
+        };
+        let fused = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(alpha))
             .expect("valid engine config");
-        let pointer = ExplainEngine::new(ds.clone(), pointer_config(alpha))
+        let solo = ExplainEngine::new(ds, EngineConfig::with_alpha(alpha))
             .expect("valid engine config");
-        let a = packed.run(std::slice::from_ref(&request));
-        let b = pointer.run(std::slice::from_ref(&request));
-        prop_assert_eq!(&a.results, &b.results, "fused plan diverged from unfused plan");
+        let a = fused.run(std::slice::from_ref(&plan(&ids)));
+        let b: Vec<_> = ids
+            .iter()
+            .map(|&an| solo.run(std::slice::from_ref(&plan(&[an]))).into_single())
+            .collect();
+        prop_assert_eq!(&a.results, &b, "fused plan diverged from solo plans");
     }
 }

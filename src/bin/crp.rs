@@ -98,7 +98,7 @@ const USAGE: &str = "usage: crp <query|explain|explain-batch|sweep|replay|serve|
      --budget N --serial --workload FILE --readers N --session-dir DIR \
      --inject seed=N[,eio-every=K,enospc-at=K,torn-at=K,lying-every=K] \
      --deadline-ms N --budget-nodes N --budget-subsets N \
-     --kernel auto|scalar|simd --filter auto|pointer|packed \
+     --kernel auto|scalar|simd \
      --addr HOST:PORT --window-max N --window-ms N --queue-cap N \
      --shard-worker --shards N --fleet HOST:PORT,… \
      --class interactive|batch|best-effort --update FILE \
@@ -128,7 +128,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--budget", true),
         ("--object", true),
         ("--kernel", true),
-        ("--filter", true),
     ];
     const EXPLAIN_BATCH: &[(&str, bool)] = &[
         ("--data", true),
@@ -139,7 +138,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--objects", true),
         ("--serial", false),
         ("--kernel", true),
-        ("--filter", true),
     ];
     const REPLAY: &[(&str, bool)] = &[
         ("--data", true),
@@ -150,7 +148,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--workload", true),
         ("--serial", false),
         ("--kernel", true),
-        ("--filter", true),
         ("--readers", true),
         ("--session-dir", true),
         ("--inject", true),
@@ -169,7 +166,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--objects", true),
         ("--serial", false),
         ("--kernel", true),
-        ("--filter", true),
     ];
     const SERVE: &[(&str, bool)] = &[
         ("--data", true),
@@ -179,7 +175,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--budget", true),
         ("--serial", false),
         ("--kernel", true),
-        ("--filter", true),
         ("--addr", true),
         ("--window-max", true),
         ("--window-ms", true),
@@ -310,40 +305,6 @@ fn apply_kernel(cli: &Cli) -> Result<(), String> {
     Ok(())
 }
 
-/// `--filter auto|pointer|packed` — selects the stage-1 window-filter
-/// representation: `pointer` walks the mutable arena directly, `packed`
-/// routes every filter descent through the frozen SoA image (`auto`
-/// spells out the default, which is `packed`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FilterKind {
-    Auto,
-    Pointer,
-    Packed,
-}
-
-impl std::str::FromStr for FilterKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "pointer" => Ok(Self::Pointer),
-            "packed" => Ok(Self::Packed),
-            other => Err(format!(
-                "unknown filter '{other}' (expected auto, pointer or packed)"
-            )),
-        }
-    }
-}
-
-/// Resolves `--filter` to the engine's `use_packed_filter` switch.
-fn parse_filter(cli: &Cli) -> Result<bool, String> {
-    let kind = cli
-        .parse::<FilterKind>("--filter")?
-        .unwrap_or(FilterKind::Auto);
-    Ok(!matches!(kind, FilterKind::Pointer))
-}
-
 /// `--alphas 0.3,0.5,0.7` — the α list of a sweep request.
 fn parse_alphas(raw: &str) -> Result<Vec<f64>, String> {
     let alphas: Result<Vec<f64>, _> = raw.split(',').map(|tok| tok.trim().parse()).collect();
@@ -429,12 +390,7 @@ fn cmd_query(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), String>
 /// The session configuration every CLI engine shares: auto strategy
 /// (CR for certain data, CP otherwise) with the probability-bound
 /// extension and the CLI's subset budget.
-fn cli_engine_config(
-    alpha: f64,
-    budget: Option<u64>,
-    parallel: bool,
-    packed_filter: bool,
-) -> EngineConfig {
+fn cli_engine_config(alpha: f64, budget: Option<u64>, parallel: bool) -> EngineConfig {
     EngineConfig {
         alpha,
         cp: CpConfig {
@@ -443,7 +399,6 @@ fn cli_engine_config(
             ..CpConfig::default()
         },
         parallel,
-        use_packed_filter: packed_filter,
         ..EngineConfig::default()
     }
 }
@@ -453,9 +408,8 @@ fn build_engine(
     alpha: f64,
     budget: Option<u64>,
     parallel: bool,
-    packed_filter: bool,
 ) -> Result<ExplainEngine, String> {
-    let config = cli_engine_config(alpha, budget, parallel, packed_filter);
+    let config = cli_engine_config(alpha, budget, parallel);
     ExplainEngine::new(ds, config).map_err(|e| e.to_string())
 }
 
@@ -980,7 +934,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     let budget = cli.parse("--budget")?.or(Some(5_000_000));
     let shard_worker = parse_shard_worker(cli)?;
     apply_kernel(cli)?;
-    let packed_filter = parse_filter(cli)?;
     let ds = load(schema, data)?;
     if let (Some(q), Some(dim)) = (&default_query, ds.dim()) {
         if q.dim() != dim {
@@ -1010,10 +963,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     let objects = ds.len();
     let parallel = !cli.has("--serial");
     let make = move |ds: UncertainDataset| {
-        ExplainEngine::new(
-            ds,
-            cli_engine_config(alpha, budget, parallel, packed_filter),
-        )
+        ExplainEngine::new(ds, cli_engine_config(alpha, budget, parallel))
     };
     let backend: Arc<dyn ServeBackend> = match cli.get("--session-dir") {
         Some(dir) => {
@@ -1248,7 +1198,6 @@ fn run() -> Result<(), String> {
             }
             let budget = cli.parse("--budget")?.or(Some(5_000_000));
             apply_kernel(&cli)?;
-            let packed_filter = parse_filter(&cli)?;
             if cli.command == "replay" {
                 let ops =
                     load_workload(cli.require("--workload", "FILE")?).map_err(|e| e.to_string())?;
@@ -1267,8 +1216,7 @@ fn run() -> Result<(), String> {
                     );
                 }
                 if readers > 0 || session_dir.is_some() || !limits.is_unlimited() {
-                    let config =
-                        cli_engine_config(alpha, budget, !cli.has("--serial"), packed_filter);
+                    let config = cli_engine_config(alpha, budget, !cli.has("--serial"));
                     return cmd_replay_mvcc(
                         ds,
                         &q,
@@ -1280,8 +1228,7 @@ fn run() -> Result<(), String> {
                         inject,
                     );
                 }
-                let mut engine =
-                    build_engine(ds, alpha, budget, !cli.has("--serial"), packed_filter)?;
+                let mut engine = build_engine(ds, alpha, budget, !cli.has("--serial"))?;
                 return cmd_replay(&mut engine, &q, &ops);
             }
             if cli.command == "sweep" {
@@ -1295,7 +1242,7 @@ fn run() -> Result<(), String> {
                     Some(raw) => parse_q_grid(raw, &q)?,
                     None => vec![q.clone()],
                 };
-                let engine = build_engine(ds, alpha, budget, !cli.has("--serial"), packed_filter)?;
+                let engine = build_engine(ds, alpha, budget, !cli.has("--serial"))?;
                 return cmd_sweep(&engine, queries, &objects, alphas, cli.has("--serial"));
             }
             if cli.command == "explain" {
@@ -1304,12 +1251,12 @@ fn run() -> Result<(), String> {
                         .parse()
                         .map_err(|e| format!("bad --object: {e}"))?,
                 );
-                let engine = build_engine(ds, alpha, budget, true, packed_filter)?;
+                let engine = build_engine(ds, alpha, budget, true)?;
                 cmd_explain(&engine, &q, id)
             } else {
                 let raw = cli.require("--objects", "ID,ID,… (or 'all')")?;
                 let ids = parse_objects(raw, &ds)?;
-                let engine = build_engine(ds, alpha, budget, !cli.has("--serial"), packed_filter)?;
+                let engine = build_engine(ds, alpha, budget, !cli.has("--serial"))?;
                 cmd_explain_batch(&engine, &q, &ids)
             }
         }
@@ -1445,29 +1392,25 @@ mod tests {
 
     #[test]
     fn filter_flag_parsing() {
-        use super::parse_filter;
-        // Every explain-family subcommand accepts --filter, and both
-        // `auto` and `packed` resolve to the packed read path.
-        for cmd in ["explain", "explain-batch", "sweep", "replay"] {
-            for value in ["auto", "packed"] {
-                let cli = parse_cli(&args(&[cmd, "--filter", value])).unwrap();
-                assert!(parse_filter(&cli).unwrap(), "{cmd} --filter {value}");
+        // Stage 1 always reads the packed image: no command takes a
+        // filter representation, whatever the value.
+        for command in [
+            "query",
+            "explain",
+            "explain-batch",
+            "sweep",
+            "replay",
+            "serve",
+            "client",
+            "generate",
+        ] {
+            for value in ["auto", "pointer", "packed"] {
+                assert!(
+                    parse_cli(&args(&[command, "--filter", value])).is_err(),
+                    "{command} --filter {value}"
+                );
             }
-            let cli = parse_cli(&args(&[cmd, "--filter", "pointer"])).unwrap();
-            assert!(!parse_filter(&cli).unwrap(), "{cmd} --filter pointer");
         }
-        // Absent flag defaults to the packed image.
-        let cli = parse_cli(&args(&["explain", "--data", "x.csv"])).unwrap();
-        assert!(parse_filter(&cli).unwrap());
-        // Strict values: typos and wrong case are errors, not fallbacks.
-        for bad in ["soa", "Packed", "POINTER", "arena", ""] {
-            let cli = parse_cli(&args(&["explain", "--filter", bad])).unwrap();
-            let err = parse_filter(&cli).unwrap_err();
-            assert!(err.contains("--filter"), "{bad}: {err}");
-        }
-        // Rejected where no stage-1 filter runs.
-        assert!(parse_cli(&args(&["query", "--filter", "packed"])).is_err());
-        assert!(parse_cli(&args(&["generate", "--filter", "packed"])).is_err());
     }
 
     #[test]
