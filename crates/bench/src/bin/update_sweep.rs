@@ -2,7 +2,7 @@
 //! [`ExplainEngine`] session absorbing small mutation batches (≤ 1 % of
 //! the dataset per batch) through **incremental index maintenance**
 //! (`apply`: condense + reinsert on the R*-tree, geometric cache
-//! invalidation) against the pre-update alternative — rebuilding the
+//! invalidation, one packed-image refreeze per batch) against the pre-update alternative — rebuilding the
 //! index from scratch after every batch — and writes the series to
 //! `bench_out/BENCH_updates.json`.
 //!
@@ -203,13 +203,15 @@ fn main() {
         let _ = incremental.explain_batch_as(ExplainStrategy::Cp, &q, ALPHA, &probe);
         let before = incremental.accumulated_io();
 
-        // Incremental: apply the deltas; both trees stay live.
+        // Incremental: apply the deltas; both trees stay live. The
+        // packed image is rebuilt once for the batch, as a publish does.
         let t = Instant::now();
         for update in &batch {
             incremental
                 .apply(update.clone())
                 .expect("synthetic updates are valid");
         }
+        incremental.refreeze();
         let incremental_ms = ms(t);
         let after = incremental.accumulated_io();
 

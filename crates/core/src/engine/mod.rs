@@ -82,7 +82,7 @@ use crate::types::{Cause, CrpOutcome, RunStats};
 use cache::{ExplanationCache, ServeTrace};
 use certain::{run_certain, Lemma7ClosedForm, SubsetVerify};
 use crp_geom::{HyperRect, Point};
-use crp_rtree::{AtomicQueryStats, QueryStats, RTree, RTreeParams};
+use crp_rtree::{AtomicQueryStats, PackedRTree, QueryStats, RTree, RTreeParams};
 use crp_skyline::{build_object_rtree, build_point_rtree};
 use crp_uncertain::{
     Epoch, ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainError, UncertainObject,
@@ -315,11 +315,14 @@ impl ExplainEngine {
         &self.config
     }
 
-    /// Forks an immutable snapshot of this session: the dataset and any
-    /// built trees are cloned (an already-frozen packed image is shared
-    /// zero-copy through its `Arc`), while the I/O accumulator and the
-    /// explanation cache start fresh — each epoch gets its own cache
-    /// generation, so invalidation never reaches across snapshots.
+    /// Forks an immutable snapshot of this session, copying pointers
+    /// rather than data: the fork shares every object, every R-tree
+    /// node and an already-frozen packed image with this engine
+    /// through `Arc`s, and a later [`apply`](Self::apply) copies only
+    /// the object slot and tree nodes it writes. The I/O accumulator
+    /// and the explanation cache start fresh — each epoch gets its own
+    /// cache generation, so invalidation never reaches across
+    /// snapshots.
     /// Explains against the fork are bit-identical to explains against
     /// the source at the moment of forking; this is the read-side half
     /// of the MVCC session ([`mvcc::MvccEngine`]).
@@ -367,16 +370,29 @@ impl ExplainEngine {
     ///
     /// Panics on an empty dataset (nothing to index).
     pub fn object_tree(&self) -> &RTree<ObjectId> {
-        self.object_tree.get_or_init(|| match &self.data {
-            Workload::Discrete(ds) => {
-                let dim = ds.dim().expect("cannot index an empty dataset");
-                build_object_rtree(ds, self.rtree_params(dim))
-            }
-            Workload::Pdf { ds, .. } => {
-                let dim = ds.dim().expect("cannot index an empty dataset");
-                crate::pdf::build_pdf_rtree(ds, self.rtree_params(dim))
-            }
+        self.object_tree.get_or_init(|| {
+            let tree = match &self.data {
+                Workload::Discrete(ds) => {
+                    let dim = ds.dim().expect("cannot index an empty dataset");
+                    build_object_rtree(ds, self.rtree_params(dim))
+                }
+                Workload::Pdf { ds, .. } => {
+                    let dim = ds.dim().expect("cannot index an empty dataset");
+                    crate::pdf::build_pdf_rtree(ds, self.rtree_params(dim))
+                }
+            };
+            // The first image is part of the build; only rebuilds after
+            // updates count as refreezes.
+            tree.frozen();
+            tree
         })
+    }
+
+    /// The packed image of a built object/region tree: warm after a
+    /// build or a publish, rebuilt by the first reader after an update
+    /// (counted in [`QueryStats::refreezes`]).
+    fn packed<'t>(&self, tree: &'t RTree<ObjectId>) -> &'t PackedRTree<ObjectId> {
+        tree.frozen_counted(&self.io)
     }
 
     /// The point R-tree used by the certain-data strategies, built on
@@ -431,6 +447,11 @@ impl ExplainEngine {
     /// region intersects the object's old/new MBR, entries for the
     /// object itself, and — when the dataset's certainty may have
     /// changed — every certain-strategy outcome).
+    ///
+    /// The packed image of the object tree is not rebuilt here: that
+    /// happens once per published batch ([`ExplainEngine::refreeze`])
+    /// or lazily on the next read, so a batch of updates pays for one
+    /// rebuild, not one per update.
     ///
     /// Returns the new dataset [`Epoch`]. After any sequence of
     /// updates, `explain`/`explain_batch` results are identical to a
@@ -498,7 +519,6 @@ impl ExplainEngine {
         }
         let flush_certain = !(was_certain && self.discrete().is_certain());
         self.cache.invalidate(touched, &regions, flush_certain);
-        self.refreeze_trees();
         Ok(self.discrete().epoch())
     }
 
@@ -553,20 +573,21 @@ impl ExplainEngine {
             }
         }
         self.cache.invalidate(touched, &regions, false);
-        self.refreeze_trees();
         Ok(self.pdf().epoch())
     }
 
-    /// Re-freezes the packed images of whichever trees are built, so
-    /// the first post-update explain finds a warm snapshot instead of
-    /// paying the rebuild inside its latency budget. Counted in
-    /// [`QueryStats::refreezes`].
-    fn refreeze_trees(&mut self) {
-        for slot in [&mut self.object_tree, &mut self.point_tree] {
-            if let Some(tree) = slot.get_mut() {
-                tree.refreeze();
-                self.io.absorb(tree.take_upkeep());
-            }
+    /// Rebuilds the object tree's packed image if updates invalidated
+    /// it, so forks taken afterwards share one warm image and no reader
+    /// pays the rebuild inside its latency budget. [`mvcc::MvccEngine`]
+    /// calls this once per published batch; a bare engine skips it and
+    /// its first post-update read rebuilds lazily. Either way the
+    /// rebuild counts once in [`QueryStats::refreezes`]. The point
+    /// tree is only read through its node arena, so it has no image
+    /// to keep warm.
+    pub fn refreeze(&mut self) {
+        if let Some(tree) = self.object_tree.get_mut() {
+            tree.refreeze();
+            self.io.absorb(tree.take_upkeep());
         }
     }
 
@@ -766,7 +787,7 @@ impl ExplainEngine {
                 }
                 let an_pos = ds.index_of(an).ok_or(CrpError::UnknownObject(an))?;
                 let mut stats = RunStats::default();
-                let filter = SampleWindowFilter::new(self.object_tree().frozen());
+                let filter = SampleWindowFilter::new(self.packed(self.object_tree()));
                 let positions = filter.candidates(ds, q, an_pos, &mut stats);
                 self.io.absorb(stats.query);
                 let mut ids: Vec<ObjectId> = positions
@@ -777,7 +798,7 @@ impl ExplainEngine {
                 Ok(ids)
             }
             Workload::Pdf { ds, .. } => {
-                let tree = self.guarded_pdf_tree(ds)?.frozen();
+                let tree = self.packed(self.guarded_pdf_tree(ds)?);
                 let an_obj = ds.get(an).ok_or(CrpError::UnknownObject(an))?;
                 let windows = crate::pdf::pdf_windows(q, an_obj.region());
                 let mut query = QueryStats::default();
@@ -856,7 +877,7 @@ impl ExplainEngine {
                         an,
                         alpha,
                         &config,
-                        &SampleWindowFilter::new(self.guarded_object_tree(ds)?.frozen()),
+                        &SampleWindowFilter::new(self.packed(self.guarded_object_tree(ds)?)),
                         Some(&self.io),
                     )
                 }
@@ -892,7 +913,7 @@ impl ExplainEngine {
                     };
                     pipeline::run_pdf(
                         ds,
-                        self.guarded_pdf_tree(ds)?.frozen(),
+                        self.packed(self.guarded_pdf_tree(ds)?),
                         q,
                         an,
                         alpha,
@@ -1062,7 +1083,7 @@ impl ExplainEngine {
             ds,
             q,
             an_pos,
-            &SampleWindowFilter::new(tree.frozen()),
+            &SampleWindowFilter::new(self.packed(tree)),
             stats,
         ))
     }
@@ -1077,7 +1098,7 @@ impl ExplainEngine {
         stats: &mut RunStats,
     ) -> Result<pipeline::StageOne, CrpError> {
         let ds = self.pdf();
-        let tree = self.guarded_pdf_tree(ds)?.frozen();
+        let tree = self.packed(self.guarded_pdf_tree(ds)?);
         Ok(pipeline::stage1_pdf(ds, tree, q, an, resolution, stats))
     }
 
@@ -1095,7 +1116,7 @@ impl ExplainEngine {
             Workload::Pdf { ds, .. } => self.guarded_pdf_tree(ds)?,
         };
         Ok(pipeline::tree_region_hits(
-            tree.frozen(),
+            self.packed(tree),
             std::slice::from_ref(region),
             exclude,
             &mut stats.query,
@@ -1122,7 +1143,7 @@ impl ExplainEngine {
         if self.is_empty_data() {
             return None;
         }
-        let packed = self.object_tree().frozen();
+        let packed = self.packed(self.object_tree());
         let window_refs: Vec<&[HyperRect]> = groups.iter().map(|g| g.windows.as_slice()).collect();
         let mut shared = QueryStats::default();
         let mut per_group = vec![QueryStats::default(); groups.len()];
@@ -1439,6 +1460,8 @@ mod tests {
         assert_eq!(epoch0, Epoch(4), "construction pushed four objects");
 
         // Insert a new dominator between the non-answer and the query.
+        // A fork reads the post-insert state (rebuilding its own
+        // packed image) without warming the writer's.
         let e1 = engine
             .apply(Update::Insert(UncertainObject::certain(
                 ObjectId(9),
@@ -1446,19 +1469,15 @@ mod tests {
             )))
             .unwrap();
         assert_eq!(e1, epoch0.next());
-        let after_insert = engine.explain(&q, ObjectId(0)).unwrap();
+        let after_insert = engine.fork().explain(&q, ObjectId(0)).unwrap();
         assert!(
             after_insert.cause(ObjectId(9)).is_some(),
             "inserted object must become a cause"
         );
 
-        // Delete it again: back to the original causes.
+        // Delete it again, then move object 1 out of the window.
         let e2 = engine.apply(Update::Delete(ObjectId(9))).unwrap();
         assert!(e2 > e1);
-        let after_delete = engine.explain(&q, ObjectId(0)).unwrap();
-        assert_eq!(after_delete.causes, before.causes);
-
-        // Replace moves an object out of the window: cause disappears.
         engine
             .apply(Update::Replace(UncertainObject::certain(
                 ObjectId(1),
@@ -1466,18 +1485,26 @@ mod tests {
             )))
             .unwrap();
         let after_replace = engine.explain(&q, ObjectId(0)).unwrap();
+        assert!(after_replace.cause(ObjectId(9)).is_none());
         assert!(after_replace.cause(ObjectId(1)).is_none());
+        let fresh = ExplainEngine::new(engine.dataset().clone(), EngineConfig::with_alpha(0.75))
+            .unwrap()
+            .explain(&q, ObjectId(0))
+            .unwrap();
+        assert_eq!(after_replace.causes, fresh.causes);
 
         // The update-path counters surfaced in the session totals.
         let io = engine.accumulated_io();
         assert_eq!(io.inserts, 2, "insert + replace");
         assert_eq!(io.removes, 2, "delete + replace");
         assert!(io.cache_evictions > 0, "updates evicted cached entries");
-        // Each update re-froze the packed image eagerly (the object
-        // tree was warm before the first apply; the point tree is never
-        // built for this uncertain fixture), so the first post-update
-        // explain found a warm snapshot.
-        assert_eq!(io.refreezes, 3, "one eager refreeze per applied update");
+        // The three applies only invalidated the packed image (the
+        // object tree was warm before the first apply; the point tree
+        // is never built for this uncertain fixture): the one explain
+        // after them rebuilt it once, and a warm image costs nothing.
+        assert_eq!(io.refreezes, 1, "one lazy refreeze for three updates");
+        engine.explain(&q, ObjectId(2)).unwrap();
+        assert_eq!(engine.accumulated_io().refreezes, 1);
 
         // Error paths: unknown delete, duplicate insert, wrong workload.
         assert_eq!(

@@ -6,11 +6,15 @@
 //! ## Architecture
 //!
 //! * The **writer** owns the authoritative mutable engine behind a
-//!   mutex. [`MvccEngine::apply_batch`] applies a whole batch, then
+//!   mutex. [`MvccEngine::apply_batch`] applies a whole batch,
+//!   re-freezes the packed R-tree image once for the batch, then
 //!   [forks](super::ExplainEngine::fork) an immutable snapshot of the
-//!   post-batch state — dataset view, built R-trees (the eagerly
-//!   re-frozen packed images are shared zero-copy through their `Arc`s)
-//!   and a fresh cache generation — and publishes it.
+//!   post-batch state and publishes it. The fork shares the dataset's
+//!   objects, the R-tree nodes and the fresh packed image with the
+//!   writer through `Arc`s and starts a fresh cache generation, so a
+//!   publish copies handles rather than data (plus the one image
+//!   rebuild), and the writer's next batch copies only the object
+//!   slots and root-to-leaf tree paths it touches.
 //! * **Publication** is `ArcSwap`-style: the current snapshot lives in
 //!   an `RwLock<Arc<_>>` whose lock scope is a pointer clone (readers)
 //!   or a pointer store (writer) — readers never block behind a batch,
@@ -50,6 +54,11 @@ pub trait SnapshotEngine: ExplainSession + Send + Sync {
     where
         Self: Sized;
 
+    /// Rebuilds whatever read-side images the updates since the last
+    /// call invalidated — run once per published batch, before the
+    /// fork, so readers find them warm.
+    fn refreeze(&mut self);
+
     /// Applies one discrete-sample update.
     fn apply_update(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError>;
 
@@ -66,6 +75,10 @@ pub trait SnapshotEngine: ExplainSession + Send + Sync {
 impl SnapshotEngine for ExplainEngine {
     fn fork_snapshot(&self) -> Self {
         self.fork()
+    }
+
+    fn refreeze(&mut self) {
+        ExplainEngine::refreeze(self)
     }
 
     fn apply_update(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError> {
@@ -147,7 +160,8 @@ impl<E: SnapshotEngine> MvccEngine<E> {
 
     /// [`MvccEngine::new`] with an explicit epoch-ring capacity
     /// (clamped to ≥ 1 — the published snapshot always stays pinnable).
-    pub fn with_ring_capacity(engine: E, capacity: usize) -> Self {
+    pub fn with_ring_capacity(mut engine: E, capacity: usize) -> Self {
+        engine.refreeze();
         let snapshot = Arc::new(EpochSnapshot {
             epoch: engine.epoch(),
             engine: engine.fork_snapshot(),
@@ -226,7 +240,7 @@ impl<E: SnapshotEngine> MvccEngine<E> {
         for update in updates {
             writer.apply_update(update)?;
         }
-        Ok(self.publish(&writer))
+        Ok(self.publish(&mut writer))
     }
 
     /// [`MvccEngine::apply_batch`] for continuous-pdf sessions.
@@ -238,13 +252,14 @@ impl<E: SnapshotEngine> MvccEngine<E> {
         for update in updates {
             writer.apply_pdf_update(update)?;
         }
-        Ok(self.publish(&writer))
+        Ok(self.publish(&mut writer))
     }
 
-    /// Forks and publishes the writer's current state. The expensive
-    /// part (the fork) runs while readers still serve the old snapshot;
-    /// only the pointer swap takes the publication write lock.
-    fn publish(&self, writer: &E) -> Epoch {
+    /// Refreezes, forks and publishes the writer's current state. Both
+    /// run while readers still serve the old snapshot; only the pointer
+    /// swap takes the publication write lock.
+    fn publish(&self, writer: &mut E) -> Epoch {
+        writer.refreeze();
         let snapshot = Arc::new(EpochSnapshot {
             epoch: writer.epoch(),
             engine: writer.fork_snapshot(),
@@ -296,6 +311,7 @@ mod tests {
     use super::*;
     use crate::engine::EngineConfig;
     use crp_geom::Point;
+    use crp_rtree::NodeId;
     use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
 
     fn pt(x: f64, y: f64) -> Point {
@@ -435,5 +451,144 @@ mod tests {
         // Readers still serve the last complete epoch.
         assert_eq!(mvcc.pin().epoch(), Epoch(4));
         assert_eq!(mvcc.counters().published, 1);
+    }
+
+    #[test]
+    fn a_batch_is_refrozen_once_at_publish() {
+        let engine = ExplainEngine::new(fixture(), EngineConfig::with_alpha(0.75)).unwrap();
+        let q = pt(5.0, 5.0);
+        // Build the object tree (its first image is part of the build).
+        engine.explain(&q, ObjectId(0)).unwrap();
+        let mvcc = MvccEngine::new(engine);
+        let refreezes = || mvcc.with_writer(|w| w.accumulated_io().refreezes).unwrap();
+        assert_eq!(refreezes(), 0);
+
+        let e = mvcc
+            .apply_batch(vec![
+                Update::Insert(UncertainObject::certain(ObjectId(10), pt(6.0, 6.5))),
+                Update::Insert(UncertainObject::certain(ObjectId(11), pt(50.0, 50.0))),
+                Update::Replace(UncertainObject::certain(ObjectId(1), pt(7.5, 7.0))),
+                Update::Delete(ObjectId(11)),
+                Update::Replace(UncertainObject::certain(ObjectId(3), pt(45.0, 40.0))),
+            ])
+            .unwrap();
+        assert_eq!(e, Epoch(9));
+        assert_eq!(refreezes(), 1, "five updates, one published batch");
+
+        // The published fork holds the very image the writer built at
+        // publish, so its readers rebuild nothing.
+        let published = mvcc.pin();
+        let writer_image = mvcc
+            .with_writer(|w| w.object_tree().frozen_image())
+            .unwrap();
+        assert!(Arc::ptr_eq(
+            &published.engine().object_tree().frozen_image(),
+            &writer_image
+        ));
+        published.engine().explain(&q, ObjectId(0)).unwrap();
+        assert_eq!(published.engine().accumulated_io().refreezes, 0);
+        assert_eq!(refreezes(), 1);
+    }
+
+    /// Nodes reachable from `tree`'s root, and the ids on the path to
+    /// the leaf holding `id`.
+    fn nodes_and_path(
+        tree: &crp_rtree::RTree<ObjectId>,
+        id: ObjectId,
+    ) -> (Vec<NodeId>, Vec<NodeId>) {
+        fn walk(
+            tree: &crp_rtree::RTree<ObjectId>,
+            node: NodeId,
+            id: ObjectId,
+            all: &mut Vec<NodeId>,
+            path: &mut Vec<NodeId>,
+        ) -> bool {
+            all.push(node);
+            let (mut children, mut holds) = (Vec::new(), false);
+            tree.visit_children(node, |_, child, data| {
+                children.extend(child);
+                holds |= data == Some(&id);
+            });
+            let mut on_path = holds;
+            for child in children {
+                on_path |= walk(tree, child, id, all, path);
+            }
+            if on_path {
+                path.push(node);
+            }
+            on_path
+        }
+        let (mut all, mut path) = (Vec::new(), Vec::new());
+        walk(tree, tree.root_node_id(), id, &mut all, &mut path);
+        (all, path)
+    }
+
+    #[test]
+    fn forks_share_every_untouched_object_and_node() {
+        let ds = UncertainDataset::from_points(
+            (0..300).map(|i| pt((i % 20) as f64 * 3.0 + 10.0, (i / 20) as f64 * 3.0 + 10.0)),
+        )
+        .unwrap();
+        let config = EngineConfig {
+            rtree: Some(crp_rtree::RTreeParams::with_fanout(8)),
+            ..EngineConfig::with_alpha(0.75)
+        };
+        let mut engine = ExplainEngine::new(ds, config).unwrap();
+        engine.explain(&pt(5.0, 5.0), ObjectId(0)).unwrap();
+
+        // Replace: every object but the touched one stays shared.
+        let fork = engine.fork();
+        let touched = ObjectId(17);
+        engine
+            .apply(Update::Replace(UncertainObject::certain(
+                touched,
+                pt(11.0, 11.0),
+            )))
+            .unwrap();
+        for (mine, theirs) in engine
+            .dataset()
+            .objects()
+            .iter()
+            .zip(fork.dataset().objects())
+        {
+            assert_eq!(
+                Arc::ptr_eq(mine, theirs),
+                mine.id() != touched,
+                "{}",
+                mine.id()
+            );
+        }
+        let tree = engine.object_tree();
+        assert!(tree.height() >= 3);
+        // A victim whose leaf stays above the minimum fill when it
+        // leaves, so deleting it writes exactly its root-to-leaf path.
+        let victim = (0..300u32)
+            .map(ObjectId)
+            .find(|&id| {
+                let (_, path) = nodes_and_path(tree, id);
+                let mut entries = 0;
+                tree.visit_children(path[0], |_, _, _| entries += 1);
+                entries > tree.params().min_entries
+            })
+            .expect("STR fills most leaves to capacity");
+
+        // Delete: the objects left are all shared, and of the tree only
+        // the path to the victim's leaf was copied.
+        let fork = engine.fork();
+        engine.apply(Update::Delete(victim)).unwrap();
+        for mine in engine.dataset().objects() {
+            let theirs = &fork.dataset().objects()[fork.dataset().index_of(mine.id()).unwrap()];
+            assert!(Arc::ptr_eq(mine, theirs));
+        }
+        let (_, path) = nodes_and_path(fork.object_tree(), victim);
+        let (nodes, _) = nodes_and_path(engine.object_tree(), victim);
+        assert_eq!(path.len(), engine.object_tree().height());
+        for node in nodes {
+            assert_eq!(
+                engine.object_tree().shares_node(fork.object_tree(), node),
+                !path.contains(&node),
+                "{node:?}"
+            );
+        }
     }
 }

@@ -208,7 +208,7 @@ fn stress_config() -> EngineConfig {
 }
 
 /// Builds a discrete engine warmed with one explain (so the update
-/// stream exercises incremental tree patching + eager refreeze), then
+/// stream exercises incremental tree patching + refreeze), then
 /// serially replayed through the first `depth` batches.
 fn discrete_engine(
     base: &UncertainDataset,

@@ -34,9 +34,10 @@ pub struct QueryStats {
     /// Each moved item counts once (a dissolved subtree counts per
     /// record, a block-moved subtree as one).
     pub reinserts: u64,
-    /// Packed-image rebuilds paid eagerly on the update path
-    /// ([`RTree::refreeze`](crate::RTree::refreeze)) so the first
-    /// post-update filter descent finds a warm frozen snapshot.
+    /// Packed-image rebuilds after updates: once per published batch
+    /// ([`RTree::refreeze`](crate::RTree::refreeze)), or lazily by the
+    /// first reader of a mutated tree
+    /// ([`RTree::frozen_counted`](crate::RTree::frozen_counted)).
     pub refreezes: u64,
     /// Explanation-cache hits (row or outcome) of the engine session.
     pub cache_hits: u64,

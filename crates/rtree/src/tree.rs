@@ -4,6 +4,7 @@ use crate::node::{BranchEntry, LeafEntry, Node, NodeEntries, NodeId};
 use crate::packed::PackedRTree;
 use crate::params::RTreeParams;
 use crate::query::QueryStats;
+use crate::stats::AtomicQueryStats;
 use crp_geom::{HyperRect, Point};
 use std::sync::{Arc, OnceLock};
 
@@ -20,9 +21,12 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Nodes live in an arena indexed by [`NodeId`]; descent paths are threaded
 /// explicitly through the modifying operations, so no parent pointers (and
-/// no whole-tree searches) are needed.
+/// no whole-tree searches) are needed. Each arena slot holds its node
+/// behind an [`Arc`] and every write goes through [`Arc::make_mut`], so
+/// a cloned tree shares all nodes and a mutation copies only the nodes
+/// it actually writes (path copying).
 pub struct RTree<T> {
-    pub(crate) nodes: Vec<Node<T>>,
+    pub(crate) nodes: Vec<Arc<Node<T>>>,
     free: Vec<NodeId>,
     pub(crate) root: NodeId,
     pub(crate) dim: usize,
@@ -45,11 +49,12 @@ pub struct RTree<T> {
     frozen: OnceLock<Arc<PackedRTree<T>>>,
 }
 
-/// Epoch-snapshot clone: the node arena is deep-copied (the writer will
-/// keep mutating its own), but an already-built frozen image is shared
-/// through its [`Arc`] — the packed projection is immutable, so a
-/// snapshot costs no rebuild and no second copy of the SoA slabs.
-impl<T: Clone> Clone for RTree<T> {
+/// Epoch-snapshot clone: the node arena is copied as a vector of
+/// [`Arc`] handles, so both trees share every node until one of them
+/// writes it (the writer then copies just that node), and an
+/// already-built frozen image is shared through its [`Arc`] — a
+/// snapshot costs no rebuild and no second copy of nodes or SoA slabs.
+impl<T> Clone for RTree<T> {
     fn clone(&self) -> Self {
         let frozen = OnceLock::new();
         if let Some(image) = self.frozen.get() {
@@ -79,9 +84,8 @@ enum Item<T> {
 impl<T> RTree<T> {
     /// Creates an empty tree for `dim`-dimensional data.
     pub fn new(dim: usize, params: RTreeParams) -> Self {
-        let root_node = Node::new_leaf();
         RTree {
-            nodes: vec![root_node],
+            nodes: vec![Arc::new(Node::new_leaf())],
             free: Vec::new(),
             root: NodeId(0),
             dim,
@@ -185,6 +189,23 @@ impl<T> RTree<T> {
             .get_or_init(|| Arc::new(PackedRTree::build(self)))
     }
 
+    /// [`RTree::frozen`] that charges a build to `io` as one
+    /// [`QueryStats::refreezes`] — how a reader that finds the image
+    /// invalidated by an update accounts for the lazy rebuild. Readers
+    /// racing on a cold image build it, and count it, once.
+    pub fn frozen_counted(&self, io: &AtomicQueryStats) -> &PackedRTree<T>
+    where
+        T: Clone,
+    {
+        self.frozen.get_or_init(|| {
+            io.absorb(QueryStats {
+                refreezes: 1,
+                ..QueryStats::default()
+            });
+            Arc::new(PackedRTree::build(self))
+        })
+    }
+
     /// The cached frozen image behind its shared handle — what an MVCC
     /// snapshot pins: the [`Arc`] keeps the packed projection alive for
     /// readers even after the owning tree mutates or drops.
@@ -216,18 +237,19 @@ impl<T> RTree<T> {
         &self.nodes[id.index()]
     }
 
-    #[inline]
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node<T> {
-        &mut self.nodes[id.index()]
+    /// Stores `node` in slot `id`, dropping this tree's handle on the
+    /// previous occupant (a clone that shares it keeps it alive).
+    fn set_node(&mut self, id: NodeId, node: Node<T>) {
+        self.nodes[id.index()] = Arc::new(node);
     }
 
     pub(crate) fn alloc(&mut self, node: Node<T>) -> NodeId {
         if let Some(id) = self.free.pop() {
-            self.nodes[id.index()] = node;
+            self.set_node(id, node);
             id
         } else {
             let id = NodeId(self.nodes.len() as u32);
-            self.nodes.push(node);
+            self.nodes.push(Arc::new(node));
             id
         }
     }
@@ -235,8 +257,35 @@ impl<T> RTree<T> {
     pub(crate) fn release(&mut self, id: NodeId) {
         // Leave a harmless empty leaf in the slot; the id goes on the
         // free list for reuse.
-        self.nodes[id.index()] = Node::new_leaf();
+        self.set_node(id, Node::new_leaf());
         self.free.push(id);
+    }
+
+    /// Whether this tree and `other` hold the very same node allocation
+    /// in arena slot `id` — true for every node a clone has not written
+    /// since it was taken. For tests and memory accounting.
+    pub fn shares_node(&self, other: &RTree<T>, id: NodeId) -> bool {
+        match (self.nodes.get(id.index()), other.nodes.get(id.index())) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+}
+
+impl<T: Clone> RTree<T> {
+    /// Write access to one node: copies it first when a clone of this
+    /// tree still shares it, so an epoch snapshot never sees the write.
+    #[inline]
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node<T> {
+        Arc::make_mut(&mut self.nodes[id.index()])
+    }
+
+    /// Moves the node out of slot `id` (copying it only when a clone
+    /// still shares it) and frees the slot for reuse.
+    fn take_node(&mut self, id: NodeId) -> Node<T> {
+        let node = Arc::clone(&self.nodes[id.index()]);
+        self.release(id);
+        Arc::unwrap_or_clone(node)
     }
 
     /// Inserts a rectangle with its payload.
@@ -409,7 +458,7 @@ impl<T> RTree<T> {
         let (left, right) = self.split_node_contents(self.root);
         let left_rect = left.mbr().expect("split half is non-empty");
         let right_rect = right.mbr().expect("split half is non-empty");
-        *self.node_mut(self.root) = left;
+        self.set_node(self.root, left);
         let right_id = self.alloc(right);
         let mut new_root = Node::new_branch(level + 1);
         new_root.branch_entries_mut().push(BranchEntry {
@@ -429,7 +478,7 @@ impl<T> RTree<T> {
         let (left, right) = self.split_node_contents(node_id);
         let left_rect = left.mbr().expect("split half is non-empty");
         let right_rect = right.mbr().expect("split half is non-empty");
-        *self.node_mut(node_id) = left;
+        self.set_node(node_id, left);
         let right_id = self.alloc(right);
         let pnode = self.node_mut(parent);
         for e in pnode.branch_entries_mut().iter_mut() {
@@ -480,7 +529,9 @@ impl<T> RTree<T> {
             }
         }
     }
+}
 
+impl<T> RTree<T> {
     /// The root's node id — the entry point for external best-first
     /// traversals (e.g. the BBS skyline algorithm), which cannot be
     /// expressed through the window-query visitors.
@@ -619,7 +670,7 @@ impl<T> RTree<T> {
     }
 }
 
-impl<T: PartialEq> RTree<T> {
+impl<T: Clone + PartialEq> RTree<T> {
     /// Removes one entry matching `rect` and `data`. Returns `true` when
     /// an entry was removed. Underflowing nodes are dissolved and their
     /// entries reinserted (condense-tree).
@@ -688,7 +739,7 @@ impl<T: PartialEq> RTree<T> {
                     .position(|e| e.child == node_id)
                     .expect("child listed in parent");
                 entries.swap_remove(pos);
-                let node = std::mem::replace(self.node_mut(node_id), Node::new_leaf());
+                let node = self.take_node(node_id);
                 let level = node.level;
                 match node.entries {
                     NodeEntries::Leaf(v) => {
@@ -699,7 +750,6 @@ impl<T: PartialEq> RTree<T> {
                             .map(|e| (level, e.rect, Item::Subtree(e.child))),
                     ),
                 }
-                self.release(node_id);
             }
         }
         // Refresh the rectangles of the surviving path nodes bottom-up.
@@ -766,8 +816,7 @@ impl<T: PartialEq> RTree<T> {
     /// Reinserts every record of a subtree individually and releases its
     /// nodes (rare path: the tree shrank below the orphan's height).
     fn dissolve_into_records(&mut self, id: NodeId) {
-        let node = std::mem::replace(self.node_mut(id), Node::new_leaf());
-        self.release(id);
+        let node = self.take_node(id);
         match node.entries {
             NodeEntries::Leaf(v) => {
                 self.upkeep.reinserts += v.len() as u64;
@@ -1176,5 +1225,124 @@ mod tests {
         }
         assert!(tree.is_empty());
         tree.check_invariants();
+    }
+
+    /// Every node reachable from the root.
+    fn reachable(tree: &RTree<usize>) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        let mut stack = vec![tree.root];
+        while let Some(id) = stack.pop() {
+            out.push(id);
+            if let NodeEntries::Branch(v) = &tree.node(id).entries {
+                stack.extend(v.iter().map(|e| e.child));
+            }
+        }
+        out
+    }
+
+    fn entries(tree: &RTree<usize>) -> Vec<(String, usize)> {
+        let mut out = Vec::new();
+        tree.for_each(|r, &i| out.push((format!("{r:?}"), i)));
+        out.sort();
+        out
+    }
+
+    /// Asserts path copying after an update to `tree` taken since
+    /// `snapshot` was cloned from it: every node the two no longer
+    /// share was written (fresh slot or new content) or sits above a
+    /// node the two no longer share. Returns the number of copies.
+    fn assert_path_copied(tree: &RTree<usize>, snapshot: &RTree<usize>) -> usize {
+        let before: std::collections::HashSet<NodeId> = reachable(snapshot).into_iter().collect();
+        let mut copied = 0;
+        for id in reachable(tree) {
+            if tree.shares_node(snapshot, id) {
+                continue;
+            }
+            copied += 1;
+            let written = !before.contains(&id)
+                || format!("{:?}", tree.node(id)) != format!("{:?}", snapshot.node(id));
+            let above_copy = match &tree.node(id).entries {
+                NodeEntries::Branch(v) => v.iter().any(|e| !tree.shares_node(snapshot, e.child)),
+                NodeEntries::Leaf(_) => false,
+            };
+            assert!(
+                written || above_copy,
+                "{id:?} copied off every written path"
+            );
+        }
+        copied
+    }
+
+    #[test]
+    fn clones_share_nodes_and_removal_copies_one_path() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut tree: RTree<usize> = RTree::new(2, RTreeParams::with_fanout(8));
+        let mut items = Vec::new();
+        for i in 0..400usize {
+            let r = HyperRect::from_point(&pt(
+                rng.random_range(0.0..100.0),
+                rng.random_range(0.0..100.0),
+            ));
+            tree.insert(r.clone(), i);
+            items.push((r, i));
+        }
+        assert!(tree.height() >= 3);
+        let snapshot = tree.clone();
+        assert!(reachable(&tree)
+            .iter()
+            .all(|&id| tree.shares_node(&snapshot, id)));
+
+        // A removal that leaves its leaf above the minimum fill copies
+        // exactly the root-to-leaf path and shares everything else.
+        let mut exact = 0;
+        for (r, i) in items.iter().take(40) {
+            let mut path = Vec::new();
+            assert!(tree.find_leaf_path(tree.root, r, i, &mut path));
+            let leaf_len = tree.node(*path.last().unwrap()).len();
+            let snapshot = tree.clone();
+            let height = tree.height();
+            assert!(tree.remove(r, i));
+            let copied = assert_path_copied(&tree, &snapshot);
+            if leaf_len > tree.params.min_entries {
+                assert_eq!(copied, height, "removal of {i} copied more than its path");
+                exact += 1;
+            }
+            assert!(copied < reachable(&tree).len() / 2);
+        }
+        assert!(exact > 0, "no removal left its leaf above the minimum fill");
+    }
+
+    #[test]
+    fn updates_on_a_clone_copy_only_written_paths() {
+        // Fanout 4 forces splits, forced reinsertion and condense-tree
+        // dissolves, all of which must copy only what they write and
+        // leave the snapshot exactly as it was.
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut tree: RTree<usize> = RTree::new(2, RTreeParams::with_fanout(4));
+        let mut live: Vec<(HyperRect, usize)> = Vec::new();
+        for step in 0..600usize {
+            let snapshot = tree.clone();
+            let frozen_entries = entries(&snapshot);
+            if step % 3 == 2 && !live.is_empty() {
+                let (r, d) = live.swap_remove(rng.random_range(0..live.len()));
+                assert!(tree.remove(&r, &d));
+            } else {
+                let r = HyperRect::from_point(&pt(
+                    rng.random_range(0.0..50.0),
+                    rng.random_range(0.0..50.0),
+                ));
+                tree.insert(r.clone(), step);
+                live.push((r, step));
+            }
+            assert_path_copied(&tree, &snapshot);
+            tree.check_invariants();
+            snapshot.check_invariants();
+            assert_eq!(
+                entries(&snapshot),
+                frozen_entries,
+                "an update leaked into a clone"
+            );
+        }
+        assert_eq!(tree.len(), live.len());
     }
 }

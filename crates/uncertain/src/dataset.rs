@@ -5,6 +5,7 @@ use crate::object::{ObjectId, UncertainObject};
 use crate::update::{Epoch, Update};
 use crp_geom::Point;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A validated collection of independent uncertain objects sharing one
 /// dimensionality (the paper's `𝒫`).
@@ -17,9 +18,13 @@ use std::collections::HashMap;
 /// (insertion) order — which is what lets an incrementally maintained
 /// engine session produce the same candidate orderings as a fresh
 /// session built on the final object sequence.
+///
+/// Objects are held behind [`Arc`]s: a clone (an epoch snapshot) shares
+/// every object with its source, and a mutation swaps only the slot it
+/// touches.
 #[derive(Clone, Debug, Default)]
 pub struct UncertainDataset {
-    objects: Vec<UncertainObject>,
+    objects: Vec<Arc<UncertainObject>>,
     by_id: HashMap<ObjectId, usize>,
     epoch: Epoch,
     /// Objects that are *not* certain, maintained by every mutator so
@@ -76,7 +81,7 @@ impl UncertainDataset {
         if !object.is_certain() {
             self.uncertain += 1;
         }
-        self.objects.push(object);
+        self.objects.push(Arc::new(object));
         self.epoch = self.epoch.next();
         Ok(())
     }
@@ -84,7 +89,7 @@ impl UncertainDataset {
     /// Removes the object with this id, preserving the relative order
     /// of the survivors. Returns the removed object, or `None` when the
     /// id is unknown (the epoch then does not advance).
-    pub fn remove(&mut self, id: ObjectId) -> Option<UncertainObject> {
+    pub fn remove(&mut self, id: ObjectId) -> Option<Arc<UncertainObject>> {
         let pos = self.by_id.remove(&id)?;
         let removed = self.objects.remove(pos);
         if !removed.is_certain() {
@@ -101,7 +106,10 @@ impl UncertainDataset {
 
     /// Swaps the stored object with `object.id()` for `object`, keeping
     /// its position. Returns the previous version.
-    pub fn replace(&mut self, object: UncertainObject) -> Result<UncertainObject, UncertainError> {
+    pub fn replace(
+        &mut self,
+        object: UncertainObject,
+    ) -> Result<Arc<UncertainObject>, UncertainError> {
         let pos = *self
             .by_id
             .get(&object.id())
@@ -121,7 +129,7 @@ impl UncertainDataset {
         if !object.is_certain() {
             self.uncertain += 1;
         }
-        let old = std::mem::replace(&mut self.objects[pos], object);
+        let old = std::mem::replace(&mut self.objects[pos], Arc::new(object));
         self.epoch = self.epoch.next();
         Ok(old)
     }
@@ -138,6 +146,66 @@ impl UncertainDataset {
             }
         }
         Ok(self.epoch)
+    }
+
+    /// Checks that `batch` would apply cleanly, without applying it:
+    /// replays the id, duplicate and dimension rules of
+    /// [`push`](Self::push), [`remove`](Self::remove) and
+    /// [`replace`](Self::replace) against the live ids plus an overlay
+    /// of the ids the batch touches. Returns the epoch applying the
+    /// whole batch lands on, or the error of the first update that
+    /// would fail — what [`apply`](Self::apply)ing the batch to a clone
+    /// reports, at O(batch) instead of O(dataset) cost.
+    pub fn check_batch(&self, batch: &[Update<UncertainObject>]) -> Result<Epoch, UncertainError> {
+        let mut overlay: HashMap<ObjectId, bool> = HashMap::new();
+        let mut len = self.objects.len();
+        let mut dim = self.dim();
+        for update in batch {
+            let id = update.id();
+            let present = overlay
+                .get(&id)
+                .copied()
+                .unwrap_or_else(|| self.by_id.contains_key(&id));
+            match update {
+                Update::Insert(object) => {
+                    if let Some(expected) = dim.filter(|&d| d != object.dim()) {
+                        return Err(UncertainError::DimensionMismatch {
+                            expected,
+                            got: object.dim(),
+                        });
+                    }
+                    if present {
+                        return Err(UncertainError::DuplicateId(id.0));
+                    }
+                    overlay.insert(id, true);
+                    len += 1;
+                    dim = Some(object.dim());
+                }
+                Update::Delete(_) => {
+                    if !present {
+                        return Err(UncertainError::UnknownId(id.0));
+                    }
+                    overlay.insert(id, false);
+                    len -= 1;
+                    if len == 0 {
+                        dim = None;
+                    }
+                }
+                Update::Replace(object) => {
+                    if !present {
+                        return Err(UncertainError::UnknownId(id.0));
+                    }
+                    if let Some(expected) = dim.filter(|&d| len > 1 && d != object.dim()) {
+                        return Err(UncertainError::DimensionMismatch {
+                            expected,
+                            got: object.dim(),
+                        });
+                    }
+                    dim = Some(object.dim());
+                }
+            }
+        }
+        Ok(Epoch(self.epoch.0 + batch.len() as u64))
     }
 
     /// The dataset version: advanced by every successful mutation.
@@ -172,7 +240,7 @@ impl UncertainDataset {
 
     /// Object lookup by id.
     pub fn get(&self, id: ObjectId) -> Option<&UncertainObject> {
-        self.by_id.get(&id).map(|&i| &self.objects[i])
+        self.by_id.get(&id).map(|&i| &*self.objects[i])
     }
 
     /// Positional access.
@@ -185,14 +253,15 @@ impl UncertainDataset {
         self.by_id.get(&id).copied()
     }
 
-    /// All objects, in insertion order.
-    pub fn objects(&self) -> &[UncertainObject] {
+    /// All objects, in insertion order, behind the [`Arc`]s clones of
+    /// this dataset share.
+    pub fn objects(&self) -> &[Arc<UncertainObject>] {
         &self.objects
     }
 
     /// Iterator over the objects.
     pub fn iter(&self) -> impl Iterator<Item = &UncertainObject> {
-        self.objects.iter()
+        self.into_iter()
     }
 
     /// True when every object is certain (single sample, probability 1) —
@@ -211,10 +280,13 @@ impl UncertainDataset {
 
 impl<'a> IntoIterator for &'a UncertainDataset {
     type Item = &'a UncertainObject;
-    type IntoIter = std::slice::Iter<'a, UncertainObject>;
+    type IntoIter = std::iter::Map<
+        std::slice::Iter<'a, Arc<UncertainObject>>,
+        fn(&Arc<UncertainObject>) -> &UncertainObject,
+    >;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.objects.iter()
+        self.objects.iter().map(|o| &**o)
     }
 }
 

@@ -7,13 +7,15 @@
 //!
 //! [`DurableSession::apply_batch`] is strictly ordered:
 //!
-//! 1. **validate** — the batch is replayed against a clone of the
-//!    published dataset; a batch that would fail mid-way is rejected
+//! 1. **validate** — [`UncertainDataset::check_batch`] replays the
+//!    batch's id, duplicate and dimension rules against the published
+//!    dataset's ids plus an overlay of the ids the batch touches — no
+//!    clone, O(batch). A batch that would fail mid-way is rejected
 //!    here, before a single byte hits disk (the in-memory engine only
 //!    publishes at batch boundaries, so the log must too),
 //! 2. **log** — the batch and its `commit <epoch>` marker are appended
 //!    and fsynced ([`WriteAheadLog::append_batch`]); the commit epoch is
-//!    the one the validation replay landed on,
+//!    the one the check computed (one epoch per update),
 //! 3. **apply** — only then does [`MvccEngine::apply_batch`] run and
 //!    publish the new snapshot to readers.
 //!
@@ -192,20 +194,18 @@ impl<E: SnapshotEngine> DurableSession<E> {
         updates: Vec<Update<UncertainObject>>,
     ) -> Result<Epoch, SessionError> {
         self.ensure_healthy()?;
-        let snapshot = self.mvcc.pin();
-        let mut probe = snapshot
+        let commit = self
+            .mvcc
+            .pin()
             .engine()
             .discrete_dataset()
             .expect("durable sessions are discrete (checked at open)")
-            .clone();
-        for update in &updates {
-            probe.apply(update.clone()).map_err(|e| {
+            .check_batch(&updates)
+            .map_err(|e| {
                 SessionError::Engine(CrpError::InvalidUpdate {
                     reason: e.to_string(),
                 })
             })?;
-        }
-        let commit = probe.epoch();
         if let Err(e) = self.wal.append_batch(&updates, commit) {
             return Err(self.degrade(SessionError::Storage(e)));
         }
