@@ -7,8 +7,9 @@
 //! Workloads:
 //!
 //! * `alpha_sweep` — every selected non-answer at several α over one
-//!   query: stage-1 rows are shared across α (planner and session row
-//!   cache agree on this; the planner reports it),
+//!   query: the planner computes each non-answer's stage-1 rows once
+//!   and refines them at every α, where the per-call loop traverses
+//!   once per explain,
 //! * `nearby_q` — a grid of queries stepped toward the data from a
 //!   base query, every step's filter windows nested inside the base
 //!   query's: the planner derives each nested unit's candidates from
@@ -137,11 +138,10 @@ fn measure_workload(
     let bit_identical =
         naive.len() == planned.len() && naive.iter().zip(&planned).all(|(a, b)| agrees(a, b));
 
-    // The per-call loop pays one stage-1 traversal per distinct
-    // (an, q) pair (its session row cache shares repeats at equal
-    // keys, exactly like the planner's unit dedup — the planner's
-    // extra win is containment derivation *across* distinct q).
-    let naive_traversals = queries.len() * ans.len();
+    // The per-call loop pays one stage-1 traversal per explain; the
+    // planner pays one per distinct (an, q) unit at most, and derives
+    // nested units across distinct q without any.
+    let naive_traversals = queries.len() * ans.len() * alphas.len();
     WorkloadRow {
         name,
         tasks: naive.len(),

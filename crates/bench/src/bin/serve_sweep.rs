@@ -8,8 +8,7 @@
 //! every client ingests one record (an insert far outside the hot
 //! region, so explain outcomes stay comparable to offline) and then
 //! explains that round's non-answer at its own *nearby-grid* query
-//! (every step is fresh, so no outcome is ever served from a cache).
-//! Windowed serving wins twice:
+//! (every step is fresh). Windowed serving wins twice:
 //!
 //! * the round's 16 inserts **group-commit** into one backend batch —
 //!   one snapshot publish instead of sixteen (publishing forks the
@@ -365,9 +364,8 @@ fn main() {
         ans.len()
     );
 
-    // One fresh grid step per (client, round): nothing repeats, so no
-    // outcome is ever served from a cache in either mode, and every
-    // window's dedup comes from cross-client containment alone.
+    // One fresh grid step per (client, round): nothing repeats, so
+    // every window's dedup comes from cross-client containment alone.
     let grid = nearby_grid(&ds, &q, &ans, CLIENTS * rounds);
     let queries: Vec<Vec<Point>> = (0..CLIENTS)
         .map(|c| (0..rounds).map(|r| grid[c * rounds + r].clone()).collect())

@@ -1,16 +1,16 @@
 //! Live-dataset maintenance sweep: measures a mutable
 //! [`ExplainEngine`] session absorbing small mutation batches (≤ 1 % of
 //! the dataset per batch) through **incremental index maintenance**
-//! (`apply`: condense + reinsert on the R*-tree, geometric cache
-//! invalidation, one packed-image refreeze per batch) against the pre-update alternative — rebuilding the
-//! index from scratch after every batch — and writes the series to
+//! (`apply`: condense + reinsert on the R*-tree, one packed-image
+//! refreeze per batch) against the pre-update alternative — rebuilding
+//! the index from scratch after every batch — and writes the series to
 //! `bench_out/BENCH_updates.json`.
 //!
 //! Also reported:
 //!
-//! * the explanation-cache payoff of an α-sweep over one non-answer
-//!   (first α pays the traversal; the rest are served from the row
-//!   cache),
+//! * one planned α-sweep over a non-answer of the final dataset: its
+//!   stage-1 traversals (one for every α) and node accesses against a
+//!   single explain's,
 //! * a correctness pin: after every batch, explains from the mutated
 //!   session match a fresh engine built on the current dataset.
 //!
@@ -26,7 +26,10 @@
 
 use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir};
 use crp_bench::report::fnum;
-use crp_core::{Cause, CpConfig, CrpError, EngineConfig, ExplainEngine, ExplainStrategy, Update};
+use crp_core::{
+    Cause, CpConfig, CrpError, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
+    ExplainStrategy, Update,
+};
 use crp_data::{uncertain_dataset, UncertainConfig};
 use crp_geom::Point;
 use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
@@ -120,7 +123,6 @@ struct BatchRow {
     incremental_ms: f64,
     rebuild_ms: f64,
     reinserts: u64,
-    cache_evictions: u64,
     identical: bool,
 }
 
@@ -198,9 +200,6 @@ fn main() {
         by_cost.sort_unstable();
         let probe: Vec<ObjectId> = by_cost.iter().take(4).map(|&(_, an)| an).collect();
 
-        // Warm the cache with a few explains so the batch also measures
-        // invalidation work (a live session is never idle).
-        let _ = incremental.explain_batch_as(ExplainStrategy::Cp, &q, ALPHA, &probe);
         let before = incremental.accumulated_io();
 
         // Incremental: apply the deltas; both trees stay live. The
@@ -253,7 +252,6 @@ fn main() {
             incremental_ms,
             rebuild_ms,
             reinserts: after.reinserts - before.reinserts,
-            cache_evictions: after.cache_evictions - before.cache_evictions,
             identical,
         });
         eprintln!(
@@ -263,9 +261,10 @@ fn main() {
         );
     }
 
-    // --- α-sweep cache payoff over one non-answer -------------------
+    // --- α-sweep over one non-answer ---------------------------------
     // Smallest non-empty candidate set among a sample of live ids: the
-    // sweep should measure the cache, not an adversarial refinement.
+    // sweep should measure stage-1 sharing, not an adversarial
+    // refinement.
     let mut sweep_candidates: Vec<(usize, ObjectId)> = live
         .iter()
         .take(16)
@@ -296,19 +295,19 @@ fn main() {
     .expect("valid config");
     sweep_engine.object_tree();
     let alphas: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
+    // What one explain pays, on a fork sharing the warm index.
+    let solo = sweep_engine.fork();
+    let _ = solo.explain_as(ExplainStrategy::Cp, &q, ALPHA, sweep_target);
+    let solo_io = solo.accumulated_io().node_accesses;
+    // The planned sweep: one stage-1 unit whose rows every α refines.
     let t = Instant::now();
-    let _ = sweep_engine.explain_as(ExplainStrategy::Cp, &q, alphas[0], sweep_target);
-    let first_alpha_ms = ms(t);
-    let first_io = sweep_engine.accumulated_io().node_accesses;
-    let t = Instant::now();
-    for &a in &alphas[1..] {
-        let _ = sweep_engine.explain_as(ExplainStrategy::Cp, &q, a, sweep_target);
-    }
-    let rest_alpha_ms = ms(t);
-    let sweep_io = sweep_engine.accumulated_io();
-    // The row cache serves stage 1 for every α after the first: the
-    // remaining 8 explains pay zero node accesses.
-    let rest_io = sweep_io.node_accesses - first_io;
+    let report = sweep_engine.run(&[
+        ExplainRequest::alpha_sweep(&q, sweep_target, alphas.clone())
+            .with_strategy(ExplainStrategy::Cp),
+    ]);
+    let sweep_ms = ms(t);
+    let sweep_traversals = report.counters.stage1_traversals;
+    let sweep_io = sweep_engine.accumulated_io().node_accesses;
 
     // --- report ------------------------------------------------------
     let total_incremental: f64 = rows.iter().map(|r| r.incremental_ms).sum();
@@ -322,29 +321,28 @@ fn main() {
         fnum(initial_build_ms)
     );
     println!(
-        "{:>6} {:>8} {:>10} {:>12} {:>10} {:>10} {:>7}",
-        "batch", "updates", "incr(ms)", "rebuild(ms)", "reinserts", "evictions", "ok"
+        "{:>6} {:>8} {:>10} {:>12} {:>10} {:>7}",
+        "batch", "updates", "incr(ms)", "rebuild(ms)", "reinserts", "ok"
     );
     for r in &rows {
         println!(
-            "{:>6} {:>8} {:>10} {:>12} {:>10} {:>10} {:>7}",
+            "{:>6} {:>8} {:>10} {:>12} {:>10} {:>7}",
             r.batch,
             r.updates,
             fnum(r.incremental_ms),
             fnum(r.rebuild_ms),
             r.reinserts,
-            r.cache_evictions,
             r.identical
         );
     }
     println!(
-        "totals: incremental {} ms, rebuild {} ms → {speedup:.1}× | α-sweep: \
-         first α {} node accesses, 8 more α {} node accesses ({} row-cache hit(s))",
+        "totals: incremental {} ms, rebuild {} ms → {speedup:.1}× | α-sweep: {} α in {} ms, \
+         {sweep_traversals} stage-1 traversal(s), {sweep_io} node accesses (one explain: \
+         {solo_io})",
         fnum(total_incremental),
         fnum(total_rebuild),
-        first_io,
-        rest_io,
-        sweep_io.cache_hits
+        alphas.len(),
+        fnum(sweep_ms)
     );
 
     // --- JSON series -------------------------------------------------
@@ -362,14 +360,12 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"batch\": {}, \"updates\": {}, \"incremental_ms\": {:.3}, \
-             \"rebuild_ms\": {:.3}, \"reinserts\": {}, \
-             \"cache_evictions\": {}, \"identical\": {}}}{}",
+             \"rebuild_ms\": {:.3}, \"reinserts\": {}, \"identical\": {}}}{}",
             r.batch,
             r.updates,
             r.incremental_ms,
             r.rebuild_ms,
             r.reinserts,
-            r.cache_evictions,
             r.identical,
             if i + 1 == rows.len() { "" } else { "," }
         );
@@ -377,12 +373,11 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"alpha_sweep\": {{\"target\": {}, \"alphas\": {}, \"first_alpha_ms\": \
-         {first_alpha_ms:.3}, \"rest_alpha_ms\": {rest_alpha_ms:.3}, \"cache_hits\": {}, \
-         \"first_alpha_node_accesses\": {first_io}, \"rest_node_accesses\": {rest_io}}},",
+        "  \"alpha_sweep\": {{\"target\": {}, \"alphas\": {}, \"sweep_ms\": {sweep_ms:.3}, \
+         \"stage1_traversals\": {sweep_traversals}, \"node_accesses\": {sweep_io}, \
+         \"solo_node_accesses\": {solo_io}}},",
         sweep_target.0,
-        alphas.len(),
-        sweep_io.cache_hits
+        alphas.len()
     );
     let _ = writeln!(
         json,

@@ -120,12 +120,12 @@ pub(crate) fn retain_causal(
 }
 
 /// The bounding box of the stage-1 filter windows of one non-answer —
-/// the **candidate region** the explanation cache keys its geometric
-/// invalidation on: an object whose MBR misses this box has zero
-/// dominance probability w.r.t. every sample of `an` (the windows are a
-/// superset of the dominance relation), so it cannot enter the
-/// candidate set, the dominance matrix, or the outcome. Updates outside
-/// the region therefore leave cached entries for `(an, q)` valid.
+/// its **candidate region**: an object whose MBR misses this box has
+/// zero dominance probability w.r.t. every sample of `an` (the windows
+/// are a superset of the dominance relation), so it cannot enter the
+/// candidate set, the dominance matrix, or the outcome. The planner
+/// derives a unit from another's coverage list when this box nests
+/// inside the other's.
 pub(crate) fn candidate_region(an: &UncertainObject, q: &Point) -> HyperRect {
     an.samples()
         .iter()

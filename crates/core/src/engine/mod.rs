@@ -56,7 +56,6 @@
 //! ```
 
 pub mod budget;
-pub(crate) mod cache;
 pub mod certain;
 pub mod filter;
 pub(crate) mod fmcs;
@@ -79,7 +78,6 @@ use crate::config::CpConfig;
 use crate::error::CrpError;
 use crate::oracle::{oracle_cp, oracle_cr, OracleCause};
 use crate::types::{Cause, CrpOutcome, RunStats};
-use cache::{ExplanationCache, ServeTrace};
 use certain::{run_certain, Lemma7ClosedForm, SubsetVerify};
 use crp_geom::{HyperRect, Point};
 use crp_rtree::{AtomicQueryStats, PackedRTree, QueryStats, RTree, RTreeParams};
@@ -266,12 +264,9 @@ pub struct ExplainEngine {
     object_tree: OnceLock<RTree<ObjectId>>,
     /// Point tree (CR filtering; certain data only).
     point_tree: OnceLock<RTree<ObjectId>>,
-    /// Node accesses, update-path work and cache events accumulated
-    /// across every explain/apply call (including parallel batches).
+    /// Node accesses and update-path work accumulated across every
+    /// explain/apply call (including parallel batches).
     io: AtomicQueryStats,
-    /// Memoised stage-1 rows and outcomes, invalidated geometrically by
-    /// [`ExplainEngine::apply`]. See [`cache`].
-    cache: ExplanationCache,
 }
 
 impl ExplainEngine {
@@ -286,7 +281,6 @@ impl ExplainEngine {
             object_tree: OnceLock::new(),
             point_tree: OnceLock::new(),
             io: AtomicQueryStats::new(),
-            cache: ExplanationCache::new(),
         })
     }
 
@@ -306,7 +300,6 @@ impl ExplainEngine {
             object_tree: OnceLock::new(),
             point_tree: OnceLock::new(),
             io: AtomicQueryStats::new(),
-            cache: ExplanationCache::new(),
         })
     }
 
@@ -320,9 +313,7 @@ impl ExplainEngine {
     /// node and an already-frozen packed image with this engine
     /// through `Arc`s, and a later [`apply`](Self::apply) copies only
     /// the object slot and tree nodes it writes. The I/O accumulator
-    /// and the explanation cache start fresh — each epoch gets its own
-    /// cache generation, so invalidation never reaches across
-    /// snapshots.
+    /// starts fresh.
     /// Explains against the fork are bit-identical to explains against
     /// the source at the moment of forking; this is the read-side half
     /// of the MVCC session ([`mvcc::MvccEngine`]).
@@ -333,7 +324,6 @@ impl ExplainEngine {
             object_tree: clone_slot(&self.object_tree),
             point_tree: clone_slot(&self.point_tree),
             io: AtomicQueryStats::new(),
-            cache: ExplanationCache::new(),
         }
     }
 
@@ -410,20 +400,16 @@ impl ExplainEngine {
         })
     }
 
-    /// Total node accesses, update-path work and cache events across
-    /// every explain/apply call so far (including parallel batches),
+    /// Total node accesses and update-path work across every
+    /// explain/apply call so far (including parallel batches),
     /// thread-safe.
     pub fn accumulated_io(&self) -> QueryStats {
-        let mut stats = self.io.snapshot();
-        stats.absorb(self.cache.stats());
-        stats
+        self.io.snapshot()
     }
 
     /// Resets the I/O accumulator, returning the totals so far.
     pub fn reset_io(&self) -> QueryStats {
-        let mut stats = self.io.take();
-        stats.absorb(self.cache.take_stats());
-        stats
+        self.io.take()
     }
 
     /// The dataset version this session currently serves: advanced by
@@ -435,18 +421,9 @@ impl ExplainEngine {
         }
     }
 
-    /// Live (row, outcome) entry counts of the explanation cache.
-    pub fn cache_len(&self) -> (usize, usize) {
-        self.cache.len()
-    }
-
     /// Applies one update to a discrete-sample session: mutates the
-    /// dataset, **incrementally patches** both R-trees (condense +
-    /// reinsert; never a bulk rebuild), and evicts exactly the cached
-    /// explanations the change could affect (entries whose candidate
-    /// region intersects the object's old/new MBR, entries for the
-    /// object itself, and — when the dataset's certainty may have
-    /// changed — every certain-strategy outcome).
+    /// dataset and **incrementally patches** both R-trees (condense +
+    /// reinsert; never a bulk rebuild).
     ///
     /// The packed image of the object tree is not rebuilt here: that
     /// happens once per published batch ([`ExplainEngine::refreeze`])
@@ -463,47 +440,38 @@ impl ExplainEngine {
                 reason: "discrete update applied to a pdf session".into(),
             });
         };
-        let was_certain = self.discrete().is_certain();
         let touched = update.id();
-        let mut regions: Vec<HyperRect> = Vec::with_capacity(2);
         match update {
             Update::Insert(obj) => {
                 let mbr = obj.mbr();
                 let certain_point = obj.is_certain().then(|| obj.certain_point().clone());
                 self.discrete_mut().push(obj).map_err(update_error)?;
-                self.patch_object_tree(None, Some((mbr.clone(), touched)));
+                self.patch_object_tree(None, Some((mbr, touched)));
                 self.patch_point_tree(None, certain_point.map(|p| (p, touched)));
                 self.io.absorb(QueryStats {
                     inserts: 1,
                     ..Default::default()
                 });
-                regions.push(mbr);
             }
             Update::Delete(id) => {
                 let old = self
                     .discrete_mut()
                     .remove(id)
                     .ok_or(CrpError::UnknownObject(id))?;
-                let old_mbr = old.mbr();
                 let old_point = old.is_certain().then(|| old.certain_point().clone());
-                self.patch_object_tree(Some((old_mbr.clone(), id)), None);
+                self.patch_object_tree(Some((old.mbr(), id)), None);
                 self.patch_point_tree(old_point.map(|p| (p, id)), None);
                 self.io.absorb(QueryStats {
                     removes: 1,
                     ..Default::default()
                 });
-                regions.push(old_mbr);
             }
             Update::Replace(obj) => {
                 let new_mbr = obj.mbr();
                 let new_point = obj.is_certain().then(|| obj.certain_point().clone());
                 let old = self.discrete_mut().replace(obj).map_err(update_error)?;
-                let old_mbr = old.mbr();
                 let old_point = old.is_certain().then(|| old.certain_point().clone());
-                self.patch_object_tree(
-                    Some((old_mbr.clone(), touched)),
-                    Some((new_mbr.clone(), touched)),
-                );
+                self.patch_object_tree(Some((old.mbr(), touched)), Some((new_mbr, touched)));
                 self.patch_point_tree(
                     old_point.map(|p| (p, touched)),
                     new_point.map(|p| (p, touched)),
@@ -513,12 +481,8 @@ impl ExplainEngine {
                     removes: 1,
                     ..Default::default()
                 });
-                regions.push(old_mbr);
-                regions.push(new_mbr);
             }
         }
-        let flush_certain = !(was_certain && self.discrete().is_certain());
-        self.cache.invalidate(touched, &regions, flush_certain);
         Ok(self.discrete().epoch())
     }
 
@@ -530,49 +494,41 @@ impl ExplainEngine {
             });
         };
         let touched = update.id();
-        let mut regions: Vec<HyperRect> = Vec::with_capacity(2);
         match update {
             Update::Insert(obj) => {
                 let region = obj.region().clone();
                 self.pdf_mut().push(obj).map_err(update_error)?;
-                self.patch_object_tree(None, Some((region.clone(), touched)));
+                self.patch_object_tree(None, Some((region, touched)));
                 self.io.absorb(QueryStats {
                     inserts: 1,
                     ..Default::default()
                 });
-                regions.push(region);
             }
             Update::Delete(id) => {
                 let old = self
                     .pdf_mut()
                     .remove(id)
                     .ok_or(CrpError::UnknownObject(id))?;
-                let old_region = old.region().clone();
-                self.patch_object_tree(Some((old_region.clone(), id)), None);
+                self.patch_object_tree(Some((old.region().clone(), id)), None);
                 self.io.absorb(QueryStats {
                     removes: 1,
                     ..Default::default()
                 });
-                regions.push(old_region);
             }
             Update::Replace(obj) => {
                 let new_region = obj.region().clone();
                 let old = self.pdf_mut().replace(obj).map_err(update_error)?;
-                let old_region = old.region().clone();
                 self.patch_object_tree(
-                    Some((old_region.clone(), touched)),
-                    Some((new_region.clone(), touched)),
+                    Some((old.region().clone(), touched)),
+                    Some((new_region, touched)),
                 );
                 self.io.absorb(QueryStats {
                     inserts: 1,
                     removes: 1,
                     ..Default::default()
                 });
-                regions.push(old_region);
-                regions.push(new_region);
             }
         }
-        self.cache.invalidate(touched, &regions, false);
         Ok(self.pdf().epoch())
     }
 
@@ -862,40 +818,20 @@ impl ExplainEngine {
         let strategy = self.resolve(strategy);
         match &self.data {
             Workload::Discrete(ds) => match strategy {
-                ExplainStrategy::Cp => self.cached_cp_discrete(ds, q, an, alpha, cp),
+                ExplainStrategy::Cp => self.run_indexed(ds, q, an, alpha, cp),
                 ExplainStrategy::CpUnindexed => {
                     pipeline::run_probabilistic(ds, q, an, alpha, cp, &ScanFilter, Some(&self.io))
                 }
                 ExplainStrategy::NaiveI { max_subsets } => {
-                    let config = CpConfig {
-                        max_subsets,
-                        ..CpConfig::naive()
-                    };
-                    pipeline::run_probabilistic(
-                        ds,
-                        q,
-                        an,
-                        alpha,
-                        &config,
-                        &SampleWindowFilter::new(self.packed(self.guarded_object_tree(ds)?)),
-                        Some(&self.io),
-                    )
+                    self.run_indexed(ds, q, an, alpha, &naive_config(max_subsets))
                 }
-                ExplainStrategy::Cr => {
-                    self.cached_certain(ds, strategy, q, alpha, an, cp, &Lemma7ClosedForm { k: 0 })
-                }
+                ExplainStrategy::Cr => self.explain_certain(ds, q, an, &Lemma7ClosedForm { k: 0 }),
                 ExplainStrategy::CrKskyband { k } => {
-                    self.cached_certain(ds, strategy, q, alpha, an, cp, &Lemma7ClosedForm { k })
+                    self.explain_certain(ds, q, an, &Lemma7ClosedForm { k })
                 }
-                ExplainStrategy::NaiveII { max_subsets } => self.cached_certain(
-                    ds,
-                    strategy,
-                    q,
-                    alpha,
-                    an,
-                    cp,
-                    &SubsetVerify { max_subsets },
-                ),
+                ExplainStrategy::NaiveII { max_subsets } => {
+                    self.explain_certain(ds, q, an, &SubsetVerify { max_subsets })
+                }
                 ExplainStrategy::OracleCp => {
                     oracle_cp(ds, q, an, alpha).map(|causes| oracle_outcome(ds, causes))
                 }
@@ -905,22 +841,9 @@ impl ExplainEngine {
                 ExplainStrategy::Auto => unreachable!("resolved above"),
             },
             Workload::Pdf { ds, resolution } => match strategy {
-                ExplainStrategy::Cp => self.cached_cp_pdf(ds, q, an, alpha, *resolution, cp),
+                ExplainStrategy::Cp => self.run_indexed_pdf(ds, q, an, alpha, *resolution, cp),
                 ExplainStrategy::NaiveI { max_subsets } => {
-                    let config = CpConfig {
-                        max_subsets,
-                        ..CpConfig::naive()
-                    };
-                    pipeline::run_pdf(
-                        ds,
-                        self.packed(self.guarded_pdf_tree(ds)?),
-                        q,
-                        an,
-                        alpha,
-                        *resolution,
-                        &config,
-                        Some(&self.io),
-                    )
+                    self.run_indexed_pdf(ds, q, an, alpha, *resolution, &naive_config(max_subsets))
                 }
                 other => Err(CrpError::UnsupportedStrategy {
                     strategy: other.name(),
@@ -930,15 +853,11 @@ impl ExplainEngine {
         }
     }
 
-    /// The indexed CP path with the explanation cache in front of it:
-    /// outcome hit → return; row hit → re-run only the α-dependent
-    /// refinement over the memoised matrix; miss → full pipeline, then
-    /// populate both layers. Served results are identical to a fresh
-    /// computation (the cached rows carry their original traversal
-    /// stats, and refinement is deterministic). The protocol body is
-    /// [`cache::serve_cp_discrete`] — the single seam shared with the
-    /// plan executor.
-    fn cached_cp_discrete(
+    /// The indexed probabilistic pipeline (CP, or Naive-I through its
+    /// lemma switches) over the packed object tree. Validation runs
+    /// before the index is touched, so errors keep their precedence:
+    /// α, then an empty dataset, then an unknown id.
+    fn run_indexed(
         &self,
         ds: &UncertainDataset,
         q: &Point,
@@ -946,25 +865,13 @@ impl ExplainEngine {
         alpha: f64,
         cp: &CpConfig,
     ) -> Result<CrpOutcome, CrpError> {
-        crate::matrix::with_scratch(|scratch| {
-            cache::serve_cp_discrete(
-                &self.cache,
-                &self.io,
-                ds,
-                q,
-                an,
-                alpha,
-                cp,
-                &mut ServeTrace::default(),
-                scratch,
-                |an_pos, stats| self.fresh_stage1_discrete(q, an_pos, stats),
-            )
-        })
+        pipeline::validate(ds, q, an, alpha)?;
+        let filter = SampleWindowFilter::new(self.packed(self.object_tree()));
+        pipeline::run_probabilistic(ds, q, an, alpha, cp, &filter, Some(&self.io))
     }
 
-    /// The pdf CP path with the same two-layer cache as
-    /// [`ExplainEngine::cached_cp_discrete`].
-    fn cached_cp_pdf(
+    /// [`ExplainEngine::run_indexed`] for continuous-pdf sessions.
+    fn run_indexed_pdf(
         &self,
         ds: &PdfDataset,
         q: &Point,
@@ -973,65 +880,27 @@ impl ExplainEngine {
         resolution: usize,
         cp: &CpConfig,
     ) -> Result<CrpOutcome, CrpError> {
-        crate::matrix::with_scratch(|scratch| {
-            cache::serve_cp_pdf(
-                &self.cache,
-                &self.io,
-                ds,
-                q,
-                an,
-                alpha,
-                cp,
-                &mut ServeTrace::default(),
-                scratch,
-                |_windows, stats| self.fresh_stage1_pdf(q, an, resolution, stats),
-            )
-        })
+        pipeline::validate_pdf(ds, an, alpha)?;
+        let tree = self.packed(self.object_tree());
+        pipeline::run_pdf(ds, tree, q, an, alpha, resolution, cp, Some(&self.io))
     }
 
-    /// The certain-data strategies behind the outcome cache. Entries
-    /// are flagged `certain` so updates that may change the dataset's
-    /// global certainty flush them; within a certain dataset the
-    /// dominance window of `(an, q)` is the full dependence region.
-    #[allow(clippy::too_many_arguments)]
-    fn cached_certain(
+    /// The certain-data strategies over the point tree.
+    fn explain_certain(
         &self,
         ds: &UncertainDataset,
-        strategy: ExplainStrategy,
         q: &Point,
-        alpha: f64,
         an: ObjectId,
-        cp: &CpConfig,
         search: &dyn certain::CertainSearch,
     ) -> Result<CrpOutcome, CrpError> {
-        // Preconditions first: failing calls stay uncached (and must
-        // not consult the cache, whose entries assume they hold).
-        if ds.is_empty() || !ds.is_certain() || ds.index_of(an).is_none() {
-            return run_certain(
-                ds,
-                self.guarded_point_tree(ds)?,
-                q,
-                an,
-                search,
-                Some(&self.io),
-            );
-        }
-        if let Some(hit) = self.cache.lookup_outcome(an, q, alpha, strategy, cp) {
-            return hit;
-        }
-        let an_point = ds.get(an).expect("checked above").certain_point();
-        let region = crp_geom::dominance_rect(an_point, q);
-        let result = run_certain(
+        run_certain(
             ds,
             self.guarded_point_tree(ds)?,
             q,
             an,
             search,
             Some(&self.io),
-        );
-        self.cache
-            .store_outcome(an, q, alpha, strategy, cp, region, true, &result);
-        result
+        )
     }
 
     /// The pdf region tree, with empty datasets surfaced as the
@@ -1131,11 +1000,6 @@ impl ExplainEngine {
     /// per-explain `QueryStats` — stay bit-identical to unfused
     /// execution; only the *physical* node reads shrink, which the
     /// `filter_sweep` bench measures. `None` when the dataset is empty.
-    ///
-    /// The pre-pass is eager: a unit later served from the session
-    /// cache wastes its share of the descent. That trade is accepted —
-    /// cold plans (the planner's main workload) fuse fully, and the
-    /// wasted share on warm plans is one already-shared descent.
     fn fused_unit_hits(
         &self,
         groups: &[plan::FusedGroup],
@@ -1240,6 +1104,15 @@ fn patch_point_tree_slot(
         insert.map(|(p, id)| (HyperRect::from_point(&p), id)),
     );
     patch_rect_tree(slot, remove, insert, io);
+}
+
+/// The lemma configuration of the Naive-I baseline: CP's filter, every
+/// refinement lemma disabled, an optional subset budget.
+fn naive_config(max_subsets: Option<u64>) -> CpConfig {
+    CpConfig {
+        max_subsets,
+        ..CpConfig::naive()
+    }
 }
 
 /// Converts the oracle's position-level causes into the engine's
@@ -1497,7 +1370,6 @@ mod tests {
         let io = engine.accumulated_io();
         assert_eq!(io.inserts, 2, "insert + replace");
         assert_eq!(io.removes, 2, "delete + replace");
-        assert!(io.cache_evictions > 0, "updates evicted cached entries");
         // The three applies only invalidated the packed image (the
         // object tree was warm before the first apply; the point tree
         // is never built for this uncertain fixture): the one explain
@@ -1527,101 +1399,42 @@ mod tests {
     }
 
     #[test]
-    fn alpha_sweep_hits_the_row_cache() {
-        let engine = ExplainEngine::new(uncertain_fixture(), EngineConfig::with_alpha(0.75))
-            .expect("valid engine config");
+    fn alpha_sweep_pays_one_traversal() {
         let q = pt(5.0, 5.0);
-        let first = engine
-            .explain_as(ExplainStrategy::Cp, &q, 0.75, ObjectId(0))
-            .unwrap();
-        let paid = engine.accumulated_io().node_accesses;
-        assert!(paid > 0);
-        // Different α over the same non-answer: stage 1 is served from
-        // the row cache — no further node accesses — and the outcome
-        // stats still replay the original traversal cost.
-        let swept = engine
-            .explain_as(ExplainStrategy::Cp, &q, 0.25, ObjectId(0))
-            .unwrap();
-        assert_eq!(engine.accumulated_io().node_accesses, paid);
-        assert_eq!(
-            swept.stats.query.node_accesses,
-            first.stats.query.node_accesses
-        );
-        assert_eq!(
-            swept.stats.query.leaf_accesses,
-            first.stats.query.leaf_accesses
-        );
-        // The refinement re-ran at the new α: its evaluator taps are
-        // per-call counters, not replayed traversal.
-        assert!(swept.stats.query.eval_fast + swept.stats.query.eval_slow > 0);
-        // Identical request: outcome cache, bit-identical result.
-        let repeat = engine
-            .explain_as(ExplainStrategy::Cp, &q, 0.75, ObjectId(0))
-            .unwrap();
-        assert_eq!(repeat, first);
-        let io = engine.accumulated_io();
-        assert!(io.cache_hits >= 2, "row hit + outcome hit, got {io:?}");
-        let (rows, outcomes) = engine.cache_len();
-        assert_eq!(rows, 1);
-        assert_eq!(outcomes, 2);
-    }
-
-    #[test]
-    fn invalidated_explains_coalesce_on_one_computation() {
-        // The first-reader stampede: after an update invalidates the
-        // cache, many concurrent explains for the same (an, q, α) must
-        // coalesce on a single pipeline computation (one traversal, one
-        // eval burst) instead of all recomputing.
-        let q = pt(5.0, 5.0);
-        let make = || {
-            let mut engine =
-                ExplainEngine::new(uncertain_fixture(), EngineConfig::with_alpha(0.75))
-                    .expect("valid engine config");
-            let _ = engine.explain(&q, ObjectId(0)).unwrap(); // warm the cache
-            engine
-                .apply(Update::Insert(UncertainObject::certain(
-                    ObjectId(9),
-                    pt(6.5, 6.5),
-                )))
-                .unwrap();
-            engine.reset_io();
-            engine
+        let alphas = [0.25, 0.5, 0.75, 0.9];
+        let fresh = || {
+            ExplainEngine::new(uncertain_fixture(), EngineConfig::with_alpha(0.75))
+                .expect("valid engine config")
         };
+        let solo_io = {
+            let engine = fresh();
+            engine.explain(&q, ObjectId(0)).unwrap();
+            engine.accumulated_io().node_accesses
+        };
+        assert!(solo_io > 0);
 
-        // Reference: what exactly one fresh post-invalidation explain
-        // pays (traversal + the single eval_fast/eval_slow burst).
-        let solo = make();
-        let baseline = solo.explain(&q, ObjectId(0)).unwrap();
-        let one_burst = solo.accumulated_io();
-        assert!(
-            one_burst.node_accesses > 0,
-            "fresh explain pays a traversal"
-        );
-        assert!(
-            baseline.stats.query.eval_fast + baseline.stats.query.eval_slow > 0,
-            "refinement ran"
-        );
+        // Four α over one non-answer: one stage-1 unit, one traversal.
+        let engine = fresh();
+        let report = engine
+            .run(&[ExplainRequest::alpha_sweep(&q, ObjectId(0), alphas)
+                .with_strategy(ExplainStrategy::Cp)]);
+        assert_eq!(report.counters.stage1_units, 1);
+        assert_eq!(report.counters.stage1_traversals, 1);
+        assert_eq!(engine.accumulated_io().node_accesses, solo_io);
 
-        // Eight concurrent explains against one invalidated session.
-        let shared = make();
-        let outcomes: Vec<CrpOutcome> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| shared.explain(&q, ObjectId(0)).unwrap()))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // Every thread sees the leader's outcome, bit-identical down to
-        // the replayed traversal cost and evaluator taps.
-        for out in &outcomes {
-            assert_eq!(*out, baseline);
+        // Every α is bit-identical to a fresh engine's solo explain,
+        // stats included: each task's `stats.query` starts from the
+        // unit's traversal, then adds its own refinement taps.
+        for (alpha, swept) in alphas.iter().zip(&report.results) {
+            let solo = fresh().explain_configured(
+                ExplainStrategy::Cp,
+                &q,
+                *alpha,
+                ObjectId(0),
+                &CpConfig::default(),
+            );
+            assert_eq!(swept, &solo, "α = {alpha}");
         }
-        let io = shared.accumulated_io();
-        // Exactly one burst was paid: the session totals show a single
-        // fresh traversal, not eight.
-        assert_eq!(io.node_accesses, one_burst.node_accesses);
-        // The other seven explains were served from the outcome layer
-        // (waiting out the leader, or hitting the cache outright).
-        assert_eq!(io.cache_hits, 7, "got {io:?}");
     }
 
     #[test]

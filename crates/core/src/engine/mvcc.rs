@@ -11,10 +11,10 @@
 //!   [forks](super::ExplainEngine::fork) an immutable snapshot of the
 //!   post-batch state and publishes it. The fork shares the dataset's
 //!   objects, the R-tree nodes and the fresh packed image with the
-//!   writer through `Arc`s and starts a fresh cache generation, so a
-//!   publish copies handles rather than data (plus the one image
-//!   rebuild), and the writer's next batch copies only the object
-//!   slots and root-to-leaf tree paths it touches.
+//!   writer through `Arc`s, so a publish copies handles rather than
+//!   data (plus the one image rebuild), and the writer's next batch
+//!   copies only the object slots and root-to-leaf tree paths it
+//!   touches.
 //! * **Publication** is `ArcSwap`-style: the current snapshot lives in
 //!   an `RwLock<Arc<_>>` whose lock scope is a pointer clone (readers)
 //!   or a pointer store (writer) — readers never block behind a batch,

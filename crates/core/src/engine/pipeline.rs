@@ -119,9 +119,9 @@ pub(crate) fn validate(
 /// cause **ids** (in the pipeline's canonical order — ascending dataset
 /// position at computation time) and the dominance matrix whose rows
 /// follow that order. Everything the α-dependent stages 2–3 consume;
-/// what the engine's explanation cache stores per `(an, q)` so an
-/// α-sweep re-runs only refinement.
-#[derive(Clone, Debug)]
+/// what a plan unit computes once per `(an, q)` and lends to each of
+/// its tasks, so an α-sweep re-runs only refinement.
+#[derive(Debug)]
 pub(crate) struct StageOne {
     pub ids: Vec<ObjectId>,
     pub matrix: DominanceMatrix,

@@ -12,12 +12,12 @@
 //!    with optional strategy/lemma-config overrides),
 //! 2. **Plan** — the planner compiles one or more requests into
 //!    *stage-1 work units*, deduplicated across the whole workload:
-//!    one dominance-row computation per distinct `(an, q)` (α-sweeps
-//!    share it through the session row cache), and — the cross-query
-//!    rule — a unit whose filter-window bounding box is **contained**
-//!    in another unit's box for the same `an` is *derived* from the
-//!    larger unit's coverage list instead of paying its own R-tree
-//!    traversal,
+//!    one dominance-row computation per distinct `(an, q)`, which the
+//!    unit hands to each of its tasks (an α-sweep pays one traversal),
+//!    and — the cross-query rule — a unit whose filter-window bounding
+//!    box is **contained** in another unit's box for the same `an` is
+//!    *derived* from the larger unit's coverage list instead of paying
+//!    its own R-tree traversal,
 //! 3. **Execute** — the executor drives the plan over the
 //!    [`ExplainEngine`], rayon-parallel across units exactly like the
 //!    legacy batch paths, and returns a [`PlanReport`] with per-plan
@@ -29,14 +29,13 @@
 //! probability w.r.t. some sample of `an` (Lemmas 1–2). Such an object
 //! has a sample strictly inside one of the per-sample filter windows,
 //! so its MBR intersects the windows' bounding box (the *candidate
-//! region* the explanation cache also keys on). If the candidate
-//! region of `(an, q')` is contained in the candidate region of
-//! `(an, q)`, every stage-1 candidate of `q'` therefore appears in the
-//! **coverage list** of `q` — all objects whose MBR intersects `q`'s
-//! region, collected by one single-window traversal. Re-running only
-//! the exact Lemma 2 test (and the matrix build, which genuinely
-//! depends on `q'`) over that list reproduces the traversal's
-//! candidate set bit-for-bit at zero node accesses. The
+//! region*). If the candidate region of `(an, q')` is contained in the
+//! candidate region of `(an, q)`, every stage-1 candidate of `q'`
+//! therefore appears in the **coverage list** of `q` — all objects
+//! whose MBR intersects `q`'s region, collected by one single-window
+//! traversal. Re-running only the exact Lemma 2 test (and the matrix
+//! build, which genuinely depends on `q'`) over that list reproduces
+//! the traversal's candidate set bit-for-bit at zero node accesses. The
 //! engine-agreement property tests pin this equivalence; the
 //! `plan_sweep` bench measures what it saves.
 //!
@@ -48,14 +47,13 @@
 //! [`ExplainEngine`]: super::ExplainEngine
 
 use super::budget::{self, Cancel, PlanLimits};
-use super::cache::{self, ServeTrace};
 use super::filter;
 use super::merge;
 use super::pipeline::{self, StageOne};
 use super::{ExplainEngine, ExplainStrategy, Workload};
 use crate::config::CpConfig;
 use crate::error::CrpError;
-use crate::matrix::{with_scratch, DominanceMatrix, Scratch};
+use crate::matrix::{with_scratch, DominanceMatrix};
 use crate::types::{CrpOutcome, RunStats};
 use crp_geom::{HyperRect, Point};
 use crp_rtree::QueryStats;
@@ -240,7 +238,7 @@ impl ExplainRequest {
 }
 
 /// Per-plan execution counters: how much stage-1 work the planner
-/// found, shared, derived, or served from the session cache.
+/// found, shared or derived.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCounters {
     /// Explain cells across every request (`Σ` queries × objects × α).
@@ -257,29 +255,24 @@ pub struct PlanCounters {
     /// Units computed from a containing unit's coverage list instead
     /// of their own traversal (the cross-query dedup).
     pub stage1_derived: usize,
-    /// Units served entirely from the session cache (row or outcome
-    /// layer) without any stage-1 computation.
+    /// Always 0: there is no session cache. Kept for the benchmark
+    /// harness, which still reads it.
     pub stage1_cache_served: usize,
     /// Units that paid a filter traversal of the index.
     pub stage1_traversals: usize,
-    /// CP tasks answered straight from the outcome cache.
-    pub outcome_cache_hits: usize,
 }
 
 impl fmt::Display for PlanCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} task(s) → {} stage-1 unit(s): {} traversal(s), {} derived by containment, \
-             {} cache-served; {} task(s) shared a unit's rows; {} outcome-cache hit(s); \
-             {} per-call task(s)",
+            "{} task(s) → {} stage-1 unit(s): {} traversal(s), {} derived by containment; \
+             {} task(s) shared a unit's rows; {} per-call task(s)",
             self.tasks,
             self.stage1_units,
             self.stage1_traversals,
             self.stage1_derived,
-            self.stage1_cache_served,
             self.stage1_shared_tasks,
-            self.outcome_cache_hits,
             self.per_call_tasks
         )
     }
@@ -386,13 +379,11 @@ struct Unit {
     tasks: Vec<usize>,
 }
 
-/// Aggregated execution flags of one unit.
+/// How one unit obtained its stage 1.
 #[derive(Clone, Copy, Default)]
 struct UnitFlags {
     traversed: bool,
     derived: bool,
-    rows_or_outcome_hit: bool,
-    outcome_hits: usize,
 }
 
 /// The compiled plan: deduplicated queries, expanded tasks, linked
@@ -404,8 +395,8 @@ struct Plan {
     serial_forced: bool,
 }
 
-/// Bit-exact hash key for a query point (planning, like the cache,
-/// treats queries as exact coordinate vectors).
+/// Bit-exact hash key for a query point (planning treats queries as
+/// exact coordinate vectors).
 fn qbits(q: &Point) -> Vec<u64> {
     q.coords().iter().map(|c| c.to_bits()).collect()
 }
@@ -613,8 +604,8 @@ fn unit_stage1_discrete(
             flags.derived = true;
             return Ok(stage1_discrete_from_coverage(ds, q, an_pos, cov));
         }
-        // Parent rows came from the session cache (or failed): fall
-        // through to this unit's own computation.
+        // The parent failed or was cancelled before its traversal:
+        // fall through to this unit's own computation.
     }
     flags.traversed = true;
     if let Some((hits, qs)) = &fused[ui] {
@@ -694,10 +685,69 @@ fn unit_stage1_pdf(
     engine.fresh_stage1_pdf(q, an, resolution, stats)
 }
 
-/// Runs every task of one unit (first task computes or fetches the
-/// rows, the rest share them through the session row cache), filling
-/// `results` and returning the unit's execution flags.
-#[allow(clippy::too_many_arguments)]
+/// The stage 1 of one unit: candidate ids and dominance matrix, plus
+/// the traversal cost that computing them paid.
+type UnitRows = Result<(StageOne, QueryStats), CrpError>;
+
+/// Computes one unit's stage 1 for an already-validated non-answer —
+/// derived, fused or traversed (see [`unit_stage1_discrete`]) — and
+/// folds the traversal it paid into the session I/O once.
+fn unit_rows(
+    engine: &ExplainEngine,
+    plan: &Plan,
+    ui: usize,
+    coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
+    fused: &[Option<(Vec<ObjectId>, QueryStats)>],
+    flags: &mut UnitFlags,
+) -> UnitRows {
+    let unit = &plan.units[ui];
+    let q = &plan.qtable[unit.q];
+    let mut stats = RunStats::default();
+    let stage1 = match &engine.data {
+        Workload::Discrete(ds) => {
+            let an_pos = ds.index_of(unit.an).expect("validated by the caller");
+            unit_stage1_discrete(
+                engine,
+                &plan.units,
+                ui,
+                coverage,
+                fused,
+                ds,
+                q,
+                an_pos,
+                &mut stats,
+                flags,
+            )
+        }
+        Workload::Pdf { ds, resolution } => {
+            let an = ds.get(unit.an).expect("validated by the caller");
+            let windows = crate::pdf::pdf_windows(q, an.region());
+            unit_stage1_pdf(
+                engine,
+                &plan.units,
+                ui,
+                coverage,
+                fused,
+                ds,
+                q,
+                *resolution,
+                &windows,
+                &mut stats,
+                flags,
+            )
+        }
+    }?;
+    engine.io.absorb(stats.query);
+    Ok((stage1, stats.query))
+}
+
+/// Runs every task of one unit: each task is validated on its own (α,
+/// then an empty dataset, then an unknown id — the per-call
+/// precedence), the first valid one computes the unit's stage 1, and
+/// every valid task refines over those same rows. Each task's
+/// `stats.query` starts from the unit's traversal cost, so its outcome
+/// is bit-identical to a solo explain. Fills `results` and returns the
+/// unit's execution flags.
 fn run_unit(
     engine: &ExplainEngine,
     plan: &Plan,
@@ -710,6 +760,7 @@ fn run_unit(
     let mut flags = UnitFlags::default();
     let unit = &plan.units[ui];
     let q = &plan.qtable[unit.q];
+    let mut rows: Option<UnitRows> = None;
     // Install the plan's budget handle on *this* thread (rayon workers
     // included) so the pipeline and FMCS loops below can poll it.
     budget::with_cancel(cancel, || {
@@ -724,16 +775,27 @@ fn run_unit(
                     }
                 }
                 let task = &plan.tasks[ti];
-                let mut trace = ServeTrace::default();
-                let outcome = run_cp_task(
-                    engine, plan, ui, task, q, coverage, fused, scratch, &mut trace, &mut flags,
-                );
-                if trace.outcome_hit {
-                    flags.outcome_hits += 1;
-                }
-                if trace.outcome_hit || trace.rows_hit {
-                    flags.rows_or_outcome_hit = true;
-                }
+                let outcome = validate_task(&engine.data, q, task).and_then(|()| {
+                    let (stage1, query) = rows
+                        .get_or_insert_with(|| {
+                            unit_rows(engine, plan, ui, coverage, fused, &mut flags)
+                        })
+                        .as_ref()
+                        .map_err(Clone::clone)?;
+                    let mut stats = RunStats {
+                        query: *query,
+                        ..RunStats::default()
+                    };
+                    pipeline::finish(
+                        &stage1.matrix,
+                        task.alpha,
+                        &task.cp,
+                        &mut stats,
+                        scratch,
+                        |c| stage1.ids[c],
+                    )
+                    .map(|causes| CrpOutcome { causes, stats })
+                });
                 let finished = !matches!(outcome, Err(CrpError::Partial(_)));
                 results[ti]
                     .set(outcome)
@@ -749,73 +811,11 @@ fn run_unit(
     flags
 }
 
-/// One CP task through the shared cache seam, with the unit-appropriate
-/// fresh-stage-1 closure.
-#[allow(clippy::too_many_arguments)]
-fn run_cp_task(
-    engine: &ExplainEngine,
-    plan: &Plan,
-    ui: usize,
-    task: &Task,
-    q: &Point,
-    coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
-    fused: &[Option<(Vec<ObjectId>, QueryStats)>],
-    scratch: &mut Scratch,
-    trace: &mut ServeTrace,
-    flags: &mut UnitFlags,
-) -> Result<CrpOutcome, CrpError> {
-    match &engine.data {
-        Workload::Discrete(ds) => cache::serve_cp_discrete(
-            &engine.cache,
-            &engine.io,
-            ds,
-            q,
-            task.an,
-            task.alpha,
-            &task.cp,
-            trace,
-            scratch,
-            |an_pos, stats| {
-                unit_stage1_discrete(
-                    engine,
-                    &plan.units,
-                    ui,
-                    coverage,
-                    fused,
-                    ds,
-                    q,
-                    an_pos,
-                    stats,
-                    flags,
-                )
-            },
-        ),
-        Workload::Pdf { ds, resolution } => cache::serve_cp_pdf(
-            &engine.cache,
-            &engine.io,
-            ds,
-            q,
-            task.an,
-            task.alpha,
-            &task.cp,
-            trace,
-            scratch,
-            |windows, stats| {
-                unit_stage1_pdf(
-                    engine,
-                    &plan.units,
-                    ui,
-                    coverage,
-                    fused,
-                    ds,
-                    q,
-                    *resolution,
-                    windows,
-                    stats,
-                    flags,
-                )
-            },
-        ),
+/// The per-call input checks of one CP task, in their precedence.
+fn validate_task(workload: &Workload, q: &Point, task: &Task) -> Result<(), CrpError> {
+    match workload {
+        Workload::Discrete(ds) => pipeline::validate(ds, q, task.an, task.alpha).map(drop),
+        Workload::Pdf { ds, .. } => pipeline::validate_pdf(ds, task.an, task.alpha),
     }
 }
 
@@ -953,15 +953,11 @@ pub(crate) fn execute(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Pl
     counters.stage1_tasks = counters.tasks - counters.per_call_tasks;
     counters.stage1_shared_tasks = counters.stage1_tasks - counters.stage1_units;
     for (_, flags) in &unit_flags {
-        counters.outcome_cache_hits += flags.outcome_hits;
         if flags.derived {
             counters.stage1_derived += 1;
         }
         if flags.traversed {
             counters.stage1_traversals += 1;
-        }
-        if !flags.derived && !flags.traversed && flags.rows_or_outcome_hit {
-            counters.stage1_cache_served += 1;
         }
     }
 

@@ -355,8 +355,7 @@ mod tests {
         assert_eq!(window.per_request[2].len(), 2);
         assert_eq!(window.epoch, ExplainSession::epoch(&engine));
 
-        // Bit-identical to each request run alone (fresh engine so the
-        // outcome cache can't mask a mismatch).
+        // Bit-identical to each request run alone on a fresh engine.
         let solo = fixture_engine();
         for (req, via_window) in requests.iter().zip(&window.per_request) {
             let alone = solo.run(std::slice::from_ref(req)).results;

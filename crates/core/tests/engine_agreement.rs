@@ -131,8 +131,8 @@ fn pdf_dataset(dim: usize) -> impl Strategy<Value = PdfDataset> {
 
 /// Asserts one outcome equals a reference: bit-identical causes and
 /// error cases, and equal search counters. Node accesses are left out:
-/// they legitimately differ between a warm session (cached rows replay
-/// their original traversal) and a fresh one.
+/// they legitimately differ between an incrementally patched tree and
+/// a freshly bulk-loaded one.
 fn assert_outcomes_match(
     reference: &Result<CrpOutcome, CrpError>,
     got: Result<CrpOutcome, CrpError>,
@@ -289,8 +289,9 @@ use crp_core::Update;
 use crp_uncertain::UncertainError;
 
 /// One step of a live-session workload: a dataset mutation or an
-/// explain request interleaved between mutations (which exercises the
-/// explanation cache's populate → invalidate → re-populate cycle).
+/// explain request interleaved between mutations (which exercises
+/// explains over a tree patched in place and a lazily rebuilt packed
+/// image).
 #[derive(Clone, Debug)]
 enum LiveOp {
     /// Insert a fresh object with these samples.
@@ -355,9 +356,9 @@ proptest! {
                     ))
                 }
                 LiveOp::Explain(sel) if !live.is_empty() => {
-                    // Mid-stream explain: exercises the cache between
-                    // invalidations; answers must match a fresh engine
-                    // built on the current dataset.
+                    // Mid-stream explain between mutations; answers
+                    // must match a fresh engine built on the current
+                    // dataset.
                     let an = live[sel % live.len()];
                     let fresh = ExplainEngine::new(
                         UncertainDataset::from_objects(single.dataset().iter().cloned())
@@ -400,12 +401,11 @@ proptest! {
                 )?;
             }
         }
-        // A second pass over the same questions is served from the
-        // cache and must stay identical.
+        // A second pass over the same questions must stay identical.
         let reference = fresh.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
-        let cached = single.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
-        for ((&an, reference), got) in ids.iter().zip(&reference).zip(cached) {
-            assert_outcomes_match(reference, got, &format!("cached repeat, an = {an}"))?;
+        let repeat = single.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
+        for ((&an, reference), got) in ids.iter().zip(&reference).zip(repeat) {
+            assert_outcomes_match(reference, got, &format!("repeat, an = {an}"))?;
         }
     }
 
@@ -417,8 +417,8 @@ proptest! {
     ) {
         // Auto strategy: resolves to CR while the dataset stays
         // certain and flips to CP the moment a multi-sample object
-        // arrives — exactly the certainty transition the cache must
-        // flush on.
+        // arrives — exactly the certainty transition that drops the
+        // point tree.
         let config = EngineConfig::default();
         let mut single = ExplainEngine::new(ds.clone(), config).expect("valid config");
         let mut next_id = ds.iter().map(|o| o.id().0).max().unwrap_or(0) + 1;
@@ -468,8 +468,8 @@ proptest! {
         for an in fresh.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
             let reference = fresh.explain(&q, an);
             assert_outcomes_match(&reference, single.explain(&q, an), "auto final")?;
-            // Twice: the second answer comes from the outcome cache.
-            assert_outcomes_match(&reference, single.explain(&q, an), "auto final cached")?;
+            // Twice: a repeat must not drift.
+            assert_outcomes_match(&reference, single.explain(&q, an), "auto final repeat")?;
         }
     }
 
@@ -542,8 +542,8 @@ proptest! {
         for &an in &ids {
             let reference = fresh.explain(&q, an);
             assert_outcomes_match(&reference, single.explain(&q, an), "pdf final")?;
-            // Cached repeat.
-            assert_outcomes_match(&reference, single.explain(&q, an), "pdf final cached")?;
+            // Repeat.
+            assert_outcomes_match(&reference, single.explain(&q, an), "pdf final repeat")?;
         }
     }
 
@@ -728,7 +728,7 @@ proptest! {
             .map(|&an| reference.explain_direct(ExplainStrategy::Cp, &q, alpha, an, &cp))
             .collect();
 
-        // Warm the caches with a plan, mutate, re-plan.
+        // Plan (warming the packed image), mutate, re-plan.
         let mut engine = ExplainEngine::new(ds, config).expect("valid config");
         let _ = engine.run(std::slice::from_ref(&request));
         engine.apply(Update::Insert(obj)).expect("fresh id");

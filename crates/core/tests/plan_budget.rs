@@ -2,7 +2,7 @@
 //! [`CrpError::Partial`] — never a wrong or torn answer. Exhausted
 //! budgets surface as typed [`StopReason`]s with monotone progress
 //! counters, generous budgets are bit-identical to unbudgeted runs,
-//! and `Partial` outcomes never enter the session cache.
+//! and a starved plan leaves nothing behind that a rerun would replay.
 
 use crp_core::{
     CrpError, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, PlanLimits, StopReason,
@@ -74,8 +74,7 @@ fn subset_budget_trips_with_typed_reason_and_consistent_progress() {
         .sum();
     assert!(total_subsets > 0, "fixture examines no subsets — rework it");
 
-    // A fresh engine: the baseline above populated `engine`'s outcome
-    // cache, and cache hits legitimately cost no budget.
+    // A fresh engine, so this run is independent of the baseline.
     let report = fixture().run(&[request().with_subset_budget(0)]);
     let partials: Vec<_> = report.results.iter().filter_map(progress_of).collect();
     assert!(
@@ -120,8 +119,7 @@ fn node_budget_trips_during_stage1() {
 fn progress_is_monotone_in_the_budget() {
     let mut last_completed = 0u64;
     for budget in [0u64, 1, 10, 1_000, 1_000_000] {
-        // A fresh engine per budget keeps the runs independent (no
-        // outcome-cache carry-over between budget levels).
+        // A fresh engine per budget keeps the runs independent.
         let report = fixture().run(&[request().with_subset_budget(budget)]);
         let completed = report
             .results
@@ -152,8 +150,8 @@ fn generous_budgets_are_bit_identical_to_unbudgeted_runs() {
         max_node_accesses: Some(u64::MAX),
         max_subsets: Some(u64::MAX),
     };
-    // A fresh engine, so the budgeted run really executes instead of
-    // replaying the reference run's outcome cache.
+    // A fresh engine, so the budgeted run is independent of the
+    // reference run.
     let budgeted = fixture().run(&[request().with_limits(limits)]);
     assert_eq!(reference.results.len(), budgeted.results.len());
     for (want, got) in reference.results.iter().zip(&budgeted.results) {
@@ -178,8 +176,8 @@ fn partial_outcomes_are_never_cached() {
     let engine = fixture();
     let starved = engine.run(&[request().with_deadline_ms(0)]);
     assert!(starved.results.iter().all(|r| progress_of(r).is_some()));
-    // The same session must now answer in full: had the Partials been
-    // cached, the rerun would replay them.
+    // The same session must now answer in full: a starved run must
+    // not leave Partials behind for the rerun to replay.
     let rerun = engine.run(&[request()]);
     let fresh = fixture().run(&[request()]);
     for (got, want) in rerun.results.iter().zip(&fresh.results) {

@@ -15,7 +15,7 @@ use crp_geom::HyperRect;
 use std::cell::RefCell;
 
 /// Accumulates the I/O metric the paper reports — the number of tree
-/// nodes touched by queries — plus the maintenance and cache counters a
+/// nodes touched by queries — plus the maintenance counters a
 /// long-lived mutable session reports alongside it. Reset (or use a
 /// fresh value) per measurement.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -39,12 +39,6 @@ pub struct QueryStats {
     /// first reader of a mutated tree
     /// ([`RTree::frozen_counted`](crate::RTree::frozen_counted)).
     pub refreezes: u64,
-    /// Explanation-cache hits (row or outcome) of the engine session.
-    pub cache_hits: u64,
-    /// Explanation-cache misses of the engine session.
-    pub cache_misses: u64,
-    /// Explanation-cache entries evicted by update invalidation.
-    pub cache_evictions: u64,
     /// Contingency-condition classifications answered by the refine
     /// stage's fast evaluator (columnar product or incremental
     /// log-space delta) without an exact re-verification.
@@ -64,9 +58,6 @@ impl QueryStats {
         self.removes += other.removes;
         self.reinserts += other.reinserts;
         self.refreezes += other.refreezes;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
         self.eval_fast += other.eval_fast;
         self.eval_slow += other.eval_slow;
     }
@@ -439,14 +430,14 @@ mod tests {
             leaf_accesses: 2,
             inserts: 1,
             reinserts: 2,
-            cache_hits: 3,
+            refreezes: 3,
             ..Default::default()
         });
         assert_eq!(a.node_accesses, 7);
         assert_eq!(a.leaf_accesses, 3);
         assert_eq!(a.inserts, 1);
         assert_eq!(a.reinserts, 2);
-        assert_eq!(a.cache_hits, 3);
+        assert_eq!(a.refreezes, 3);
     }
 
     #[test]

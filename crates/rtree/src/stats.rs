@@ -5,16 +5,16 @@
 //! queries run concurrently — the `ExplainEngine`'s rayon batch mode —
 //! each worker accumulates into its own [`QueryStats`] and folds the
 //! result into a shared [`AtomicQueryStats`], so a long-lived engine can
-//! report total I/O (and, for mutable sessions, update-path and
-//! explanation-cache counters) across a parallel batch without locks.
+//! report total I/O (and, for mutable sessions, update-path counters)
+//! across a parallel batch without locks.
 
 use crate::query::QueryStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Shared counters, safe to fold into from many threads. Mirrors every
 /// field of [`QueryStats`]: node accesses, the incremental-maintenance
-/// counters (inserts / removes / reinserts) and the explanation-cache
-/// counters (hits / misses / evictions).
+/// counters (inserts / removes / reinserts / refreezes) and the refine
+/// stage's evaluator taps (fast / slow).
 #[derive(Debug, Default)]
 pub struct AtomicQueryStats {
     node_accesses: AtomicU64,
@@ -23,9 +23,6 @@ pub struct AtomicQueryStats {
     removes: AtomicU64,
     reinserts: AtomicU64,
     refreezes: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
     eval_fast: AtomicU64,
     eval_slow: AtomicU64,
 }
@@ -45,12 +42,6 @@ impl AtomicQueryStats {
         self.removes.fetch_add(stats.removes, Ordering::Relaxed);
         self.reinserts.fetch_add(stats.reinserts, Ordering::Relaxed);
         self.refreezes.fetch_add(stats.refreezes, Ordering::Relaxed);
-        self.cache_hits
-            .fetch_add(stats.cache_hits, Ordering::Relaxed);
-        self.cache_misses
-            .fetch_add(stats.cache_misses, Ordering::Relaxed);
-        self.cache_evictions
-            .fetch_add(stats.cache_evictions, Ordering::Relaxed);
         self.eval_fast.fetch_add(stats.eval_fast, Ordering::Relaxed);
         self.eval_slow.fetch_add(stats.eval_slow, Ordering::Relaxed);
     }
@@ -70,9 +61,6 @@ impl AtomicQueryStats {
             removes: self.removes.load(Ordering::Relaxed),
             reinserts: self.reinserts.load(Ordering::Relaxed),
             refreezes: self.refreezes.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             eval_fast: self.eval_fast.load(Ordering::Relaxed),
             eval_slow: self.eval_slow.load(Ordering::Relaxed),
         }
@@ -88,9 +76,6 @@ impl AtomicQueryStats {
             removes: self.removes.swap(0, Ordering::Relaxed),
             reinserts: self.reinserts.swap(0, Ordering::Relaxed),
             refreezes: self.refreezes.swap(0, Ordering::Relaxed),
-            cache_hits: self.cache_hits.swap(0, Ordering::Relaxed),
-            cache_misses: self.cache_misses.swap(0, Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.swap(0, Ordering::Relaxed),
             eval_fast: self.eval_fast.swap(0, Ordering::Relaxed),
             eval_slow: self.eval_slow.swap(0, Ordering::Relaxed),
         }
@@ -122,7 +107,7 @@ mod tests {
             node_accesses: 3,
             leaf_accesses: 1,
             inserts: 2,
-            cache_misses: 1,
+            eval_slow: 1,
             ..Default::default()
         });
         shared.absorb(QueryStats {
@@ -130,8 +115,8 @@ mod tests {
             leaf_accesses: 2,
             removes: 1,
             reinserts: 5,
-            cache_hits: 2,
-            cache_evictions: 3,
+            eval_fast: 2,
+            refreezes: 3,
             ..Default::default()
         });
         assert_eq!(
@@ -142,10 +127,9 @@ mod tests {
                 inserts: 2,
                 removes: 1,
                 reinserts: 5,
-                cache_hits: 2,
-                cache_misses: 1,
-                cache_evictions: 3,
-                ..Default::default()
+                refreezes: 3,
+                eval_fast: 2,
+                eval_slow: 1,
             }
         );
         let taken = shared.take();
@@ -164,7 +148,7 @@ mod tests {
                         shared.absorb(QueryStats {
                             node_accesses: 2,
                             leaf_accesses: 1,
-                            cache_hits: 1,
+                            eval_fast: 1,
                             ..Default::default()
                         });
                     }
@@ -174,7 +158,7 @@ mod tests {
         let snap = shared.snapshot();
         assert_eq!(snap.node_accesses, 16_000);
         assert_eq!(snap.leaf_accesses, 8_000);
-        assert_eq!(snap.cache_hits, 8_000);
+        assert_eq!(snap.eval_fast, 8_000);
     }
 
     #[test]
@@ -223,7 +207,7 @@ mod tests {
         let shared: AtomicQueryStats = QueryStats {
             node_accesses: 5,
             leaf_accesses: 4,
-            cache_evictions: 2,
+            refreezes: 2,
             ..Default::default()
         }
         .into();

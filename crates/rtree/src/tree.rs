@@ -1175,7 +1175,7 @@ mod tests {
         assert_eq!(tree.upkeep(), QueryStats::default());
         // Query-side fields are never touched by maintenance.
         assert_eq!(total.node_accesses, 0);
-        assert_eq!(total.cache_hits, 0);
+        assert_eq!(total.leaf_accesses, 0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Threading model (thread-per-core in spirit — no async runtime, no
 //! epoll; plain blocking `std::net` threads):
 //!
-//! * an **acceptor** polls a non-blocking listener and spawns one
-//!   reader thread per connection;
+//! * an **acceptor** polls a non-blocking listener, spawns one
+//!   reader thread per connection and reaps the threads of closed
+//!   ones;
 //! * each **reader** decodes frames, runs admission control inline
 //!   (pure [`crp_core::admission`] over an atomic queue-depth
 //!   counter), answers `hello`/`stats`/`candidates` immediately, and
@@ -226,15 +227,20 @@ impl Server {
                 let shared = Arc::new(shared);
                 let next_id = AtomicU64::new(0);
                 while !shutdown.load(Ordering::SeqCst) {
+                    reap_finished(&mut conns.lock().unwrap_or_else(|e| e.into_inner()));
                     match listener.accept() {
                         Ok((stream, _)) => {
                             let shared = Arc::clone(&shared);
                             let id = next_id.fetch_add(1, Ordering::Relaxed);
-                            let handle = std::thread::Builder::new()
+                            let spawned = std::thread::Builder::new()
                                 .name(format!("crp-serve-conn-{id}"))
-                                .spawn(move || reader_loop(stream, &shared))
-                                .expect("spawn connection thread");
-                            conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+                                .spawn(move || reader_loop(stream, &shared));
+                            // A failed spawn (thread or memory limits)
+                            // drops this one connection; the acceptor
+                            // keeps accepting.
+                            if let Ok(handle) = spawned {
+                                conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
+                            }
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
                         Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -304,6 +310,20 @@ impl Server {
             0,
             "queue fully drained"
         );
+    }
+}
+
+/// Joins and drops the handles of connection threads that have exited,
+/// so `conns` holds only live connections instead of every one ever
+/// accepted.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
     }
 }
 
@@ -706,5 +726,48 @@ fn run_window(
         });
         pending.fetch_sub(1, Ordering::SeqCst);
         stats.record_latency_us(job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::VolatileBackend;
+    use crp_core::{EngineConfig, ExplainEngine};
+    use crp_uncertain::UncertainDataset;
+
+    #[test]
+    fn closed_connections_release_their_handles() {
+        let ds =
+            UncertainDataset::from_points(vec![Point::from([10.0, 10.0]), Point::from([7.0, 7.0])])
+                .unwrap();
+        let engine = ExplainEngine::new(ds, EngineConfig::default()).unwrap();
+        let server = Server::start(
+            Arc::new(VolatileBackend::new(engine)),
+            ServeConfig::default(),
+        )
+        .unwrap();
+        for _ in 0..50 {
+            // A served round trip proves the connection was accepted
+            // and its reader thread spawned before the client closes.
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            client.stats().unwrap();
+        }
+        // Every client is gone: once the readers notice, the acceptor
+        // reaps their handles on its next poll.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let held = server.conns.lock().unwrap().len();
+            if held == 0 {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{held} handle(s) of closed connections still held"
+            );
+            std::thread::sleep(POLL);
+        }
+        server.request_shutdown();
+        server.join();
     }
 }

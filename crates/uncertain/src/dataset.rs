@@ -29,7 +29,7 @@ pub struct UncertainDataset {
     epoch: Epoch,
     /// Objects that are *not* certain, maintained by every mutator so
     /// [`UncertainDataset::is_certain`] is O(1) — engines consult it on
-    /// each update to decide certainty-dependent cache flushes, and an
+    /// each update to decide whether the point tree survives, and an
     /// O(n) scan there would dominate the otherwise-logarithmic
     /// incremental update path.
     uncertain: usize,

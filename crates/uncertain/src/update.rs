@@ -4,9 +4,9 @@
 //! arrive, retire, or change their sample sets while explanations keep
 //! being requested. Following Meliou et al. and Salimi & Bertossi,
 //! causes and responsibilities are functions of the *current* instance,
-//! so every mutation advances a monotone [`Epoch`] that consumers (the
-//! engines' explanation caches, replication, logging) can use to tell
-//! "computed against which version?".
+//! so every mutation advances a monotone [`Epoch`] that consumers (epoch
+//! snapshots, replication, logging) can use to tell "computed against
+//! which version?".
 //!
 //! [`Update`] is the single delta type both data models share: it is
 //! generic over the object representation, so `Update<UncertainObject>`

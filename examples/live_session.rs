@@ -7,19 +7,14 @@
 //!   R-trees in place (condense + reinsert); the session never
 //!   re-indexes, and epochs track which dataset version each answer
 //!   reflects,
-//! * **the explanation cache** — repeated questions and α-sweeps over
-//!   the same non-answer are served from memoised stage-1 rows, while
-//!   updates evict exactly the entries whose candidate region they
-//!   touch.
+//! * **planned α-sweeps** — one request over several α values of the
+//!   same non-answer pays its stage-1 traversal once and refines the
+//!   shared rows at every α.
 //!
 //! ```text
 //! cargo run --release --example live_session
 //! ```
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 use prsq_crp::data::{uncertain_dataset, UncertainConfig};
 use prsq_crp::prelude::*;
 use prsq_crp::uncertain::Update;
@@ -52,9 +47,12 @@ fn main() {
         baseline.causes.len()
     );
 
-    // --- α-sweep: stage 1 is paid once, the cache serves the rest. ---
-    for alpha in [0.2, 0.4, 0.8] {
-        let out = live.explain_as(ExplainStrategy::Cp, &q, alpha, an);
+    // --- α-sweep: one planned request, stage 1 paid once. -------------
+    let before = live.accumulated_io().node_accesses;
+    let alphas = [0.2, 0.4, 0.8];
+    let sweep =
+        live.run(&[ExplainRequest::alpha_sweep(&q, an, alphas).with_strategy(ExplainStrategy::Cp)]);
+    for (alpha, out) in alphas.iter().zip(sweep.results) {
         println!(
             "  α = {alpha}: {}",
             match out {
@@ -64,10 +62,11 @@ fn main() {
             }
         );
     }
-    let io = live.accumulated_io();
     println!(
-        "after the sweep: {} node accesses total, {} cache hit(s), {} miss(es)",
-        io.node_accesses, io.cache_hits, io.cache_misses
+        "the sweep: {} stage-1 traversal(s) for {} α, {} node accesses",
+        sweep.counters.stage1_traversals,
+        alphas.len(),
+        live.accumulated_io().node_accesses - before
     );
 
     // --- stream updates while explaining ------------------------------
@@ -103,9 +102,8 @@ fn main() {
 
     let io = live.accumulated_io();
     println!(
-        "session: {} inserted, {} removed, {} reinserted by tree maintenance; \
-         cache: {} hit(s), {} miss(es), {} eviction(s)",
-        io.inserts, io.removes, io.reinserts, io.cache_hits, io.cache_misses, io.cache_evictions
+        "session: {} inserted, {} removed, {} reinserted by tree maintenance",
+        io.inserts, io.removes, io.reinserts
     );
 
     // The answers still match a fresh engine built on the final data.

@@ -17,9 +17,8 @@
 //!
 //! # Replay a live-session workload: interleaved inserts/deletes/
 //! # replaces and explain calls against one mutable engine session
-//! # (incremental index maintenance + explanation cache; see
-//! # crp_data::workload for the file format). Ends with the session's
-//! # update/cache counters.
+//! # (incremental index maintenance; see crp_data::workload for the
+//! # file format). Ends with the session's update counters.
 //! crp replay --data cars.csv --schema points --query 11580,49000 \
 //!            --workload ops.txt
 //!
@@ -501,9 +500,9 @@ fn cmd_explain_batch(
 
 /// `replay`: one mutable engine session serving an interleaved stream
 /// of updates and explain calls. Updates are applied incrementally
-/// (condense + reinsert on the R-trees, geometric cache invalidation)
-/// — the dataset is never re-indexed from scratch — and the session's
-/// maintenance and cache counters are reported at the end.
+/// (condense + reinsert on the R-trees) — the dataset is never
+/// re-indexed from scratch — and the session's maintenance counters are
+/// reported at the end.
 fn cmd_replay(engine: &mut ExplainEngine, q: &Point, ops: &[WorkloadOp]) -> Result<(), String> {
     let started = std::time::Instant::now();
     let mut updates = 0usize;
@@ -552,15 +551,8 @@ fn cmd_replay(engine: &mut ExplainEngine, q: &Point, ops: &[WorkloadOp]) -> Resu
          ({failures} failure(s))"
     );
     println!(
-        "session totals: {} node accesses | updates: {} inserted, {} removed, {} reinserted \
-         | cache: {} hit(s), {} miss(es), {} eviction(s)",
-        io.node_accesses,
-        io.inserts,
-        io.removes,
-        io.reinserts,
-        io.cache_hits,
-        io.cache_misses,
-        io.cache_evictions
+        "session totals: {} node accesses | updates: {} inserted, {} removed, {} reinserted",
+        io.node_accesses, io.inserts, io.removes, io.reinserts
     );
     if failures > 0 {
         return Err(format!("{failures} operation(s) failed"));
@@ -755,10 +747,9 @@ fn cmd_replay_mvcc(
 
 /// `sweep`: one planned request over a query grid × non-answer set ×
 /// α list. The point of the subcommand is the plan report: how many
-/// stage-1 work units the workload really needed, how many were
-/// derived from a containing query's coverage or served from the
-/// session cache — the counters the `plan_sweep` bench tracks, on the
-/// user's own data.
+/// stage-1 work units the workload really needed and how many were
+/// derived from a containing query's coverage — the counters the
+/// `plan_sweep` bench tracks, on the user's own data.
 fn cmd_sweep(
     engine: &ExplainEngine,
     queries: Vec<Point>,
@@ -814,10 +805,7 @@ fn cmd_sweep(
     }
     println!("plan: {} in {elapsed_ms:.1} ms", report.counters);
     let io = engine.accumulated_io();
-    println!(
-        "session totals: {} node accesses | cache: {} hit(s), {} miss(es), {} eviction(s)",
-        io.node_accesses, io.cache_hits, io.cache_misses, io.cache_evictions
-    );
+    println!("session totals: {} node accesses", io.node_accesses);
     if failures > 0 {
         return Err(format!("{failures} task(s) failed"));
     }
