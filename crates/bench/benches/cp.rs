@@ -2,12 +2,8 @@
 //! the lemma ablations, on a fixed synthetic workload (the wall-clock
 //! counterpart of Fig. 6 at criterion precision).
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, Criterion};
-use crp_bench::exp::centroid_query;
+use crp_bench::exp::{centroid_query, explain_with};
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_core::{CpConfig, EngineConfig, ExplainEngine, ExplainStrategy};
 use crp_data::{uncertain_dataset, UncertainConfig};
@@ -45,11 +41,7 @@ fn bench_cp(c: &mut Criterion) {
     group.bench_function("cp_default", |b| {
         b.iter(|| {
             for &id in &ids {
-                black_box(
-                    engine
-                        .explain_as(ExplainStrategy::Cp, &q, alpha, id)
-                        .unwrap(),
-                );
+                black_box(explain_with(&engine, ExplainStrategy::Cp, &q, alpha, id).unwrap());
             }
         })
     });
@@ -99,11 +91,8 @@ fn bench_cp(c: &mut Criterion) {
     group.bench_function("naive_i", |b| {
         b.iter(|| {
             for &id in &ids {
-                black_box(
-                    engine
-                        .explain_as(ExplainStrategy::NaiveI { max_subsets: None }, &q, alpha, id)
-                        .unwrap(),
-                );
+                let naive = ExplainStrategy::NaiveI { max_subsets: None };
+                black_box(explain_with(&engine, naive, &q, alpha, id).unwrap());
             }
         })
     });

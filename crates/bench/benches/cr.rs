@@ -1,12 +1,8 @@
 //! Benchmarks of the certain-data algorithm: CR against Naive-II (the
 //! wall-clock counterpart of Fig. 11 at criterion precision).
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, Criterion};
-use crp_bench::exp::centroid_query;
+use crp_bench::exp::{centroid_query, explain_with};
 use crp_bench::selection::select_rsq_non_answers;
 use crp_core::{EngineConfig, ExplainEngine, ExplainStrategy};
 use crp_data::{certain_dataset, CertainConfig, CertainKind};
@@ -29,7 +25,7 @@ fn bench_cr(c: &mut Criterion) {
     group.bench_function("cr_lemma7", |b| {
         b.iter(|| {
             for &id in &ids {
-                black_box(engine.explain_as(ExplainStrategy::Cr, &q, 0.5, id).unwrap());
+                black_box(explain_with(&engine, ExplainStrategy::Cr, &q, 0.5, id).unwrap());
             }
         })
     });
@@ -37,11 +33,8 @@ fn bench_cr(c: &mut Criterion) {
     group.bench_function("naive_ii", |b| {
         b.iter(|| {
             for &id in &ids {
-                black_box(
-                    engine
-                        .explain_as(ExplainStrategy::NaiveII { max_subsets: None }, &q, 0.5, id)
-                        .unwrap(),
-                );
+                let naive = ExplainStrategy::NaiveII { max_subsets: None };
+                black_box(explain_with(&engine, naive, &q, 0.5, id).unwrap());
             }
         })
     });

@@ -7,14 +7,10 @@
 //! `cargo bench -p crp-bench --bench engine -- --test` doubles as a
 //! smoke check of that contract in CI.
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use crp_bench::exp::centroid_query;
+use crp_bench::exp::{batch_with, centroid_query, explain_with};
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_core::{EngineConfig, ExplainEngine, ExplainStrategy};
 use crp_data::{uncertain_dataset, UncertainConfig};
@@ -74,26 +70,33 @@ fn bench_engine_batch(c: &mut Criterion) {
 
     // Contract check: the parallel batch must be bit-identical to the
     // serial path before its speedup means anything.
-    let parallel = engine.explain_batch_as(ExplainStrategy::Cp, q, ALPHA, ids);
-    let serial = engine.explain_batch_serial_as(ExplainStrategy::Cp, q, ALPHA, ids);
+    let parallel = batch_with(engine, ExplainStrategy::Cp, q, ALPHA, ids, false);
+    let serial = batch_with(engine, ExplainStrategy::Cp, q, ALPHA, ids, true);
     assert_eq!(parallel, serial, "parallel batch diverged from serial");
 
     let mut group = c.benchmark_group("engine/batch");
     group.bench_with_input(BenchmarkId::new("per_call_cp", ids.len()), ids, |b, ids| {
         b.iter(|| {
             for &id in ids.iter() {
-                black_box(
-                    engine
-                        .explain_as(ExplainStrategy::Cp, q, ALPHA, id)
-                        .unwrap(),
-                );
+                black_box(explain_with(engine, ExplainStrategy::Cp, q, ALPHA, id).unwrap());
             }
         })
     });
     group.bench_with_input(
         BenchmarkId::new("explain_batch_rayon", ids.len()),
         ids,
-        |b, ids| b.iter(|| black_box(engine.explain_batch_as(ExplainStrategy::Cp, q, ALPHA, ids))),
+        |b, ids| {
+            b.iter(|| {
+                black_box(batch_with(
+                    engine,
+                    ExplainStrategy::Cp,
+                    q,
+                    ALPHA,
+                    ids,
+                    false,
+                ))
+            })
+        },
     );
     group.finish();
 }

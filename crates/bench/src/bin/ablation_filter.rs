@@ -1,16 +1,12 @@
 //! Ablation: the R-tree filter versus a full scan. CP's filtering step
 //! (Lemma 2 via the RecList window query) is compared against
-//! `cp_unindexed`, which tests every object exactly. Causes are
+//! `ExplainStrategy::CpUnindexed`, which tests every object exactly. Causes are
 //! identical; the index trades a handful of node accesses for avoiding a
 //! linear scan per query.
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir};
+use crp_bench::exp::{arg_flag, arg_value, centroid_query, explain_with, out_dir};
 use crp_bench::report::{fnum, Table};
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_bench::AggregateStats;
@@ -67,14 +63,12 @@ fn main() {
         let mut scan_ms = AggregateStats::new();
         for &id in &ids {
             let t0 = Instant::now();
-            let a = engine
-                .explain_as(ExplainStrategy::Cp, &q, alpha, id)
+            let a = explain_with(&engine, ExplainStrategy::Cp, &q, alpha, id)
                 .expect("selected non-answers are tractable");
             idx_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             idx_io.push(a.stats.query.node_accesses as f64);
             let t1 = Instant::now();
-            let b = engine
-                .explain_as(ExplainStrategy::CpUnindexed, &q, alpha, id)
+            let b = explain_with(&engine, ExplainStrategy::CpUnindexed, &q, alpha, id)
                 .expect("same classification");
             scan_ms.push(t1.elapsed().as_secs_f64() * 1e3);
             assert_eq!(a.causes, b.causes, "filter must not change the causes");

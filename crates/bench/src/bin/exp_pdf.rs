@@ -3,13 +3,9 @@
 //! plus agreement with the discrete algorithm run on the discretised
 //! dataset — the two must converge as the resolution grows.
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, out_dir};
+use crp_bench::exp::{arg_flag, arg_value, explain_with, out_dir};
 use crp_bench::report::{fnum, Table};
 use crp_bench::AggregateStats;
 use crp_core::{CpConfig, EngineConfig, ExplainEngine, ExplainStrategy};
@@ -39,7 +35,7 @@ fn main() {
     let coarse = ExplainEngine::for_pdf(ds.clone(), 2, EngineConfig::with_alpha(alpha))
         .expect("valid engine config");
 
-    // Subjects: pdf objects that cp_pdf classifies as tractable
+    // Subjects: pdf objects that the pdf engine classifies as tractable
     // non-answers at a coarse resolution.
     let mut subjects: Vec<ObjectId> = Vec::new();
     let mut order: Vec<usize> = (0..ds.len()).collect();
@@ -91,7 +87,7 @@ fn main() {
             let a = pdf_engine.explain(&q, id);
             pdf_ms.push(t0.elapsed().as_secs_f64() * 1e3);
             let t1 = Instant::now();
-            let b = disc_engine.explain_as(ExplainStrategy::Cp, &q, alpha, id);
+            let b = explain_with(&disc_engine, ExplainStrategy::Cp, &q, alpha, id);
             disc_ms.push(t1.elapsed().as_secs_f64() * 1e3);
             total += 1;
             match (a, b) {

@@ -1,7 +1,7 @@
-//! Plan-layer sweep: measures what the `Request → Plan → Execute`
-//! layer saves over the pre-planner per-call loop on the two workloads
-//! it was built for, asserts planned outcomes are **bit-identical** to
-//! per-call explains, and writes the series to
+//! Plan-layer sweep: measures what planning a workload as one request
+//! saves over a per-call loop of one-request plans on the two
+//! workloads the planner was built for, asserts planned outcomes are
+//! **bit-identical** to per-call explains, and writes the series to
 //! `bench_out/BENCH_plan.json`.
 //!
 //! Workloads:
@@ -17,9 +17,13 @@
 //!   stage-1 traversal per non-answer where the per-call loop pays one
 //!   per `(an, q)` pair — the ≥ 2× acceptance criterion of the plan
 //!   layer (the measured factor is the grid size),
-//! * `single_explain` — planner overhead on the latency path: one
-//!   `explain()` (which now forwards through the planner) against the
-//!   retained direct dispatch; acceptance is no wall-clock regression.
+//! * `single_explain` — the latency path: the `explain()` shorthand
+//!   against one `ExplainSession::run` of a one-request plan;
+//!   acceptance is no wall-clock regression.
+//!
+//! Wall-clock gates compare medians of [`REPEATS`] runs per side, with
+//! the two sides interleaved (alternating which runs first) so host
+//! noise lands on both alike.
 //!
 //! ```text
 //! cargo run -p crp-bench --release --bin plan_sweep -- --quick
@@ -31,7 +35,7 @@ use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir};
 use crp_bench::report::fnum;
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_core::{
-    CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
+    CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
     ExplainStrategy, PlanCounters,
 };
 use crp_data::{uncertain_dataset, UncertainConfig};
@@ -43,9 +47,46 @@ use std::time::Instant;
 
 const ALPHA: f64 = 0.6;
 const ALPHAS: [f64; 6] = [0.25, 0.35, 0.45, 0.55, 0.65, 0.75];
+/// Timed runs per side of each wall-clock comparison.
+const REPEATS: usize = 5;
 
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
+}
+
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    xs[xs.len() / 2]
+}
+
+/// One explain as its own one-request plan.
+fn run_one(
+    engine: &ExplainEngine,
+    q: &Point,
+    an: ObjectId,
+    alpha: f64,
+) -> Result<CrpOutcome, CrpError> {
+    engine
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(ExplainStrategy::Cp)
+            .with_alpha(alpha)])
+        .into_single()
+}
+
+/// Runs `a` and `b` [`REPEATS`] times each, interleaved and alternating
+/// which goes first, and returns their median wall-clock times.
+fn interleaved_medians(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64) {
+    let (mut a_ms, mut b_ms) = (Vec::new(), Vec::new());
+    for rep in 0..REPEATS {
+        if rep % 2 == 0 {
+            a_ms.push(a());
+            b_ms.push(b());
+        } else {
+            b_ms.push(b());
+            a_ms.push(a());
+        }
+    }
+    (median(a_ms), median(b_ms))
 }
 
 /// One workload measurement: the per-call loop against the planned
@@ -62,8 +103,8 @@ struct WorkloadRow {
     bit_identical: bool,
 }
 
-/// The per-call reference: a fresh session driven through the retained
-/// pre-planner dispatch, in the same task order the planner expands.
+/// The per-call reference: a fresh session answering each task as its
+/// own one-request plan, in the same task order the planner expands.
 fn naive_loop(
     ds: &UncertainDataset,
     queries: &[Point],
@@ -72,13 +113,12 @@ fn naive_loop(
 ) -> (Vec<Result<CrpOutcome, CrpError>>, f64, u64) {
     let engine =
         ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA)).expect("valid config");
-    let cp = CpConfig::default();
     let start = Instant::now();
     let mut outcomes = Vec::with_capacity(queries.len() * ans.len() * alphas.len());
     for q in queries {
         for &an in ans {
             for &alpha in alphas {
-                outcomes.push(engine.explain_direct(ExplainStrategy::Cp, q, alpha, an, &cp));
+                outcomes.push(run_one(&engine, q, an, alpha));
             }
         }
     }
@@ -133,8 +173,14 @@ fn measure_workload(
     ans: &[ObjectId],
     alphas: &[f64],
 ) -> WorkloadRow {
-    let (naive, naive_ms, naive_io) = naive_loop(ds, queries, ans, alphas);
-    let (planned, planned_ms, counters, planned_io) = planned_run(ds, queries, ans, alphas);
+    // An untimed first pass per side supplies the outcomes and
+    // counters (deterministic) and warms the host; timing follows.
+    let (naive, _, naive_io) = naive_loop(ds, queries, ans, alphas);
+    let (planned, _, counters, planned_io) = planned_run(ds, queries, ans, alphas);
+    let (naive_ms, planned_ms) = interleaved_medians(
+        || naive_loop(ds, queries, ans, alphas).1,
+        || planned_run(ds, queries, ans, alphas).1,
+    );
     let bit_identical =
         naive.len() == planned.len() && naive.iter().zip(&planned).all(|(a, b)| agrees(a, b));
 
@@ -269,30 +315,30 @@ fn main() {
     let grid = nearby_grid(&ds, &q, &ans, grid_steps);
     let nearby_row = measure_workload("nearby_q", &ds, &grid, &ans, &[ALPHA]);
 
-    // Single-explain latency: the planner-forwarded entry point
-    // against the retained direct dispatch, fresh sessions, identical
-    // call sequences.
-    let cp = CpConfig::default();
-    let reps = 3usize;
-    let mut direct_ms = f64::INFINITY;
-    let mut planned_ms = f64::INFINITY;
-    for _ in 0..reps {
-        let engine =
-            ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA)).expect("valid config");
-        let start = Instant::now();
-        for &an in &ans {
-            let _ = engine.explain_direct(ExplainStrategy::Cp, &q, ALPHA, an, &cp);
-        }
-        direct_ms = direct_ms.min(ms(start) / ans.len() as f64);
-        let engine =
-            ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA)).expect("valid config");
-        let start = Instant::now();
-        for &an in &ans {
-            let _ = engine.explain(&q, an);
-        }
-        planned_ms = planned_ms.min(ms(start) / ans.len() as f64);
-    }
-    let single_ratio = planned_ms / direct_ms.max(1e-9);
+    // Single-explain latency: the `explain()` shorthand against one
+    // `run` of a one-request plan, fresh sessions, identical call
+    // sequences.
+    let fresh =
+        || ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA)).expect("valid config");
+    let (run_ms, explain_ms) = interleaved_medians(
+        || {
+            let engine = fresh();
+            let start = Instant::now();
+            for &an in &ans {
+                let _ = run_one(&engine, &q, an, ALPHA);
+            }
+            ms(start) / ans.len() as f64
+        },
+        || {
+            let engine = fresh();
+            let start = Instant::now();
+            for &an in &ans {
+                let _ = engine.explain(&q, an);
+            }
+            ms(start) / ans.len() as f64
+        },
+    );
+    let single_ratio = explain_ms / run_ms.max(1e-9);
 
     for row in [&alpha_row, &nearby_row] {
         println!(
@@ -309,9 +355,9 @@ fn main() {
         );
     }
     println!(
-        "single_explain: direct {} ms/call vs planned {} ms/call (ratio {})",
-        fnum(direct_ms),
-        fnum(planned_ms),
+        "single_explain: run {} ms/call vs explain() {} ms/call (ratio {}, medians of {REPEATS})",
+        fnum(run_ms),
+        fnum(explain_ms),
         fnum(single_ratio)
     );
 
@@ -320,7 +366,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"workload\": {{\"cardinality\": {}, \"dim\": 3, \"alpha\": {ALPHA}, \
-         \"non_answers\": {}, \"alphas\": {}, \"grid\": {}}},",
+         \"non_answers\": {}, \"alphas\": {}, \"grid\": {}, \"repeats\": {REPEATS}}},",
         ds.len(),
         ans.len(),
         ALPHAS.len(),
@@ -352,10 +398,10 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"single_explain\": {{\"direct_ms_per_call\": {}, \"planned_ms_per_call\": {}, \
+        "  \"single_explain\": {{\"run_ms_per_call\": {}, \"explain_ms_per_call\": {}, \
          \"ratio\": {}}}",
-        fnum(direct_ms),
-        fnum(planned_ms),
+        fnum(run_ms),
+        fnum(explain_ms),
         fnum(single_ratio)
     );
     let _ = writeln!(json, "}}");
@@ -386,12 +432,13 @@ fn main() {
         nearby_row.planned_node_accesses,
         nearby_row.naive_node_accesses
     );
-    // Wall-clock: planned may not regress (generous noise margin — the
-    // planner does strictly less stage-1 work on these workloads).
+    // Wall-clock medians: planned may not regress (generous noise
+    // margin — the planner does strictly less stage-1 work on these
+    // workloads).
     for row in [&alpha_row, &nearby_row] {
         assert!(
             row.planned_ms <= row.naive_ms * 1.25,
-            "{}: planned {} ms regressed past naive {} ms",
+            "{}: planned median {} ms regressed past naive median {} ms",
             row.name,
             row.planned_ms,
             row.naive_ms

@@ -1,8 +1,7 @@
 //! Serving-layer sweep: measures what planner-window batching buys a
-//! fleet of concurrent clients over per-request serving, asserts the
+//! set of concurrent clients over per-request serving, asserts the
 //! served outcomes are **bit-identical** to an offline serial planner
-//! run, checks the worker-fleet stage-1 merge against the in-process
-//! candidate set, and writes the series to `bench_out/BENCH_serve.json`.
+//! run, and writes the series to `bench_out/BENCH_serve.json`.
 //!
 //! Workload: 16 read-modify-write clients over real TCP. Each round,
 //! every client ingests one record (an insert far outside the hot
@@ -23,7 +22,7 @@
 //!   requests compile into one plan per window.
 //!
 //! Acceptance: windowed aggregate explains/sec ≥ 2× per-request, all
-//! outcomes bit-identical to offline, fleet merge identical.
+//! outcomes bit-identical to offline.
 //!
 //! ```text
 //! cargo run -p crp-bench --release --bin serve_sweep -- --quick
@@ -35,8 +34,7 @@ use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir};
 use crp_bench::report::fnum;
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_core::{
-    merge_candidate_ids, ClientClass, CrpError, CrpOutcome, EngineConfig, ExplainEngine,
-    ExplainRequest, ExplainSession,
+    ClientClass, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
 };
 use crp_data::wire::{WireCause, WireResult};
 use crp_data::{uncertain_dataset, UncertainConfig};
@@ -248,59 +246,6 @@ fn offline_reference(
         .collect()
 }
 
-/// Stage-1 over the worker fleet: two shard-worker servers of a 2-way
-/// split (each over a full engine, answering its id-hash share) behind
-/// a parent that merges — the shares must be disjoint, and both the
-/// parent's merge and a client-side merge must equal the in-process
-/// candidate set for every non-answer.
-fn fleet_merge_identical(ds: &UncertainDataset, queries: &[Vec<Point>], ans: &[ObjectId]) -> bool {
-    let worker = || {
-        let engine = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA))
-            .expect("valid worker engine");
-        let config = ServeConfig {
-            shard_worker: Some(2),
-            ..ServeConfig::default()
-        };
-        Server::start(Arc::new(VolatileBackend::new(engine)), config).expect("bind worker")
-    };
-    let w0 = worker();
-    let w1 = worker();
-    let parent_engine = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA))
-        .expect("valid parent engine");
-    let parent = Server::start(
-        Arc::new(VolatileBackend::new(parent_engine)),
-        ServeConfig {
-            fleet: vec![w0.local_addr().to_string(), w1.local_addr().to_string()],
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind parent");
-
-    let reference = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(ALPHA))
-        .expect("valid reference engine");
-    let mut client = Client::connect(parent.local_addr()).expect("connect parent");
-    let mut workers = [
-        Client::connect(w0.local_addr()).expect("connect worker 0"),
-        Client::connect(w1.local_addr()).expect("connect worker 1"),
-    ];
-    let q = &queries[0][0];
-    let ok = ans.iter().all(|&an| {
-        let merged = client.candidates(q, an, None).expect("fleet candidates");
-        let expected =
-            ExplainSession::candidate_ids(&reference, q, an).expect("in-process candidates");
-        let [s0, s1] = [0, 1].map(|i| workers[i].candidates(q, an, Some(i)).expect("worker share"));
-        let disjoint = s0.iter().all(|id| !s1.contains(id));
-        merged == expected && disjoint && merge_candidate_ids([s0, s1]) == expected
-    });
-    drop(client);
-    drop(workers);
-    for server in [parent, w0, w1] {
-        server.request_shutdown();
-        server.join();
-    }
-    ok
-}
-
 fn main() {
     let quick = arg_flag("--quick");
     let cardinality: usize = arg_value("--cardinality")
@@ -401,7 +346,6 @@ fn main() {
 
     let offline = offline_reference(&ds, &queries, &ans);
     let bit_identical = windowed.results == offline && per_request.results == offline;
-    let fleet_ok = fleet_merge_identical(&ds, &queries, &ans);
 
     for (name, run) in [("per_request", &per_request), ("windowed", &windowed)] {
         println!(
@@ -418,7 +362,7 @@ fn main() {
         );
     }
     println!(
-        "speedup {}× | bit-identical to offline: {bit_identical} | fleet merge: {fleet_ok}",
+        "speedup {}× | bit-identical to offline: {bit_identical}",
         fnum(speedup)
     );
 
@@ -449,8 +393,7 @@ fn main() {
     }
     let _ = writeln!(
         json,
-        "  \"speedup\": {}, \"bit_identical\": {bit_identical}, \
-         \"fleet_merge_identical\": {fleet_ok}",
+        "  \"speedup\": {}, \"bit_identical\": {bit_identical}",
         fnum(speedup)
     );
     let _ = writeln!(json, "}}");
@@ -466,15 +409,11 @@ fn main() {
         "served outcomes diverged from the offline serial reference"
     );
     assert!(
-        fleet_ok,
-        "worker-fleet merge diverged from in-process stage-1"
-    );
-    assert!(
         speedup >= 2.0,
         "windowed serving {speedup:.2}× per-request is below the 2× acceptance \
          ({} vs {} explains/s)",
         fnum(windowed.rps),
         fnum(per_request.rps)
     );
-    println!("acceptance: {speedup:.1}× aggregate throughput (≥ 2×), identity and merge hold");
+    println!("acceptance: {speedup:.1}× aggregate throughput (≥ 2×), identity holds");
 }

@@ -18,13 +18,9 @@
 //! cargo run -p crp-bench --release --bin update_sweep -- --quick
 //! ```
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir};
+use crp_bench::exp::{arg_flag, arg_value, centroid_query, explain_with, out_dir};
 use crp_bench::report::fnum;
 use crp_core::{
     Cause, CpConfig, CrpError, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
@@ -234,8 +230,15 @@ fn main() {
         // job).
         let mut identical = true;
         for &an in &probe {
-            let reference = signature(rebuilt.explain_as(ExplainStrategy::Cp, &q, ALPHA, an));
-            if signature(incremental.explain_as(ExplainStrategy::Cp, &q, ALPHA, an)) != reference {
+            let reference = signature(explain_with(&rebuilt, ExplainStrategy::Cp, &q, ALPHA, an));
+            let got = signature(explain_with(
+                &incremental,
+                ExplainStrategy::Cp,
+                &q,
+                ALPHA,
+                an,
+            ));
+            if got != reference {
                 identical = false;
             }
         }
@@ -281,11 +284,7 @@ fn main() {
     let sweep_target = sweep_candidates
         .iter()
         .map(|&(_, an)| an)
-        .find(|&an| {
-            incremental
-                .explain_as(ExplainStrategy::Cp, &q, ALPHA, an)
-                .is_ok()
-        })
+        .find(|&an| explain_with(&incremental, ExplainStrategy::Cp, &q, ALPHA, an).is_ok())
         .unwrap_or(live[0]);
     let sweep_engine = ExplainEngine::new(
         UncertainDataset::from_objects(incremental.dataset().iter().cloned())
@@ -297,7 +296,7 @@ fn main() {
     let alphas: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     // What one explain pays, on a fork sharing the warm index.
     let solo = sweep_engine.fork();
-    let _ = solo.explain_as(ExplainStrategy::Cp, &q, ALPHA, sweep_target);
+    let _ = explain_with(&solo, ExplainStrategy::Cp, &q, ALPHA, sweep_target);
     let solo_io = solo.accumulated_io().node_accesses;
     // The planned sweep: one stage-1 unit whose rows every α refines.
     let t = Instant::now();

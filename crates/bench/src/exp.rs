@@ -7,12 +7,10 @@
 //! measurements (the index build can be measured separately with
 //! [`time`](crate::measure::time) around [`ExplainEngine::object_tree`]).
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 use crate::measure::AggregateStats;
-use crp_core::{CpConfig, CrpError, CrpOutcome, ExplainEngine, ExplainStrategy};
+use crp_core::{
+    CpConfig, CrpError, CrpOutcome, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy,
+};
 use crp_geom::Point;
 use crp_uncertain::{ObjectId, UncertainDataset};
 use std::time::Instant;
@@ -63,6 +61,40 @@ fn record(
     }
 }
 
+/// One explain of `an` under `strategy` at `alpha`: a single-request
+/// plan through [`ExplainSession::run`].
+pub fn explain_with(
+    engine: &ExplainEngine,
+    strategy: ExplainStrategy,
+    q: &Point,
+    alpha: f64,
+    an: ObjectId,
+) -> Result<CrpOutcome, CrpError> {
+    engine
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(strategy)
+            .with_alpha(alpha)])
+        .into_single()
+}
+
+/// One batch of `ids` under `strategy` at `alpha` through
+/// [`ExplainSession::run`]; `serial` forces the serial path, else the
+/// engine parallelises when its `parallel` flag is set.
+pub fn batch_with(
+    engine: &ExplainEngine,
+    strategy: ExplainStrategy,
+    q: &Point,
+    alpha: f64,
+    ids: &[ObjectId],
+    serial: bool,
+) -> Vec<Result<CrpOutcome, CrpError>> {
+    let request = ExplainRequest::batch(q, ids)
+        .with_strategy(strategy)
+        .with_alpha(alpha);
+    let request = if serial { request.serial() } else { request };
+    engine.run(&[request]).results
+}
+
 /// Runs one strategy over each non-answer serially (per-call timing),
 /// averaging metrics.
 pub fn run_strategy_over(
@@ -75,7 +107,7 @@ pub fn run_strategy_over(
     let mut agg = MeasuredAlgo::default();
     for &id in ids {
         let start = Instant::now();
-        let result = engine.explain_as(strategy, q, alpha, id);
+        let result = explain_with(engine, strategy, q, alpha, id);
         record(&mut agg, result, start, id);
     }
     agg
@@ -137,7 +169,7 @@ pub fn run_naive_ii_over(
     )
 }
 
-/// One timed [`ExplainEngine::explain_batch_as`] call: total wall-clock
+/// One timed [`batch_with`] call: total wall-clock
 /// milliseconds and the per-call outcomes (order matches `ids`).
 pub struct BatchRun {
     /// Total wall-clock milliseconds for the whole batch.
@@ -156,7 +188,7 @@ pub fn run_batch_over(
     alpha: f64,
 ) -> BatchRun {
     let start = Instant::now();
-    let outcomes = engine.explain_batch_as(strategy, q, alpha, ids);
+    let outcomes = batch_with(engine, strategy, q, alpha, ids, false);
     BatchRun {
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
         outcomes,
@@ -275,7 +307,7 @@ mod tests {
         );
         assert!(!ids.is_empty());
         let batch = run_batch_over(&engine, ExplainStrategy::Cp, &q, &ids, alpha);
-        let serial = engine.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
+        let serial = batch_with(&engine, ExplainStrategy::Cp, &q, alpha, &ids, true);
         assert_eq!(batch.outcomes, serial);
     }
 }

@@ -173,9 +173,11 @@ pub fn select_rsq_non_answers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp::explain_with;
+    use crp_core::{EngineConfig, ExplainEngine, ExplainStrategy};
     use crp_data::{certain_dataset, uncertain_dataset, CertainConfig, UncertainConfig};
     use crp_rtree::RTreeParams;
-    use crp_skyline::{build_object_rtree, build_point_rtree, pr_reverse_skyline};
+    use crp_skyline::{build_object_rtree, pr_reverse_skyline};
 
     fn small_uncertain() -> UncertainDataset {
         uncertain_dataset(&UncertainConfig {
@@ -219,13 +221,21 @@ mod tests {
             seed: 4,
             ..CertainConfig::default()
         });
-        let tree = build_point_rtree(&ds, RTreeParams::paper_default(2));
+        let engine = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
         let q = Point::from([5_000.0, 5_000.0]);
-        let picked = select_rsq_non_answers(&ds, &tree, &q, 12, 1, Some(10), 3);
+        let picked = select_rsq_non_answers(
+            engine.dataset(),
+            engine.point_tree(),
+            &q,
+            12,
+            1,
+            Some(10),
+            3,
+        );
         assert!(!picked.is_empty());
-        for id in &picked {
-            #[allow(deprecated)]
-            let out = crp_core::cr(&ds, &tree, &q, *id).expect("selected = non-answer");
+        for &id in &picked {
+            let out = explain_with(&engine, ExplainStrategy::Cr, &q, 0.5, id)
+                .expect("selected = non-answer");
             assert!(!out.causes.is_empty());
             assert!(
                 out.causes.len() <= 10,

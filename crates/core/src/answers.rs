@@ -30,7 +30,7 @@ use crp_uncertain::{ObjectId, UncertainDataset};
 ///
 /// * [`CrpError::InvalidAlpha`] / [`CrpError::UnknownObject`],
 /// * [`CrpError::NotANonAnswer`] (carrying the measured probability) when
-///   the subject is in fact a non-answer — the caller wants [`crate::cp`]
+///   the subject is in fact a non-answer — the caller wants [`crate::ExplainStrategy::Cp`]
 ///   in that case.
 pub fn answer_causes(
     ds: &UncertainDataset,

@@ -1,19 +1,15 @@
 //! Algorithm 1 (*CP*): causality & responsibility for a non-answer to a
 //! probabilistic reverse skyline query, discrete-sample model.
 //!
-//! Since the `ExplainEngine` refactor these free functions are thin
-//! wrappers over the shared `filter → refine → fmcs` pipeline in
-//! [`crate::engine`] — the identical code path the engine dispatches;
-//! candidate impact ordering lives in the engine's merge stage
-//! (`engine::merge`), so there is exactly one implementation of every
-//! stage. Prefer [`crate::ExplainEngine`], which owns the R-tree
-//! and amortises it across calls.
+//! CP runs as [`crate::ExplainStrategy::Cp`] (and, with the filter
+//! ablated to a full scan, [`crate::ExplainStrategy::CpUnindexed`])
+//! over the engine's shared `filter → refine → fmcs` pipeline in
+//! [`crate::engine`]. This module keeps the stage-1 filter as a free
+//! function for the experiment harness, and the end-to-end tests of the
+//! algorithm.
 
-use crate::config::CpConfig;
-use crate::engine::filter::{FilterStage, SampleWindowFilter, ScanFilter};
-use crate::engine::pipeline;
-use crate::error::CrpError;
-use crate::types::{CrpOutcome, RunStats};
+use crate::engine::filter::{FilterStage, SampleWindowFilter};
+use crate::types::RunStats;
 use crp_geom::Point;
 use crp_rtree::RTree;
 use crp_uncertain::{ObjectId, UncertainDataset};
@@ -38,68 +34,11 @@ pub fn collect_candidates(
     SampleWindowFilter::new(tree).candidates(ds, q, an_pos, stats)
 }
 
-/// The *CP* algorithm: all actual causes, with responsibilities and
-/// minimal contingency sets, for the non-answer `an_id` to the
-/// probabilistic reverse skyline query `(q, α)` over `ds`.
-///
-/// `tree` must index the objects' MBRs (see
-/// [`crp_skyline::build_object_rtree`]).
-///
-/// Prefer [`crate::ExplainEngine`] with
-/// [`crate::ExplainStrategy::Cp`], which owns `tree` and shares it
-/// across calls; this wrapper remains for callers that manage their own
-/// index.
-///
-/// # Errors
-///
-/// * [`CrpError::InvalidAlpha`] unless `0 < α ≤ 1`,
-/// * [`CrpError::EmptyDataset`] / [`CrpError::UnknownObject`],
-/// * [`CrpError::NotANonAnswer`] when `Pr(an) ≥ α`,
-/// * [`CrpError::BudgetExhausted`] when `config.max_subsets` trips.
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an ExplainEngine and use ExplainStrategy::Cp; the engine owns and reuses the R-tree"
-)]
-pub fn cp(
-    ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
-    q: &Point,
-    an_id: ObjectId,
-    alpha: f64,
-    config: &CpConfig,
-) -> Result<CrpOutcome, CrpError> {
-    pipeline::run_probabilistic(
-        ds,
-        q,
-        an_id,
-        alpha,
-        config,
-        &SampleWindowFilter::new(tree),
-        None,
-    )
-}
-
-/// CP without the R-tree filter: candidates are found by a full scan
-/// (every object is tested against Lemma 2 exactly). Used by the filter
-/// ablation and as a test cross-check; produces identical causes.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ExplainEngine with ExplainStrategy::CpUnindexed"
-)]
-pub fn cp_unindexed(
-    ds: &UncertainDataset,
-    q: &Point,
-    an_id: ObjectId,
-    alpha: f64,
-    config: &CpConfig,
-) -> Result<CrpOutcome, CrpError> {
-    pipeline::run_probabilistic(ds, q, an_id, alpha, config, &ScanFilter, None)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::testkit::{cp, explain, session};
+    use crate::{CrpError, ExplainStrategy};
     use crp_rtree::RTreeParams;
     use crp_skyline::build_object_rtree;
     use crp_uncertain::UncertainObject;
@@ -136,9 +75,9 @@ mod tests {
     #[test]
     fn cp_end_to_end() {
         let (ds, q) = fixture();
-        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         // α = 0.5: Pr(an) = 0 (object 1 dominates with certainty).
-        let out = cp(&ds, &tree, &q, ObjectId(0), 0.5, &CpConfig::default()).unwrap();
+        let out = cp(&engine, &q, ObjectId(0), 0.5).unwrap();
         // Object 1: removing it leaves Pr = 0.5 ≥ α -> counterfactual.
         let c1 = out.cause(ObjectId(1)).expect("object 1 is a cause");
         assert!(c1.counterfactual);
@@ -153,10 +92,10 @@ mod tests {
     #[test]
     fn cp_lower_alpha_two_causes() {
         let (ds, q) = fixture();
-        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         // α = 0.75: removing object 1 leaves Pr = 0.5 < α -> NOT
         // counterfactual; Γ(1) = {2}, Γ(2) = {1}.
-        let out = cp(&ds, &tree, &q, ObjectId(0), 0.75, &CpConfig::default()).unwrap();
+        let out = cp(&engine, &q, ObjectId(0), 0.75).unwrap();
         let c1 = out.cause(ObjectId(1)).expect("cause 1");
         let c2 = out.cause(ObjectId(2)).expect("cause 2");
         assert_eq!(c1.min_contingency, vec![ObjectId(2)]);
@@ -168,41 +107,49 @@ mod tests {
     #[test]
     fn cp_rejects_answers() {
         let (ds, q) = fixture();
-        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         // Object 4 at (2,2): its dominance window [−1,5]² holds no other
         // object, so it IS an answer at any α.
-        let err = cp(&ds, &tree, &q, ObjectId(4), 0.5, &CpConfig::default()).unwrap_err();
+        let err = cp(&engine, &q, ObjectId(4), 0.5).unwrap_err();
         assert!(matches!(err, CrpError::NotANonAnswer { prob } if (prob - 1.0).abs() < 1e-12));
     }
 
     #[test]
     fn cp_validates_inputs() {
         let (ds, q) = fixture();
-        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         assert!(matches!(
-            cp(&ds, &tree, &q, ObjectId(0), 0.0, &CpConfig::default()),
+            cp(&engine, &q, ObjectId(0), 0.0),
             Err(CrpError::InvalidAlpha(_))
         ));
         assert!(matches!(
-            cp(&ds, &tree, &q, ObjectId(0), 1.5, &CpConfig::default()),
+            cp(&engine, &q, ObjectId(0), 1.5),
             Err(CrpError::InvalidAlpha(_))
         ));
         assert!(matches!(
-            cp(&ds, &tree, &q, ObjectId(99), 0.5, &CpConfig::default()),
+            cp(&engine, &q, ObjectId(99), 0.5),
             Err(CrpError::UnknownObject(_))
         ));
-        let empty = UncertainDataset::new();
-        let err = cp_unindexed(&empty, &q, ObjectId(0), 0.5, &CpConfig::default()).unwrap_err();
-        assert_eq!(err, CrpError::EmptyDataset);
+        let empty = session(UncertainDataset::new());
+        for strategy in [ExplainStrategy::Cp, ExplainStrategy::CpUnindexed] {
+            let err = explain(&empty, strategy, &q, ObjectId(0), 0.5).unwrap_err();
+            assert_eq!(err, CrpError::EmptyDataset, "{strategy:?}");
+        }
     }
 
     #[test]
     fn indexed_and_unindexed_agree() {
         let (ds, q) = fixture();
-        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         for alpha in [0.25, 0.5, 0.75, 1.0] {
-            let a = cp(&ds, &tree, &q, ObjectId(0), alpha, &CpConfig::default());
-            let b = cp_unindexed(&ds, &q, ObjectId(0), alpha, &CpConfig::default());
+            let a = cp(&engine, &q, ObjectId(0), alpha);
+            let b = explain(
+                &engine,
+                ExplainStrategy::CpUnindexed,
+                &q,
+                ObjectId(0),
+                alpha,
+            );
             match (a, b) {
                 (Ok(x), Ok(y)) => assert_eq!(x.causes, y.causes, "alpha {alpha}"),
                 (Err(x), Err(y)) => assert_eq!(x, y, "alpha {alpha}"),
@@ -214,8 +161,8 @@ mod tests {
     #[test]
     fn alpha_one_every_candidate_is_a_cause() {
         let (ds, q) = fixture();
-        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
-        let out = cp(&ds, &tree, &q, ObjectId(0), 1.0, &CpConfig::default()).unwrap();
+        let engine = session(ds);
+        let out = cp(&engine, &q, ObjectId(0), 1.0).unwrap();
         assert_eq!(out.causes.len(), 2); // objects 1 and 2
         for c in &out.causes {
             assert!((c.responsibility - 0.5).abs() < 1e-12, "r = 1/|Cc|");

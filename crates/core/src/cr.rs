@@ -6,54 +6,24 @@
 //! with minimal contingency set `Cc − {c}` and responsibility `1/|Cc|`
 //! (Eq. 4). CR therefore issues a single window query and returns.
 //!
-//! Since the `ExplainEngine` refactor this is a thin wrapper over the
-//! certain-data pipeline ([`crate::engine::certain`]) with the
+//! CR runs as [`crate::ExplainStrategy::Cr`]: the certain-data pipeline
+//! ([`crate::engine::certain`]) with the
 //! [`Lemma7ClosedForm`](crate::engine::certain::Lemma7ClosedForm)
-//! verification stage; prefer [`crate::ExplainEngine`] with
-//! [`crate::ExplainStrategy::Cr`].
-
-use crate::engine::certain::{run_certain, Lemma7ClosedForm};
-use crate::error::CrpError;
-use crate::types::CrpOutcome;
-use crp_geom::Point;
-use crp_rtree::RTree;
-use crp_uncertain::{ObjectId, UncertainDataset};
-
-/// Computes the CRP for the non-answer `an_id` to the reverse skyline
-/// query of `q` over the certain dataset `ds`.
-///
-/// `tree` must index the points of `ds` (see
-/// [`crp_skyline::build_point_rtree`]).
-///
-/// # Errors
-///
-/// * [`CrpError::NotCertainData`] if any object has multiple samples,
-/// * [`CrpError::EmptyDataset`] / [`CrpError::UnknownObject`],
-/// * [`CrpError::NotANonAnswer`] when `an` *is* a reverse skyline object
-///   (no candidate dominates `q` w.r.t. it).
-#[deprecated(
-    since = "0.2.0",
-    note = "construct an ExplainEngine and use ExplainStrategy::Cr; the engine owns and reuses the R-tree"
-)]
-pub fn cr(
-    ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
-    q: &Point,
-    an_id: ObjectId,
-) -> Result<CrpOutcome, CrpError> {
-    run_certain(ds, tree, q, an_id, &Lemma7ClosedForm { k: 0 }, None)
-}
+//! verification stage. This module holds its end-to-end tests.
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crp_rtree::RTreeParams;
-    use crp_skyline::build_point_rtree;
-    use crp_uncertain::UncertainObject;
+    use crate::testkit::{explain, session};
+    use crate::{CrpError, CrpOutcome, ExplainEngine, ExplainStrategy};
+    use crp_geom::Point;
+    use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
 
     fn pt(x: f64, y: f64) -> Point {
         Point::from([x, y])
+    }
+
+    fn cr(engine: &ExplainEngine, q: &Point, an: ObjectId) -> Result<CrpOutcome, CrpError> {
+        explain(engine, ExplainStrategy::Cr, q, an, 0.5)
     }
 
     /// an = (10,10), q = (5,5); dominators at (7,7), (6,8), (8,6);
@@ -74,8 +44,8 @@ mod tests {
     #[test]
     fn cr_finds_all_causes_with_equal_responsibility() {
         let (ds, q) = fixture();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
-        let out = cr(&ds, &tree, &q, ObjectId(0)).unwrap();
+        let engine = session(ds);
+        let out = cr(&engine, &q, ObjectId(0)).unwrap();
         let ids: Vec<u32> = out.causes.iter().map(|c| c.id.0).collect();
         assert_eq!(ids, vec![1, 2, 3]);
         for c in &out.causes {
@@ -91,8 +61,8 @@ mod tests {
     #[test]
     fn boundary_tie_is_not_a_cause() {
         let (ds, q) = fixture();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
-        let out = cr(&ds, &tree, &q, ObjectId(0)).unwrap();
+        let engine = session(ds);
+        let out = cr(&engine, &q, ObjectId(0)).unwrap();
         assert!(
             out.cause(ObjectId(5)).is_none(),
             "mirror point ties, no strict dim"
@@ -102,8 +72,8 @@ mod tests {
     #[test]
     fn single_cause_is_counterfactual() {
         let ds = UncertainDataset::from_points(vec![pt(10.0, 10.0), pt(7.0, 7.0)]).unwrap();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
-        let out = cr(&ds, &tree, &pt(5.0, 5.0), ObjectId(0)).unwrap();
+        let engine = session(ds);
+        let out = cr(&engine, &pt(5.0, 5.0), ObjectId(0)).unwrap();
         assert_eq!(out.causes.len(), 1);
         assert!(out.causes[0].counterfactual);
         assert_eq!(out.causes[0].responsibility, 1.0);
@@ -113,10 +83,10 @@ mod tests {
     #[test]
     fn answer_object_rejected() {
         let (ds, q) = fixture();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         // Object 4 at (2,2): dominance window around it w.r.t. q holds no
         // dominator.
-        let err = cr(&ds, &tree, &q, ObjectId(4)).unwrap_err();
+        let err = cr(&engine, &q, ObjectId(4)).unwrap_err();
         assert!(matches!(err, CrpError::NotANonAnswer { .. }));
     }
 
@@ -128,9 +98,9 @@ mod tests {
         )
         .unwrap()])
         .unwrap();
-        let tree = crp_skyline::build_object_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         assert_eq!(
-            cr(&ds, &tree, &pt(5.0, 5.0), ObjectId(0)).unwrap_err(),
+            cr(&engine, &pt(5.0, 5.0), ObjectId(0)).unwrap_err(),
             CrpError::NotCertainData
         );
     }
@@ -138,14 +108,14 @@ mod tests {
     #[test]
     fn unknown_and_empty_inputs() {
         let (ds, q) = fixture();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         assert!(matches!(
-            cr(&ds, &tree, &q, ObjectId(42)),
+            cr(&engine, &q, ObjectId(42)),
             Err(CrpError::UnknownObject(_))
         ));
-        let empty = UncertainDataset::new();
+        let empty = session(UncertainDataset::new());
         assert_eq!(
-            cr(&empty, &tree, &q, ObjectId(0)).unwrap_err(),
+            cr(&empty, &q, ObjectId(0)).unwrap_err(),
             CrpError::EmptyDataset
         );
     }
@@ -155,8 +125,8 @@ mod tests {
         // A second object at an's own location dominates q w.r.t. an
         // (all-zero distances, strict somewhere because q != an).
         let ds = UncertainDataset::from_points(vec![pt(10.0, 10.0), pt(10.0, 10.0)]).unwrap();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
-        let out = cr(&ds, &tree, &pt(5.0, 5.0), ObjectId(0)).unwrap();
+        let engine = session(ds);
+        let out = cr(&engine, &pt(5.0, 5.0), ObjectId(0)).unwrap();
         assert_eq!(out.causes.len(), 1);
         assert_eq!(out.causes[0].id, ObjectId(1));
     }

@@ -195,21 +195,19 @@ impl CertainSearch for SubsetVerify {
 
 /// The certain-data pipeline: validate, run the dominance-window
 /// filter over the point tree (stage 1), then the selected
-/// verification stage. `io`, when given, receives the call's node
-/// accesses whether it succeeds or errors.
+/// verification stage. `io` receives the call's node accesses whether
+/// it succeeds or errors.
 pub(crate) fn run_certain(
     ds: &UncertainDataset,
     tree: &RTree<ObjectId>,
     q: &Point,
     an_id: ObjectId,
     search: &dyn CertainSearch,
-    io: Option<&AtomicQueryStats>,
+    io: &AtomicQueryStats,
 ) -> Result<CrpOutcome, CrpError> {
     let mut stats = RunStats::default();
     let result = run_certain_inner(ds, tree, q, an_id, search, &mut stats);
-    if let Some(io) = io {
-        io.absorb(stats.query);
-    }
+    io.absorb(stats.query);
     result.map(|causes| CrpOutcome { causes, stats })
 }
 

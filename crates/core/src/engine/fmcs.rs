@@ -330,6 +330,21 @@ struct Probe {
     flips: bool,
 }
 
+/// The per-candidate impact scores of a dominance matrix (how much
+/// removing each candidate can lift `Pr(an)`), precomputed once per
+/// non-answer and shared by every FMCS driver.
+pub(crate) fn impacts(matrix: &DominanceMatrix) -> Vec<f64> {
+    (0..matrix.candidates()).map(|c| matrix.impact(c)).collect()
+}
+
+/// Orders an FMCS search space high-impact-first: the first combination
+/// of each cardinality is then the greedy removal set, which on deep
+/// non-answers is very likely already a valid contingency set. Any
+/// order is correct; this one converges fastest.
+pub(crate) fn order_by_impact(search: &mut [usize], impacts: &[f64]) {
+    search.sort_by(|&a, &b| impacts[b].partial_cmp(&impacts[a]).expect("finite impacts"));
+}
+
 /// FMCS for a single candidate `cc`: enumerate candidate contingency
 /// sets in ascending cardinality over the search space (on top of the
 /// forced set), strictly below the witness size. Returns the minimal
@@ -357,10 +372,10 @@ fn search_candidate(
     let mut search = std::mem::take(&mut scratch.search);
     search.clear();
     search.extend((0..n).filter(|&c| c != cc && !forced_mask[c] && !excluded[c]));
-    // Global impact ordering (see `super::merge`): `impacts` is
+    // Global impact ordering (see [`order_by_impact`]): `impacts` is
     // precomputed once per matrix by the driver — the weighted sum is
     // O(L) and this sort runs per candidate.
-    super::merge::order_by_impact(&mut search, impacts);
+    order_by_impact(&mut search, impacts);
     // Search strictly below the witness size (Lemma 6 already proves a
     // set of that size exists); otherwise everything up to the whole
     // search space.
@@ -493,7 +508,7 @@ pub(crate) fn search(
     }
 
     let n = matrix.candidates();
-    let impacts = super::merge::impacts(matrix);
+    let impacts = impacts(matrix);
     let cancel = super::budget::active();
     let mut witness: Vec<Option<Vec<usize>>> = vec![None; n];
     for cc in 0..n {
@@ -565,4 +580,19 @@ pub(crate) fn search(
 
     results.sort_by_key(|r| r.cand);
     Ok(results)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn impact_order_is_descending() {
+        // dp rows: candidate 0 weak, candidate 1 strong, candidate 2 mid.
+        let m = DominanceMatrix::from_parts(vec![0.1, 0.9, 0.5], vec![1.0], 3);
+        let scores = impacts(&m);
+        let mut search = vec![0, 1, 2];
+        order_by_impact(&mut search, &scores);
+        assert_eq!(search, vec![1, 2, 0]);
+    }
 }

@@ -3,10 +3,7 @@
 //! explicit three-stage pipeline — `filter → refine → fmcs` — with
 //! pluggable stage implementations.
 //!
-//! The seed implementation exposed the paper's algorithms as free
-//! functions (`cp`, `cp_unindexed`, `cr`, `naive_i`, `naive_ii`,
-//! `oracle_*`) that each required the caller to build and thread the
-//! right R-tree. The engine owns that state instead:
+//! The engine owns the state every algorithm needs:
 //!
 //! * the dataset (discrete-sample or continuous-pdf workload),
 //! * lazily built R-trees (object MBRs for CP, points for CR), shared
@@ -27,16 +24,13 @@
 //! | [`NaiveII`](ExplainStrategy::NaiveII) | dominance window | — | subset verification |
 //! | [`OracleCp`](ExplainStrategy::OracleCp)/[`OracleCr`](ExplainStrategy::OracleCr) | whole dataset | — | Definitions 1–2 brute force |
 //!
-//! [`ExplainEngine::explain_batch`] answers many non-answers in one
-//! call, data-parallel over the batch with `rayon` (order-preserving,
-//! so results are **bit-identical** to the serial path — a property the
+//! Every explain goes through the planner: build an [`ExplainRequest`]
+//! (strategy, α, lemma switches, budgets) and run it with
+//! [`ExplainSession::run`]; [`ExplainEngine::explain`] and
+//! [`ExplainEngine::explain_batch`] are the session-default shorthands.
+//! A batch runs data-parallel with `rayon` (order-preserving, so
+//! results are **bit-identical** to the serial path — a property the
 //! test suite pins).
-//!
-//! Stage 1 of CP tests each object alone (Lemma 2), so its candidate
-//! set splits over any partition of the objects: a multi-process shard
-//! worker answers its share with [`merge::shard_share`], and
-//! [`merge::merge_candidate_ids`] reassembles the shares into exactly
-//! [`ExplainEngine::candidate_ids`].
 //!
 //! ```
 //! use crp_core::{EngineConfig, ExplainEngine};
@@ -59,7 +53,6 @@ pub mod budget;
 pub mod certain;
 pub mod filter;
 pub(crate) mod fmcs;
-pub mod merge;
 pub mod mvcc;
 pub(crate) mod pipeline;
 pub mod plan;
@@ -101,7 +94,9 @@ pub enum ExplainStrategy {
     CpUnindexed,
     /// The Naive-I baseline: CP's filter, exhaustive refinement.
     NaiveI {
-        /// Subset-examination budget (`None` = unlimited).
+        /// Subset-examination budget (`None` = unlimited). Kept as a
+        /// field of the strategy only because `perfbench/src/offline.rs`
+        /// builds `NaiveI { max_subsets: None }`.
         max_subsets: Option<u64>,
     },
     /// The certain-data algorithm *CR* (Lemma 7, verification-free).
@@ -111,7 +106,9 @@ pub enum ExplainStrategy {
     CrKskyband { k: usize },
     /// The Naive-II baseline: CR's filter, subset verification.
     NaiveII {
-        /// Subset-examination budget (`None` = unlimited).
+        /// Subset-examination budget (`None` = unlimited). Kept as a
+        /// strategy field, like Naive-I's, only because
+        /// `perfbench/src/offline.rs` builds `NaiveI { max_subsets: None }`.
         max_subsets: Option<u64>,
     },
     /// Definition-level brute force for probabilistic queries (ground
@@ -610,27 +607,6 @@ impl ExplainEngine {
         plan::one(self, ExplainRequest::explain(q, an))
     }
 
-    /// Explains one non-answer with an explicit strategy and `α`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an `ExplainRequest` (`.with_strategy(..).with_alpha(..)`) and run it \
-                through `ExplainSession::run`, which also plans whole workloads"
-    )]
-    pub fn explain_as(
-        &self,
-        strategy: ExplainStrategy,
-        q: &Point,
-        alpha: f64,
-        an: ObjectId,
-    ) -> Result<CrpOutcome, CrpError> {
-        plan::one(
-            self,
-            ExplainRequest::explain(q, an)
-                .with_strategy(strategy)
-                .with_alpha(alpha),
-        )
-    }
-
     /// Explain with a per-call [`CpConfig`] override — the ablation
     /// experiments sweep lemma switches over one session this way, so
     /// the index is built once per dataset instead of once per
@@ -653,24 +629,6 @@ impl ExplainEngine {
         )
     }
 
-    /// The pre-planner per-call dispatch, kept as a benchmarking seam:
-    /// `plan_sweep` measures the planner's overhead against this
-    /// baseline. Not part of the public API surface.
-    #[doc(hidden)]
-    pub fn explain_direct(
-        &self,
-        strategy: ExplainStrategy,
-        q: &Point,
-        alpha: f64,
-        an: ObjectId,
-        cp: &CpConfig,
-    ) -> Result<CrpOutcome, CrpError> {
-        // The pipelines fold their node accesses into `self.io`
-        // themselves (passed as the `io` sink below), so error outcomes
-        // — which already paid their tree traversal — are counted too.
-        self.dispatch(strategy, q, alpha, an, cp)
-    }
-
     /// Explains a batch of non-answers with the configured strategy,
     /// data-parallel over the batch when the session's `parallel` flag
     /// is set. Result order matches `ans`, and each element is
@@ -680,61 +638,10 @@ impl ExplainEngine {
         plan::execute(self, &[ExplainRequest::batch(q, ans)]).results
     }
 
-    /// [`ExplainEngine::explain_batch`] with an explicit strategy and
-    /// `α`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an `ExplainRequest::batch(..).with_strategy(..).with_alpha(..)` and run \
-                it through `ExplainSession::run`, which also plans whole workloads"
-    )]
-    pub fn explain_batch_as(
-        &self,
-        strategy: ExplainStrategy,
-        q: &Point,
-        alpha: f64,
-        ans: &[ObjectId],
-    ) -> Vec<Result<CrpOutcome, CrpError>> {
-        plan::execute(
-            self,
-            &[ExplainRequest::batch(q, ans)
-                .with_strategy(strategy)
-                .with_alpha(alpha)],
-        )
-        .results
-    }
-
-    /// The serial batch path (regardless of the `parallel` flag) — the
-    /// reference the parallel path is tested against.
-    #[deprecated(
-        since = "0.2.0",
-        note = "build an `ExplainRequest::batch(..).serial()` and run it through \
-                `ExplainSession::run`"
-    )]
-    pub fn explain_batch_serial_as(
-        &self,
-        strategy: ExplainStrategy,
-        q: &Point,
-        alpha: f64,
-        ans: &[ObjectId],
-    ) -> Vec<Result<CrpOutcome, CrpError>> {
-        plan::execute(
-            self,
-            &[ExplainRequest::batch(q, ans)
-                .with_strategy(strategy)
-                .with_alpha(alpha)
-                .serial()],
-        )
-        .results
-    }
-
     /// The stage-1 output for one non-answer: every candidate cause id
     /// (ascending) — the set the refinement stage consumes, before any
     /// matrix or FMCS work. For pdf sessions these are the region hits
     /// of the per-quadrant windows.
-    ///
-    /// A shard worker answers its share of this list with
-    /// [`merge::shard_share`]; merging every share with
-    /// [`merge::merge_candidate_ids`] gives back exactly this list.
     pub fn candidate_ids(&self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, CrpError> {
         match &self.data {
             Workload::Discrete(ds) => {
@@ -807,6 +714,8 @@ impl ExplainEngine {
         }
     }
 
+    /// The per-call strategies: everything but CP, which the planner
+    /// always runs through a stage-1 unit.
     fn dispatch(
         &self,
         strategy: ExplainStrategy,
@@ -818,9 +727,8 @@ impl ExplainEngine {
         let strategy = self.resolve(strategy);
         match &self.data {
             Workload::Discrete(ds) => match strategy {
-                ExplainStrategy::Cp => self.run_indexed(ds, q, an, alpha, cp),
                 ExplainStrategy::CpUnindexed => {
-                    pipeline::run_probabilistic(ds, q, an, alpha, cp, &ScanFilter, Some(&self.io))
+                    pipeline::run_probabilistic(ds, q, an, alpha, cp, &ScanFilter, &self.io)
                 }
                 ExplainStrategy::NaiveI { max_subsets } => {
                     self.run_indexed(ds, q, an, alpha, &naive_config(max_subsets))
@@ -838,10 +746,14 @@ impl ExplainEngine {
                 ExplainStrategy::OracleCr => {
                     oracle_cr(ds, q, an).map(|causes| oracle_outcome(ds, causes))
                 }
-                ExplainStrategy::Auto => unreachable!("resolved above"),
+                ExplainStrategy::Auto | ExplainStrategy::Cp => {
+                    unreachable!("CP tasks run through a stage-1 unit")
+                }
             },
             Workload::Pdf { ds, resolution } => match strategy {
-                ExplainStrategy::Cp => self.run_indexed_pdf(ds, q, an, alpha, *resolution, cp),
+                ExplainStrategy::Auto | ExplainStrategy::Cp => {
+                    unreachable!("CP tasks run through a stage-1 unit")
+                }
                 ExplainStrategy::NaiveI { max_subsets } => {
                     self.run_indexed_pdf(ds, q, an, alpha, *resolution, &naive_config(max_subsets))
                 }
@@ -853,8 +765,8 @@ impl ExplainEngine {
         }
     }
 
-    /// The indexed probabilistic pipeline (CP, or Naive-I through its
-    /// lemma switches) over the packed object tree. Validation runs
+    /// The indexed probabilistic pipeline with Naive-I's lemma
+    /// switches over the packed object tree. Validation runs
     /// before the index is touched, so errors keep their precedence:
     /// α, then an empty dataset, then an unknown id.
     fn run_indexed(
@@ -867,7 +779,7 @@ impl ExplainEngine {
     ) -> Result<CrpOutcome, CrpError> {
         pipeline::validate(ds, q, an, alpha)?;
         let filter = SampleWindowFilter::new(self.packed(self.object_tree()));
-        pipeline::run_probabilistic(ds, q, an, alpha, cp, &filter, Some(&self.io))
+        pipeline::run_probabilistic(ds, q, an, alpha, cp, &filter, &self.io)
     }
 
     /// [`ExplainEngine::run_indexed`] for continuous-pdf sessions.
@@ -882,7 +794,7 @@ impl ExplainEngine {
     ) -> Result<CrpOutcome, CrpError> {
         pipeline::validate_pdf(ds, an, alpha)?;
         let tree = self.packed(self.object_tree());
-        pipeline::run_pdf(ds, tree, q, an, alpha, resolution, cp, Some(&self.io))
+        pipeline::run_pdf(ds, tree, q, an, alpha, resolution, cp, &self.io)
     }
 
     /// The certain-data strategies over the point tree.
@@ -893,14 +805,7 @@ impl ExplainEngine {
         an: ObjectId,
         search: &dyn certain::CertainSearch,
     ) -> Result<CrpOutcome, CrpError> {
-        run_certain(
-            ds,
-            self.guarded_point_tree(ds)?,
-            q,
-            an,
-            search,
-            Some(&self.io),
-        )
+        run_certain(ds, self.guarded_point_tree(ds)?, q, an, search, &self.io)
     }
 
     /// The pdf region tree, with empty datasets surfaced as the
@@ -1138,12 +1043,9 @@ fn oracle_outcome(ds: &UncertainDataset, causes: Vec<(ObjectId, OracleCause)>) -
 }
 
 #[cfg(test)]
-// The deprecated `explain_*_as` entry points are exercised on purpose:
-// these tests pin that the thin shims stay bit-identical to the
-// planner path they forward into.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::testkit::explain;
     use crp_uncertain::UncertainObject;
 
     fn pt(x: f64, y: f64) -> Point {
@@ -1162,15 +1064,25 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn engine_matches_free_cp() {
         let ds = uncertain_fixture();
         let engine = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(0.75))
             .expect("valid engine config");
+        // The free pipeline over a caller-built pointer tree.
         let tree = build_object_rtree(&ds, RTreeParams::paper_default(2));
         let q = pt(5.0, 5.0);
         let a = engine.explain(&q, ObjectId(0)).unwrap();
-        let b = crate::cp(&ds, &tree, &q, ObjectId(0), 0.75, &CpConfig::default()).unwrap();
+        let filter = SampleWindowFilter::new(&tree);
+        let b = pipeline::run_probabilistic(
+            &ds,
+            &q,
+            ObjectId(0),
+            0.75,
+            &CpConfig::default(),
+            &filter,
+            &AtomicQueryStats::new(),
+        )
+        .unwrap();
         assert_eq!(a, b);
         assert_eq!(
             engine.accumulated_io().node_accesses,
@@ -1203,7 +1115,9 @@ mod tests {
         let q = pt(5.0, 5.0);
         let ids: Vec<ObjectId> = (0..4).map(ObjectId).collect();
         let par = engine.explain_batch(&q, &ids);
-        let ser = engine.explain_batch_serial_as(ExplainStrategy::Auto, &q, 0.75, &ids);
+        let ser = engine
+            .run(&[ExplainRequest::batch(&q, &ids).with_alpha(0.75).serial()])
+            .results;
         assert_eq!(par, ser);
     }
 
@@ -1218,20 +1132,10 @@ mod tests {
         .unwrap();
         let engine = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
         let q = pt(5.0, 5.0);
-        let cr = engine
-            .explain_as(ExplainStrategy::Cr, &q, 0.5, ObjectId(0))
-            .unwrap();
-        let naive = engine
-            .explain_as(
-                ExplainStrategy::NaiveII { max_subsets: None },
-                &q,
-                0.5,
-                ObjectId(0),
-            )
-            .unwrap();
-        let oracle = engine
-            .explain_as(ExplainStrategy::OracleCr, &q, 0.5, ObjectId(0))
-            .unwrap();
+        let cr = explain(&engine, ExplainStrategy::Cr, &q, ObjectId(0), 0.5).unwrap();
+        let naive_ii = ExplainStrategy::NaiveII { max_subsets: None };
+        let naive = explain(&engine, naive_ii, &q, ObjectId(0), 0.5).unwrap();
+        let oracle = explain(&engine, ExplainStrategy::OracleCr, &q, ObjectId(0), 0.5).unwrap();
         assert_eq!(cr.causes.len(), naive.causes.len());
         assert_eq!(cr.causes.len(), oracle.causes.len());
         for ((a, b), c) in cr.causes.iter().zip(&naive.causes).zip(&oracle.causes) {
@@ -1241,9 +1145,14 @@ mod tests {
             assert_eq!(a.min_contingency.len(), c.min_contingency.len());
         }
         // The kskyband generalisation at k = 0 agrees with CR.
-        let ksky = engine
-            .explain_as(ExplainStrategy::CrKskyband { k: 0 }, &q, 0.5, ObjectId(0))
-            .unwrap();
+        let ksky = explain(
+            &engine,
+            ExplainStrategy::CrKskyband { k: 0 },
+            &q,
+            ObjectId(0),
+            0.5,
+        )
+        .unwrap();
         assert_eq!(cr, ksky);
     }
 
@@ -1452,7 +1361,7 @@ mod tests {
         let out = engine.explain(&q, ObjectId(0)).unwrap();
         assert!(out.cause(ObjectId(1)).is_some());
         assert!(matches!(
-            engine.explain_as(ExplainStrategy::Cr, &q, 0.5, ObjectId(0)),
+            explain(&engine, ExplainStrategy::Cr, &q, ObjectId(0), 0.5),
             Err(CrpError::UnsupportedStrategy { .. })
         ));
         // An empty pdf session errors like the discrete path instead of

@@ -83,14 +83,12 @@ pub(crate) fn tree_region_hits<Q: WindowQuery<ObjectId> + ?Sized>(
 /// taps are *per-explain* refinement counters (like
 /// `subsets_examined`), not session I/O — they stay in the outcome's
 /// [`RunStats`] and are stripped from the accumulator here.
-fn absorb_io(io: Option<&AtomicQueryStats>, stats: &RunStats) {
-    if let Some(io) = io {
-        io.absorb(QueryStats {
-            eval_fast: 0,
-            eval_slow: 0,
-            ..stats.query
-        });
-    }
+fn absorb_io(io: &AtomicQueryStats, stats: &RunStats) {
+    io.absorb(QueryStats {
+        eval_fast: 0,
+        eval_slow: 0,
+        ..stats.query
+    });
 }
 
 /// Input validation shared by the probabilistic strategies.
@@ -146,8 +144,8 @@ pub(crate) fn stage1_probabilistic(
 }
 
 /// Runs the full pipeline for one non-answer of a probabilistic reverse
-/// skyline query over discrete-sample data. `io`, when given, receives
-/// the call's node accesses whether it succeeds or errors.
+/// skyline query over discrete-sample data. `io` receives the call's
+/// node accesses whether it succeeds or errors.
 pub(crate) fn run_probabilistic(
     ds: &UncertainDataset,
     q: &Point,
@@ -155,7 +153,7 @@ pub(crate) fn run_probabilistic(
     alpha: f64,
     config: &CpConfig,
     filter: &dyn FilterStage,
-    io: Option<&AtomicQueryStats>,
+    io: &AtomicQueryStats,
 ) -> Result<CrpOutcome, CrpError> {
     let mut stats = RunStats::default();
     let result = with_scratch(|scratch| {
@@ -227,7 +225,7 @@ pub(crate) fn run_pdf(
     alpha: f64,
     resolution: usize,
     config: &CpConfig,
-    io: Option<&AtomicQueryStats>,
+    io: &AtomicQueryStats,
 ) -> Result<CrpOutcome, CrpError> {
     let mut stats = RunStats::default();
     let result = run_pdf_inner(ds, source, q, an_id, alpha, resolution, config, &mut stats);

@@ -19,9 +19,8 @@
 //!    *derived* from the larger unit's coverage list instead of paying
 //!    its own R-tree traversal,
 //! 3. **Execute** — the executor drives the plan over the
-//!    [`ExplainEngine`], rayon-parallel across units exactly like the
-//!    legacy batch paths, and returns a [`PlanReport`] with per-plan
-//!    [`PlanCounters`].
+//!    [`ExplainEngine`], rayon-parallel across units, and returns a
+//!    [`PlanReport`] with per-plan [`PlanCounters`].
 //!
 //! ## Why window containment is sound
 //!
@@ -39,16 +38,14 @@
 //! engine-agreement property tests pin this equivalence; the
 //! `plan_sweep` bench measures what it saves.
 //!
-//! Single-task plans (everything the legacy `explain*` shims forward)
-//! skip coverage mode entirely and execute the exact pre-planner code
-//! path, so per-call behaviour — outcomes *and* I/O counters — is
-//! unchanged.
+//! Single-task plans skip coverage mode entirely: one leaf unit pays
+//! exactly one explain's traversal, so a one-request plan's outcome
+//! *and* I/O counters are those of a solo explain.
 //!
 //! [`ExplainEngine`]: super::ExplainEngine
 
 use super::budget::{self, Cancel, PlanLimits};
 use super::filter;
-use super::merge;
 use super::pipeline::{self, StageOne};
 use super::{ExplainEngine, ExplainStrategy, Workload};
 use crate::config::CpConfig;
@@ -77,7 +74,7 @@ use std::sync::{Arc, OnceLock};
 /// Result order is the nested expansion order: queries (outer), then
 /// non-answers, then α values — so
 /// [`ExplainRequest::batch`]`(q, ans)` produces one result per `an` in
-/// input order, exactly like the legacy batch entry points.
+/// input order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExplainRequest {
     queries: Vec<Point>,
@@ -255,8 +252,8 @@ pub struct PlanCounters {
     /// Units computed from a containing unit's coverage list instead
     /// of their own traversal (the cross-query dedup).
     pub stage1_derived: usize,
-    /// Always 0: there is no session cache. Kept for the benchmark
-    /// harness, which still reads it.
+    /// Always 0: there is no session cache. Kept only because
+    /// `perfbench/src/trace.rs` reads it.
     pub stage1_cache_served: usize,
     /// Units that paid a filter traversal of the index.
     pub stage1_traversals: usize,
@@ -290,7 +287,7 @@ pub struct PlanReport {
 }
 
 impl PlanReport {
-    /// Consumes a single-task report (the legacy shim tail).
+    /// Consumes a single-task report.
     ///
     /// # Panics
     ///
@@ -346,7 +343,7 @@ struct Task {
     an: ObjectId,
     alpha: f64,
     /// The request's strategy, unresolved (per-call dispatch resolves
-    /// `Auto` itself, exactly like the legacy paths).
+    /// `Auto` itself).
     strategy: ExplainStrategy,
     cp: CpConfig,
     /// The stage-1 unit serving this task (`None` for per-call
@@ -357,7 +354,7 @@ struct Task {
 /// How a stage-1 unit obtains its dominance rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum UnitKind {
-    /// Own traversal through the exact legacy filter path.
+    /// Own traversal through the sample-window filter.
     Leaf,
     /// Own traversal in coverage mode (single bounding-box window),
     /// keeping the raw coverage list for derived children.
@@ -534,6 +531,19 @@ fn compile(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Plan {
     }
 }
 
+/// Maps candidate ids to their positions in the dataset, sorted
+/// ascending — exactly the candidate list the window filter produces,
+/// which is what makes the planner's containment-derived stage 1
+/// bit-identical to a traversal.
+///
+/// Ids unknown to `ds` are ignored.
+fn global_positions(ds: &UncertainDataset, ids: &[ObjectId]) -> Vec<usize> {
+    let mut positions: Vec<usize> = ids.iter().filter_map(|&id| ds.index_of(id)).collect();
+    positions.sort_unstable();
+    positions.dedup();
+    positions
+}
+
 /// Discrete stage 1 from a coverage superset: map ids to positions,
 /// re-run the exact Lemma 2 test, build the matrix — bit-identical
 /// candidates and rows to the traversal path (see the module docs for
@@ -545,7 +555,7 @@ fn stage1_discrete_from_coverage(
     coverage: &[ObjectId],
 ) -> StageOne {
     let an = ds.object_at(an_pos);
-    let mut positions = merge::global_positions(ds, coverage);
+    let mut positions = global_positions(ds, coverage);
     positions.retain(|&pos| pos != an_pos);
     filter::retain_causal(ds, an, q, &mut positions);
     let matrix = DominanceMatrix::build(ds, an_pos, q, &positions);
@@ -821,7 +831,7 @@ fn validate_task(workload: &Workload, q: &Point, task: &Task) -> Result<(), CrpE
 
 /// Compiles and executes a workload over one engine — the single body
 /// behind [`ExplainSession::run`](super::session::ExplainSession::run)
-/// and every legacy entry-point shim.
+/// and the engine's `explain*` shorthands.
 pub(crate) fn execute(engine: &ExplainEngine, requests: &[ExplainRequest]) -> PlanReport {
     let plan = compile(engine, requests);
     let config = &engine.config;
@@ -971,7 +981,7 @@ pub(crate) fn execute(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Pl
 }
 
 /// Plans and executes a single-task request, unwrapping the one result
-/// — the tail every legacy per-call shim forwards through.
+/// — the tail of the engine's single-explain shorthands.
 pub(crate) fn one(engine: &ExplainEngine, request: ExplainRequest) -> Result<CrpOutcome, CrpError> {
     debug_assert_eq!(request.task_count(), 1);
     execute(engine, std::slice::from_ref(&request)).into_single()
@@ -1001,6 +1011,24 @@ mod tests {
         let batch = ExplainRequest::batch(&pt(1.0, 1.0), &[ObjectId(0), ObjectId(1)]).serial();
         assert_eq!(batch.task_count(), 2);
         assert!(batch.serial);
+    }
+
+    #[test]
+    fn positions_restore_global_order() {
+        // Dataset positions follow insertion order, not id order.
+        let ds = UncertainDataset::from_objects(vec![
+            crp_uncertain::UncertainObject::certain(ObjectId(9), pt(0.0, 0.0)),
+            crp_uncertain::UncertainObject::certain(ObjectId(1), pt(1.0, 1.0)),
+            crp_uncertain::UncertainObject::certain(ObjectId(5), pt(2.0, 2.0)),
+        ])
+        .unwrap();
+        // Position order: 9 is at 0, 5 is at 2.
+        assert_eq!(
+            global_positions(&ds, &[ObjectId(5), ObjectId(9)]),
+            vec![0, 2]
+        );
+        // Foreign ids are ignored, not a panic.
+        assert_eq!(global_positions(&ds, &[ObjectId(42)]), Vec::<usize>::new());
     }
 
     #[test]

@@ -54,8 +54,8 @@ pub trait ExplainSession: Sync {
     /// call so far.
     fn accumulated_io(&self) -> QueryStats;
 
-    /// Always `(0, 0)`: there is no session cache. Kept for the
-    /// benchmark harness, which still implements it.
+    /// Always `(0, 0)`: there is no session cache. Kept only because
+    /// `perfbench/src/trace.rs` implements it.
     fn cache_len(&self) -> (usize, usize) {
         (0, 0)
     }
@@ -67,9 +67,8 @@ pub trait ExplainSession: Sync {
     /// saved.
     fn run(&self, requests: &[ExplainRequest]) -> PlanReport;
 
-    /// How many stage-1 partitions back this session. A session is one
-    /// partition; multi-process shard workers split its candidates with
-    /// [`crate::engine::merge::shard_share`] instead.
+    /// Always 1: a session is one stage-1 partition. Kept only because
+    /// `perfbench/src/trace.rs` implements it.
     fn shard_count(&self) -> usize {
         1
     }
@@ -78,11 +77,9 @@ pub trait ExplainSession: Sync {
     /// deduplicated.
     fn candidate_ids(&self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, CrpError>;
 
-    /// One partition's share of the stage-1 candidates. Merging every
-    /// partition's share with
-    /// [`crate::engine::merge::merge_candidate_ids`] reproduces
-    /// [`candidate_ids`](Self::candidate_ids) exactly; with the single
-    /// partition of a session, shard 0 is the whole list.
+    /// [`candidate_ids`](Self::candidate_ids) of the session's one
+    /// partition, shard 0. Kept only because `perfbench/src/trace.rs`
+    /// implements it.
     ///
     /// # Panics
     ///

@@ -14,50 +14,33 @@
 //! Hence **every dominator is an actual cause with responsibility
 //! `1/(|D| − k)`**, and `k = 0` recovers the paper's Lemma 7 / Eq. 4
 //! exactly. Like CR, the algorithm is a single window query.
-
-use crate::engine::certain::{run_certain, Lemma7ClosedForm};
-use crate::error::CrpError;
-use crate::types::CrpOutcome;
-use crp_geom::Point;
-use crp_rtree::RTree;
-use crp_uncertain::{ObjectId, UncertainDataset};
-
-/// Causality & responsibility for the non-answer `an_id` to the reverse
-/// k-skyband query `(q, k)` over certain data — the certain-data
-/// pipeline with the closed-form verification stage at level `k`.
-///
-/// # Errors
-///
-/// Mirrors [`crate::cr`]; additionally `an` must have *more than* `k`
-/// dominators, otherwise it is an answer.
-#[deprecated(
-    since = "0.2.0",
-    note = "use ExplainEngine with ExplainStrategy::CrKskyband"
-)]
-pub fn cr_kskyband(
-    ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
-    q: &Point,
-    an_id: ObjectId,
-    k: usize,
-) -> Result<CrpOutcome, CrpError> {
-    run_certain(ds, tree, q, an_id, &Lemma7ClosedForm { k }, None)
-}
+//!
+//! The algorithm runs as [`crate::ExplainStrategy::CrKskyband`]: the
+//! certain-data pipeline with the closed-form verification stage at
+//! level `k`. This module holds its tests against the definition-level
+//! oracle.
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::cr;
     use crate::oracle::oracle_crp;
-    use crp_geom::dominates;
-    use crp_rtree::RTreeParams;
-    use crp_skyline::build_point_rtree;
+    use crate::testkit::{explain, session};
+    use crate::{CrpError, CrpOutcome, ExplainEngine, ExplainStrategy};
+    use crp_geom::{dominates, Point};
+    use crp_uncertain::{ObjectId, UncertainDataset};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     fn pt(x: f64, y: f64) -> Point {
         Point::from([x, y])
+    }
+
+    fn cr_kskyband(
+        engine: &ExplainEngine,
+        q: &Point,
+        an: ObjectId,
+        k: usize,
+    ) -> Result<CrpOutcome, CrpError> {
+        explain(engine, ExplainStrategy::CrKskyband { k }, q, an, 0.5)
     }
 
     fn fixture() -> (UncertainDataset, Point) {
@@ -77,9 +60,9 @@ mod tests {
     #[test]
     fn k_zero_equals_cr() {
         let (ds, q) = fixture();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
-        let a = cr(&ds, &tree, &q, ObjectId(0)).unwrap();
-        let b = cr_kskyband(&ds, &tree, &q, ObjectId(0), 0).unwrap();
+        let engine = session(ds);
+        let a = explain(&engine, ExplainStrategy::Cr, &q, ObjectId(0), 0.5).unwrap();
+        let b = cr_kskyband(&engine, &q, ObjectId(0), 0).unwrap();
         assert_eq!(a.causes.len(), b.causes.len());
         for (x, y) in a.causes.iter().zip(b.causes.iter()) {
             assert_eq!(x.id, y.id);
@@ -91,10 +74,10 @@ mod tests {
     #[test]
     fn responsibilities_follow_the_closed_form() {
         let (ds, q) = fixture();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
         // 4 dominators: at k the responsibility is 1/(4−k).
         for k in 0..4usize {
-            let out = cr_kskyband(&ds, &tree, &q, ObjectId(0), k).unwrap();
+            let out = cr_kskyband(&engine, &q, ObjectId(0), k).unwrap();
             assert_eq!(out.causes.len(), 4, "every dominator is a cause");
             for c in &out.causes {
                 assert!(
@@ -107,7 +90,7 @@ mod tests {
         }
         // k = 4: an IS in the 4-skyband.
         assert!(matches!(
-            cr_kskyband(&ds, &tree, &q, ObjectId(0), 4),
+            cr_kskyband(&engine, &q, ObjectId(0), 4),
             Err(CrpError::NotANonAnswer { .. })
         ));
     }
@@ -123,12 +106,12 @@ mod tests {
                 )
             }))
             .unwrap();
-            let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+            let engine = session(ds.clone());
             let q = pt(6.0, 6.0);
             let k = rng.random_range(0..3usize);
             for an in 0..ds.len() {
                 let an_id = ds.object_at(an).id();
-                let got = cr_kskyband(&ds, &tree, &q, an_id, k);
+                let got = cr_kskyband(&engine, &q, an_id, k);
                 // Oracle: an is an answer on P−mask iff its dominator
                 // count among the survivors is <= k.
                 let an_pt = ds.object_at(an).certain_point().clone();
@@ -168,9 +151,9 @@ mod tests {
     #[test]
     fn witness_sets_are_valid() {
         let (ds, q) = fixture();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds.clone());
         let k = 1usize;
-        let out = cr_kskyband(&ds, &tree, &q, ObjectId(0), k).unwrap();
+        let out = cr_kskyband(&engine, &q, ObjectId(0), k).unwrap();
         let an = ds.object_at(0).certain_point();
         for cause in &out.causes {
             let surviving = |removed: &[ObjectId]| {

@@ -31,16 +31,13 @@
 //!   truth (also callable directly as [`oracle_cp`] / [`oracle_cr`]),
 //! * [`CpConfig`] — lemma on/off switches and work budgets for the
 //!   ablation experiments,
-//! * [`ExplainEngine::explain_batch`] — many non-answers in one call,
-//!   data-parallel with rayon and bit-identical to the serial path,
-//! * [`shard_share`] / [`merge_candidate_ids`] — the stage-1 merge law:
-//!   a shard worker answers the id-hash share of the candidate set, and
-//!   the merged shares equal [`ExplainEngine::candidate_ids`] (see
-//!   [`engine::merge`]).
-//!
-//! The pre-engine free functions ([`cp`], [`cr`], [`naive_i`],
-//! [`naive_ii`], [`cp_pdf`], [`cr_kskyband`]) remain as deprecated thin
-//! wrappers over the same pipeline.
+//! * [`ExplainRequest`] / [`ExplainSession::run`] — the one way to
+//!   pick a strategy, α, lemma switches and budgets per call: the
+//!   planner runs whole workloads (batches, α-sweeps, query grids) as
+//!   one plan, data-parallel with rayon and bit-identical to the serial
+//!   path; [`ExplainEngine::explain`] and
+//!   [`ExplainEngine::explain_batch`] are the session-default
+//!   shorthands.
 
 mod answers;
 mod combinations;
@@ -57,6 +54,8 @@ mod matrix;
 mod naive;
 mod oracle;
 mod pdf;
+#[cfg(test)]
+mod testkit;
 mod types;
 
 pub use answers::answer_causes;
@@ -65,7 +64,6 @@ pub use combinations::{
 };
 pub use config::CpConfig;
 pub use cp::collect_candidates;
-pub use engine::merge::{merge_candidate_ids, shard_share};
 pub use engine::mvcc::{EpochSnapshot, MvccCounters, MvccEngine, SnapshotEngine};
 pub use engine::window::{
     admission, derive_limits, execute_window, fan_out, Admission, ClientClass, WindowReport,
@@ -88,17 +86,3 @@ pub use crp_rtree::QueryStats;
 pub use oracle::{oracle_cp, oracle_cr, oracle_crp, OracleCause};
 pub use pdf::build_pdf_rtree;
 pub use types::{Cause, CrpOutcome, RunStats};
-
-// Deprecated free-function wrappers, kept for callers that manage
-// their own R-trees; each routes through the same pipeline the engine
-// dispatches.
-#[allow(deprecated)]
-pub use cp::{cp, cp_unindexed};
-#[allow(deprecated)]
-pub use cr::cr;
-#[allow(deprecated)]
-pub use kskyband::cr_kskyband;
-#[allow(deprecated)]
-pub use naive::{naive_i, naive_ii};
-#[allow(deprecated)]
-pub use pdf::cp_pdf;

@@ -8,82 +8,19 @@
 //!   non-reverse-skyline object with the CR window query, then *verifies*
 //!   each candidate by subset enumeration instead of applying Lemma 7.
 //!
-//! Both are strategy selections over the shared pipeline: Naive-I is
-//! the probabilistic pipeline with every [`CpConfig`] switch off, and
-//! Naive-II is the certain pipeline with the
-//! [`SubsetVerify`](crate::engine::certain::SubsetVerify) stage. Prefer
-//! [`crate::ExplainEngine`] with
-//! [`crate::ExplainStrategy::NaiveI`] /
-//! [`crate::ExplainStrategy::NaiveII`].
-
-use crate::config::CpConfig;
-use crate::engine::certain::{run_certain, SubsetVerify};
-use crate::engine::filter::SampleWindowFilter;
-use crate::engine::pipeline;
-use crate::error::CrpError;
-use crate::types::CrpOutcome;
-use crp_geom::Point;
-use crp_rtree::RTree;
-use crp_uncertain::{ObjectId, UncertainDataset};
-
-/// Naive-I: CP's filter + exhaustive refinement.
-///
-/// Accepts the same inputs as [`crate::cp`]; `max_subsets` bounds the
-/// exponential refinement (`None` = unlimited).
-#[deprecated(
-    since = "0.2.0",
-    note = "use ExplainEngine with ExplainStrategy::NaiveI"
-)]
-pub fn naive_i(
-    ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
-    q: &Point,
-    an_id: ObjectId,
-    alpha: f64,
-    max_subsets: Option<u64>,
-) -> Result<CrpOutcome, CrpError> {
-    let config = CpConfig {
-        max_subsets,
-        ..CpConfig::naive()
-    };
-    pipeline::run_probabilistic(
-        ds,
-        q,
-        an_id,
-        alpha,
-        &config,
-        &SampleWindowFilter::new(tree),
-        None,
-    )
-}
-
-/// Naive-II: CR's window filter + per-candidate subset verification.
-///
-/// Produces the same causes as [`crate::cr`] (Lemma 7 guarantees it) at a
-/// cost exponential in the candidate count; `max_subsets` bounds the
-/// verification (`None` = unlimited).
-#[deprecated(
-    since = "0.2.0",
-    note = "use ExplainEngine with ExplainStrategy::NaiveII"
-)]
-pub fn naive_ii(
-    ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
-    q: &Point,
-    an_id: ObjectId,
-    max_subsets: Option<u64>,
-) -> Result<CrpOutcome, CrpError> {
-    run_certain(ds, tree, q, an_id, &SubsetVerify { max_subsets }, None)
-}
+//! Both are strategy selections over the shared pipeline:
+//! [`crate::ExplainStrategy::NaiveI`] is the probabilistic pipeline
+//! with every [`crate::CpConfig`] switch off, and
+//! [`crate::ExplainStrategy::NaiveII`] is the certain pipeline with the
+//! [`SubsetVerify`](crate::engine::certain::SubsetVerify) stage. This
+//! module holds their agreement tests against CP and CR.
 
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
-    use super::*;
-    use crate::{cp, cr};
-    use crp_rtree::RTreeParams;
-    use crp_skyline::{build_object_rtree, build_point_rtree};
-    use crp_uncertain::UncertainObject;
+    use crate::testkit::{explain, session};
+    use crate::{CrpError, ExplainStrategy};
+    use crp_geom::Point;
+    use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -112,12 +49,13 @@ mod tests {
                 .unwrap()
             }))
             .unwrap();
-            let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
+            let engine = session(ds);
             let q = pt(10.0, 10.0);
             let alpha = [0.3, 0.5, 0.8][rng.random_range(0..3usize)];
             for id in 0..8u32 {
-                let a = cp(&ds, &tree, &q, ObjectId(id), alpha, &CpConfig::default());
-                let b = naive_i(&ds, &tree, &q, ObjectId(id), alpha, None);
+                let a = explain(&engine, ExplainStrategy::Cp, &q, ObjectId(id), alpha);
+                let naive = ExplainStrategy::NaiveI { max_subsets: None };
+                let b = explain(&engine, naive, &q, ObjectId(id), alpha);
                 match (a, b) {
                     (Ok(x), Ok(y)) => {
                         let xs: Vec<(ObjectId, usize)> = x
@@ -155,11 +93,14 @@ mod tests {
                 )
             }))
             .unwrap();
-            let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+            let engine = session(ds);
             let q = pt(20.0, 20.0);
             for id in 0..30u32 {
-                let a = cr(&ds, &tree, &q, ObjectId(id));
-                let b = naive_ii(&ds, &tree, &q, ObjectId(id), Some(2_000_000));
+                let a = explain(&engine, ExplainStrategy::Cr, &q, ObjectId(id), 0.5);
+                let naive = ExplainStrategy::NaiveII {
+                    max_subsets: Some(2_000_000),
+                };
+                let b = explain(&engine, naive, &q, ObjectId(id), 0.5);
                 match (a, b) {
                     (Ok(x), Ok(y)) => {
                         assert_eq!(x.causes.len(), y.causes.len());
@@ -190,21 +131,25 @@ mod tests {
             points.push(pt(60.0 + i as f64, 60.0 + i as f64));
         }
         let ds = UncertainDataset::from_points(points).unwrap();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(8));
-        let err = naive_ii(&ds, &tree, &pt(50.0, 50.0), ObjectId(0), Some(10_000)).unwrap_err();
+        let engine = session(ds);
+        let naive = ExplainStrategy::NaiveII {
+            max_subsets: Some(10_000),
+        };
+        let err = explain(&engine, naive, &pt(50.0, 50.0), ObjectId(0), 0.5).unwrap_err();
         assert!(matches!(err, CrpError::BudgetExhausted { .. }));
     }
 
     #[test]
     fn naive_i_validates_like_cp() {
         let ds = UncertainDataset::from_points(vec![pt(0.0, 0.0)]).unwrap();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(ds);
+        let naive = ExplainStrategy::NaiveI { max_subsets: None };
         assert!(matches!(
-            naive_i(&ds, &tree, &pt(1.0, 1.0), ObjectId(0), 2.0, None),
+            explain(&engine, naive, &pt(1.0, 1.0), ObjectId(0), 2.0),
             Err(CrpError::InvalidAlpha(_))
         ));
         assert!(matches!(
-            naive_i(&ds, &tree, &pt(1.0, 1.0), ObjectId(9), 0.5, None),
+            explain(&engine, naive, &pt(1.0, 1.0), ObjectId(9), 0.5),
             Err(CrpError::UnknownObject(_))
         ));
     }

@@ -18,14 +18,10 @@
 //!    cell are exact).
 //!
 //! The pipeline driver lives in [`crate::engine`]
-//! (`pipeline::run_pdf`); this module keeps the pdf-specific filter
-//! geometry, the index builder and the public wrapper. Prefer
-//! [`crate::ExplainEngine::for_pdf`].
+//! (`pipeline::run_pdf`) and runs in a session built with
+//! [`crate::ExplainEngine::for_pdf`]; this module keeps the
+//! pdf-specific filter geometry and the index builder.
 
-use crate::config::CpConfig;
-use crate::engine::pipeline;
-use crate::error::CrpError;
-use crate::types::CrpOutcome;
 use crp_geom::{dominance_rect, quadrant_corners, HyperRect, Point};
 use crp_rtree::{RTree, RTreeParams};
 use crp_uncertain::{ObjectId, PdfDataset};
@@ -53,33 +49,11 @@ pub(crate) fn pdf_windows(q: &Point, region: &HyperRect) -> Vec<HyperRect> {
         .collect()
 }
 
-/// CP for the continuous pdf model.
-///
-/// `resolution` controls the midpoint-rule discretisation of the
-/// non-answer's region (`resolution^D` cells); candidates are integrated
-/// in closed form. `tree` must index the regions (see
-/// [`build_pdf_rtree`]).
-///
-/// # Errors
-///
-/// Same contract as [`crate::cp`].
-#[deprecated(since = "0.2.0", note = "use ExplainEngine::for_pdf")]
-pub fn cp_pdf(
-    ds: &PdfDataset,
-    tree: &RTree<ObjectId>,
-    q: &Point,
-    an_id: ObjectId,
-    alpha: f64,
-    resolution: usize,
-    config: &CpConfig,
-) -> Result<CrpOutcome, CrpError> {
-    pipeline::run_pdf(ds, tree, q, an_id, alpha, resolution, config, None)
-}
-
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::testkit::{cp, pdf_session, session};
+    use crate::CrpError;
     use crp_uncertain::PdfObject;
 
     fn rect(lo: [f64; 2], hi: [f64; 2]) -> HyperRect {
@@ -131,10 +105,9 @@ mod tests {
 
     #[test]
     fn cp_pdf_finds_the_blocker() {
-        let ds = fixture();
-        let tree = build_pdf_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = pdf_session(fixture(), 3);
         let q = Point::from([5.0, 5.0]);
-        let out = cp_pdf(&ds, &tree, &q, ObjectId(0), 0.5, 3, &CpConfig::default()).unwrap();
+        let out = cp(&engine, &q, ObjectId(0), 0.5).unwrap();
         // Object 1 dominates every cell with probability 1 -> removing it
         // restores Pr(an) to ~1 (object 2 does not dominate: its box lies
         // below the window in y for... check: it has partial mass).
@@ -151,22 +124,12 @@ mod tests {
         let ds = fixture();
         let q = Point::from([5.0, 5.0]);
         let resolution = 4;
-        let tree = build_pdf_rtree(&ds, RTreeParams::with_fanout(4));
-
-        let disc = ds.discretize(resolution);
-        let dtree = crp_skyline::build_object_rtree(&disc, RTreeParams::with_fanout(4));
+        let disc = session(ds.discretize(resolution));
+        let engine = pdf_session(ds, resolution);
 
         for alpha in [0.3, 0.5, 0.8] {
-            let a = cp_pdf(
-                &ds,
-                &tree,
-                &q,
-                ObjectId(0),
-                alpha,
-                resolution,
-                &CpConfig::default(),
-            );
-            let b = crate::cp(&disc, &dtree, &q, ObjectId(0), alpha, &CpConfig::default());
+            let a = cp(&engine, &q, ObjectId(0), alpha);
+            let b = cp(&disc, &q, ObjectId(0), alpha);
             match (a, b) {
                 (Ok(x), Ok(y)) => {
                     let xs: Vec<(ObjectId, usize)> = x
@@ -197,24 +160,23 @@ mod tests {
 
     #[test]
     fn cp_pdf_rejects_answers_and_bad_input() {
-        let ds = fixture();
-        let tree = build_pdf_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = pdf_session(fixture(), 3);
         let q = Point::from([5.0, 5.0]);
         assert!(matches!(
-            cp_pdf(&ds, &tree, &q, ObjectId(4), 0.5, 3, &CpConfig::default()),
+            cp(&engine, &q, ObjectId(4), 0.5),
             Err(CrpError::NotANonAnswer { .. })
         ));
         assert!(matches!(
-            cp_pdf(&ds, &tree, &q, ObjectId(9), 0.5, 3, &CpConfig::default()),
+            cp(&engine, &q, ObjectId(9), 0.5),
             Err(CrpError::UnknownObject(_))
         ));
         assert!(matches!(
-            cp_pdf(&ds, &tree, &q, ObjectId(0), 0.0, 3, &CpConfig::default()),
+            cp(&engine, &q, ObjectId(0), 0.0),
             Err(CrpError::InvalidAlpha(_))
         ));
-        let empty = PdfDataset::new();
+        let empty = pdf_session(PdfDataset::new(), 3);
         assert!(matches!(
-            cp_pdf(&empty, &tree, &q, ObjectId(0), 0.5, 3, &CpConfig::default()),
+            cp(&empty, &q, ObjectId(0), 0.5),
             Err(CrpError::EmptyDataset)
         ));
     }

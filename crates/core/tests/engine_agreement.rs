@@ -1,22 +1,14 @@
 //! Property tests of the `ExplainEngine`: the session object must agree
 //! **exactly** with the definition-level oracles on small random
-//! datasets, through every dispatch path — per-call `explain_as`,
-//! serial batch, rayon-parallel batch and the planner. The batch paths
-//! must additionally be
-//! bit-identical to each other (the engine's ordering contract), the
-//! stage-1 candidate set must split into disjoint id-hash shares that
-//! merge back exactly (the shard-worker law), and the combinatorics
-//! primitives FMCS leans on must behave at their boundary sizes.
-
-// The deprecated `explain_*_as` entry points are exercised throughout
-// on purpose: these tests pin that the thin shims stay bit-identical to
-// the planner path they forward into.
-#![allow(deprecated)]
+//! datasets, through every planner shape — a single explain, a serial
+//! batch, a rayon-parallel batch and multi-query workloads. The batch
+//! paths must additionally be bit-identical to each other (the
+//! engine's ordering contract), and the combinatorics primitives FMCS
+//! leans on must behave at their boundary sizes.
 
 use crp_core::{
-    binomial, collect_candidates, for_each_combination, merge_candidate_ids, oracle_cp, oracle_cr,
-    shard_share, CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest,
-    ExplainSession, ExplainStrategy,
+    binomial, collect_candidates, for_each_combination, oracle_cp, oracle_cr, CrpError, CrpOutcome,
+    EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy,
 };
 use crp_geom::{HyperRect, Point};
 use crp_uncertain::{ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainObject};
@@ -72,6 +64,38 @@ fn oracle_signature(oracle: &[(ObjectId, crp_core::OracleCause)]) -> Vec<(Object
         .collect()
 }
 
+/// One explain as a single-task plan under an explicit strategy and α.
+fn solo(
+    session: &dyn ExplainSession,
+    strategy: ExplainStrategy,
+    q: &Point,
+    alpha: f64,
+    an: ObjectId,
+) -> Result<CrpOutcome, CrpError> {
+    session
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(strategy)
+            .with_alpha(alpha)])
+        .into_single()
+}
+
+/// One batch plan under an explicit strategy and α; `serial` forces
+/// the serial path.
+fn batch(
+    session: &dyn ExplainSession,
+    strategy: ExplainStrategy,
+    q: &Point,
+    alpha: f64,
+    ans: &[ObjectId],
+    serial: bool,
+) -> Vec<Result<CrpOutcome, CrpError>> {
+    let request = ExplainRequest::batch(q, ans)
+        .with_strategy(strategy)
+        .with_alpha(alpha);
+    let request = if serial { request.serial() } else { request };
+    session.run(&[request]).results
+}
+
 fn engine_vs_oracle(
     engine: &ExplainEngine,
     strategy: ExplainStrategy,
@@ -81,12 +105,12 @@ fn engine_vs_oracle(
     let ids: Vec<ObjectId> = engine.dataset().iter().map(|o| o.id()).collect();
     // Parallel and serial batches must be bit-identical (the engine's
     // ordering contract), and each element must equal the per-call path.
-    let parallel = engine.explain_batch_as(strategy, q, alpha, &ids);
-    let serial = engine.explain_batch_serial_as(strategy, q, alpha, &ids);
+    let parallel = batch(engine, strategy, q, alpha, &ids, false);
+    let serial = batch(engine, strategy, q, alpha, &ids, true);
     prop_assert_eq!(&parallel, &serial, "parallel batch diverged from serial");
     for (&an, got) in ids.iter().zip(&parallel) {
-        let single = engine.explain_as(strategy, q, alpha, an);
-        prop_assert_eq!(got, &single, "batch element diverged from explain_as");
+        let single = solo(engine, strategy, q, alpha, an);
+        prop_assert_eq!(got, &single, "batch element diverged from a single explain");
         let expected = match strategy {
             ExplainStrategy::Cr => oracle_cr(engine.dataset(), q, an),
             _ => oracle_cp(engine.dataset(), q, an, alpha),
@@ -193,12 +217,12 @@ proptest! {
         // engine dispatch; OracleCr and Cr must coincide on certain data.
         let engine = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
         for an in engine.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
-            let via_engine = engine.explain_as(ExplainStrategy::OracleCr, &q, 0.5, an);
+            let via_engine = solo(&engine, ExplainStrategy::OracleCr, &q, 0.5, an);
             let direct = oracle_cr(engine.dataset(), &q, an);
             match (via_engine, direct) {
                 (Ok(out), Ok(oracle)) => {
                     prop_assert_eq!(signature(&out), oracle_signature(&oracle));
-                    let cr = engine.explain_as(ExplainStrategy::Cr, &q, 0.5, an).unwrap();
+                    let cr = solo(&engine, ExplainStrategy::Cr, &q, 0.5, an).unwrap();
                     prop_assert_eq!(signature(&cr), signature(&out));
                 }
                 (Err(CrpError::NotANonAnswer { .. }), Err(CrpError::NotANonAnswer { .. })) => {}
@@ -214,8 +238,8 @@ proptest! {
     ) {
         let engine = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
         for an in engine.dataset().iter().map(|o| o.id()).collect::<Vec<_>>() {
-            let cr = engine.explain_as(ExplainStrategy::Cr, &q, 0.5, an);
-            let nv = engine.explain_as(
+            let cr = solo(&engine, ExplainStrategy::Cr, &q, 0.5, an);
+            let nv = solo(&engine,
                 ExplainStrategy::NaiveII { max_subsets: Some(5_000_000) },
                 &q,
                 0.5,
@@ -232,50 +256,6 @@ proptest! {
                 }
                 (Err(x), Err(y)) => prop_assert_eq!(x, y),
                 (x, y) => prop_assert!(false, "divergence: {:?} vs {:?}", x, y),
-            }
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The shard-worker merge law: for N ∈ 1..=4, the id-hash shares of
-    /// a non-answer's stage-1 candidates are pairwise disjoint, and
-    /// merging them gives back exactly the engine's candidate list —
-    /// on discrete and pdf workloads alike.
-    #[test]
-    fn sharded_candidate_merge_equals_unsharded_filter(
-        ds in uncertain_dataset(2),
-        pdf in pdf_dataset(2),
-        q in query(2),
-    ) {
-        let discrete = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
-        let continuous = ExplainEngine::for_pdf(pdf, 3, EngineConfig::default())
-            .expect("valid engine config");
-        let mut lists = Vec::new();
-        for an in discrete.dataset().iter().map(|o| o.id()) {
-            lists.push(discrete.candidate_ids(&q, an).unwrap());
-        }
-        for an in continuous.pdf_dataset().unwrap().0.iter().map(|o| o.id()) {
-            lists.push(continuous.candidate_ids(&q, an).unwrap());
-        }
-        for ids in &lists {
-            for shards in 1..=4 {
-                let shares: Vec<Vec<ObjectId>> =
-                    (0..shards).map(|i| shard_share(ids, i, shards)).collect();
-                for (i, a) in shares.iter().enumerate() {
-                    for b in &shares[i + 1..] {
-                        prop_assert!(
-                            a.iter().all(|id| !b.contains(id)),
-                            "shares overlap at {} shard(s): {:?} / {:?}",
-                            shards,
-                            a,
-                            b
-                        );
-                    }
-                }
-                prop_assert_eq!(&merge_candidate_ids(shares), ids, "{} shard(s)", shards);
             }
         }
     }
@@ -366,10 +346,10 @@ proptest! {
                         config,
                     )
                     .expect("valid config");
-                    let reference = fresh.explain_as(ExplainStrategy::Cp, &q, alpha, an);
+                    let reference = solo(&fresh, ExplainStrategy::Cp, &q, alpha, an);
                     assert_outcomes_match(
                         &reference,
-                        single.explain_as(ExplainStrategy::Cp, &q, alpha, an),
+                        solo(&single, ExplainStrategy::Cp, &q, alpha, an),
                         "mutable engine, mid-stream",
                     )?;
                     None
@@ -391,8 +371,8 @@ proptest! {
         let ids: Vec<ObjectId> = fresh.dataset().iter().map(|o| o.id()).collect();
         let sweep_alpha = (alpha * 0.5).max(0.25);
         for &a in &[alpha, sweep_alpha] {
-            let reference = fresh.explain_batch_serial_as(ExplainStrategy::Cp, &q, a, &ids);
-            let got = single.explain_batch_as(ExplainStrategy::Cp, &q, a, &ids);
+            let reference = batch(&fresh, ExplainStrategy::Cp, &q, a, &ids, true);
+            let got = batch(&single, ExplainStrategy::Cp, &q, a, &ids, false);
             for ((&an, reference), got) in ids.iter().zip(&reference).zip(got) {
                 assert_outcomes_match(
                     reference,
@@ -402,8 +382,8 @@ proptest! {
             }
         }
         // A second pass over the same questions must stay identical.
-        let reference = fresh.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
-        let repeat = single.explain_batch_serial_as(ExplainStrategy::Cp, &q, alpha, &ids);
+        let reference = batch(&fresh, ExplainStrategy::Cp, &q, alpha, &ids, true);
+        let repeat = batch(&single, ExplainStrategy::Cp, &q, alpha, &ids, true);
         for ((&an, reference), got) in ids.iter().zip(&reference).zip(repeat) {
             assert_outcomes_match(reference, got, &format!("repeat, an = {an}"))?;
         }
@@ -615,8 +595,7 @@ fn interp(q: &Point, target: &Point, t: f64) -> Point {
 
 proptest! {
     // Each case executes a planned multi-query workload, comparing
-    // every task against the pre-planner per-call dispatch on a fresh
-    // session.
+    // every task against a single-task plan on a fresh session.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The acceptance pin of the plan layer: planned execution —
@@ -642,12 +621,11 @@ proptest! {
             .with_alphas(alphas.clone());
         let config = EngineConfig::with_alpha(0.5);
         let reference = ExplainEngine::new(ds.clone(), config).expect("valid config");
-        let cp = CpConfig::default();
         let mut expected = Vec::new();
         for qq in [&q, &q2] {
             for &an in &ids {
                 for &alpha in &alphas {
-                    expected.push(reference.explain_direct(ExplainStrategy::Cp, qq, alpha, an, &cp));
+                    expected.push(solo(&reference, ExplainStrategy::Cp, qq, alpha, an));
                 }
             }
         }
@@ -683,12 +661,11 @@ proptest! {
             .with_alphas(alphas.clone());
         let config = EngineConfig::with_alpha(0.5);
         let reference = ExplainEngine::for_pdf(ds.clone(), resolution, config).expect("valid config");
-        let cp = CpConfig::default();
         let mut expected = Vec::new();
         for qq in [&q, &q2] {
             for &an in &ids {
                 for &alpha in &alphas {
-                    expected.push(reference.explain_direct(ExplainStrategy::Cp, qq, alpha, an, &cp));
+                    expected.push(solo(&reference, ExplainStrategy::Cp, qq, alpha, an));
                 }
             }
         }
@@ -722,10 +699,9 @@ proptest! {
         let mut updated = ds.clone();
         updated.push(obj.clone()).expect("fresh id");
         let reference = ExplainEngine::new(updated.clone(), config).expect("valid config");
-        let cp = CpConfig::default();
         let expected: Vec<_> = ids
             .iter()
-            .map(|&an| reference.explain_direct(ExplainStrategy::Cp, &q, alpha, an, &cp))
+            .map(|&an| solo(&reference, ExplainStrategy::Cp, &q, alpha, an))
             .collect();
 
         // Plan (warming the packed image), mutate, re-plan.
@@ -768,10 +744,9 @@ fn planned_nearby_queries_derive_stage1_by_containment() {
     let config = EngineConfig::with_alpha(0.75);
 
     let reference = ExplainEngine::new(ds.clone(), config).expect("valid config");
-    let cp = CpConfig::default();
     let expected: Vec<_> = grid
         .iter()
-        .map(|qq| reference.explain_direct(ExplainStrategy::Cp, qq, 0.75, an, &cp))
+        .map(|qq| solo(&reference, ExplainStrategy::Cp, qq, 0.75, an))
         .collect();
 
     let engine = ExplainEngine::new(ds, config).expect("valid config");
@@ -1017,7 +992,7 @@ proptest! {
 
         let mut engine = ExplainEngine::new(ds, EngineConfig::with_alpha(0.5))
             .expect("valid engine config");
-        let _ = engine.explain_as(ExplainStrategy::Cp, &q, 0.5, victim);
+        let _ = solo(&engine, ExplainStrategy::Cp, &q, 0.5, victim);
         engine.apply(Update::Insert(obj)).expect("fresh id");
         engine.apply(Update::Delete(victim)).expect("live id");
         assert_stage1_matches_pointer(&engine, &q)?;

@@ -2,16 +2,44 @@
 //! agree with the definition-level brute-force oracle on randomized small
 //! instances. The oracle enumerates subsets of the whole dataset straight
 //! from Definitions 1–2, encoding none of the paper's lemmas — so
-//! agreement here validates every lemma implementation at once.
+//! agreement here validates every lemma implementation at once. Every
+//! strategy runs through an `ExplainEngine` session over a fanout-4
+//! R-tree.
 
-#![allow(deprecated)] // pins the legacy free-function wrappers
-
-use crp_core::{cp, cp_unindexed, cr, naive_i, naive_ii, oracle_cp, oracle_cr, CpConfig, CrpError};
+use crp_core::{
+    oracle_cp, oracle_cr, CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine,
+    ExplainRequest, ExplainSession, ExplainStrategy,
+};
 use crp_geom::Point;
 use crp_rtree::RTreeParams;
-use crp_skyline::{build_object_rtree, build_point_rtree};
 use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
 use proptest::prelude::*;
+
+/// A session over `ds` with a fanout-4 index.
+fn session(ds: &UncertainDataset) -> ExplainEngine {
+    let config = EngineConfig {
+        rtree: Some(RTreeParams::with_fanout(4)),
+        ..EngineConfig::default()
+    };
+    ExplainEngine::new(ds.clone(), config).expect("valid engine config")
+}
+
+/// One explain under `strategy` at `alpha` with lemma switches `cp`.
+fn explain(
+    engine: &ExplainEngine,
+    strategy: ExplainStrategy,
+    q: &Point,
+    an: ObjectId,
+    alpha: f64,
+    cp: CpConfig,
+) -> Result<CrpOutcome, CrpError> {
+    engine
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(strategy)
+            .with_alpha(alpha)
+            .with_cp(cp)])
+        .into_single()
+}
 
 /// Small uncertain dataset strategy: 2–7 objects, 1–3 samples each, on a
 /// coarse integer grid (to generate plenty of dominance ties).
@@ -51,7 +79,7 @@ fn query(dim: usize) -> impl Strategy<Value = Point> {
 /// Signature of a CRP outcome for equality checks: (id, |Γ_min|,
 /// counterfactual). Witness sets may legitimately differ between
 /// implementations; sizes and flags may not.
-fn cp_signature(out: &crp_core::CrpOutcome) -> Vec<(ObjectId, usize, bool)> {
+fn cp_signature(out: &CrpOutcome) -> Vec<(ObjectId, usize, bool)> {
     out.causes
         .iter()
         .map(|c| (c.id, c.min_contingency.len(), c.counterfactual))
@@ -87,7 +115,7 @@ proptest! {
         q in query(2),
         alpha in prop::sample::select(vec![0.3, 0.6, 0.9]),
     ) {
-        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(&ds);
         let configs = [
             CpConfig::default(),
             CpConfig { use_lemma4: false, ..CpConfig::default() },
@@ -97,9 +125,9 @@ proptest! {
             CpConfig::naive(),
         ];
         for an in ds.iter().map(|o| o.id()) {
-            let base = cp(&ds, &tree, &q, an, alpha, &configs[0]);
+            let base = explain(&engine, ExplainStrategy::Cp, &q, an, alpha, configs[0]);
             for cfg in &configs[1..] {
-                let got = cp(&ds, &tree, &q, an, alpha, cfg);
+                let got = explain(&engine, ExplainStrategy::Cp, &q, an, alpha, *cfg);
                 match (&base, &got) {
                     (Ok(x), Ok(y)) => prop_assert_eq!(cp_signature(x), cp_signature(y)),
                     (Err(x), Err(y)) => prop_assert_eq!(x, y),
@@ -111,9 +139,10 @@ proptest! {
 }
 
 fn cp_vs_oracle(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), TestCaseError> {
-    let tree = build_object_rtree(ds, RTreeParams::with_fanout(4));
+    let engine = session(ds);
+    let cp = CpConfig::default();
     for an in ds.iter().map(|o| o.id()) {
-        let got = cp(ds, &tree, q, an, alpha, &CpConfig::default());
+        let got = explain(&engine, ExplainStrategy::Cp, q, an, alpha, cp);
         let expected = oracle_cp(ds, q, an, alpha);
         match (got, expected) {
             (Ok(out), Ok(oracle)) => {
@@ -124,7 +153,7 @@ fn cp_vs_oracle(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), Test
                     .collect();
                 prop_assert_eq!(got_sig, want_sig, "an = {}", an);
                 // The unindexed variant must match too.
-                let un = cp_unindexed(ds, q, an, alpha, &CpConfig::default())
+                let un = explain(&engine, ExplainStrategy::CpUnindexed, q, an, alpha, cp)
                     .expect("same classification");
                 prop_assert_eq!(cp_signature(&out), cp_signature(&un));
                 // Witness sets must actually be valid minimal contingency
@@ -158,9 +187,10 @@ fn cp_vs_oracle(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), Test
 }
 
 fn cr_vs_oracle(ds: &UncertainDataset, q: &Point) -> Result<(), TestCaseError> {
-    let tree = build_point_rtree(ds, RTreeParams::with_fanout(4));
+    let engine = session(ds);
+    let cp = CpConfig::default();
     for an in ds.iter().map(|o| o.id()) {
-        let got = cr(ds, &tree, q, an);
+        let got = explain(&engine, ExplainStrategy::Cr, q, an, 0.5, cp);
         let expected = oracle_cr(ds, q, an);
         match (got, expected) {
             (Ok(out), Ok(oracle)) => {
@@ -172,7 +202,10 @@ fn cr_vs_oracle(ds: &UncertainDataset, q: &Point) -> Result<(), TestCaseError> {
                 prop_assert_eq!(got_sig, want_sig, "an = {}", an);
                 // Naive-II must agree as well (bounded: |Cc| can make it
                 // exponential, but oracle already bounded the dataset).
-                let nv = naive_ii(ds, &tree, q, an, Some(5_000_000)).expect("same classification");
+                let naive = ExplainStrategy::NaiveII {
+                    max_subsets: Some(5_000_000),
+                };
+                let nv = explain(&engine, naive, q, an, 0.5, cp).expect("same classification");
                 prop_assert_eq!(cp_signature(&out), cp_signature(&nv));
             }
             (Err(CrpError::NotANonAnswer { .. }), Err(CrpError::NotANonAnswer { .. })) => {}
@@ -208,10 +241,11 @@ fn naive_i_agrees_with_oracle_fixed_seeds() {
             .unwrap()
         }))
         .unwrap();
-        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
+        let engine = session(&ds);
         let q = Point::from([6.0, 6.0]);
+        let naive = ExplainStrategy::NaiveI { max_subsets: None };
         for an in 0..6u32 {
-            let nv = naive_i(&ds, &tree, &q, ObjectId(an), 0.5, None);
+            let nv = explain(&engine, naive, &q, ObjectId(an), 0.5, CpConfig::default());
             let oc = oracle_cp(&ds, &q, ObjectId(an), 0.5);
             match (nv, oc) {
                 (Ok(out), Ok(oracle)) => {

@@ -31,7 +31,7 @@
 //!    insert 91 4200,1800;3900,2100
 //!    delete 13
 //! ←  applied epoch=1 count=2
-//! →  candidates 42 q=11580,49000 shard=0
+//! →  candidates 42 q=11580,49000
 //! ←  ids 7,9,13
 //! →  stats
 //! ←  stats
@@ -224,16 +224,13 @@ pub enum Request {
         /// The batch, in line order.
         updates: Vec<Update<UncertainObject>>,
     },
-    /// Stage-1 candidate ids for one non-answer — the shard protocol.
-    /// With `shard`, one partition's set (what a shard worker answers);
-    /// without, the merged fan-out.
+    /// Stage-1 candidate ids for one non-answer (a diagnostic: the
+    /// set the refinement stage consumes).
     Candidates {
         /// The non-answer.
         an: ObjectId,
         /// The query point.
         query: Point,
-        /// Restrict to one shard's partition.
-        shard: Option<usize>,
     },
     /// Serving counters (windows, dedup, shed, latency percentiles).
     Stats,
@@ -357,12 +354,8 @@ impl Request {
                 }
                 text
             }
-            Request::Candidates { an, query, shard } => {
-                let mut line = format!("candidates {} q={}", an.0, encode_point(query));
-                if let Some(s) = shard {
-                    line.push_str(&format!(" shard={s}"));
-                }
-                line
+            Request::Candidates { an, query } => {
+                format!("candidates {} q={}", an.0, encode_point(query))
             }
             Request::Stats => "stats".into(),
             Request::Shutdown => "shutdown".into(),
@@ -462,20 +455,16 @@ impl Request {
                         .map_err(|_| malformed(format!("bad object id {an_tok:?}")))?,
                 );
                 let mut query = None;
-                let mut shard = None;
                 for tok in toks {
                     match split_kv(tok)? {
                         ("q", v) => query = Some(parse_point(v)?),
-                        ("shard", v) => {
-                            shard = Some(parse_u64(v, "shard index")? as usize);
-                        }
                         (key, _) => {
                             return Err(malformed(format!("unknown candidates option {key:?}")))
                         }
                     }
                 }
                 let query = query.ok_or_else(|| malformed("candidates needs q=…"))?;
-                single_line(Request::Candidates { an, query, shard }, lines)
+                single_line(Request::Candidates { an, query }, lines)
             }
             "stats" if rest.is_empty() => single_line(Request::Stats, lines),
             "shutdown" if rest.is_empty() => single_line(Request::Shutdown, lines),
@@ -986,7 +975,6 @@ mod tests {
             Request::Candidates {
                 an: ObjectId(42),
                 query: Point::from([1.5, 2.5]),
-                shard: Some(3),
             },
             Request::Stats,
             Request::Shutdown,

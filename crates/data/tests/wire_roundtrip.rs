@@ -104,10 +104,9 @@ fn request_strategy() -> impl Strategy<Value = Request> {
         }),
         prop::collection::vec(update_strategy(), 1..6)
             .prop_map(|updates| Request::Update { updates }),
-        (0..100_000u32, coords(), 0..17usize).prop_map(|(an, q, shard)| Request::Candidates {
+        (0..100_000u32, coords()).prop_map(|(an, q)| Request::Candidates {
             an: ObjectId(an),
             query: point_of(&q),
-            shard: if shard == 16 { None } else { Some(shard) },
         }),
         Just(Request::Stats),
         Just(Request::Shutdown),
@@ -195,6 +194,28 @@ fn response_strategy() -> impl Strategy<Value = Response> {
         }),
         Just(Response::Bye),
     ]
+}
+
+#[test]
+fn candidates_take_no_shard_option() {
+    let line = "candidates 42 q=11580,49000";
+    let req = Request::decode(line).expect("a candidates line decodes");
+    assert_eq!(
+        req,
+        Request::Candidates {
+            an: ObjectId(42),
+            query: Point::from([11580.0, 49000.0]),
+        }
+    );
+    assert_eq!(req.encode(), line);
+    assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+    // The option of the removed multi-process protocol is an unknown
+    // option now: a typed error, not a panic.
+    let err = Request::decode("candidates 42 q=11580,49000 shard=0").unwrap_err();
+    assert!(
+        matches!(&err, WireError::Malformed { reason } if reason.contains("shard")),
+        "{err:?}"
+    );
 }
 
 proptest! {

@@ -1,6 +1,5 @@
 //! The client half of the wire protocol: a blocking framed
-//! connection, plus [`ShardFleet`] for driving a set of stage-1 shard
-//! workers from one process.
+//! connection.
 
 use crp_core::ClientClass;
 use crp_data::wire::{read_frame, write_frame, Request, Response, WireError, WireResult};
@@ -8,8 +7,6 @@ use crp_geom::Point;
 use crp_uncertain::{Epoch, ObjectId, UncertainObject, Update};
 use std::fmt;
 use std::net::{TcpStream, ToSocketAddrs};
-
-use crp_core::merge_candidate_ids;
 
 /// Everything that can go wrong on the client side of a conversation.
 #[derive(Debug)]
@@ -176,18 +173,11 @@ impl Client {
         }
     }
 
-    /// Stage-1 candidates for one non-answer: the merged set
-    /// (`shard: None`) or one shard's share.
-    pub fn candidates(
-        &mut self,
-        q: &Point,
-        an: ObjectId,
-        shard: Option<usize>,
-    ) -> Result<Vec<ObjectId>, ClientError> {
+    /// Stage-1 candidate ids for one non-answer (ascending).
+    pub fn candidates(&mut self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, ClientError> {
         match self.request(&Request::Candidates {
             an,
             query: q.clone(),
-            shard,
         })? {
             Response::Ids { ids } => Ok(ids),
             other => Err(unexpected(other)),
@@ -215,37 +205,5 @@ fn unexpected(resp: Response) -> ClientError {
     match resp {
         Response::Error { message } => ClientError::Server(message),
         other => ClientError::Unexpected(other.encode()),
-    }
-}
-
-/// A set of stage-1 shard workers driven from one process: worker `i`
-/// answers shard `i`, and the merged set is bit-identical to one
-/// engine's candidate list by the merge law.
-pub struct ShardFleet {
-    workers: Vec<Client>,
-}
-
-impl ShardFleet {
-    /// Connects to every worker, in shard order.
-    pub fn connect(addrs: &[String]) -> Result<Self, ClientError> {
-        let workers = addrs
-            .iter()
-            .map(Client::connect)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { workers })
-    }
-
-    /// How many shards this fleet serves.
-    pub fn shard_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The merged stage-1 candidate set across every worker.
-    pub fn candidate_ids(&mut self, q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, ClientError> {
-        let mut parts = Vec::with_capacity(self.workers.len());
-        for (shard, worker) in self.workers.iter_mut().enumerate() {
-            parts.push(worker.candidates(q, an, Some(shard))?);
-        }
-        Ok(merge_candidate_ids(parts))
     }
 }

@@ -17,11 +17,6 @@
 //!   [`crp_core::PlanLimits`] deterministically; past capacity the
 //!   server sheds with a typed `busy retry-after-ms=…` instead of
 //!   queueing unboundedly.
-//! * **Multi-process stage-1** — `crp serve --shard-worker --shards N`
-//!   children answer per-shard `candidates` requests over the wire
-//!   with their id-hash share ([`crp_core::shard_share`]) and the
-//!   parent merges them with [`crp_core::merge_candidate_ids`],
-//!   bit-identical to one engine's candidate list.
 //! * **Epoch discipline** ([`backend`]) — every window executes
 //!   against one pinned MVCC snapshot; update batches apply through
 //!   the backend only at window boundaries, and graceful shutdown
@@ -37,6 +32,6 @@ pub mod server;
 pub mod stats;
 
 pub use backend::{ErasedSnapshot, ServeBackend, VolatileBackend};
-pub use client::{Client, ClientError, ShardFleet};
+pub use client::{Client, ClientError};
 pub use server::{ServeConfig, Server};
 pub use stats::ServeStats;

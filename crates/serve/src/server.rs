@@ -4,9 +4,10 @@
 //! Threading model (thread-per-core in spirit — no async runtime, no
 //! epoll; plain blocking `std::net` threads):
 //!
-//! * an **acceptor** polls a non-blocking listener, spawns one
-//!   reader thread per connection and reaps the threads of closed
-//!   ones;
+//! * an **acceptor** blocks in `accept` and spawns one reader thread
+//!   per connection; each reader drops its own handle from the
+//!   server's connection map when its connection closes, and a
+//!   shutdown request wakes the acceptor with a loopback self-connect;
 //! * each **reader** decodes frames, runs admission control inline
 //!   (pure [`crp_core::admission`] over an atomic queue-depth
 //!   counter), answers `hello`/`stats`/`candidates` immediately, and
@@ -23,40 +24,31 @@
 //!   session — so every window sees exactly one epoch and the writer's
 //!   per-publish cost amortizes across the batch.
 //!
-//! Stage-1 can additionally be served **across OS processes**: a
-//! server started with [`ServeConfig::shard_worker`] set to `N`
-//! answers only `candidates … shard=i` — its engine's candidate list
-//! filtered to the id-hash share [`crp_core::shard_share`]`(…, i, N)`
-//! — and a parent configured with [`ServeConfig::fleet`] resolves
-//! shard-less `candidates` requests by fanning out to its workers and
-//! merging with [`crp_core::merge_candidate_ids`]. The shares are
-//! disjoint and merge back to exactly one engine's candidate list (the
-//! merge law tested in `crp-core`).
+//! `candidates` is a diagnostic verb: the pinned snapshot's stage-1
+//! candidate ids for one non-answer, answered inline by the reader.
 
 use crate::backend::ServeBackend;
-use crate::client::Client;
 use crate::stats::ServeStats;
 use crp_core::StopReason;
 use crp_core::{
-    admission, execute_window, merge_candidate_ids, shard_share, Admission, ClientClass, CrpError,
-    ExplainRequest, PlanLimits,
+    admission, execute_window, Admission, ClientClass, CrpError, ExplainRequest, PlanLimits,
 };
 use crp_data::wire::{
     decode_frame, write_frame, Request, Response, WireCause, WirePartial, WireResult, WireStop,
 };
 use crp_geom::Point;
-use crp_uncertain::{ObjectId, UncertainObject, Update};
-use std::collections::VecDeque;
+use crp_uncertain::{UncertainObject, Update};
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long blocking reads and accept polls wait before re-checking
-/// the shutdown flag.
+/// How long blocking reads and the collector's queue waits last before
+/// re-checking the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
 
 /// Tuning for one [`Server`].
@@ -73,15 +65,6 @@ pub struct ServeConfig {
     pub queue_cap: usize,
     /// Query point for explain requests that don't carry their own.
     pub default_query: Option<Point>,
-    /// `Some(n)`: serve as a stage-1 shard worker of an `n`-way split —
-    /// only `candidates … shard=i` (`i < n`) is answered, with the
-    /// id-hash share [`crp_core::shard_share`]; `explain` and `update`
-    /// come back as typed errors. `None`: a full server, whose
-    /// `candidates` treat the session as one shard.
-    pub shard_worker: Option<usize>,
-    /// Addresses of stage-1 shard workers; worker `i` answers shard
-    /// `i`. Empty → stage-1 is answered in-process.
-    pub fleet: Vec<String>,
 }
 
 impl Default for ServeConfig {
@@ -92,8 +75,6 @@ impl Default for ServeConfig {
             window_ms: 4,
             queue_cap: 64,
             default_query: None,
-            shard_worker: None,
-            fleet: Vec::new(),
         }
     }
 }
@@ -173,8 +154,12 @@ pub struct Server {
     pending: Arc<AtomicUsize>,
     acceptor: Option<JoinHandle<()>>,
     collector: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Conns,
 }
+
+/// The live connection threads, keyed by connection number; each
+/// thread removes its own entry when its connection closes.
+type Conns = Arc<Mutex<HashMap<u64, JoinHandle<()>>>>;
 
 /// Everything a connection reader needs, bundled so spawning stays
 /// readable.
@@ -184,7 +169,21 @@ struct Shared {
     stats: Arc<ServeStats>,
     pending: Arc<AtomicUsize>,
     shutdown: Arc<AtomicBool>,
+    addr: SocketAddr,
     tx: Sender<Job>,
+}
+
+/// Sets the shutdown flag and wakes the acceptor out of its blocking
+/// `accept` with a loopback connection to the listener, which the
+/// acceptor drops unserved.
+fn begin_shutdown(shutdown: &AtomicBool, addr: SocketAddr) {
+    shutdown.store(true, Ordering::SeqCst);
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    let _ = TcpStream::connect((ip, addr.port()));
 }
 
 impl Server {
@@ -192,13 +191,12 @@ impl Server {
     /// immediately; connections are served until shutdown.
     pub fn start(backend: Arc<dyn ServeBackend>, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ServeStats::new());
         let pending = Arc::new(AtomicUsize::new(0));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Conns = Arc::new(Mutex::new(HashMap::new()));
         let (tx, rx) = mpsc::channel::<Job>();
 
         let collector = {
@@ -219,32 +217,47 @@ impl Server {
                 stats: Arc::clone(&stats),
                 pending: Arc::clone(&pending),
                 shutdown: Arc::clone(&shutdown),
+                addr,
                 tx,
             };
             let conns = Arc::clone(&conns);
-            let shutdown = Arc::clone(&shutdown);
             std::thread::spawn(move || {
                 let shared = Arc::new(shared);
-                let next_id = AtomicU64::new(0);
-                while !shutdown.load(Ordering::SeqCst) {
-                    reap_finished(&mut conns.lock().unwrap_or_else(|e| e.into_inner()));
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let shared = Arc::clone(&shared);
-                            let id = next_id.fetch_add(1, Ordering::Relaxed);
-                            let spawned = std::thread::Builder::new()
-                                .name(format!("crp-serve-conn-{id}"))
-                                .spawn(move || reader_loop(stream, &shared));
-                            // A failed spawn (thread or memory limits)
-                            // drops this one connection; the acceptor
-                            // keeps accepting.
-                            if let Ok(handle) = spawned {
-                                conns.lock().unwrap_or_else(|e| e.into_inner()).push(handle);
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(POLL),
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                let mut next_id: u64 = 0;
+                loop {
+                    let stream = match listener.accept() {
+                        Ok((stream, _)) => stream,
+                        Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                         Err(_) => break,
+                    };
+                    // The wake-up connection of `begin_shutdown` (or a
+                    // client racing it) is dropped unserved.
+                    if shared.shutdown.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let id = next_id;
+                    next_id += 1;
+                    let thread_shared = Arc::clone(&shared);
+                    let thread_conns = Arc::clone(&conns);
+                    // Spawning under the lock means the handle is in
+                    // the map before the thread can remove it.
+                    let mut live = conns.lock().unwrap_or_else(|e| e.into_inner());
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("crp-serve-conn-{id}"))
+                        .spawn(move || {
+                            reader_loop(stream, &thread_shared);
+                            // A reader that panicked skips this and
+                            // leaves its handle for `join` to collect.
+                            thread_conns
+                                .lock()
+                                .unwrap_or_else(|e| e.into_inner())
+                                .remove(&id);
+                        });
+                    // A failed spawn (thread or memory limits) drops
+                    // this one connection; the acceptor keeps
+                    // accepting.
+                    if let Ok(handle) = spawned {
+                        live.insert(id, handle);
                     }
                 }
                 // Dropping `shared` drops the last cloneable Sender;
@@ -273,11 +286,6 @@ impl Server {
         Arc::clone(&self.stats)
     }
 
-    /// The shutdown flag, for wiring into a signal handler.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// True once shutdown was requested (wire verb, signal, or
     /// [`Server::request_shutdown`]).
     pub fn is_shutting_down(&self) -> bool {
@@ -287,7 +295,7 @@ impl Server {
     /// Ask the server to stop: stop accepting, drain queued windows,
     /// checkpoint. Returns immediately; [`Server::join`] waits.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        begin_shutdown(&self.shutdown, self.addr);
     }
 
     /// Blocks until shutdown is requested, then joins every thread —
@@ -298,7 +306,9 @@ impl Server {
             let _ = a.join();
         }
         let handles: Vec<_> =
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()));
+            std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()))
+                .into_values()
+                .collect();
         for h in handles {
             let _ = h.join();
         }
@@ -310,20 +320,6 @@ impl Server {
             0,
             "queue fully drained"
         );
-    }
-}
-
-/// Joins and drops the handles of connection threads that have exited,
-/// so `conns` holds only live connections instead of every one ever
-/// accepted.
-fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
-    let mut i = 0;
-    while i < conns.len() {
-        if conns[i].is_finished() {
-            let _ = conns.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
     }
 }
 
@@ -411,12 +407,6 @@ fn handle_payload(
             query,
             alphas,
         } => {
-            if shared.config.shard_worker.is_some() {
-                conn.send(&Response::Error {
-                    message: "stage-1 shard worker: explain is not served here".into(),
-                });
-                return true;
-            }
             let Some(q) = query.or_else(|| shared.config.default_query.clone()) else {
                 conn.send(&Response::Error {
                     message: "no query point: pass q=… or start the server with --query".into(),
@@ -469,12 +459,6 @@ fn handle_payload(
             }
         }
         Request::Update { updates } => {
-            if shared.config.shard_worker.is_some() {
-                conn.send(&Response::Error {
-                    message: "stage-1 shard worker: updates are not served here".into(),
-                });
-                return true;
-            }
             let job = Job::Update {
                 conn: Arc::clone(conn),
                 updates,
@@ -485,8 +469,13 @@ fn handle_payload(
                 });
             }
         }
-        Request::Candidates { an, query, shard } => {
-            let reply = candidates_reply(shared, &query, an, shard);
+        Request::Candidates { an, query } => {
+            let reply = match shared.backend.pin().session().candidate_ids(&query, an) {
+                Ok(ids) => Response::Ids { ids },
+                Err(e) => Response::Error {
+                    message: e.to_string(),
+                },
+            };
             conn.send(&reply);
         }
         Request::Stats => {
@@ -498,67 +487,12 @@ fn handle_payload(
             });
         }
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst);
+            begin_shutdown(&shared.shutdown, shared.addr);
             conn.send(&Response::Bye);
             return false;
         }
     }
     true
-}
-
-/// Answer one stage-1 candidates request: one shard's share of the
-/// local session's candidates, or the merged set — via the worker
-/// fleet when one is configured, in-process otherwise.
-fn candidates_reply(shared: &Shared, q: &Point, an: ObjectId, shard: Option<usize>) -> Response {
-    let snapshot = shared.backend.pin();
-    let session = snapshot.session();
-    let shards = shared.config.shard_worker.unwrap_or(1);
-    let outcome = match shard {
-        Some(i) if i >= shards => Err(format!(
-            "shard {i} out of range: this server splits stage 1 into {shards} shard(s)"
-        )),
-        Some(i) => session
-            .candidate_ids(q, an)
-            .map(|ids| shard_share(&ids, i, shards))
-            .map_err(|e| e.to_string()),
-        None if !shared.config.fleet.is_empty() => fleet_candidates(&shared.config.fleet, q, an),
-        None => session.candidate_ids(q, an).map_err(|e| e.to_string()),
-    };
-    match outcome {
-        Ok(ids) => Response::Ids { ids },
-        Err(message) => Response::Error { message },
-    }
-}
-
-/// Fan one stage-1 request out across the worker fleet — worker `i`
-/// answers shard `i` — and merge. The merge law
-/// (`merge_candidate_ids` over the per-shard shares ≡ one engine's
-/// candidate set) makes this bit-identical to in-process stage-1.
-fn fleet_candidates(fleet: &[String], q: &Point, an: ObjectId) -> Result<Vec<ObjectId>, String> {
-    let parts: Vec<Result<Vec<ObjectId>, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = fleet
-            .iter()
-            .enumerate()
-            .map(|(i, addr)| {
-                scope.spawn(move || {
-                    let mut worker =
-                        Client::connect(addr).map_err(|e| format!("worker {i} at {addr}: {e}"))?;
-                    worker
-                        .candidates(q, an, Some(i))
-                        .map_err(|e| format!("worker {i} at {addr}: {e}"))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fleet thread panicked"))
-            .collect()
-    });
-    let mut shards = Vec::with_capacity(parts.len());
-    for part in parts {
-        shards.push(part?);
-    }
-    Ok(merge_candidate_ids(shards))
 }
 
 /// The window loop: gather → execute as one plan → demux; updates
@@ -732,7 +666,7 @@ fn run_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::VolatileBackend;
+    use crate::{Client, VolatileBackend};
     use crp_core::{EngineConfig, ExplainEngine};
     use crp_uncertain::UncertainDataset;
 
@@ -753,8 +687,8 @@ mod tests {
             let mut client = Client::connect(server.local_addr()).unwrap();
             client.stats().unwrap();
         }
-        // Every client is gone: once the readers notice, the acceptor
-        // reaps their handles on its next poll.
+        // Every client is gone: once the readers notice, each drops
+        // its own handle.
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let held = server.conns.lock().unwrap().len();

@@ -2,16 +2,15 @@
 //! client reads off the wire must be bit-identical to what the same
 //! workload computes offline — on discrete and continuous-pdf
 //! sessions, across concurrent clients, through planner windows, and
-//! through the multi-process stage-1 fleet.
+//! through the stage-1 `candidates` verb.
 
 use crp_core::{
-    merge_candidate_ids, ClientClass, CrpError, CrpOutcome, EngineConfig, ExplainEngine,
-    ExplainRequest, ExplainSession,
+    ClientClass, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
 };
 use crp_data::wire::{Request, Response, WireCause, WireResult};
 use crp_data::{uncertain_dataset, UncertainConfig};
 use crp_geom::{HyperRect, Point};
-use crp_serve::{Client, ClientError, ServeConfig, Server, ShardFleet, VolatileBackend};
+use crp_serve::{Client, ClientError, ServeConfig, Server, VolatileBackend};
 use crp_uncertain::{ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainObject, Update};
 use std::sync::Arc;
 
@@ -256,13 +255,13 @@ fn updates_apply_at_window_boundaries_and_move_the_epoch() {
 }
 
 #[test]
-fn shard_fleet_merges_bit_identically_to_in_process_stage1() {
+fn candidates_verb_matches_in_process_stage1() {
     let ds = dataset();
     let q = Point::new(vec![4000.0, 4000.0]);
     let config = EngineConfig::with_alpha(0.5);
 
     // Ground truth: one engine's candidate set, for the non-answer with
-    // the most candidates (so the two shares are both non-trivial).
+    // the most candidates.
     let single = ExplainEngine::new(ds.clone(), config).unwrap();
     let (an, truth) = ds
         .iter()
@@ -271,69 +270,22 @@ fn shard_fleet_merges_bit_identically_to_in_process_stage1() {
         .unwrap();
     assert!(truth.len() >= 4, "fixture needs a real candidate set");
 
-    // Two stage-1 worker servers of a 2-way split, each over a plain
-    // engine on the full dataset; worker i answers shard i.
-    let workers: Vec<Server> = (0..2)
-        .map(|_| {
-            let engine = ExplainEngine::new(ds.clone(), config).unwrap();
-            Server::start(
-                Arc::new(VolatileBackend::new(engine)),
-                ServeConfig {
-                    shard_worker: Some(2),
-                    ..ServeConfig::default()
-                },
-            )
-            .unwrap()
-        })
-        .collect();
-    let fleet_addrs: Vec<String> = workers.iter().map(|w| w.local_addr().to_string()).collect();
-
-    // A worker refuses explain — it serves stage-1 only.
-    let (mut probe, _) = Client::connect_as(workers[0].local_addr(), ClientClass::Batch).unwrap();
-    assert!(matches!(
-        probe.explain(&[an], Some(&q), &[]),
-        Err(ClientError::Server(_))
-    ));
-    // …but answers its shard, and rejects out-of-range shards with a
-    // typed error instead of dying.
-    let share0 = probe.candidates(&q, an, Some(0)).unwrap();
-    let share1 = probe.candidates(&q, an, Some(1)).unwrap();
-    assert!(
-        share0.iter().all(|id| !share1.contains(id)),
-        "shares must be disjoint: {share0:?} / {share1:?}"
-    );
-    assert!(!share0.is_empty() && !share1.is_empty());
-    assert_eq!(merge_candidate_ids([share0, share1]), truth);
-    assert!(matches!(
-        probe.candidates(&q, an, Some(2)),
-        Err(ClientError::Server(_))
-    ));
-
-    // Client-side merge through ShardFleet.
-    let mut fleet = ShardFleet::connect(&fleet_addrs).unwrap();
-    assert_eq!(fleet.shard_count(), 2);
-    assert_eq!(fleet.candidate_ids(&q, an).unwrap(), truth);
-
-    // Server-side merge: a parent configured with the worker fleet
-    // answers merged `candidates` from the fleet — bit-identical to
-    // its own in-process stage-1.
-    let parent = Server::start(
+    let server = Server::start(
         Arc::new(VolatileBackend::new(single)),
-        ServeConfig {
-            fleet: fleet_addrs,
-            ..ServeConfig::default()
-        },
+        ServeConfig::default(),
     )
     .unwrap();
-    let mut client = Client::connect(parent.local_addr()).unwrap();
-    assert_eq!(client.candidates(&q, an, None).unwrap(), truth);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(client.candidates(&q, an).unwrap(), truth);
+    // An unknown non-answer is a typed error, and the connection lives.
+    assert!(matches!(
+        client.candidates(&q, ObjectId(9_999)),
+        Err(ClientError::Server(_))
+    ));
+    assert_eq!(client.candidates(&q, an).unwrap(), truth);
 
     client.shutdown().unwrap();
-    parent.join();
-    for w in workers {
-        w.request_shutdown();
-        w.join();
-    }
+    server.join();
 }
 
 #[test]

@@ -8,10 +8,6 @@
 //! cargo run --release --example pdf_model
 //! ```
 
-// The deprecated per-call entry points are exercised deliberately:
-// these measurements/examples pin the legacy surface, which now
-// forwards through the query planner.
-#![allow(deprecated)]
 use prsq_crp::prelude::*;
 use prsq_crp::uncertain::ContinuousPdf;
 
@@ -63,7 +59,8 @@ fn main() {
         .expect("valid engine config");
     let disc = disc_engine.dataset();
     let out = disc_engine
-        .explain_as(ExplainStrategy::Cp, &q, alpha, ObjectId(0))
+        .run(&[ExplainRequest::explain(&q, ObjectId(0)).with_strategy(ExplainStrategy::Cp)])
+        .into_single()
         .expect("still a non-answer after discretisation");
     println!(
         "\ndiscretised check (resolution 8): {} causes",

@@ -9,10 +9,10 @@
 #                       planner windows) and a per-request server
 #                       (--window-max 1) must print byte-identical
 #                       results.
-#   2. fleet merge    — stage-1 candidates through a parent +
-#                       two --shard-worker child processes must match
-#                       a single local server bit-for-bit, and the two
-#                       workers' shares must be disjoint.
+#   2. candidates     — the stage-1 candidate ids a running server
+#                       answers (`client --candidates`) must equal the
+#                       ones computed offline from the CSV by Lemma 2's
+#                       definition.
 #   3. group commit   — pipelined updates ack and the stats verb
 #                       reports updates/update_batches.
 #   4. admission shed — a best-effort client hitting a saturated
@@ -77,11 +77,39 @@ strip_session() {
   grep -v '^connected to ' "$1"
 }
 
-# ids_of FILE — the candidate ids of a `client --candidates` transcript,
-# one per line, sorted.
+# ids_of FILE — the candidate ids of a `client --candidates` transcript
+# (printed as `#ID`), one bare id per line, sorted.
 ids_of() {
   grep -m1 'stage-1 candidate' "$1" | sed 's/.*\[\(.*\)\]/\1/' | tr ',' '\n' \
-    | tr -d ' ' | sed '/^$/d' | sort
+    | tr -d ' #' | sed '/^$/d' | sort
+}
+
+# offline_candidates AN — the stage-1 candidates of AN computed from
+# the season CSV alone, by Lemma 2's definition: every other player
+# with a season that dynamically dominates $QUERY w.r.t. some season
+# of AN (positive dominance probability). One id per line, sorted.
+offline_candidates() {
+  awk -F, -v an="$1" -v query="$QUERY" '
+    /^#/ || NF < 3 { next }
+    { n++; id[n] = $1; dim = NF - 2; for (k = 1; k <= dim; k++) x[n, k] = $(k + 2) }
+    END {
+      split(query, q, ",")
+      for (i = 1; i <= n; i++) {
+        if (id[i] != an) continue
+        for (j = 1; j <= n; j++) {
+          if (id[j] == an) continue
+          ok = 1; strict = 0
+          for (k = 1; k <= dim; k++) {
+            dp = x[j, k] - x[i, k]; if (dp < 0) dp = -dp
+            dq = q[k] - x[i, k]; if (dq < 0) dq = -dq
+            if (dp > dq) { ok = 0; break }
+            if (dp < dq) strict = 1
+          }
+          if (ok && strict) hit[id[j]] = 1
+        }
+      }
+      for (h in hit) print h
+    }' "$DATA" | sort
 }
 
 echo "== generate dataset =="
@@ -127,36 +155,17 @@ for i in "${!IDS[@]}"; do
 done
 echo "ok: ${#IDS[@]} workloads bit-identical across serving modes"
 
-echo "== 2. fleet merge: parent + 2 shard-worker processes =="
-start_server "$OUT/worker0.log" "${COMMON[@]}" --shards 2 --shard-worker
-PC0=$PORT
-start_server "$OUT/worker1.log" "${COMMON[@]}" --shards 2 --shard-worker
-PC1=$PORT
-start_server "$OUT/fleet_parent.log" "${COMMON[@]}" \
-  --fleet "127.0.0.1:$PC0,127.0.0.1:$PC1"
-PF=$PORT
-echo "workers on :$PC0 :$PC1, fleet parent on :$PF"
+echo "== 2. candidates: running server vs offline Lemma 2 =="
+total=0
 for an in 2 5 9; do
-  "$BIN" client --addr "127.0.0.1:$PF" --candidates "$an" --query "$QUERY" \
-    >"$OUT/fleet_cand_$an.txt" 2>&1 || fail "fleet candidates for $an"
-  "$BIN" client --addr "127.0.0.1:$PP" --candidates "$an" --query "$QUERY" \
-    >"$OUT/local_cand_$an.txt" 2>&1 || fail "local candidates for $an"
-  diff <(strip_session "$OUT/fleet_cand_$an.txt") \
-       <(strip_session "$OUT/local_cand_$an.txt") \
-    || fail "fleet-merged candidates differ from the local engine for $an"
-  # Each worker also serves its own shard's share directly: the shares
-  # are disjoint and together hold exactly the local candidate set.
-  "$BIN" client --addr "127.0.0.1:$PC0" --candidates "$an" --query "$QUERY" --shard 0 \
-    >"$OUT/shard0_cand_$an.txt" 2>&1 || fail "shard 0 share for $an"
-  "$BIN" client --addr "127.0.0.1:$PC1" --candidates "$an" --query "$QUERY" --shard 1 \
-    >"$OUT/shard1_cand_$an.txt" 2>&1 || fail "shard 1 share for $an"
-  common=$(comm -12 <(ids_of "$OUT/shard0_cand_$an.txt") <(ids_of "$OUT/shard1_cand_$an.txt"))
-  [[ -z "$common" ]] || fail "worker shares overlap for $an: $common"
-  diff <(sort -m <(ids_of "$OUT/shard0_cand_$an.txt") <(ids_of "$OUT/shard1_cand_$an.txt")) \
-       <(ids_of "$OUT/local_cand_$an.txt") \
-    || fail "worker shares do not add up to the local candidate set for $an"
+  "$BIN" client --addr "127.0.0.1:$PW" --candidates "$an" --query "$QUERY" \
+    >"$OUT/cand_$an.txt" 2>&1 || fail "candidates for $an"
+  diff <(ids_of "$OUT/cand_$an.txt") <(offline_candidates "$an") \
+    || fail "served candidates differ from the offline set for $an"
+  total=$((total + $(ids_of "$OUT/cand_$an.txt" | wc -l)))
 done
-echo "ok: 3 merged candidate sets bit-identical across processes, shares disjoint"
+[[ $total -gt 0 ]] || fail "no candidates at all: the check compared nothing"
+echo "ok: 3 served candidate sets equal the offline ones ($total ids)"
 
 echo "== 3. group commit + stats verb =="
 cat >"$OUT/inserts.txt" <<'EOF'
@@ -202,7 +211,7 @@ grep -Eq '^ *shed 1$' "$OUT/shed_stats.txt" || fail "shed counter did not move"
 echo "ok: best-effort shed with retry-after; interactive request completed"
 
 echo "== 5. graceful shutdown =="
-for port in "$PW" "$PP" "$PC0" "$PC1" "$PF" "$PS"; do
+for port in "$PW" "$PP" "$PS"; do
   "$BIN" client --addr "127.0.0.1:$port" --shutdown >/dev/null 2>&1 \
     || fail "shutdown verb on :$port"
 done
@@ -210,10 +219,10 @@ for pid in "${SERVER_PIDS[@]}"; do
   wait "$pid" || fail "a server exited nonzero"
 done
 SERVER_PIDS=()
-for log in server_windowed server_per_request worker0 worker1 fleet_parent server_shed; do
+for log in server_windowed server_per_request server_shed; do
   grep -q '^shutdown: ' "$OUT/$log.log" \
     || fail "$log did not print its drain summary"
 done
-echo "ok: all 6 servers drained and exited 0"
+echo "ok: all 3 servers drained and exited 0"
 
 echo "serve smoke: PASS"

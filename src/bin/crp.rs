@@ -46,15 +46,10 @@
 //! # deadline) and compiled as ONE workload each, so stage-1 work
 //! # dedups across clients; admission control sheds past the queue cap
 //! # with a typed retry hint. --session-dir makes updates durable
-//! # (WAL + checkpoint on graceful shutdown). --shard-worker --shards N
-//! # serves only stage-1 `candidates … shard=i`: the engine's candidate
-//! # ids whose id hash falls in shard i of N. A parent started with
-//! # --fleet answers merged `candidates` from those worker processes,
-//! # bit-identical to its in-process stage-1.
+//! # (WAL + checkpoint on graceful shutdown).
 //! crp serve --data cars.csv --schema points --query 11580,49000 \
 //!           [--addr 127.0.0.1:0 --window-max 16 --window-ms 4 \
-//!            --queue-cap 64 --session-dir state/ \
-//!            --shard-worker --shards N | --fleet host:p1,host:p2]
+//!            --queue-cap 64 --session-dir state/]
 //!
 //! # Talk to a running server (the wire format lives in crp_data::wire).
 //! crp client --addr 127.0.0.1:4820 --objects 42,57 [--alphas 0.3,0.5]
@@ -74,8 +69,7 @@
 //!
 //! Unknown flags are rejected with a usage error and a nonzero exit —
 //! a typo like `--aplha` fails loudly instead of silently running with
-//! the default. `--shards` is a shard worker's partition count and is
-//! accepted by `serve` only, together with `--shard-worker`.
+//! the default.
 
 use prsq_crp::data::wire::WireResult;
 use prsq_crp::data::{
@@ -99,9 +93,8 @@ const USAGE: &str = "usage: crp <query|explain|explain-batch|sweep|replay|serve|
      --deadline-ms N --budget-nodes N --budget-subsets N \
      --kernel auto|scalar|simd \
      --addr HOST:PORT --window-max N --window-ms N --queue-cap N \
-     --shard-worker --shards N --fleet HOST:PORT,… \
      --class interactive|batch|best-effort --update FILE \
-     --candidates ID --shard N --stats --shutdown \
+     --candidates ID --stats --shutdown \
      | --kind nba|cardb --out FILE]";
 
 /// Parsed command line: every token accounted for, or an error.
@@ -179,9 +172,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--window-ms", true),
         ("--queue-cap", true),
         ("--session-dir", true),
-        ("--shard-worker", false),
-        ("--shards", true),
-        ("--fleet", true),
     ];
     const CLIENT: &[(&str, bool)] = &[
         ("--addr", true),
@@ -191,7 +181,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--alphas", true),
         ("--update", true),
         ("--candidates", true),
-        ("--shard", true),
         ("--stats", false),
         ("--shutdown", false),
     ];
@@ -264,25 +253,6 @@ impl Cli {
         self.get(name)
             .map(|raw| raw.parse().map_err(|e| format!("bad {name}: {e}")))
             .transpose()
-    }
-}
-
-/// `serve --shard-worker [--shards N]`: the partition count of a
-/// stage-1 shard worker (default 1), or `None` for a full server.
-/// `--shards` means nothing without `--shard-worker` and is rejected.
-fn parse_shard_worker(cli: &Cli) -> Result<Option<usize>, String> {
-    let shards: Option<usize> = cli.parse("--shards")?;
-    if !cli.has("--shard-worker") {
-        return match shards {
-            Some(_) => {
-                Err("--shards is a shard worker's partition count: it needs --shard-worker".into())
-            }
-            None => Ok(None),
-        };
-    }
-    match shards.unwrap_or(1) {
-        0 => Err("bad --shards: must be at least 1".into()),
-        n => Ok(Some(n)),
     }
 }
 
@@ -920,7 +890,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     };
     let alpha: f64 = cli.parse("--alpha")?.unwrap_or(0.5);
     let budget = cli.parse("--budget")?.or(Some(5_000_000));
-    let shard_worker = parse_shard_worker(cli)?;
     apply_kernel(cli)?;
     let ds = load(schema, data)?;
     if let (Some(q), Some(dim)) = (&default_query, ds.dim()) {
@@ -931,22 +900,12 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
             ));
         }
     }
-    let fleet: Vec<String> = match cli.get("--fleet") {
-        Some(raw) => raw
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect(),
-        None => Vec::new(),
-    };
     let serve_config = ServeConfig {
         addr: cli.get("--addr").unwrap_or("127.0.0.1:0").to_string(),
         window_max: cli.parse("--window-max")?.unwrap_or(16),
         window_ms: cli.parse("--window-ms")?.unwrap_or(4),
         queue_cap: cli.parse("--queue-cap")?.unwrap_or(64),
         default_query,
-        shard_worker,
-        fleet,
     };
     let objects = ds.len();
     let parallel = !cli.has("--serial");
@@ -980,22 +939,12 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     let window_max = serve_config.window_max;
     let window_ms = serve_config.window_ms;
     let queue_cap = serve_config.queue_cap;
-    let fleet_size = serve_config.fleet.len();
     let server = Server::start(backend, serve_config).map_err(|e| e.to_string())?;
     let stats = server.stats();
     println!(
         "serving on {} — {objects} object(s), window ≤{window_max} req / {window_ms} ms, \
-         queue cap {queue_cap}{}{}",
+         queue cap {queue_cap}",
         server.local_addr(),
-        match shard_worker {
-            Some(n) => format!(" [stage-1 shard worker of {n}]"),
-            None => String::new(),
-        },
-        if fleet_size > 0 {
-            format!(" [fleet of {fleet_size} worker(s)]")
-        } else {
-            String::new()
-        },
     );
     // Tests and scripts scrape the port from this line; make sure it
     // crosses the pipe before the first connection arrives.
@@ -1123,10 +1072,7 @@ fn cmd_client(cli: &Cli) -> Result<(), String> {
     if let Some(raw) = cli.get("--candidates") {
         let an = ObjectId(raw.parse().map_err(|e| format!("bad --candidates: {e}"))?);
         let q = parse_query_point(cli.require("--query", "a1,a2,… (--candidates needs one)")?)?;
-        let shard = cli.parse::<usize>("--shard")?;
-        let ids = client
-            .candidates(&q, an, shard)
-            .map_err(|e| e.to_string())?;
+        let ids = client.candidates(&q, an).map_err(|e| e.to_string())?;
         println!(
             "{} stage-1 candidate(s) for {an}: [{}]",
             ids.len(),
@@ -1264,7 +1210,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{apply_kernel, parse_cli, parse_query_point, parse_shard_worker};
+    use super::{apply_kernel, parse_cli, parse_query_point};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1300,58 +1246,6 @@ mod tests {
         // Duplicate flags are rejected.
         let err = parse_cli(&args(&["explain", "--data", "a.csv", "--data", "b.csv"])).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn shards_flag_parsing() {
-        // --shards is a shard worker's partition count: serve only,
-        // with --shard-worker (default 1 without it).
-        let worker = |argv: &[&str]| parse_shard_worker(&parse_cli(&args(argv)).unwrap());
-        assert_eq!(worker(&["serve", "--data", "x.csv"]).unwrap(), None);
-        assert_eq!(worker(&["serve", "--shard-worker"]).unwrap(), Some(1));
-        assert_eq!(
-            worker(&["serve", "--shard-worker", "--shards", "4"]).unwrap(),
-            Some(4)
-        );
-        // Without --shard-worker it means nothing, and is an error.
-        let err = worker(&["serve", "--data", "x.csv", "--shards", "2"]).unwrap_err();
-        assert!(err.contains("--shard-worker"), "{err}");
-        // Invalid counts are errors.
-        for bad in ["0", "four", "-1"] {
-            let err = worker(&["serve", "--shard-worker", "--shards", bad]).unwrap_err();
-            assert!(err.contains("--shards"), "{bad}: {err}");
-        }
-        // No other command takes --shards, and nothing takes a shard
-        // policy: stage 1 splits by id hash only.
-        for command in [
-            "query",
-            "explain",
-            "explain-batch",
-            "sweep",
-            "replay",
-            "client",
-            "generate",
-        ] {
-            assert!(
-                parse_cli(&args(&[command, "--shards", "4"])).is_err(),
-                "{command} --shards"
-            );
-        }
-        for command in [
-            "query",
-            "explain",
-            "explain-batch",
-            "sweep",
-            "replay",
-            "serve",
-            "client",
-            "generate",
-        ] {
-            assert!(
-                parse_cli(&args(&[command, "--shard-policy", "spatial"])).is_err(),
-                "{command} --shard-policy"
-            );
-        }
     }
 
     #[test]
@@ -1423,8 +1317,6 @@ mod tests {
             "128",
             "--session-dir",
             "state",
-            "--fleet",
-            "127.0.0.1:9001,127.0.0.1:9002",
         ]))
         .unwrap();
         assert_eq!(cli.get("--addr"), Some("127.0.0.1:0"));
@@ -1432,18 +1324,6 @@ mod tests {
         assert_eq!(cli.parse::<u64>("--window-ms").unwrap(), Some(2));
         assert_eq!(cli.parse::<usize>("--queue-cap").unwrap(), Some(128));
         assert_eq!(cli.get("--session-dir"), Some("state"));
-        assert!(!cli.has("--shard-worker"));
-        // --shard-worker is a bare flag.
-        let cli = parse_cli(&args(&[
-            "serve",
-            "--data",
-            "x.csv",
-            "--shard-worker",
-            "--shards",
-            "4",
-        ]))
-        .unwrap();
-        assert!(cli.has("--shard-worker"));
         // Serving tuning is rejected on non-serving subcommands, and
         // vice versa for replay-only flags.
         assert!(parse_cli(&args(&["explain", "--window-max", "8"])).is_err());
@@ -1482,8 +1362,7 @@ mod tests {
         assert!(parse_cli(&args(&["client", "--addr", "a:1", "--stats", "yes"])).is_err());
         // The engine-side flags don't leak into the client.
         assert!(parse_cli(&args(&["client", "--addr", "a:1", "--data", "x.csv"])).is_err());
-        assert!(parse_cli(&args(&["client", "--addr", "a:1", "--shards", "2"])).is_err());
-        // --candidates takes the non-answer id, --shard the worker.
+        // --candidates takes the non-answer id.
         let cli = parse_cli(&args(&[
             "client",
             "--addr",
@@ -1492,12 +1371,9 @@ mod tests {
             "42",
             "--query",
             "5,5",
-            "--shard",
-            "1",
         ]))
         .unwrap();
         assert_eq!(cli.get("--candidates"), Some("42"));
-        assert_eq!(cli.parse::<usize>("--shard").unwrap(), Some(1));
     }
 
     #[test]

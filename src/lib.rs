@@ -80,14 +80,12 @@ pub use session::{DurableSession, SessionError};
 pub mod prelude {
     pub use crate::session::{DurableSession, SessionError};
     pub use crp_core::{
-        active_kernel, admission, answer_causes, derive_limits, execute_window, fan_out,
-        merge_candidate_ids, oracle_cp, oracle_cr, set_kernel, simd_supported, Admission, Cause,
-        ClientClass, CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest,
-        ExplainSession, ExplainStrategy, KernelKind, MvccCounters, MvccEngine, PartialProgress,
-        PlanCounters, PlanLimits, PlanReport, RunStats, SnapshotEngine, StopReason, WindowReport,
+        active_kernel, admission, answer_causes, derive_limits, execute_window, fan_out, oracle_cp,
+        oracle_cr, set_kernel, simd_supported, Admission, Cause, ClientClass, CpConfig, CrpError,
+        CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy,
+        KernelKind, MvccCounters, MvccEngine, PartialProgress, PlanCounters, PlanLimits,
+        PlanReport, RunStats, SnapshotEngine, StopReason, WindowReport,
     };
-    #[allow(deprecated)]
-    pub use crp_core::{cp, cp_pdf, cp_unindexed, cr, cr_kskyband, naive_i, naive_ii};
     pub use crp_geom::{dominance_rect, dominates, dominates_min, HyperRect, Point};
     pub use crp_rtree::{QueryStats, RTree, RTreeParams};
     pub use crp_skyline::{
@@ -105,13 +103,22 @@ mod tests {
     use super::prelude::*;
 
     #[test]
-    #[allow(deprecated)]
     fn facade_reexports_are_usable() {
         let ds =
             UncertainDataset::from_points(vec![Point::from([10.0, 10.0]), Point::from([7.0, 7.0])])
                 .unwrap();
-        let tree = build_point_rtree(&ds, RTreeParams::paper_default(2));
-        let out = cr(&ds, &tree, &Point::from([5.0, 5.0]), ObjectId(0)).unwrap();
+        let config = EngineConfig {
+            rtree: Some(RTreeParams::paper_default(2)),
+            ..EngineConfig::default()
+        };
+        let engine = ExplainEngine::new(ds, config).unwrap();
+        let out = engine
+            .run(&[
+                ExplainRequest::explain(&Point::from([5.0, 5.0]), ObjectId(0))
+                    .with_strategy(ExplainStrategy::Cr),
+            ])
+            .into_single()
+            .unwrap();
         assert_eq!(out.causes.len(), 1);
         assert!(out.causes[0].counterfactual);
     }

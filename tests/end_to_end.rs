@@ -1,14 +1,34 @@
 //! End-to-end flows over generated workloads: generate → index → query →
 //! explain → verify the explanation against the query semantics.
 
-#![allow(deprecated)] // pins the legacy free-function wrappers
-
 use prsq_crp::data::{
     cardb_dataset, certain_dataset, nba_dataset, nba_position_query, uncertain_dataset,
     CarDbConfig, CertainConfig, CertainKind, NbaConfig, UncertainConfig,
 };
 use prsq_crp::prelude::*;
 use prsq_crp::skyline::{is_reverse_skyline_object, pr_reverse_skyline};
+
+/// A session over a copy of `ds` with the paper's default index.
+fn session(ds: &UncertainDataset) -> ExplainEngine {
+    ExplainEngine::new(ds.clone(), EngineConfig::default()).expect("valid engine config")
+}
+
+/// One explain under `strategy` at `alpha` with lemma switches `cp`.
+fn explain(
+    engine: &ExplainEngine,
+    strategy: ExplainStrategy,
+    q: &Point,
+    an: ObjectId,
+    alpha: f64,
+    cp: CpConfig,
+) -> Result<CrpOutcome, CrpError> {
+    engine
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(strategy)
+            .with_alpha(alpha)
+            .with_cp(cp)])
+        .into_single()
+}
 
 #[test]
 fn synthetic_uncertain_pipeline() {
@@ -19,7 +39,7 @@ fn synthetic_uncertain_pipeline() {
         seed: 0xE2E,
         ..UncertainConfig::default()
     });
-    let tree = build_object_rtree(&ds, RTreeParams::paper_default(3));
+    let engine = session(&ds);
     let q = Point::from([5_000.0, 5_000.0, 5_000.0]);
     let alpha = 0.6;
 
@@ -31,14 +51,8 @@ fn synthetic_uncertain_pipeline() {
         if explained >= 6 {
             break;
         }
-        let Ok(out) = cp(
-            &ds,
-            &tree,
-            &q,
-            obj.id(),
-            alpha,
-            &CpConfig::with_budget(50_000),
-        ) else {
+        let budget = CpConfig::with_budget(50_000);
+        let Ok(out) = explain(&engine, ExplainStrategy::Cp, &q, obj.id(), alpha, budget) else {
             continue;
         };
         explained += 1;
@@ -84,14 +98,15 @@ fn certain_pipeline_cr_matches_definition() {
             seed: 0xE2E,
             ..CertainConfig::default()
         });
-        let tree = build_point_rtree(&ds, RTreeParams::paper_default(2));
+        let engine = session(&ds);
         let q = Point::from([5_000.0, 5_000.0]);
         let mut explained = 0;
         for obj in ds.iter() {
             if explained >= 5 {
                 break;
             }
-            let Ok(out) = cr(&ds, &tree, &q, obj.id()) else {
+            let cp = CpConfig::default();
+            let Ok(out) = explain(&engine, ExplainStrategy::Cr, &q, obj.id(), 0.5, cp) else {
                 continue;
             };
             explained += 1;
@@ -118,7 +133,7 @@ fn nba_case_study_pipeline() {
         seed: 0xE2E,
         ..NbaConfig::default()
     });
-    let tree = build_object_rtree(&ds, RTreeParams::paper_default(4));
+    let engine = session(&ds);
     let q = nba_position_query();
     // Near-elite players first: they have small dominance windows, the
     // tractable Table-3-style subjects. Deep journeymen are skipped via
@@ -135,7 +150,7 @@ fn nba_case_study_pipeline() {
         if explained >= 2 {
             break;
         }
-        let Ok(out) = cp(&ds, &tree, &q, obj.id(), 0.5, &config) else {
+        let Ok(out) = explain(&engine, ExplainStrategy::Cp, &q, obj.id(), 0.5, config) else {
             continue;
         };
         if out.causes.is_empty() {
@@ -157,14 +172,15 @@ fn cardb_case_study_pipeline() {
         listings: 4_000,
         seed: 0xE2E,
     });
-    let tree = build_point_rtree(&ds, RTreeParams::paper_default(2));
+    let engine = session(&ds);
     let q = Point::from([11_580.0, 49_000.0]);
     let mut explained = 0;
     for obj in ds.iter() {
         if explained >= 5 {
             break;
         }
-        let Ok(out) = cr(&ds, &tree, &q, obj.id()) else {
+        let cp = CpConfig::default();
+        let Ok(out) = explain(&engine, ExplainStrategy::Cr, &q, obj.id(), 0.5, cp) else {
             continue;
         };
         explained += 1;

@@ -7,10 +7,25 @@
 //! arithmetic), and the CR example of Fig. 5 (three causes, each with
 //! responsibility 1/3).
 
-#![allow(deprecated)] // pins the legacy free-function wrappers
-
 use prsq_crp::prelude::*;
 use prsq_crp::skyline::{pr_reverse_skyline, pr_reverse_skyline_worlds};
+
+/// One explain of `an` over `ds` under `strategy` at `alpha`, in a
+/// fresh session with the paper's default index.
+fn explain(
+    ds: &UncertainDataset,
+    strategy: ExplainStrategy,
+    q: &Point,
+    an: ObjectId,
+    alpha: f64,
+) -> Result<CrpOutcome, CrpError> {
+    ExplainEngine::new(ds.clone(), EngineConfig::default())
+        .expect("valid engine config")
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(strategy)
+            .with_alpha(alpha)])
+        .into_single()
+}
 
 /// Objects on the main diagonal: distances to q = (0,0) are equal per
 /// axis, so dominance behaves like the 1-D picture and every probability
@@ -53,8 +68,7 @@ fn hand_computed_probabilities_match_eq2_and_possible_worlds() {
 #[test]
 fn cp_walkthrough_alpha_half() {
     let (ds, q) = fig1c_style_fixture();
-    let tree = build_object_rtree(&ds, RTreeParams::paper_default(2));
-    let out = cp(&ds, &tree, &q, ObjectId(0), 0.5, &CpConfig::default()).unwrap();
+    let out = explain(&ds, ExplainStrategy::Cp, &q, ObjectId(0), 0.5).unwrap();
 
     // Hand computation (see fixture docs): every candidate is a cause
     // with responsibility 1/2. B and D need Γ = {C}; C needs Γ = {B} or
@@ -86,8 +100,7 @@ fn cp_walkthrough_alpha_tightens_contingency_sets() {
     // responsibilities drop from 1/2 to 1/3 — the Fig. 7 phenomenon
     // ("when α becomes larger, the cardinality of Γ increases").
     let (ds, q) = fig1c_style_fixture();
-    let tree = build_object_rtree(&ds, RTreeParams::paper_default(2));
-    let out = cp(&ds, &tree, &q, ObjectId(0), 0.8, &CpConfig::default()).unwrap();
+    let out = explain(&ds, ExplainStrategy::Cp, &q, ObjectId(0), 0.8).unwrap();
     assert_eq!(out.causes.len(), 3);
     for cause in &out.causes {
         assert_eq!(cause.min_contingency.len(), 2, "cause {}", cause.id);
@@ -111,9 +124,8 @@ fn counterfactual_example_from_section_2() {
     ])
     .unwrap();
     let q = Point::from([0.0, 0.0]);
-    let tree = build_object_rtree(&ds, RTreeParams::paper_default(2));
     // Pr(an) = 0.5 < 0.75; removing object 1 gives Pr = 1.
-    let out = cp(&ds, &tree, &q, ObjectId(0), 0.75, &CpConfig::default()).unwrap();
+    let out = explain(&ds, ExplainStrategy::Cp, &q, ObjectId(0), 0.75).unwrap();
     assert_eq!(out.causes.len(), 1);
     let c = &out.causes[0];
     assert_eq!(c.id, ObjectId(1));
@@ -140,8 +152,7 @@ fn fig5_style_cr_example() {
     ])
     .unwrap();
     let q = Point::from([5.0, 5.0]);
-    let tree = build_point_rtree(&ds, RTreeParams::paper_default(2));
-    let out = cr(&ds, &tree, &q, ObjectId(0)).unwrap();
+    let out = explain(&ds, ExplainStrategy::Cr, &q, ObjectId(0), 0.5).unwrap();
     let ids: Vec<u32> = out.causes.iter().map(|c| c.id.0).collect();
     assert_eq!(ids, vec![1, 3, 4], "causes are b, d, e");
     for cause in &out.causes {
@@ -168,9 +179,8 @@ fn lemma3_objects_outside_candidate_set_never_in_gamma() {
     objs.push(UncertainObject::certain(ObjectId(9), diag(500.0)));
     objs.push(UncertainObject::certain(ObjectId(10), diag(-300.0)));
     let ds = UncertainDataset::from_objects(objs).unwrap();
-    let tree = build_object_rtree(&ds, RTreeParams::paper_default(2));
     for alpha in [0.3, 0.5, 0.8, 1.0] {
-        let out = cp(&ds, &tree, &q, ObjectId(0), alpha, &CpConfig::default()).unwrap();
+        let out = explain(&ds, ExplainStrategy::Cp, &q, ObjectId(0), alpha).unwrap();
         for cause in &out.causes {
             assert_ne!(cause.id, ObjectId(9));
             assert_ne!(cause.id, ObjectId(10));
@@ -185,8 +195,7 @@ fn alpha_one_gives_equal_responsibilities() {
     // Algorithm 1 lines 9–11: at α = 1 every candidate is a cause with
     // responsibility 1/|Cc|.
     let (ds, q) = fig1c_style_fixture();
-    let tree = build_object_rtree(&ds, RTreeParams::paper_default(2));
-    let out = cp(&ds, &tree, &q, ObjectId(0), 1.0, &CpConfig::default()).unwrap();
+    let out = explain(&ds, ExplainStrategy::Cp, &q, ObjectId(0), 1.0).unwrap();
     assert_eq!(out.causes.len(), 3);
     for cause in &out.causes {
         assert!((cause.responsibility - 1.0 / 3.0).abs() < 1e-12);

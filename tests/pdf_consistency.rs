@@ -2,11 +2,18 @@
 //! converge to the discrete-sample CP as resolution grows, and its
 //! filter windows must be sound.
 
-#![allow(deprecated)] // pins the legacy free-function wrappers
-
-use prsq_crp::core::{build_pdf_rtree, cp_pdf};
 use prsq_crp::data::{pdf_dataset, UncertainConfig};
 use prsq_crp::prelude::*;
+
+/// One CP explain of `an` at `alpha` under a 200k-subset budget.
+fn cp(engine: &ExplainEngine, q: &Point, an: ObjectId, alpha: f64) -> Result<CrpOutcome, CrpError> {
+    engine
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(ExplainStrategy::Cp)
+            .with_alpha(alpha)
+            .with_cp(CpConfig::with_budget(200_000))])
+        .into_single()
+}
 
 fn fixture(seed: u64) -> PdfDataset {
     // Regions small relative to the window geometry: the discrete twin's
@@ -25,33 +32,18 @@ fn fixture(seed: u64) -> PdfDataset {
 #[test]
 fn pdf_cp_agrees_with_discretised_cp_at_matching_resolution() {
     let ds = fixture(0xDF1);
-    let tree = build_pdf_rtree(&ds, RTreeParams::paper_default(2));
     let q = Point::from([5_000.0, 5_000.0]);
     let alpha = 0.5;
     let resolution = 4;
-    let disc = ds.discretize(resolution);
-    let dtree = build_object_rtree(&disc, RTreeParams::paper_default(2));
+    let config = EngineConfig::default();
+    let disc = ExplainEngine::new(ds.discretize(resolution), config).expect("valid config");
+    let engine = ExplainEngine::for_pdf(ds.clone(), resolution, config).expect("valid config");
 
     let mut compared = 0;
     let mut agreements = 0;
     for obj in ds.iter().take(80) {
-        let a = cp_pdf(
-            &ds,
-            &tree,
-            &q,
-            obj.id(),
-            alpha,
-            resolution,
-            &CpConfig::with_budget(200_000),
-        );
-        let b = cp(
-            &disc,
-            &dtree,
-            &q,
-            obj.id(),
-            alpha,
-            &CpConfig::with_budget(200_000),
-        );
+        let a = cp(&engine, &q, obj.id(), alpha);
+        let b = cp(&disc, &q, obj.id(), alpha);
         match (a, b) {
             (Ok(x), Ok(y)) => {
                 compared += 1;
@@ -85,10 +77,11 @@ fn pdf_causes_satisfy_contingency_conditions_under_pdf_semantics() {
     // Pr(an) with exact candidate integrals over a fine grid of an.
     use crp_geom::dominance_rect;
     let ds = fixture(0xDF2);
-    let tree = build_pdf_rtree(&ds, RTreeParams::paper_default(2));
     let q = Point::from([5_000.0, 5_000.0]);
     let alpha = 0.5;
     let resolution = 5;
+    let engine = ExplainEngine::for_pdf(ds.clone(), resolution, EngineConfig::default())
+        .expect("valid config");
 
     let pr_without = |an: &PdfObject, removed: &[ObjectId]| -> f64 {
         let cells = an.pdf().discretize(resolution);
@@ -110,15 +103,7 @@ fn pdf_causes_satisfy_contingency_conditions_under_pdf_semantics() {
 
     let mut verified = 0;
     for obj in ds.iter().take(80) {
-        let Ok(out) = cp_pdf(
-            &ds,
-            &tree,
-            &q,
-            obj.id(),
-            alpha,
-            resolution,
-            &CpConfig::with_budget(200_000),
-        ) else {
+        let Ok(out) = cp(&engine, &q, obj.id(), alpha) else {
             continue;
         };
         for cause in out.causes.iter().take(3) {
