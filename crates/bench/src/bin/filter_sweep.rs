@@ -13,18 +13,14 @@
 //!    back to scalar where AVX2 is unavailable).
 //!
 //! Each runs the **single-query** protocol (one descent per window of a
-//! nearby-query grid); the packed image additionally runs the **fused**
-//! multi-query descent (`visit_grouped_stats`) which walks the physical
-//! union of the grid's frontiers once while attributing solo-equivalent
-//! per-query counters. Reported per variant: windows/sec, modeled rect
+//! nearby-query grid). Reported per variant: windows/sec, modeled rect
 //! checks/sec (node accesses × the representation's per-node scan
 //! width; padded slots for the packed kernels, live entries for the
 //! pointer tree), and the effective coordinate-slab GB/s that implies.
 //!
 //! Acceptance (enforced only for the auto-dispatched run):
-//! `packed-simd` ≥ 2× `pointer` windows/sec on the 100k tree, the fused
-//! descent's shared node accesses strictly below the per-query packed
-//! sum, and every representation returning identical hit sets.
+//! `packed-simd` ≥ 2× `pointer` windows/sec on the 100k tree, and every
+//! representation returning identical hit sets.
 //!
 //! Setting `CRP_KERNEL` (e.g. `scalar` on the CI fallback leg) pins the
 //! rect kernel for every packed variant, writes
@@ -41,8 +37,7 @@ use crp_bench::exp::{arg_flag, arg_value, out_dir};
 use crp_bench::report::fnum;
 use crp_geom::{HyperRect, Point};
 use crp_rtree::{
-    rect_simd_supported, set_rect_kernel, PackedRTree, QueryStats, RTree, RTreeParams, RectKernel,
-    WindowQuery,
+    rect_simd_supported, set_rect_kernel, QueryStats, RTree, RTreeParams, RectKernel, WindowQuery,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,9 +61,8 @@ fn build_tree(cardinality: usize, dim: usize) -> RTree<u32> {
 }
 
 /// The nearby-query grid: `n` windows jittered around one anchor, the
-/// regime the plan layer batches (α-sweeps and query sweeps against a
-/// common non-answer neighbourhood). Overlapping descents are exactly
-/// where the fused traversal's shared frontier pays.
+/// regime of the plan layer's query sweeps against a common non-answer
+/// neighbourhood.
 fn nearby_windows(n: usize, dim: usize, side: f64) -> Vec<HyperRect> {
     let mut rng = StdRng::seed_from_u64(0x6E42_B7);
     let anchor: Vec<f64> = (0..dim)
@@ -96,26 +90,6 @@ fn single_pass(tree: &dyn WindowQuery<u32>, windows: &[HyperRect], stats: &mut Q
             true
         });
     }
-    hits
-}
-
-/// One pass of the fused protocol: a single grouped descent over the
-/// whole grid (solo-equivalent accounting is exercised but discarded —
-/// the measured cost is the shared physical walk).
-fn fused_pass(
-    packed: &PackedRTree<u32>,
-    groups: &[&[HyperRect]],
-    stats: &mut QueryStats,
-    per_group: &mut [QueryStats],
-) -> u64 {
-    let mut hits = 0u64;
-    for qs in per_group.iter_mut() {
-        *qs = QueryStats::default();
-    }
-    packed.visit_grouped_stats(groups, stats, Some(per_group), &mut |_, _| {
-        hits += 1;
-        true
-    });
     hits
 }
 
@@ -194,7 +168,6 @@ fn main() {
     let tree = build_tree(cardinality, dim);
     let packed = tree.freeze();
     let windows = nearby_windows(queries, dim, 0.012 * DOMAIN);
-    let groups: Vec<&[HyperRect]> = windows.chunks(1).collect();
     let avg_pointer = packed.entry_count() as f64 / packed.node_count() as f64;
     let avg_packed = packed.slot_count() as f64 / packed.node_count() as f64;
 
@@ -208,19 +181,6 @@ fn main() {
         }
         if hit_ids(&packed, &windows) != reference {
             eprintln!("[filter_sweep] packed hit set diverged from pointer ({kernel:?})");
-            identical = false;
-        }
-    }
-    {
-        let mut fused_ids = Vec::new();
-        let mut stats = QueryStats::default();
-        packed.visit_grouped_stats(&groups, &mut stats, None, &mut |qi, &id| {
-            fused_ids.push((qi, id));
-            true
-        });
-        fused_ids.sort_unstable();
-        if fused_ids != reference {
-            eprintln!("[filter_sweep] fused hit set diverged from pointer");
             identical = false;
         }
     }
@@ -260,34 +220,6 @@ fn main() {
         });
     }
 
-    // --- fused multi-query descent (best packed kernel) -------------
-    if kernel_forced.is_none() {
-        set_rect_kernel(simd_kind).expect("requested rect kernel resolves");
-    }
-    let mut per_group = vec![QueryStats::default(); groups.len()];
-    let (elapsed_s, passes, accesses, hits) = measure(
-        |stats| fused_pass(&packed, &groups, stats, &mut per_group),
-        min_seconds,
-    );
-    let solo_sum: u64 = per_group.iter().map(|s| s.node_accesses).sum();
-    let fused_shared = accesses / passes;
-    let solo_packed = runs[2].node_accesses_per_pass;
-    if solo_sum != solo_packed {
-        eprintln!(
-            "[filter_sweep] fused solo-equivalent accounting diverged: {solo_sum} vs {solo_packed}"
-        );
-        identical = false;
-    }
-    let fused_checks = accesses as f64 * avg_packed / elapsed_s;
-    runs.push(VariantRun {
-        name: "packed-fused",
-        kernel: crp_rtree::active_rect_kernel().to_string(),
-        windows_per_sec: (passes * windows.len() as u64) as f64 / elapsed_s,
-        checks_per_sec: fused_checks,
-        effective_gbps: packed.node_scan_bytes(fused_checks as usize) as f64 / 1e9,
-        node_accesses_per_pass: fused_shared,
-        hits_per_pass: hits,
-    });
     if kernel_forced.is_none() {
         set_rect_kernel(RectKernel::Auto).expect("auto always resolves");
     }
@@ -312,16 +244,11 @@ fn main() {
             r.hits_per_pass
         );
     }
-    println!(
-        "fused descent: {fused_shared} shared node accesses vs {solo_sum} per-query packed sum \
-         ({:.1}% saved), identity {identical}",
-        100.0 * (1.0 - fused_shared as f64 / solo_sum as f64)
-    );
+    println!("hit sets identical across representations: {identical}");
 
     let simd_speedup = runs[2].windows_per_sec / runs[0].windows_per_sec;
-    let fused_reduces = fused_shared < solo_sum;
     let enforce = kernel_forced.is_none();
-    let met = simd_speedup >= 2.0 && fused_reduces && identical;
+    let met = simd_speedup >= 2.0 && identical;
 
     // --- JSON series -------------------------------------------------
     let mut json = String::new();
@@ -364,14 +291,9 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"fused\": {{\"shared_node_accesses\": {fused_shared}, \
-         \"solo_node_accesses_sum\": {solo_sum}, \"reduces\": {fused_reduces}}},"
-    );
-    let _ = writeln!(
-        json,
         "  \"acceptance\": {{\"metric\": \"single-query windows/sec, packed-simd vs pointer, \
          {cardinality}-entry tree\", \"speedup\": {simd_speedup:.3}, \"threshold\": 2.0, \
-         \"fused_reduces_node_accesses\": {fused_reduces}, \"identical\": {identical}, \
+         \"identical\": {identical}, \
          \"enforced\": {enforce}, \"met\": {met}}}"
     );
     let _ = writeln!(json, "}}");
@@ -387,10 +309,6 @@ fn main() {
     println!("\nwrote {}", path.display());
 
     assert!(identical, "filter representations diverged");
-    assert!(
-        fused_reduces,
-        "fused descent did not reduce node accesses ({fused_shared} vs {solo_sum})"
-    );
     if simd_speedup < 2.0 {
         eprintln!(
             "[filter_sweep] WARNING: packed-simd speedup {simd_speedup:.2}× below the 2× \

@@ -7,14 +7,15 @@
 //! every client ingests one record (an insert far outside the hot
 //! region, so explain outcomes stay comparable to offline) and then
 //! explains that round's non-answer at its own *nearby-grid* query
-//! (every step is fresh). Windowed serving wins twice:
+//! (every step is fresh, so every `(an, q)` pays its own stage-1
+//! traversal in either mode). Windowed serving wins on two counts:
 //!
 //! * the round's 16 inserts **group-commit** into one backend batch —
 //!   one snapshot publish instead of sixteen (publishing forks the
 //!   engine, the dominant per-write cost);
-//! * the stepped queries' filter windows nest pairwise along the grid
-//!   segment, so one planner window pays roughly **one** stage-1
-//!   traversal where per-request serving pays one per client.
+//! * the round's 16 explains share one planner window — one plan over
+//!   one pinned snapshot — where per-request serving closes, plans and
+//!   pins a window per request.
 //!
 //! * `per_request` — the same server with `window_max = 1`: every
 //!   request is its own planner window, executed in arrival order,
@@ -75,9 +76,7 @@ fn offline_wire(result: &Result<CrpOutcome, CrpError>) -> WireResult {
 
 /// The nearby-query grid (same construction as `plan_sweep`): steps
 /// from `q` toward the selected non-answers' sample cloud, clamped so
-/// every stepped query stays between `q` and every sample coordinate —
-/// then any two steps' filter windows nest, and a window mixing
-/// clients' requests derives all but its outermost query's stage-1.
+/// every stepped query stays between `q` and every sample coordinate.
 fn nearby_grid(ds: &UncertainDataset, q: &Point, ans: &[ObjectId], steps: usize) -> Vec<Point> {
     let dim = q.dim();
     let mut target: Vec<f64> = vec![f64::INFINITY; dim];
@@ -288,7 +287,7 @@ fn main() {
         },
     );
     // Upper-quadrant non-answers only, so every stepped query stays
-    // between q and every sample — the nesting premise (see plan_sweep).
+    // between q and every sample.
     let ans: Vec<ObjectId> = candidates
         .into_iter()
         .filter(|&an| {
@@ -309,8 +308,8 @@ fn main() {
         ans.len()
     );
 
-    // One fresh grid step per (client, round): nothing repeats, so
-    // every window's dedup comes from cross-client containment alone.
+    // One fresh grid step per (client, round): nothing repeats, so no
+    // two requests share a stage-1 unit.
     let grid = nearby_grid(&ds, &q, &ans, CLIENTS * rounds);
     let queries: Vec<Vec<Point>> = (0..CLIENTS)
         .map(|c| (0..rounds).map(|r| grid[c * rounds + r].clone()).collect())

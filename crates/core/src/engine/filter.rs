@@ -94,51 +94,13 @@ pub(crate) fn window_candidate_positions<Q: WindowQuery<ObjectId> + ?Sized>(
     });
     hits.sort_unstable();
     hits.dedup();
-    retain_causal(ds, an, q, &mut hits);
-    hits
-}
-
-/// The exact Lemma 2 test over a position superset: keeps exactly the
-/// objects with positive dominance probability w.r.t. some sample of
-/// `an` — the refinement tail of [`window_candidate_positions`], shared
-/// with the plan executor's coverage-derived stage 1 (which draws its
-/// superset from a containing window's coverage list instead of a tree
-/// traversal). One body, so both entries produce the identical
-/// candidate set.
-pub(crate) fn retain_causal(
-    ds: &UncertainDataset,
-    an: &UncertainObject,
-    q: &Point,
-    positions: &mut Vec<usize>,
-) {
-    positions.retain(|&pos| {
+    hits.retain(|&pos| {
         let obj = ds.object_at(pos);
         an.samples()
             .iter()
             .any(|s| dominance_probability(obj, s.point(), q) > 0.0)
     });
-}
-
-/// The bounding box of the stage-1 filter windows of one non-answer —
-/// its **candidate region**: an object whose MBR misses this box has
-/// zero dominance probability w.r.t. every sample of `an` (the windows
-/// are a superset of the dominance relation), so it cannot enter the
-/// candidate set, the dominance matrix, or the outcome. The planner
-/// derives a unit from another's coverage list when this box nests
-/// inside the other's.
-pub(crate) fn candidate_region(an: &UncertainObject, q: &Point) -> HyperRect {
-    an.samples()
-        .iter()
-        .map(|s| dominance_rect(s.point(), q))
-        .reduce(|acc, r| acc.union(&r))
-        .expect("uncertain objects always have at least one sample")
-}
-
-/// The candidate region of a window list that was already computed
-/// (the pdf pipeline's per-quadrant windows, or the certain pipeline's
-/// single dominance window).
-pub(crate) fn windows_region(windows: &[HyperRect]) -> Option<HyperRect> {
-    windows.iter().cloned().reduce(|acc, r| acc.union(&r))
+    hits
 }
 
 /// Lemma 2 by full scan (no index, no node accesses) — the filter

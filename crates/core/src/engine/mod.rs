@@ -875,74 +875,6 @@ impl ExplainEngine {
         let tree = self.packed(self.guarded_pdf_tree(ds)?);
         Ok(pipeline::stage1_pdf(ds, tree, q, an, resolution, stats))
     }
-
-    /// Every indexed id whose MBR/region intersects `region`
-    /// (ascending, deduplicated, `exclude` removed) — the coverage list
-    /// containment-derived plan units are filtered from.
-    fn coverage_ids(
-        &self,
-        region: &HyperRect,
-        exclude: ObjectId,
-        stats: &mut RunStats,
-    ) -> Result<Vec<ObjectId>, CrpError> {
-        let tree = match &self.data {
-            Workload::Discrete(ds) => self.guarded_object_tree(ds)?,
-            Workload::Pdf { ds, .. } => self.guarded_pdf_tree(ds)?,
-        };
-        Ok(pipeline::tree_region_hits(
-            self.packed(tree),
-            std::slice::from_ref(region),
-            exclude,
-            &mut stats.query,
-        ))
-    }
-
-    /// Fuses a plan's traversing units into one grouped descent of the
-    /// packed image, each shared upper node read a single time.
-    /// Per-group hit lists and counters are exactly what each unit's
-    /// solo descent produces (the packed traversal threads group
-    /// liveness down the tree), so planned outcomes — including their
-    /// per-explain `QueryStats` — stay bit-identical to unfused
-    /// execution; only the *physical* node reads shrink, which the
-    /// `filter_sweep` bench measures. `None` when the dataset is empty.
-    fn fused_unit_hits(
-        &self,
-        groups: &[plan::FusedGroup],
-    ) -> Option<Vec<(Vec<ObjectId>, QueryStats)>> {
-        if self.is_empty_data() {
-            return None;
-        }
-        let packed = self.packed(self.object_tree());
-        let window_refs: Vec<&[HyperRect]> = groups.iter().map(|g| g.windows.as_slice()).collect();
-        let mut shared = QueryStats::default();
-        let mut per_group = vec![QueryStats::default(); groups.len()];
-        let mut hits: Vec<Vec<ObjectId>> = vec![Vec::new(); groups.len()];
-        packed.visit_grouped_stats(
-            &window_refs,
-            &mut shared,
-            Some(&mut per_group),
-            &mut |g, &id| {
-                if id != groups[g].exclude {
-                    hits[g].push(id);
-                }
-                true
-            },
-        );
-        // The shared physical cost stays out of the session I/O
-        // accumulator on purpose: the session metric is the sum of
-        // logical per-query costs (the paper's node-access measure),
-        // which the per-group counters preserve exactly.
-        Some(
-            hits.into_iter()
-                .zip(per_group)
-                .map(|(mut h, qs)| {
-                    h.sort_unstable();
-                    h.dedup();
-                    (h, qs)
-                })
-                .collect(),
-        )
-    }
 }
 
 /// Incrementally patches a lazily built object/region tree for one

@@ -264,23 +264,6 @@ pub(crate) fn stage1_pdf(
     // Stage 1: multi-window traversal over the per-quadrant windows.
     let windows = crate::pdf::pdf_windows(q, an.region());
     let hits = source.region_hits(&windows, an_id, stats);
-    stage1_pdf_from_hits(ds, q, an_id, resolution, hits)
-}
-
-/// The integration tail of pdf stage 1, over an already-known hit list
-/// (sorted ascending ids, `an_id` excluded): closed-form dominance
-/// matrix of each hit over the non-answer's integration cells. Split
-/// out so the plan executor can derive the hit list of a contained
-/// query window from a larger window's coverage set without another
-/// tree traversal and still build a bit-identical matrix.
-pub(crate) fn stage1_pdf_from_hits(
-    ds: &PdfDataset,
-    q: &Point,
-    an_id: ObjectId,
-    resolution: usize,
-    hits: Vec<ObjectId>,
-) -> StageOne {
-    let an = ds.get(an_id).expect("caller validated the id");
 
     // Integration cells of the non-answer.
     let cells = an.pdf().discretize(resolution);

@@ -12,49 +12,30 @@
 //!    with optional strategy/lemma-config overrides),
 //! 2. **Plan** — the planner compiles one or more requests into
 //!    *stage-1 work units*, deduplicated across the whole workload:
-//!    one dominance-row computation per distinct `(an, q)`, which the
-//!    unit hands to each of its tasks (an α-sweep pays one traversal),
-//!    and — the cross-query rule — a unit whose filter-window bounding
-//!    box is **contained** in another unit's box for the same `an` is
-//!    *derived* from the larger unit's coverage list instead of paying
-//!    its own R-tree traversal,
+//!    one dominance-row computation per distinct `(an, q)` — a single
+//!    filter traversal of the index (Algorithm 1's RecList descent) —
+//!    which the unit hands to each of its tasks, so an α-sweep pays one
+//!    traversal,
 //! 3. **Execute** — the executor drives the plan over the
 //!    [`ExplainEngine`], rayon-parallel across units, and returns a
 //!    [`PlanReport`] with per-plan [`PlanCounters`].
 //!
-//! ## Why window containment is sound
-//!
-//! Stage 1 of CP finds every object with positive dominance
-//! probability w.r.t. some sample of `an` (Lemmas 1–2). Such an object
-//! has a sample strictly inside one of the per-sample filter windows,
-//! so its MBR intersects the windows' bounding box (the *candidate
-//! region*). If the candidate region of `(an, q')` is contained in the
-//! candidate region of `(an, q)`, every stage-1 candidate of `q'`
-//! therefore appears in the **coverage list** of `q` — all objects
-//! whose MBR intersects `q`'s region, collected by one single-window
-//! traversal. Re-running only the exact Lemma 2 test (and the matrix
-//! build, which genuinely depends on `q'`) over that list reproduces
-//! the traversal's candidate set bit-for-bit at zero node accesses. The
-//! engine-agreement property tests pin this equivalence; the
-//! `plan_sweep` bench measures what it saves.
-//!
-//! Single-task plans skip coverage mode entirely: one leaf unit pays
-//! exactly one explain's traversal, so a one-request plan's outcome
-//! *and* I/O counters are those of a solo explain.
+//! Each task's `stats.query` starts from its unit's traversal cost, so
+//! a planned outcome — causes, search counters *and* I/O counters — is
+//! the outcome of a solo explain, whatever else shares its plan.
 //!
 //! [`ExplainEngine`]: super::ExplainEngine
 
 use super::budget::{self, Cancel, PlanLimits};
-use super::filter;
 use super::pipeline::{self, StageOne};
 use super::{ExplainEngine, ExplainStrategy, Workload};
 use crate::config::CpConfig;
 use crate::error::CrpError;
-use crate::matrix::{with_scratch, DominanceMatrix};
+use crate::matrix::with_scratch;
 use crate::types::{CrpOutcome, RunStats};
-use crp_geom::{HyperRect, Point};
+use crp_geom::Point;
 use crp_rtree::QueryStats;
-use crp_uncertain::{ObjectId, PdfDataset, UncertainDataset};
+use crp_uncertain::ObjectId;
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::fmt;
@@ -119,7 +100,7 @@ impl ExplainRequest {
     }
 
     /// A fixed non-answer set across a query grid — the what-if
-    /// workload the cross-query containment rule deduplicates.
+    /// workload: one stage-1 unit per `(an, q)` cell.
     pub fn query_sweep(queries: impl Into<Vec<Point>>, ans: &[ObjectId]) -> Self {
         Self {
             queries: queries.into(),
@@ -235,7 +216,7 @@ impl ExplainRequest {
 }
 
 /// Per-plan execution counters: how much stage-1 work the planner
-/// found, shared or derived.
+/// found and how much of it was shared.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCounters {
     /// Explain cells across every request (`Σ` queries × objects × α).
@@ -249,8 +230,8 @@ pub struct PlanCounters {
     pub stage1_units: usize,
     /// CP tasks beyond the first of their unit — α-sweep sharing.
     pub stage1_shared_tasks: usize,
-    /// Units computed from a containing unit's coverage list instead
-    /// of their own traversal (the cross-query dedup).
+    /// Always 0: every unit pays its own traversal. Kept only because
+    /// `perfbench/src/trace.rs` reads it.
     pub stage1_derived: usize,
     /// Always 0: there is no session cache. Kept only because
     /// `perfbench/src/trace.rs` reads it.
@@ -263,12 +244,11 @@ impl fmt::Display for PlanCounters {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} task(s) → {} stage-1 unit(s): {} traversal(s), {} derived by containment; \
+            "{} task(s) → {} stage-1 unit(s): {} traversal(s); \
              {} task(s) shared a unit's rows; {} per-call task(s)",
             self.tasks,
             self.stage1_units,
             self.stage1_traversals,
-            self.stage1_derived,
             self.stage1_shared_tasks,
             self.per_call_tasks
         )
@@ -299,42 +279,6 @@ impl PlanReport {
     }
 }
 
-/// One group of a fused stage-1 descent: a traversing unit's filter
-/// windows and the non-answer its hit list excludes.
-pub(crate) struct FusedGroup {
-    pub unit: usize,
-    pub windows: Vec<HyperRect>,
-    pub exclude: ObjectId,
-}
-
-/// The filter windows a traversing unit's solo descent would use —
-/// discrete leaves test the per-sample dominance windows, coverage
-/// roots their single bounding box, pdf leaves the per-quadrant
-/// windows. `None` for units the serve path will fail before stage 1
-/// (unknown non-answer, dimension mismatch), which must keep surfacing
-/// their errors through the unfused path.
-fn unit_windows(workload: &Workload, unit: &Unit, q: &Point) -> Option<Vec<HyperRect>> {
-    unit.region.as_ref()?;
-    if unit.kind == UnitKind::CoverageRoot {
-        return unit.region.clone().map(|r| vec![r]);
-    }
-    match workload {
-        Workload::Discrete(ds) => {
-            let an = ds.get(unit.an)?;
-            Some(
-                an.samples()
-                    .iter()
-                    .map(|s| crp_geom::dominance_rect(s.point(), q))
-                    .collect(),
-            )
-        }
-        Workload::Pdf { ds, .. } => {
-            let an = ds.get(unit.an)?;
-            Some(crate::pdf::pdf_windows(q, an.region()))
-        }
-    }
-}
-
 /// One explain cell of the expanded workload.
 #[derive(Clone, Copy)]
 struct Task {
@@ -351,40 +295,16 @@ struct Task {
     unit: Option<usize>,
 }
 
-/// How a stage-1 unit obtains its dominance rows.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum UnitKind {
-    /// Own traversal through the sample-window filter.
-    Leaf,
-    /// Own traversal in coverage mode (single bounding-box window),
-    /// keeping the raw coverage list for derived children.
-    CoverageRoot,
-    /// Filtered from the parent unit's coverage list — no traversal.
-    Derived { parent: usize },
-}
-
 /// One distinct `(an, q)` stage-1 computation.
 struct Unit {
     an: ObjectId,
     q: usize,
-    /// Bounding box of the unit's filter windows (`None` when the
-    /// non-answer is unknown or the dataset empty — the serve path
-    /// will produce the proper error).
-    region: Option<HyperRect>,
-    kind: UnitKind,
     /// Task indices served by this unit, in task order.
     tasks: Vec<usize>,
 }
 
-/// How one unit obtained its stage 1.
-#[derive(Clone, Copy, Default)]
-struct UnitFlags {
-    traversed: bool,
-    derived: bool,
-}
-
-/// The compiled plan: deduplicated queries, expanded tasks, linked
-/// stage-1 units.
+/// The compiled plan: deduplicated queries, expanded tasks, stage-1
+/// units.
 struct Plan {
     qtable: Vec<Point>,
     tasks: Vec<Task>,
@@ -398,34 +318,10 @@ fn qbits(q: &Point) -> Vec<u64> {
     q.coords().iter().map(|c| c.to_bits()).collect()
 }
 
-/// The candidate region of a prospective unit — discrete: the bounding
-/// box of the per-sample dominance windows; pdf: the bounding box of
-/// the per-quadrant windows. `None` when the serve path would error
-/// before reaching stage 1 anyway.
-fn unit_region(workload: &Workload, an: ObjectId, q: &Point) -> Option<HyperRect> {
-    match workload {
-        Workload::Discrete(ds) => {
-            let obj = ds.get(an)?;
-            if obj.mbr().dim() != q.dim() {
-                return None;
-            }
-            Some(filter::candidate_region(obj, q))
-        }
-        Workload::Pdf { ds, .. } => {
-            let obj = ds.get(an)?;
-            if obj.region().dim() != q.dim() {
-                return None;
-            }
-            filter::windows_region(&crate::pdf::pdf_windows(q, obj.region()))
-        }
-    }
-}
-
 /// Compiles `requests` against an engine: expand tasks, dedup `(an, q)`
-/// units, link containment derivations.
+/// units.
 fn compile(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Plan {
     let config = &engine.config;
-    let workload = &engine.data;
 
     let mut qtable: Vec<Point> = Vec::new();
     let mut qindex: HashMap<Vec<u64>, usize> = HashMap::new();
@@ -468,59 +364,12 @@ fn compile(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Plan {
             units.push(Unit {
                 an: task.an,
                 q: task.q,
-                region: unit_region(workload, task.an, &qtable[task.q]),
-                kind: UnitKind::Leaf,
                 tasks: Vec::new(),
             });
             units.len() - 1
         });
         task.unit = Some(ui);
         units[ui].tasks.push(ti);
-    }
-
-    // Containment linking, per non-answer: order candidate units by
-    // descending region volume, greedily accept roots, and derive any
-    // unit whose region fits inside an accepted root's. Derivation is
-    // single-level (every derived unit points at a traversed root), so
-    // execution is two phases, not a dependency graph.
-    let mut by_an: HashMap<ObjectId, Vec<usize>> = HashMap::new();
-    for (ui, unit) in units.iter().enumerate() {
-        if unit.region.is_some() {
-            by_an.entry(unit.an).or_default().push(ui);
-        }
-    }
-    for group in by_an.values_mut() {
-        if group.len() < 2 {
-            continue;
-        }
-        group.sort_by(|&a, &b| {
-            let (va, vb) = (
-                units[a].region.as_ref().expect("filtered above").volume(),
-                units[b].region.as_ref().expect("filtered above").volume(),
-            );
-            vb.partial_cmp(&va).expect("finite volumes").then(a.cmp(&b))
-        });
-        let mut roots: Vec<usize> = Vec::new();
-        for &ui in group.iter() {
-            let region = units[ui].region.as_ref().expect("filtered above");
-            match roots
-                .iter()
-                .find(|&&r| {
-                    units[r]
-                        .region
-                        .as_ref()
-                        .expect("roots keep their regions")
-                        .contains_rect(region)
-                })
-                .copied()
-            {
-                Some(parent) => {
-                    units[ui].kind = UnitKind::Derived { parent };
-                    units[parent].kind = UnitKind::CoverageRoot;
-                }
-                None => roots.push(ui),
-            }
-        }
     }
 
     Plan {
@@ -531,220 +380,22 @@ fn compile(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Plan {
     }
 }
 
-/// Maps candidate ids to their positions in the dataset, sorted
-/// ascending — exactly the candidate list the window filter produces,
-/// which is what makes the planner's containment-derived stage 1
-/// bit-identical to a traversal.
-///
-/// Ids unknown to `ds` are ignored.
-fn global_positions(ds: &UncertainDataset, ids: &[ObjectId]) -> Vec<usize> {
-    let mut positions: Vec<usize> = ids.iter().filter_map(|&id| ds.index_of(id)).collect();
-    positions.sort_unstable();
-    positions.dedup();
-    positions
-}
-
-/// Discrete stage 1 from a coverage superset: map ids to positions,
-/// re-run the exact Lemma 2 test, build the matrix — bit-identical
-/// candidates and rows to the traversal path (see the module docs for
-/// the soundness argument), zero node accesses.
-fn stage1_discrete_from_coverage(
-    ds: &UncertainDataset,
-    q: &Point,
-    an_pos: usize,
-    coverage: &[ObjectId],
-) -> StageOne {
-    let an = ds.object_at(an_pos);
-    let mut positions = global_positions(ds, coverage);
-    positions.retain(|&pos| pos != an_pos);
-    filter::retain_causal(ds, an, q, &mut positions);
-    let matrix = DominanceMatrix::build(ds, an_pos, q, &positions);
-    let ids = positions
-        .into_iter()
-        .map(|pos| ds.object_at(pos).id())
-        .collect();
-    StageOne { ids, matrix }
-}
-
-/// Pdf stage 1 from a coverage superset: keep ids whose region
-/// intersects any per-quadrant window (what the tree traversal
-/// returns), then the shared integration tail.
-fn stage1_pdf_from_coverage(
-    ds: &PdfDataset,
-    q: &Point,
-    an: ObjectId,
-    resolution: usize,
-    windows: &[HyperRect],
-    coverage: &[ObjectId],
-) -> StageOne {
-    let hits: Vec<ObjectId> = coverage
-        .iter()
-        .copied()
-        .filter(|&id| {
-            id != an
-                && ds
-                    .get(id)
-                    .is_some_and(|o| windows.iter().any(|w| w.intersects(o.region())))
-        })
-        .collect();
-    pipeline::stage1_pdf_from_hits(ds, q, an, resolution, hits)
-}
-
-/// Executes one unit's stage 1 (discrete): derive from the parent's
-/// coverage when possible, consume the fused pre-pass's hit list when
-/// one exists, else traverse — in coverage mode when children depend
-/// on this unit. The fused hit list is exactly what this unit's solo
-/// traversal would return (and its counters the solo counters), so all
-/// three paths produce the identical [`StageOne`].
-#[allow(clippy::too_many_arguments)]
-fn unit_stage1_discrete(
-    engine: &ExplainEngine,
-    units: &[Unit],
-    ui: usize,
-    coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
-    fused: &[Option<(Vec<ObjectId>, QueryStats)>],
-    ds: &UncertainDataset,
-    q: &Point,
-    an_pos: usize,
-    stats: &mut RunStats,
-    flags: &mut UnitFlags,
-) -> Result<StageOne, CrpError> {
-    if let UnitKind::Derived { parent } = units[ui].kind {
-        if let Some(cov) = coverage[parent].get() {
-            flags.derived = true;
-            return Ok(stage1_discrete_from_coverage(ds, q, an_pos, cov));
-        }
-        // The parent failed or was cancelled before its traversal:
-        // fall through to this unit's own computation.
-    }
-    flags.traversed = true;
-    if let Some((hits, qs)) = &fused[ui] {
-        stats.query += *qs;
-        if units[ui].kind == UnitKind::CoverageRoot {
-            let cov = Arc::new(hits.clone());
-            let stage1 = stage1_discrete_from_coverage(ds, q, an_pos, &cov);
-            let _ = coverage[ui].set(cov);
-            return Ok(stage1);
-        }
-        return Ok(stage1_discrete_from_coverage(ds, q, an_pos, hits));
-    }
-    if units[ui].kind == UnitKind::CoverageRoot {
-        let region = units[ui]
-            .region
-            .clone()
-            .expect("coverage roots have regions");
-        let cov = Arc::new(engine.coverage_ids(&region, units[ui].an, stats)?);
-        let stage1 = stage1_discrete_from_coverage(ds, q, an_pos, &cov);
-        let _ = coverage[ui].set(cov);
-        return Ok(stage1);
-    }
-    engine.fresh_stage1_discrete(q, an_pos, stats)
-}
-
-/// [`unit_stage1_discrete`] for pdf workloads.
-#[allow(clippy::too_many_arguments)]
-fn unit_stage1_pdf(
-    engine: &ExplainEngine,
-    units: &[Unit],
-    ui: usize,
-    coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
-    fused: &[Option<(Vec<ObjectId>, QueryStats)>],
-    ds: &PdfDataset,
-    q: &Point,
-    resolution: usize,
-    windows: &[HyperRect],
-    stats: &mut RunStats,
-    flags: &mut UnitFlags,
-) -> Result<StageOne, CrpError> {
-    let an = units[ui].an;
-    if let UnitKind::Derived { parent } = units[ui].kind {
-        if let Some(cov) = coverage[parent].get() {
-            flags.derived = true;
-            return Ok(stage1_pdf_from_coverage(
-                ds, q, an, resolution, windows, cov,
-            ));
-        }
-    }
-    flags.traversed = true;
-    if let Some((hits, qs)) = &fused[ui] {
-        stats.query += *qs;
-        if units[ui].kind == UnitKind::CoverageRoot {
-            let cov = Arc::new(hits.clone());
-            let stage1 = stage1_pdf_from_coverage(ds, q, an, resolution, windows, &cov);
-            let _ = coverage[ui].set(cov);
-            return Ok(stage1);
-        }
-        return Ok(pipeline::stage1_pdf_from_hits(
-            ds,
-            q,
-            an,
-            resolution,
-            hits.clone(),
-        ));
-    }
-    if units[ui].kind == UnitKind::CoverageRoot {
-        let region = units[ui]
-            .region
-            .clone()
-            .expect("coverage roots have regions");
-        let cov = Arc::new(engine.coverage_ids(&region, an, stats)?);
-        let stage1 = stage1_pdf_from_coverage(ds, q, an, resolution, windows, &cov);
-        let _ = coverage[ui].set(cov);
-        return Ok(stage1);
-    }
-    engine.fresh_stage1_pdf(q, an, resolution, stats)
-}
-
 /// The stage 1 of one unit: candidate ids and dominance matrix, plus
 /// the traversal cost that computing them paid.
 type UnitRows = Result<(StageOne, QueryStats), CrpError>;
 
 /// Computes one unit's stage 1 for an already-validated non-answer —
-/// derived, fused or traversed (see [`unit_stage1_discrete`]) — and
-/// folds the traversal it paid into the session I/O once.
-fn unit_rows(
-    engine: &ExplainEngine,
-    plan: &Plan,
-    ui: usize,
-    coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
-    fused: &[Option<(Vec<ObjectId>, QueryStats)>],
-    flags: &mut UnitFlags,
-) -> UnitRows {
-    let unit = &plan.units[ui];
-    let q = &plan.qtable[unit.q];
+/// its own filter traversal, then the matrix build — and folds the
+/// traversal it paid into the session I/O once.
+fn unit_rows(engine: &ExplainEngine, unit: &Unit, q: &Point) -> UnitRows {
     let mut stats = RunStats::default();
     let stage1 = match &engine.data {
         Workload::Discrete(ds) => {
             let an_pos = ds.index_of(unit.an).expect("validated by the caller");
-            unit_stage1_discrete(
-                engine,
-                &plan.units,
-                ui,
-                coverage,
-                fused,
-                ds,
-                q,
-                an_pos,
-                &mut stats,
-                flags,
-            )
+            engine.fresh_stage1_discrete(q, an_pos, &mut stats)
         }
-        Workload::Pdf { ds, resolution } => {
-            let an = ds.get(unit.an).expect("validated by the caller");
-            let windows = crate::pdf::pdf_windows(q, an.region());
-            unit_stage1_pdf(
-                engine,
-                &plan.units,
-                ui,
-                coverage,
-                fused,
-                ds,
-                q,
-                *resolution,
-                &windows,
-                &mut stats,
-                flags,
-            )
+        Workload::Pdf { resolution, .. } => {
+            engine.fresh_stage1_pdf(q, unit.an, *resolution, &mut stats)
         }
     }?;
     engine.io.absorb(stats.query);
@@ -756,19 +407,15 @@ fn unit_rows(
 /// precedence), the first valid one computes the unit's stage 1, and
 /// every valid task refines over those same rows. Each task's
 /// `stats.query` starts from the unit's traversal cost, so its outcome
-/// is bit-identical to a solo explain. Fills `results` and returns the
-/// unit's execution flags.
+/// is bit-identical to a solo explain. Fills `results` and returns
+/// whether the unit traversed the index.
 fn run_unit(
     engine: &ExplainEngine,
     plan: &Plan,
-    ui: usize,
-    coverage: &[OnceLock<Arc<Vec<ObjectId>>>],
-    fused: &[Option<(Vec<ObjectId>, QueryStats)>],
+    unit: &Unit,
     cancel: Option<&Arc<Cancel>>,
     results: &[OnceLock<Result<CrpOutcome, CrpError>>],
-) -> UnitFlags {
-    let mut flags = UnitFlags::default();
-    let unit = &plan.units[ui];
+) -> bool {
     let q = &plan.qtable[unit.q];
     let mut rows: Option<UnitRows> = None;
     // Install the plan's budget handle on *this* thread (rayon workers
@@ -787,9 +434,7 @@ fn run_unit(
                 let task = &plan.tasks[ti];
                 let outcome = validate_task(&engine.data, q, task).and_then(|()| {
                     let (stage1, query) = rows
-                        .get_or_insert_with(|| {
-                            unit_rows(engine, plan, ui, coverage, fused, &mut flags)
-                        })
+                        .get_or_insert_with(|| unit_rows(engine, unit, q))
                         .as_ref()
                         .map_err(Clone::clone)?;
                     let mut stats = RunStats {
@@ -818,7 +463,7 @@ fn run_unit(
             }
         })
     });
-    flags
+    rows.is_some()
 }
 
 /// The per-call input checks of one CP task, in their precedence.
@@ -857,63 +502,15 @@ pub(crate) fn execute(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Pl
 
     let results: Vec<OnceLock<Result<CrpOutcome, CrpError>>> =
         (0..plan.tasks.len()).map(|_| OnceLock::new()).collect();
-    let coverage: Vec<OnceLock<Arc<Vec<ObjectId>>>> =
-        (0..plan.units.len()).map(|_| OnceLock::new()).collect();
 
-    // Phase 1: traversing units (leaves + coverage roots); phase 2:
-    // derived units, whose parents' coverage lists now exist; phase 3:
-    // per-call tasks. Each phase is rayon-parallel when the session is.
-    let phase1: Vec<usize> = (0..plan.units.len())
-        .filter(|&ui| !matches!(plan.units[ui].kind, UnitKind::Derived { .. }))
-        .collect();
-    let phase2: Vec<usize> = (0..plan.units.len())
-        .filter(|&ui| matches!(plan.units[ui].kind, UnitKind::Derived { .. }))
-        .collect();
-
-    // Fused stage-1 pre-pass: when the engine can fuse and at least two
-    // phase-1 units would traverse, one grouped packed descent computes
-    // every unit's hit list up front — shared upper nodes read once.
-    // Units the serve path fails before stage 1 (no windows) stay
-    // unfused so their errors surface identically.
-    let mut fused: Vec<Option<(Vec<ObjectId>, QueryStats)>> =
-        (0..plan.units.len()).map(|_| None).collect();
-    if phase1.len() >= 2 {
-        let workload = &engine.data;
-        let groups: Vec<FusedGroup> = phase1
-            .iter()
-            .filter_map(|&ui| {
-                let unit = &plan.units[ui];
-                Some(FusedGroup {
-                    unit: ui,
-                    windows: unit_windows(workload, unit, &plan.qtable[unit.q])?,
-                    exclude: unit.an,
-                })
-            })
-            .collect();
-        if groups.len() >= 2 {
-            if let Some(hits) = engine.fused_unit_hits(&groups) {
-                for (group, hit) in groups.into_iter().zip(hits) {
-                    fused[group.unit] = Some(hit);
-                }
-            }
-        }
-    }
-
-    let run_units = |unit_ids: &[usize]| -> Vec<(usize, UnitFlags)> {
-        let one_unit = |ui: usize| {
-            (
-                ui,
-                run_unit(engine, &plan, ui, &coverage, &fused, cancel, &results),
-            )
-        };
-        if parallel && unit_ids.len() > 1 {
-            unit_ids.par_iter().map(|&ui| one_unit(ui)).collect()
-        } else {
-            unit_ids.iter().map(|&ui| one_unit(ui)).collect()
-        }
+    // Stage-1 units, then per-call tasks; each phase is rayon-parallel
+    // when the session is.
+    let one_unit = |unit: &Unit| run_unit(engine, &plan, unit, cancel, &results);
+    let traversed: Vec<bool> = if parallel && plan.units.len() > 1 {
+        plan.units.par_iter().map(one_unit).collect()
+    } else {
+        plan.units.iter().map(one_unit).collect()
     };
-    let mut unit_flags: Vec<(usize, UnitFlags)> = run_units(&phase1);
-    unit_flags.extend(run_units(&phase2));
 
     let per_call: Vec<usize> = (0..plan.tasks.len())
         .filter(|&ti| plan.tasks[ti].unit.is_none())
@@ -958,18 +555,11 @@ pub(crate) fn execute(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Pl
         tasks: plan.tasks.len(),
         per_call_tasks: per_call.len(),
         stage1_units: plan.units.len(),
+        stage1_traversals: traversed.iter().filter(|&&t| t).count(),
         ..PlanCounters::default()
     };
     counters.stage1_tasks = counters.tasks - counters.per_call_tasks;
     counters.stage1_shared_tasks = counters.stage1_tasks - counters.stage1_units;
-    for (_, flags) in &unit_flags {
-        if flags.derived {
-            counters.stage1_derived += 1;
-        }
-        if flags.traversed {
-            counters.stage1_traversals += 1;
-        }
-    }
 
     PlanReport {
         results: results
@@ -1014,37 +604,19 @@ mod tests {
     }
 
     #[test]
-    fn positions_restore_global_order() {
-        // Dataset positions follow insertion order, not id order.
-        let ds = UncertainDataset::from_objects(vec![
-            crp_uncertain::UncertainObject::certain(ObjectId(9), pt(0.0, 0.0)),
-            crp_uncertain::UncertainObject::certain(ObjectId(1), pt(1.0, 1.0)),
-            crp_uncertain::UncertainObject::certain(ObjectId(5), pt(2.0, 2.0)),
-        ])
-        .unwrap();
-        // Position order: 9 is at 0, 5 is at 2.
-        assert_eq!(
-            global_positions(&ds, &[ObjectId(5), ObjectId(9)]),
-            vec![0, 2]
-        );
-        // Foreign ids are ignored, not a panic.
-        assert_eq!(global_positions(&ds, &[ObjectId(42)]), Vec::<usize>::new());
-    }
-
-    #[test]
     fn counters_render_human_readably() {
         let counters = PlanCounters {
             tasks: 12,
             stage1_tasks: 10,
             stage1_units: 5,
             stage1_shared_tasks: 5,
-            stage1_derived: 3,
-            stage1_traversals: 2,
+            stage1_traversals: 5,
             per_call_tasks: 2,
             ..PlanCounters::default()
         };
         let s = counters.to_string();
         assert!(s.contains("12 task(s)"), "{s}");
-        assert!(s.contains("3 derived by containment"), "{s}");
+        assert!(s.contains("5 traversal(s)"), "{s}");
+        assert!(!s.contains("derived"), "{s}");
     }
 }

@@ -200,6 +200,5 @@ mod tests {
         assert_eq!(report.counters.stage1_units, 1);
         assert_eq!(report.counters.stage1_shared_tasks, 3);
         assert_eq!(report.counters.stage1_traversals, 1);
-        assert_eq!(report.counters.stage1_derived, 0);
     }
 }

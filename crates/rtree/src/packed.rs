@@ -386,168 +386,6 @@ impl<T> PackedRTree<T> {
         self.slot_count
     }
 
-    /// The grouped fused descent with optional per-group accounting.
-    ///
-    /// Shared-cost counters land in `stats` (each physical node visit
-    /// once). When `per_group` is `Some`, group `g`'s counters advance
-    /// exactly as its *solo* descent would — the traversal threads a
-    /// liveness bitset down the tree (a group stays live below an entry
-    /// only if one of its windows intersects it), and a group's solo
-    /// pruning applies the same tests — so fused execution stays
-    /// bit-identical to per-query execution in results *and* per-query
-    /// accounting, while the physical union cost is what `stats`
-    /// reports.
-    pub fn visit_grouped_stats<'a>(
-        &'a self,
-        groups: &[&[HyperRect]],
-        stats: &mut QueryStats,
-        mut per_group: Option<&mut [QueryStats]>,
-        visitor: &mut dyn FnMut(usize, &'a T) -> bool,
-    ) -> bool {
-        if self.len == 0 || groups.iter().all(|g| g.is_empty()) {
-            return true;
-        }
-        if let Some(pg) = per_group.as_deref() {
-            assert_eq!(pg.len(), groups.len(), "one stats slot per group");
-        }
-        let n_groups = groups.len();
-        let group_words = n_groups.div_ceil(64);
-        let mask_words = self.max_padded.div_ceil(64);
-        let track = per_group.is_some();
-        #[cfg(target_arch = "x86_64")]
-        let use_simd = self.dim <= MAX_SIMD_DIM && resolved() == KERNEL_SIMD;
-        #[cfg(not(target_arch = "x86_64"))]
-        let use_simd = false;
-
-        with_scratch(|scratch| {
-            let masks = &mut scratch.masks;
-            let live = &mut scratch.live;
-            let stack = &mut scratch.packed_stack;
-            masks.clear();
-            masks.resize(n_groups * mask_words, 0);
-            live.clear();
-            stack.clear();
-
-            // Root frame: every group with windows is live (a solo
-            // descent visits the root unconditionally).
-            live.resize(group_words, 0);
-            for (g, windows) in groups.iter().enumerate() {
-                if !windows.is_empty() {
-                    live[g / 64] |= 1u64 << (g % 64);
-                }
-            }
-            stack.push((0u32, 0u32));
-
-            while let Some((node_idx, frame)) = stack.pop() {
-                let node = self.nodes[node_idx as usize];
-                let first = node.first as usize;
-                let padded = node.padded as usize;
-                let span_words = padded.div_ceil(64);
-                let frame_start = frame as usize * group_words;
-
-                stats.node_accesses += 1;
-                if node.leaf {
-                    stats.leaf_accesses += 1;
-                }
-                if let Some(pg) = per_group.as_deref_mut() {
-                    for_each_bit(&live[frame_start..frame_start + group_words], |g| {
-                        pg[g].node_accesses += 1;
-                        if node.leaf {
-                            pg[g].leaf_accesses += 1;
-                        }
-                    });
-                }
-
-                // Per-group entry masks. When tracking liveness only
-                // live groups are computed (a dead group cannot match
-                // anything below a branch it pruned); otherwise every
-                // group is — monotonicity makes both exact.
-                for g in 0..n_groups {
-                    let in_play = if track {
-                        live[frame_start + g / 64] & (1u64 << (g % 64)) != 0
-                    } else {
-                        !groups[g].is_empty()
-                    };
-                    let words = &mut masks[g * mask_words..g * mask_words + span_words];
-                    words.fill(0);
-                    if !in_play {
-                        continue;
-                    }
-                    self.node_mask(use_simd, first, padded, groups[g], words);
-                }
-
-                // Only set bits are walked below (sentinel slots never
-                // match, so padding bits are always clear): the union
-                // word across groups drives a bit-scan instead of a
-                // per-slot loop — the per-node overhead that would
-                // otherwise rival the kernel itself on selective
-                // windows.
-                if node.leaf {
-                    for wi in 0..span_words {
-                        let mut union_word = 0u64;
-                        for g in 0..n_groups {
-                            union_word |= masks[g * mask_words + wi];
-                        }
-                        // Ascending j, groups in index order per j —
-                        // identical to the per-slot order.
-                        while union_word != 0 {
-                            let b = union_word.trailing_zeros() as usize;
-                            union_word &= union_word - 1;
-                            let j = wi * 64 + b;
-                            for g in 0..n_groups {
-                                if masks[g * mask_words + wi] & (1u64 << b) != 0 {
-                                    let payload = &self.payloads[self.slots[first + j] as usize];
-                                    if !visitor(g, payload) {
-                                        stack.clear();
-                                        return false;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                } else {
-                    // Push matching children in reverse entry order so
-                    // they pop — and are visited — in entry order,
-                    // exactly like the recursive pointer descent.
-                    for wi in (0..span_words).rev() {
-                        let mut union_word = 0u64;
-                        for g in 0..n_groups {
-                            union_word |= masks[g * mask_words + wi];
-                        }
-                        while union_word != 0 {
-                            let b = 63 - union_word.leading_zeros() as usize;
-                            union_word &= !(1u64 << b);
-                            let j = wi * 64 + b;
-                            let child_frame = if track {
-                                let off = live.len();
-                                for gw in 0..group_words {
-                                    let mut word = 0u64;
-                                    for gb in 0..64 {
-                                        let g = gw * 64 + gb;
-                                        if g >= n_groups {
-                                            break;
-                                        }
-                                        let was_live = live[frame_start + gw] & (1u64 << gb) != 0;
-                                        if was_live && masks[g * mask_words + wi] & (1u64 << b) != 0
-                                        {
-                                            word |= 1u64 << gb;
-                                        }
-                                    }
-                                    live.push(word);
-                                }
-                                (off / group_words) as u32
-                            } else {
-                                0
-                            };
-                            stack.push((self.slots[first + j], child_frame));
-                        }
-                    }
-                }
-            }
-            true
-        })
-    }
-
     /// Dispatches the per-node window-mask kernel: sets bit `j` of
     /// `out` iff `windows` contains a rectangle intersecting entry slot
     /// `first + j` (closed boundaries). Sentinel slots never match.
@@ -593,24 +431,70 @@ impl<T> PackedRTree<T> {
 }
 
 impl<T> WindowQuery<T> for PackedRTree<T> {
-    fn visit_grouped<'a>(
+    /// The packed descent: one window-mask kernel call per visited
+    /// node, then a bit-scan over the matching slots. Matching children
+    /// are pushed in reverse entry order so they pop — and are visited
+    /// — in entry order, exactly like the pointer descent.
+    fn visit_windows<'a>(
         &'a self,
-        groups: &[&[HyperRect]],
+        windows: &[HyperRect],
         stats: &mut QueryStats,
-        visitor: &mut dyn FnMut(usize, &'a T) -> bool,
+        visitor: &mut dyn FnMut(&'a T) -> bool,
     ) -> bool {
-        self.visit_grouped_stats(groups, stats, None, visitor)
-    }
-}
-
-/// Calls `f(index)` for every set bit, in ascending order.
-fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
-    for (wi, &word) in words.iter().enumerate() {
-        let mut w = word;
-        while w != 0 {
-            f(wi * 64 + w.trailing_zeros() as usize);
-            w &= w - 1;
+        if self.len == 0 || windows.is_empty() {
+            return true;
         }
+        #[cfg(target_arch = "x86_64")]
+        let use_simd = self.dim <= MAX_SIMD_DIM && resolved() == KERNEL_SIMD;
+        #[cfg(not(target_arch = "x86_64"))]
+        let use_simd = false;
+
+        with_scratch(|scratch| {
+            let stack = &mut scratch.packed_stack;
+            let mask = &mut scratch.mask;
+            mask.clear();
+            mask.resize(self.max_padded.div_ceil(64), 0);
+            stack.clear();
+            stack.push(0);
+
+            while let Some(node_idx) = stack.pop() {
+                let node = self.nodes[node_idx as usize];
+                let first = node.first as usize;
+                let padded = node.padded as usize;
+                let words = &mut mask[..padded.div_ceil(64)];
+                stats.node_accesses += 1;
+                words.fill(0);
+                self.node_mask(use_simd, first, padded, windows, words);
+
+                // Only set bits are walked (sentinel slots never match,
+                // so padding bits are always clear): a bit-scan instead
+                // of a per-slot loop.
+                if node.leaf {
+                    stats.leaf_accesses += 1;
+                    for (wi, &word) in words.iter().enumerate() {
+                        let mut w = word;
+                        while w != 0 {
+                            let j = wi * 64 + w.trailing_zeros() as usize;
+                            w &= w - 1;
+                            if !visitor(&self.payloads[self.slots[first + j] as usize]) {
+                                stack.clear();
+                                return false;
+                            }
+                        }
+                    }
+                } else {
+                    for (wi, &word) in words.iter().enumerate().rev() {
+                        let mut w = word;
+                        while w != 0 {
+                            let b = 63 - w.leading_zeros() as usize;
+                            w &= !(1u64 << b);
+                            stack.push(self.slots[first + wi * 64 + b]);
+                        }
+                    }
+                }
+            }
+            true
+        })
     }
 }
 
@@ -807,40 +691,6 @@ mod tests {
             }
             assert_eq!(scalar, simd);
         }
-    }
-
-    #[test]
-    fn fused_groups_match_solo_descents_and_share_cost() {
-        let tree: RTree<usize> =
-            RTree::bulk_load(2, RTreeParams::with_fanout(8), random_rects(1_500, 2, 5));
-        let packed = tree.freeze();
-        let groups: Vec<Vec<HyperRect>> = (0..4u64).map(|s| random_windows(2, 2, 40 + s)).collect();
-        let group_refs: Vec<&[HyperRect]> = groups.iter().map(|g| g.as_slice()).collect();
-
-        let mut shared = QueryStats::default();
-        let mut per_group = vec![QueryStats::default(); groups.len()];
-        let mut fused: Vec<Vec<usize>> = vec![Vec::new(); groups.len()];
-        packed.visit_grouped_stats(
-            &group_refs,
-            &mut shared,
-            Some(&mut per_group),
-            &mut |g, &i| {
-                fused[g].push(i);
-                true
-            },
-        );
-
-        let mut solo_total = QueryStats::default();
-        for (g, windows) in groups.iter().enumerate() {
-            let (solo_hits, solo_stats) = hits_and_stats(&packed, windows);
-            assert_eq!(fused[g], solo_hits, "group {g} hits");
-            // Per-group accounting is exactly the solo descent's.
-            assert_eq!(per_group[g], solo_stats, "group {g} stats");
-            solo_total += solo_stats;
-        }
-        // The fused descent reads shared nodes once: strictly cheaper
-        // than the per-query sum (at minimum the root is shared).
-        assert!(shared.node_accesses < solo_total.node_accesses);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Queries with node-access accounting.
 //!
-//! Every window query in this crate — single-window, multi-window
-//! (Algorithm 1's RecList descent) and the fused multi-*query* descent
-//! of the packed projection — is one traversal contract,
+//! Every window query in this crate — single-window and multi-window
+//! (Algorithm 1's RecList descent) — is one traversal contract,
 //! [`WindowQuery`], implemented exactly once per tree representation:
-//! the pointer tree's core is [`RTree::visit_grouped_core`], the packed
-//! tree's is `PackedRTree::visit_grouped_stats`. The four public query
+//! the pointer tree's core is [`RTree::visit_core`], the packed tree's
+//! is its [`WindowQuery::visit_windows`]. The public pointer-tree query
 //! entry points are thin wrappers, so traversal order, pruning and the
 //! node-access counters cannot drift between them.
 
@@ -87,19 +86,17 @@ impl std::iter::Sum for QueryStats {
 }
 
 /// Reusable traversal workspace: the DFS stacks and the packed
-/// projection's mask/liveness buffers. One instance lives per thread
-/// (see [`with_scratch`]), so steady-state traversals allocate nothing —
-/// a property pinned by the crate's counting-allocator test.
+/// projection's match mask. One instance lives per thread (see
+/// [`with_scratch`]), so steady-state traversals allocate nothing — a
+/// property pinned by the crate's counting-allocator test.
 #[derive(Default)]
 pub(crate) struct TraversalScratch {
     /// Pending pointer-tree nodes (DFS order).
     pub(crate) stack: Vec<NodeId>,
-    /// Pending packed nodes with their live-frame offsets.
-    pub(crate) packed_stack: Vec<(u32, u32)>,
-    /// Per-group entry-match bitmasks of the node being visited.
-    pub(crate) masks: Vec<u64>,
-    /// Live-group bitset frames, one per pushed packed node.
-    pub(crate) live: Vec<u64>,
+    /// Pending packed nodes (DFS order).
+    pub(crate) packed_stack: Vec<u32>,
+    /// Entry-match bitmask of the packed node being visited.
+    pub(crate) mask: Vec<u64>,
 }
 
 thread_local! {
@@ -123,52 +120,33 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut TraversalScratch) -> R) -> R {
 /// The traversal contract shared by the pointer [`RTree`] and its
 /// packed read-only projection
 /// ([`PackedRTree`](crate::PackedRTree)): one depth-first descent
-/// serving one *or many* window queries. Stage-1 filtering in the
-/// engine crate is generic over this trait, so the pointer and packed
-/// paths run bit-identical filter code.
+/// serving one window list. Stage-1 filtering in the engine crate is
+/// generic over this trait, so the pointer and packed paths run
+/// bit-identical filter code.
 pub trait WindowQuery<T> {
-    /// Fused multi-query traversal: each element of `groups` is one
-    /// query's window list, and a single descent serves them all — a
-    /// child is entered when *any* group's window intersects its entry
-    /// rectangle, and `visitor` receives `(group index, payload)` for
-    /// every (group, entry) match, entries in depth-first entry order,
-    /// groups in ascending order per entry. Returning `false` aborts
-    /// the whole traversal (the return value is `false` iff aborted).
-    ///
-    /// Per-group hit sequences are identical to running each group
-    /// alone: window/rectangle intersection is containment-monotone
-    /// (a window missing a node's entry rectangle cannot intersect any
-    /// rectangle inside it), so a group never matches an entry below a
-    /// branch it would itself have pruned. `stats` counts each
-    /// *physical* node visit once — the fused descent's whole point is
-    /// that this union cost is below the per-group sum.
-    fn visit_grouped<'a>(
+    /// Any-window traversal: `visitor` receives the payload of every
+    /// entry whose rectangle intersects *any* of `windows` (closed
+    /// boundaries), in depth-first entry order; a child is entered when
+    /// any window intersects its entry rectangle, so a node shared by
+    /// several windows is read once. Returning `false` aborts the
+    /// traversal (the return value is `false` iff aborted), with
+    /// `stats` reflecting the nodes actually read.
+    fn visit_windows<'a>(
         &'a self,
-        groups: &[&[HyperRect]],
+        windows: &[HyperRect],
         stats: &mut QueryStats,
-        visitor: &mut dyn FnMut(usize, &'a T) -> bool,
+        visitor: &mut dyn FnMut(&'a T) -> bool,
     ) -> bool;
+}
 
-    /// Single-query any-window traversal — group 0 of
-    /// [`WindowQuery::visit_grouped`].
+impl<T> WindowQuery<T> for RTree<T> {
     fn visit_windows<'a>(
         &'a self,
         windows: &[HyperRect],
         stats: &mut QueryStats,
         visitor: &mut dyn FnMut(&'a T) -> bool,
     ) -> bool {
-        self.visit_grouped(&[windows], stats, &mut |_, t| visitor(t))
-    }
-}
-
-impl<T> WindowQuery<T> for RTree<T> {
-    fn visit_grouped<'a>(
-        &'a self,
-        groups: &[&[HyperRect]],
-        stats: &mut QueryStats,
-        visitor: &mut dyn FnMut(usize, &'a T) -> bool,
-    ) -> bool {
-        self.visit_grouped_core(groups, stats, &mut |g, _, t| visitor(g, t))
+        self.visit_core(windows, stats, &mut |_, t| visitor(t))
     }
 }
 
@@ -181,7 +159,7 @@ impl<T> RTree<T> {
         stats: &mut QueryStats,
         mut visitor: impl FnMut(&HyperRect, &T),
     ) {
-        self.visit_grouped_core(&[std::slice::from_ref(window)], stats, &mut |_, r, t| {
+        self.visit_core(std::slice::from_ref(window), stats, &mut |r, t| {
             visitor(r, t);
             true
         });
@@ -197,7 +175,7 @@ impl<T> RTree<T> {
         stats: &mut QueryStats,
         mut visitor: impl FnMut(&HyperRect, &T),
     ) {
-        self.visit_grouped_core(&[windows], stats, &mut |_, r, t| {
+        self.visit_core(windows, stats, &mut |r, t| {
             visitor(r, t);
             true
         });
@@ -212,7 +190,7 @@ impl<T> RTree<T> {
         mut pred: impl FnMut(&HyperRect, &T) -> bool,
     ) -> Option<&'a T> {
         let mut found: Option<&'a T> = None;
-        self.visit_grouped_core(&[std::slice::from_ref(window)], stats, &mut |_, r, t| {
+        self.visit_core(std::slice::from_ref(window), stats, &mut |r, t| {
             if pred(r, t) {
                 found = Some(t);
                 false // stop traversal
@@ -257,15 +235,16 @@ impl<T> RTree<T> {
     /// `stats.leaf_accesses` once per visited leaf; a `false` from the
     /// visitor aborts the whole traversal with the counters reflecting
     /// the nodes actually read.
-    fn visit_grouped_core<'a>(
+    fn visit_core<'a>(
         &'a self,
-        groups: &[&[HyperRect]],
+        windows: &[HyperRect],
         stats: &mut QueryStats,
-        visitor: &mut impl FnMut(usize, &'a HyperRect, &'a T) -> bool,
+        visitor: &mut impl FnMut(&'a HyperRect, &'a T) -> bool,
     ) -> bool {
-        if self.is_empty() || groups.iter().all(|g| g.is_empty()) {
+        if self.is_empty() || windows.is_empty() {
             return true;
         }
+        let hits = |rect: &HyperRect| windows.iter().any(|w| w.intersects(rect));
         with_scratch(|scratch| {
             let stack = &mut scratch.stack;
             stack.clear();
@@ -276,26 +255,15 @@ impl<T> RTree<T> {
                     NodeEntries::Leaf(v) => {
                         stats.leaf_accesses += 1;
                         for e in v {
-                            for (gi, g) in groups.iter().enumerate() {
-                                if g.iter().any(|w| w.intersects(&e.rect))
-                                    && !visitor(gi, &e.rect, &e.data)
-                                {
-                                    stack.clear();
-                                    return false;
-                                }
+                            if hits(&e.rect) && !visitor(&e.rect, &e.data) {
+                                stack.clear();
+                                return false;
                             }
                         }
                     }
                     NodeEntries::Branch(v) => {
                         let before = stack.len();
-                        for e in v {
-                            if groups
-                                .iter()
-                                .any(|g| g.iter().any(|w| w.intersects(&e.rect)))
-                            {
-                                stack.push(e.child);
-                            }
-                        }
+                        stack.extend(v.iter().filter(|e| hits(&e.rect)).map(|e| e.child));
                         stack[before..].reverse();
                     }
                 }
@@ -438,40 +406,6 @@ mod tests {
         assert_eq!(a.inserts, 1);
         assert_eq!(a.reinserts, 2);
         assert_eq!(a.refreezes, 3);
-    }
-
-    #[test]
-    fn grouped_traversal_matches_per_query_runs() {
-        let tree = grid_tree(100);
-        let g0 = vec![
-            window([0.0, 0.0], [2.0, 2.0]),
-            window([7.0, 7.0], [9.0, 9.0]),
-        ];
-        let g1 = vec![window([3.0, 0.0], [5.0, 4.0])];
-        let g2: Vec<HyperRect> = Vec::new(); // empty group never matches
-
-        let mut fused_stats = QueryStats::default();
-        let mut fused: Vec<Vec<usize>> = vec![Vec::new(); 3];
-        WindowQuery::visit_grouped(&tree, &[&g0, &g1, &g2], &mut fused_stats, &mut |g, &i| {
-            fused[g].push(i);
-            true
-        });
-
-        let mut solo_sum = QueryStats::default();
-        for (g, windows) in [(0usize, &g0), (1, &g1), (2, &g2)] {
-            let mut stats = QueryStats::default();
-            let mut solo = Vec::new();
-            tree.range_intersect_any(windows, &mut stats, |_, &i| solo.push(i));
-            // Per-group hit sequence (including order) identical to the
-            // group's solo descent.
-            assert_eq!(fused[g], solo, "group {g}");
-            solo_sum += stats;
-        }
-        // One physical descent serves all groups: strictly cheaper than
-        // the per-query sum (the root alone is shared by both live
-        // groups).
-        assert!(fused_stats.node_accesses < solo_sum.node_accesses);
-        assert!(fused_stats.leaf_accesses <= solo_sum.leaf_accesses);
     }
 
     #[test]

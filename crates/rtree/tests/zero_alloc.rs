@@ -1,6 +1,6 @@
 //! Steady-state traversals allocate nothing.
 //!
-//! The traversal scratch (DFS stack, packed mask/liveness words) is
+//! The traversal scratch (DFS stacks, packed match mask) is
 //! thread-local and reused across calls, and `collect_intersecting_into`
 //! writes into a caller-owned buffer — so after one warm-up pass, both
 //! the pointer and the packed read paths must run without touching the
@@ -66,17 +66,14 @@ fn steady_state_traversals_do_not_allocate() {
         HyperRect::new(Point::from([3.0, 3.0]), Point::from([11.0, 11.0])),
         HyperRect::new(Point::from([20.0, 17.0]), Point::from([29.0, 26.0])),
     ];
-    let groups: [&[HyperRect]; 2] = [&windows[..1], &windows[1..]];
     let mut out: Vec<usize> = Vec::new();
     let mut stats = QueryStats::default();
-    let mut per_group = [QueryStats::default(); 2];
 
-    // Warm-up: grows the thread-local scratch (stack, masks, liveness
-    // arena) and the output buffer to their steady-state sizes.
+    // Warm-up: grows the thread-local scratch (stacks, mask) and the
+    // output buffer to their steady-state sizes.
     tree.collect_intersecting_into(&windows[0], &mut stats, &mut out);
     tree.visit_windows(&windows, &mut stats, &mut |_| true);
     packed.visit_windows(&windows, &mut stats, &mut |_| true);
-    packed.visit_grouped_stats(&groups, &mut stats, Some(&mut per_group), &mut |_, _| true);
 
     let before = allocations();
     for _ in 0..64 {
@@ -86,9 +83,8 @@ fn steady_state_traversals_do_not_allocate() {
         assert!(!out.is_empty());
         tree.visit_windows(&windows, &mut stats, &mut |_| true);
 
-        // Packed path: plain and fused-grouped with per-group stats.
+        // Packed path: the same multi-window visit.
         packed.visit_windows(&windows, &mut stats, &mut |_| true);
-        packed.visit_grouped_stats(&groups, &mut stats, Some(&mut per_group), &mut |_, _| true);
     }
     let after = allocations();
     assert_eq!(

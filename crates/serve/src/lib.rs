@@ -7,9 +7,10 @@
 //!
 //! * **Planner windows** ([`server`]) — concurrent explain requests
 //!   are gathered for a few milliseconds (or until the window is
-//!   full) and compiled as one planned workload, so stage-1 work
-//!   units dedup *across clients* exactly as they do across the
-//!   requests of one offline batch. Outcomes are bit-identical to
+//!   full) and compiled as one planned workload, so requests for the
+//!   same `(an, q)` share one stage-1 unit *across clients* exactly as
+//!   they do across the requests of one offline batch, and the window
+//!   runs against one pinned snapshot. Outcomes are bit-identical to
 //!   serving each request alone — the planner's planned ≡ per-call
 //!   guarantee, now applied to a socket workload.
 //! * **Admission control** — queue depth and the client's declared

@@ -15,8 +15,9 @@
 //! * the **collector** gathers explain jobs into *planner windows* —
 //!   closed on size ([`ServeConfig::window_max`]) or on a few-ms
 //!   deadline ([`ServeConfig::window_ms`]) — compiles each window as
-//!   ONE workload through the planner (so stage-1 work dedups *across
-//!   clients*), executes it against a pinned snapshot, and demuxes the
+//!   ONE workload through the planner (so requests for the same
+//!   `(an, q)` share one stage-1 unit *across clients*), executes it
+//!   against a pinned snapshot, and demuxes the
 //!   per-request outcomes back to each connection. Updates
 //!   **group-commit at window boundaries**: concurrent clients' update
 //!   requests coalesce (up to `window_max` per batch) into one backend

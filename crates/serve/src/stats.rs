@@ -53,10 +53,8 @@ impl ServeStats {
         self.requests.fetch_add(requests, Ordering::Relaxed);
         self.tasks
             .fetch_add(counters.tasks as u64, Ordering::Relaxed);
-        self.stage1_shared.fetch_add(
-            (counters.stage1_shared_tasks + counters.stage1_derived) as u64,
-            Ordering::Relaxed,
-        );
+        self.stage1_shared
+            .fetch_add(counters.stage1_shared_tasks as u64, Ordering::Relaxed);
     }
 
     /// Record one shed (Busy) response.
@@ -103,9 +101,9 @@ impl ServeStats {
         self.shed.load(Ordering::Relaxed)
     }
 
-    /// Percentage of tasks that rode another task's stage-1 work
-    /// (shared a unit's rows or were derived by containment) — the
-    /// cross-client dedup the windowing exists for.
+    /// Percentage of tasks that rode another task's stage-1 work (the
+    /// same `(an, q)` unit's rows) — the cross-client dedup of a
+    /// planner window.
     pub fn dedup_pct(&self) -> u64 {
         (100 * self.stage1_shared.load(Ordering::Relaxed))
             .checked_div(self.tasks.load(Ordering::Relaxed))
@@ -181,8 +179,7 @@ mod tests {
         assert_eq!(stats.dedup_pct(), 0);
         let counters = PlanCounters {
             tasks: 16,
-            stage1_shared_tasks: 6,
-            stage1_derived: 2,
+            stage1_shared_tasks: 8,
             ..PlanCounters::default()
         };
         stats.record_window(16, &counters);

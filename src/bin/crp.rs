@@ -35,8 +35,8 @@
 //!
 //! # Plan a whole workload — an α range and/or a grid of nearby
 //! # queries over a fixed non-answer set — as ONE request: the planner
-//! # dedups stage-1 work across the grid (window containment) and the
-//! # α range (shared dominance rows), and reports what it saved.
+//! # computes each (object, query) cell's dominance rows once, shares
+//! # them across the α range, and reports what it saved.
 //! crp sweep --data nba.csv --schema seasons --query 3500,1500,600,800 \
 //!           --objects 23,42 --alphas 0.3,0.5,0.7 \
 //!           --q-grid 10:10,25:25
@@ -717,9 +717,9 @@ fn cmd_replay_mvcc(
 
 /// `sweep`: one planned request over a query grid × non-answer set ×
 /// α list. The point of the subcommand is the plan report: how many
-/// stage-1 work units the workload really needed and how many were
-/// derived from a containing query's coverage — the counters the
-/// `plan_sweep` bench tracks, on the user's own data.
+/// stage-1 work units and traversals the workload really needed and
+/// how many tasks shared a unit's rows — the counters the `plan_sweep`
+/// bench tracks, on the user's own data.
 fn cmd_sweep(
     engine: &ExplainEngine,
     queries: Vec<Point>,
