@@ -321,7 +321,7 @@ fn paper_scale_deletes_and_replaces_apply() {
             .unwrap_or_else(|e| panic!("update {step} on {id}: {e}"));
     }
     let tree = engine.object_tree();
-    tree.assert_packed_invariants();
+    tree.check_invariants();
     assert_eq!(tree.len(), engine.dataset().len());
     assert_eq!(engine.dataset().len(), 100_000 - UPDATES / 2);
 

@@ -10,7 +10,10 @@
 //!   at the leaf level, margin-driven split-axis selection, forced
 //!   reinsertion on first overflow per level),
 //! * [`RTree::bulk_load`] provides Sort-Tile-Recursive packing for the
-//!   large synthetic workloads,
+//!   large synthetic workloads; it packs `M − p` entries per node
+//!   (`p` = [`RTreeParams::reinsert_count`]), leaving each node room for
+//!   `p` inserts before R*'s overflow treatment fires, which is the fill
+//!   an R*-tree grown by insertion settles at,
 //! * every query takes a [`QueryStats`] accumulator so experiments can
 //!   report node accesses the same way the paper does.
 //!

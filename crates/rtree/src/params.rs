@@ -9,7 +9,8 @@ pub struct RTreeParams {
     pub min_entries: usize,
     /// Number of entries removed and reinserted on the first overflow of
     /// a level per insertion (the R*-tree `p ≈ 30% · M` heuristic). Zero
-    /// disables forced reinsertion.
+    /// disables forced reinsertion. STR bulk loading leaves this many
+    /// free slots in every node (packing `max(M − p, m)` entries).
     pub reinsert_count: usize,
 }
 

@@ -583,37 +583,6 @@ impl<T> RTree<T> {
         }
     }
 
-    /// Invariants for bulk-loaded (packed) trees: balance, MBR
-    /// consistency, level sanity and entry count — but *not* the min-fill
-    /// rule, which STR's final node per level may legitimately violate.
-    pub fn assert_packed_invariants(&self) {
-        let mut seen = 0usize;
-        self.check_node_packed(self.root, self.node(self.root).level, &mut seen);
-        assert_eq!(seen, self.len, "len() does not match stored entries");
-    }
-
-    fn check_node_packed(&self, id: NodeId, expected_level: u32, seen: &mut usize) {
-        let node = self.node(id);
-        assert_eq!(node.level, expected_level, "level mismatch at {id:?}");
-        assert!(
-            node.len() <= self.params.max_entries,
-            "node {id:?} overflows"
-        );
-        match &node.entries {
-            NodeEntries::Branch(v) => {
-                for e in v {
-                    let child_mbr = self.node(e.child).mbr().expect("non-empty child");
-                    assert_eq!(e.rect, child_mbr, "stale child rect under {id:?}");
-                    self.check_node_packed(e.child, expected_level - 1, seen);
-                }
-            }
-            NodeEntries::Leaf(v) => {
-                assert_eq!(expected_level, 0, "leaf must sit at level 0");
-                *seen += v.len();
-            }
-        }
-    }
-
     /// Validates all structural invariants; panics with a diagnostic on
     /// violation. Intended for tests and debug assertions.
     pub fn check_invariants(&self) {
@@ -835,9 +804,19 @@ impl<T: Clone + PartialEq> RTree<T> {
 }
 
 fn sort_farthest_first<E>(entries: &mut [E], center: &Point, rect_of: impl Fn(&E) -> &HyperRect) {
+    // `rect.center().distance_sq(center)` without building the centre:
+    // the same terms, summed in the same order.
+    let dist_sq = |r: &HyperRect| -> f64 {
+        (0..center.dim())
+            .map(|i| {
+                let d = 0.5 * (r.lo()[i] + r.hi()[i]) - center[i];
+                d * d
+            })
+            .sum()
+    };
     entries.sort_by(|a, b| {
-        let da = rect_of(a).center().distance_sq(center);
-        let db = rect_of(b).center().distance_sq(center);
+        let da = dist_sq(rect_of(a));
+        let db = dist_sq(rect_of(b));
         db.partial_cmp(&da).expect("finite distances")
     });
 }
@@ -1136,18 +1115,13 @@ mod tests {
                 (p, i)
             })
             .collect();
-        // STR leaves the last node of each level underfull, so the
-        // min-fill rule of `check_invariants` cannot hold until the tree
-        // is drained; everything else (balance, exact child rectangles,
-        // levels, entry count) is checked after every removal.
         let mut tree = RTree::bulk_load_points(2, RTreeParams::with_fanout(4), items.clone());
-        tree.assert_packed_invariants();
+        tree.check_invariants();
         for (p, i) in items.iter().rev() {
             assert!(tree.remove(&HyperRect::from_point(p), i), "remove {i}");
-            tree.assert_packed_invariants();
+            tree.check_invariants();
         }
         assert!(tree.is_empty());
-        tree.check_invariants();
     }
 
     #[test]
