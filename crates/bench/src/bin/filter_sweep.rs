@@ -1,31 +1,27 @@
 //! Stage-1 filter throughput sweep — the R*-tree read-path trajectory
 //! of the packed-SoA rewrite, written to `bench_out/BENCH_filter.json`.
 //!
-//! Three representations of the same window-filter work, on one
+//! Two representations of the same window-filter work, on one
 //! bulk-loaded 100k-entry tree:
 //!
 //! 1. `pointer` — the mutable arena traversal (per-entry `HyperRect`
 //!    objects, heap-boxed coordinates, child pointers),
-//! 2. `packed-scalar` — the frozen level-order SoA image
-//!    (cache-line-aligned per-axis `lo[]`/`hi[]` slabs) with the
-//!    portable scalar rect kernel pinned,
-//! 3. `packed-simd` — the same image through the AVX2 kernel (falls
-//!    back to scalar where AVX2 is unavailable).
+//! 2. `packed` — the frozen level-order SoA image (cache-line-aligned
+//!    per-axis `lo[]`/`hi[]` slabs) through the rect kernel the CPU
+//!    picks: AVX2 where available, the scalar twin otherwise.
 //!
 //! Each runs the **single-query** protocol (one descent per window of a
-//! nearby-query grid). Reported per variant: windows/sec, modeled rect
-//! checks/sec (node accesses × the representation's per-node scan
-//! width; padded slots for the packed kernels, live entries for the
-//! pointer tree), and the effective coordinate-slab GB/s that implies.
+//! nearby-query grid). The grid jitters `--queries` windows around each
+//! of [`ANCHORS`] seeded anchors, so the ratio averages over where the
+//! anchors fall against the tree's tile boundaries instead of reading
+//! one placement. Reported per variant: windows/sec, node accesses per
+//! pass over the whole grid, modeled rect checks/sec (node accesses ×
+//! the representation's per-node scan width; padded slots for the
+//! packed image, live entries for the pointer tree), and the effective
+//! coordinate-slab GB/s that implies.
 //!
-//! Acceptance (enforced only for the auto-dispatched run):
-//! `packed-simd` ≥ 2× `pointer` windows/sec on the 100k tree, and every
-//! representation returning identical hit sets.
-//!
-//! Setting `CRP_KERNEL` (e.g. `scalar` on the CI fallback leg) pins the
-//! rect kernel for every packed variant, writes
-//! `BENCH_filter_<kernel>.json`, and reports the speedups without
-//! enforcing the bar (the bar is only meaningful under auto dispatch).
+//! Acceptance: `packed` ≥ 2× `pointer` windows/sec on the 100k tree,
+//! and both representations returning identical hit sets.
 //!
 //! ```text
 //! cargo run -p crp-bench --release --bin filter_sweep -- --quick
@@ -36,9 +32,7 @@
 use crp_bench::exp::{arg_flag, arg_value, out_dir};
 use crp_bench::report::fnum;
 use crp_geom::{HyperRect, Point};
-use crp_rtree::{
-    rect_simd_supported, set_rect_kernel, QueryStats, RTree, RTreeParams, RectKernel, WindowQuery,
-};
+use crp_rtree::{QueryStats, RTree, RTreeParams, WindowQuery};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -60,24 +54,29 @@ fn build_tree(cardinality: usize, dim: usize) -> RTree<u32> {
     RTree::bulk_load(dim, RTreeParams::default(), items)
 }
 
-/// The nearby-query grid: `n` windows jittered around one anchor, the
-/// regime of the plan layer's query sweeps against a common non-answer
-/// neighbourhood.
-fn nearby_windows(n: usize, dim: usize, side: f64) -> Vec<HyperRect> {
+/// Anchors of the nearby-query grid.
+const ANCHORS: usize = 8;
+
+/// The nearby-query grid: `per_anchor` windows jittered around each of
+/// [`ANCHORS`] anchors, the regime of the plan layer's query sweeps
+/// against a common non-answer neighbourhood.
+fn nearby_windows(per_anchor: usize, dim: usize, side: f64) -> Vec<HyperRect> {
     let mut rng = StdRng::seed_from_u64(0x6E42_B7);
-    let anchor: Vec<f64> = (0..dim)
-        .map(|_| rng.random_range(0.3 * DOMAIN..0.6 * DOMAIN))
-        .collect();
-    (0..n)
-        .map(|_| {
+    let mut windows = Vec::with_capacity(ANCHORS * per_anchor);
+    for _ in 0..ANCHORS {
+        let anchor: Vec<f64> = (0..dim)
+            .map(|_| rng.random_range(0.3 * DOMAIN..0.6 * DOMAIN))
+            .collect();
+        for _ in 0..per_anchor {
             let lo: Vec<f64> = anchor
                 .iter()
                 .map(|&c| c + rng.random_range(-0.5 * side..0.5 * side))
                 .collect();
             let hi: Vec<f64> = lo.iter().map(|&c| c + side).collect();
-            HyperRect::new(Point::new(lo), Point::new(hi))
-        })
-        .collect()
+            windows.push(HyperRect::new(Point::new(lo), Point::new(hi)));
+        }
+    }
+    windows
 }
 
 /// One pass of the single-query protocol: one descent per window.
@@ -95,7 +94,6 @@ fn single_pass(tree: &dyn WindowQuery<u32>, windows: &[HyperRect], stats: &mut Q
 
 struct VariantRun {
     name: &'static str,
-    kernel: String,
     windows_per_sec: f64,
     checks_per_sec: f64,
     effective_gbps: f64,
@@ -154,16 +152,6 @@ fn main() {
         .unwrap_or(16);
     let min_seconds = if quick { 0.3 } else { 1.5 };
 
-    // A set CRP_KERNEL pins the packed kernels (the CI scalar-fallback
-    // leg); the env seeds the dispatch on first use, so the sweep must
-    // not override it with set_rect_kernel.
-    let kernel_forced = std::env::var("CRP_KERNEL").ok();
-    let simd_kind = if rect_simd_supported() {
-        RectKernel::Simd
-    } else {
-        RectKernel::Scalar
-    };
-
     eprintln!("[filter_sweep] building {cardinality}-entry dim-{dim} tree…");
     let tree = build_tree(cardinality, dim);
     let packed = tree.freeze();
@@ -171,71 +159,46 @@ fn main() {
     let avg_pointer = packed.entry_count() as f64 / packed.node_count() as f64;
     let avg_packed = packed.slot_count() as f64 / packed.node_count() as f64;
 
-    // Identity: all three representations agree per window before any
-    // clock starts.
-    let reference = hit_ids(&tree, &windows);
-    let mut identical = true;
-    for kernel in [RectKernel::Scalar, simd_kind] {
-        if kernel_forced.is_none() {
-            set_rect_kernel(kernel).expect("requested rect kernel resolves");
-        }
-        if hit_ids(&packed, &windows) != reference {
-            eprintln!("[filter_sweep] packed hit set diverged from pointer ({kernel:?})");
-            identical = false;
-        }
+    // Identity: both representations agree per window before any clock
+    // starts.
+    let identical = hit_ids(&packed, &windows) == hit_ids(&tree, &windows);
+    if !identical {
+        eprintln!("[filter_sweep] packed hit set diverged from pointer");
     }
 
     // --- throughput sweep -------------------------------------------
-    let mut runs: Vec<VariantRun> = Vec::new();
-    let specs: [(&'static str, Option<RectKernel>); 3] = [
-        ("pointer", None),
-        ("packed-scalar", Some(RectKernel::Scalar)),
-        ("packed-simd", Some(simd_kind)),
+    let specs: [(&'static str, &dyn WindowQuery<u32>, f64); 2] = [
+        ("pointer", &tree, avg_pointer),
+        ("packed", &packed, avg_packed),
     ];
-    for (name, kernel) in specs {
-        if let (Some(k), None) = (kernel, &kernel_forced) {
-            set_rect_kernel(k).expect("requested rect kernel resolves");
-        }
-        let (elapsed_s, passes, accesses, hits) = match kernel {
-            None => measure(|stats| single_pass(&tree, &windows, stats), min_seconds),
-            Some(_) => measure(|stats| single_pass(&packed, &windows, stats), min_seconds),
-        };
-        let per_node = if kernel.is_some() {
-            avg_packed
-        } else {
-            avg_pointer
-        };
-        let checks_per_sec = accesses as f64 * per_node / elapsed_s;
-        runs.push(VariantRun {
-            name,
-            kernel: match kernel {
-                None => "-".to_string(),
-                Some(_) => crp_rtree::active_rect_kernel().to_string(),
-            },
-            windows_per_sec: (passes * windows.len() as u64) as f64 / elapsed_s,
-            checks_per_sec,
-            effective_gbps: packed.node_scan_bytes(checks_per_sec as usize) as f64 / 1e9,
-            node_accesses_per_pass: accesses / passes,
-            hits_per_pass: hits,
-        });
-    }
-
-    if kernel_forced.is_none() {
-        set_rect_kernel(RectKernel::Auto).expect("auto always resolves");
-    }
+    let runs: Vec<VariantRun> = specs
+        .into_iter()
+        .map(|(name, index, per_node)| {
+            let (elapsed_s, passes, accesses, hits) =
+                measure(|stats| single_pass(index, &windows, stats), min_seconds);
+            let checks_per_sec = accesses as f64 * per_node / elapsed_s;
+            VariantRun {
+                name,
+                windows_per_sec: (passes * windows.len() as u64) as f64 / elapsed_s,
+                checks_per_sec,
+                effective_gbps: packed.node_scan_bytes(checks_per_sec as usize) as f64 / 1e9,
+                node_accesses_per_pass: accesses / passes,
+                hits_per_pass: hits,
+            }
+        })
+        .collect();
 
     // --- report ------------------------------------------------------
     println!("\nStage-1 filter sweep — window-query throughput per representation");
     println!(
-        "{:>13} {:>7} {:>13} {:>9} {:>15} {:>8} {:>12} {:>8}",
-        "variant", "kernel", "windows/s", "speedup", "checks/s", "GB/s", "nodes/pass", "hits"
+        "{:>8} {:>13} {:>9} {:>15} {:>8} {:>12} {:>8}",
+        "variant", "windows/s", "speedup", "checks/s", "GB/s", "nodes/pass", "hits"
     );
     let base = runs[0].windows_per_sec;
     for r in &runs {
         println!(
-            "{:>13} {:>7} {:>13} {:>8.2}x {:>15} {:>8.2} {:>12} {:>8}",
+            "{:>8} {:>13} {:>8.2}x {:>15} {:>8.2} {:>12} {:>8}",
             r.name,
-            r.kernel,
             fnum(r.windows_per_sec),
             r.windows_per_sec / base,
             fnum(r.checks_per_sec),
@@ -246,39 +209,33 @@ fn main() {
     }
     println!("hit sets identical across representations: {identical}");
 
-    let simd_speedup = runs[2].windows_per_sec / runs[0].windows_per_sec;
-    let enforce = kernel_forced.is_none();
-    let met = simd_speedup >= 2.0 && identical;
+    let speedup = runs[1].windows_per_sec / runs[0].windows_per_sec;
+    let met = speedup >= 2.0 && identical;
 
     // --- JSON series -------------------------------------------------
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(
         json,
-        "  \"workload\": {{\"cardinality\": {cardinality}, \"dim\": {dim}, \"queries\": \
-         {queries}, \"quick\": {quick}}},"
+        "  \"workload\": {{\"cardinality\": {cardinality}, \"dim\": {dim}, \"anchors\": \
+         {ANCHORS}, \"queries_per_anchor\": {queries}, \"quick\": {quick}}},"
     );
     let _ = writeln!(
         json,
         "  \"tree\": {{\"nodes\": {}, \"avg_entries_per_node\": {:.2}, \
-         \"avg_padded_slots_per_node\": {:.2}}}, \"kernel_forced\": {},",
+         \"avg_padded_slots_per_node\": {:.2}}},",
         packed.node_count(),
         avg_pointer,
         avg_packed,
-        match &kernel_forced {
-            Some(k) => format!("\"{k}\""),
-            None => "null".to_string(),
-        }
     );
     let _ = writeln!(json, "  \"sweep\": [");
     for (i, r) in runs.iter().enumerate() {
         let _ = writeln!(
             json,
-            "    {{\"name\": \"{}\", \"kernel\": \"{}\", \"windows_per_sec\": {:.1}, \
-             \"speedup_vs_pointer\": {:.3}, \"checks_per_sec\": {:.1}, \"effective_gbps\": \
-             {:.3}, \"node_accesses_per_pass\": {}, \"hits_per_pass\": {}}}{}",
+            "    {{\"name\": \"{}\", \"windows_per_sec\": {:.1}, \"speedup_vs_pointer\": \
+             {:.3}, \"checks_per_sec\": {:.1}, \"effective_gbps\": {:.3}, \
+             \"node_accesses_per_pass\": {}, \"hits_per_pass\": {}}}{}",
             r.name,
-            r.kernel,
             r.windows_per_sec,
             r.windows_per_sec / base,
             r.checks_per_sec,
@@ -291,35 +248,24 @@ fn main() {
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"acceptance\": {{\"metric\": \"single-query windows/sec, packed-simd vs pointer, \
-         {cardinality}-entry tree\", \"speedup\": {simd_speedup:.3}, \"threshold\": 2.0, \
-         \"identical\": {identical}, \
-         \"enforced\": {enforce}, \"met\": {met}}}"
+        "  \"acceptance\": {{\"metric\": \"single-query windows/sec, packed vs pointer, \
+         {cardinality}-entry tree\", \"speedup\": {speedup:.3}, \"threshold\": 2.0, \
+         \"identical\": {identical}, \"met\": {met}}}"
     );
     let _ = writeln!(json, "}}");
 
     let dir = out_dir();
     std::fs::create_dir_all(&dir).expect("bench_out directory");
-    let fname = match &kernel_forced {
-        Some(k) => format!("BENCH_filter_{k}.json"),
-        None => "BENCH_filter.json".to_string(),
-    };
-    let path = dir.join(fname);
+    let path = dir.join("BENCH_filter.json");
     std::fs::write(&path, &json).expect("BENCH_filter.json written");
     println!("\nwrote {}", path.display());
 
     assert!(identical, "filter representations diverged");
-    if simd_speedup < 2.0 {
+    if speedup < 2.0 {
         eprintln!(
-            "[filter_sweep] WARNING: packed-simd speedup {simd_speedup:.2}× below the 2× \
-             acceptance bar"
+            "[filter_sweep] WARNING: packed speedup {speedup:.2}× below the 2× acceptance bar"
         );
-        if enforce {
-            std::process::exit(2);
-        }
+        std::process::exit(2);
     }
-    println!(
-        "packed-simd beats the pointer traversal by {simd_speedup:.1}× on the \
-         {cardinality}-entry tree"
-    );
+    println!("packed beats the pointer traversal by {speedup:.1}× on the {cardinality}-entry tree");
 }

@@ -19,118 +19,18 @@
 //! 4 lanes; element `16k + 4g + l` lands in group `g`, lane `l`) and the
 //! same fixed reduction tree, so the scalar and AVX2 paths are
 //! **bit-identical** — dispatch can never flip a classification, not
-//! even inside the guard band. The scalar path is the portable fallback
-//! (and what `CRP_KERNEL=scalar` pins for A/B runs); AVX2 is selected at
-//! runtime via `is_x86_feature_detected!` — the build stays plain
-//! stable-toolchain `std::arch`, no nightly `std::simd`.
+//! even inside the guard band. The CPU alone picks the kernel: AVX2
+//! whenever `is_x86_feature_detected!("avx2")` holds, the portable
+//! scalar path otherwise. The build stays plain stable-toolchain
+//! `std::arch`, no nightly `std::simd`.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-/// Kernel selection for the masked-product hot path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelKind {
-    /// Probe the CPU once and pick the widest supported kernel.
-    Auto,
-    /// The portable scalar kernel (bit-identical to the SIMD path).
-    Scalar,
-    /// The AVX2 kernel; selecting it on a CPU without AVX2 is an error.
-    Simd,
-}
-
-impl std::str::FromStr for KernelKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(KernelKind::Auto),
-            "scalar" => Ok(KernelKind::Scalar),
-            "simd" => Ok(KernelKind::Simd),
-            other => Err(format!("unknown kernel {other:?} (use auto|scalar|simd)")),
-        }
-    }
-}
-
-const KERNEL_UNSET: u8 = 0;
-const KERNEL_SCALAR: u8 = 1;
-const KERNEL_SIMD: u8 = 2;
-
-/// Process-wide kernel dispatch. Resolved lazily on first use: the
-/// `CRP_KERNEL` environment variable (`auto|scalar|simd`) seeds the
-/// initial value, `Auto` otherwise; [`set_kernel`] overrides it.
-static KERNEL: AtomicU8 = AtomicU8::new(KERNEL_UNSET);
-
-/// True when the AVX2 kernel can run on this machine.
-pub fn simd_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Pins the masked-product kernel for the whole process (A/B runs, the
-/// CLI's `--kernel` flag, the bench sweep's per-variant legs). Returns
-/// the concrete kernel now active. Requesting [`KernelKind::Simd`] on a
-/// CPU without AVX2 is an error; [`KernelKind::Auto`] silently falls
-/// back to scalar there.
-pub fn set_kernel(kind: KernelKind) -> Result<KernelKind, String> {
-    let resolved = match kind {
-        KernelKind::Scalar => KERNEL_SCALAR,
-        KernelKind::Simd => {
-            if !simd_supported() {
-                return Err("simd kernel unavailable: AVX2 not detected on this CPU".into());
-            }
-            KERNEL_SIMD
-        }
-        KernelKind::Auto => {
-            if simd_supported() {
-                KERNEL_SIMD
-            } else {
-                KERNEL_SCALAR
-            }
-        }
-    };
-    KERNEL.store(resolved, Ordering::Relaxed);
-    Ok(if resolved == KERNEL_SIMD {
-        KernelKind::Simd
-    } else {
-        KernelKind::Scalar
-    })
-}
-
-/// The concrete kernel currently dispatched (`"scalar"` or `"simd"`),
-/// resolving the lazy initial state if needed — what the bench sweep
-/// records next to its throughput rows.
-pub fn active_kernel() -> &'static str {
-    if resolved() == KERNEL_SIMD {
-        "simd"
-    } else {
-        "scalar"
-    }
-}
-
+/// True when the AVX2 kernel can run on this machine. std caches the
+/// CPUID probe, so a call costs one relaxed atomic load — cheap enough
+/// to sit in front of every product.
+#[cfg(target_arch = "x86_64")]
 #[inline]
-fn resolved() -> u8 {
-    let v = KERNEL.load(Ordering::Relaxed);
-    if v != KERNEL_UNSET {
-        return v;
-    }
-    let initial = std::env::var("CRP_KERNEL")
-        .ok()
-        .and_then(|raw| raw.parse::<KernelKind>().ok())
-        .unwrap_or(KernelKind::Auto);
-    // Env-pinned `simd` on a CPU without AVX2 degrades to scalar (the
-    // env var is a hint; the hard error lives in `set_kernel`).
-    let v = match initial {
-        KernelKind::Scalar => KERNEL_SCALAR,
-        _ if simd_supported() => KERNEL_SIMD,
-        _ => KERNEL_SCALAR,
-    };
-    KERNEL.store(v, Ordering::Relaxed);
-    v
+fn simd_supported() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// Accumulator groups (SIMD registers) and lanes per group. One
@@ -140,19 +40,18 @@ const GROUPS: usize = 4;
 const LANES: usize = 4;
 const STRIDE: usize = GROUPS * LANES;
 
-/// Masked survival product `Π_c max(row[c], mask[c])`, dispatched to
-/// the active kernel. `mask[c]` must be exactly `0.0` (present) or
-/// `1.0` (removed); `row` values must be finite and non-negative (they
-/// are probabilities' complements).
+/// Masked survival product `Π_c max(row[c], mask[c])`: the AVX2 kernel
+/// when the CPU has it, the scalar twin otherwise. `mask[c]` must be
+/// exactly `0.0` (present) or `1.0` (removed); `row` values must be
+/// finite and non-negative (they are probabilities' complements).
 #[inline]
 pub fn masked_product(row: &[f64], mask: &[f64]) -> f64 {
     debug_assert_eq!(row.len(), mask.len());
     #[cfg(target_arch = "x86_64")]
-    if resolved() == KERNEL_SIMD {
-        // SAFETY: KERNEL is only ever set to KERNEL_SIMD after
-        // `simd_supported()` confirmed AVX2 via `is_x86_feature_detected!`
-        // (in `set_kernel` / `resolved`), so the target features the
-        // callee enables are present on this CPU.
+    if simd_supported() {
+        // SAFETY: `simd_supported()` just confirmed AVX2 via
+        // `is_x86_feature_detected!`, so the target features the callee
+        // enables are present on this CPU.
         return unsafe { masked_product_avx2(row, mask) };
     }
     masked_product_scalar(row, mask)
@@ -185,9 +84,9 @@ pub fn masked_product_scalar(row: &[f64], mask: &[f64]) -> f64 {
 /// # Safety
 ///
 /// The caller must guarantee the CPU supports AVX2 (checked via
-/// `is_x86_feature_detected!("avx2")` before the dispatch state can
-/// select this path). `row` and `mask` must be equal-length slices —
-/// all loads below stay inside `row[..chunks]` / `mask[..chunks]`.
+/// `is_x86_feature_detected!("avx2")` in [`masked_product`]). `row`
+/// and `mask` must be equal-length slices — all loads below stay
+/// inside `row[..chunks]` / `mask[..chunks]`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn masked_product_avx2(row: &[f64], mask: &[f64]) -> f64 {
@@ -270,14 +169,11 @@ mod tests {
     }
 
     /// Remainder lanes (`n % 4 != 0`, `n % 16 != 0`), empty rows, and
-    /// all-/none-removed masks: the SIMD kernel must be bit-identical
-    /// to the scalar kernel on every shape.
+    /// all-/none-removed masks: the dispatched kernel and, where the CPU
+    /// has it, the AVX2 kernel must be bit-identical to the scalar
+    /// kernel on every shape.
     #[test]
     fn simd_is_bit_identical_to_scalar() {
-        if !simd_supported() {
-            eprintln!("AVX2 unavailable; simd/scalar identity vacuously holds");
-            return;
-        }
         let mut rng = StdRng::seed_from_u64(0x51_3D);
         for &n in &[
             0usize, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 32, 33, 48, 63, 64, 100, 257,
@@ -286,13 +182,22 @@ mod tests {
                 for _ in 0..20 {
                     let (row, mask) = random_case(&mut rng, n, removal);
                     let scalar = masked_product_scalar(&row, &mask);
-                    // SAFETY: guarded by `simd_supported()` above.
-                    let simd = unsafe { masked_product_avx2(&row, &mask) };
+                    let dispatched = masked_product(&row, &mask);
                     assert_eq!(
                         scalar.to_bits(),
-                        simd.to_bits(),
-                        "n={n} removal={removal}: scalar {scalar} vs simd {simd}"
+                        dispatched.to_bits(),
+                        "n={n} removal={removal}: scalar {scalar} vs dispatched {dispatched}"
                     );
+                    #[cfg(target_arch = "x86_64")]
+                    if simd_supported() {
+                        // SAFETY: guarded by `simd_supported()`.
+                        let simd = unsafe { masked_product_avx2(&row, &mask) };
+                        assert_eq!(
+                            scalar.to_bits(),
+                            simd.to_bits(),
+                            "n={n} removal={removal}: scalar {scalar} vs simd {simd}"
+                        );
+                    }
                 }
             }
         }
@@ -323,31 +228,5 @@ mod tests {
         let mask = vec![1.0; 37];
         assert_eq!(masked_product_scalar(&row, &mask), 1.0);
         assert_eq!(masked_product(&row, &mask), 1.0);
-    }
-
-    #[test]
-    fn kernel_kind_parses_strictly() {
-        assert_eq!("auto".parse::<KernelKind>().unwrap(), KernelKind::Auto);
-        assert_eq!("scalar".parse::<KernelKind>().unwrap(), KernelKind::Scalar);
-        assert_eq!("simd".parse::<KernelKind>().unwrap(), KernelKind::Simd);
-        assert!("avx512".parse::<KernelKind>().is_err());
-        assert!("Scalar".parse::<KernelKind>().is_err());
-    }
-
-    /// `set_kernel` round-trips and reports the concrete kernel; the
-    /// test restores `Auto` so concurrently running suites keep their
-    /// (identical-verdict) dispatch.
-    #[test]
-    fn set_kernel_reports_resolution() {
-        assert_eq!(set_kernel(KernelKind::Scalar).unwrap(), KernelKind::Scalar);
-        assert_eq!(active_kernel(), "scalar");
-        if simd_supported() {
-            assert_eq!(set_kernel(KernelKind::Simd).unwrap(), KernelKind::Simd);
-            assert_eq!(active_kernel(), "simd");
-        } else {
-            assert!(set_kernel(KernelKind::Simd).is_err());
-        }
-        let auto = set_kernel(KernelKind::Auto).unwrap();
-        assert!(matches!(auto, KernelKind::Scalar | KernelKind::Simd));
     }
 }

@@ -46,8 +46,6 @@ mod cp;
 mod cr;
 pub mod engine;
 mod error;
-#[doc(hidden)]
-pub mod hotpath;
 mod kernel;
 mod kskyband;
 mod matrix;
@@ -73,7 +71,6 @@ pub use engine::{
     PlanCounters, PlanLimits, PlanReport, StopReason,
 };
 pub use error::CrpError;
-pub use kernel::{active_kernel, set_kernel, simd_supported, KernelKind};
 pub use matrix::{DominanceMatrix, PrEvaluator};
 // The live-session vocabulary: updates are applied through
 // `ExplainEngine::apply`, which returns the dataset epoch the session

@@ -264,3 +264,27 @@ fn naive_i_agrees_with_oracle_fixed_seeds() {
     }
     assert!(compared >= 5, "exercised {compared} non-answers");
 }
+
+/// Fixed-seed companion on generator data rather than proptest grids:
+/// ten synthetic uncertain objects (d = 2) queried at their centroid,
+/// every object explained at three thresholds including α = 1.
+#[test]
+fn cp_agrees_with_oracle_on_generated_fixed_seed() {
+    let ds = crp_data::uncertain_dataset(&crp_data::UncertainConfig {
+        cardinality: 10,
+        dim: 2,
+        seed: 0x1DB17,
+        ..crp_data::UncertainConfig::default()
+    });
+    let mut centroid = [0.0; 2];
+    for o in ds.iter() {
+        let e = o.expectation();
+        for (i, c) in centroid.iter_mut().enumerate() {
+            *c += e[i];
+        }
+    }
+    let q = Point::from(centroid.map(|c| c / ds.len() as f64));
+    for alpha in [0.3, 0.7, 1.0] {
+        cp_vs_oracle(&ds, &q, alpha).unwrap_or_else(|e| panic!("α = {alpha}: {e:?}"));
+    }
+}

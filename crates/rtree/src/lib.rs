@@ -29,9 +29,7 @@ mod stats;
 mod tree;
 
 pub use node::NodeId;
-pub use packed::{
-    active_rect_kernel, rect_simd_supported, set_rect_kernel, PackedRTree, RectKernel,
-};
+pub use packed::PackedRTree;
 pub use params::RTreeParams;
 pub use query::{QueryStats, WindowQuery};
 pub use stats::AtomicQueryStats;

@@ -19,135 +19,37 @@
 //! `hi = −∞`) that can never intersect anything, so a node visit is a
 //! branch-free linear scan over cache-line-aligned `f64` rows — and a
 //! natural SIMD target. The rect-vs-window kernel comes in an AVX2 and
-//! a bit-identical scalar twin behind the same runtime dispatch scheme
-//! as the refine stage's `masked_product` (`CRP_KERNEL` env override,
-//! [`set_rect_kernel`] pinning): comparisons are exact predicates, so
-//! the two kernels produce the same bitmasks on every input.
+//! a bit-identical scalar twin: the traversal runs AVX2 when the CPU
+//! has it and the tree has at most `MAX_SIMD_DIM` axes, the scalar twin
+//! otherwise. Comparisons are exact predicates, so the two kernels
+//! produce the same bitmasks on every input.
 //!
 //! Traversal order, pruning and the [`QueryStats`] node/leaf counters
 //! are identical to the pointer tree's ([`WindowQuery`] is implemented
 //! by both over the same depth-first contract), which the engine's
 //! property tests pin across representations. A frozen image is also a
 //! consistent snapshot of one tree state — the copy-on-write substrate
-//! the planned epoch-MVCC work builds on — tagged with the source
+//! the engine's epoch MVCC serves readers from — tagged with the source
 //! tree's [`generation`](crate::RTree::generation).
 
 use crate::node::NodeEntries;
 use crate::query::{with_scratch, QueryStats, WindowQuery};
 use crate::tree::RTree;
 use crp_geom::HyperRect;
-use std::str::FromStr;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-// --- kernel dispatch (mirrors the refine stage's scheme) -------------
-
-/// Which rect-vs-window kernel the packed traversal uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RectKernel {
-    /// Probe CPU features once and pick the fastest available.
-    Auto,
-    /// Force the portable scalar kernel.
-    Scalar,
-    /// Force the AVX2 kernel (errors if unsupported).
-    Simd,
-}
-
-impl FromStr for RectKernel {
-    type Err = String;
-
-    /// Strict, case-sensitive: exactly `auto`, `scalar` or `simd`.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(RectKernel::Auto),
-            "scalar" => Ok(RectKernel::Scalar),
-            "simd" => Ok(RectKernel::Simd),
-            other => Err(format!(
-                "unknown rect kernel '{other}' (expected auto, scalar or simd)"
-            )),
-        }
-    }
-}
-
-const KERNEL_UNSET: u8 = 0;
-const KERNEL_SCALAR: u8 = 1;
-const KERNEL_SIMD: u8 = 2;
-
-/// Process-wide kernel selection, resolved lazily from `CRP_KERNEL`.
-static KERNEL: AtomicU8 = AtomicU8::new(KERNEL_UNSET);
+// --- kernel dispatch -------------------------------------------------
 
 /// The SIMD kernel handles at most this many axes (register budget for
 /// the broadcast window bounds); higher-dimensional trees fall back to
 /// the scalar twin, which is unbounded.
 const MAX_SIMD_DIM: usize = 8;
 
-/// True when the CPU supports the AVX2 rect kernel.
-pub fn rect_simd_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Pins the rect kernel for this process, overriding `CRP_KERNEL`.
-/// [`RectKernel::Simd`] errors when AVX2 is unavailable;
-/// [`RectKernel::Auto`] silently falls back to scalar.
-pub fn set_rect_kernel(kind: RectKernel) -> Result<(), String> {
-    let v = match kind {
-        RectKernel::Auto => {
-            if rect_simd_supported() {
-                KERNEL_SIMD
-            } else {
-                KERNEL_SCALAR
-            }
-        }
-        RectKernel::Scalar => KERNEL_SCALAR,
-        RectKernel::Simd => {
-            if !rect_simd_supported() {
-                return Err("simd rect kernel requested but AVX2 is not available".into());
-            }
-            KERNEL_SIMD
-        }
-    };
-    KERNEL.store(v, Ordering::Relaxed);
-    Ok(())
-}
-
-/// The kernel the next packed traversal will run: `"scalar"` or
-/// `"simd"`.
-pub fn active_rect_kernel() -> &'static str {
-    if resolved() == KERNEL_SIMD {
-        "simd"
-    } else {
-        "scalar"
-    }
-}
-
-/// Lazily seeds the selection from the `CRP_KERNEL` environment
-/// variable (shared with the refine kernels): `scalar` forces the
-/// portable twin, `simd` requests AVX2 but degrades silently when
-/// unsupported, anything else resolves to the best available.
-fn resolved() -> u8 {
-    match KERNEL.load(Ordering::Relaxed) {
-        KERNEL_UNSET => {
-            let v = match std::env::var("CRP_KERNEL").ok().as_deref() {
-                Some("scalar") => KERNEL_SCALAR,
-                _ => {
-                    if rect_simd_supported() {
-                        KERNEL_SIMD
-                    } else {
-                        KERNEL_SCALAR
-                    }
-                }
-            };
-            KERNEL.store(v, Ordering::Relaxed);
-            v
-        }
-        v => v,
-    }
+/// True when the CPU supports the AVX2 rect kernel. std caches the
+/// CPUID probe, so this is one relaxed atomic load per traversal.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn rect_simd_supported() -> bool {
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 // --- the frozen image ------------------------------------------------
@@ -399,9 +301,9 @@ impl<T> PackedRTree<T> {
     ) {
         #[cfg(target_arch = "x86_64")]
         if use_simd {
-            // SAFETY: `use_simd` is only true when the resolved kernel
-            // is SIMD, which requires `is_x86_feature_detected!("avx2")`
-            // to have returned true in this process.
+            // SAFETY: `use_simd` is only true when
+            // `is_x86_feature_detected!("avx2")` returned true and
+            // `dim <= MAX_SIMD_DIM` (see `visit_windows`).
             unsafe {
                 mask_avx2(
                     self.lo.as_slice(),
@@ -445,7 +347,7 @@ impl<T> WindowQuery<T> for PackedRTree<T> {
             return true;
         }
         #[cfg(target_arch = "x86_64")]
-        let use_simd = self.dim <= MAX_SIMD_DIM && resolved() == KERNEL_SIMD;
+        let use_simd = self.dim <= MAX_SIMD_DIM && rect_simd_supported();
         #[cfg(not(target_arch = "x86_64"))]
         let use_simd = false;
 
@@ -618,7 +520,7 @@ mod tests {
 
     #[test]
     fn packed_matches_pointer_on_incrementally_built_trees() {
-        for dim in [2usize, 3, 5] {
+        for dim in [2usize, 3, 5, 9] {
             let mut tree: RTree<usize> = RTree::new(dim, RTreeParams::with_fanout(8));
             for (r, i) in random_rects(500, dim, 11 + dim as u64) {
                 tree.insert(r, i);
@@ -653,6 +555,7 @@ mod tests {
         }
     }
 
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn scalar_and_simd_masks_are_bit_identical() {
         if !rect_simd_supported() {
@@ -771,33 +674,5 @@ mod tests {
         let (hits, stats) = hits_and_stats(&packed, std::slice::from_ref(&w));
         assert!(hits.is_empty());
         assert_eq!(stats, QueryStats::default());
-    }
-
-    #[test]
-    fn rect_kernel_parse_is_strict() {
-        assert_eq!("auto".parse::<RectKernel>(), Ok(RectKernel::Auto));
-        assert_eq!("scalar".parse::<RectKernel>(), Ok(RectKernel::Scalar));
-        assert_eq!("simd".parse::<RectKernel>(), Ok(RectKernel::Simd));
-        for bad in ["AVX2", "Scalar", "SIMD", "fast", "", "auto "] {
-            assert!(
-                bad.parse::<RectKernel>().is_err(),
-                "{bad:?} must be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn set_rect_kernel_roundtrip() {
-        // Forcing scalar always works and is observable.
-        set_rect_kernel(RectKernel::Scalar).expect("scalar is always available");
-        assert_eq!(active_rect_kernel(), "scalar");
-        if rect_simd_supported() {
-            set_rect_kernel(RectKernel::Simd).expect("supported");
-            assert_eq!(active_rect_kernel(), "simd");
-        } else {
-            assert!(set_rect_kernel(RectKernel::Simd).is_err());
-        }
-        // Restore the default for other tests in this process.
-        set_rect_kernel(RectKernel::Auto).expect("auto never fails");
     }
 }

@@ -77,7 +77,6 @@ use prsq_crp::data::{
     write_season_records, CarDbConfig, FaultSpec, FaultVfs, NbaConfig, RealVfs, Vfs, WorkloadOp,
 };
 use prsq_crp::prelude::*;
-use prsq_crp::rtree::{set_rect_kernel, RectKernel};
 use prsq_crp::serve::{Client, ErasedSnapshot, ServeBackend, ServeConfig, Server, VolatileBackend};
 use prsq_crp::uncertain::Epoch;
 use std::collections::HashMap;
@@ -91,7 +90,6 @@ const USAGE: &str = "usage: crp <query|explain|explain-batch|sweep|replay|serve|
      --budget N --serial --workload FILE --readers N --session-dir DIR \
      --inject seed=N[,eio-every=K,enospc-at=K,torn-at=K,lying-every=K] \
      --deadline-ms N --budget-nodes N --budget-subsets N \
-     --kernel auto|scalar|simd \
      --addr HOST:PORT --window-max N --window-ms N --queue-cap N \
      --class interactive|batch|best-effort --update FILE \
      --candidates ID --stats --shutdown \
@@ -119,7 +117,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--alpha", true),
         ("--budget", true),
         ("--object", true),
-        ("--kernel", true),
     ];
     const EXPLAIN_BATCH: &[(&str, bool)] = &[
         ("--data", true),
@@ -129,7 +126,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--budget", true),
         ("--objects", true),
         ("--serial", false),
-        ("--kernel", true),
     ];
     const REPLAY: &[(&str, bool)] = &[
         ("--data", true),
@@ -139,7 +135,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--budget", true),
         ("--workload", true),
         ("--serial", false),
-        ("--kernel", true),
         ("--readers", true),
         ("--session-dir", true),
         ("--inject", true),
@@ -157,7 +152,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--budget", true),
         ("--objects", true),
         ("--serial", false),
-        ("--kernel", true),
     ];
     const SERVE: &[(&str, bool)] = &[
         ("--data", true),
@@ -166,7 +160,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--alpha", true),
         ("--budget", true),
         ("--serial", false),
-        ("--kernel", true),
         ("--addr", true),
         ("--window-max", true),
         ("--window-ms", true),
@@ -254,24 +247,6 @@ impl Cli {
             .map(|raw| raw.parse().map_err(|e| format!("bad {name}: {e}")))
             .transpose()
     }
-}
-
-/// `--kernel auto|scalar|simd` — pins the dominance-kernel dispatch
-/// for A/B runs. `simd` is rejected up front on hosts without AVX2;
-/// absent, the process-wide default (the `CRP_KERNEL` env var, else
-/// auto-detection) stands. One flag pins both dispatches: the packed
-/// filter's rect kernel follows the same variant.
-fn apply_kernel(cli: &Cli) -> Result<(), String> {
-    if let Some(kind) = cli.parse::<KernelKind>("--kernel")? {
-        set_kernel(kind).map_err(|e| format!("bad --kernel: {e}"))?;
-        let rect = match kind {
-            KernelKind::Auto => RectKernel::Auto,
-            KernelKind::Scalar => RectKernel::Scalar,
-            KernelKind::Simd => RectKernel::Simd,
-        };
-        set_rect_kernel(rect).map_err(|e| format!("bad --kernel: {e}"))?;
-    }
-    Ok(())
 }
 
 /// `--alphas 0.3,0.5,0.7` — the α list of a sweep request.
@@ -890,7 +865,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     };
     let alpha: f64 = cli.parse("--alpha")?.unwrap_or(0.5);
     let budget = cli.parse("--budget")?.or(Some(5_000_000));
-    apply_kernel(cli)?;
     let ds = load(schema, data)?;
     if let (Some(q), Some(dim)) = (&default_query, ds.dim()) {
         if q.dim() != dim {
@@ -1131,7 +1105,6 @@ fn run() -> Result<(), String> {
                 return cmd_query(&ds, &q, alpha);
             }
             let budget = cli.parse("--budget")?.or(Some(5_000_000));
-            apply_kernel(&cli)?;
             if cli.command == "replay" {
                 let ops =
                     load_workload(cli.require("--workload", "FILE")?).map_err(|e| e.to_string())?;
@@ -1210,7 +1183,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{apply_kernel, parse_cli, parse_query_point};
+    use super::{parse_cli, parse_query_point};
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
@@ -1246,30 +1219,19 @@ mod tests {
         // Duplicate flags are rejected.
         let err = parse_cli(&args(&["explain", "--data", "a.csv", "--data", "b.csv"])).unwrap_err();
         assert!(err.contains("duplicate"), "{err}");
-    }
-
-    #[test]
-    fn kernel_flag_parsing() {
-        // Every explain-family subcommand accepts --kernel.
-        for cmd in ["explain", "explain-batch", "sweep", "replay"] {
-            let cli = parse_cli(&args(&[cmd, "--kernel", "scalar"])).unwrap();
-            assert!(apply_kernel(&cli).is_ok(), "{cmd}");
+        // The CPU picks the compute kernels: no command takes `--kernel`.
+        for command in [
+            "explain",
+            "explain-batch",
+            "sweep",
+            "replay",
+            "serve",
+            "query",
+            "generate",
+        ] {
+            let err = parse_cli(&args(&[command, "--kernel", "scalar"])).unwrap_err();
+            assert!(err.contains("--kernel"), "{command}: {err}");
         }
-        // Absent flag leaves the process-wide dispatch untouched.
-        let cli = parse_cli(&args(&["explain", "--data", "x.csv"])).unwrap();
-        assert!(apply_kernel(&cli).is_ok());
-        // `auto` always resolves (to simd or scalar, per the host CPU).
-        let cli = parse_cli(&args(&["explain", "--kernel", "auto"])).unwrap();
-        assert!(apply_kernel(&cli).is_ok());
-        // Strict values: typos and wrong case are errors, not fallbacks.
-        for bad in ["avx512", "SIMD", "Scalar", "fast", ""] {
-            let cli = parse_cli(&args(&["explain", "--kernel", bad])).unwrap();
-            let err = apply_kernel(&cli).unwrap_err();
-            assert!(err.contains("--kernel"), "{bad}: {err}");
-        }
-        // Rejected where no refine loop runs.
-        assert!(parse_cli(&args(&["query", "--kernel", "scalar"])).is_err());
-        assert!(parse_cli(&args(&["generate", "--kernel", "scalar"])).is_err());
     }
 
     #[test]
