@@ -18,7 +18,15 @@ fn bench_cr(c: &mut Criterion) {
     });
     let engine = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
     let q = centroid_query(engine.dataset());
-    let ids = select_rsq_non_answers(engine.dataset(), engine.point_tree(), &q, 8, 8, Some(16), 4);
+    let ids = select_rsq_non_answers(
+        engine.dataset(),
+        engine.object_tree().frozen(),
+        &q,
+        8,
+        8,
+        Some(16),
+        4,
+    );
     assert!(!ids.is_empty());
 
     let mut group = c.benchmark_group("cr/verification");

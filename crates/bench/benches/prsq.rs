@@ -30,7 +30,13 @@ fn bench_pr(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("indexed", n), &target, |b, &t| {
             b.iter(|| {
                 let mut stats = QueryStats::default();
-                black_box(pr_reverse_skyline_indexed(&ds, &tree, t, &q, &mut stats))
+                black_box(pr_reverse_skyline_indexed(
+                    &ds,
+                    tree.frozen(),
+                    t,
+                    &q,
+                    &mut stats,
+                ))
             })
         });
     }

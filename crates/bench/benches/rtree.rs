@@ -51,6 +51,7 @@ fn bench_build(c: &mut Criterion) {
 fn bench_queries(c: &mut Criterion) {
     let pts = random_points(100_000, 3, 2);
     let tree: RTree<u32> = RTree::bulk_load_points(3, RTreeParams::paper_default(3), pts);
+    let image = tree.frozen();
     let mut group = c.benchmark_group("rtree/query");
     let q = Point::from([5_000.0, 5_000.0, 5_000.0]);
     for &half in &[100.0f64, 500.0, 2_000.0] {
@@ -62,7 +63,10 @@ fn bench_queries(c: &mut Criterion) {
                 b.iter(|| {
                     let mut stats = QueryStats::default();
                     let mut hits = 0u64;
-                    tree.range_intersect(window, &mut stats, |_, _| hits += 1);
+                    image.visit_windows(std::slice::from_ref(window), &mut stats, &mut |_| {
+                        hits += 1;
+                        true
+                    });
                     black_box((hits, stats.node_accesses))
                 })
             },
@@ -79,7 +83,10 @@ fn bench_queries(c: &mut Criterion) {
         b.iter(|| {
             let mut stats = QueryStats::default();
             let mut hits = 0u64;
-            tree.range_intersect_any(&windows, &mut stats, |_, _| hits += 1);
+            image.visit_windows(&windows, &mut stats, &mut |_| {
+                hits += 1;
+                true
+            });
             black_box((hits, stats.node_accesses))
         })
     });

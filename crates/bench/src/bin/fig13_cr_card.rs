@@ -53,7 +53,7 @@ fn main() {
             let q = centroid_query(engine.dataset());
             let ids = select_rsq_non_answers(
                 engine.dataset(),
-                engine.point_tree(),
+                engine.object_tree().frozen(),
                 &q,
                 trials,
                 1,

@@ -30,7 +30,15 @@ fn main() {
 
     // A subject like the paper's an(7510, 10180): a non-answer with a
     // handful of causes.
-    let subjects = select_rsq_non_answers(ds, engine.point_tree(), &q, 20, 4, Some(15), 0x7AB1E_4);
+    let subjects = select_rsq_non_answers(
+        ds,
+        engine.object_tree().frozen(),
+        &q,
+        20,
+        4,
+        Some(15),
+        0x7AB1E_4,
+    );
     let mut best = None;
     for id in subjects {
         let out = engine

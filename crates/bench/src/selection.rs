@@ -17,7 +17,7 @@
 
 use crp_core::{collect_candidates, DominanceMatrix, RunStats};
 use crp_geom::{Point, PROB_EPSILON};
-use crp_rtree::RTree;
+use crp_rtree::{PackedRTree, RTree};
 use crp_uncertain::{ObjectId, UncertainDataset};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -128,10 +128,11 @@ pub fn select_prsq_non_answers(
 /// over certain data: objects with at least one dominator, at most
 /// `max_candidates` of them when a cap is given (needed when Naive-II
 /// verifies the same objects). Nearest-to-`q` first, shuffled within
-/// distance bands.
+/// distance bands. `tree` is the packed image of the dataset's object
+/// tree.
 pub fn select_rsq_non_answers(
     ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
+    tree: &PackedRTree<ObjectId>,
     q: &Point,
     count: usize,
     min_candidates: usize,
@@ -157,10 +158,14 @@ pub fn select_rsq_non_answers(
         let mut dominators = 0usize;
         let cap = max_candidates.unwrap_or(usize::MAX);
         let mut stats = crp_rtree::QueryStats::default();
-        tree.range_intersect(&window, &mut stats, |rect, &id| {
-            if id != an.id() && dominates(rect.lo(), an.certain_point(), q) {
-                dominators += 1;
+        tree.visit_windows(std::slice::from_ref(&window), &mut stats, &mut |&id| {
+            if id != an.id() {
+                let other = ds.get(id).expect("indexed ids come from the dataset");
+                if dominates(other.certain_point(), an.certain_point(), q) {
+                    dominators += 1;
+                }
             }
+            true
         });
         if dominators < min_candidates.max(1) || dominators > cap {
             continue;
@@ -225,7 +230,7 @@ mod tests {
         let q = Point::from([5_000.0, 5_000.0]);
         let picked = select_rsq_non_answers(
             engine.dataset(),
-            engine.point_tree(),
+            engine.object_tree().frozen(),
             &q,
             12,
             1,

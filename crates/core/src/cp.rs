@@ -23,7 +23,8 @@ use crp_uncertain::{ObjectId, UncertainDataset};
 ///
 /// This is pipeline stage 1
 /// ([`SampleWindowFilter`](crate::engine::filter::SampleWindowFilter))
-/// exposed as a free function for the experiment harness.
+/// over the tree's packed image ([`RTree::frozen`]), exposed as a free
+/// function for the experiment harness.
 pub fn collect_candidates(
     ds: &UncertainDataset,
     tree: &RTree<ObjectId>,
@@ -31,7 +32,7 @@ pub fn collect_candidates(
     an_pos: usize,
     stats: &mut RunStats,
 ) -> Vec<usize> {
-    SampleWindowFilter::new(tree).candidates(ds, q, an_pos, stats)
+    SampleWindowFilter::new(tree.frozen()).candidates(ds, q, an_pos, stats)
 }
 
 #[cfg(test)]

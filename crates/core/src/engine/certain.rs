@@ -16,15 +16,17 @@ use crate::combinations::for_each_combination;
 use crate::error::CrpError;
 use crate::types::{Cause, CrpOutcome, RunStats};
 use crp_geom::{dominance_rect, dominates, Point};
-use crp_rtree::{AtomicQueryStats, RTree};
+use crp_rtree::{AtomicQueryStats, PackedRTree};
 use crp_uncertain::{ObjectId, UncertainDataset};
 
 /// Stage 1 of the certain pipeline: one dominance-window traversal of
-/// the point tree — everything inside the dominance rectangle of
-/// `(an, q)`, refined by the exact strictness check — returned sorted
-/// and deduplicated, without the non-answer itself.
+/// the object tree's packed image — everything inside the dominance
+/// rectangle of `(an, q)`, refined by the exact strictness check on each
+/// hit's point — returned sorted and deduplicated, without the
+/// non-answer itself.
 fn collect_dominators(
-    tree: &RTree<ObjectId>,
+    ds: &UncertainDataset,
+    tree: &PackedRTree<ObjectId>,
     q: &Point,
     an: &Point,
     an_id: ObjectId,
@@ -32,10 +34,14 @@ fn collect_dominators(
 ) -> Vec<ObjectId> {
     let window = dominance_rect(an, q);
     let mut dominators: Vec<ObjectId> = Vec::new();
-    tree.range_intersect(&window, query, |rect, &id| {
-        if id != an_id && dominates(rect.lo(), an, q) {
-            dominators.push(id);
+    tree.visit_windows(std::slice::from_ref(&window), query, &mut |&id| {
+        if id != an_id {
+            let p = ds.get(id).expect("indexed ids come from the dataset");
+            if dominates(p.certain_point(), an, q) {
+                dominators.push(id);
+            }
         }
+        true
     });
     dominators.sort_unstable();
     dominators.dedup();
@@ -194,12 +200,12 @@ impl CertainSearch for SubsetVerify {
 }
 
 /// The certain-data pipeline: validate, run the dominance-window
-/// filter over the point tree (stage 1), then the selected
+/// filter over the object tree's packed image (stage 1), then the selected
 /// verification stage. `io` receives the call's node accesses whether
 /// it succeeds or errors.
 pub(crate) fn run_certain(
     ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
+    tree: &PackedRTree<ObjectId>,
     q: &Point,
     an_id: ObjectId,
     search: &dyn CertainSearch,
@@ -213,7 +219,7 @@ pub(crate) fn run_certain(
 
 fn run_certain_inner(
     ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
+    tree: &PackedRTree<ObjectId>,
     q: &Point,
     an_id: ObjectId,
     search: &dyn CertainSearch,
@@ -229,7 +235,7 @@ fn run_certain_inner(
     let an = ds.object_at(an_pos).certain_point();
 
     // Stage 1: the dominator window query.
-    let dominators = collect_dominators(tree, q, an, an_id, &mut stats.query);
+    let dominators = collect_dominators(ds, tree, q, an, an_id, &mut stats.query);
     stats.candidates = dominators.len();
 
     if dominators.is_empty() {

@@ -18,7 +18,7 @@
 
 use crate::types::RunStats;
 use crp_geom::{dominance_rect, HyperRect, Point};
-use crp_rtree::{QueryStats, RTree, WindowQuery};
+use crp_rtree::{PackedRTree, QueryStats};
 use crp_skyline::dominance_probability;
 use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
 
@@ -35,22 +35,19 @@ pub trait FilterStage: Sync {
     ) -> Vec<usize>;
 }
 
-/// Lemma 2 via the R-tree (the CP filter). Generic over the tree
-/// representation — the pointer [`RTree`] (the default, kept as the
-/// reference path) or the packed read-only projection
-/// ([`crp_rtree::PackedRTree`]) — through [`WindowQuery`]; both
-/// produce bit-identical candidates and counters.
-pub struct SampleWindowFilter<'t, Q: ?Sized = RTree<ObjectId>> {
-    tree: &'t Q,
+/// Lemma 2 via the R-tree (the CP filter), over the object tree's packed
+/// image.
+pub struct SampleWindowFilter<'t> {
+    tree: &'t PackedRTree<ObjectId>,
 }
 
-impl<'t, Q: ?Sized> SampleWindowFilter<'t, Q> {
-    pub fn new(tree: &'t Q) -> Self {
+impl<'t> SampleWindowFilter<'t> {
+    pub fn new(tree: &'t PackedRTree<ObjectId>) -> Self {
         Self { tree }
     }
 }
 
-impl<Q: WindowQuery<ObjectId> + Sync + ?Sized> FilterStage for SampleWindowFilter<'_, Q> {
+impl FilterStage for SampleWindowFilter<'_> {
     fn candidates(
         &self,
         ds: &UncertainDataset,
@@ -72,11 +69,8 @@ impl<Q: WindowQuery<ObjectId> + Sync + ?Sized> FilterStage for SampleWindowFilte
 /// traversal, then exact dominance refinement (rectangles are a
 /// superset of the dominance relation — boundary ties do not dominate).
 /// Returns sorted, deduplicated positions in `ds`, excluding `an`.
-///
-/// The body of [`SampleWindowFilter`], over either view of the tree
-/// (pointer or packed — generic through [`WindowQuery`]).
-pub(crate) fn window_candidate_positions<Q: WindowQuery<ObjectId> + ?Sized>(
-    tree: &Q,
+pub(crate) fn window_candidate_positions(
+    tree: &PackedRTree<ObjectId>,
     ds: &UncertainDataset,
     an: &UncertainObject,
     q: &Point,

@@ -6,8 +6,10 @@
 //! The engine owns the state every algorithm needs:
 //!
 //! * the dataset (discrete-sample or continuous-pdf workload),
-//! * lazily built R-trees (object MBRs for CP, points for CR), shared
-//!   by every explain call,
+//! * one lazily built R-tree over the object MBRs (regions, for pdf
+//!   workloads), shared by every explain call and read through its
+//!   packed image — on certain data a one-sample object's MBR is its
+//!   point, so CR's dominance window reads the same tree,
 //! * an [`AtomicQueryStats`] accumulator so total node accesses can be
 //!   reported across a rayon-parallel batch.
 //!
@@ -74,7 +76,7 @@ use crate::types::{Cause, CrpOutcome, RunStats};
 use certain::{run_certain, Lemma7ClosedForm, SubsetVerify};
 use crp_geom::{HyperRect, Point};
 use crp_rtree::{AtomicQueryStats, PackedRTree, QueryStats, RTree, RTreeParams};
-use crp_skyline::{build_object_rtree, build_point_rtree};
+use crp_skyline::build_object_rtree;
 use crp_uncertain::{
     Epoch, ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainError, UncertainObject,
     Update,
@@ -250,17 +252,15 @@ fn clone_slot<T: Clone>(slot: &OnceLock<T>) -> OnceLock<T> {
     out
 }
 
-/// A per-dataset explain session: owns the dataset, the R-trees and the
+/// A per-dataset explain session: owns the dataset, the R-tree and the
 /// cross-call accounting. See the [module docs](self) for the pipeline
 /// it dispatches.
 pub struct ExplainEngine {
     data: Workload,
     config: EngineConfig,
-    /// Object-MBR tree (CP filtering) — for pdf workloads, the region
-    /// tree. Incrementally patched by [`ExplainEngine::apply`].
+    /// Object-MBR tree (CP and CR filtering) — for pdf workloads, the
+    /// region tree. Incrementally patched by [`ExplainEngine::apply`].
     object_tree: OnceLock<RTree<ObjectId>>,
-    /// Point tree (CR filtering; certain data only).
-    point_tree: OnceLock<RTree<ObjectId>>,
     /// Node accesses and update-path work accumulated across every
     /// explain/apply call (including parallel batches).
     io: AtomicQueryStats,
@@ -276,7 +276,6 @@ impl ExplainEngine {
             data: Workload::Discrete(ds),
             config,
             object_tree: OnceLock::new(),
-            point_tree: OnceLock::new(),
             io: AtomicQueryStats::new(),
         })
     }
@@ -295,7 +294,6 @@ impl ExplainEngine {
             data: Workload::Pdf { ds, resolution },
             config,
             object_tree: OnceLock::new(),
-            point_tree: OnceLock::new(),
             io: AtomicQueryStats::new(),
         })
     }
@@ -319,7 +317,6 @@ impl ExplainEngine {
             data: self.data.clone(),
             config: self.config,
             object_tree: clone_slot(&self.object_tree),
-            point_tree: clone_slot(&self.point_tree),
             io: AtomicQueryStats::new(),
         }
     }
@@ -382,21 +379,6 @@ impl ExplainEngine {
         tree.frozen_counted(&self.io)
     }
 
-    /// The point R-tree used by the certain-data strategies, built on
-    /// first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty, pdf, or genuinely uncertain dataset.
-    pub fn point_tree(&self) -> &RTree<ObjectId> {
-        self.point_tree.get_or_init(|| {
-            let ds = self.dataset();
-            assert!(ds.is_certain(), "point tree requires certain data");
-            let dim = ds.dim().expect("cannot index an empty dataset");
-            build_point_rtree(ds, self.rtree_params(dim))
-        })
-    }
-
     /// Total node accesses and update-path work across every
     /// explain/apply call so far (including parallel batches),
     /// thread-safe.
@@ -419,7 +401,7 @@ impl ExplainEngine {
     }
 
     /// Applies one update to a discrete-sample session: mutates the
-    /// dataset and **incrementally patches** both R-trees (condense +
+    /// dataset and **incrementally patches** the object tree (condense +
     /// reinsert; never a bulk rebuild).
     ///
     /// The packed image of the object tree is not rebuilt here: that
@@ -441,10 +423,8 @@ impl ExplainEngine {
         match update {
             Update::Insert(obj) => {
                 let mbr = obj.mbr();
-                let certain_point = obj.is_certain().then(|| obj.certain_point().clone());
                 self.discrete_mut().push(obj).map_err(update_error)?;
                 self.patch_object_tree(None, Some((mbr, touched)));
-                self.patch_point_tree(None, certain_point.map(|p| (p, touched)));
                 self.io.absorb(QueryStats {
                     inserts: 1,
                     ..Default::default()
@@ -455,9 +435,7 @@ impl ExplainEngine {
                     .discrete_mut()
                     .remove(id)
                     .ok_or(CrpError::UnknownObject(id))?;
-                let old_point = old.is_certain().then(|| old.certain_point().clone());
                 self.patch_object_tree(Some((old.mbr(), id)), None);
-                self.patch_point_tree(old_point.map(|p| (p, id)), None);
                 self.io.absorb(QueryStats {
                     removes: 1,
                     ..Default::default()
@@ -465,14 +443,8 @@ impl ExplainEngine {
             }
             Update::Replace(obj) => {
                 let new_mbr = obj.mbr();
-                let new_point = obj.is_certain().then(|| obj.certain_point().clone());
                 let old = self.discrete_mut().replace(obj).map_err(update_error)?;
-                let old_point = old.is_certain().then(|| old.certain_point().clone());
                 self.patch_object_tree(Some((old.mbr(), touched)), Some((new_mbr, touched)));
-                self.patch_point_tree(
-                    old_point.map(|p| (p, touched)),
-                    new_point.map(|p| (p, touched)),
-                );
                 self.io.absorb(QueryStats {
                     inserts: 1,
                     removes: 1,
@@ -534,9 +506,7 @@ impl ExplainEngine {
     /// pays the rebuild inside its latency budget. [`mvcc::MvccEngine`]
     /// calls this once per published batch; a bare engine skips it and
     /// its first post-update read rebuilds lazily. Either way the
-    /// rebuild counts once in [`QueryStats::refreezes`]. The point
-    /// tree is only read through its node arena, so it has no image
-    /// to keep warm.
+    /// rebuild counts once in [`QueryStats::refreezes`].
     pub fn refreeze(&mut self) {
         if let Some(tree) = self.object_tree.get_mut() {
             tree.refreeze();
@@ -578,26 +548,6 @@ impl ExplainEngine {
         insert: Option<(HyperRect, ObjectId)>,
     ) {
         patch_rect_tree(&mut self.object_tree, remove, insert, &self.io);
-    }
-
-    fn patch_point_tree(
-        &mut self,
-        remove: Option<(Point, ObjectId)>,
-        insert: Option<(Point, ObjectId)>,
-    ) {
-        let still_certain = match &self.data {
-            // The update already landed in the dataset: a now-uncertain
-            // dataset invalidates the point tree outright.
-            Workload::Discrete(ds) => ds.is_certain(),
-            Workload::Pdf { .. } => false,
-        };
-        patch_point_tree_slot(
-            &mut self.point_tree,
-            still_certain,
-            remove,
-            insert,
-            &self.io,
-        );
     }
 
     /// Explains one non-answer with the configured strategy and `α` —
@@ -676,21 +626,17 @@ impl ExplainEngine {
     /// tree construction happens once up front instead of inside the
     /// first worker that wins the `OnceLock` race.
     fn prepare(&self, strategy: ExplainStrategy) {
-        let strategy = self.resolve(strategy);
-        match strategy {
-            ExplainStrategy::Cp | ExplainStrategy::NaiveI { .. } if !self.is_empty_data() => {
-                self.object_tree();
-            }
+        let indexed = match self.resolve(strategy) {
+            ExplainStrategy::Cp | ExplainStrategy::NaiveI { .. } => true,
             ExplainStrategy::Cr
             | ExplainStrategy::CrKskyband { .. }
             | ExplainStrategy::NaiveII { .. } => {
-                if let Workload::Discrete(ds) = &self.data {
-                    if !ds.is_empty() && ds.is_certain() {
-                        self.point_tree();
-                    }
-                }
+                matches!(&self.data, Workload::Discrete(ds) if ds.is_certain())
             }
-            _ => {}
+            _ => false,
+        };
+        if indexed && !self.is_empty_data() {
+            self.object_tree();
         }
     }
 
@@ -797,7 +743,10 @@ impl ExplainEngine {
         pipeline::run_pdf(ds, tree, q, an, alpha, resolution, cp, &self.io)
     }
 
-    /// The certain-data strategies over the point tree.
+    /// The certain-data strategies over the object tree's packed image.
+    /// The certain-data preconditions surface as pipeline errors —
+    /// `EmptyDataset`, then `NotCertainData` — before the index is
+    /// touched.
     fn explain_certain(
         &self,
         ds: &UncertainDataset,
@@ -805,7 +754,13 @@ impl ExplainEngine {
         an: ObjectId,
         search: &dyn certain::CertainSearch,
     ) -> Result<CrpOutcome, CrpError> {
-        run_certain(ds, self.guarded_point_tree(ds)?, q, an, search, &self.io)
+        if ds.is_empty() {
+            return Err(CrpError::EmptyDataset);
+        }
+        if !ds.is_certain() {
+            return Err(CrpError::NotCertainData);
+        }
+        run_certain(ds, self.packed(self.object_tree()), q, an, search, &self.io)
     }
 
     /// The pdf region tree, with empty datasets surfaced as the
@@ -824,18 +779,6 @@ impl ExplainEngine {
             return Err(CrpError::EmptyDataset);
         }
         Ok(self.object_tree())
-    }
-
-    /// The point tree, with the certain-data preconditions surfaced as
-    /// pipeline errors instead of index-build panics.
-    fn guarded_point_tree(&self, ds: &UncertainDataset) -> Result<&RTree<ObjectId>, CrpError> {
-        if ds.is_empty() {
-            return Err(CrpError::EmptyDataset);
-        }
-        if !ds.is_certain() {
-            return Err(CrpError::NotCertainData);
-        }
-        Ok(self.point_tree())
     }
 }
 
@@ -913,36 +856,6 @@ fn patch_rect_tree(
     io.absorb(upkeep);
 }
 
-/// [`patch_rect_tree`] for the certain-data point tree. Non-certain
-/// objects cannot be indexed as points: when the dataset is
-/// no longer certain, or the touched object had no indexable point on
-/// either side, the tree is dropped and rebuilt lazily if/when the
-/// data is certain again.
-fn patch_point_tree_slot(
-    slot: &mut OnceLock<RTree<ObjectId>>,
-    still_certain: bool,
-    remove: Option<(Point, ObjectId)>,
-    insert: Option<(Point, ObjectId)>,
-    io: &AtomicQueryStats,
-) {
-    if slot.get().is_none() {
-        return;
-    }
-    if !still_certain || (remove.is_none() && insert.is_none()) {
-        // `remove`/`insert` are both `None` exactly when the update
-        // touched a non-certain object, whose point was never indexed —
-        // but an earlier certain version of it may be. Dropping the
-        // tree is the conservative correct move.
-        *slot = OnceLock::new();
-        return;
-    }
-    let (remove, insert) = (
-        remove.map(|(p, id)| (HyperRect::from_point(&p), id)),
-        insert.map(|(p, id)| (HyperRect::from_point(&p), id)),
-    );
-    patch_rect_tree(slot, remove, insert, io);
-}
-
 /// The lemma configuration of the Naive-I baseline: CP's filter, every
 /// refinement lemma disabled, an optional subset budget.
 fn naive_config(max_subsets: Option<u64>) -> CpConfig {
@@ -1000,11 +913,11 @@ mod tests {
         let ds = uncertain_fixture();
         let engine = ExplainEngine::new(ds.clone(), EngineConfig::with_alpha(0.75))
             .expect("valid engine config");
-        // The free pipeline over a caller-built pointer tree.
+        // The free pipeline over a caller-built tree's image.
         let tree = build_object_rtree(&ds, RTreeParams::paper_default(2));
         let q = pt(5.0, 5.0);
         let a = engine.explain(&q, ObjectId(0)).unwrap();
-        let filter = SampleWindowFilter::new(&tree);
+        let filter = SampleWindowFilter::new(tree.frozen());
         let b = pipeline::run_probabilistic(
             &ds,
             &q,
@@ -1212,8 +1125,7 @@ mod tests {
         assert_eq!(io.inserts, 2, "insert + replace");
         assert_eq!(io.removes, 2, "delete + replace");
         // The three applies only invalidated the packed image (the
-        // object tree was warm before the first apply; the point tree
-        // is never built for this uncertain fixture): the one explain
+        // object tree was warm before the first apply): the one explain
         // after them rebuilt it once, and a warm image costs nothing.
         assert_eq!(io.refreezes, 1, "one lazy refreeze for three updates");
         engine.explain(&q, ObjectId(2)).unwrap();

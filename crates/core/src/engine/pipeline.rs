@@ -14,52 +14,14 @@ use crate::error::CrpError;
 use crate::matrix::{with_scratch, DominanceMatrix, Scratch};
 use crate::types::{Cause, CrpOutcome, RunStats};
 use crp_geom::{dominance_rect, HyperRect, Point, PROB_EPSILON};
-use crp_rtree::{AtomicQueryStats, PackedRTree, QueryStats, RTree, WindowQuery};
+use crp_rtree::{AtomicQueryStats, PackedRTree, QueryStats};
 use crp_uncertain::{ObjectId, PdfDataset, UncertainDataset};
 
-/// Stage 1 of the pdf pipeline, abstracted over the tree view: the ids
-/// of every indexed region intersecting any of the per-quadrant filter
-/// windows (sorted, deduplicated, `exclude` removed).
-///
-/// Implemented by the pointer region tree and its packed image; both
-/// produce the identical hit list.
-pub(crate) trait RegionHitSource: Sync {
-    fn region_hits(
-        &self,
-        windows: &[HyperRect],
-        exclude: ObjectId,
-        stats: &mut RunStats,
-    ) -> Vec<ObjectId>;
-}
-
-impl RegionHitSource for RTree<ObjectId> {
-    fn region_hits(
-        &self,
-        windows: &[HyperRect],
-        exclude: ObjectId,
-        stats: &mut RunStats,
-    ) -> Vec<ObjectId> {
-        tree_region_hits(self, windows, exclude, &mut stats.query)
-    }
-}
-
-impl RegionHitSource for PackedRTree<ObjectId> {
-    fn region_hits(
-        &self,
-        windows: &[HyperRect],
-        exclude: ObjectId,
-        stats: &mut RunStats,
-    ) -> Vec<ObjectId> {
-        tree_region_hits(self, windows, exclude, &mut stats.query)
-    }
-}
-
-/// The pdf window traversal over one region tree (pointer or packed —
-/// generic through [`WindowQuery`]): ids intersecting any window,
-/// `exclude` removed, sorted and deduplicated. The single
-/// implementation behind both [`RegionHitSource`] views.
-pub(crate) fn tree_region_hits<Q: WindowQuery<ObjectId> + ?Sized>(
-    tree: &Q,
+/// Stage 1 of the pdf pipeline: the ids of every indexed region
+/// intersecting any of the per-quadrant filter `windows` of the region
+/// tree's packed image, `exclude` removed, sorted and deduplicated.
+pub(crate) fn tree_region_hits(
+    tree: &PackedRTree<ObjectId>,
     windows: &[HyperRect],
     exclude: ObjectId,
     query: &mut crp_rtree::QueryStats,
@@ -213,13 +175,12 @@ pub(crate) fn finish(
 }
 
 /// The pdf-model pipeline (Section 3.2): per-quadrant farthest-corner
-/// windows for stage 1 (pointer or packed tree, through [`RegionHitSource`]),
-/// closed-form box integrals for the matrix, then the shared
-/// stages 2–3.
+/// windows for stage 1 over the region tree's packed image, closed-form
+/// box integrals for the matrix, then the shared stages 2–3.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_pdf(
     ds: &PdfDataset,
-    source: &dyn RegionHitSource,
+    tree: &PackedRTree<ObjectId>,
     q: &Point,
     an_id: ObjectId,
     alpha: f64,
@@ -228,7 +189,7 @@ pub(crate) fn run_pdf(
     io: &AtomicQueryStats,
 ) -> Result<CrpOutcome, CrpError> {
     let mut stats = RunStats::default();
-    let result = run_pdf_inner(ds, source, q, an_id, alpha, resolution, config, &mut stats);
+    let result = run_pdf_inner(ds, tree, q, an_id, alpha, resolution, config, &mut stats);
     absorb_io(io, &stats);
     result.map(|causes| CrpOutcome { causes, stats })
 }
@@ -253,7 +214,7 @@ pub(crate) fn validate_pdf(ds: &PdfDataset, an_id: ObjectId, alpha: f64) -> Resu
 /// cells. The caller has already validated `an_id`.
 pub(crate) fn stage1_pdf(
     ds: &PdfDataset,
-    source: &dyn RegionHitSource,
+    tree: &PackedRTree<ObjectId>,
     q: &Point,
     an_id: ObjectId,
     resolution: usize,
@@ -263,7 +224,7 @@ pub(crate) fn stage1_pdf(
 
     // Stage 1: multi-window traversal over the per-quadrant windows.
     let windows = crate::pdf::pdf_windows(q, an.region());
-    let hits = source.region_hits(&windows, an_id, stats);
+    let hits = tree_region_hits(tree, &windows, an_id, &mut stats.query);
 
     // Integration cells of the non-answer.
     let cells = an.pdf().discretize(resolution);
@@ -294,7 +255,7 @@ pub(crate) fn stage1_pdf(
 #[allow(clippy::too_many_arguments)]
 fn run_pdf_inner(
     ds: &PdfDataset,
-    source: &dyn RegionHitSource,
+    tree: &PackedRTree<ObjectId>,
     q: &Point,
     an_id: ObjectId,
     alpha: f64,
@@ -303,7 +264,7 @@ fn run_pdf_inner(
     stats: &mut RunStats,
 ) -> Result<Vec<Cause>, CrpError> {
     validate_pdf(ds, an_id, alpha)?;
-    let stage1 = stage1_pdf(ds, source, q, an_id, resolution, stats);
+    let stage1 = stage1_pdf(ds, tree, q, an_id, resolution, stats);
     with_scratch(|scratch| {
         finish(&stage1.matrix, alpha, config, stats, scratch, |cand| {
             stage1.ids[cand]

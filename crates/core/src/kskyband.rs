@@ -57,6 +57,118 @@ mod tests {
         (ds, pt(5.0, 5.0))
     }
 
+    /// The reverse k-skyband of `q` as the engine sees it: every object
+    /// the k-skyband strategy reports as an answer (at most `k`
+    /// dominators), in dataset order.
+    fn band(engine: &ExplainEngine, q: &Point, k: usize) -> Vec<ObjectId> {
+        engine
+            .dataset()
+            .iter()
+            .map(|o| o.id())
+            .filter(|&id| {
+                matches!(
+                    cr_kskyband(engine, q, id, k),
+                    Err(CrpError::NotANonAnswer { .. })
+                )
+            })
+            .collect()
+    }
+
+    /// The dominator count of the object at `index`, by scan.
+    fn dominator_count(ds: &UncertainDataset, index: usize, q: &Point) -> usize {
+        let p = ds.object_at(index).certain_point();
+        ds.iter()
+            .enumerate()
+            .filter(|(j, o)| *j != index && dominates(o.certain_point(), p, q))
+            .count()
+    }
+
+    fn random_points(seed: u64, n: usize, side: f64) -> UncertainDataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        UncertainDataset::from_points((0..n).map(|_| {
+            pt(
+                rng.random_range(0.0..side).round(),
+                rng.random_range(0.0..side).round(),
+            )
+        }))
+        .unwrap()
+    }
+
+    #[test]
+    fn zero_band_is_reverse_skyline() {
+        let ds = random_points(9, 60, 50.0);
+        let q = pt(25.0, 25.0);
+        let engine = session(ds.clone());
+        assert_eq!(
+            band(&engine, &q, 0),
+            crp_skyline::reverse_skyline_naive(&ds, &q)
+        );
+    }
+
+    #[test]
+    fn band_grows_with_k() {
+        let ds = UncertainDataset::from_points(vec![
+            pt(10.0, 10.0),
+            pt(7.0, 7.0),
+            pt(6.0, 6.0),
+            pt(8.0, 8.0),
+            pt(2.0, 2.0),
+        ])
+        .unwrap();
+        let q = pt(5.0, 5.0);
+        let engine = session(ds);
+        let mut previous: Vec<ObjectId> = Vec::new();
+        for k in 0..4 {
+            let current = band(&engine, &q, k);
+            assert!(
+                previous.iter().all(|id| current.contains(id)),
+                "k-skyband is monotone in k"
+            );
+            previous = current;
+        }
+        // With k >= n-1 everything qualifies.
+        assert_eq!(band(&engine, &q, 4).len(), 5);
+    }
+
+    #[test]
+    fn dominator_count_example() {
+        // an at (10,10): dominators of q=(5,5) w.r.t. it are (7,7), (6,6),
+        // (8,8) -> 3 dominators, hence 3 causes at k = 0.
+        let ds = UncertainDataset::from_points(vec![
+            pt(10.0, 10.0),
+            pt(7.0, 7.0),
+            pt(6.0, 6.0),
+            pt(8.0, 8.0),
+            pt(2.0, 2.0),
+        ])
+        .unwrap();
+        let q = pt(5.0, 5.0);
+        let engine = session(ds);
+        let out = cr_kskyband(&engine, &q, ObjectId(0), 0).unwrap();
+        assert_eq!(out.stats.candidates, 3);
+        assert_eq!(out.causes.len(), 3);
+        assert!(matches!(
+            cr_kskyband(&engine, &q, ObjectId(4), 0),
+            Err(CrpError::NotANonAnswer { .. })
+        ));
+    }
+
+    #[test]
+    fn rtree_matches_naive() {
+        // 80 points on a fanout-4 index: a multi-level tree whose
+        // dominance windows prune at branch level.
+        let ds = random_points(77, 80, 60.0);
+        let q = pt(30.0, 30.0);
+        let engine = session(ds.clone());
+        for k in [0usize, 1, 3, 7] {
+            let naive: Vec<ObjectId> = (0..ds.len())
+                .filter(|&i| dominator_count(&ds, i, &q) <= k)
+                .map(|i| ds.object_at(i).id())
+                .collect();
+            assert_eq!(band(&engine, &q, k), naive, "k = {k}");
+        }
+    }
+
     #[test]
     fn k_zero_equals_cr() {
         let (ds, q) = fixture();

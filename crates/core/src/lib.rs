@@ -11,7 +11,7 @@
 //!   (Definition 2).
 //!
 //! Entry point: the [`ExplainEngine`] — a per-dataset session that owns
-//! the R-trees and dispatches every algorithm of the paper through one
+//! the R-tree and dispatches every algorithm of the paper through one
 //! `filter → refine → fmcs` pipeline (see [`engine`]):
 //!
 //! * [`ExplainStrategy::Cp`] — Algorithm 1 (*CP*) for probabilistic

@@ -7,8 +7,8 @@
 //! leans on must behave at their boundary sizes.
 
 use crp_core::{
-    binomial, collect_candidates, for_each_combination, oracle_cp, oracle_cr, CrpError, CrpOutcome,
-    EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy,
+    binomial, for_each_combination, oracle_cp, oracle_cr, CrpError, CrpOutcome, EngineConfig,
+    ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy,
 };
 use crp_geom::{HyperRect, Point};
 use crp_uncertain::{ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainObject};
@@ -302,6 +302,39 @@ fn live_op(dim: usize) -> impl Strategy<Value = LiveOp> {
     ]
 }
 
+/// The explicit certain-data strategies on a mutated engine against a
+/// fresh engine over the same dataset: `NotCertainData` while any
+/// multi-sample object is live, the fresh engine's outcome otherwise.
+fn assert_certain_strategies_match(
+    fresh: &ExplainEngine,
+    single: &ExplainEngine,
+    q: &Point,
+    an: ObjectId,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    let certain = single.dataset().is_certain();
+    for strategy in [
+        ExplainStrategy::Cr,
+        ExplainStrategy::CrKskyband { k: 1 },
+        ExplainStrategy::NaiveII { max_subsets: None },
+    ] {
+        let got = solo(single, strategy, q, 0.5, an);
+        if certain {
+            let reference = solo(fresh, strategy, q, 0.5, an);
+            assert_outcomes_match(&reference, got, &format!("{strategy:?} {context}"))?;
+        } else {
+            prop_assert_eq!(
+                got,
+                Err(CrpError::NotCertainData),
+                "{:?} {}",
+                strategy,
+                context
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     // Each case replays the op sequence against a mutable engine,
     // comparing everything to fresh engines mid-stream and at the end.
@@ -397,8 +430,10 @@ proptest! {
     ) {
         // Auto strategy: resolves to CR while the dataset stays
         // certain and flips to CP the moment a multi-sample object
-        // arrives — exactly the certainty transition that drops the
-        // point tree.
+        // arrives. The explicit certain-data strategies must refuse
+        // while a multi-sample object is live and answer like a fresh
+        // engine once the data is certain again — over the same object
+        // tree, patched through every transition.
         let config = EngineConfig::default();
         let mut single = ExplainEngine::new(ds.clone(), config).expect("valid config");
         let mut next_id = ds.iter().map(|o| o.id().0).max().unwrap_or(0) + 1;
@@ -435,6 +470,7 @@ proptest! {
                     .expect("valid config");
                     let reference = fresh.explain(&q, an);
                     assert_outcomes_match(&reference, single.explain(&q, an), "auto mid-stream")?;
+                    assert_certain_strategies_match(&fresh, &single, &q, an, "mid-stream")?;
                 }
                 _ => {}
             }
@@ -450,6 +486,7 @@ proptest! {
             assert_outcomes_match(&reference, single.explain(&q, an), "auto final")?;
             // Twice: a repeat must not drift.
             assert_outcomes_match(&reference, single.explain(&q, an), "auto final repeat")?;
+            assert_certain_strategies_match(&fresh, &single, &q, an, "final")?;
         }
     }
 
@@ -870,13 +907,14 @@ fn for_each_combination_boundary_sizes() {
 
 // ---------------------------------------------------------------------
 // Packed stage-1 read path: the engine's filter descends the frozen SoA
-// image; `collect_candidates` over the pointer `RTree` is the reference.
-// Candidates AND the stage-1 node accesses must be identical on every
-// workload — only the tree representation differs, so nothing is
-// allowed to move.
+// image. The reference is a brute-force scan for the candidates and the
+// image's own descent of an independently built (or freshly frozen)
+// tree for the node accesses — the trees have the same nodes, so
+// nothing is allowed to move.
 // ---------------------------------------------------------------------
 
-use crp_rtree::{QueryStats, RTreeParams, WindowQuery};
+use crp_core::engine::filter::{FilterStage, ScanFilter};
+use crp_rtree::{PackedRTree, QueryStats, RTreeParams};
 
 /// The engine's stage-1 candidates of `an` and the node accesses that
 /// one filter run charged to the session.
@@ -886,33 +924,52 @@ fn engine_stage1(engine: &ExplainEngine, q: &Point, an: ObjectId) -> (Vec<Object
     (ids, engine.reset_io().node_accesses)
 }
 
-/// The pointer-tree reference for discrete data: `collect_candidates`
-/// over `tree`, mapped to sorted ids.
-fn pointer_stage1(
+/// Node accesses of one descent of `image` over `windows`.
+fn descent_accesses(image: &PackedRTree<ObjectId>, windows: &[HyperRect]) -> u64 {
+    let mut query = QueryStats::default();
+    image.visit_windows(windows, &mut query, &mut |_| true);
+    query.node_accesses
+}
+
+/// The stage-1 reference for discrete data: the full-scan filter's
+/// candidates (Lemma 2 tested object by object) as sorted ids, and the
+/// node accesses of `image`'s descent over `an`'s sample windows.
+fn reference_stage1(
     ds: &UncertainDataset,
-    tree: &crp_rtree::RTree<ObjectId>,
+    image: &PackedRTree<ObjectId>,
     q: &Point,
     an: ObjectId,
 ) -> (Vec<ObjectId>, u64) {
     let an_pos = ds.index_of(an).expect("live id");
     let mut stats = crp_core::RunStats::default();
-    let mut ids: Vec<ObjectId> = collect_candidates(ds, tree, q, an_pos, &mut stats)
+    let mut ids: Vec<ObjectId> = ScanFilter
+        .candidates(ds, q, an_pos, &mut stats)
         .into_iter()
         .map(|pos| ds.object_at(pos).id())
         .collect();
     ids.sort_unstable();
-    (ids, stats.query.node_accesses)
+    let windows: Vec<HyperRect> = ds
+        .object_at(an_pos)
+        .samples()
+        .iter()
+        .map(|s| crp_geom::dominance_rect(s.point(), q))
+        .collect();
+    (ids, descent_accesses(image, &windows))
 }
 
-/// Asserts the packed stage 1 matches the pointer reference for every
-/// object of the engine's dataset, over the engine's own pointer tree.
-fn assert_stage1_matches_pointer(engine: &ExplainEngine, q: &Point) -> Result<(), TestCaseError> {
+/// Asserts the engine's stage 1 matches the reference over `image` for
+/// every object of the engine's dataset.
+fn assert_stage1_matches_reference(
+    engine: &ExplainEngine,
+    image: &PackedRTree<ObjectId>,
+    q: &Point,
+) -> Result<(), TestCaseError> {
     let ds = engine.dataset();
     for an in ds.iter().map(|o| o.id()) {
         prop_assert_eq!(
             engine_stage1(engine, q, an),
-            pointer_stage1(ds, engine.object_tree(), q, an),
-            "packed vs pointer stage 1 diverged: an = {}",
+            reference_stage1(ds, image, q, an),
+            "packed stage 1 diverged from the reference: an = {}",
             an
         );
     }
@@ -932,14 +989,7 @@ proptest! {
         let engine = ExplainEngine::new(ds.clone(), EngineConfig::default())
             .expect("valid engine config");
         let tree = crp_skyline::build_object_rtree(&ds, RTreeParams::paper_default(2));
-        for an in ds.iter().map(|o| o.id()) {
-            prop_assert_eq!(
-                engine_stage1(&engine, &q, an),
-                pointer_stage1(&ds, &tree, &q, an),
-                "packed vs pointer stage 1 diverged: an = {}",
-                an
-            );
-        }
+        assert_stage1_matches_reference(&engine, &tree.freeze(), &q)?;
     }
 
     #[test]
@@ -949,8 +999,10 @@ proptest! {
     ) {
         // Odd dimension: the SIMD kernel's 4-lane chunks straddle slot
         // boundaries differently than dim 2 — parity must still hold.
-        let engine = ExplainEngine::new(ds, EngineConfig::default()).expect("valid engine config");
-        assert_stage1_matches_pointer(&engine, &q)?;
+        let engine = ExplainEngine::new(ds.clone(), EngineConfig::default())
+            .expect("valid engine config");
+        let tree = crp_skyline::build_object_rtree(&ds, RTreeParams::paper_default(3));
+        assert_stage1_matches_reference(&engine, &tree.freeze(), &q)?;
     }
 
     #[test]
@@ -960,30 +1012,28 @@ proptest! {
     ) {
         // The pdf filter (Section 3.2): one dominance window per
         // sub-quadrant of an's region, centred at the region's farthest
-        // corner from q, walked over the pointer region tree.
+        // corner from q. Hits: every other region meeting a window, by
+        // scan; node accesses: an independently built region tree's
+        // image.
         let engine = ExplainEngine::for_pdf(ds.clone(), 3, EngineConfig::default())
             .expect("valid engine config");
-        let tree = crp_core::build_pdf_rtree(&ds, RTreeParams::paper_default(2));
+        let image = crp_core::build_pdf_rtree(&ds, RTreeParams::paper_default(2)).freeze();
         for obj in ds.iter() {
             let an = obj.id();
             let windows: Vec<HyperRect> = crp_geom::quadrant_corners(&q, obj.region())
                 .into_iter()
                 .map(|(_, sub)| crp_geom::dominance_rect(&sub.farthest_corner(&q), &q))
                 .collect();
-            let mut query = QueryStats::default();
-            let mut ids = Vec::new();
-            tree.visit_windows(&windows, &mut query, &mut |&id| {
-                if id != an {
-                    ids.push(id);
-                }
-                true
-            });
+            let mut ids: Vec<ObjectId> = ds
+                .iter()
+                .filter(|o| o.id() != an && windows.iter().any(|w| w.intersects(o.region())))
+                .map(|o| o.id())
+                .collect();
             ids.sort_unstable();
-            ids.dedup();
             prop_assert_eq!(
                 engine_stage1(&engine, &q, an),
-                (ids, query.node_accesses),
-                "pdf packed vs pointer stage 1 diverged: an = {}",
+                (ids, descent_accesses(&image, &windows)),
+                "pdf packed stage 1 diverged from the reference: an = {}",
                 an
             );
         }
@@ -995,9 +1045,10 @@ proptest! {
         q in query(2),
         points in live_points(2),
     ) {
-        // Mutations patch the pointer tree and refreeze the packed
+        // Mutations patch the object tree and refreeze its packed
         // image. Warm the image, apply an insert-then-delete, and the
-        // refrozen image must still match the patched pointer tree.
+        // refrozen image must match a fresh freeze of the patched tree
+        // (and a scan for the candidates).
         let next_id = ObjectId(ds.iter().map(|o| o.id().0).max().unwrap_or(0) + 1);
         let obj = UncertainObject::with_equal_probs(next_id, points).expect("non-empty samples");
         let victim = ds.iter().map(|o| o.id()).next().expect("non-empty dataset");
@@ -1007,7 +1058,8 @@ proptest! {
         let _ = solo(&engine, ExplainStrategy::Cp, &q, 0.5, victim);
         engine.apply(Update::Insert(obj)).expect("fresh id");
         engine.apply(Update::Delete(victim)).expect("live id");
-        assert_stage1_matches_pointer(&engine, &q)?;
+        let fresh = engine.object_tree().freeze();
+        assert_stage1_matches_reference(&engine, &fresh, &q)?;
     }
 
     #[test]
@@ -1036,4 +1088,107 @@ proptest! {
             .collect();
         prop_assert_eq!(&a.results, &b, "batch plan diverged from solo plans");
     }
+}
+
+// ---------------------------------------------------------------------
+// Golden CR I/O: the certain-data strategies read the object tree's
+// image, which on certain data holds exactly the entries a dedicated
+// point tree held (a one-sample object's MBR is its point). Their
+// stage-1 node accesses are pinned to the values that point tree
+// reported, on a fresh session and after incremental updates.
+// ---------------------------------------------------------------------
+
+/// The non-answers of the golden pin: nearest to `q` first (ties by
+/// id), keeping those with 2–8 dominators by brute force, at most 8.
+fn golden_non_answers(ds: &UncertainDataset, q: &Point) -> Vec<ObjectId> {
+    let mut order: Vec<&UncertainObject> = ds.iter().collect();
+    order.sort_by(|a, b| {
+        a.certain_point()
+            .distance(q)
+            .total_cmp(&b.certain_point().distance(q))
+            .then(a.id().cmp(&b.id()))
+    });
+    order
+        .into_iter()
+        .filter(|an| {
+            let p = an.certain_point();
+            let dominators = ds
+                .iter()
+                .filter(|o| o.id() != an.id() && crp_geom::dominates(o.certain_point(), p, q))
+                .count();
+            (2..=8).contains(&dominators)
+        })
+        .map(|o| o.id())
+        .take(8)
+        .collect()
+}
+
+/// Asserts `Cr`, `CrKskyband { k: 1 }` and `NaiveII` each report
+/// `golden[i]` node accesses for the `i`-th golden non-answer.
+fn assert_golden_accesses(engine: &ExplainEngine, q: &Point, ids: &[u32], golden: &[u64]) {
+    let picked: Vec<u32> = golden_non_answers(engine.dataset(), q)
+        .iter()
+        .map(|id| id.0)
+        .collect();
+    assert_eq!(picked, ids, "golden non-answers moved");
+    for (&an, &want) in ids.iter().zip(golden) {
+        for strategy in [
+            ExplainStrategy::Cr,
+            ExplainStrategy::CrKskyband { k: 1 },
+            ExplainStrategy::NaiveII { max_subsets: None },
+        ] {
+            let out = solo(engine, strategy, q, 0.5, ObjectId(an)).expect("a non-answer");
+            assert_eq!(
+                out.stats.query.node_accesses, want,
+                "{strategy:?}, an = {an}: node accesses moved"
+            );
+        }
+    }
+}
+
+#[test]
+fn certain_strategies_keep_their_golden_node_accesses() {
+    let ds = crp_data::certain_dataset(&crp_data::CertainConfig {
+        cardinality: 10_000,
+        dim: 3,
+        seed: 0x0601_DCA7,
+        ..crp_data::CertainConfig::default()
+    });
+    let q = Point::from([5_000.0, 5_000.0, 5_000.0]);
+    let mut engine = ExplainEngine::new(ds, EngineConfig::default()).expect("valid config");
+    assert_golden_accesses(
+        &engine,
+        &q,
+        &[6805, 9623, 4854, 6099, 7681, 8778, 4919, 3870],
+        &[9, 4, 7, 5, 4, 7, 5, 7],
+    );
+
+    // Incremental updates: 64 objects move next to q, 64 others go.
+    let golden: Vec<u32> = golden_non_answers(engine.dataset(), &q)
+        .iter()
+        .map(|id| id.0)
+        .collect();
+    let victims: Vec<ObjectId> = engine
+        .dataset()
+        .iter()
+        .map(|o| o.id())
+        .filter(|id| !golden.contains(&id.0))
+        .take(128)
+        .collect();
+    for (i, &id) in victims.iter().enumerate() {
+        let update = if i % 2 == 0 {
+            let off = i as f64 * 7.0;
+            let p = Point::from([4_800.0 + off, 5_300.0 - off, 4_900.0 + 0.5 * off]);
+            Update::Replace(UncertainObject::certain(id, p))
+        } else {
+            Update::Delete(id)
+        };
+        engine.apply(update).expect("valid update");
+    }
+    assert_golden_accesses(
+        &engine,
+        &q,
+        &[34, 36, 32, 38, 40, 26, 24, 46],
+        &[6, 6, 6, 6, 6, 4, 4, 6],
+    );
 }

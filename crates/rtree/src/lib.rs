@@ -14,8 +14,12 @@
 //!   (`p` = [`RTreeParams::reinsert_count`]), leaving each node room for
 //!   `p` inserts before R*'s overflow treatment fires, which is the fill
 //!   an R*-tree grown by insertion settles at,
-//! * every query takes a [`QueryStats`] accumulator so experiments can
-//!   report node accesses the same way the paper does.
+//! * every read goes through the tree's packed image
+//!   ([`RTree::frozen`] → [`PackedRTree::visit_windows`]), a
+//!   level-ordered SoA projection that mirrors the arena node for node,
+//!   and takes a [`QueryStats`] accumulator so experiments can report
+//!   node accesses the same way the paper does; the arena itself serves
+//!   only updates (insert, remove, condense) and MVCC sharing.
 //!
 //! The tree is generic over the payload type `T` (object identifiers in
 //! this workspace).
@@ -31,7 +35,7 @@ mod tree;
 pub use node::NodeId;
 pub use packed::PackedRTree;
 pub use params::RTreeParams;
-pub use query::{QueryStats, WindowQuery};
+pub use query::QueryStats;
 pub use stats::AtomicQueryStats;
 pub use tree::RTree;
 
@@ -54,7 +58,11 @@ mod tests {
         let mut stats = QueryStats::default();
         let mut found = Vec::new();
         let window = HyperRect::new(Point::from([2.0, 2.0]), Point::from([4.0, 4.0]));
-        tree.range_intersect(&window, &mut stats, |_, &i| found.push(i));
+        tree.frozen()
+            .visit_windows(std::slice::from_ref(&window), &mut stats, &mut |&i| {
+                found.push(i);
+                true
+            });
         found.sort_unstable();
         let expected: Vec<usize> = (0..100)
             .filter(|i| (2..=4).contains(&(i % 10)) && (2..=4).contains(&(i / 10)))

@@ -24,16 +24,18 @@
 //! otherwise. Comparisons are exact predicates, so the two kernels
 //! produce the same bitmasks on every input.
 //!
-//! Traversal order, pruning and the [`QueryStats`] node/leaf counters
-//! are identical to the pointer tree's ([`WindowQuery`] is implemented
-//! by both over the same depth-first contract), which the engine's
-//! property tests pin across representations. A frozen image is also a
-//! consistent snapshot of one tree state — the copy-on-write substrate
-//! the engine's epoch MVCC serves readers from — tagged with the source
-//! tree's [`generation`](crate::RTree::generation).
+//! The image is the tree's only read path. It mirrors the arena node
+//! for node, so [`PackedRTree::visit_windows`] visits nodes in the
+//! order a depth-first descent of the arena would and its
+//! [`QueryStats`] node/leaf counters are the paper's I/O metric for the
+//! source tree — which this module's tests pin against a reference
+//! descent of the arena. A frozen image is also a consistent snapshot
+//! of one tree state — the copy-on-write substrate the engine's epoch
+//! MVCC serves readers from — tagged with the source tree's
+//! [`generation`](crate::RTree::generation).
 
 use crate::node::NodeEntries;
-use crate::query::{with_scratch, QueryStats, WindowQuery};
+use crate::query::{with_scratch, QueryStats};
 use crate::tree::RTree;
 use crp_geom::HyperRect;
 
@@ -97,8 +99,6 @@ impl AlignedBuf {
 struct PackedNode {
     /// First entry slot (a multiple of [`PAD`]).
     first: u32,
-    /// Live entries.
-    count: u32,
     /// Slot count including sentinel padding (a multiple of [`PAD`]).
     padded: u32,
     /// Level-0 node holding payloads rather than children.
@@ -171,11 +171,9 @@ impl<T: Clone> PackedRTree<T> {
         let mut max_padded = 0usize;
         for &id in &order {
             let node = tree.node(id);
-            let count = node.len();
-            let padded = count.next_multiple_of(PAD);
+            let padded = node.len().next_multiple_of(PAD);
             nodes.push(PackedNode {
                 first: slot_count as u32,
-                count: count as u32,
                 padded: padded as u32,
                 leaf: node.is_leaf(),
             });
@@ -269,25 +267,6 @@ impl<T> PackedRTree<T> {
         self.nodes.len()
     }
 
-    /// Bytes of coordinate slab the traversal streams per full scan of
-    /// one node span — the effective-bandwidth denominator benches use.
-    pub fn node_scan_bytes(&self, entries: usize) -> usize {
-        entries * self.dim * 2 * std::mem::size_of::<f64>()
-    }
-
-    /// Total live (unpadded) entries across all nodes — the rect tests
-    /// a full pointer-tree sweep performs, since the packed image
-    /// mirrors the source node structure one-to-one.
-    pub fn entry_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.count as usize).sum()
-    }
-
-    /// Total padded coordinate slots — the rect tests a full packed
-    /// sweep performs (sentinel slots are scanned but never match).
-    pub fn slot_count(&self) -> usize {
-        self.slot_count
-    }
-
     /// Dispatches the per-node window-mask kernel: sets bit `j` of
     /// `out` iff `windows` contains a rectangle intersecting entry slot
     /// `first + j` (closed boundaries). Sentinel slots never match.
@@ -330,14 +309,19 @@ impl<T> PackedRTree<T> {
             out,
         );
     }
-}
 
-impl<T> WindowQuery<T> for PackedRTree<T> {
-    /// The packed descent: one window-mask kernel call per visited
-    /// node, then a bit-scan over the matching slots. Matching children
-    /// are pushed in reverse entry order so they pop — and are visited
-    /// — in entry order, exactly like the pointer descent.
-    fn visit_windows<'a>(
+    /// Any-window traversal: `visitor` receives the payload of every
+    /// entry whose rectangle intersects *any* of `windows` (closed
+    /// boundaries), in depth-first entry order; a child is entered when
+    /// any window intersects its entry rectangle, so a node shared by
+    /// several windows is read once. Returning `false` aborts the
+    /// traversal (the return value is `false` iff aborted), with
+    /// `stats` reflecting the nodes actually read.
+    ///
+    /// One window-mask kernel call per visited node, then a bit-scan
+    /// over the matching slots. Matching children are pushed in reverse
+    /// entry order so they pop — and are visited — in entry order.
+    pub fn visit_windows<'a>(
         &'a self,
         windows: &[HyperRect],
         stats: &mut QueryStats,
@@ -352,7 +336,7 @@ impl<T> WindowQuery<T> for PackedRTree<T> {
         let use_simd = false;
 
         with_scratch(|scratch| {
-            let stack = &mut scratch.packed_stack;
+            let stack = &mut scratch.stack;
             let mask = &mut scratch.mask;
             mask.clear();
             mask.resize(self.max_padded.div_ceil(64), 0);
@@ -505,13 +489,66 @@ mod tests {
             .collect()
     }
 
-    fn hits_and_stats<Q: WindowQuery<usize>>(
-        tree: &Q,
+    fn hits_and_stats(
+        tree: &PackedRTree<usize>,
         windows: &[HyperRect],
     ) -> (Vec<usize>, QueryStats) {
         let mut stats = QueryStats::default();
         let mut out = Vec::new();
         tree.visit_windows(windows, &mut stats, &mut |&i| {
+            out.push(i);
+            true
+        });
+        (out, stats)
+    }
+
+    /// The reference the image is pinned to: a depth-first descent of
+    /// the arena itself, over the tree's structural accessors —
+    /// children in entry order, one node access per visited node (and
+    /// one leaf access per visited leaf), abort on a `false` from the
+    /// visitor. Returns `false` iff aborted.
+    fn reference_visit(
+        tree: &RTree<usize>,
+        windows: &[HyperRect],
+        stats: &mut QueryStats,
+        visitor: &mut dyn FnMut(usize) -> bool,
+    ) -> bool {
+        if tree.is_empty() || windows.is_empty() {
+            return true;
+        }
+        let hits = |rect: &HyperRect| windows.iter().any(|w| w.intersects(rect));
+        let mut stack = vec![tree.root_node_id()];
+        while let Some(id) = stack.pop() {
+            stats.node_accesses += 1;
+            if tree.node_is_leaf(id) {
+                stats.leaf_accesses += 1;
+            }
+            let mut children = Vec::new();
+            let mut go = true;
+            tree.visit_children(id, |rect, child, data| {
+                if go && hits(rect) {
+                    match (child, data) {
+                        (Some(child), _) => children.push(child),
+                        (None, Some(&i)) => go = visitor(i),
+                        (None, None) => unreachable!("an entry is a child or a payload"),
+                    }
+                }
+            });
+            if !go {
+                return false;
+            }
+            stack.extend(children.into_iter().rev());
+        }
+        true
+    }
+
+    fn reference_hits_and_stats(
+        tree: &RTree<usize>,
+        windows: &[HyperRect],
+    ) -> (Vec<usize>, QueryStats) {
+        let mut stats = QueryStats::default();
+        let mut out = Vec::new();
+        reference_visit(tree, windows, &mut stats, &mut |i| {
             out.push(i);
             true
         });
@@ -530,7 +567,7 @@ mod tests {
             assert_eq!(packed.height(), tree.height());
             for seed in 0..8u64 {
                 let windows = random_windows(3, dim, 100 + seed);
-                let (a, a_stats) = hits_and_stats(&tree, &windows);
+                let (a, a_stats) = reference_hits_and_stats(&tree, &windows);
                 let (b, b_stats) = hits_and_stats(&packed, &windows);
                 assert_eq!(a, b, "dim={dim} seed={seed}: hit order must match");
                 assert_eq!(
@@ -548,7 +585,7 @@ mod tests {
         let packed = tree.freeze();
         for seed in 0..6u64 {
             let windows = random_windows(4, 3, 300 + seed);
-            let (a, a_stats) = hits_and_stats(&tree, &windows);
+            let (a, a_stats) = reference_hits_and_stats(&tree, &windows);
             let (b, b_stats) = hits_and_stats(&packed, &windows);
             assert_eq!(a, b);
             assert_eq!(a_stats, b_stats);
@@ -616,16 +653,67 @@ mod tests {
         assert_eq!(seen, 1);
         assert!(stats.node_accesses < full.node_accesses);
 
-        // Pointer parity on the abort path too.
+        // Reference parity on the abort path too.
         let mut p_stats = QueryStats::default();
         let mut p_seen = 0usize;
-        let p_aborted = !WindowQuery::visit_windows(&tree, &everything, &mut p_stats, &mut |_| {
+        let p_aborted = !reference_visit(&tree, &everything, &mut p_stats, &mut |_| {
             p_seen += 1;
             false
         });
         assert!(p_aborted);
         assert_eq!(p_seen, 1);
         assert_eq!(p_stats, stats);
+    }
+
+    /// The nearby-query grid of the stage-1 filter regime: 16 windows
+    /// jittered around each of 8 seeded anchors over a 1000-wide domain
+    /// of small uniform boxes, on a paper-fanout tree. Every window's
+    /// hits must equal a brute-force scan of the loaded entries.
+    #[test]
+    fn nearby_grid_hits_equal_a_scan_of_the_entries() {
+        const DOMAIN: f64 = 1000.0;
+        const ANCHORS: usize = 8;
+        const PER_ANCHOR: usize = 16;
+        let side = 0.012 * DOMAIN;
+        for dim in [2usize, 3] {
+            let mut rng = StdRng::seed_from_u64(0xF17_7E2);
+            let items: Vec<(HyperRect, usize)> = (0..20_000)
+                .map(|i| {
+                    let lo: Vec<f64> = (0..dim).map(|_| rng.random_range(0.0..DOMAIN)).collect();
+                    let hi: Vec<f64> = lo.iter().map(|&c| c + rng.random_range(0.1..2.0)).collect();
+                    (HyperRect::new(Point::new(lo), Point::new(hi)), i)
+                })
+                .collect();
+            let tree = RTree::bulk_load(dim, RTreeParams::paper_default(dim), items.clone());
+            assert!(tree.height() >= 2, "dim={dim}: the grid must cross levels");
+            let packed = tree.freeze();
+
+            let mut rng = StdRng::seed_from_u64(0x006E_42B7);
+            let mut total = 0usize;
+            for _ in 0..ANCHORS {
+                let anchor: Vec<f64> = (0..dim)
+                    .map(|_| rng.random_range(0.3 * DOMAIN..0.6 * DOMAIN))
+                    .collect();
+                for _ in 0..PER_ANCHOR {
+                    let lo: Vec<f64> = anchor
+                        .iter()
+                        .map(|&c| c + rng.random_range(-0.5 * side..0.5 * side))
+                        .collect();
+                    let hi: Vec<f64> = lo.iter().map(|&c| c + side).collect();
+                    let window = HyperRect::new(Point::new(lo), Point::new(hi));
+                    let (mut got, _) = hits_and_stats(&packed, std::slice::from_ref(&window));
+                    got.sort_unstable();
+                    let want: Vec<usize> = items
+                        .iter()
+                        .filter(|(r, _)| window.intersects(r))
+                        .map(|&(_, i)| i)
+                        .collect();
+                    assert_eq!(got, want, "dim={dim}: window {window:?}");
+                    total += want.len();
+                }
+            }
+            assert!(total > 0, "dim={dim}: the grid must hit something");
+        }
     }
 
     #[test]

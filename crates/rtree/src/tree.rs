@@ -532,9 +532,9 @@ impl<T: Clone> RTree<T> {
 }
 
 impl<T> RTree<T> {
-    /// The root's node id — the entry point for external best-first
-    /// traversals (e.g. the BBS skyline algorithm), which cannot be
-    /// expressed through the window-query visitors.
+    /// The root's node id — the entry point for structural walks of the
+    /// arena (MVCC node-sharing checks, the packed image's reference
+    /// descent in tests); reads go through [`RTree::frozen`].
     pub fn root_node_id(&self) -> NodeId {
         self.root
     }

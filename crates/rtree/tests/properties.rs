@@ -6,6 +6,18 @@ use crp_geom::{HyperRect, Point};
 use crp_rtree::{QueryStats, RTree, RTreeParams};
 use proptest::prelude::*;
 
+/// Sorted payloads the tree's packed image reports for `windows`.
+fn hits(tree: &RTree<u32>, windows: &[HyperRect]) -> Vec<u32> {
+    let mut out = Vec::new();
+    tree.frozen()
+        .visit_windows(windows, &mut QueryStats::default(), &mut |&id| {
+            out.push(id);
+            true
+        });
+    out.sort_unstable();
+    out
+}
+
 #[derive(Clone, Debug)]
 enum Op {
     Insert { x: f64, y: f64, id: u32 },
@@ -49,9 +61,7 @@ proptest! {
                 }
                 Op::Query { cx, cy, hw, hh } => {
                     let window = HyperRect::centered(&Point::from([cx, cy]), &[hw, hh]);
-                    let mut stats = QueryStats::default();
-                    let mut got = tree.collect_intersecting(&window, &mut stats);
-                    got.sort_unstable();
+                    let got = hits(&tree, std::slice::from_ref(&window));
                     let mut want: Vec<u32> = mirror
                         .iter()
                         .filter(|(p, _)| window.contains_point(p))
@@ -128,13 +138,8 @@ proptest! {
             }
         }
         for window in &windows {
-            let mut s1 = QueryStats::default();
-            let mut s2 = QueryStats::default();
-            let mut a = tree.collect_intersecting(window, &mut s1);
-            let mut b = packed.collect_intersecting(window, &mut s2);
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
+            let window = std::slice::from_ref(window);
+            prop_assert_eq!(hits(&tree, window), hits(&packed, window));
         }
     }
 
@@ -161,13 +166,8 @@ proptest! {
             HyperRect::centered(&Point::from([250.0, 250.0]), &[250.0, 250.0]),
             HyperRect::centered(&Point::from([900.0, 100.0]), &[150.0, 400.0]),
         ] {
-            let mut s1 = QueryStats::default();
-            let mut s2 = QueryStats::default();
-            let mut a = bulk.collect_intersecting(&window, &mut s1);
-            let mut b = incr.collect_intersecting(&window, &mut s2);
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
+            let window = std::slice::from_ref(&window);
+            prop_assert_eq!(hits(&bulk, window), hits(&incr, window));
         }
     }
 
@@ -190,15 +190,11 @@ proptest! {
             .iter()
             .map(|(cx, cy, hw, hh)| HyperRect::centered(&Point::from([*cx, *cy]), &[*hw, *hh]))
             .collect();
-        let mut multi_stats = QueryStats::default();
-        let mut multi: Vec<u32> = Vec::new();
-        tree.range_intersect_any(&rects, &mut multi_stats, |_, &id| multi.push(id));
-        multi.sort_unstable();
+        let mut multi = hits(&tree, &rects);
         multi.dedup();
         let mut union: Vec<u32> = Vec::new();
         for r in &rects {
-            let mut s = QueryStats::default();
-            tree.range_intersect(r, &mut s, |_, &id| union.push(id));
+            union.extend(hits(&tree, std::slice::from_ref(r)));
         }
         union.sort_unstable();
         union.dedup();

@@ -1,17 +1,16 @@
 //! Steady-state traversals allocate nothing.
 //!
-//! The traversal scratch (DFS stacks, packed match mask) is
-//! thread-local and reused across calls, and `collect_intersecting_into`
-//! writes into a caller-owned buffer — so after one warm-up pass, both
-//! the pointer and the packed read paths must run without touching the
-//! allocator. This test pins that with a counting global allocator.
+//! The traversal scratch (DFS stack, per-node match mask) is
+//! thread-local and reused across calls — so after one warm-up pass,
+//! the packed read path must run without touching the allocator. This
+//! test pins that with a counting global allocator.
 //!
 //! It must stay the only `#[test]` in this binary: the harness runs
 //! tests in the same process concurrently, and any neighbour's
 //! allocations would race the counter.
 
 use crp_geom::{HyperRect, Point};
-use crp_rtree::{QueryStats, RTree, RTreeParams, WindowQuery};
+use crp_rtree::{QueryStats, RTree, RTreeParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -50,8 +49,8 @@ fn allocations() -> usize {
 #[test]
 fn steady_state_traversals_do_not_allocate() {
     // Everything that legitimately allocates happens up front: the
-    // tree, its frozen image, the query windows (points heap-allocate
-    // their coordinate vectors), and the output buffer.
+    // tree, its frozen image and the query windows (points
+    // heap-allocate their coordinate vectors).
     let mut tree: RTree<usize> = RTree::new(2, RTreeParams::with_fanout(8));
     for i in 0..2_000usize {
         let x = (i % 50) as f64;
@@ -66,24 +65,14 @@ fn steady_state_traversals_do_not_allocate() {
         HyperRect::new(Point::from([3.0, 3.0]), Point::from([11.0, 11.0])),
         HyperRect::new(Point::from([20.0, 17.0]), Point::from([29.0, 26.0])),
     ];
-    let mut out: Vec<usize> = Vec::new();
     let mut stats = QueryStats::default();
 
-    // Warm-up: grows the thread-local scratch (stacks, mask) and the
-    // output buffer to their steady-state sizes.
-    tree.collect_intersecting_into(&windows[0], &mut stats, &mut out);
-    tree.visit_windows(&windows, &mut stats, &mut |_| true);
+    // Warm-up: grows the thread-local scratch (stack, mask) to its
+    // steady-state size.
     packed.visit_windows(&windows, &mut stats, &mut |_| true);
 
     let before = allocations();
     for _ in 0..64 {
-        // Pointer path: single-window collect into the reused buffer,
-        // then a multi-window visit.
-        tree.collect_intersecting_into(&windows[0], &mut stats, &mut out);
-        assert!(!out.is_empty());
-        tree.visit_windows(&windows, &mut stats, &mut |_| true);
-
-        // Packed path: the same multi-window visit.
         packed.visit_windows(&windows, &mut stats, &mut |_| true);
     }
     let after = allocations();

@@ -5,7 +5,9 @@ use crp_rtree::{RTree, RTreeParams};
 use crp_uncertain::{ObjectId, UncertainDataset};
 
 /// Builds an R-tree over the objects' MBRs (one entry per uncertain
-/// object, as in Lian & Chen and the paper). Uses STR bulk loading.
+/// object, as in Lian & Chen and the paper). Uses STR bulk loading. A
+/// certain object's MBR is its point, so on certain data this is the
+/// point index CR's dominance window reads.
 ///
 /// # Panics
 ///
@@ -13,21 +15,6 @@ use crp_uncertain::{ObjectId, UncertainDataset};
 pub fn build_object_rtree(ds: &UncertainDataset, params: RTreeParams) -> RTree<ObjectId> {
     let dim = ds.dim().expect("cannot index an empty dataset");
     let items: Vec<(HyperRect, ObjectId)> = ds.iter().map(|o| (o.mbr(), o.id())).collect();
-    RTree::bulk_load(dim, params, items)
-}
-
-/// Builds an R-tree over certain points (each object contributes its
-/// single location).
-///
-/// # Panics
-///
-/// Panics if the dataset is empty or contains non-certain objects.
-pub fn build_point_rtree(ds: &UncertainDataset, params: RTreeParams) -> RTree<ObjectId> {
-    let dim = ds.dim().expect("cannot index an empty dataset");
-    let items: Vec<(HyperRect, ObjectId)> = ds
-        .iter()
-        .map(|o| (HyperRect::from_point(o.certain_point()), o.id()))
-        .collect();
     RTree::bulk_load(dim, params, items)
 }
 
@@ -53,31 +40,30 @@ mod tests {
         assert_eq!(tree.len(), 2);
         let mut stats = QueryStats::default();
         let window = HyperRect::new(Point::from([1.0, 1.0]), Point::from([3.0, 3.0]));
-        let hits = tree.collect_intersecting(&window, &mut stats);
+        let mut hits = Vec::new();
+        tree.frozen()
+            .visit_windows(std::slice::from_ref(&window), &mut stats, &mut |&id| {
+                hits.push(id);
+                true
+            });
         assert_eq!(hits, vec![ObjectId(0)]);
     }
 
     #[test]
     fn point_rtree_for_certain_data() {
+        // On certain data the object tree is the point tree: every
+        // entry is the degenerate rectangle of the object's point.
         let ds = UncertainDataset::from_points(vec![
             Point::from([0.0, 0.0]),
             Point::from([5.0, 5.0]),
             Point::from([9.0, 1.0]),
         ])
         .unwrap();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
         assert_eq!(tree.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "not certain")]
-    fn point_rtree_rejects_uncertain_objects() {
-        let ds = UncertainDataset::from_objects(vec![UncertainObject::with_equal_probs(
-            ObjectId(0),
-            vec![Point::from([0.0, 0.0]), Point::from([1.0, 1.0])],
-        )
-        .unwrap()])
-        .unwrap();
-        let _ = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+        tree.for_each(|rect, &id| {
+            let p = ds.get(id).expect("indexed id").certain_point();
+            assert_eq!(rect, &HyperRect::from_point(p));
+        });
     }
 }

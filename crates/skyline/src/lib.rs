@@ -2,30 +2,26 @@
 //!
 //! The substrate the causality algorithms sit on:
 //!
-//! * classic and dynamic skylines ([`skyline_min`], [`dynamic_skyline`]),
 //! * reverse skyline queries over certain data (Definition 3 of the
-//!   paper), both a naive `O(n²)` evaluator and an R-tree window-query
-//!   evaluator with node-access accounting,
+//!   paper), both a naive `O(n²)` evaluator and a window-query
+//!   evaluator over the object tree's packed image with node-access
+//!   accounting,
 //! * the probabilistic reverse skyline machinery of Lian & Chen as used
 //!   by the paper: per-object dominance probabilities (Eq. 3), the
 //!   reverse-skyline probability `Pr(u)` (Eq. 2), its possible-world
 //!   reference implementation, and the full PRSQ with threshold `α`
 //!   (Definition 4),
-//! * R-tree construction helpers for object MBRs / certain points.
+//! * the one R-tree construction helper, over object MBRs — on certain
+//!   data a one-sample object's MBR is its point, so the same tree
+//!   serves both.
 
-mod bbs;
 mod index;
-mod kskyband;
 mod prsq;
 mod reverse;
-mod simple;
 
-pub use bbs::bbs_dynamic_skyline;
-pub use index::{build_object_rtree, build_point_rtree};
-pub use kskyband::{dominator_count, reverse_k_skyband_naive, reverse_k_skyband_rtree};
+pub use index::build_object_rtree;
 pub use prsq::{
     dominance_probability, pr_reverse_skyline, pr_reverse_skyline_indexed,
     pr_reverse_skyline_worlds, probabilistic_reverse_skyline, PrsqMembership,
 };
 pub use reverse::{is_reverse_skyline_object, reverse_skyline_naive, reverse_skyline_rtree};
-pub use simple::{dynamic_skyline, skyline_min};

@@ -1,7 +1,7 @@
 //! Probabilistic reverse skyline queries (Definition 4, Eq. 2–3).
 
 use crp_geom::{dominance_rect, dominates, HyperRect, Point, PROB_EPSILON};
-use crp_rtree::{QueryStats, RTree};
+use crp_rtree::{PackedRTree, QueryStats};
 use crp_uncertain::{possible_worlds, ObjectId, UncertainDataset, UncertainObject};
 
 /// Eq. 3: the probability that `obj` dynamically dominates `q` w.r.t. the
@@ -81,10 +81,12 @@ pub fn pr_reverse_skyline_worlds(
 /// `Pr(u)` computed with R-tree pre-filtering: only objects whose MBR
 /// intersects one of the dominance windows of `u`'s samples can have a
 /// positive dominance probability (Lemma 2), so the product runs over the
-/// filtered set only. Node accesses accumulate into `stats`.
+/// filtered set only. `tree` is the packed image of
+/// [`crate::build_object_rtree`] over `ds`. Node accesses accumulate
+/// into `stats`.
 pub fn pr_reverse_skyline_indexed(
     ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
+    tree: &PackedRTree<ObjectId>,
     target: usize,
     q: &Point,
     stats: &mut QueryStats,
@@ -96,12 +98,13 @@ pub fn pr_reverse_skyline_indexed(
         .map(|s| dominance_rect(s.point(), q))
         .collect();
     let mut candidates: Vec<usize> = Vec::new();
-    tree.range_intersect_any(&windows, stats, |_, &id| {
+    tree.visit_windows(&windows, stats, &mut |&id| {
         if id != u.id() {
             if let Some(pos) = ds.index_of(id) {
                 candidates.push(pos);
             }
         }
+        true
     });
     candidates.sort_unstable();
     candidates.dedup();
@@ -299,7 +302,7 @@ mod tests {
             for target in 0..10 {
                 let mut stats = QueryStats::default();
                 let a = pr_reverse_skyline(&ds, target, &q, |_| false);
-                let b = pr_reverse_skyline_indexed(&ds, &tree, target, &q, &mut stats);
+                let b = pr_reverse_skyline_indexed(&ds, tree.frozen(), target, &q, &mut stats);
                 assert!((a - b).abs() < 1e-9, "target {target}: {a} vs {b}");
                 assert!(stats.node_accesses > 0);
             }

@@ -1,7 +1,7 @@
 //! Reverse skyline queries over certain data (Definition 3).
 
 use crp_geom::{dominance_rect, dominates, Point};
-use crp_rtree::{QueryStats, RTree};
+use crp_rtree::{PackedRTree, QueryStats};
 use crp_uncertain::{ObjectId, UncertainDataset};
 
 /// Is the certain object at `index` a reverse skyline object of `q`?
@@ -28,13 +28,15 @@ pub fn reverse_skyline_naive(ds: &UncertainDataset, q: &Point) -> Vec<ObjectId> 
 
 /// Reverse skyline of `q` using one window existence-query per object:
 /// `p` is in the reverse skyline iff the dominance window of (`p`, `q`)
-/// contains no other point that strictly dominates `q` w.r.t. `p`.
+/// contains no other point that strictly dominates `q` w.r.t. `p`. Each
+/// query aborts at the first such point.
 ///
-/// `tree` must index exactly the points of `ds` with their ids (see
-/// [`crate::build_point_rtree`]). Node accesses accumulate into `stats`.
+/// `tree` must index exactly the objects of `ds` with their ids — the
+/// packed image of [`crate::build_object_rtree`]. Node accesses
+/// accumulate into `stats`.
 pub fn reverse_skyline_rtree(
     ds: &UncertainDataset,
-    tree: &RTree<ObjectId>,
+    tree: &PackedRTree<ObjectId>,
     q: &Point,
     stats: &mut QueryStats,
 ) -> Vec<ObjectId> {
@@ -42,10 +44,11 @@ pub fn reverse_skyline_rtree(
     for o in ds.iter() {
         let p = o.certain_point();
         let window = dominance_rect(p, q);
-        let dominator = tree.find_intersecting(&window, stats, |rect, &id| {
-            id != o.id() && dominates(rect.lo(), p, q)
+        let unblocked = tree.visit_windows(std::slice::from_ref(&window), stats, &mut |&id| {
+            let other = ds.get(id).expect("indexed ids come from the dataset");
+            id == o.id() || !dominates(other.certain_point(), p, q)
         });
-        if dominator.is_none() {
+        if unblocked {
             result.push(o.id());
         }
     }
@@ -55,7 +58,7 @@ pub fn reverse_skyline_rtree(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::build_point_rtree;
+    use crate::index::build_object_rtree;
     use crp_rtree::RTreeParams;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -107,10 +110,10 @@ mod tests {
                 })
                 .collect();
             let ds = dataset(&pts);
-            let tree = build_point_rtree(&ds, RTreeParams::with_fanout(8));
+            let tree = build_object_rtree(&ds, RTreeParams::with_fanout(8));
             let q = Point::from([rng.random_range(0.0..100.0), rng.random_range(0.0..100.0)]);
             let mut stats = QueryStats::default();
-            let mut fast = reverse_skyline_rtree(&ds, &tree, &q, &mut stats);
+            let mut fast = reverse_skyline_rtree(&ds, tree.frozen(), &q, &mut stats);
             let mut naive = reverse_skyline_naive(&ds, &q);
             fast.sort_unstable();
             naive.sort_unstable();
@@ -132,10 +135,10 @@ mod tests {
             })
             .collect();
         let ds = UncertainDataset::from_points(pts).unwrap();
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(6));
+        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(6));
         let q = Point::from([25.0, 25.0, 25.0]);
         let mut stats = QueryStats::default();
-        let mut fast = reverse_skyline_rtree(&ds, &tree, &q, &mut stats);
+        let mut fast = reverse_skyline_rtree(&ds, tree.frozen(), &q, &mut stats);
         let mut naive = reverse_skyline_naive(&ds, &q);
         fast.sort_unstable();
         naive.sort_unstable();

@@ -1,13 +1,12 @@
 //! Property tests for the query substrate: the closed-form probability
 //! (Eq. 2) against possible worlds, the R-tree evaluators against naive
-//! scans, and structural facts about (reverse) skylines.
+//! scans, and Definition 3's reverse-skyline membership.
 
 use crp_geom::{dominates, Point};
 use crp_rtree::{QueryStats, RTreeParams};
 use crp_skyline::{
-    build_object_rtree, build_point_rtree, dynamic_skyline, pr_reverse_skyline,
-    pr_reverse_skyline_indexed, pr_reverse_skyline_worlds, reverse_k_skyband_naive,
-    reverse_k_skyband_rtree, reverse_skyline_naive, reverse_skyline_rtree, skyline_min,
+    build_object_rtree, pr_reverse_skyline, pr_reverse_skyline_indexed, pr_reverse_skyline_worlds,
+    reverse_skyline_naive, reverse_skyline_rtree,
 };
 use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
 use proptest::prelude::*;
@@ -52,16 +51,16 @@ proptest! {
         for target in 0..ds.len() {
             let mut stats = QueryStats::default();
             let a = pr_reverse_skyline(&ds, target, &q, |_| false);
-            let b = pr_reverse_skyline_indexed(&ds, &tree, target, &q, &mut stats);
+            let b = pr_reverse_skyline_indexed(&ds, tree.frozen(), target, &q, &mut stats);
             prop_assert!((a - b).abs() < 1e-9, "target {}", target);
         }
     }
 
     #[test]
     fn reverse_skyline_engines_agree(ds in certain_ds(2, 25), q in grid_point(2)) {
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
+        let tree = build_object_rtree(&ds, RTreeParams::with_fanout(4));
         let mut stats = QueryStats::default();
-        let mut fast = reverse_skyline_rtree(&ds, &tree, &q, &mut stats);
+        let mut fast = reverse_skyline_rtree(&ds, tree.frozen(), &q, &mut stats);
         let mut naive = reverse_skyline_naive(&ds, &q);
         fast.sort_unstable();
         naive.sort_unstable();
@@ -69,53 +68,11 @@ proptest! {
     }
 
     #[test]
-    fn kskyband_engines_agree_and_nest(
-        ds in certain_ds(2, 20), q in grid_point(2), k in 0usize..4
-    ) {
-        let tree = build_point_rtree(&ds, RTreeParams::with_fanout(4));
-        let mut stats = QueryStats::default();
-        let mut fast = reverse_k_skyband_rtree(&ds, &tree, &q, k, &mut stats);
-        let mut naive = reverse_k_skyband_naive(&ds, &q, k);
-        fast.sort_unstable();
-        naive.sort_unstable();
-        prop_assert_eq!(&fast, &naive);
-        // Nesting: the k-band contains the (k-1)-band.
-        if k > 0 {
-            let smaller = reverse_k_skyband_naive(&ds, &q, k - 1);
-            for id in smaller {
-                prop_assert!(fast.contains(&id));
-            }
-        }
-    }
-
-    #[test]
-    fn skyline_members_are_undominated(pts in prop::collection::vec(grid_point(3), 1..40)) {
-        let sky = skyline_min(&pts);
-        for &i in &sky {
-            for (j, p) in pts.iter().enumerate() {
-                if i != j {
-                    prop_assert!(!crp_geom::dominates_min(p, &pts[i]));
-                }
-            }
-        }
-        // Everything outside the skyline IS dominated by someone.
-        for i in 0..pts.len() {
-            if !sky.contains(&i) {
-                prop_assert!(pts
-                    .iter()
-                    .enumerate()
-                    .any(|(j, p)| j != i && crp_geom::dominates_min(p, &pts[i])));
-            }
-        }
-    }
-
-    #[test]
     fn reverse_skyline_iff_q_in_dynamic_skyline(
         ds in certain_ds(2, 15), q in grid_point(2)
     ) {
         // Definition 3's equivalence: p is a reverse skyline object of q
-        // exactly when no other point dominates q w.r.t. p — which is the
-        // membership of q in p's dynamic skyline over P ∪ {q}.
+        // exactly when no other point dominates q w.r.t. p.
         let rs = reverse_skyline_naive(&ds, &q);
         for o in ds.iter() {
             let p = o.certain_point();
@@ -123,17 +80,6 @@ proptest! {
                 .iter()
                 .any(|o2| o2.id() != o.id() && dominates(o2.certain_point(), p, &q));
             prop_assert_eq!(rs.contains(&o.id()), !blocked);
-            // Cross-check via the dynamic-skyline primitive.
-            let mut pts: Vec<Point> =
-                ds.iter().filter(|o2| o2.id() != o.id()).map(|o2| o2.certain_point().clone()).collect();
-            pts.push(q.clone());
-            let dyn_sky = dynamic_skyline(&pts, p);
-            let q_idx = pts.len() - 1;
-            // q in the dynamic skyline of p (among the other objects)
-            // coincides with reverse-skyline membership, except that a
-            // duplicate of q among the points can co-exist with q on the
-            // skyline (ties do not dominate).
-            prop_assert_eq!(dyn_sky.contains(&q_idx), !blocked);
         }
     }
 }

@@ -31,9 +31,10 @@ fn main() {
     );
 
     // First: which listings ARE in the reverse skyline of q? (The
-    // engine's point tree serves the membership query too.)
+    // packed image of the engine's object tree serves the membership
+    // query too.)
     let mut stats = QueryStats::default();
-    let rs = reverse_skyline_rtree(ds, engine.point_tree(), &q, &mut stats);
+    let rs = reverse_skyline_rtree(ds, engine.object_tree().frozen(), &q, &mut stats);
     println!(
         "reverse skyline size: {} ({} node accesses)",
         rs.len(),

@@ -4,7 +4,7 @@
 //! Shows the two pillars of the live path:
 //!
 //! * **incremental index maintenance** — every update patches the
-//!   R-trees in place (condense + reinsert); the session never
+//!   object tree in place (condense + reinsert); the session never
 //!   re-indexes, and epochs track which dataset version each answer
 //!   reflects,
 //! * **planned α-sweeps** — one request over several α values of the

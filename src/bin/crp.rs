@@ -310,9 +310,9 @@ fn label_of(ds: &UncertainDataset, id: ObjectId) -> String {
 
 fn cmd_query(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), String> {
     if ds.is_certain() {
-        let tree = build_point_rtree(ds, RTreeParams::paper_default(q.dim()));
+        let tree = build_object_rtree(ds, RTreeParams::paper_default(q.dim()));
         let mut stats = QueryStats::default();
-        let rs = reverse_skyline_rtree(ds, &tree, q, &mut stats);
+        let rs = reverse_skyline_rtree(ds, tree.frozen(), q, &mut stats);
         println!("reverse skyline of {q} — {} object(s):", rs.len());
         for id in rs {
             println!("  {}", label_of(ds, id));

@@ -32,7 +32,7 @@
 //! .unwrap();
 //! let q = Point::from([5.0, 5.0]);
 //!
-//! // A session per dataset: the engine owns the R-trees and dispatches
+//! // A session per dataset: the engine owns the R-tree and dispatches
 //! // every algorithm through the shared filter → refine → fmcs pipeline.
 //! let engine = ExplainEngine::new(ds, EngineConfig::with_alpha(0.75)).unwrap();
 //!
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crp_geom::{dominance_rect, dominates, dominates_min, HyperRect, Point};
     pub use crp_rtree::{QueryStats, RTree, RTreeParams};
     pub use crp_skyline::{
-        build_object_rtree, build_point_rtree, dominance_probability, pr_reverse_skyline,
+        build_object_rtree, dominance_probability, pr_reverse_skyline,
         probabilistic_reverse_skyline, reverse_skyline_naive, reverse_skyline_rtree,
         PrsqMembership,
     };

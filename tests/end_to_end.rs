@@ -217,7 +217,8 @@ fn query_results_consistent_between_engines() {
     let answers = prsq_crp::skyline::probabilistic_reverse_skyline(&ds, &q, alpha);
     for (i, obj) in ds.iter().enumerate() {
         let mut stats = QueryStats::default();
-        let pr = prsq_crp::skyline::pr_reverse_skyline_indexed(&ds, &tree, i, &q, &mut stats);
+        let pr =
+            prsq_crp::skyline::pr_reverse_skyline_indexed(&ds, tree.frozen(), i, &q, &mut stats);
         let in_answers = answers.iter().any(|(id, _)| *id == obj.id());
         assert_eq!(
             PrsqMembership::from_prob(pr, alpha).is_answer(),
@@ -225,5 +226,33 @@ fn query_results_consistent_between_engines() {
             "object {}",
             obj.id()
         );
+    }
+}
+
+#[test]
+fn reverse_skyline_over_a_multi_level_image_matches_naive() {
+    // The window evaluator over the packed image of a paper-fanout tree
+    // deep enough to prune at branch level, against the O(n²) scan.
+    for kind in [CertainKind::Independent, CertainKind::Anticorrelated] {
+        let ds = certain_dataset(&CertainConfig {
+            kind,
+            cardinality: 2_000,
+            dim: 2,
+            seed: 0x2C0,
+            ..CertainConfig::default()
+        });
+        let tree = build_object_rtree(&ds, RTreeParams::paper_default(2));
+        assert!(
+            tree.height() >= 2,
+            "{kind:?}: the image must be multi-level"
+        );
+        let q = Point::from([5_000.0, 5_000.0]);
+        let mut stats = QueryStats::default();
+        let mut fast = reverse_skyline_rtree(&ds, tree.frozen(), &q, &mut stats);
+        let mut naive = reverse_skyline_naive(&ds, &q);
+        fast.sort_unstable();
+        naive.sort_unstable();
+        assert!(!naive.is_empty());
+        assert_eq!(fast, naive, "{kind:?}");
     }
 }
