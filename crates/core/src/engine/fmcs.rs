@@ -10,10 +10,11 @@
 //!
 //! The subset loop is delta-driven: the enumerator reports each subset
 //! as add/remove-one moves ([`for_each_combination_delta`]), the
-//! [`Checker`] maintains `Pr(an | P − Γ)` incrementally in the
-//! per-thread [`Scratch`], and classifications come from the
-//! sample-major fast kernels with a guard-banded exact fallback —
-//! `O(L)` per subset, no allocation per candidate.
+//! [`Checker`] maintains `Pr(an | P − Γ)` incrementally in log space in
+//! the per-thread [`Scratch`], and classifications come from the
+//! log-domain screens and the fused pair probe of the [`PrEvaluator`],
+//! with a guard-banded exact fallback — `O(L)` per subset, no
+//! allocation per candidate.
 
 use super::refine::RefinePlan;
 use crate::combinations::{for_each_combination_delta, DeltaEvent, DeltaOp};
@@ -42,22 +43,17 @@ pub(crate) fn is_answer(pr: f64, alpha: f64) -> bool {
     pr >= alpha - PROB_EPSILON
 }
 
-/// Candidate counts from which the incremental log-space evaluator beats
-/// the direct `O(|Cc|·L)` product (see [`PrEvaluator`]).
-pub(crate) const INCREMENTAL_THRESHOLD: usize = 64;
-
-/// Uniform contingency-condition checker: direct evaluation for small
-/// candidate sets, incremental (guard-banded) for large ones.
-/// Classifications are identical either way.
+/// The contingency-condition checker: every verdict comes from the
+/// incremental log-space [`PrEvaluator`], built once per non-answer,
+/// and every fast value within `GUARD` of α is re-verified by the
+/// exact reference product, so classifications are exact.
 ///
 /// All mutable working state lives in the caller-supplied [`Scratch`]
 /// (one per rayon worker), so the checker itself is shared by `&` and
 /// every hot-path call allocates nothing.
 pub(crate) struct Checker<'m> {
     matrix: &'m DominanceMatrix,
-    /// The incremental evaluator, built at [`INCREMENTAL_THRESHOLD`]
-    /// candidates or more; `None` runs the direct `O(|Cc|·L)` product.
-    evaluator: Option<PrEvaluator<'m>>,
+    evaluator: PrEvaluator<'m>,
     /// Memoised log-domain screen threshold, keyed by `α` bits (the
     /// evaluator's weight sum is fixed per checker). A `Cell`, so the
     /// checker stays shared by `&`.
@@ -69,7 +65,7 @@ impl<'m> Checker<'m> {
         scratch.reset_for(matrix);
         Self {
             matrix,
-            evaluator: (matrix.candidates() >= INCREMENTAL_THRESHOLD).then(|| matrix.evaluator()),
+            evaluator: matrix.evaluator(),
             screen: Cell::new((f64::NAN.to_bits(), f64::NEG_INFINITY)),
         }
     }
@@ -79,13 +75,14 @@ impl<'m> Checker<'m> {
     /// bound cannot certify anything (`α ≤ GUARD` or degenerate
     /// weights). Memoised per α — the subset loop calls this millions
     /// of times with the same value.
-    fn ln_threshold(&self, alpha: f64, weight_sum: f64) -> f64 {
+    fn ln_threshold(&self, alpha: f64) -> f64 {
         let key = alpha.to_bits();
         let (cached_key, cached) = self.screen.get();
         if cached_key == key {
             return cached;
         }
         let num = alpha - GUARD;
+        let weight_sum = self.evaluator.weight_sum();
         let thr = if num > 0.0 && weight_sum > 0.0 {
             // The 1e-9 log-space margin dominates every rounding step
             // of the screen's bound chain (see `PrEvaluator` docs), so
@@ -108,36 +105,25 @@ impl<'m> Checker<'m> {
         scratch: &mut Scratch,
         query: &mut QueryStats,
     ) -> bool {
-        let fill_mask = |scratch: &mut Scratch| {
+        // Walk the list; the `O(|Cc|)` mask is only filled for the exact
+        // fallback.
+        let fast = self.evaluator.pr_with_removed_list(removed);
+        if (fast - alpha).abs() <= GUARD {
             scratch.clear_mask();
             for &c in removed {
                 scratch.set_removed(c);
             }
-        };
-        let Some(ev) = self.evaluator.as_ref() else {
-            // Small candidate set: the guard-banded columnar product.
-            fill_mask(scratch);
-            let fast = self.matrix.pr_with_removed_columnar(&scratch.mask);
-            return self.settle(fast, alpha, &scratch.mask, query);
-        };
-        // Large candidate set: walk the list; the `O(|Cc|)` mask is only
-        // filled for the exact fallback.
-        let fast = ev.pr_with_removed_list(removed);
-        if (fast - alpha).abs() <= GUARD {
-            fill_mask(scratch);
-            return self.settle(fast, alpha, &scratch.mask, query);
         }
-        query.eval_fast += 1;
-        is_answer(fast, alpha)
+        self.settle(fast, alpha, &scratch.mask, query)
     }
 
     /// Guard-banded verdict for a fast probability estimate: near the
     /// decision threshold, re-verify with the exact reference product
     /// over `mask`.
-    fn settle(&self, fast: f64, alpha: f64, mask: &[f64], query: &mut QueryStats) -> bool {
+    fn settle(&self, fast: f64, alpha: f64, mask: &[bool], query: &mut QueryStats) -> bool {
         if (fast - alpha).abs() <= GUARD {
             query.eval_slow += 1;
-            return is_answer(self.matrix.pr_with_removed_fmask(mask), alpha);
+            return is_answer(self.matrix.pr_with_removed(mask), alpha);
         }
         query.eval_fast += 1;
         is_answer(fast, alpha)
@@ -156,7 +142,7 @@ impl<'m> Checker<'m> {
         if (fast - alpha).abs() <= GUARD {
             query.eval_slow += 1;
             scratch.set_removed(cc);
-            let verdict = is_answer(self.matrix.pr_with_removed_fmask(&scratch.mask), alpha);
+            let verdict = is_answer(self.matrix.pr_with_removed(&scratch.mask), alpha);
             scratch.unset_removed(cc);
             return verdict;
         }
@@ -170,16 +156,10 @@ impl<'m> Checker<'m> {
     /// one cardinality's enumeration).
     fn begin(&self, forced: &[usize], scratch: &mut Scratch) {
         scratch.clear_mask();
-        if let Some(ev) = self.evaluator.as_ref() {
-            ev.delta_begin(scratch);
-            for &c in forced {
-                scratch.set_removed(c);
-                ev.delta_add(c, scratch);
-            }
-        } else {
-            for &c in forced {
-                scratch.set_removed(c);
-            }
+        self.evaluator.delta_begin(scratch);
+        for &c in forced {
+            scratch.set_removed(c);
+            self.evaluator.delta_add(c, scratch);
         }
     }
 
@@ -190,16 +170,12 @@ impl<'m> Checker<'m> {
             DeltaOp::Add(s) => {
                 let c = search[s];
                 scratch.set_removed(c);
-                if let Some(ev) = self.evaluator.as_ref() {
-                    ev.delta_add(c, scratch);
-                }
+                self.evaluator.delta_add(c, scratch);
             }
             DeltaOp::Remove(s) => {
                 let c = search[s];
                 scratch.unset_removed(c);
-                if let Some(ev) = self.evaluator.as_ref() {
-                    ev.delta_remove(c, scratch);
-                }
+                self.evaluator.delta_remove(c, scratch);
             }
         }
     }
@@ -210,65 +186,42 @@ impl<'m> Checker<'m> {
     /// (condition (ii) is never *charged* when condition (i) already
     /// holds).
     fn probe(&self, cc: usize, alpha: f64, scratch: &mut Scratch, query: &mut QueryStats) -> Probe {
-        match self.evaluator.as_ref() {
-            Some(ev) => {
-                // Screened incremental route: the log-domain screen
-                // certifies almost every deep probe `< α − GUARD` with
-                // zero `exp` calls; anything it cannot certify runs the
-                // guard-banded evaluation, so verdicts are exact.
-                let thr = self.ln_threshold(alpha, ev.weight_sum());
-                let answer = match ev.delta_verdict(scratch, thr) {
-                    FastVerdict::Below => {
-                        query.eval_fast += 1;
-                        false
-                    }
-                    FastVerdict::Value(fast) => self.settle(fast, alpha, &scratch.mask, query),
-                };
-                if answer {
-                    return Probe {
-                        answer: true,
-                        flips: false,
-                    };
-                }
-                let flips = match ev.delta_verdict_with_extra(cc, scratch, thr) {
-                    FastVerdict::Below => {
-                        query.eval_fast += 1;
-                        false
-                    }
-                    FastVerdict::Value(fast) => self.settle_extra(cc, fast, alpha, scratch, query),
-                };
-                Probe {
-                    answer: false,
-                    flips,
-                }
+        // The fused pair probe: the log-domain screens certify almost
+        // every deep probe `< α − GUARD` with zero `exp` calls; a value
+        // they cannot certify is settled guard-banded, so verdicts are
+        // exact.
+        let thr = self.ln_threshold(alpha);
+        let (keep, drop) = self.evaluator.delta_pair(cc, scratch, thr);
+        let answer = match keep {
+            FastVerdict::Below => {
+                query.eval_fast += 1;
+                false
             }
-            None => {
-                // Direct route: one fused streaming pass over the
-                // complement matrix yields both condition values.
-                let (keep, drop) = self.matrix.pr_pair_with_extra(cc, &mut scratch.mask);
-                let answer = self.settle(keep, alpha, &scratch.mask, query);
-                if answer {
-                    return Probe {
-                        answer: true,
-                        flips: false,
-                    };
-                }
-                let flips = self.settle_extra(cc, drop, alpha, scratch, query);
-                Probe {
-                    answer: false,
-                    flips,
-                }
+            FastVerdict::Value(fast) => self.settle(fast, alpha, &scratch.mask, query),
+        };
+        if answer {
+            return Probe {
+                answer: true,
+                flips: false,
+            };
+        }
+        let flips = match drop {
+            FastVerdict::Below => {
+                query.eval_fast += 1;
+                false
             }
+            FastVerdict::Value(fast) => self.settle_extra(cc, fast, alpha, scratch, query),
+        };
+        Probe {
+            answer: false,
+            flips,
         }
     }
 
     /// Max per-removal loosening of the cardinality screen over the
-    /// search space, or 0.0 when this checker has no evaluator (the
-    /// screen needs one).
+    /// search space.
     pub(crate) fn search_neg_bound(&self, search: &[usize]) -> f64 {
-        self.evaluator
-            .as_ref()
-            .map_or(0.0, |ev| ev.max_neg_over(search))
+        self.evaluator.max_neg_over(search)
     }
 
     /// Certifies — at the start of one cardinality's enumeration, with
@@ -286,10 +239,8 @@ impl<'m> Checker<'m> {
         alpha: f64,
         scratch: &Scratch,
     ) -> bool {
-        let Some(ev) = self.evaluator.as_ref() else {
-            return false;
-        };
-        let thr = self.ln_threshold(alpha, ev.weight_sum());
+        let ev = &self.evaluator;
+        let thr = self.ln_threshold(alpha);
         ev.cardinality_below(scratch, k, search_maxneg, ev.neg_col_max(cc), thr)
     }
 
@@ -381,7 +332,7 @@ fn search_candidate(
     // search space.
     let upper_exclusive = witness_len.unwrap_or(forced.len() + search.len() + 1);
     // Loosening bound of the cardinality screen (one O(|search|)
-    // scan per candidate search; 0.0 when the screen does not apply).
+    // scan per candidate search).
     let search_maxneg = checker.search_neg_bound(&search);
 
     let mut budget_hit: Option<u64> = None;
@@ -458,7 +409,7 @@ fn search_candidate(
                             .mask
                             .iter()
                             .enumerate()
-                            .filter_map(|(c, &gone)| (gone != 0.0).then_some(c))
+                            .filter_map(|(c, &gone)| gone.then_some(c))
                             .collect(),
                     );
                     return true;

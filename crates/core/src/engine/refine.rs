@@ -75,7 +75,7 @@ pub(crate) struct RefinePlan<'m> {
     /// (the `α = 1` fast path).
     pub complete: bool,
     /// The contingency-condition checker, shared with stage 3 so the
-    /// incremental evaluator is built at most once per non-answer.
+    /// incremental evaluator is built once per non-answer.
     pub checker: Checker<'m>,
 }
 
@@ -147,7 +147,7 @@ fn classify<'m>(
         stats.counterfactuals = results.len();
         // The singleton probes are subset checks too: charge them so a
         // plan budget meters refine-only explains (certain data under
-        // Lemma 7 never reaches the FMCS kernels). The next check
+        // Lemma 7 never reaches the FMCS subset loop). The next check
         // site — the FMCS driver or the following task — observes it.
         if let Some(cancel) = super::budget::active() {
             cancel.charge_subsets(n as u64);
@@ -271,8 +271,8 @@ mod tests {
         m.pr_with_removed(removed) >= alpha - PROB_EPSILON
     }
 
-    /// Test-local reference for Definitions 1–2, independent of every
-    /// kernel: for each candidate, the smallest `Γ` (over all subsets of
+    /// Test-local reference for Definitions 1–2, independent of the
+    /// checker: for each candidate, the smallest `Γ` (over all subsets of
     /// the other candidates) with `Pr(an | P−Γ) < α` and
     /// `Pr(an | P−Γ−{c}) ≥ α`, both evaluated by the exact
     /// candidate-major product [`DominanceMatrix::pr_with_removed`].
@@ -365,8 +365,8 @@ mod tests {
             },
         ];
         for round in 0..60 {
-            let n = rng.random_range(1..=6);
-            let samples = rng.random_range(1..=3);
+            let n = rng.random_range(1..=12);
+            let samples = rng.random_range(1..=4);
             let weights = vec![1.0 / samples as f64; samples];
             let dp: Vec<f64> = (0..n * samples)
                 .map(|_| {
@@ -398,18 +398,17 @@ mod tests {
             }
         }
 
-        // Near-α verdicts on both evaluation routes. `n` identical
-        // candidates at dp = 0.01 give Pr(an | P−Γ) = 0.99^(n−|Γ|); with
-        // α = Pr(an | P−Γ) for |Γ| = n − 2 (0.99², computed by the
-        // reference product), condition (ii) lands exactly on α for every
-        // |Γ| = n − 3, so the guard-banded fast verdict must fall back to
-        // the exact product. Within PROB_EPSILON, α and its ±1/±2-ulp
-        // neighbours all make every candidate a cause with |Γ| = n − 3.
-        // 72 candidates run the incremental evaluator, 48 the direct
-        // product. The probability bound skips the smaller cardinalities
-        // (their most damaging removals still fall short of α), which is
-        // what keeps the 72-candidate search tractable.
-        const { assert!(48 < fmcs::INCREMENTAL_THRESHOLD && fmcs::INCREMENTAL_THRESHOLD <= 72) };
+        // Near-α verdicts. `n` identical candidates at dp = 0.01 give
+        // Pr(an | P−Γ) = 0.99^(n−|Γ|); with α = Pr(an | P−Γ) for
+        // |Γ| = n − 2 (0.99², computed by the reference product),
+        // condition (ii) lands exactly on α for every |Γ| = n − 3, so the
+        // guard-banded fast verdict must fall back to the exact product.
+        // Within PROB_EPSILON, α and its ±1/±2-ulp neighbours all make
+        // every candidate a cause with |Γ| = n − 3. Both sizes run the
+        // one checker route (the log-space evaluator). The probability
+        // bound skips the smaller cardinalities (their most damaging
+        // removals still fall short of α), which is what keeps the
+        // 72-candidate search tractable.
         let bounded = [
             CpConfig {
                 use_probability_bound: true,

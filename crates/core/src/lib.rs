@@ -46,7 +46,6 @@ mod cp;
 mod cr;
 pub mod engine;
 mod error;
-mod kernel;
 mod kskyband;
 mod matrix;
 mod naive;

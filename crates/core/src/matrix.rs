@@ -14,15 +14,14 @@
 //!
 //! Only the **sample-major complements** are stored —
 //! `comp[i][c] = 1 − dp[c][i]`, the exact factors of the survival
-//! product — so the per-sample walk of every kernel (the SIMD/scalar
-//! masked product of `crate::kernel` *and* the exact reference
-//! evaluation) streams contiguous memory, and the refine working set is
-//! half of what the old double `dp` + `comp` layout kept resident.
+//! product — so the per-sample walk of the exact reference evaluation
+//! and of the batched singleton sweep streams contiguous memory. The
+//! FMCS hot path runs in log space over the [`PrEvaluator`] built from
+//! these factors.
 //! `dp` values are derived on demand ([`DominanceMatrix::dominance`]);
 //! the derivation round-trips exactly for `dp ≥ 0.5` (Sterbenz), which
 //! covers every annihilator/forced-membership threshold test.
 
-use crate::kernel;
 use crp_geom::{Point, PROB_EPSILON};
 use crp_skyline::dominance_probability;
 use crp_uncertain::UncertainDataset;
@@ -180,32 +179,6 @@ impl DominanceMatrix {
         total
     }
 
-    /// [`Self::pr_with_removed`] over the hot path's multiplicative
-    /// `f64` mask (`1.0` = removed) — same sequential reference product,
-    /// bit-identical to the bool-mask entry point on the equivalent
-    /// removal set. This is the exact fallback the guard-banded kernels
-    /// re-verify against without converting the mask.
-    pub(crate) fn pr_with_removed_fmask(&self, mask: &[f64]) -> f64 {
-        debug_assert_eq!(mask.len(), self.candidates);
-        let n = self.candidates;
-        let mut total = 0.0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            let row = &self.comp[i * n..(i + 1) * n];
-            let mut survive = w;
-            for (c, &m) in mask.iter().enumerate() {
-                if m != 0.0 {
-                    continue;
-                }
-                survive *= row[c];
-                if survive == 0.0 {
-                    break;
-                }
-            }
-            total += survive;
-        }
-        total
-    }
-
     /// Exact `Pr(an | P − {cc})` — the reference evaluation of one
     /// singleton removal, bit-identical to [`Self::pr_with_removed`]
     /// with only `cc` marked (same factors, same order). Allocation-free
@@ -228,49 +201,6 @@ impl DominanceMatrix {
             total += survive;
         }
         total
-    }
-
-    /// `Pr(an | P − Γ)` over the sample-major complement layout — the
-    /// columnar fast kernel of the refine hot path, dispatched to the
-    /// active SIMD/scalar `crate::kernel` dispatch. `mask` is the
-    /// multiplicative removal mask (`1.0` = removed, `0.0` = present).
-    /// Values can differ from the reference by a few ulp because the
-    /// lane chunking reassociates the per-sample product, so
-    /// classification call sites re-verify near-threshold verdicts
-    /// against the exact reference product.
-    pub fn pr_with_removed_columnar(&self, mask: &[f64]) -> f64 {
-        debug_assert_eq!(mask.len(), self.candidates);
-        let n = self.candidates;
-        let mut total = 0.0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            total += w * kernel::masked_product(&self.comp[i * n..(i + 1) * n], mask);
-        }
-        total
-    }
-
-    /// The batched FMCS condition pair: one streaming pass over the
-    /// complement matrix computing **both**
-    /// `(Pr(an | P−Γ), Pr(an | P−Γ−{cc}))` for the maintained mask `Γ`
-    /// (which must not contain `cc`). The pass masks `cc`, and the
-    /// condition-(i) value folds `cc`'s complement back per sample —
-    /// halving the matrix traffic of direct-mode subset checks. Both
-    /// values are guard-banded fast estimates (reassociation only); the
-    /// mask is restored before returning.
-    pub(crate) fn pr_pair_with_extra(&self, cc: usize, mask: &mut [f64]) -> (f64, f64) {
-        debug_assert_eq!(mask.len(), self.candidates);
-        debug_assert_eq!(mask[cc], 0.0, "cc must not already be removed");
-        let n = self.candidates;
-        mask[cc] = 1.0;
-        let mut keep = 0.0; // Pr(an | P − Γ): cc still present
-        let mut drop = 0.0; // Pr(an | P − Γ − {cc})
-        for (i, &w) in self.weights.iter().enumerate() {
-            let row = &self.comp[i * n..(i + 1) * n];
-            let without_cc = kernel::masked_product(row, mask);
-            drop += w * without_cc;
-            keep += w * (without_cc * row[cc]);
-        }
-        mask[cc] = 0.0;
-        (keep, drop)
     }
 
     /// All `|Cc|` singleton-removal probabilities
@@ -345,10 +275,9 @@ impl DominanceMatrix {
 ///
 /// Holds four groups of state:
 ///
-/// * the current **removal mask** over candidates — the multiplicative
-///   `f64` mask shared with the SIMD kernel (`1.0` = removed, `0.0` =
-///   present), maintained by delta moves; also the exact-fallback input
-///   and the `Γ` reconstruction source,
+/// * the current **removal mask** over candidates (`true` = removed),
+///   maintained by delta moves; the drift-refresh and exact-fallback
+///   input and the `Γ` reconstruction source,
 /// * the **delta state** of the incremental evaluator — per sample, the
 ///   annihilator count and log-factor sum of the currently removed set,
 ///   refreshed from the mask every [`DELTA_REFRESH_INTERVAL`] moves so
@@ -363,9 +292,9 @@ impl DominanceMatrix {
 /// by `std::mem::take` while a candidate search runs.
 #[derive(Debug, Default)]
 pub struct Scratch {
-    /// Multiplicative removal mask: `mask[c] == 1.0` ⇔ candidate `c` is
-    /// in the current removal set (`0.0` otherwise; no other values).
-    pub(crate) mask: Vec<f64>,
+    /// Removal mask: `mask[c]` ⇔ candidate `c` is in the current
+    /// removal set.
+    pub(crate) mask: Vec<bool>,
     /// Per sample: annihilating members of the current removal set.
     delta_ones: Vec<u32>,
     /// Per sample: `Σ ln(1 − dp)` over the removed regular candidates.
@@ -402,7 +331,7 @@ impl Scratch {
         let n = matrix.candidates();
         let l = matrix.samples();
         self.mask.clear();
-        self.mask.resize(n, 0.0);
+        self.mask.resize(n, false);
         self.delta_ones.clear();
         self.delta_ones.resize(l, 0);
         self.delta_logq.clear();
@@ -413,22 +342,22 @@ impl Scratch {
         self.bound_memo.resize(n + 1, f64::NAN);
     }
 
-    /// Marks candidate `c` removed in the multiplicative mask.
+    /// Marks candidate `c` removed in the mask.
     #[inline]
     pub(crate) fn set_removed(&mut self, c: usize) {
-        self.mask[c] = 1.0;
+        self.mask[c] = true;
     }
 
-    /// Marks candidate `c` present in the multiplicative mask.
+    /// Marks candidate `c` present in the mask.
     #[inline]
     pub(crate) fn unset_removed(&mut self, c: usize) {
-        self.mask[c] = 0.0;
+        self.mask[c] = false;
     }
 
     /// True when candidate `c` is in the current removal set.
     #[inline]
     pub(crate) fn is_removed(&self, c: usize) -> bool {
-        self.mask[c] != 0.0
+        self.mask[c]
     }
 
     /// [`DominanceMatrix::max_pr_after_removing`] without the per-call
@@ -467,9 +396,9 @@ impl Scratch {
     }
 
     /// Clears the removal mask (delta state is reset separately by
-    /// [`PrEvaluator::delta_begin`] / the direct-mode checker).
+    /// [`PrEvaluator::delta_begin`]).
     pub(crate) fn clear_mask(&mut self) {
-        self.mask.iter_mut().for_each(|m| *m = 0.0);
+        self.mask.fill(false);
     }
 }
 
@@ -497,24 +426,30 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     out
 }
 
-/// Incremental `Pr(an | P − Γ)` evaluation for large candidate sets.
+/// Incremental `Pr(an | P − Γ)` evaluation — the one route of every
+/// FMCS contingency check, at every candidate count.
 ///
-/// The direct evaluation is `O(|Cc| · L)` per contingency-set check; FMCS
-/// on deep non-answers (e.g. the NBA case study, hundreds of candidates)
-/// performs millions of checks. This evaluator precomputes, per sample:
-/// the count of *annihilating* factors (`dp = 1`, product term 0) and the
-/// log-sum of the remaining factors over **all** candidates. A check for
-/// a removal list `Γ` then only walks `Γ`: subtract its annihilator
-/// count and its log-factors — `O(|Γ| · L)`.
+/// The reference evaluation is `O(|Cc| · L)` per contingency-set check;
+/// FMCS on deep non-answers (e.g. the NBA case study, hundreds of
+/// candidates) performs millions of checks. This evaluator precomputes,
+/// per sample: the count of *annihilating* factors (`dp = 1`, product
+/// term 0) and the log-sum of the remaining factors over **all**
+/// candidates. A check for a removal list `Γ` then only walks `Γ`:
+/// subtract its annihilator count and its log-factors — `O(|Γ| · L)`;
+/// the delta-maintained state below makes a subset check `O(L)`.
 ///
 /// Verdicts within `GUARD` of the threshold are re-verified by the exact
-/// direct evaluation, so the log-space rounding (≤ ~1e-12 relative here)
+/// reference product, so the log-space rounding (≤ ~1e-12 relative here)
 /// can never flip a classification relative to [`DominanceMatrix::pr_with_removed`].
 pub struct PrEvaluator<'a> {
     matrix: &'a DominanceMatrix,
-    /// Per (candidate, sample): `ln(1 − dp)` for regular factors, NaN for
-    /// annihilators (`dp ≥ 1 − PROB_EPSILON`).
+    /// Per (candidate, sample): `ln(1 − dp)` for regular factors, `0.0`
+    /// for annihilators, so folding a column into a log sum never needs
+    /// a branch.
     log_factors: Vec<f64>,
+    /// Per (candidate, sample): 1 for an annihilator
+    /// (`dp ≥ 1 − PROB_EPSILON`), else 0.
+    annihilates: Vec<u32>,
     /// Per sample: number of annihilating candidates.
     ones: Vec<u32>,
     /// Per sample: `Σ ln(1 − dp)` over the regular candidates.
@@ -530,13 +465,13 @@ pub struct PrEvaluator<'a> {
 }
 
 /// Width of the re-verification band around the decision threshold —
-/// shared by every fast kernel (incremental log-space, delta-maintained,
-/// and the chunked columnar product), whose absolute error is orders of
-/// magnitude smaller.
+/// shared by every fast evaluation (incremental log-space,
+/// delta-maintained, and the batched singleton sweep), whose absolute
+/// error is orders of magnitude smaller.
 pub(crate) const GUARD: f64 = 1e-6;
 
-/// A fast-kernel classification result (see
-/// [`PrEvaluator::delta_verdict`]).
+/// A fast classification result of one FMCS condition (see
+/// [`PrEvaluator::delta_pair`]).
 pub(crate) enum FastVerdict {
     /// The fast probability estimate — settle it through the usual
     /// guard-banded comparison.
@@ -551,7 +486,8 @@ impl<'a> PrEvaluator<'a> {
     fn new(matrix: &'a DominanceMatrix) -> Self {
         let l = matrix.samples();
         let n = matrix.candidates();
-        let mut log_factors = vec![f64::NAN; n * l];
+        let mut log_factors = vec![0.0f64; n * l];
+        let mut annihilates = vec![0u32; n * l];
         let mut ones = vec![0u32; l];
         let mut log_prod = vec![0.0f64; l];
         let mut neg_col_max = vec![0.0f64; n];
@@ -564,6 +500,7 @@ impl<'a> PrEvaluator<'a> {
                 let q = matrix.comp[i * n + c];
                 if q <= crp_geom::PROB_EPSILON {
                     ones[i] += 1;
+                    annihilates[c * l + i] = 1;
                 } else {
                     let lf = q.ln();
                     log_factors[c * l + i] = lf;
@@ -575,6 +512,7 @@ impl<'a> PrEvaluator<'a> {
         Self {
             matrix,
             log_factors,
+            annihilates,
             ones,
             log_prod,
             weight_sum: matrix.weights.iter().sum(),
@@ -583,7 +521,7 @@ impl<'a> PrEvaluator<'a> {
     }
 
     /// `Σ w_i` — the screen threshold's scale (see
-    /// [`PrEvaluator::delta_verdict`]).
+    /// [`PrEvaluator::delta_pair`]).
     pub(crate) fn weight_sum(&self) -> f64 {
         self.weight_sum
     }
@@ -615,7 +553,7 @@ impl<'a> PrEvaluator<'a> {
     /// samples are `ones`-active for a particular set. So
     /// `fast ≤ Σw·exp(dmax + k·search_maxneg + extra)` for every subset
     /// of the cardinality, and comparing against `ln_threshold`
-    /// (margined, see [`PrEvaluator::delta_verdict`]) certifies both
+    /// (margined, see [`PrEvaluator::delta_pair`]) certifies both
     /// FMCS conditions for the entire enumeration: the caller may
     /// replace the whole subset walk with counter bookkeeping.
     pub(crate) fn cardinality_below(
@@ -648,12 +586,8 @@ impl<'a> PrEvaluator<'a> {
             let mut ones = self.ones[i];
             let mut logq = 0.0;
             for &c in removed {
-                let lf = self.log_factors[c * l + i];
-                if lf.is_nan() {
-                    ones -= 1;
-                } else {
-                    logq += lf;
-                }
+                ones -= self.annihilates[c * l + i];
+                logq += self.log_factors[c * l + i];
             }
             if ones == 0 {
                 total += w * (self.log_prod[i] - logq).exp().min(1.0);
@@ -683,15 +617,7 @@ impl<'a> PrEvaluator<'a> {
     /// mask).
     pub(crate) fn delta_add(&self, c: usize, scratch: &mut Scratch) {
         debug_assert!(scratch.is_removed(c));
-        let l = self.matrix.samples();
-        for i in 0..l {
-            let lf = self.log_factors[c * l + i];
-            if lf.is_nan() {
-                scratch.delta_ones[i] += 1;
-            } else {
-                scratch.delta_logq[i] += lf;
-            }
-        }
+        self.fold_in(c, scratch);
         self.delta_tick(scratch);
     }
 
@@ -699,16 +625,31 @@ impl<'a> PrEvaluator<'a> {
     /// must already be cleared.
     pub(crate) fn delta_remove(&self, c: usize, scratch: &mut Scratch) {
         debug_assert!(!scratch.is_removed(c));
-        let l = self.matrix.samples();
-        for i in 0..l {
-            let lf = self.log_factors[c * l + i];
-            if lf.is_nan() {
-                scratch.delta_ones[i] -= 1;
-            } else {
-                scratch.delta_logq[i] -= lf;
-            }
+        let (ann, lfs) = self.column(c);
+        let state = scratch.delta_ones.iter_mut().zip(&mut scratch.delta_logq);
+        for ((ones, logq), (&a, &lf)) in state.zip(ann.iter().zip(lfs)) {
+            *ones -= a;
+            *logq -= lf;
         }
         self.delta_tick(scratch);
+    }
+
+    /// Candidate `c`'s per-sample annihilator flags and log factors.
+    fn column(&self, c: usize) -> (&[u32], &[f64]) {
+        let l = self.matrix.samples();
+        let span = c * l..(c + 1) * l;
+        (&self.annihilates[span.clone()], &self.log_factors[span])
+    }
+
+    /// Adds candidate `c`'s column to the delta state — branch-free: an
+    /// annihilator adds 1 to the count and `0.0` to the log sum.
+    fn fold_in(&self, c: usize, scratch: &mut Scratch) {
+        let (ann, lfs) = self.column(c);
+        let state = scratch.delta_ones.iter_mut().zip(&mut scratch.delta_logq);
+        for ((ones, logq), (&a, &lf)) in state.zip(ann.iter().zip(lfs)) {
+            *ones += a;
+            *logq += lf;
+        }
     }
 
     fn delta_tick(&self, scratch: &mut Scratch) {
@@ -724,62 +665,20 @@ impl<'a> PrEvaluator<'a> {
         scratch.delta_ones.iter_mut().for_each(|o| *o = 0);
         scratch.delta_logq.iter_mut().for_each(|q| *q = 0.0);
         scratch.delta_moves = 0;
-        let l = self.matrix.samples();
         for c in 0..self.matrix.candidates() {
-            if scratch.mask[c] == 0.0 {
-                continue;
-            }
-            for i in 0..l {
-                let lf = self.log_factors[c * l + i];
-                if lf.is_nan() {
-                    scratch.delta_ones[i] += 1;
-                } else {
-                    scratch.delta_logq[i] += lf;
-                }
+            if scratch.mask[c] {
+                self.fold_in(c, scratch);
             }
         }
     }
 
-    /// `Pr(an | P − Γ)` for the delta-maintained removal set — `O(L)`,
-    /// matching [`PrEvaluator::pr_with_removed_list`] up to the bounded
-    /// drift the guard band absorbs.
-    pub(crate) fn delta_pr(&self, scratch: &Scratch) -> f64 {
-        let mut total = 0.0;
-        for (i, &w) in self.matrix.weights.iter().enumerate() {
-            if self.ones[i] == scratch.delta_ones[i] {
-                total += w * (self.log_prod[i] - scratch.delta_logq[i]).exp().min(1.0);
-            }
-        }
-        total
-    }
-
-    /// [`PrEvaluator::delta_pr`] with one extra candidate folded in on
-    /// the fly — FMCS condition (ii), `Pr(an | P − Γ − {cc})`, without
-    /// touching the maintained state.
-    pub(crate) fn delta_pr_with_extra(&self, cc: usize, scratch: &Scratch) -> f64 {
-        let l = self.matrix.samples();
-        let mut total = 0.0;
-        for (i, &w) in self.matrix.weights.iter().enumerate() {
-            let lf = self.log_factors[cc * l + i];
-            let (extra_one, extra_lf) = if lf.is_nan() { (1, 0.0) } else { (0, lf) };
-            if self.ones[i] == scratch.delta_ones[i] + extra_one {
-                total += w
-                    * (self.log_prod[i] - scratch.delta_logq[i] - extra_lf)
-                        .exp()
-                        .min(1.0);
-            }
-        }
-        total
-    }
-
-    // --- the log-domain screen (batched-probe mode) -------------------
+    // --- the fused pair probe ------------------------------------------
     //
     // On deep non-answers the subset walk's cost is the `exp` calls of
-    // `delta_pr`/`delta_pr_with_extra`: the candidate counts are huge
-    // but L is small, so each check is a handful of transcendentals.
-    // Almost every probed subset sits far below α, and that is provable
-    // *in log space*: with `d_i = log_prod[i] − delta_logq[i]` over the
-    // annihilator-matching samples,
+    // the evaluation, one per sample. Almost every probed subset sits
+    // far below α, and that is provable *in log space*: with
+    // `d_i = log_prod[i] − delta_logq[i]` over the annihilator-matching
+    // samples,
     //
     //   fast = Σ w_i·min(exp(d_i), 1) ≤ (Σ w_i)·exp(max_i d_i)
     //
@@ -788,60 +687,82 @@ impl<'a> PrEvaluator<'a> {
     // "not an answer" — using only compares and subtractions. The
     // `margin` (1e-9 in log space, i.e. ~1e-9 relative headroom) covers
     // every rounding step of the bound chain; when the screen cannot
-    // certify, the caller falls through to the exact same evaluation it
-    // would have run unscreened, so classifications never change.
+    // certify, the probe evaluates the value, so classifications never
+    // change.
 
-    /// Screened FMCS condition (i): the verdict source of the batched
-    /// hot path. `ln_threshold` is
+    /// Both FMCS conditions for the delta-maintained removal set `Γ` and
+    /// its extension candidate `cc` (which must not be in `Γ`):
+    /// condition (i)'s `Pr(an | P − Γ)` and condition (ii)'s
+    /// `Pr(an | P − Γ − {cc})`, each `Below` when the log-domain screen
+    /// certifies it. `ln_threshold` is
     /// `ln((α − GUARD)/weight_sum) − margin`, or `-∞` to disable.
-    pub(crate) fn delta_verdict(&self, scratch: &Scratch, ln_threshold: f64) -> FastVerdict {
-        let mut dmax = f64::NEG_INFINITY;
-        for (i, (&one, &dq)) in self.ones.iter().zip(&scratch.delta_ones).enumerate() {
-            if one == dq {
-                let d = self.log_prod[i] - dq_logq(&scratch.delta_logq, i);
-                if d > dmax {
-                    dmax = d;
-                }
-            }
-        }
-        if dmax < ln_threshold {
-            return FastVerdict::Below;
-        }
-        FastVerdict::Value(self.delta_pr(scratch))
-    }
-
-    /// Screened FMCS condition (ii) — [`PrEvaluator::delta_verdict`]
-    /// with candidate `cc` folded in on the fly.
-    pub(crate) fn delta_verdict_with_extra(
+    ///
+    /// One compare-only pass takes both screens' maxima. Only when a
+    /// screen cannot certify does a second pass evaluate, sharing one
+    /// `exp` per sample between the conditions: (ii)'s factor is (i)'s
+    /// divided by `comp[i][cc]`, except on samples `cc` annihilates,
+    /// where (i) is 0 and (ii) is the plain exponential. Both values
+    /// match the reference product up to the bounded drift the guard
+    /// band absorbs.
+    pub(crate) fn delta_pair(
         &self,
         cc: usize,
         scratch: &Scratch,
         ln_threshold: f64,
-    ) -> FastVerdict {
-        let l = self.matrix.samples();
-        let mut dmax = f64::NEG_INFINITY;
-        for i in 0..l {
-            let lf = self.log_factors[cc * l + i];
-            let (extra_one, extra_lf) = if lf.is_nan() { (1, 0.0) } else { (0, lf) };
-            if self.ones[i] == scratch.delta_ones[i] + extra_one {
-                let d = self.log_prod[i] - scratch.delta_logq[i] - extra_lf;
-                if d > dmax {
-                    dmax = d;
-                }
+    ) -> (FastVerdict, FastVerdict) {
+        debug_assert!(!scratch.is_removed(cc));
+        let (cc_ann, cc_logs) = self.column(cc);
+        // Sample `i` is live for condition (i) when every annihilator of
+        // it is removed, and for (ii) when `cc` is the only one left
+        // (then `cc`'s log factor is 0.0). Selects, not branches: the
+        // pattern changes with every subset.
+        let live = |i: usize| {
+            let gone = scratch.delta_ones[i];
+            (self.ones[i] == gone, self.ones[i] == gone + cc_ann[i])
+        };
+        let mut keep_max = f64::NEG_INFINITY;
+        let mut drop_max = f64::NEG_INFINITY;
+        for (i, &lf) in cc_logs.iter().enumerate() {
+            let d = self.log_prod[i] - scratch.delta_logq[i];
+            let (keep_live, drop_live) = live(i);
+            keep_max = keep_max.max(if keep_live { d } else { f64::NEG_INFINITY });
+            drop_max = drop_max.max(if drop_live { d - lf } else { f64::NEG_INFINITY });
+        }
+        let keep_below = keep_max < ln_threshold;
+        let drop_below = drop_max < ln_threshold;
+        if keep_below && drop_below {
+            return (FastVerdict::Below, FastVerdict::Below);
+        }
+        let n = self.matrix.candidates;
+        let mut keep = 0.0;
+        let mut drop = 0.0;
+        for (i, &w) in self.matrix.weights.iter().enumerate() {
+            // (i) live implies (ii) live: a live (i) sample has no
+            // annihilator left, `cc` included.
+            let (keep_live, drop_live) = live(i);
+            if !drop_live {
+                continue;
+            }
+            let e = (self.log_prod[i] - scratch.delta_logq[i]).exp();
+            let cc_factor = if cc_ann[i] == 0 {
+                self.matrix.comp[i * n + cc]
+            } else {
+                1.0
+            };
+            drop += w * (e / cc_factor).min(1.0);
+            if keep_live {
+                keep += w * e.min(1.0);
             }
         }
-        if dmax < ln_threshold {
-            return FastVerdict::Below;
-        }
-        FastVerdict::Value(self.delta_pr_with_extra(cc, scratch))
+        let verdict = |below, value| {
+            if below {
+                FastVerdict::Below
+            } else {
+                FastVerdict::Value(value)
+            }
+        };
+        (verdict(keep_below, keep), verdict(drop_below, drop))
     }
-}
-
-/// `delta_logq[i]` — a free function so the screen loop can zip one
-/// slice and index the other without tripping the borrow checker.
-#[inline]
-fn dq_logq(delta_logq: &[f64], i: usize) -> f64 {
-    delta_logq[i]
 }
 
 #[cfg(test)]
@@ -867,11 +788,6 @@ mod tests {
         ])
         .unwrap();
         (ds, pt(5.0, 5.0))
-    }
-
-    /// Bool removal set → the hot path's multiplicative f64 mask.
-    fn fmask(removed: &[bool]) -> Vec<f64> {
-        removed.iter().map(|&r| if r { 1.0 } else { 0.0 }).collect()
     }
 
     #[test]
@@ -1014,7 +930,7 @@ mod tests {
     }
 
     /// Random matrix mixing exact 0/1, near-1 and fractional entries —
-    /// shared by the kernel-agreement tests below.
+    /// shared by the evaluator tests below.
     fn random_matrix(rng: &mut rand::rngs::StdRng, n: usize, l: usize) -> DominanceMatrix {
         use rand::Rng;
         let weights = vec![1.0 / l as f64; l];
@@ -1029,102 +945,18 @@ mod tests {
         DominanceMatrix::from_parts(dp, weights, n)
     }
 
-    #[test]
-    fn columnar_kernel_matches_reference_within_guard() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xC01);
-        for round in 0..40 {
-            let n = rng.random_range(1..=97);
-            let l = rng.random_range(1..=5);
-            let m = random_matrix(&mut rng, n, l);
-            for _ in 0..20 {
-                let removed: Vec<bool> = (0..n).map(|_| rng.random_range(0..3) == 0).collect();
-                let exact = m.pr_with_removed(&removed);
-                let fast = m.pr_with_removed_columnar(&fmask(&removed));
-                // The chunked product only reassociates: agreement far
-                // inside the classification guard band.
-                assert!(
-                    (exact - fast).abs() < GUARD / 1e3,
-                    "round {round}: exact {exact} vs columnar {fast}"
-                );
-            }
-        }
-    }
-
-    /// The f64-mask reference evaluation is bit-identical to the
-    /// bool-mask one on equivalent removal sets (same factors, same
-    /// order — it is the exact-fallback path of the hot loop).
-    #[test]
-    fn fmask_reference_is_bit_identical_to_bool_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xF_3A5);
-        for _ in 0..30 {
-            let n = rng.random_range(1..=80);
-            let l = rng.random_range(1..=5);
-            let m = random_matrix(&mut rng, n, l);
-            for _ in 0..10 {
-                let removed: Vec<bool> = (0..n).map(|_| rng.random_range(0..3) == 0).collect();
-                let a = m.pr_with_removed(&removed);
-                let b = m.pr_with_removed_fmask(&fmask(&removed));
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-            // Singleton fallback: identical to a one-hot bool mask.
-            for cc in [0, n / 2, n - 1] {
-                let mut removed = vec![false; n];
-                removed[cc] = true;
-                assert_eq!(
-                    m.pr_with_removed(&removed).to_bits(),
-                    m.pr_with_removed_singleton(cc).to_bits()
-                );
-            }
-        }
-    }
-
-    /// The fused condition pair agrees with two independent passes far
-    /// inside the guard band (and exactly for the cc-removed value).
-    #[test]
-    fn pair_kernel_matches_two_passes() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0x9A12);
-        for round in 0..30 {
-            let n = rng.random_range(2..=70);
-            let l = rng.random_range(1..=5);
-            let m = random_matrix(&mut rng, n, l);
-            for _ in 0..10 {
-                let mut mask: Vec<f64> = (0..n)
-                    .map(|_| {
-                        if rng.random_range(0..3) == 0 {
-                            1.0
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect();
-                let cc = rng.random_range(0..n);
-                mask[cc] = 0.0;
-                let (keep, drop) = m.pr_pair_with_extra(cc, &mut mask);
-                assert_eq!(mask[cc], 0.0, "mask restored");
-                let keep_ref = m.pr_with_removed_fmask(&mask);
-                mask[cc] = 1.0;
-                let drop_ref = m.pr_with_removed_fmask(&mask);
-                mask[cc] = 0.0;
-                assert!(
-                    (keep - keep_ref).abs() < GUARD / 1e3,
-                    "round {round}: keep {keep} vs {keep_ref}"
-                );
-                assert!(
-                    (drop - drop_ref).abs() < GUARD / 1e3,
-                    "round {round}: drop {drop} vs {drop_ref}"
-                );
-            }
-        }
+    /// The first candidate at or after `start` (cyclically) that is not
+    /// in the maintained removal set — a valid pair-probe extension.
+    fn free_candidate(scratch: &Scratch, start: usize) -> Option<usize> {
+        let n = scratch.mask.len();
+        (0..n)
+            .map(|k| (start + k) % n)
+            .find(|&c| !scratch.is_removed(c))
     }
 
     /// The batched singleton sweep agrees with per-candidate exact
-    /// evaluation far inside the guard band on every candidate.
+    /// evaluation far inside the guard band on every candidate, and the
+    /// exact singleton fallback is bit-identical to the reference.
     #[test]
     fn singleton_batch_matches_sequential_probes() {
         use rand::rngs::StdRng;
@@ -1145,6 +977,11 @@ mod tests {
                     (exact - fast).abs() < GUARD / 1e3,
                     "round {round} c {c}: exact {exact} vs batched {fast}"
                 );
+                // The singleton fallback is the reference product itself:
+                // bit-identical to a one-hot removal mask.
+                let mut removed = vec![false; n];
+                removed[c] = true;
+                assert_eq!(exact.to_bits(), m.pr_with_removed(&removed).to_bits());
             }
         }
     }
@@ -1201,37 +1038,45 @@ mod tests {
                 if step % 7 != 0 {
                     continue;
                 }
-                let exact = m.pr_with_removed_fmask(&scratch.mask);
-                let fast = ev.delta_pr(&scratch);
+                // The screens disabled (`-∞`), the pair probe returns both
+                // values: condition (i) for the maintained set and (ii)
+                // with one free candidate folded in.
+                let Some(cc) = free_candidate(&scratch, rng.random_range(0..n)) else {
+                    continue;
+                };
+                let (FastVerdict::Value(keep), FastVerdict::Value(drop)) =
+                    ev.delta_pair(cc, &scratch, f64::NEG_INFINITY)
+                else {
+                    panic!("a disabled screen certified a value");
+                };
+                let exact = m.pr_with_removed(&scratch.mask);
                 assert!(
-                    (exact - fast).abs() < GUARD / 1e2,
-                    "round {round} step {step}: exact {exact} vs delta {fast}"
+                    (exact - keep).abs() < GUARD / 1e2,
+                    "round {round} step {step}: exact {exact} vs delta {keep}"
                 );
-                // Condition (ii) variant: fold one extra candidate in.
-                let cc = rng.random_range(0..n);
-                if !scratch.is_removed(cc) {
-                    let mut mask2 = scratch.mask.clone();
-                    mask2[cc] = 1.0;
-                    let exact2 = m.pr_with_removed_fmask(&mask2);
-                    let fast2 = ev.delta_pr_with_extra(cc, &scratch);
-                    assert!(
-                        (exact2 - fast2).abs() < GUARD / 1e2,
-                        "round {round} step {step}: extra {cc}: {exact2} vs {fast2}"
-                    );
-                }
+                let mut mask2 = scratch.mask.clone();
+                mask2[cc] = true;
+                let exact2 = m.pr_with_removed(&mask2);
+                assert!(
+                    (exact2 - drop).abs() < GUARD / 1e2,
+                    "round {round} step {step}: extra {cc}: {exact2} vs {drop}"
+                );
             }
         }
     }
 
-    /// The log-domain screen never certifies `Below` unless the fast
-    /// value it replaces really is `< α − GUARD` — i.e. screening can
-    /// never change a verdict, only skip `exp` calls.
+    /// The fused pair probe never contradicts the reference product: a
+    /// screened `Below` only stands for a value really `< α − GUARD`,
+    /// and every evaluated value lies within `GUARD` of
+    /// [`DominanceMatrix::pr_with_removed`] — so screening can never
+    /// change a verdict, only skip `exp` calls.
     #[test]
     fn log_screen_never_contradicts_the_fast_value() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0x5C_12EE);
         let mut screened = 0u32;
+        let mut evaluated = 0u32;
         for _ in 0..40 {
             let n = rng.random_range(4..=150);
             let l = rng.random_range(1..=5);
@@ -1249,41 +1094,40 @@ mod tests {
                     scratch.set_removed(c);
                     ev.delta_add(c, &mut scratch);
                 }
+                let Some(cc) = free_candidate(&scratch, rng.random_range(0..n)) else {
+                    continue;
+                };
+                let keep_exact = m.pr_with_removed(&scratch.mask);
+                let mut with_cc = scratch.mask.clone();
+                with_cc[cc] = true;
+                let drop_exact = m.pr_with_removed(&with_cc);
                 for alpha in [0.05, 0.3, 0.7, 0.99] {
                     // The threshold exactly as the Checker derives it.
                     let thr = ((alpha - GUARD) / ev.weight_sum()).ln() - 1e-9;
-                    match ev.delta_verdict(&scratch, thr) {
-                        FastVerdict::Below => {
-                            screened += 1;
-                            assert!(
-                                ev.delta_pr(&scratch) < alpha - GUARD,
-                                "screen certified a value ≥ α − GUARD (α = {alpha})"
-                            );
-                        }
-                        FastVerdict::Value(v) => {
-                            assert_eq!(v.to_bits(), ev.delta_pr(&scratch).to_bits());
-                        }
-                    }
-                    let cc = rng.random_range(0..n);
-                    if scratch.is_removed(cc) {
-                        continue;
-                    }
-                    match ev.delta_verdict_with_extra(cc, &scratch, thr) {
-                        FastVerdict::Below => {
-                            screened += 1;
-                            assert!(
-                                ev.delta_pr_with_extra(cc, &scratch) < alpha - GUARD,
-                                "extra-screen certified a value ≥ α − GUARD (α = {alpha})"
-                            );
-                        }
-                        FastVerdict::Value(v) => {
-                            assert_eq!(v.to_bits(), ev.delta_pr_with_extra(cc, &scratch).to_bits());
+                    let (keep, drop) = ev.delta_pair(cc, &scratch, thr);
+                    for (verdict, exact) in [(keep, keep_exact), (drop, drop_exact)] {
+                        match verdict {
+                            FastVerdict::Below => {
+                                screened += 1;
+                                assert!(
+                                    exact < alpha - GUARD,
+                                    "screen certified {exact} ≥ α − GUARD (α = {alpha})"
+                                );
+                            }
+                            FastVerdict::Value(v) => {
+                                evaluated += 1;
+                                assert!(
+                                    (v - exact).abs() < GUARD,
+                                    "probe value {v} vs reference {exact} (α = {alpha})"
+                                );
+                            }
                         }
                     }
                 }
             }
         }
         assert!(screened > 0, "the screen never fired — test is vacuous");
+        assert!(evaluated > 0, "the probe never evaluated — test is vacuous");
     }
 
     /// The cardinality-level screen never certifies a cardinality whose
@@ -1333,13 +1177,27 @@ mod tests {
                             scratch.set_removed(c);
                             ev.delta_add(c, &mut scratch);
                         }
+                        // Probe through cc when it is free (then both
+                        // conditions are checked), else through any free
+                        // candidate; with none free, condition (i) is
+                        // the reference product.
+                        let probe = free_candidate(&scratch, cc);
+                        let (keep, drop) = match probe {
+                            Some(p) => match ev.delta_pair(p, &scratch, f64::NEG_INFINITY) {
+                                (FastVerdict::Value(keep), FastVerdict::Value(drop)) => {
+                                    (keep, drop)
+                                }
+                                _ => panic!("a disabled screen certified a value"),
+                            },
+                            None => (m.pr_with_removed(&scratch.mask), f64::NAN),
+                        };
                         assert!(
-                            ev.delta_pr(&scratch) < alpha - GUARD,
+                            keep < alpha - GUARD,
                             "certified cardinality has a subset ≥ α − GUARD (α = {alpha})"
                         );
-                        if !pool.contains(&cc) {
+                        if probe == Some(cc) {
                             assert!(
-                                ev.delta_pr_with_extra(cc, &scratch) < alpha - GUARD,
+                                drop < alpha - GUARD,
                                 "certified cardinality flips with cc (α = {alpha})"
                             );
                         }

@@ -34,8 +34,9 @@ pub struct QueryStats {
     /// ([`RTree::frozen_counted`](crate::RTree::frozen_counted)).
     pub refreezes: u64,
     /// Contingency-condition classifications answered by the refine
-    /// stage's fast evaluator (columnar product or incremental
-    /// log-space delta) without an exact re-verification.
+    /// stage's fast evaluation (the log-domain screens, the incremental
+    /// log-space delta, or the batched singleton sweep) without an exact
+    /// re-verification.
     pub eval_fast: u64,
     /// Classifications that fell into the guard band around the
     /// decision threshold and were re-verified by the exact reference
