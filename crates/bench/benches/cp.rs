@@ -68,9 +68,9 @@ fn bench_cp(c: &mut Criterion) {
             },
         ),
         (
-            "cp_probability_bound",
+            "cp_no_probability_bound",
             CpConfig {
-                use_probability_bound: true,
+                use_probability_bound: false,
                 ..CpConfig::default()
             },
         ),

@@ -6,7 +6,7 @@
 
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, centroid_query, explain_with, out_dir};
+use crp_bench::exp::{arg_flag, arg_value, centroid_query, explain_with, out_dir, paper_cp};
 use crp_bench::report::{fnum, Table};
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_bench::AggregateStats;
@@ -40,8 +40,12 @@ fn main() {
             ..UncertainConfig::default()
         };
         eprintln!("[ablation-filter] |P| = {cardinality}…");
-        let engine = ExplainEngine::new(uncertain_dataset(&cfg), EngineConfig::with_alpha(alpha))
-            .expect("valid engine config");
+        let config = EngineConfig {
+            cp: paper_cp(),
+            ..EngineConfig::with_alpha(alpha)
+        };
+        let engine =
+            ExplainEngine::new(uncertain_dataset(&cfg), config).expect("valid engine config");
         let q = centroid_query(engine.dataset());
         let ids = select_prsq_non_answers(
             engine.dataset(),

@@ -6,7 +6,7 @@
 
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir, run_cp_over};
+use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir, paper_cp, run_cp_over};
 use crp_bench::report::{fnum, Table};
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
 use crp_core::{CpConfig, EngineConfig, ExplainEngine};
@@ -49,36 +49,33 @@ fn main() {
     );
     eprintln!("[ablation] {} non-answers selected", ids.len());
 
+    // Every row but the bound row runs the paper's configuration (no
+    // probability bound), so the lemma rows reproduce the paper's counts.
+    let paper = paper_cp();
     let variants: [(&str, CpConfig); 6] = [
-        ("CP (all lemmas)", CpConfig::default()),
+        ("CP (all lemmas)", paper),
         (
             "no Lemma 4 (forced members)",
             CpConfig {
                 use_lemma4: false,
-                ..CpConfig::default()
+                ..paper
             },
         ),
         (
             "no Lemma 5 (counterfactual excl.)",
             CpConfig {
                 use_lemma5: false,
-                ..CpConfig::default()
+                ..paper
             },
         ),
         (
             "no Lemma 6 (bound propagation)",
             CpConfig {
                 use_lemma6: false,
-                ..CpConfig::default()
+                ..paper
             },
         ),
-        (
-            "+ probability bound (extension)",
-            CpConfig {
-                use_probability_bound: true,
-                ..CpConfig::default()
-            },
-        ),
+        ("+ probability bound (extension)", CpConfig::default()),
         ("none (Naive-I refinement)", CpConfig::naive()),
     ];
 

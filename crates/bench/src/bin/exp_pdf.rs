@@ -5,7 +5,7 @@
 
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, explain_with, out_dir};
+use crp_bench::exp::{arg_flag, arg_value, explain_with, out_dir, paper_cp};
 use crp_bench::report::{fnum, Table};
 use crp_bench::AggregateStats;
 use crp_core::{CpConfig, EngineConfig, ExplainEngine, ExplainStrategy};
@@ -30,10 +30,14 @@ fn main() {
     };
     let ds = pdf_dataset(&cfg);
     let q = Point::from([5_000.0, 5_000.0]);
+    let paper = paper_cp();
+    let session = EngineConfig {
+        cp: paper,
+        ..EngineConfig::with_alpha(alpha)
+    };
     // One pdf session per integration resolution (the resolution is a
     // session parameter); the coarse session doubles as the selector.
-    let coarse = ExplainEngine::for_pdf(ds.clone(), 2, EngineConfig::with_alpha(alpha))
-        .expect("valid engine config");
+    let coarse = ExplainEngine::for_pdf(ds.clone(), 2, session).expect("valid engine config");
 
     // Subjects: pdf objects that the pdf engine classifies as tractable
     // non-answers at a coarse resolution.
@@ -50,7 +54,10 @@ fn main() {
             &q,
             alpha,
             id,
-            &CpConfig::with_budget(200_000),
+            &CpConfig {
+                max_subsets: Some(200_000),
+                ..paper
+            },
         ) {
             if !out.causes.is_empty() && out.stats.candidates <= 16 {
                 subjects.push(id);
@@ -72,11 +79,9 @@ fn main() {
 
     for resolution in [2usize, 3, 4, 6] {
         let pdf_engine =
-            ExplainEngine::for_pdf(ds.clone(), resolution, EngineConfig::with_alpha(alpha))
-                .expect("valid engine config");
+            ExplainEngine::for_pdf(ds.clone(), resolution, session).expect("valid engine config");
         let disc_engine =
-            ExplainEngine::new(ds.discretize(resolution), EngineConfig::with_alpha(alpha))
-                .expect("valid engine config");
+            ExplainEngine::new(ds.discretize(resolution), session).expect("valid engine config");
         let mut pdf_ms = AggregateStats::new();
         let mut disc_ms = AggregateStats::new();
         let mut causes = AggregateStats::new();

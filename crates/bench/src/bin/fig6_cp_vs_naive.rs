@@ -5,10 +5,12 @@
 
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir, run_cp_over, run_naive_i_over};
+use crp_bench::exp::{
+    arg_flag, arg_value, centroid_query, out_dir, paper_cp, run_cp_over, run_naive_i_over,
+};
 use crp_bench::report::{fnum, Table};
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
-use crp_core::{CpConfig, EngineConfig, ExplainEngine};
+use crp_core::{EngineConfig, ExplainEngine};
 use crp_data::{uncertain_dataset, CenterDistribution, RadiusDistribution, UncertainConfig};
 
 fn main() {
@@ -72,7 +74,7 @@ fn main() {
         );
         eprintln!("[fig6] {name}: {} non-answers selected", ids.len());
 
-        let cp_run = run_cp_over(&engine, &q, &ids, alpha, &CpConfig::default());
+        let cp_run = run_cp_over(&engine, &q, &ids, alpha, &paper_cp());
         let nv_run = run_naive_i_over(&engine, &q, &ids, alpha, Some(20_000_000));
         for (algo, m) in [("CP", &cp_run), ("Naive-I", &nv_run)] {
             table.row(vec![

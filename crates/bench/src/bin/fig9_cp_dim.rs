@@ -5,10 +5,10 @@
 
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir, run_cp_over};
+use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir, paper_cp, run_cp_over};
 use crp_bench::report::{fnum, Table};
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
-use crp_core::{CpConfig, EngineConfig, ExplainEngine};
+use crp_core::{EngineConfig, ExplainEngine};
 use crp_data::{uncertain_dataset, UncertainConfig};
 
 fn main() {
@@ -61,7 +61,7 @@ fn main() {
                 seed: 0x5EED_9,
             },
         );
-        let m = run_cp_over(&engine, &q, &ids, alpha, &CpConfig::default());
+        let m = run_cp_over(&engine, &q, &ids, alpha, &paper_cp());
         table.row(vec![
             dim.to_string(),
             fnum(m.io.mean()),

@@ -49,16 +49,12 @@ const ALPHA: f64 = 0.6;
 const BATCH_GAP: Duration = Duration::ZERO;
 
 /// Same session configuration as the update sweep: the subset budget +
-/// probability bound keep adversarial non-answers from hijacking the
+/// the default probability bound keep adversarial non-answers from hijacking the
 /// measurement.
 fn sweep_config() -> EngineConfig {
     EngineConfig {
         alpha: ALPHA,
-        cp: CpConfig {
-            use_probability_bound: true,
-            max_subsets: Some(2_000_000),
-            ..CpConfig::default()
-        },
+        cp: CpConfig::with_budget(2_000_000),
         ..EngineConfig::default()
     }
 }

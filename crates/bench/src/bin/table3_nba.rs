@@ -56,13 +56,10 @@ fn main() {
     // Prefer a subject with a rich cause list, like the paper's.
     let mut best: Option<(crp_uncertain::ObjectId, crp_core::CrpOutcome)> = None;
     for id in subjects {
-        // Deep non-answers need the probability-bound extension: it skips
+        // Deep non-answers need the probability bound (on by default): it skips
         // contingency cardinalities that provably cannot reach α, which is
         // what makes the Table-3-sized cases (|Γ| in the tens) tractable.
-        let config = CpConfig {
-            use_probability_bound: true,
-            ..CpConfig::with_budget(20_000_000)
-        };
+        let config = CpConfig::with_budget(20_000_000);
         let out = match engine.explain_configured(ExplainStrategy::Cp, &q, alpha, id, &config) {
             Ok(o) => o,
             Err(_) => continue,

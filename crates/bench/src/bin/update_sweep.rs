@@ -37,7 +37,7 @@ use std::time::Instant;
 const ALPHA: f64 = 0.6;
 
 /// The session configuration of every engine in the sweep: like the
-/// CLI, a subset budget + the probability bound keep adversarial
+/// CLI, a subset budget + the default probability bound keep adversarial
 /// non-answers (centroid queries over large cardinalities can have
 /// thousands of candidates) from hijacking the measurement — a
 /// `BudgetExhausted` outcome is deterministic and compared like any
@@ -45,11 +45,7 @@ const ALPHA: f64 = 0.6;
 fn sweep_config() -> EngineConfig {
     EngineConfig {
         alpha: ALPHA,
-        cp: CpConfig {
-            use_probability_bound: true,
-            max_subsets: Some(2_000_000),
-            ..CpConfig::default()
-        },
+        cp: CpConfig::with_budget(2_000_000),
         ..EngineConfig::default()
     }
 }

@@ -61,6 +61,16 @@ fn record(
     }
 }
 
+/// The paper's CP configuration: every lemma, no probability bound. The
+/// paper-reproduction binaries run it so their subset counts stay the
+/// paper's; the library default adds the bound.
+pub fn paper_cp() -> CpConfig {
+    CpConfig {
+        use_probability_bound: false,
+        ..CpConfig::default()
+    }
+}
+
 /// One explain of `an` under `strategy` at `alpha`: a single-request
 /// plan through [`ExplainSession::run`].
 pub fn explain_with(
@@ -266,7 +276,7 @@ mod tests {
             },
         );
         assert!(!ids.is_empty());
-        let a = run_cp_over(&engine, &q, &ids, alpha, &CpConfig::default());
+        let a = run_cp_over(&engine, &q, &ids, alpha, &paper_cp());
         let b = run_naive_i_over(&engine, &q, &ids, alpha, Some(5_000_000));
         assert_eq!(a.io.count(), b.io.count());
         // Same filter -> identical average node accesses (Fig. 6's claim).

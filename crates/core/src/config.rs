@@ -2,12 +2,16 @@
 
 /// Configuration of the CP refinement phase.
 ///
-/// The defaults enable every pruning rule from the paper; the switches
-/// exist for the ablation benchmarks (`ablation_lemmas`) that quantify
-/// what each lemma contributes, and `max_subsets` protects experiment
-/// sweeps from adversarial non-answers whose exact minimal-contingency
-/// search would be astronomically large (the search is NP-hard in
-/// general; the paper's Theorem 1 gives `O(|Cc|·2^|Cc−Ca∪Cb|)`).
+/// The defaults enable every pruning rule from the paper plus the
+/// probability bound — the one configuration the library, the CLI, the
+/// server and the benchmarks run. The switches exist for the ablation
+/// benchmarks (`ablation_lemmas`) that quantify what each rule
+/// contributes, and for the paper-reproduction binaries, which turn the
+/// bound off so their subset counts are the paper's. `max_subsets`
+/// protects experiment sweeps from adversarial non-answers whose exact
+/// minimal-contingency search would be astronomically large (the search
+/// is NP-hard in general; the paper's Theorem 1 gives
+/// `O(|Cc|·2^|Cc−Ca∪Cb|)`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CpConfig {
     /// Lemma 4: objects dominating `q` w.r.t. *every* sample of `an` with
@@ -22,10 +26,12 @@ pub struct CpConfig {
     /// The `α = 1` fast path of Algorithm 1 (lines 9–11): every candidate
     /// is a cause with responsibility `1/|Cc|`, skipping refinement.
     pub alpha_one_fast_path: bool,
-    /// Probability-based branch-and-bound pruning (the paper's "future
-    /// work" extension): skip subset cardinalities that provably cannot
-    /// lift `Pr(an)` to `α` even when removing the most damaging
-    /// candidates.
+    /// Probability-based pruning (the paper's "future work" extension):
+    /// skip the contingency cardinalities of each candidate that
+    /// provably cannot lift `Pr(an)` to `α` even when removing the most
+    /// damaging members of its search space. Exact: it skips only
+    /// levels that provably hold no contingency set, so causes and
+    /// contingency sets are unchanged; only the search counters drop.
     pub use_probability_bound: bool,
     /// Abort with [`crate::CrpError::BudgetExhausted`] after examining
     /// this many candidate contingency sets (`None` = unlimited).
@@ -39,7 +45,7 @@ impl Default for CpConfig {
             use_lemma5: true,
             use_lemma6: true,
             alpha_one_fast_path: true,
-            use_probability_bound: false,
+            use_probability_bound: true,
             max_subsets: None,
         }
     }
@@ -75,7 +81,7 @@ mod tests {
     fn default_enables_all_lemmas() {
         let c = CpConfig::default();
         assert!(c.use_lemma4 && c.use_lemma5 && c.use_lemma6 && c.alpha_one_fast_path);
-        assert!(!c.use_probability_bound);
+        assert!(c.use_probability_bound);
         assert_eq!(c.max_subsets, None);
     }
 

@@ -334,6 +334,24 @@ fn search_candidate(
     // Loosening bound of the cardinality screen (one O(|search|)
     // scan per candidate search).
     let search_maxneg = checker.search_neg_bound(&search);
+    // Probability pruning: a level whose bound over this candidate's
+    // own search space (forced set and cc removed, the Lemma 5
+    // exclusions kept) stays below α − PROB_EPSILON − GUARD provably
+    // holds no Γ — even its most damaging removals leave condition (ii)
+    // false under the exact product. The bound never decreases with
+    // the level, so the walk starts at the first level that reaches it.
+    let first_level = if config.use_probability_bound {
+        let floor = alpha - PROB_EPSILON - GUARD;
+        scratch
+            .level_bounds(
+                matrix,
+                |c| c != cc && !forced_mask[c] && excluded[c],
+                &search,
+            )
+            .partition_point(|&bound| bound < floor)
+    } else {
+        0
+    };
 
     let mut budget_hit: Option<u64> = None;
     let mut found: Option<Vec<usize>> = None;
@@ -344,19 +362,10 @@ fn search_candidate(
     let cancel = super::budget::active();
     let mut cancel_err: Option<CrpError> = None;
     let mut uncharged: u64 = 0;
-    for total in forced.len()..upper_exclusive {
+    for total in forced.len() + first_level..upper_exclusive {
         let k = total - forced.len();
         if k > search.len() {
             break;
-        }
-        // Probability-based pruning (extension): if even the most
-        // damaging total+1 removals cannot reach α, no Γ of this size
-        // can satisfy condition (ii). Served from the scratch memo,
-        // bit-identical to the reference bound.
-        if config.use_probability_bound
-            && !is_answer(scratch.max_pr_bound(matrix, total + 1), alpha)
-        {
-            continue;
         }
         let budget = config.max_subsets;
         checker.begin(&forced, scratch);
@@ -545,5 +554,99 @@ mod tests {
         let mut search = vec![0, 1, 2];
         order_by_impact(&mut search, &scores);
         assert_eq!(search, vec![1, 2, 0]);
+    }
+
+    /// Near-α at the probability bound's own thresholds. A certain
+    /// non-answer faces six candidates of distinct dominance
+    /// probabilities, so a level bound (its factors multiplied in sorted
+    /// order) and the exact product (in dataset order) round
+    /// differently. α is placed so that the prune threshold
+    /// `α − PROB_EPSILON − GUARD`, or the answer test's edge
+    /// `α − PROB_EPSILON`, lands within a few ulps of a candidate's
+    /// level bound; every explain must match the oracle and the
+    /// unpruned run under the default configuration.
+    #[test]
+    fn level_bound_threshold_agrees_with_oracle() {
+        use crate::{oracle_cp, EngineConfig, ExplainEngine, ExplainStrategy};
+        use crp_geom::Point;
+        use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
+
+        let q = Point::from([0.0, 0.0]);
+        let an = ObjectId(0);
+        // (dominating samples, total samples) per candidate.
+        let shapes = [(1, 3), (2, 5), (3, 7), (1, 4), (2, 3), (3, 5)];
+        let mut objects = vec![UncertainObject::certain(an, Point::from([10.0, 10.0]))];
+        for (i, &(hits, total)) in shapes.iter().enumerate() {
+            let samples: Vec<Point> = (0..total)
+                .map(|s| {
+                    let at = if s < hits {
+                        5.0 + i as f64 * 0.25
+                    } else {
+                        20.0
+                    };
+                    Point::from([at, at])
+                })
+                .collect();
+            let id = ObjectId(i as u32 + 1);
+            objects.push(UncertainObject::with_equal_probs(id, samples).unwrap());
+        }
+        let ds = UncertainDataset::from_objects(objects).unwrap();
+        let positions: Vec<usize> = (1..=shapes.len()).collect();
+        let matrix = DominanceMatrix::build(&ds, 0, &q, &positions);
+        let engine = ExplainEngine::new(ds.clone(), EngineConfig::default()).unwrap();
+        let unpruned = CpConfig {
+            use_probability_bound: false,
+            ..CpConfig::default()
+        };
+        let explain = |alpha: f64, cp: &CpConfig| {
+            engine
+                .explain_configured(ExplainStrategy::Cp, &q, alpha, an, cp)
+                .unwrap_or_else(|e| panic!("α {alpha}: {e}"))
+        };
+
+        let mut scratch = Scratch::default();
+        let (mut below, mut reached) = (0, 0);
+        for cc in 0..shapes.len() {
+            let others: Vec<usize> = (0..shapes.len()).filter(|&c| c != cc).collect();
+            let bounds = scratch.level_bounds(&matrix, |_| false, &others).to_vec();
+            // From level 1 up a bound exceeds every singleton removal,
+            // so near it no candidate is counterfactual and the
+            // engine's search space for `cc` is exactly `others`.
+            for &bound in &bounds[1..] {
+                // GUARD: the prune threshold; 0: the answer test's edge.
+                for offset in [GUARD, 0.0] {
+                    let centre = bound + offset + PROB_EPSILON;
+                    for ulps in -4i64..=4 {
+                        let alpha = f64::from_bits((centre.to_bits() as i64 + ulps) as u64);
+                        if alpha > 1.0 {
+                            continue;
+                        }
+                        if offset > 0.0 {
+                            if alpha - PROB_EPSILON - GUARD < bound {
+                                below += 1;
+                            } else {
+                                reached += 1;
+                            }
+                        }
+                        let got = explain(alpha, &CpConfig::default());
+                        let context = format!("cc {cc}, bound {bound}, α {alpha}");
+                        assert_eq!(got.causes, explain(alpha, &unpruned).causes, "{context}");
+                        let sizes: Vec<(ObjectId, usize)> = got
+                            .causes
+                            .iter()
+                            .map(|c| (c.id, c.min_contingency.len()))
+                            .collect();
+                        let oracle: Vec<(ObjectId, usize)> = oracle_cp(&ds, &q, an, alpha)
+                            .unwrap()
+                            .iter()
+                            .map(|(id, c)| (*id, c.min_gamma.len()))
+                            .collect();
+                        assert_eq!(sizes, oracle, "{context}");
+                    }
+                }
+            }
+        }
+        // The sweep really straddles the prune threshold.
+        assert!(below > 0 && reached > 0, "{below} below, {reached} reached");
     }
 }

@@ -360,7 +360,7 @@ mod tests {
                 ..CpConfig::default()
             },
             CpConfig {
-                use_probability_bound: true,
+                use_probability_bound: false,
                 ..CpConfig::default()
             },
         ];
@@ -410,18 +410,18 @@ mod tests {
         // removals still fall short of α), which is what keeps the
         // 72-candidate search tractable.
         let bounded = [
+            CpConfig::default(),
             CpConfig {
-                use_probability_bound: true,
-                ..CpConfig::default()
-            },
-            CpConfig {
-                use_probability_bound: true,
                 use_lemma6: false,
                 ..CpConfig::default()
             },
+            // Naive-I's refinement with the bound.
             CpConfig {
-                use_probability_bound: true,
-                ..CpConfig::naive()
+                use_lemma4: false,
+                use_lemma5: false,
+                use_lemma6: false,
+                alpha_one_fast_path: false,
+                ..CpConfig::default()
             },
         ];
         for n in [48usize, 72] {

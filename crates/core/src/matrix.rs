@@ -243,17 +243,16 @@ impl DominanceMatrix {
     }
 
     /// For each subset size `t`, an upper bound on `Pr(an | P − Γ)` over
-    /// all `Γ` with `|Γ| ≤ t` — the probability-based pruning extension.
+    /// all `Γ` with `|Γ| ≤ t`, ranging over every candidate.
     ///
     /// Per sample `i`, removing `Γ` divides out at most the `t` smallest
     /// factors `(1 − dp[c][i])`; dropping those factors entirely bounds
     /// the reachable product from above. Sound because each per-sample
     /// bound is independent of which `Γ` is chosen.
     ///
-    /// This is the allocating reference; the hot path serves the same
-    /// (bit-identical) values through the scratch workspace's memoised
-    /// `max_pr_bound`, which sorts the factors once per matrix and
-    /// memoises per `t`.
+    /// A test reference only: FMCS prunes with the per-candidate level
+    /// bound of `Scratch::level_bounds`, which ranges over one
+    /// candidate's own search space and is never above this one.
     pub fn max_pr_after_removing(&self, t: usize) -> f64 {
         let n = self.candidates;
         let mut total = 0.0;
@@ -282,9 +281,9 @@ impl DominanceMatrix {
 ///   annihilator count and log-factor sum of the currently removed set,
 ///   refreshed from the mask every [`DELTA_REFRESH_INTERVAL`] moves so
 ///   floating-point drift stays far inside the guard band,
-/// * the **probability-bound memo**: per-sample ascending factors sorted
-///   once per matrix, plus one memoised bound value per subset size
-///   (bit-identical to [`DominanceMatrix::max_pr_after_removing`]),
+/// * the **level-bound buffers** of the probability pruning: one
+///   sample's search-space factors, sorted, and one bound per
+///   cardinality level of the current candidate's search,
 /// * the **batched-probe buffers** of the Lemma 5 singleton sweep
 ///   (prefix products and per-candidate probabilities).
 ///
@@ -301,12 +300,10 @@ pub struct Scratch {
     delta_logq: Vec<f64>,
     /// Delta moves since the last drift refresh.
     delta_moves: u64,
-    /// Per sample, ascending `(1 − dp)` factors (`samples × candidates`,
-    /// built lazily on the first bound request).
-    sorted_factors: Vec<f64>,
-    sorted_built: bool,
-    /// Memoised `max_pr_after_removing(t)` per `t` (NaN = unset).
-    bound_memo: Vec<f64>,
+    /// One sample's search-space factors, ascending (level-bound pass).
+    bound_factors: Vec<f64>,
+    /// Per cardinality level `k`: the current candidate's level bound.
+    level_bounds: Vec<f64>,
     /// Prefix-product buffer of the batched singleton sweep.
     pub(crate) batch_prefix: Vec<f64>,
     /// Per-candidate singleton probabilities of the batched sweep.
@@ -337,9 +334,6 @@ impl Scratch {
         self.delta_logq.clear();
         self.delta_logq.resize(l, 0.0);
         self.delta_moves = 0;
-        self.sorted_built = false;
-        self.bound_memo.clear();
-        self.bound_memo.resize(n + 1, f64::NAN);
     }
 
     /// Marks candidate `c` removed in the mask.
@@ -360,39 +354,49 @@ impl Scratch {
         self.mask[c]
     }
 
-    /// [`DominanceMatrix::max_pr_after_removing`] without the per-call
-    /// allocation and sort: factors are sorted once per matrix, each
-    /// subset size is computed at most once, and the product runs in the
-    /// reference's exact order — values are bit-identical, so pruning
-    /// decisions (and with them every counter) cannot drift between the
-    /// reference and the scratch-served path.
-    pub(crate) fn max_pr_bound(&mut self, matrix: &DominanceMatrix, t: usize) -> f64 {
+    /// The level bound of one candidate's contingency search: for every
+    /// `k` in `0..=search.len()`, an upper bound on `Pr(an | P − R)`
+    /// over every removal set `R` whose survivors are the candidates
+    /// marked by `kept` plus all but `k` members of `search`.
+    ///
+    /// FMCS asks it about `R = forced ∪ Γ ∪ {cc}` (condition (ii)),
+    /// keeping the factors outside the search space (the Lemma 5
+    /// exclusions). Per sample, the `k` removals that leave the largest
+    /// product drop the `k` smallest search-space factors; the product
+    /// runs from the largest factor down, so every step multiplies by a
+    /// factor `≤ 1` and, rounding being monotone, the bound never
+    /// decreases in `k` — in floating point too. The caller can therefore
+    /// start at the first level that reaches its threshold. Its rounding
+    /// differs from the exact product's by at most one step per factor,
+    /// far inside the guard band the caller leaves.
+    pub(crate) fn level_bounds(
+        &mut self,
+        matrix: &DominanceMatrix,
+        kept: impl Fn(usize) -> bool,
+        search: &[usize],
+    ) -> &[f64] {
         let n = matrix.candidates();
-        let l = matrix.samples();
-        let t = t.min(n);
-        let memo = self.bound_memo[t];
-        if !memo.is_nan() {
-            return memo;
-        }
-        if !self.sorted_built {
-            self.sorted_factors.clear();
-            self.sorted_factors.extend_from_slice(&matrix.comp);
-            for i in 0..l {
-                self.sorted_factors[i * n..(i + 1) * n]
-                    .sort_by(|a, b| a.partial_cmp(b).expect("finite probabilities"));
-            }
-            self.sorted_built = true;
-        }
-        let mut total = 0.0;
+        let levels = search.len();
+        self.level_bounds.clear();
+        self.level_bounds.resize(levels + 1, 0.0);
         for (i, &w) in matrix.weights.iter().enumerate() {
-            let mut prod = 1.0f64;
-            for &f in &self.sorted_factors[i * n + t..(i + 1) * n] {
-                prod *= f;
+            let row = &matrix.comp[i * n..(i + 1) * n];
+            let mut product = w;
+            for (c, &f) in row.iter().enumerate() {
+                if kept(c) {
+                    product *= f;
+                }
             }
-            total += w * prod;
+            self.bound_factors.clear();
+            self.bound_factors.extend(search.iter().map(|&c| row[c]));
+            self.bound_factors.sort_unstable_by(f64::total_cmp);
+            self.level_bounds[levels] += product;
+            for k in (0..levels).rev() {
+                product *= self.bound_factors[k];
+                self.level_bounds[k] += product;
+            }
         }
-        self.bound_memo[t] = total;
-        total
+        &self.level_bounds
     }
 
     /// Clears the removal mask (delta state is reset separately by
@@ -986,23 +990,79 @@ mod tests {
         }
     }
 
+    /// Allocating twin of [`Scratch::level_bounds`]: the same products
+    /// in the same order, with fresh vectors per sample.
+    fn level_bounds_reference(m: &DominanceMatrix, kept: &[bool], search: &[usize]) -> Vec<f64> {
+        let n = m.candidates();
+        let mut bounds = vec![0.0; search.len() + 1];
+        for i in 0..m.samples() {
+            let row = &m.comp[i * n..(i + 1) * n];
+            let outside = (0..n)
+                .filter(|&c| kept[c])
+                .fold(m.weight(i), |p, c| p * row[c]);
+            let mut factors: Vec<f64> = search.iter().map(|&c| row[c]).collect();
+            factors.sort_by(|a, b| a.partial_cmp(b).expect("finite probabilities"));
+            for (k, bound) in bounds.iter_mut().enumerate() {
+                *bound += factors[k..].iter().rev().fold(outside, |p, &f| p * f);
+            }
+        }
+        bounds
+    }
+
+    /// The scratch-served level bound is bit-identical to its
+    /// allocating twin, never decreases with the level, is never above
+    /// the global bound over all candidates, and bounds every removal
+    /// set it stands for.
     #[test]
     fn scratch_bound_is_bit_identical_to_reference() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xB0_07);
-        for _ in 0..20 {
-            let n: usize = rng.random_range(0..=40);
+        let mut scratch = Scratch::default();
+        for round in 0..60 {
+            let n: usize = rng.random_range(1..=10);
             let l = rng.random_range(1..=4);
-            let m = random_matrix(&mut rng, n.max(1), l);
-            let mut scratch = Scratch::default();
+            let m = random_matrix(&mut rng, n, l);
             scratch.reset_for(&m);
-            // Query in scattered order so the memo path (not just the
-            // lazy sort) is exercised.
-            for t in [3usize, 0, 7, 3, n + 5, 1, 0] {
-                let reference = m.max_pr_after_removing(t);
-                let served = scratch.max_pr_bound(&m, t);
-                assert_eq!(reference.to_bits(), served.to_bits(), "t = {t}");
+            // A random split into cc, forced, kept (excluded) and search.
+            let cc = rng.random_range(0..n);
+            let role: Vec<u8> = (0..n)
+                .map(|c| if c == cc { 3 } else { rng.random_range(0..3) })
+                .collect();
+            let forced: Vec<usize> = (0..n).filter(|&c| role[c] == 0).collect();
+            let kept: Vec<bool> = role.iter().map(|&r| r == 1).collect();
+            let search: Vec<usize> = (0..n).filter(|&c| role[c] == 2).collect();
+            let reference = level_bounds_reference(&m, &kept, &search);
+            let served = scratch.level_bounds(&m, |c| kept[c], &search).to_vec();
+            let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&served), bits(&reference), "round {round}");
+            for (k, pair) in served.windows(2).enumerate() {
+                assert!(
+                    pair[0] <= pair[1],
+                    "round {round}: level {k} above level {}",
+                    k + 1
+                );
+            }
+            for (k, &bound) in served.iter().enumerate() {
+                let global = m.max_pr_after_removing(forced.len() + k + 1);
+                assert!(bound <= global + 1e-12, "round {round}, k = {k}");
+            }
+            // Every R = forced ∪ S ∪ {cc} with S ⊆ search stays under
+            // its level's bound.
+            for subset in 0u32..1 << search.len() {
+                let mut removed = vec![false; n];
+                removed[cc] = true;
+                for &c in &forced {
+                    removed[c] = true;
+                }
+                for (s, &c) in search.iter().enumerate() {
+                    removed[c] = subset & (1 << s) != 0;
+                }
+                let k = subset.count_ones() as usize;
+                assert!(
+                    m.pr_with_removed(&removed) <= served[k] + 1e-12,
+                    "round {round}, subset {subset:b}"
+                );
             }
         }
     }

@@ -198,11 +198,7 @@ where
 fn stress_config() -> EngineConfig {
     EngineConfig {
         alpha: 0.6,
-        cp: CpConfig {
-            use_probability_bound: true,
-            max_subsets: Some(20_000),
-            ..CpConfig::default()
-        },
+        cp: CpConfig::with_budget(20_000),
         ..EngineConfig::default()
     }
 }

@@ -121,7 +121,7 @@ proptest! {
             CpConfig { use_lemma4: false, ..CpConfig::default() },
             CpConfig { use_lemma5: false, ..CpConfig::default() },
             CpConfig { use_lemma6: false, ..CpConfig::default() },
-            CpConfig { use_probability_bound: true, ..CpConfig::default() },
+            CpConfig { use_probability_bound: false, ..CpConfig::default() },
             CpConfig::naive(),
         ];
         for an in ds.iter().map(|o| o.id()) {
@@ -286,5 +286,173 @@ fn cp_agrees_with_oracle_on_generated_fixed_seed() {
     let q = Point::from(centroid.map(|c| c / ds.len() as f64));
     for alpha in [0.3, 0.7, 1.0] {
         cp_vs_oracle(&ds, &q, alpha).unwrap_or_else(|e| panic!("α = {alpha}: {e:?}"));
+    }
+}
+
+/// A non-answer with 10–19 other objects: object 0 sits in the far
+/// corner of the grid from `q`, so most of the others are its
+/// candidates — searches at 10–19 candidates that the bound visibly
+/// prunes.
+fn crowded_dataset() -> impl Strategy<Value = UncertainDataset> {
+    let point = |lo: f64| {
+        prop::collection::vec(lo..12.0f64, 2)
+            .prop_map(|v| Point::new(v.into_iter().map(|c| c.round()).collect::<Vec<_>>()))
+    };
+    (
+        prop::collection::vec(point(9.0), 1..=2),
+        prop::collection::vec(prop::collection::vec(point(0.0), 1..=3), 10..=19),
+    )
+        .prop_map(|(target, others)| {
+            UncertainDataset::from_objects(std::iter::once(target).chain(others).enumerate().map(
+                |(i, pts)| UncertainObject::with_equal_probs(ObjectId(i as u32), pts).unwrap(),
+            ))
+            .unwrap()
+        })
+}
+
+/// The default configuration without the probability bound.
+fn unpruned() -> CpConfig {
+    CpConfig {
+        use_probability_bound: false,
+        ..CpConfig::default()
+    }
+}
+
+/// The unbudgeted unpruned explain of `an`, or `None` when it would
+/// spend more than 40,000 subset checks (an unpruned search at 20
+/// candidates can run to millions) — too deep to compare.
+fn unpruned_reference(
+    engine: &ExplainEngine,
+    q: &Point,
+    an: ObjectId,
+    alpha: f64,
+) -> Option<Result<CrpOutcome, CrpError>> {
+    let capped = CpConfig {
+        max_subsets: Some(40_000),
+        ..unpruned()
+    };
+    let out = explain(engine, ExplainStrategy::Cp, q, an, alpha, capped);
+    (!matches!(out, Err(CrpError::BudgetExhausted { .. }))).then_some(out)
+}
+
+/// Pruned and unpruned outcomes agree on everything but the search
+/// counters: causes, responsibilities and every `Γ`, or the error.
+fn same_outcome(
+    pruned: &Result<CrpOutcome, CrpError>,
+    unpruned: &Result<CrpOutcome, CrpError>,
+    an: ObjectId,
+) -> Result<(), TestCaseError> {
+    match (pruned, unpruned) {
+        (Ok(p), Ok(u)) => prop_assert_eq!(&p.causes, &u.causes, "an = {}", an),
+        (Err(p), Err(u)) => prop_assert_eq!(p, u, "an = {}", an),
+        _ => prop_assert!(false, "an = {}: {:?} vs {:?}", an, pruned, unpruned),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The probability bound is exact: with no budget, pruning changes
+    /// only the search counters, which never grow.
+    #[test]
+    fn pruned_search_matches_unpruned(
+        ds in crowded_dataset(),
+        qx in 0.0..3.0f64,
+        qy in 0.0..3.0f64,
+        alpha in prop::sample::select(vec![0.05, 0.2, 0.4, 0.6, 0.9]),
+    ) {
+        let q = Point::from([qx.round(), qy.round()]);
+        let engine = session(&ds);
+        for an in ds.iter().map(|o| o.id()) {
+            let Some(want) = unpruned_reference(&engine, &q, an, alpha) else {
+                continue;
+            };
+            let got = explain(&engine, ExplainStrategy::Cp, &q, an, alpha, CpConfig::default());
+            same_outcome(&got, &want, an)?;
+            if let (Ok(p), Ok(u)) = (&got, &want) {
+                prop_assert!(p.stats.subsets_examined <= u.stats.subsets_examined);
+            }
+        }
+    }
+
+    /// Under a plan-wide subset budget the pruned batch resolves at
+    /// least as many non-answers as the unpruned one, and every outcome
+    /// it does resolve is the unpruned outcome.
+    #[test]
+    fn pruned_partial_resolves_at_least_as_much(
+        ds in crowded_dataset(),
+        qx in 0.0..3.0f64,
+        qy in 0.0..3.0f64,
+        alpha in prop::sample::select(vec![0.2, 0.5]),
+        budget in prop::sample::select(vec![0u64, 40, 400, 4_000, 20_000]),
+    ) {
+        let q = Point::from([qx.round(), qy.round()]);
+        let engine = session(&ds);
+        let ids: Vec<ObjectId> = ds.iter().map(|o| o.id()).collect();
+        let run = |cp: CpConfig| {
+            engine
+                .run(&[ExplainRequest::batch(&q, &ids)
+                    .with_alpha(alpha)
+                    .with_cp(cp)
+                    .with_subset_budget(budget)
+                    .serial()])
+                .results
+        };
+        let pruned = run(CpConfig::default());
+        let plain = run(unpruned());
+        let partial = |r: &Result<CrpOutcome, CrpError>| matches!(r, Err(CrpError::Partial(_)));
+        let resolved = |rs: &[Result<CrpOutcome, CrpError>]| rs.iter().filter(|r| !partial(r)).count();
+        prop_assert!(
+            resolved(&pruned) >= resolved(&plain),
+            "pruning lost progress: {} < {}",
+            resolved(&pruned),
+            resolved(&plain)
+        );
+        for ((&an, p), u) in ids.iter().zip(&pruned).zip(&plain) {
+            if partial(p) {
+                continue;
+            }
+            if !partial(u) {
+                same_outcome(p, u, an)?;
+            } else if let Some(want) = unpruned_reference(&engine, &q, an, alpha) {
+                // Resolved by the pruned run only.
+                same_outcome(p, &want, an)?;
+            }
+        }
+    }
+}
+
+/// `f` moved by `ulps` units in the last place.
+fn shift_ulps(f: f64, ulps: i64) -> f64 {
+    f64::from_bits((f.to_bits() as i64 + ulps) as u64)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Near-α thresholds, pinned to the oracle under the default
+    /// configuration: α is placed within a few ulps of an actual
+    /// `Pr(an | P − Γ)`, or of it plus `PROB_EPSILON` (the answer test's
+    /// decision edge), so verdicts — and the probability bound's level
+    /// skipping — are decided right at the threshold.
+    #[test]
+    fn cp_agrees_with_oracle_near_alpha(
+        ds in uncertain_dataset(2),
+        q in query(2),
+        pick in any::<prop::sample::Index>(),
+        removed in any::<u32>(),
+        on_edge in any::<bool>(),
+        ulps in -3i64..=3,
+    ) {
+        let an_pos = pick.index(ds.len());
+        let pr = crp_skyline::pr_reverse_skyline(&ds, an_pos, &q, |j| {
+            j != an_pos && removed & (1 << j) != 0
+        });
+        let at = if on_edge { pr + crp_geom::PROB_EPSILON } else { pr };
+        let alpha = shift_ulps(at, ulps);
+        if alpha > 0.0 && alpha <= 1.0 {
+            cp_vs_oracle(&ds, &q, alpha)?;
+        }
     }
 }

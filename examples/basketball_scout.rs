@@ -35,10 +35,7 @@ fn main() {
     // explain the first couple whose cause lists print nicely.
     let mut order: Vec<&UncertainObject> = ds.iter().collect();
     order.sort_by_key(|o| o.expectation().distance(&q) as u64);
-    let config = CpConfig {
-        use_probability_bound: true,
-        ..CpConfig::with_budget(2_000_000)
-    };
+    let config = CpConfig::with_budget(2_000_000);
     let mut explained = 0;
     for obj in order {
         if explained >= 2 {

@@ -332,13 +332,12 @@ fn cmd_query(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), String>
 }
 
 /// The session configuration every CLI engine shares: auto strategy
-/// (CR for certain data, CP otherwise) with the probability-bound
-/// extension and the CLI's subset budget.
+/// (CR for certain data, CP otherwise), the library's CP configuration
+/// and the CLI's subset budget.
 fn cli_engine_config(alpha: f64, budget: Option<u64>, parallel: bool) -> EngineConfig {
     EngineConfig {
         alpha,
         cp: CpConfig {
-            use_probability_bound: true,
             max_subsets: budget,
             ..CpConfig::default()
         },

@@ -141,10 +141,7 @@ fn nba_case_study_pipeline() {
     // skipping cheap.
     let mut order: Vec<&UncertainObject> = ds.iter().collect();
     order.sort_by_key(|o| o.expectation().distance(&q) as u64);
-    let config = CpConfig {
-        use_probability_bound: true,
-        ..CpConfig::with_budget(60_000)
-    };
+    let config = CpConfig::with_budget(60_000);
     let mut explained = 0;
     for obj in order.into_iter().take(80) {
         if explained >= 2 {
