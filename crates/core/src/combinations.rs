@@ -3,7 +3,10 @@
 //! FMCS examines candidate contingency sets "in the order of their
 //! cardinalities" so that the first valid set found is minimal. This
 //! module provides the inner loop: lexicographic enumeration of all
-//! `k`-subsets of `0..n` with early exit and no per-subset allocation.
+//! `k`-subsets of `0..n` with early exit and no per-subset allocation,
+//! either as index lists ([`for_each_combination`]) or as a depth-first
+//! walk of add/remove-one moves that can skip whole subtrees
+//! ([`walk_combinations`], the FMCS enumerator).
 
 /// Calls `f` with each `k`-combination of `0..n` in lexicographic order.
 /// `f` returns `true` to stop the enumeration; the function then returns
@@ -40,119 +43,80 @@ pub fn for_each_combination(n: usize, k: usize, mut f: impl FnMut(&[usize]) -> b
     }
 }
 
-/// One move of the delta enumeration: the element entering or leaving
-/// the current combination.
+/// What a [`walk_combinations`] consumer decides about a prefix.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeltaOp {
-    /// `x` joins the combination.
-    Add(usize),
-    /// `x` leaves the combination.
-    Remove(usize),
+pub(crate) enum Prefix {
+    /// Walk every subset that extends the prefix.
+    Descend,
+    /// Skip every subset that extends the prefix.
+    Skip,
+    /// Stop the whole walk.
+    Stop,
 }
 
-/// One event of the delta enumeration: a state move, or the signal
-/// that the maintained set now equals the next combination.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeltaEvent<'a> {
-    /// Fold this move into the maintained state. The callback's return
-    /// value is ignored for moves.
-    Move(DeltaOp),
-    /// The maintained state is a complete combination (also passed as
-    /// the index list, for consumers that want it). Return `true` to
-    /// stop the enumeration.
-    Subset(&'a [usize]),
+/// The consumer of [`walk_combinations`]: it maintains state for the
+/// current subset from add/remove-one moves and may cut subtrees.
+pub(crate) trait SubsetWalk {
+    /// Position `s` joins the current subset.
+    fn add(&mut self, s: usize);
+    /// Position `s` leaves the current subset.
+    fn remove(&mut self, s: usize);
+    /// Called after an add that leaves `slots ≥ 1` members still to
+    /// choose, all from positions `from..n`.
+    fn prefix(&mut self, from: usize, slots: usize) -> Prefix;
+    /// The current subset is complete; `true` stops the walk.
+    fn subset(&mut self) -> bool;
 }
 
-/// [`for_each_combination`] with each successive subset reported as
-/// **add/remove-one moves** instead of a fresh index list — the
-/// delta-driven FMCS enumeration: a consumer maintaining incremental
-/// state (e.g. `Pr(an | P − Γ)`) pays `O(moves)` per subset instead of
-/// re-reading the whole combination.
-///
-/// Protocol: a run of [`DeltaEvent::Move`]s transforms the previous
-/// subset into the current one (for the first subset: `k` adds), then
-/// one [`DeltaEvent::Subset`] asks for the verdict. Moves are minimal —
-/// an element shared by consecutive subsets is never removed and
-/// re-added. The enumeration order, early-exit semantics and return
-/// value match [`for_each_combination`] exactly. Moves are **not**
-/// rolled back after completion or early exit; the consumer resets its
-/// state per enumeration. A single callback (rather than one per event
-/// kind) lets the consumer thread one `&mut` workspace through both.
-///
-/// A consumer that re-bases its state at each enumeration start may
-/// also *ignore* every move of an enumeration it can answer wholesale —
-/// FMCS does this when a cardinality-level bound certifies all size-`k`
-/// subsets inert: the `Subset` events still drive the accounting, but
-/// no state is folded.
-pub fn for_each_combination_delta(
+/// Depth-first walk over the `k`-combinations of `0..n` in
+/// lexicographic order — the leaves come in [`for_each_combination`]'s
+/// order — reported as add/remove-one moves to `walk`. A subtree the
+/// consumer skips is a contiguous run of that order, so a search that
+/// skips only subtrees holding no hit finds the same first hit as the
+/// full walk. `path` is caller-owned scratch holding the current
+/// positions. Returns `true` when the consumer stopped the walk; moves
+/// are not rolled back.
+pub(crate) fn walk_combinations(
     n: usize,
     k: usize,
-    mut f: impl FnMut(DeltaEvent<'_>) -> bool,
+    path: &mut Vec<usize>,
+    walk: &mut impl SubsetWalk,
 ) -> bool {
+    path.clear();
     if k > n {
         return false;
     }
-    let mut idx: Vec<usize> = (0..k).collect();
-    for &x in &idx {
-        f(DeltaEvent::Move(DeltaOp::Add(x)));
-    }
+    // The position the next slot tries first.
+    let mut next = 0;
     loop {
-        if f(DeltaEvent::Subset(&idx)) {
-            return true;
-        }
-        // Find the rightmost index that can advance (as in
-        // `for_each_combination`).
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return false;
+        if path.len() == k {
+            if walk.subset() {
+                return true;
             }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
-            }
-            if i == 0 {
-                return false;
-            }
-        }
-        // Positions i..k change: the old values are `idx[i]` followed by
-        // the maxed-out tail `j + n - k`, the new values the consecutive
-        // run starting at `idx[i] + 1`. Both runs ascend, so a merge
-        // walk emits exactly the symmetric difference as moves.
-        let pivot = idx[i];
-        let mut old = i;
-        let mut new = i;
-        let old_val = |j: usize| if j == i { pivot } else { j + n - k };
-        let new_val = |j: usize| pivot + 1 + (j - i);
-        while old < k && new < k {
-            let (o, w) = (old_val(old), new_val(new));
-            match o.cmp(&w) {
-                std::cmp::Ordering::Equal => {
-                    old += 1;
-                    new += 1;
+        } else if next + (k - path.len()) <= n {
+            walk.add(next);
+            path.push(next);
+            let slots = k - path.len();
+            let verdict = if slots == 0 {
+                Prefix::Descend
+            } else {
+                walk.prefix(next + 1, slots)
+            };
+            match verdict {
+                Prefix::Descend => {
+                    next += 1;
+                    continue;
                 }
-                std::cmp::Ordering::Less => {
-                    f(DeltaEvent::Move(DeltaOp::Remove(o)));
-                    old += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    f(DeltaEvent::Move(DeltaOp::Add(w)));
-                    new += 1;
-                }
+                Prefix::Skip => {}
+                Prefix::Stop => return true,
             }
         }
-        while old < k {
-            f(DeltaEvent::Move(DeltaOp::Remove(old_val(old))));
-            old += 1;
-        }
-        while new < k {
-            f(DeltaEvent::Move(DeltaOp::Add(new_val(new))));
-            new += 1;
-        }
-        idx[i] = pivot + 1;
-        for j in i + 1..k {
-            idx[j] = idx[j - 1] + 1;
-        }
+        // Backtrack: the last member moves one position on.
+        let Some(last) = path.pop() else {
+            return false;
+        };
+        walk.remove(last);
+        next = last + 1;
     }
 }
 
@@ -248,83 +212,101 @@ mod tests {
         assert_eq!(all.len(), dedup.len());
     }
 
-    /// Replays the delta protocol against the reference enumeration:
-    /// the maintained set must equal each visited combination, and
-    /// moves must be minimal (no remove-and-re-add of a kept element).
-    fn check_delta(n: usize, k: usize) {
-        use std::collections::BTreeSet;
-        let reference = collect(n, k);
-        let mut current: BTreeSet<usize> = BTreeSet::new();
-        let mut visited: Vec<Vec<usize>> = Vec::new();
-        let mut added: Vec<usize> = Vec::new();
-        let mut removed: Vec<usize> = Vec::new();
-        let stopped = for_each_combination_delta(n, k, |event| match event {
-            DeltaEvent::Move(DeltaOp::Add(x)) => {
-                assert!(current.insert(x), "double add of {x}");
-                added.push(x);
-                false
-            }
-            DeltaEvent::Move(DeltaOp::Remove(x)) => {
-                assert!(current.remove(&x), "remove of absent {x}");
-                removed.push(x);
-                false
-            }
-            DeltaEvent::Subset(idx) => {
-                let as_set: Vec<usize> = current.iter().copied().collect();
-                assert_eq!(as_set, idx, "maintained set diverged");
-                // Minimality: an element present before and after the
-                // transition must not appear in the moves at all.
-                assert!(added.iter().all(|x| !removed.contains(x)), "churned move");
-                added.clear();
-                removed.clear();
-                visited.push(idx.to_vec());
-                false
-            }
-        });
-        assert!(!stopped);
-        assert_eq!(visited, reference, "C({n}, {k})");
+    /// Records a walk: the maintained set is checked against the path
+    /// at every subset, and `skip` decides which prefixes are cut.
+    struct Recorder<F: FnMut(&[usize], usize, usize) -> bool> {
+        current: Vec<usize>,
+        visited: Vec<Vec<usize>>,
+        skip: F,
+        stop_after: Option<usize>,
     }
 
+    impl<F: FnMut(&[usize], usize, usize) -> bool> SubsetWalk for Recorder<F> {
+        fn add(&mut self, s: usize) {
+            assert!(!self.current.contains(&s), "double add of {s}");
+            self.current.push(s);
+        }
+        fn remove(&mut self, s: usize) {
+            assert_eq!(self.current.pop(), Some(s), "remove out of order");
+        }
+        fn prefix(&mut self, from: usize, slots: usize) -> Prefix {
+            assert_eq!(self.current.last().map(|&s| s + 1), Some(from));
+            if (self.skip)(&self.current, from, slots) {
+                Prefix::Skip
+            } else {
+                Prefix::Descend
+            }
+        }
+        fn subset(&mut self) -> bool {
+            self.visited.push(self.current.clone());
+            self.stop_after == Some(self.visited.len())
+        }
+    }
+
+    fn walk(
+        n: usize,
+        k: usize,
+        skip: impl FnMut(&[usize], usize, usize) -> bool,
+        stop_after: Option<usize>,
+    ) -> (bool, Vec<Vec<usize>>) {
+        let mut recorder = Recorder {
+            current: Vec::new(),
+            visited: Vec::new(),
+            skip,
+            stop_after,
+        };
+        let stopped = walk_combinations(n, k, &mut Vec::new(), &mut recorder);
+        (stopped, recorder.visited)
+    }
+
+    /// The unpruned walk visits exactly `for_each_combination`'s
+    /// subsets in its order, and a walk that skips prefixes visits that
+    /// order minus exactly the subsets extending a skipped prefix.
     #[test]
-    fn delta_enumeration_matches_reference() {
+    fn walk_matches_reference_order() {
         for n in 0..=9 {
             for k in 0..=n + 1 {
-                check_delta(n, k);
+                let (stopped, visited) = walk(n, k, |_, _, _| false, None);
+                assert!(!stopped);
+                assert_eq!(visited, collect(n, k), "C({n}, {k})");
+                // Skip every prefix whose member sum is ≡ 1 (mod 3).
+                let cut = |prefix: &[usize]| prefix.iter().sum::<usize>() % 3 == 1;
+                let (_, pruned) = walk(n, k, |p, _, _| cut(p), None);
+                let expected: Vec<Vec<usize>> = collect(n, k)
+                    .into_iter()
+                    .filter(|c| !(1..k).any(|d| cut(&c[..d])))
+                    .collect();
+                assert_eq!(pruned, expected, "C({n}, {k}) pruned");
             }
         }
     }
 
     #[test]
-    fn delta_early_exit_and_empty_cases() {
-        // k > n: no calls at all.
-        let mut touched = false;
-        assert!(!for_each_combination_delta(2, 3, |_| {
-            touched = true;
-            false
-        }));
-        assert!(!touched);
+    fn walk_early_exit_and_empty_cases() {
+        // k > n: no subsets.
+        assert_eq!(walk(2, 3, |_, _, _| false, None), (false, vec![]));
         // k = 0: one empty visit, no moves.
-        let mut visits = 0;
-        assert!(!for_each_combination_delta(5, 0, |event| match event {
-            DeltaEvent::Move(_) => panic!("no moves for k = 0"),
-            DeltaEvent::Subset(idx) => {
-                assert!(idx.is_empty());
-                visits += 1;
+        assert_eq!(walk(5, 0, |_, _, _| false, None), (false, vec![vec![]]));
+        // Early exit stops mid-stream, like the reference.
+        let (stopped, visited) = walk(6, 2, |_, _, _| false, Some(3));
+        assert!(stopped);
+        assert_eq!(visited, collect(6, 2)[..3].to_vec());
+        // `Prefix::Stop` ends the walk at once.
+        struct Stopper(usize);
+        impl SubsetWalk for Stopper {
+            fn add(&mut self, _: usize) {}
+            fn remove(&mut self, _: usize) {}
+            fn prefix(&mut self, _: usize, _: usize) -> Prefix {
+                Prefix::Stop
+            }
+            fn subset(&mut self) -> bool {
+                self.0 += 1;
                 false
             }
-        }));
-        assert_eq!(visits, 1);
-        // Early exit stops mid-stream, like the reference.
-        let mut seen = 0;
-        let stopped = for_each_combination_delta(6, 2, |event| match event {
-            DeltaEvent::Move(_) => false,
-            DeltaEvent::Subset(_) => {
-                seen += 1;
-                seen == 3
-            }
-        });
-        assert!(stopped);
-        assert_eq!(seen, 3);
+        }
+        let mut stopper = Stopper(0);
+        assert!(walk_combinations(6, 2, &mut Vec::new(), &mut stopper));
+        assert_eq!(stopper.0, 0);
     }
 
     #[test]

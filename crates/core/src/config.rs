@@ -27,11 +27,13 @@ pub struct CpConfig {
     /// is a cause with responsibility `1/|Cc|`, skipping refinement.
     pub alpha_one_fast_path: bool,
     /// Probability-based pruning (the paper's "future work" extension):
-    /// skip the contingency cardinalities of each candidate that
-    /// provably cannot lift `Pr(an)` to `α` even when removing the most
-    /// damaging members of its search space. Exact: it skips only
-    /// levels that provably hold no contingency set, so causes and
-    /// contingency sets are unchanged; only the search counters drop.
+    /// skip the contingency cardinalities of each candidate, and inside
+    /// a cardinality the subtrees of the subset walk, that provably
+    /// cannot lift `Pr(an)` to `α` even when removing the most damaging
+    /// members of what is left of its search space. Exact: it skips
+    /// only levels and subtrees that provably hold no contingency set,
+    /// so causes and contingency sets are unchanged; only the search
+    /// counters drop.
     pub use_probability_bound: bool,
     /// Abort with [`crate::CrpError::BudgetExhausted`] after examining
     /// this many candidate contingency sets (`None` = unlimited).

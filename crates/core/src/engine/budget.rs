@@ -191,6 +191,12 @@ impl Cancel {
         }
     }
 
+    /// FMCS subset checks charged so far.
+    #[cfg(test)]
+    pub(crate) fn subsets_charged(&self) -> u64 {
+        self.subsets.load(Ordering::Relaxed)
+    }
+
     pub(crate) fn task_completed(&self) {
         self.tasks_completed.fetch_add(1, Ordering::Relaxed);
     }

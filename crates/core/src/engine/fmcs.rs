@@ -8,16 +8,29 @@
 //! order under the global subset budget, seeding Lemma 6 witnesses as
 //! it goes.
 //!
-//! The subset loop is delta-driven: the enumerator reports each subset
-//! as add/remove-one moves ([`for_each_combination_delta`]), the
-//! [`Checker`] maintains `Pr(an | P − Γ)` incrementally in log space in
-//! the per-thread [`Scratch`], and classifications come from the
-//! log-domain screens and the fused pair probe of the [`PrEvaluator`],
-//! with a guard-banded exact fallback — `O(L)` per subset, no
-//! allocation per candidate.
+//! Each cardinality level is one depth-first lexicographic walk over the
+//! impact-ordered search space ([`walk_combinations`]): every node adds
+//! or removes one candidate, the [`Checker`] maintains `Pr(an | P − Γ)`
+//! incrementally in log space in the per-thread [`Scratch`], and
+//! classifications come from the log-domain screens and the fused pair
+//! probe of the [`PrEvaluator`], with a guard-banded exact fallback —
+//! `O(L)` per subset, no allocation per candidate.
+//!
+//! With the probability bound on (`CpConfig::use_probability_bound`),
+//! the search is a branch and bound. The level bound picks the first
+//! level that can hold a contingency set; inside a level, after each
+//! add, the completion bound ([`PrEvaluator::completion_bound`]) bounds
+//! condition (ii) over every completion of the prefix, and a subtree
+//! whose bound stays below `α − PROB_EPSILON − GUARD` is skipped: it
+//! provably holds no contingency set. The visit order is unchanged, so
+//! the first set found — the outcome — is the unpruned walk's. With the
+//! bound off, the walk visits every subset of a level in order. Either
+//! way, a level the cardinality screen certifies inert is counted in
+//! closed form instead of walked.
 
+use super::budget::{Cancel, CHECK_INTERVAL};
 use super::refine::RefinePlan;
-use crate::combinations::{for_each_combination_delta, DeltaEvent, DeltaOp};
+use crate::combinations::{binomial, walk_combinations, Prefix, SubsetWalk};
 use crate::config::CpConfig;
 use crate::error::CrpError;
 use crate::matrix::{DominanceMatrix, FastVerdict, PrEvaluator, Scratch, GUARD};
@@ -25,6 +38,7 @@ use crate::types::RunStats;
 use crp_geom::PROB_EPSILON;
 use crp_rtree::QueryStats;
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// A cause expressed in candidate indices (mapped to object ids by the
 /// pipeline driver).
@@ -153,31 +167,25 @@ impl<'m> Checker<'m> {
     // --- the delta protocol of the subset loop ------------------------
 
     /// Resets the maintained removal set to exactly `forced` (start of
-    /// one cardinality's enumeration).
+    /// one cardinality's walk).
     fn begin(&self, forced: &[usize], scratch: &mut Scratch) {
         scratch.clear_mask();
         self.evaluator.delta_begin(scratch);
         for &c in forced {
-            scratch.set_removed(c);
-            self.evaluator.delta_add(c, scratch);
+            self.add(c, scratch);
         }
     }
 
-    /// Folds one enumerator move (in search-space coordinates, mapped
-    /// through `search`) into the maintained state.
-    fn apply(&self, op: DeltaOp, search: &[usize], scratch: &mut Scratch) {
-        match op {
-            DeltaOp::Add(s) => {
-                let c = search[s];
-                scratch.set_removed(c);
-                self.evaluator.delta_add(c, scratch);
-            }
-            DeltaOp::Remove(s) => {
-                let c = search[s];
-                scratch.unset_removed(c);
-                self.evaluator.delta_remove(c, scratch);
-            }
-        }
+    /// Folds candidate `c` into the maintained removal set.
+    fn add(&self, c: usize, scratch: &mut Scratch) {
+        scratch.set_removed(c);
+        self.evaluator.delta_add(c, scratch);
+    }
+
+    /// Takes candidate `c` out of the maintained removal set.
+    fn remove(&self, c: usize, scratch: &mut Scratch) {
+        scratch.unset_removed(c);
+        self.evaluator.delta_remove(c, scratch);
     }
 
     /// One FMCS subset check — both conditions for the maintained `Γ`
@@ -218,6 +226,43 @@ impl<'m> Checker<'m> {
         }
     }
 
+    /// The prune threshold of the completion bound for `α`, or `None`
+    /// when nothing can fall below it.
+    fn completion_cut(&self, alpha: f64) -> Option<Cut> {
+        let floor = alpha - PROB_EPSILON - GUARD;
+        if floor <= 0.0 {
+            return None;
+        }
+        let weight_sum = self.evaluator.weight_sum();
+        // The same 1e-9 log-space margin as the pair probe's screen.
+        let ln_floor = if weight_sum > 0.0 {
+            (floor / weight_sum).ln() - 1e-9
+        } else {
+            f64::NEG_INFINITY
+        };
+        Some(Cut { floor, ln_floor })
+    }
+
+    /// True when no completion of the maintained prefix by `slots`
+    /// members of `search[from..]` can satisfy condition (ii): its
+    /// completion bound stays below the cut.
+    fn completion_below(
+        &self,
+        cc: usize,
+        from: usize,
+        slots: usize,
+        cut: Cut,
+        scratch: &Scratch,
+    ) -> bool {
+        match self
+            .evaluator
+            .completion_bound(cc, from, slots, scratch, cut.ln_floor)
+        {
+            FastVerdict::Below => true,
+            FastVerdict::Value(bound) => bound < cut.floor,
+        }
+    }
+
     /// Max per-removal loosening of the cardinality screen over the
     /// search space.
     pub(crate) fn search_neg_bound(&self, search: &[usize]) -> f64 {
@@ -227,10 +272,10 @@ impl<'m> Checker<'m> {
     /// Certifies — at the start of one cardinality's enumeration, with
     /// the delta state at the forced base — that every size-`k` subset
     /// keeps both FMCS conditions provably `< α − GUARD` (see
-    /// [`PrEvaluator::cardinality_below`]). The caller then replaces
-    /// the whole walk's evaluations with counter bookkeeping:
-    /// classifications and every counter are exactly what per-subset
-    /// probing would produce.
+    /// [`PrEvaluator::cardinality_below`]). The caller then counts the
+    /// level in closed form ([`Meter::inert_level`]): classifications
+    /// and every counter are exactly what per-subset probing would
+    /// produce.
     pub(crate) fn cardinality_is_inert(
         &self,
         cc: usize,
@@ -273,6 +318,15 @@ impl<'m> Checker<'m> {
     }
 }
 
+/// The prune threshold `α − PROB_EPSILON − GUARD` of the probability
+/// bound, with its log-domain screen form (see
+/// [`Checker::completion_cut`]).
+#[derive(Clone, Copy)]
+struct Cut {
+    floor: f64,
+    ln_floor: f64,
+}
+
 /// Outcome of one [`Checker::probe`]: the condition-(i) verdict and —
 /// only meaningful when `answer` is false — whether removing the probe
 /// candidate flips `an` into an answer (condition (ii)).
@@ -296,9 +350,178 @@ pub(crate) fn order_by_impact(search: &mut [usize], impacts: &[f64]) {
     search.sort_by(|&a, &b| impacts[b].partial_cmp(&impacts[a]).expect("finite impacts"));
 }
 
-/// FMCS for a single candidate `cc`: enumerate candidate contingency
-/// sets in ascending cardinality over the search space (on top of the
-/// forced set), strictly below the witness size. Returns the minimal
+/// The subset accounting of one candidate search: the per-explain
+/// budget (`CpConfig::max_subsets`) and the plan budget's cancellation
+/// poll. Every reached subset is counted and charged; a poll comes
+/// every [`CHECK_INTERVAL`] subset checks and completion-bound checks,
+/// so a deadline stays responsive in heavily pruned searches.
+struct Meter {
+    budget: Option<u64>,
+    cancel: Option<Arc<Cancel>>,
+    /// Subsets reached since the last charge (plan budget only).
+    uncharged: u64,
+    /// Subset and completion-bound checks since the last poll (plan
+    /// budget only).
+    since_poll: u64,
+    /// Why the search stopped early, if it did.
+    stop: Option<CrpError>,
+}
+
+impl Meter {
+    /// Counts one reached subset; `false` stops the search.
+    fn subset(&mut self, stats: &mut RunStats) -> bool {
+        stats.subsets_examined += 1;
+        if self.budget.is_some_and(|max| stats.subsets_examined > max) {
+            self.stop = Some(CrpError::BudgetExhausted {
+                examined: stats.subsets_examined,
+            });
+            return false;
+        }
+        if self.cancel.is_none() {
+            return true;
+        }
+        self.uncharged += 1;
+        self.tick()
+    }
+
+    /// Counts one check toward the next poll; `false` stops the search.
+    fn tick(&mut self) -> bool {
+        if self.cancel.is_none() {
+            return true;
+        }
+        self.since_poll += 1;
+        self.since_poll < CHECK_INTERVAL || self.poll()
+    }
+
+    /// Charges the uncharged subsets and polls the plan budget.
+    fn poll(&mut self) -> bool {
+        self.since_poll = 0;
+        let Some(cancel) = &self.cancel else {
+            return true;
+        };
+        cancel.charge_subsets(std::mem::take(&mut self.uncharged));
+        match cancel.check() {
+            Ok(()) => true,
+            Err(e) => {
+                self.stop = Some(e);
+                false
+            }
+        }
+    }
+
+    /// Counts a certified-inert level of `count` subsets exactly as
+    /// walking it would — each subset reached, charged and polled in
+    /// turn, with both conditions screened fast — in one step per poll
+    /// instead of one per subset. A budget that ends mid-level stops at
+    /// the same subset with the same counters. `false` stops the search.
+    fn inert_level(&mut self, count: u128, stats: &mut RunStats) -> bool {
+        // Counts beyond u64 saturate the counters anyway.
+        let mut left = u64::try_from(count).unwrap_or(u64::MAX);
+        let credit = |stats: &mut RunStats, subsets: u64| {
+            stats.prsq_evaluations = stats.prsq_evaluations.saturating_add(2 * subsets);
+            stats.query.eval_fast = stats.query.eval_fast.saturating_add(2 * subsets);
+        };
+        while left > 0 {
+            let mut take = match self.cancel {
+                Some(_) => left.min(CHECK_INTERVAL - self.since_poll),
+                None => left,
+            };
+            let room = self
+                .budget
+                .map_or(u64::MAX, |max| max.saturating_sub(stats.subsets_examined));
+            let exhausted = take > room;
+            take = take.min(room);
+            left -= take;
+            stats.subsets_examined = stats.subsets_examined.saturating_add(take);
+            if self.cancel.is_some() {
+                self.uncharged += take;
+                self.since_poll += take;
+            }
+            if exhausted {
+                // The next subset is the one past the budget.
+                credit(stats, take);
+                return self.subset(stats);
+            }
+            if self.since_poll >= CHECK_INTERVAL && !self.poll() {
+                // The polling subset stops before its evaluations.
+                credit(stats, take - 1);
+                return false;
+            }
+            credit(stats, take);
+        }
+        true
+    }
+}
+
+/// One cardinality level's walk: the [`SubsetWalk`] consumer of FMCS.
+/// Search-space positions map to candidates through `search`.
+struct LevelWalk<'a, 'm> {
+    checker: &'a Checker<'m>,
+    search: &'a [usize],
+    cc: usize,
+    alpha: f64,
+    /// The prune threshold, when the probability bound is on.
+    cut: Option<Cut>,
+    scratch: &'a mut Scratch,
+    stats: &'a mut RunStats,
+    meter: &'a mut Meter,
+    /// Set when the walk stopped on a contingency set, which is then
+    /// the maintained mask.
+    found: bool,
+}
+
+impl SubsetWalk for LevelWalk<'_, '_> {
+    fn add(&mut self, s: usize) {
+        self.checker.add(self.search[s], self.scratch);
+    }
+
+    fn remove(&mut self, s: usize) {
+        self.checker.remove(self.search[s], self.scratch);
+    }
+
+    fn prefix(&mut self, from: usize, slots: usize) -> Prefix {
+        let Some(cut) = self.cut else {
+            return Prefix::Descend;
+        };
+        if !self.meter.tick() {
+            return Prefix::Stop;
+        }
+        // Removal only raises `Pr(an)`, and the bound covers every
+        // completion, so a skipped subtree holds no set meeting
+        // condition (ii): its exact and fast values stay below
+        // `α − PROB_EPSILON` with GUARD to spare.
+        if self
+            .checker
+            .completion_below(self.cc, from, slots, cut, self.scratch)
+        {
+            Prefix::Skip
+        } else {
+            Prefix::Descend
+        }
+    }
+
+    fn subset(&mut self) -> bool {
+        if !self.meter.subset(self.stats) {
+            return true;
+        }
+        self.stats.prsq_evaluations += 1;
+        // Condition (i): P − Γ still a non-answer.
+        let probe = self
+            .checker
+            .probe(self.cc, self.alpha, self.scratch, &mut self.stats.query);
+        if probe.answer {
+            return false;
+        }
+        // Condition (ii): P − Γ − {cc} becomes an answer.
+        self.stats.prsq_evaluations += 1;
+        self.found = probe.flips;
+        probe.flips
+    }
+}
+
+/// FMCS for a single candidate `cc`: walk candidate contingency sets in
+/// ascending cardinality over the search space (on top of the forced
+/// set), strictly below the witness size. Returns the minimal
 /// contingency set found below that bound, if any.
 #[allow(clippy::too_many_arguments)]
 fn search_candidate(
@@ -316,13 +539,15 @@ fn search_candidate(
 ) -> Result<Option<Vec<usize>>, CrpError> {
     let n = matrix.candidates();
     // The index buffers are borrowed out of the scratch for the whole
-    // candidate search (the checker only touches the mask/delta state).
+    // candidate search (the checker only touches the mask, delta and
+    // completion state).
     let mut forced = std::mem::take(&mut scratch.forced);
     forced.clear();
     forced.extend((0..n).filter(|&c| c != cc && forced_mask[c]));
     let mut search = std::mem::take(&mut scratch.search);
     search.clear();
     search.extend((0..n).filter(|&c| c != cc && !forced_mask[c] && !excluded[c]));
+    let mut path = std::mem::take(&mut scratch.path);
     // Global impact ordering (see [`order_by_impact`]): `impacts` is
     // precomputed once per matrix by the driver — the weighted sum is
     // O(L) and this sort runs per candidate.
@@ -339,109 +564,90 @@ fn search_candidate(
     // exclusions kept) stays below α − PROB_EPSILON − GUARD provably
     // holds no Γ — even its most damaging removals leave condition (ii)
     // false under the exact product. The bound never decreases with
-    // the level, so the walk starts at the first level that reaches it.
-    let first_level = if config.use_probability_bound {
-        let floor = alpha - PROB_EPSILON - GUARD;
-        scratch
+    // the level, so the walk starts at the first level that reaches it;
+    // inside a level the completion bound prunes per prefix.
+    let cut = config
+        .use_probability_bound
+        .then(|| checker.completion_cut(alpha))
+        .flatten();
+    let first_level = match cut {
+        Some(cut) => scratch
             .level_bounds(
                 matrix,
                 |c| c != cc && !forced_mask[c] && excluded[c],
                 &search,
             )
-            .partition_point(|&bound| bound < floor)
-    } else {
-        0
+            .partition_point(|&bound| bound < cut.floor),
+        None => 0,
     };
 
-    let mut budget_hit: Option<u64> = None;
+    let mut meter = Meter {
+        budget: config.max_subsets,
+        cancel: super::budget::active(),
+        uncharged: 0,
+        since_poll: 0,
+        stop: None,
+    };
+    // Completion slots the tables cover for this candidate's search
+    // space; grown (at least doubling) when a deeper level needs more.
+    let mut table_slots = 0;
     let mut found: Option<Vec<usize>> = None;
-    // Plan-budget seam: poll the scoped cancellation handle every
-    // CHECK_INTERVAL subset checks, charging that interval's work into
-    // the plan-wide counters first so a `Partial` reports real
-    // progress.
-    let cancel = super::budget::active();
-    let mut cancel_err: Option<CrpError> = None;
-    let mut uncharged: u64 = 0;
     for total in forced.len() + first_level..upper_exclusive {
         let k = total - forced.len();
         if k > search.len() {
             break;
         }
-        let budget = config.max_subsets;
         checker.begin(&forced, scratch);
-        // Whole-cardinality certification: when every size-k subset
-        // is provably inert, the walk below skips the delta moves
-        // and evaluations and only advances the counters — exactly
-        // the increments per-subset probing would produce (cond (i)
-        // false → both conditions charged, both screened fast).
-        let inert = checker.cardinality_is_inert(cc, k, search_maxneg, alpha, scratch);
-        for_each_combination_delta(search.len(), k, |event| {
-            if let DeltaEvent::Move(op) = event {
-                if !inert {
-                    checker.apply(op, &search, scratch);
-                }
-                return false;
+        // Whole-cardinality certification: when every size-k subset is
+        // provably inert, the level is counted, not walked.
+        if checker.cardinality_is_inert(cc, k, search_maxneg, alpha, scratch) {
+            if !meter.inert_level(binomial(search.len(), k), stats) {
+                break;
             }
-            stats.subsets_examined += 1;
-            if let Some(max) = budget {
-                if stats.subsets_examined > max {
-                    budget_hit = Some(stats.subsets_examined);
-                    return true;
-                }
+            continue;
+        }
+        if cut.is_some() && k >= 2 && table_slots < k - 1 {
+            table_slots = (k - 1).max(2 * table_slots).max(4).min(search.len() - 1);
+            checker
+                .evaluator
+                .completion_tables(&search, table_slots, scratch);
+        }
+        let mut level = LevelWalk {
+            checker,
+            search: &search,
+            cc,
+            alpha,
+            cut,
+            scratch,
+            stats,
+            meter: &mut meter,
+            found: false,
+        };
+        if walk_combinations(search.len(), k, &mut path, &mut level) {
+            if level.found {
+                // Γ = the maintained mask, already ascending.
+                found = Some(
+                    scratch
+                        .mask
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(c, &gone)| gone.then_some(c))
+                        .collect(),
+                );
             }
-            uncharged += 1;
-            if uncharged >= super::budget::CHECK_INTERVAL {
-                if let Some(c) = &cancel {
-                    c.charge_subsets(uncharged);
-                    if let Err(e) = c.check() {
-                        cancel_err = Some(e);
-                        return true;
-                    }
-                }
-                uncharged = 0;
-            }
-            stats.prsq_evaluations += 1;
-            if inert {
-                stats.prsq_evaluations += 1;
-                stats.query.eval_fast += 2;
-                return false;
-            }
-            // Condition (i): P − Γ still a non-answer.
-            let probe = checker.probe(cc, alpha, scratch, &mut stats.query);
-            if !probe.answer {
-                stats.prsq_evaluations += 1;
-                // Condition (ii): P − Γ − {cc} becomes an answer.
-                if probe.flips {
-                    // Γ = the maintained mask, already ascending.
-                    found = Some(
-                        scratch
-                            .mask
-                            .iter()
-                            .enumerate()
-                            .filter_map(|(c, &gone)| gone.then_some(c))
-                            .collect(),
-                    );
-                    return true;
-                }
-            }
-            false
-        });
-        if budget_hit.is_some() || cancel_err.is_some() || found.is_some() {
             break;
         }
     }
     scratch.forced = forced;
     scratch.search = search;
-    if let Some(c) = &cancel {
-        c.charge_subsets(uncharged);
+    scratch.path = path;
+    if let Some(c) = &meter.cancel {
+        c.charge_subsets(meter.uncharged);
     }
-    if let Some(e) = cancel_err {
-        return Err(e);
+    match meter.stop {
+        Some(e) => Err(e),
+        None => Ok(found),
     }
-    if let Some(examined) = budget_hit {
-        return Err(CrpError::BudgetExhausted { examined });
-    }
-    Ok(found)
 }
 
 /// The FMCS driver with Lemma 6 witness propagation — stage 3 of the
@@ -556,97 +762,276 @@ mod tests {
         assert_eq!(search, vec![1, 2, 0]);
     }
 
-    /// Near-α at the probability bound's own thresholds. A certain
-    /// non-answer faces six candidates of distinct dominance
-    /// probabilities, so a level bound (its factors multiplied in sorted
-    /// order) and the exact product (in dataset order) round
-    /// differently. α is placed so that the prune threshold
-    /// `α − PROB_EPSILON − GUARD`, or the answer test's edge
-    /// `α − PROB_EPSILON`, lands within a few ulps of a candidate's
-    /// level bound; every explain must match the oracle and the
-    /// unpruned run under the default configuration.
+    /// A certified-inert level counted in closed form leaves every
+    /// counter, charge and stop exactly where walking it subset by
+    /// subset leaves them — budgets and plan polls that end mid-level,
+    /// and levels that start mid-interval, included.
     #[test]
-    fn level_bound_threshold_agrees_with_oracle() {
-        use crate::{oracle_cp, EngineConfig, ExplainEngine, ExplainStrategy};
-        use crp_geom::Point;
-        use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
-
-        let q = Point::from([0.0, 0.0]);
-        let an = ObjectId(0);
-        // (dominating samples, total samples) per candidate.
-        let shapes = [(1, 3), (2, 5), (3, 7), (1, 4), (2, 3), (3, 5)];
-        let mut objects = vec![UncertainObject::certain(an, Point::from([10.0, 10.0]))];
-        for (i, &(hits, total)) in shapes.iter().enumerate() {
-            let samples: Vec<Point> = (0..total)
-                .map(|s| {
-                    let at = if s < hits {
-                        5.0 + i as f64 * 0.25
-                    } else {
-                        20.0
-                    };
-                    Point::from([at, at])
-                })
-                .collect();
-            let id = ObjectId(i as u32 + 1);
-            objects.push(UncertainObject::with_equal_probs(id, samples).unwrap());
-        }
-        let ds = UncertainDataset::from_objects(objects).unwrap();
-        let positions: Vec<usize> = (1..=shapes.len()).collect();
-        let matrix = DominanceMatrix::build(&ds, 0, &q, &positions);
-        let engine = ExplainEngine::new(ds.clone(), EngineConfig::default()).unwrap();
-        let unpruned = CpConfig {
-            use_probability_bound: false,
-            ..CpConfig::default()
+    fn inert_level_counts_as_the_walk_would() {
+        use super::super::budget::{Cancel, PlanLimits};
+        let meter = |budget: Option<u64>, plan: Option<u64>| Meter {
+            budget,
+            cancel: plan.and_then(|max| {
+                let limits = PlanLimits {
+                    max_subsets: Some(max),
+                    ..PlanLimits::default()
+                };
+                Cancel::new(limits, 1)
+            }),
+            uncharged: 0,
+            since_poll: 0,
+            stop: None,
         };
-        let explain = |alpha: f64, cp: &CpConfig| {
-            engine
-                .explain_configured(ExplainStrategy::Cp, &q, alpha, an, cp)
-                .unwrap_or_else(|e| panic!("α {alpha}: {e}"))
+        // What a run leaves behind, with the wall clock left out.
+        let state = |m: &Meter, stats: &RunStats, go: bool| {
+            let stop = match &m.stop {
+                Some(CrpError::Partial(p)) => format!("{:?} {}", p.reason, p.subsets_examined),
+                other => format!("{other:?}"),
+            };
+            let charged = m.cancel.as_ref().map(|c| c.subsets_charged());
+            (
+                go,
+                stop,
+                charged,
+                m.uncharged,
+                m.since_poll,
+                stats.subsets_examined,
+                stats.prsq_evaluations,
+                stats.query.eval_fast,
+            )
         };
-
-        let mut scratch = Scratch::default();
-        let (mut below, mut reached) = (0, 0);
-        for cc in 0..shapes.len() {
-            let others: Vec<usize> = (0..shapes.len()).filter(|&c| c != cc).collect();
-            let bounds = scratch.level_bounds(&matrix, |_| false, &others).to_vec();
-            // From level 1 up a bound exceeds every singleton removal,
-            // so near it no candidate is counterfactual and the
-            // engine's search space for `cc` is exactly `others`.
-            for &bound in &bounds[1..] {
-                // GUARD: the prune threshold; 0: the answer test's edge.
-                for offset in [GUARD, 0.0] {
-                    let centre = bound + offset + PROB_EPSILON;
-                    for ulps in -4i64..=4 {
-                        let alpha = f64::from_bits((centre.to_bits() as i64 + ulps) as u64);
-                        if alpha > 1.0 {
-                            continue;
-                        }
-                        if offset > 0.0 {
-                            if alpha - PROB_EPSILON - GUARD < bound {
-                                below += 1;
-                            } else {
-                                reached += 1;
+        let mut stopped_mid_level = 0;
+        for budget in [
+            None,
+            Some(0),
+            Some(7),
+            Some(4_095),
+            Some(4_096),
+            Some(9_000),
+        ] {
+            for plan in [None, Some(0), Some(4_000), Some(8_191), Some(1 << 40)] {
+                // Subsets reached by earlier levels.
+                for before in [0u64, 1, 4_000] {
+                    for count in [0u128, 1, 95, 4_095, 4_096, 4_097, 12_345] {
+                        let mut runs = [
+                            (meter(budget, plan), RunStats::default()),
+                            (meter(budget, plan), RunStats::default()),
+                        ];
+                        for (m, stats) in &mut runs {
+                            for _ in 0..before {
+                                if !m.subset(stats) {
+                                    break;
+                                }
                             }
                         }
-                        let got = explain(alpha, &CpConfig::default());
-                        let context = format!("cc {cc}, bound {bound}, α {alpha}");
-                        assert_eq!(got.causes, explain(alpha, &unpruned).causes, "{context}");
-                        let sizes: Vec<(ObjectId, usize)> = got
-                            .causes
-                            .iter()
-                            .map(|c| (c.id, c.min_contingency.len()))
-                            .collect();
-                        let oracle: Vec<(ObjectId, usize)> = oracle_cp(&ds, &q, an, alpha)
-                            .unwrap()
-                            .iter()
-                            .map(|(id, c)| (*id, c.min_gamma.len()))
-                            .collect();
-                        assert_eq!(sizes, oracle, "{context}");
+                        if runs[0].0.stop.is_some() {
+                            continue;
+                        }
+                        let [(walk, walked), (closed, counted)] = &mut runs;
+                        let mut go = true;
+                        for _ in 0..count {
+                            if !walk.subset(walked) {
+                                go = false;
+                                break;
+                            }
+                            walked.prsq_evaluations += 2;
+                            walked.query.eval_fast += 2;
+                        }
+                        let got = closed.inert_level(count, counted);
+                        stopped_mid_level += usize::from(!go);
+                        assert_eq!(
+                            state(closed, counted, got),
+                            state(walk, walked, go),
+                            "budget {budget:?}, plan {plan:?}, before {before}, count {count}"
+                        );
                     }
                 }
             }
         }
+        assert!(stopped_mid_level > 0);
+    }
+
+    /// A certain non-answer facing six candidates of distinct dominance
+    /// probabilities, none forced, so a bound (its factors multiplied in
+    /// sorted order, or summed in log space) and the exact product (in
+    /// dataset order) round differently.
+    struct NearAlpha {
+        ds: crp_uncertain::UncertainDataset,
+        q: crp_geom::Point,
+        an: crp_uncertain::ObjectId,
+        matrix: DominanceMatrix,
+        engine: crate::ExplainEngine,
+    }
+
+    impl NearAlpha {
+        /// (dominating samples, total samples) per candidate.
+        const SHAPES: [(usize, usize); 6] = [(1, 3), (2, 5), (3, 7), (1, 4), (2, 3), (3, 5)];
+
+        fn new() -> Self {
+            use crate::{EngineConfig, ExplainEngine};
+            use crp_geom::Point;
+            use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
+
+            let q = Point::from([0.0, 0.0]);
+            let an = ObjectId(0);
+            let mut objects = vec![UncertainObject::certain(an, Point::from([10.0, 10.0]))];
+            for (i, &(hits, total)) in Self::SHAPES.iter().enumerate() {
+                let samples: Vec<Point> = (0..total)
+                    .map(|s| {
+                        let at = if s < hits {
+                            5.0 + i as f64 * 0.25
+                        } else {
+                            20.0
+                        };
+                        Point::from([at, at])
+                    })
+                    .collect();
+                let id = ObjectId(i as u32 + 1);
+                objects.push(UncertainObject::with_equal_probs(id, samples).unwrap());
+            }
+            let ds = UncertainDataset::from_objects(objects).unwrap();
+            let positions: Vec<usize> = (1..=Self::SHAPES.len()).collect();
+            let matrix = DominanceMatrix::build(&ds, 0, &q, &positions);
+            let engine = ExplainEngine::new(ds.clone(), EngineConfig::default()).unwrap();
+            Self {
+                ds,
+                q,
+                an,
+                matrix,
+                engine,
+            }
+        }
+
+        /// Places α within ±4 ulps of `bound + offset + PROB_EPSILON`
+        /// and pins every explain under the default configuration to
+        /// the unpruned run and to the oracle. Returns how many α put
+        /// `α − PROB_EPSILON − GUARD` below the bound and how many at or
+        /// above it.
+        fn sweep(&self, bound: f64, context: &str) -> (u32, u32) {
+            use crate::{oracle_cp, ExplainStrategy};
+            use crp_uncertain::ObjectId;
+
+            let unpruned = CpConfig {
+                use_probability_bound: false,
+                ..CpConfig::default()
+            };
+            let explain = |alpha: f64, cp: &CpConfig| {
+                self.engine
+                    .explain_configured(ExplainStrategy::Cp, &self.q, alpha, self.an, cp)
+                    .unwrap_or_else(|e| panic!("α {alpha}: {e}"))
+            };
+            let (mut below, mut reached) = (0, 0);
+            // GUARD: the prune threshold; 0: the answer test's edge.
+            for offset in [GUARD, 0.0] {
+                let centre = bound + offset + PROB_EPSILON;
+                for ulps in -4i64..=4 {
+                    let alpha = f64::from_bits((centre.to_bits() as i64 + ulps) as u64);
+                    if alpha > 1.0 {
+                        continue;
+                    }
+                    if offset > 0.0 {
+                        if alpha - PROB_EPSILON - GUARD < bound {
+                            below += 1;
+                        } else {
+                            reached += 1;
+                        }
+                    }
+                    let got = explain(alpha, &CpConfig::default());
+                    let context = format!("{context}, bound {bound}, α {alpha}");
+                    assert_eq!(got.causes, explain(alpha, &unpruned).causes, "{context}");
+                    let sizes: Vec<(ObjectId, usize)> = got
+                        .causes
+                        .iter()
+                        .map(|c| (c.id, c.min_contingency.len()))
+                        .collect();
+                    let oracle: Vec<(ObjectId, usize)> =
+                        oracle_cp(&self.ds, &self.q, self.an, alpha)
+                            .unwrap()
+                            .iter()
+                            .map(|(id, c)| (*id, c.min_gamma.len()))
+                            .collect();
+                    assert_eq!(sizes, oracle, "{context}");
+                }
+            }
+            (below, reached)
+        }
+    }
+
+    /// Near-α at the level bound's thresholds: α is placed so that the
+    /// prune threshold `α − PROB_EPSILON − GUARD`, or the answer test's
+    /// edge `α − PROB_EPSILON`, lands within a few ulps of a candidate's
+    /// level bound.
+    #[test]
+    fn level_bound_threshold_agrees_with_oracle() {
+        let fx = NearAlpha::new();
+        let mut scratch = Scratch::default();
+        let (mut below, mut reached) = (0, 0);
+        for cc in 0..NearAlpha::SHAPES.len() {
+            let others: Vec<usize> = (0..NearAlpha::SHAPES.len()).filter(|&c| c != cc).collect();
+            let bounds = scratch
+                .level_bounds(&fx.matrix, |_| false, &others)
+                .to_vec();
+            // From level 1 up a bound exceeds every singleton removal,
+            // so near it no candidate is counterfactual and the
+            // engine's search space for `cc` is exactly `others`.
+            for &bound in &bounds[1..] {
+                let (b, r) = fx.sweep(bound, &format!("cc {cc}"));
+                below += b;
+                reached += r;
+            }
+        }
         // The sweep really straddles the prune threshold.
+        assert!(below > 0 && reached > 0, "{below} below, {reached} reached");
+    }
+
+    /// Near-α at the completion bound's thresholds: α is placed within a
+    /// few ulps of the bound of every prefix the walk can test (depth
+    /// ≥ 1, at least one slot left) over a candidate's impact-ordered
+    /// search space, offset by `PROB_EPSILON` and `GUARD` as above.
+    #[test]
+    fn completion_bound_threshold_agrees_with_oracle() {
+        let fx = NearAlpha::new();
+        let n = NearAlpha::SHAPES.len();
+        let scores = impacts(&fx.matrix);
+        let ev = fx.matrix.evaluator();
+        let mut scratch = Scratch::default();
+        let mut bounds = Vec::new();
+        for cc in 0..n {
+            let mut search: Vec<usize> = (0..n).filter(|&c| c != cc).collect();
+            order_by_impact(&mut search, &scores);
+            let width = search.len();
+            scratch.reset_for(&fx.matrix);
+            ev.completion_tables(&search, width - 1, &mut scratch);
+            // Every non-empty prefix of positions, with `from` one past
+            // its last position and 1..=|suffix| slots left.
+            for prefix in 1u32..1 << width {
+                let from = 32 - prefix.leading_zeros() as usize;
+                ev.delta_begin(&mut scratch);
+                scratch.clear_mask();
+                for (s, &c) in search.iter().enumerate() {
+                    if prefix & (1 << s) != 0 {
+                        scratch.set_removed(c);
+                        ev.delta_add(c, &mut scratch);
+                    }
+                }
+                for slots in 1..=width - from {
+                    let FastVerdict::Value(bound) =
+                        ev.completion_bound(cc, from, slots, &scratch, f64::NEG_INFINITY)
+                    else {
+                        panic!("a disabled screen certified a bound");
+                    };
+                    bounds.push((bound, cc));
+                }
+            }
+        }
+        bounds.sort_by(|a, b| a.0.total_cmp(&b.0));
+        bounds.dedup_by(|a, b| a.0 == b.0);
+        let (mut below, mut reached) = (0, 0);
+        for &(bound, cc) in &bounds {
+            let (b, r) = fx.sweep(bound, &format!("cc {cc} prefix bound"));
+            below += b;
+            reached += r;
+        }
         assert!(below > 0 && reached > 0, "{below} below, {reached} reached");
     }
 }

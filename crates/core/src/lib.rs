@@ -56,9 +56,7 @@ mod testkit;
 mod types;
 
 pub use answers::answer_causes;
-pub use combinations::{
-    binomial, for_each_combination, for_each_combination_delta, DeltaEvent, DeltaOp,
-};
+pub use combinations::{binomial, for_each_combination};
 pub use config::CpConfig;
 pub use cp::collect_candidates;
 pub use engine::mvcc::{EpochSnapshot, MvccCounters, MvccEngine, SnapshotEngine};

@@ -272,7 +272,7 @@ impl DominanceMatrix {
 /// steady state allocates **nothing per candidate** (and nothing per
 /// explain once the per-thread pool is warm — see [`with_scratch`]).
 ///
-/// Holds four groups of state:
+/// Holds five groups of state:
 ///
 /// * the current **removal mask** over candidates (`true` = removed),
 ///   maintained by delta moves; the drift-refresh and exact-fallback
@@ -284,10 +284,14 @@ impl DominanceMatrix {
 /// * the **level-bound buffers** of the probability pruning: one
 ///   sample's search-space factors, sorted, and one bound per
 ///   cardinality level of the current candidate's search,
+/// * the **completion tables** of the in-level bound: per search-space
+///   suffix and sample, the annihilators left in the suffix and the
+///   sums of its largest `−ln(1 − dp)` (see
+///   [`PrEvaluator::completion_tables`]),
 /// * the **batched-probe buffers** of the Lemma 5 singleton sweep
 ///   (prefix products and per-candidate probabilities).
 ///
-/// FMCS's forced/search/list index buffers ride along and are borrowed
+/// FMCS's forced/search/path/list index buffers ride along and are borrowed
 /// by `std::mem::take` while a candidate search runs.
 #[derive(Debug, Default)]
 pub struct Scratch {
@@ -304,6 +308,16 @@ pub struct Scratch {
     bound_factors: Vec<f64>,
     /// Per cardinality level `k`: the current candidate's level bound.
     level_bounds: Vec<f64>,
+    /// Completion slots the completion tables cover (see
+    /// [`PrEvaluator::completion_tables`]).
+    completion_slots: usize,
+    /// Per (suffix start, slots, sample): the sum of the `slots`
+    /// largest `−ln(1 − dp)` in the suffix.
+    completion_top: Vec<f64>,
+    /// Per (suffix start, sample): annihilators in the suffix.
+    completion_ann: Vec<u32>,
+    /// One sample's largest suffix values, descending (table build).
+    completion_best: Vec<f64>,
     /// Prefix-product buffer of the batched singleton sweep.
     pub(crate) batch_prefix: Vec<f64>,
     /// Per-candidate singleton probabilities of the batched sweep.
@@ -312,6 +326,8 @@ pub struct Scratch {
     pub(crate) forced: Vec<usize>,
     /// FMCS search-space buffer (candidate indices, impact-ordered).
     pub(crate) search: Vec<usize>,
+    /// FMCS walk buffer: search-space positions of the current subset.
+    pub(crate) path: Vec<usize>,
     /// Removal-list buffer of the Lemma 6 witness check.
     pub(crate) list: Vec<usize>,
 }
@@ -480,9 +496,10 @@ pub(crate) enum FastVerdict {
     /// The fast probability estimate — settle it through the usual
     /// guard-banded comparison.
     Value(f64),
-    /// The log-domain screen proved the fast estimate `< α − GUARD`
-    /// without evaluating a single `exp`: the verdict is "not an
-    /// answer", outside the guard band, with certainty.
+    /// The log-domain screen proved the value below the caller's cut
+    /// without evaluating a single `exp` — for a condition probe,
+    /// `< α − GUARD`: the verdict is "not an answer", outside the guard
+    /// band, with certainty.
     Below,
 }
 
@@ -674,6 +691,110 @@ impl<'a> PrEvaluator<'a> {
                 self.fold_in(c, scratch);
             }
         }
+    }
+
+    // --- the in-level completion bound ---------------------------------
+    //
+    // FMCS walks one cardinality level depth first over the impact-ordered
+    // search space. At a prefix with `slots` members still to choose, all
+    // from the suffix `search[from..]`, condition (ii) of every completion
+    // `T` is `Pr(an | P − R − T − {cc})` with `R` the maintained removal
+    // set. Per sample, `T` can add at most the `slots` largest
+    // `−ln(1 − dp)` of the suffix to the log term, and the sample is live
+    // only if the annihilators `R ∪ {cc}` leaves are all in the suffix and
+    // fit in `slots`. Removal only raises `Pr(an)`, so the per-sample
+    // maximum summed over samples bounds every completion.
+
+    /// Fills the completion tables of one candidate's search space for
+    /// completions of up to `slots` members: per suffix start
+    /// `from ∈ 0..=search.len()` and sample, the annihilators in
+    /// `search[from..]` and, for every `m ≤ slots`, the sum of its `m`
+    /// largest `−ln(1 − dp)` (annihilators count 0). `O(|search|·L·slots)`
+    /// into reused buffers.
+    pub(crate) fn completion_tables(&self, search: &[usize], slots: usize, scratch: &mut Scratch) {
+        let l = self.matrix.samples();
+        let n = search.len();
+        let stride = slots + 1;
+        let Scratch {
+            completion_slots,
+            completion_top,
+            completion_ann,
+            completion_best: best,
+            ..
+        } = scratch;
+        *completion_slots = slots;
+        completion_top.clear();
+        completion_top.resize((n + 1) * stride * l, 0.0);
+        completion_ann.clear();
+        completion_ann.resize((n + 1) * l, 0);
+        for i in 0..l {
+            best.clear();
+            let mut ann = 0;
+            for from in (0..=n).rev() {
+                if let Some(&c) = search.get(from) {
+                    ann += self.annihilates[c * l + i];
+                    let v = -self.log_factors[c * l + i];
+                    if best.len() < slots || best.last().is_some_and(|&b| v > b) {
+                        let at = best.partition_point(|&b| b >= v);
+                        best.insert(at, v);
+                        best.truncate(slots);
+                    }
+                }
+                completion_ann[from * l + i] = ann;
+                let mut sum = 0.0;
+                for (m, &v) in best.iter().enumerate() {
+                    sum += v;
+                    completion_top[(from * stride + m + 1) * l + i] = sum;
+                }
+                // A suffix shorter than `slots` never serves a wider
+                // completion; its entries keep the whole suffix's sum.
+                for m in best.len() + 1..=slots {
+                    completion_top[(from * stride + m) * l + i] = sum;
+                }
+            }
+        }
+    }
+
+    /// Bounds condition (ii) over every completion of the maintained
+    /// removal set by `slots` members of `search[from..]` (the search
+    /// space the tables were last built for, `slots` within their
+    /// range): no `Pr(an | P − R − T − {cc})` exceeds the returned value
+    /// beyond rounding far inside the guard band. `cc` must not be
+    /// removed. `Below` when the log-domain screen proves the bound
+    /// `< e^ln_cut · Σw` without an `exp` (pass `-∞` to always evaluate).
+    pub(crate) fn completion_bound(
+        &self,
+        cc: usize,
+        from: usize,
+        slots: usize,
+        scratch: &Scratch,
+        ln_cut: f64,
+    ) -> FastVerdict {
+        debug_assert!(!scratch.is_removed(cc) && slots <= scratch.completion_slots);
+        let l = self.matrix.samples();
+        let stride = scratch.completion_slots + 1;
+        let top = &scratch.completion_top[(from * stride + slots) * l..][..l];
+        let ann = &scratch.completion_ann[from * l..][..l];
+        let (cc_ann, cc_logs) = self.column(cc);
+        let live = |i: usize| {
+            let left = self.ones[i] - scratch.delta_ones[i] - cc_ann[i];
+            left == ann[i] && left as usize <= slots
+        };
+        let d = |i: usize| self.log_prod[i] - scratch.delta_logq[i] - cc_logs[i] + top[i];
+        let mut dmax = f64::NEG_INFINITY;
+        for i in 0..l {
+            dmax = dmax.max(if live(i) { d(i) } else { f64::NEG_INFINITY });
+        }
+        if dmax < ln_cut {
+            return FastVerdict::Below;
+        }
+        let mut bound = 0.0;
+        for (i, &w) in self.matrix.weights.iter().enumerate() {
+            if live(i) {
+                bound += w * d(i).exp().min(1.0);
+            }
+        }
+        FastVerdict::Value(bound)
     }
 
     // --- the fused pair probe ------------------------------------------
@@ -1270,6 +1391,99 @@ mod tests {
             }
         }
         assert!(certified > 0, "the cardinality screen never fired");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The completion bound is sound: on random matrices with
+        /// annihilators, at every prefix the walk can reach (the empty one
+        /// included) and every slot count, it is at least the largest
+        /// `Pr(an | P − forced − prefix − T − {cc})` over every completion
+        /// `T` drawn from the suffix, and a screened `Below` only stands
+        /// for completions that really stay below the cut.
+        #[test]
+        fn completion_bound_covers_every_completion(seed in proptest::prelude::any::<u64>()) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.random_range(2..=12);
+            let l = rng.random_range(1..=4);
+            let m = random_matrix(&mut rng, n, l);
+            let ev = m.evaluator();
+            // A random split into cc, forced, kept (excluded) and a
+            // shuffled search space (two thirds of the rest).
+            let cc = rng.random_range(0..n);
+            let role: Vec<u8> = (0..n)
+                .map(|c| if c == cc { 3 } else { rng.random_range(0..6u8).min(2) })
+                .collect();
+            let mut search: Vec<usize> = (0..n).filter(|&c| role[c] == 2).collect();
+            for i in (1..search.len()).rev() {
+                search.swap(i, rng.random_range(0..=i));
+            }
+            let width = search.len();
+            let mut scratch = Scratch::default();
+            scratch.reset_for(&m);
+            ev.delta_begin(&mut scratch);
+            for c in (0..n).filter(|&c| role[c] == 0) {
+                scratch.set_removed(c);
+                ev.delta_add(c, &mut scratch);
+            }
+            ev.completion_tables(&search, width.saturating_sub(1), &mut scratch);
+            let cuts: Vec<(f64, f64)> = [0.05, 0.3, 0.6, 0.95]
+                .iter()
+                .map(|&a: &f64| {
+                    let floor = a - PROB_EPSILON - GUARD;
+                    (floor, (floor / ev.weight_sum()).ln() - 1e-9)
+                })
+                .collect();
+            // Every prefix is a set of search positions; `from` is one
+            // past its last position.
+            let mut checked = 0u32;
+            for prefix in 0u32..1 << width {
+                let from = 32 - prefix.leading_zeros() as usize;
+                for (s, &c) in search.iter().enumerate() {
+                    if prefix & (1 << s) != 0 {
+                        scratch.set_removed(c);
+                        ev.delta_add(c, &mut scratch);
+                    }
+                }
+                for slots in 1..=(width - from).min(width.saturating_sub(1)) {
+                    let mut best = 0.0f64;
+                    crate::combinations::for_each_combination(width - from, slots, |tail| {
+                        let mut removed = scratch.mask.clone();
+                        removed[cc] = true;
+                        for &t in tail {
+                            removed[search[from + t]] = true;
+                        }
+                        best = best.max(m.pr_with_removed(&removed));
+                        false
+                    });
+                    let FastVerdict::Value(bound) =
+                        ev.completion_bound(cc, from, slots, &scratch, f64::NEG_INFINITY)
+                    else {
+                        panic!("a disabled screen certified a bound");
+                    };
+                    proptest::prop_assert!(
+                        bound >= best - 1e-12,
+                        "prefix {prefix:b}, slots {slots}: bound {bound} < completion {best}"
+                    );
+                    for &(floor, ln_cut) in &cuts {
+                        if let FastVerdict::Below = ev.completion_bound(cc, from, slots, &scratch, ln_cut) {
+                            proptest::prop_assert!(bound < floor && best < floor);
+                        }
+                    }
+                    checked += 1;
+                }
+                for (s, &c) in search.iter().enumerate() {
+                    if prefix & (1 << s) != 0 {
+                        scratch.unset_removed(c);
+                        ev.delta_remove(c, &mut scratch);
+                    }
+                }
+            }
+            proptest::prop_assert!(width < 2 || checked > 0);
+        }
     }
 
     #[test]

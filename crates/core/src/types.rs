@@ -48,7 +48,11 @@ pub struct RunStats {
     pub forced: usize,
     /// Counterfactual causes found (`|Cb|`).
     pub counterfactuals: usize,
-    /// Candidate contingency sets examined during refinement.
+    /// Candidate contingency sets examined during refinement. With the
+    /// probability bound on (`CpConfig::use_probability_bound`) it counts
+    /// the subsets the search reached: the levels below the level bound
+    /// and the subtrees the completion bound pruned are not counted. A
+    /// level certified inert is counted whole, as if walked.
     pub subsets_examined: u64,
     /// Threshold evaluations of `Pr(an)` (each subset check needs up to
     /// two).
