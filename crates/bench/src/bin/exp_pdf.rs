@@ -8,7 +8,7 @@
 use crp_bench::exp::{arg_flag, arg_value, explain_with, out_dir, paper_cp};
 use crp_bench::report::{fnum, Table};
 use crp_bench::AggregateStats;
-use crp_core::{CpConfig, EngineConfig, ExplainEngine, ExplainStrategy};
+use crp_core::{EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy};
 use crp_data::{pdf_dataset, UncertainConfig};
 use crp_geom::Point;
 use crp_uncertain::ObjectId;
@@ -49,16 +49,10 @@ fn main() {
             break;
         }
         let id = ds.objects()[i].id();
-        if let Ok(out) = coarse.explain_configured(
-            ExplainStrategy::Cp,
-            &q,
-            alpha,
-            id,
-            &CpConfig {
-                max_subsets: Some(200_000),
-                ..paper
-            },
-        ) {
+        let request = ExplainRequest::explain(&q, id)
+            .with_strategy(ExplainStrategy::Cp)
+            .with_subset_budget(200_000);
+        if let Ok(out) = coarse.run(&[request]).into_single() {
             if !out.causes.is_empty() && out.stats.candidates <= 16 {
                 subjects.push(id);
             }

@@ -75,7 +75,7 @@ fn main() {
         eprintln!("[fig11] {name}: {} non-answers selected", ids.len());
 
         let cr_run = run_cr_over(&engine, &q, &ids);
-        let nv_run = run_naive_ii_over(&engine, &q, &ids, Some(20_000_000));
+        let nv_run = run_naive_ii_over(&engine, &q, &ids, 20_000_000);
         for (algo, m) in [("CR", &cr_run), ("Naive-II", &nv_run)] {
             table.row(vec![
                 name.clone(),

@@ -75,7 +75,7 @@ fn main() {
         eprintln!("[fig6] {name}: {} non-answers selected", ids.len());
 
         let cp_run = run_cp_over(&engine, &q, &ids, alpha, &paper_cp());
-        let nv_run = run_naive_i_over(&engine, &q, &ids, alpha, Some(20_000_000));
+        let nv_run = run_naive_i_over(&engine, &q, &ids, alpha, 20_000_000);
         for (algo, m) in [("CP", &cp_run), ("Naive-I", &nv_run)] {
             table.row(vec![
                 name.into(),

@@ -164,8 +164,10 @@ fn serve_run(
             .map(|(c, mine)| {
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
-                    // Batch class: unlimited plan budgets, so outcomes
-                    // are deterministic and comparable to offline.
+                    // Batch class: no deadline or node ceiling, and
+                    // these explains stay far below the subset ceiling
+                    // every class shares, so outcomes are deterministic
+                    // and comparable to offline.
                     let (mut client, _) =
                         Client::connect_as(addr, ClientClass::Batch).expect("connect client");
                     barrier.wait();

@@ -15,7 +15,7 @@
 use crp_bench::exp::{arg_flag, out_dir};
 use crp_bench::report::Table;
 use crp_bench::selection::{select_prsq_non_answers, PrsqSelectionConfig};
-use crp_core::{CpConfig, EngineConfig, ExplainEngine, ExplainStrategy};
+use crp_core::{EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy};
 use crp_data::{nba_dataset, nba_position_query, NbaConfig};
 
 fn main() {
@@ -59,8 +59,10 @@ fn main() {
         // Deep non-answers need the probability bound (on by default): it skips
         // contingency cardinalities that provably cannot reach α, which is
         // what makes the Table-3-sized cases (|Γ| in the tens) tractable.
-        let config = CpConfig::with_budget(20_000_000);
-        let out = match engine.explain_configured(ExplainStrategy::Cp, &q, alpha, id, &config) {
+        let request = ExplainRequest::explain(&q, id)
+            .with_strategy(ExplainStrategy::Cp)
+            .with_subset_budget(20_000_000);
+        let out = match engine.run(&[request]).into_single() {
             Ok(o) => o,
             Err(_) => continue,
         };

@@ -20,10 +20,10 @@
 
 #![allow(clippy::unusual_byte_groupings)] // mnemonic experiment seeds
 
-use crp_bench::exp::{arg_flag, arg_value, centroid_query, explain_with, out_dir};
+use crp_bench::exp::{arg_flag, arg_value, centroid_query, out_dir};
 use crp_bench::report::fnum;
 use crp_core::{
-    Cause, CpConfig, CrpError, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
+    Cause, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession,
     ExplainStrategy, Update,
 };
 use crp_data::{uncertain_dataset, UncertainConfig};
@@ -36,18 +36,26 @@ use std::time::Instant;
 
 const ALPHA: f64 = 0.6;
 
-/// The session configuration of every engine in the sweep: like the
-/// CLI, a subset budget + the default probability bound keep adversarial
-/// non-answers (centroid queries over large cardinalities can have
-/// thousands of candidates) from hijacking the measurement — a
-/// `BudgetExhausted` outcome is deterministic and compared like any
-/// other result.
+/// The subset cap of every explain in the sweep: like the CLI's, it
+/// and the default probability bound keep adversarial non-answers
+/// (centroid queries over large cardinalities can have thousands of
+/// candidates) from hijacking the measurement.
+const SUBSET_BUDGET: u64 = 2_000_000;
+
+/// The session configuration of every engine in the sweep.
 fn sweep_config() -> EngineConfig {
-    EngineConfig {
-        alpha: ALPHA,
-        cp: CpConfig::with_budget(2_000_000),
-        ..EngineConfig::default()
-    }
+    EngineConfig::with_alpha(ALPHA)
+}
+
+/// One capped CP explain of `an`. A capped outcome is a typed
+/// `Partial` whose counters are deterministic for a one-task plan.
+fn explain(engine: &ExplainEngine, q: &Point, an: ObjectId) -> Result<CrpOutcome, CrpError> {
+    engine
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(ExplainStrategy::Cp)
+            .with_alpha(ALPHA)
+            .with_subset_budget(SUBSET_BUDGET)])
+        .into_single()
 }
 
 fn ms(start: Instant) -> f64 {
@@ -104,9 +112,18 @@ fn make_batch(
 
 /// Causes (or error) of one explain — the comparison signature that
 /// ignores node-access counters, which legitimately differ between an
-/// incrementally maintained tree and a bulk-loaded one.
-fn signature(result: Result<crp_core::CrpOutcome, CrpError>) -> Result<Vec<Cause>, CrpError> {
-    result.map(|o| o.causes)
+/// incrementally maintained tree and a bulk-loaded one, and a capped
+/// outcome's wall clock (`elapsed_ms`), the one field of its progress
+/// that is not deterministic.
+fn signature(result: Result<CrpOutcome, CrpError>) -> Result<Vec<Cause>, CrpError> {
+    match result {
+        Ok(o) => Ok(o.causes),
+        Err(CrpError::Partial(mut p)) => {
+            p.elapsed_ms = 0;
+            Err(CrpError::Partial(p))
+        }
+        Err(e) => Err(e),
+    }
 }
 
 struct BatchRow {
@@ -226,14 +243,8 @@ fn main() {
         // job).
         let mut identical = true;
         for &an in &probe {
-            let reference = signature(explain_with(&rebuilt, ExplainStrategy::Cp, &q, ALPHA, an));
-            let got = signature(explain_with(
-                &incremental,
-                ExplainStrategy::Cp,
-                &q,
-                ALPHA,
-                an,
-            ));
+            let reference = signature(explain(&rebuilt, &q, an));
+            let got = signature(explain(&incremental, &q, an));
             if got != reference {
                 identical = false;
             }
@@ -280,7 +291,7 @@ fn main() {
     let sweep_target = sweep_candidates
         .iter()
         .map(|&(_, an)| an)
-        .find(|&an| explain_with(&incremental, ExplainStrategy::Cp, &q, ALPHA, an).is_ok())
+        .find(|&an| explain(&incremental, &q, an).is_ok())
         .unwrap_or(live[0]);
     let sweep_engine = ExplainEngine::new(
         UncertainDataset::from_objects(incremental.dataset().iter().cloned())
@@ -292,13 +303,14 @@ fn main() {
     let alphas: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     // What one explain pays, on a fork sharing the warm index.
     let solo = sweep_engine.fork();
-    let _ = explain_with(&solo, ExplainStrategy::Cp, &q, ALPHA, sweep_target);
+    let _ = explain(&solo, &q, sweep_target);
     let solo_io = solo.accumulated_io().node_accesses;
     // The planned sweep: one stage-1 unit whose rows every α refines.
     let t = Instant::now();
     let report = sweep_engine.run(&[
         ExplainRequest::alpha_sweep(&q, sweep_target, alphas.clone())
-            .with_strategy(ExplainStrategy::Cp),
+            .with_strategy(ExplainStrategy::Cp)
+            .with_subset_budget(SUBSET_BUDGET),
     ]);
     let sweep_ms = ms(t);
     let sweep_traversals = report.counters.stage1_traversals;

@@ -10,6 +10,7 @@
 use crate::measure::AggregateStats;
 use crp_core::{
     CpConfig, CrpError, CrpOutcome, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy,
+    StopReason,
 };
 use crp_geom::Point;
 use crp_uncertain::{ObjectId, UncertainDataset};
@@ -30,7 +31,8 @@ pub struct MeasuredAlgo {
     pub causes: AggregateStats,
     /// Threshold evaluations of Pr(an) per non-answer.
     pub prsq_evals: AggregateStats,
-    /// Non-answers skipped (budget exhaustion or classification flips).
+    /// Non-answers skipped (a subset cap tripped, or the classification
+    /// flipped).
     pub skipped: usize,
 }
 
@@ -54,9 +56,8 @@ fn record(
     let ms = start.elapsed().as_secs_f64() * 1e3;
     match result {
         Ok(out) => agg.absorb(&out, ms),
-        Err(CrpError::BudgetExhausted { .. }) | Err(CrpError::NotANonAnswer { .. }) => {
-            agg.skipped += 1;
-        }
+        Err(CrpError::Partial(p)) if p.reason == StopReason::SubsetBudget => agg.skipped += 1,
+        Err(CrpError::NotANonAnswer { .. }) => agg.skipped += 1,
         Err(e) => panic!("experiment failure on {id}: {e}"),
     }
 }
@@ -105,6 +106,22 @@ pub fn batch_with(
     engine.run(&[request]).results
 }
 
+/// Runs one single-explain request per non-answer serially (per-call
+/// timing), averaging metrics.
+fn run_over(
+    engine: &ExplainEngine,
+    ids: &[ObjectId],
+    request: impl Fn(ObjectId) -> ExplainRequest,
+) -> MeasuredAlgo {
+    let mut agg = MeasuredAlgo::default();
+    for &id in ids {
+        let start = Instant::now();
+        let result = engine.run(&[request(id)]).into_single();
+        record(&mut agg, result, start, id);
+    }
+    agg
+}
+
 /// Runs one strategy over each non-answer serially (per-call timing),
 /// averaging metrics.
 pub fn run_strategy_over(
@@ -114,13 +131,11 @@ pub fn run_strategy_over(
     ids: &[ObjectId],
     alpha: f64,
 ) -> MeasuredAlgo {
-    let mut agg = MeasuredAlgo::default();
-    for &id in ids {
-        let start = Instant::now();
-        let result = explain_with(engine, strategy, q, alpha, id);
-        record(&mut agg, result, start, id);
-    }
-    agg
+    run_over(engine, ids, |id| {
+        ExplainRequest::explain(q, id)
+            .with_strategy(strategy)
+            .with_alpha(alpha)
+    })
 }
 
 /// Runs CP over each non-answer with an explicit [`CpConfig`] (the
@@ -132,30 +147,42 @@ pub fn run_cp_over(
     alpha: f64,
     config: &CpConfig,
 ) -> MeasuredAlgo {
-    let mut agg = MeasuredAlgo::default();
-    for &id in ids {
-        let start = Instant::now();
-        let result = engine.explain_configured(ExplainStrategy::Cp, q, alpha, id, config);
-        record(&mut agg, result, start, id);
-    }
-    agg
+    run_over(engine, ids, |id| {
+        ExplainRequest::explain(q, id)
+            .with_strategy(ExplainStrategy::Cp)
+            .with_alpha(alpha)
+            .with_cp(*config)
+    })
 }
 
-/// Runs Naive-I over each non-answer.
+/// Runs a baseline over each non-answer under a per-explain subset cap;
+/// a capped explain is counted as skipped.
+fn run_capped_over(
+    engine: &ExplainEngine,
+    strategy: ExplainStrategy,
+    q: &Point,
+    ids: &[ObjectId],
+    alpha: f64,
+    max_subsets: u64,
+) -> MeasuredAlgo {
+    run_over(engine, ids, |id| {
+        ExplainRequest::explain(q, id)
+            .with_strategy(strategy)
+            .with_alpha(alpha)
+            .with_subset_budget(max_subsets)
+    })
+}
+
+/// Runs Naive-I over each non-answer under a subset cap.
 pub fn run_naive_i_over(
     engine: &ExplainEngine,
     q: &Point,
     ids: &[ObjectId],
     alpha: f64,
-    max_subsets: Option<u64>,
+    max_subsets: u64,
 ) -> MeasuredAlgo {
-    run_strategy_over(
-        engine,
-        ExplainStrategy::NaiveI { max_subsets },
-        q,
-        ids,
-        alpha,
-    )
+    let naive = ExplainStrategy::NaiveI { max_subsets: None };
+    run_capped_over(engine, naive, q, ids, alpha, max_subsets)
 }
 
 /// Runs CR over each non-answer.
@@ -163,20 +190,15 @@ pub fn run_cr_over(engine: &ExplainEngine, q: &Point, ids: &[ObjectId]) -> Measu
     run_strategy_over(engine, ExplainStrategy::Cr, q, ids, 0.5)
 }
 
-/// Runs Naive-II over each non-answer.
+/// Runs Naive-II over each non-answer under a subset cap.
 pub fn run_naive_ii_over(
     engine: &ExplainEngine,
     q: &Point,
     ids: &[ObjectId],
-    max_subsets: Option<u64>,
+    max_subsets: u64,
 ) -> MeasuredAlgo {
-    run_strategy_over(
-        engine,
-        ExplainStrategy::NaiveII { max_subsets },
-        q,
-        ids,
-        0.5,
-    )
+    let naive = ExplainStrategy::NaiveII { max_subsets: None };
+    run_capped_over(engine, naive, q, ids, 0.5, max_subsets)
 }
 
 /// One timed [`batch_with`] call: total wall-clock
@@ -277,7 +299,7 @@ mod tests {
         );
         assert!(!ids.is_empty());
         let a = run_cp_over(&engine, &q, &ids, alpha, &paper_cp());
-        let b = run_naive_i_over(&engine, &q, &ids, alpha, Some(5_000_000));
+        let b = run_naive_i_over(&engine, &q, &ids, alpha, 5_000_000);
         assert_eq!(a.io.count(), b.io.count());
         // Same filter -> identical average node accesses (Fig. 6's claim).
         assert!((a.io.mean() - b.io.mean()).abs() < 1e-9);

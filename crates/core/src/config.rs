@@ -7,11 +7,12 @@
 /// server and the benchmarks run. The switches exist for the ablation
 /// benchmarks (`ablation_lemmas`) that quantify what each rule
 /// contributes, and for the paper-reproduction binaries, which turn the
-/// bound off so their subset counts are the paper's. `max_subsets`
-/// protects experiment sweeps from adversarial non-answers whose exact
-/// minimal-contingency search would be astronomically large (the search
-/// is NP-hard in general; the paper's Theorem 1 gives
-/// `O(|Cc|·2^|Cc−Ca∪Cb|)`).
+/// bound off so their subset counts are the paper's. Work caps are not
+/// lemma switches: an explain whose exact minimal-contingency search
+/// would be astronomically large (the search is NP-hard in general; the
+/// paper's Theorem 1 gives `O(|Cc|·2^|Cc−Ca∪Cb|)`) is capped by a plan
+/// limit ([`crate::PlanLimits::max_subsets`], set per request with
+/// [`crate::ExplainRequest::with_subset_budget`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CpConfig {
     /// Lemma 4: objects dominating `q` w.r.t. *every* sample of `an` with
@@ -35,9 +36,6 @@ pub struct CpConfig {
     /// so causes and contingency sets are unchanged; only the search
     /// counters drop.
     pub use_probability_bound: bool,
-    /// Abort with [`crate::CrpError::BudgetExhausted`] after examining
-    /// this many candidate contingency sets (`None` = unlimited).
-    pub max_subsets: Option<u64>,
 }
 
 impl Default for CpConfig {
@@ -48,7 +46,6 @@ impl Default for CpConfig {
             use_lemma6: true,
             alpha_one_fast_path: true,
             use_probability_bound: true,
-            max_subsets: None,
         }
     }
 }
@@ -62,15 +59,6 @@ impl CpConfig {
             use_lemma6: false,
             alpha_one_fast_path: false,
             use_probability_bound: false,
-            max_subsets: None,
-        }
-    }
-
-    /// Default configuration with a subset budget.
-    pub fn with_budget(max_subsets: u64) -> Self {
-        Self {
-            max_subsets: Some(max_subsets),
-            ..Self::default()
         }
     }
 }
@@ -84,17 +72,11 @@ mod tests {
         let c = CpConfig::default();
         assert!(c.use_lemma4 && c.use_lemma5 && c.use_lemma6 && c.alpha_one_fast_path);
         assert!(c.use_probability_bound);
-        assert_eq!(c.max_subsets, None);
     }
 
     #[test]
     fn naive_disables_all() {
         let c = CpConfig::naive();
         assert!(!c.use_lemma4 && !c.use_lemma5 && !c.use_lemma6 && !c.alpha_one_fast_path);
-    }
-
-    #[test]
-    fn budget_constructor() {
-        assert_eq!(CpConfig::with_budget(5).max_subsets, Some(5));
     }
 }

@@ -12,17 +12,21 @@
 //!   plan starts executing,
 //! * **node accesses** (`max_node_accesses`) — R-tree nodes read by
 //!   stage-1 traversals across the whole plan,
-//! * **subset checks** (`max_subsets`) — FMCS candidate sets examined
-//!   across the whole plan (a *plan-wide* ceiling, unlike
-//!   [`CpConfig::max_subsets`](crate::CpConfig::max_subsets) which is
-//!   per-explain).
+//! * **subset checks** (`max_subsets`) — candidate contingency sets
+//!   examined (FMCS, Naive-I and Naive-II alike) across the whole plan.
+//!
+//! These are the library's only work caps. A one-task plan (a single
+//! [`ExplainRequest::explain`](super::ExplainRequest::explain)) caps
+//! that one explain; a multi-task plan shares each cap across its
+//! tasks, as it shares the deadline.
 //!
 //! Enforcement is cooperative: the executor threads one shared
 //! `Cancel` handle through its workers (via a scoped thread-local,
 //! so rayon-spawned unit tasks see it too) and the hot loops poll it
 //! at bounded intervals — before each task, at the refinement
 //! entry, per FMCS candidate, and every [`CHECK_INTERVAL`] subset
-//! checks. A tripped budget surfaces as [`CrpError::Partial`]
+//! checks, so a subset cap stops up to one interval past its limit.
+//! A tripped budget surfaces as [`CrpError::Partial`]
 //! carrying a
 //! [`PartialProgress`]: monotone counters of the work completed, never
 //! a wrong or torn result. Finished tasks keep their real outcomes;

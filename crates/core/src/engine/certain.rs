@@ -98,10 +98,9 @@ impl CertainSearch for Lemma7ClosedForm {
 /// Naive-II: verifies each candidate by enumerating subsets of the
 /// other candidates in ascending cardinality and testing both
 /// contingency conditions — the insight-free baseline whose cost IS the
-/// motivation for Lemma 7.
-pub struct SubsetVerify {
-    pub max_subsets: Option<u64>,
-}
+/// motivation for Lemma 7. Its only cap is the plan budget's
+/// cancellation poll.
+pub struct SubsetVerify;
 
 impl CertainSearch for SubsetVerify {
     fn causes(
@@ -118,7 +117,6 @@ impl CertainSearch for SubsetVerify {
         // ascending cardinality and tests both contingency conditions
         // per subset, which is what makes it slow.
         let k_total = dominators.len();
-        let mut budget_hit = None;
         let mut causes: Vec<Cause> = Vec::new();
         let cancel = super::budget::active();
         let mut cancel_err: Option<CrpError> = None;
@@ -140,12 +138,6 @@ impl CertainSearch for SubsetVerify {
             'sizes: for k in 0..=others.len() {
                 let stop = for_each_combination(others.len(), k, |combo| {
                     stats.subsets_examined += 1;
-                    if let Some(max) = self.max_subsets {
-                        if stats.subsets_examined > max {
-                            budget_hit = Some(stats.subsets_examined);
-                            return true;
-                        }
-                    }
                     uncharged += 1;
                     if uncharged >= super::budget::CHECK_INTERVAL {
                         if let Some(c) = &cancel {
@@ -169,11 +161,6 @@ impl CertainSearch for SubsetVerify {
                     }
                     false
                 });
-                if budget_hit.is_some() {
-                    return Err(CrpError::BudgetExhausted {
-                        examined: stats.subsets_examined,
-                    });
-                }
                 if let Some(e) = cancel_err.take() {
                     return Err(e);
                 }

@@ -5,7 +5,7 @@
 //! The stage consumes a [`RefinePlan`](super::refine::RefinePlan)
 //! produced by stage 2 and emits every actual cause with a minimal
 //! contingency set. [`search`] visits the open candidates in ascending
-//! order under the global subset budget, seeding Lemma 6 witnesses as
+//! order under the plan's subset budget, seeding Lemma 6 witnesses as
 //! it goes.
 //!
 //! Each cardinality level is one depth-first lexicographic walk over the
@@ -350,13 +350,12 @@ pub(crate) fn order_by_impact(search: &mut [usize], impacts: &[f64]) {
     search.sort_by(|&a, &b| impacts[b].partial_cmp(&impacts[a]).expect("finite impacts"));
 }
 
-/// The subset accounting of one candidate search: the per-explain
-/// budget (`CpConfig::max_subsets`) and the plan budget's cancellation
-/// poll. Every reached subset is counted and charged; a poll comes
-/// every [`CHECK_INTERVAL`] subset checks and completion-bound checks,
-/// so a deadline stays responsive in heavily pruned searches.
+/// The subset accounting of one candidate search against the plan
+/// budget's cancellation poll. Every reached subset is counted and
+/// charged; a poll comes every [`CHECK_INTERVAL`] subset checks and
+/// completion-bound checks, so a deadline stays responsive in heavily
+/// pruned searches.
 struct Meter {
-    budget: Option<u64>,
     cancel: Option<Arc<Cancel>>,
     /// Subsets reached since the last charge (plan budget only).
     uncharged: u64,
@@ -371,12 +370,6 @@ impl Meter {
     /// Counts one reached subset; `false` stops the search.
     fn subset(&mut self, stats: &mut RunStats) -> bool {
         stats.subsets_examined += 1;
-        if self.budget.is_some_and(|max| stats.subsets_examined > max) {
-            self.stop = Some(CrpError::BudgetExhausted {
-                examined: stats.subsets_examined,
-            });
-            return false;
-        }
         if self.cancel.is_none() {
             return true;
         }
@@ -412,8 +405,9 @@ impl Meter {
     /// Counts a certified-inert level of `count` subsets exactly as
     /// walking it would — each subset reached, charged and polled in
     /// turn, with both conditions screened fast — in one step per poll
-    /// instead of one per subset. A budget that ends mid-level stops at
-    /// the same subset with the same counters. `false` stops the search.
+    /// instead of one per subset. A plan poll that ends mid-level stops
+    /// at the same subset with the same counters. `false` stops the
+    /// search.
     fn inert_level(&mut self, count: u128, stats: &mut RunStats) -> bool {
         // Counts beyond u64 saturate the counters anyway.
         let mut left = u64::try_from(count).unwrap_or(u64::MAX);
@@ -422,25 +416,15 @@ impl Meter {
             stats.query.eval_fast = stats.query.eval_fast.saturating_add(2 * subsets);
         };
         while left > 0 {
-            let mut take = match self.cancel {
+            let take = match self.cancel {
                 Some(_) => left.min(CHECK_INTERVAL - self.since_poll),
                 None => left,
             };
-            let room = self
-                .budget
-                .map_or(u64::MAX, |max| max.saturating_sub(stats.subsets_examined));
-            let exhausted = take > room;
-            take = take.min(room);
             left -= take;
             stats.subsets_examined = stats.subsets_examined.saturating_add(take);
             if self.cancel.is_some() {
                 self.uncharged += take;
                 self.since_poll += take;
-            }
-            if exhausted {
-                // The next subset is the one past the budget.
-                credit(stats, take);
-                return self.subset(stats);
             }
             if self.since_poll >= CHECK_INTERVAL && !self.poll() {
                 // The polling subset stops before its evaluations.
@@ -582,7 +566,6 @@ fn search_candidate(
     };
 
     let mut meter = Meter {
-        budget: config.max_subsets,
         cancel: super::budget::active(),
         uncharged: 0,
         since_poll: 0,
@@ -764,13 +747,12 @@ mod tests {
 
     /// A certified-inert level counted in closed form leaves every
     /// counter, charge and stop exactly where walking it subset by
-    /// subset leaves them — budgets and plan polls that end mid-level,
-    /// and levels that start mid-interval, included.
+    /// subset leaves them — plan polls that end mid-level, and levels
+    /// that start mid-interval, included.
     #[test]
     fn inert_level_counts_as_the_walk_would() {
         use super::super::budget::{Cancel, PlanLimits};
-        let meter = |budget: Option<u64>, plan: Option<u64>| Meter {
-            budget,
+        let meter = |plan: Option<u64>| Meter {
             cancel: plan.and_then(|max| {
                 let limits = PlanLimits {
                     max_subsets: Some(max),
@@ -801,50 +783,41 @@ mod tests {
             )
         };
         let mut stopped_mid_level = 0;
-        for budget in [
-            None,
-            Some(0),
-            Some(7),
-            Some(4_095),
-            Some(4_096),
-            Some(9_000),
-        ] {
-            for plan in [None, Some(0), Some(4_000), Some(8_191), Some(1 << 40)] {
-                // Subsets reached by earlier levels.
-                for before in [0u64, 1, 4_000] {
-                    for count in [0u128, 1, 95, 4_095, 4_096, 4_097, 12_345] {
-                        let mut runs = [
-                            (meter(budget, plan), RunStats::default()),
-                            (meter(budget, plan), RunStats::default()),
-                        ];
-                        for (m, stats) in &mut runs {
-                            for _ in 0..before {
-                                if !m.subset(stats) {
-                                    break;
-                                }
-                            }
-                        }
-                        if runs[0].0.stop.is_some() {
-                            continue;
-                        }
-                        let [(walk, walked), (closed, counted)] = &mut runs;
-                        let mut go = true;
-                        for _ in 0..count {
-                            if !walk.subset(walked) {
-                                go = false;
+        for plan in [None, Some(0), Some(4_000), Some(8_191), Some(1 << 40)] {
+            // Subsets reached by earlier levels.
+            for before in [0u64, 1, 4_000, 4_095, 4_096] {
+                for count in [0u128, 1, 95, 4_095, 4_096, 4_097, 12_345] {
+                    let mut runs = [
+                        (meter(plan), RunStats::default()),
+                        (meter(plan), RunStats::default()),
+                    ];
+                    for (m, stats) in &mut runs {
+                        for _ in 0..before {
+                            if !m.subset(stats) {
                                 break;
                             }
-                            walked.prsq_evaluations += 2;
-                            walked.query.eval_fast += 2;
                         }
-                        let got = closed.inert_level(count, counted);
-                        stopped_mid_level += usize::from(!go);
-                        assert_eq!(
-                            state(closed, counted, got),
-                            state(walk, walked, go),
-                            "budget {budget:?}, plan {plan:?}, before {before}, count {count}"
-                        );
                     }
+                    if runs[0].0.stop.is_some() {
+                        continue;
+                    }
+                    let [(walk, walked), (closed, counted)] = &mut runs;
+                    let mut go = true;
+                    for _ in 0..count {
+                        if !walk.subset(walked) {
+                            go = false;
+                            break;
+                        }
+                        walked.prsq_evaluations += 2;
+                        walked.query.eval_fast += 2;
+                    }
+                    let got = closed.inert_level(count, counted);
+                    stopped_mid_level += usize::from(!go);
+                    assert_eq!(
+                        state(closed, counted, got),
+                        state(walk, walked, go),
+                        "plan {plan:?}, before {before}, count {count}"
+                    );
                 }
             }
         }

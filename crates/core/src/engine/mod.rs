@@ -96,9 +96,13 @@ pub enum ExplainStrategy {
     CpUnindexed,
     /// The Naive-I baseline: CP's filter, exhaustive refinement.
     NaiveI {
-        /// Subset-examination budget (`None` = unlimited). Kept as a
-        /// field of the strategy only because `perfbench/src/offline.rs`
-        /// builds `NaiveI { max_subsets: None }`.
+        /// A subset cap (`None` = none). Its only reader is the plan
+        /// executor, which merges it into the request's
+        /// [`PlanLimits`] (`merge_min`), so it stops with the same
+        /// typed `Partial` as
+        /// [`ExplainRequest::with_subset_budget`]. Kept only because
+        /// `perfbench/src/offline.rs` builds `NaiveI { max_subsets:
+        /// None }`; the next benchmark change drops it.
         max_subsets: Option<u64>,
     },
     /// The certain-data algorithm *CR* (Lemma 7, verification-free).
@@ -108,9 +112,8 @@ pub enum ExplainStrategy {
     CrKskyband { k: usize },
     /// The Naive-II baseline: CR's filter, subset verification.
     NaiveII {
-        /// Subset-examination budget (`None` = unlimited). Kept as a
-        /// strategy field, like Naive-I's, only because
-        /// `perfbench/src/offline.rs` builds `NaiveI { max_subsets: None }`.
+        /// A subset cap, merged into the plan limits exactly like
+        /// Naive-I's (and dropped with it).
         max_subsets: Option<u64>,
     },
     /// Definition-level brute force for probabilistic queries (ground
@@ -145,7 +148,7 @@ pub struct EngineConfig {
     /// Strategy used by [`ExplainEngine::explain`] /
     /// [`ExplainEngine::explain_batch`].
     pub strategy: ExplainStrategy,
-    /// Lemma switches and budgets for the refinement stages.
+    /// Lemma switches for the refinement stages.
     pub cp: CpConfig,
     /// R-tree shape; `None` uses the paper's 4 KiB-page default for the
     /// dataset's dimensionality.
@@ -179,7 +182,7 @@ impl EngineConfig {
     /// this, so misconfigured sessions fail with a typed
     /// [`CrpError::InvalidConfig`] at construction instead of
     /// panicking (degenerate R-tree shapes) or producing garbage
-    /// (α outside `(0, 1]`, a zero subset budget) at query time.
+    /// (α outside `(0, 1]`) at query time.
     pub fn validate(&self) -> Result<(), CrpError> {
         if !(self.alpha.is_finite() && self.alpha > 0.0 && self.alpha <= 1.0) {
             return Err(CrpError::InvalidConfig {
@@ -204,12 +207,6 @@ impl EngineConfig {
                     ),
                 });
             }
-        }
-        if self.cp.max_subsets == Some(0) {
-            return Err(CrpError::InvalidConfig {
-                field: "cp.max_subsets",
-                reason: "a zero subset budget can never complete a search".into(),
-            });
         }
         Ok(())
     }
@@ -676,16 +673,14 @@ impl ExplainEngine {
                 ExplainStrategy::CpUnindexed => {
                     pipeline::run_probabilistic(ds, q, an, alpha, cp, &ScanFilter, &self.io)
                 }
-                ExplainStrategy::NaiveI { max_subsets } => {
-                    self.run_indexed(ds, q, an, alpha, &naive_config(max_subsets))
+                ExplainStrategy::NaiveI { .. } => {
+                    self.run_indexed(ds, q, an, alpha, &CpConfig::naive())
                 }
                 ExplainStrategy::Cr => self.explain_certain(ds, q, an, &Lemma7ClosedForm { k: 0 }),
                 ExplainStrategy::CrKskyband { k } => {
                     self.explain_certain(ds, q, an, &Lemma7ClosedForm { k })
                 }
-                ExplainStrategy::NaiveII { max_subsets } => {
-                    self.explain_certain(ds, q, an, &SubsetVerify { max_subsets })
-                }
+                ExplainStrategy::NaiveII { .. } => self.explain_certain(ds, q, an, &SubsetVerify),
                 ExplainStrategy::OracleCp => {
                     oracle_cp(ds, q, an, alpha).map(|causes| oracle_outcome(ds, causes))
                 }
@@ -700,8 +695,8 @@ impl ExplainEngine {
                 ExplainStrategy::Auto | ExplainStrategy::Cp => {
                     unreachable!("CP tasks run through a stage-1 unit")
                 }
-                ExplainStrategy::NaiveI { max_subsets } => {
-                    self.run_indexed_pdf(ds, q, an, alpha, *resolution, &naive_config(max_subsets))
+                ExplainStrategy::NaiveI { .. } => {
+                    self.run_indexed_pdf(ds, q, an, alpha, *resolution, &CpConfig::naive())
                 }
                 other => Err(CrpError::UnsupportedStrategy {
                     strategy: other.name(),
@@ -854,15 +849,6 @@ fn patch_rect_tree(
     upkeep.inserts = 0;
     upkeep.removes = 0;
     io.absorb(upkeep);
-}
-
-/// The lemma configuration of the Naive-I baseline: CP's filter, every
-/// refinement lemma disabled, an optional subset budget.
-fn naive_config(max_subsets: Option<u64>) -> CpConfig {
-    CpConfig {
-        max_subsets,
-        ..CpConfig::naive()
-    }
 }
 
 /// Converts the oracle's position-level causes into the engine's
@@ -1038,27 +1024,11 @@ mod tests {
             ..EngineConfig::default()
         };
         assert!(matches!(
-            ExplainEngine::new(ds.clone(), lopsided)
+            ExplainEngine::new(ds, lopsided)
                 .err()
                 .expect("construction must fail"),
             CrpError::InvalidConfig {
                 field: "rtree.max_entries",
-                ..
-            }
-        ));
-        let zero_budget = EngineConfig {
-            cp: CpConfig {
-                max_subsets: Some(0),
-                ..CpConfig::default()
-            },
-            ..EngineConfig::default()
-        };
-        assert!(matches!(
-            ExplainEngine::new(ds, zero_budget)
-                .err()
-                .expect("construction must fail"),
-            CrpError::InvalidConfig {
-                field: "cp.max_subsets",
                 ..
             }
         ));

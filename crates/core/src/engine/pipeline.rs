@@ -39,8 +39,8 @@ pub(crate) fn tree_region_hits(
 }
 
 /// Folds the node accesses of one (possibly failed) explain into the
-/// engine's session accumulator. Error outcomes (`NotANonAnswer`,
-/// `BudgetExhausted`) have already paid their tree traversal, so the
+/// engine's session accumulator. Error outcomes (`NotANonAnswer`, a
+/// `Partial` past stage 1) have already paid their tree traversal, so the
 /// session I/O total must include them. The evaluator fast/slow-path
 /// taps are *per-explain* refinement counters (like
 /// `subsets_examined`), not session I/O — they stay in the outcome's

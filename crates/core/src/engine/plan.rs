@@ -171,9 +171,13 @@ impl ExplainRequest {
         self
     }
 
-    /// Caps FMCS subset checks across the plan this request joins
-    /// (plan-wide, unlike the per-explain
-    /// [`CpConfig::max_subsets`](crate::CpConfig::max_subsets)).
+    /// Caps subset checks (FMCS, Naive-I and Naive-II) across the plan
+    /// this request joins — the library's one subset cap. Past it,
+    /// unfinished tasks return [`CrpError::Partial`] with
+    /// [`StopReason::SubsetBudget`](super::StopReason::SubsetBudget),
+    /// up to one [`budget::CHECK_INTERVAL`] of checks past the cap. On
+    /// a single explain this caps that explain; tasks of a larger plan
+    /// share it, as they share the deadline.
     pub fn with_subset_budget(mut self, max: u64) -> Self {
         self.limits.max_subsets = Some(max);
         self
@@ -474,6 +478,20 @@ fn validate_task(workload: &Workload, q: &Point, task: &Task) -> Result<(), CrpE
     }
 }
 
+/// The subset cap a Naive strategy carries in its own field, as a plan
+/// limit; no limit for every other strategy.
+fn strategy_limits(strategy: ExplainStrategy) -> PlanLimits {
+    match strategy {
+        ExplainStrategy::NaiveI { max_subsets } | ExplainStrategy::NaiveII { max_subsets } => {
+            PlanLimits {
+                max_subsets,
+                ..PlanLimits::default()
+            }
+        }
+        _ => PlanLimits::default(),
+    }
+}
+
 /// Compiles and executes a workload over one engine — the single body
 /// behind [`ExplainSession::run`](super::session::ExplainSession::run)
 /// and the engine's `explain*` shorthands.
@@ -481,11 +499,13 @@ pub(crate) fn execute(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Pl
     let plan = compile(engine, requests);
     let config = &engine.config;
     // One budget handle for the whole plan: the most restrictive limit
-    // of each kind across the joined requests. `None` (the common
-    // case) costs nothing on the hot paths.
-    let limits = requests
-        .iter()
-        .fold(PlanLimits::default(), |acc, r| acc.merge_min(r.limits));
+    // of each kind across the joined requests (a Naive strategy's own
+    // subset field included). `None` (the common case) costs nothing on
+    // the hot paths.
+    let limits = requests.iter().fold(PlanLimits::default(), |acc, r| {
+        let strategy = r.strategy.unwrap_or(config.strategy);
+        acc.merge_min(r.limits).merge_min(strategy_limits(strategy))
+    });
     let cancel = Cancel::new(limits, plan.tasks.len() as u64);
     let cancel = cancel.as_ref();
     // Batches (> 1 task) run task-parallel; a single task runs inline.

@@ -450,12 +450,22 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_errors() {
+        use crate::engine::budget::{with_cancel, Cancel, PlanLimits, StopReason};
         let m = matrix(&[&[0.3], &[0.3], &[0.3], &[0.3], &[0.3]]);
-        let cfg = CpConfig::with_budget(3);
+        let limits = PlanLimits {
+            max_subsets: Some(3),
+            ..PlanLimits::default()
+        };
+        let cancel = Cancel::new(limits, 1).expect("a limit is set");
         let mut stats = RunStats::default();
-        let err =
-            crate::matrix::with_scratch(|s| refine(&m, 0.9, &cfg, &mut stats, s)).unwrap_err();
-        assert!(matches!(err, CrpError::BudgetExhausted { .. }));
+        let err = with_cancel(Some(&cancel), || {
+            crate::matrix::with_scratch(|s| refine(&m, 0.9, &CpConfig::default(), &mut stats, s))
+        })
+        .unwrap_err();
+        assert!(
+            matches!(&err, CrpError::Partial(p) if p.reason == StopReason::SubsetBudget),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum ClientClass {
     /// load, shed last.
     #[default]
     Interactive,
-    /// Throughput work: never budget-limited, but shed once the queue
-    /// is full.
+    /// Throughput work: no deadline and no node ceiling (only the
+    /// subset ceiling every class shares), but shed once the queue is
+    /// full.
     Batch,
     /// Opportunistic: smallest budgets, shed first (at half the queue
     /// capacity).
@@ -94,28 +95,40 @@ fn load_level(pending: usize, queue_cap: usize) -> u64 {
     (pending.min(cap) * 4 / cap) as u64
 }
 
+/// The subset ceiling of every served explain, whatever its class or
+/// the load: one adversarial non-answer cannot hold a reader forever,
+/// and a capped explain replies a typed `Partial`. Flat, so it never
+/// splits a window (windows group requests by equal limits).
+const SERVE_MAX_SUBSETS: u64 = 5_000_000;
+
 /// The plan budget a request admitted at this queue depth runs under.
 /// Pure and integer-only: same (class, depth, capacity) → same
-/// limits on every host.
+/// limits on every host. Every class shares the subset ceiling
+/// `SERVE_MAX_SUBSETS` (5,000,000).
 ///
-/// * [`Batch`](ClientClass::Batch) is never budget-limited — batch
-///   work either runs whole or is shed at the door.
+/// * [`Batch`](ClientClass::Batch) has no deadline and no node
+///   ceiling — batch work runs whole, short of the subset ceiling, or
+///   is shed at the door.
 /// * [`Interactive`](ClientClass::Interactive) starts at a 1000 ms
 ///   deadline and tightens to 200 ms as the queue fills.
 /// * [`BestEffort`](ClientClass::BestEffort) starts at 250 ms plus a
 ///   node-access ceiling and tightens to 50 ms.
 pub fn derive_limits(class: ClientClass, pending: usize, queue_cap: usize) -> PlanLimits {
     let load = load_level(pending, queue_cap);
+    let ceiling = PlanLimits {
+        max_subsets: Some(SERVE_MAX_SUBSETS),
+        ..PlanLimits::default()
+    };
     match class {
-        ClientClass::Batch => PlanLimits::default(),
+        ClientClass::Batch => ceiling,
         ClientClass::Interactive => PlanLimits {
             deadline_ms: Some(1000 / (1 + load)),
-            ..PlanLimits::default()
+            ..ceiling
         },
         ClientClass::BestEffort => PlanLimits {
             deadline_ms: Some(250 / (1 + load)),
             max_node_accesses: Some(200_000 / (1 + load)),
-            ..PlanLimits::default()
+            ..ceiling
         },
     }
 }
@@ -286,18 +299,26 @@ mod tests {
         let cap = 32;
         let mut last_interactive = u64::MAX;
         let mut last_best_effort = (u64::MAX, u64::MAX);
+        let ceiling = Some(SERVE_MAX_SUBSETS);
         for pending in 0..=cap {
-            assert!(
-                derive_limits(ClientClass::Batch, pending, cap).is_unlimited(),
-                "batch is never budget-limited"
+            assert_eq!(
+                derive_limits(ClientClass::Batch, pending, cap),
+                PlanLimits {
+                    max_subsets: ceiling,
+                    ..PlanLimits::default()
+                },
+                "batch has only the shared subset ceiling"
             );
             let i = derive_limits(ClientClass::Interactive, pending, cap);
             let d = i.deadline_ms.expect("interactive always has a deadline");
             assert!(d <= last_interactive, "deadline grew under load");
-            assert!(i.max_node_accesses.is_none() && i.max_subsets.is_none());
+            assert!(i.max_node_accesses.is_none());
             last_interactive = d;
 
             let b = derive_limits(ClientClass::BestEffort, pending, cap);
+            // One flat subset ceiling for every class at every load, so
+            // it never splits a window.
+            assert_eq!((i.max_subsets, b.max_subsets), (ceiling, ceiling));
             let bd = (b.deadline_ms.unwrap(), b.max_node_accesses.unwrap());
             assert!(bd.0 <= last_best_effort.0 && bd.1 <= last_best_effort.1);
             last_best_effort = bd;

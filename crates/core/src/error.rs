@@ -20,12 +20,6 @@ pub enum CrpError {
     InvalidAlpha(f64),
     /// The dataset holds no objects.
     EmptyDataset,
-    /// The configured subset-examination budget was exhausted before the
-    /// search completed (see [`crate::CpConfig::max_subsets`]).
-    BudgetExhausted {
-        /// Subsets examined when the budget tripped.
-        examined: u64,
-    },
     /// CR/Naive-II require certain data (single-sample objects).
     NotCertainData,
     /// The selected [`crate::ExplainStrategy`] cannot serve the
@@ -52,9 +46,11 @@ pub enum CrpError {
         /// What was wrong with the update.
         reason: String,
     },
-    /// A plan budget tripped before this task could finish
-    /// ([`crate::PlanLimits`]): the result is missing, never wrong.
-    /// Carries monotone progress counters of the plan so far.
+    /// A plan limit tripped before this task could finish
+    /// ([`crate::PlanLimits`]: a wall deadline, a node-access cap or a
+    /// subset cap — the library's only work caps): the result is
+    /// missing, never wrong. Carries monotone progress counters of the
+    /// plan so far.
     Partial(Box<PartialProgress>),
     /// The MVCC writer mutex is poisoned — a previous batch panicked
     /// mid-apply. Readers keep serving pinned epoch snapshots; the
@@ -75,9 +71,6 @@ impl fmt::Display for CrpError {
             CrpError::UnknownObject(id) => write!(f, "object {id} not in the dataset"),
             CrpError::InvalidAlpha(a) => write!(f, "probability threshold α = {a} not in (0, 1]"),
             CrpError::EmptyDataset => write!(f, "dataset is empty"),
-            CrpError::BudgetExhausted { examined } => {
-                write!(f, "subset budget exhausted after {examined} candidate sets")
-            }
             CrpError::NotCertainData => {
                 write!(f, "algorithm requires certain data (single-sample objects)")
             }
@@ -115,7 +108,6 @@ mod tests {
             (CrpError::UnknownObject(ObjectId(3)), "#3"),
             (CrpError::InvalidAlpha(1.5), "1.5"),
             (CrpError::EmptyDataset, "empty"),
-            (CrpError::BudgetExhausted { examined: 10 }, "10"),
             (CrpError::NotCertainData, "certain"),
             (
                 CrpError::UnsupportedStrategy {

@@ -29,10 +29,11 @@
 //! * [`ExplainStrategy::OracleCp`] / [`ExplainStrategy::OracleCr`] —
 //!   definition-level brute force used by the test suites as ground
 //!   truth (also callable directly as [`oracle_cp`] / [`oracle_cr`]),
-//! * [`CpConfig`] — lemma on/off switches and work budgets for the
-//!   ablation experiments,
+//! * [`CpConfig`] — lemma on/off switches for the ablation
+//!   experiments,
 //! * [`ExplainRequest`] / [`ExplainSession::run`] — the one way to
-//!   pick a strategy, α, lemma switches and budgets per call: the
+//!   pick a strategy, α, lemma switches and work caps
+//!   ([`PlanLimits`]) per call: the
 //!   planner runs whole workloads (batches, α-sweeps, query grids) as
 //!   one plan, data-parallel with rayon and bit-identical to the serial
 //!   path; [`ExplainEngine::explain`] and

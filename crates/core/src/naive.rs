@@ -17,8 +17,9 @@
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::budget::CHECK_INTERVAL;
     use crate::testkit::{explain, session};
-    use crate::{CrpError, ExplainStrategy};
+    use crate::{CrpError, ExplainRequest, ExplainSession, ExplainStrategy, StopReason};
     use crp_geom::Point;
     use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
     use rand::rngs::StdRng;
@@ -97,9 +98,7 @@ mod tests {
             let q = pt(20.0, 20.0);
             for id in 0..30u32 {
                 let a = explain(&engine, ExplainStrategy::Cr, &q, ObjectId(id), 0.5);
-                let naive = ExplainStrategy::NaiveII {
-                    max_subsets: Some(2_000_000),
-                };
+                let naive = ExplainStrategy::NaiveII { max_subsets: None };
                 let b = explain(&engine, naive, &q, ObjectId(id), 0.5);
                 match (a, b) {
                     (Ok(x), Ok(y)) => {
@@ -132,11 +131,21 @@ mod tests {
         }
         let ds = UncertainDataset::from_points(points).unwrap();
         let engine = session(ds);
-        let naive = ExplainStrategy::NaiveII {
-            max_subsets: Some(10_000),
+        let err = engine
+            .run(&[ExplainRequest::explain(&pt(50.0, 50.0), ObjectId(0))
+                .with_strategy(ExplainStrategy::NaiveII { max_subsets: None })
+                .with_subset_budget(10_000)])
+            .into_single()
+            .unwrap_err();
+        let CrpError::Partial(progress) = err else {
+            panic!("expected a typed Partial, got {err:?}");
         };
-        let err = explain(&engine, naive, &pt(50.0, 50.0), ObjectId(0), 0.5).unwrap_err();
-        assert!(matches!(err, CrpError::BudgetExhausted { .. }));
+        assert_eq!(progress.reason, StopReason::SubsetBudget);
+        // The cap stops at the next poll: past it, by at most one
+        // check interval.
+        assert!(progress.subsets_examined > 10_000);
+        assert!(progress.subsets_examined <= 10_000 + CHECK_INTERVAL);
+        assert_eq!((progress.tasks_total, progress.tasks_completed), (1, 0));
     }
 
     #[test]

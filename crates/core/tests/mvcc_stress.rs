@@ -6,15 +6,17 @@
 //! pinned epoch (incremental R*-tree patching is deterministic, so the
 //! forked trees equal the replayed trees node for node). Readers must
 //! also never observe a torn epoch: every pinned epoch is a batch
-//! boundary. Both discrete and continuous-pdf workloads are covered.
+//! boundary. Discrete workloads (one- and two-sample objects under an
+//! insert-heavy mix; two- to four-sample objects under a delete-heavy
+//! one) and a continuous-pdf workload are covered.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use crp_core::{
-    CpConfig, CrpError, CrpOutcome, EngineConfig, Epoch, ExplainEngine, ExplainSession, MvccEngine,
-    Update,
+    CrpError, CrpOutcome, EngineConfig, Epoch, ExplainEngine, ExplainRequest, ExplainSession,
+    MvccEngine, Update,
 };
 use crp_geom::{HyperRect, Point};
 use crp_uncertain::{ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainObject};
@@ -53,6 +55,11 @@ fn discrete_object(id: u32, rng: &mut Rng) -> UncertainObject {
     UncertainObject::with_equal_probs(ObjectId(id), (0..samples).map(|_| grid_point(rng))).unwrap()
 }
 
+fn multi_sample_object(id: u32, rng: &mut Rng) -> UncertainObject {
+    let samples = 2 + rng.below(3);
+    UncertainObject::with_equal_probs(ObjectId(id), (0..samples).map(|_| grid_point(rng))).unwrap()
+}
+
 fn pdf_object(id: u32, rng: &mut Rng) -> PdfObject {
     let lo = grid_point(rng);
     let hi = Point::new(
@@ -64,12 +71,35 @@ fn pdf_object(id: u32, rng: &mut Rng) -> PdfObject {
     PdfObject::uniform(ObjectId(id), HyperRect::new(lo, hi))
 }
 
+/// An update mix: of every `out_of` draws, `inserts` insert, the next
+/// `deletes` delete and the rest replace.
+struct Mix {
+    out_of: usize,
+    inserts: usize,
+    deletes: usize,
+}
+
+/// 40 % inserts, 30 % deletes, 30 % replaces.
+const INSERT_HEAVY: Mix = Mix {
+    out_of: 10,
+    inserts: 4,
+    deletes: 3,
+};
+
+/// 45 % inserts, 45 % deletes, 10 % replaces.
+const DELETE_HEAVY: Mix = Mix {
+    out_of: 20,
+    inserts: 9,
+    deletes: 9,
+};
+
 /// Pre-generates the whole batched update stream against a simulated
 /// live-id set: ~1% of the population per batch (floored at 2), mixing
 /// inserts, deletes and replaces.
 fn make_batches<T, F: FnMut(u32, &mut Rng) -> T>(
     n: usize,
     batches: usize,
+    mix: &Mix,
     rng: &mut Rng,
     mut fresh: F,
 ) -> (Vec<u32>, Vec<Vec<Update<T>>>) {
@@ -80,14 +110,14 @@ fn make_batches<T, F: FnMut(u32, &mut Rng) -> T>(
     let stream = (0..batches)
         .map(|_| {
             (0..batch_len)
-                .map(|_| match rng.below(10) {
-                    0..=3 => {
+                .map(|_| match rng.below(mix.out_of) {
+                    roll if roll < mix.inserts => {
                         let id = next_id;
                         next_id += 1;
                         live.push(id);
                         Update::Insert(fresh(id, rng))
                     }
-                    4..=6 => {
+                    roll if roll < mix.inserts + mix.deletes => {
                         let id = live.remove(rng.below(live.len()));
                         Update::Delete(ObjectId(id))
                     }
@@ -139,7 +169,7 @@ where
                         let outcomes = (0..IDS_PER_PIN)
                             .map(|i| {
                                 let an = ids[(reader * 3 + round + i * 5) % ids.len()];
-                                (an, snapshot.engine().explain_one(q, an))
+                                (an, capped(snapshot.engine(), q, an))
                             })
                             .collect();
                         seen.push((snapshot.epoch(), outcomes));
@@ -178,7 +208,7 @@ where
         for (an, outcome) in outcomes {
             assert_eq!(
                 outcome,
-                reference.explain_one(q, an),
+                capped(reference, q, an),
                 "{label}: reader outcome diverged from serial replay at epoch {epoch:?}, an = {an}"
             );
             checked += 1;
@@ -191,16 +221,25 @@ where
 }
 
 /// Session config shared by the MVCC writer and every serial-replay
-/// reference. The subset budget bounds adversarial non-answers whose
-/// exact minimal-contingency search would be astronomically large; the
-/// resulting `BudgetExhausted` outcomes are deterministic, so the
-/// bit-identity contract is unaffected.
+/// reference.
 fn stress_config() -> EngineConfig {
-    EngineConfig {
-        alpha: 0.6,
-        cp: CpConfig::with_budget(20_000),
-        ..EngineConfig::default()
-    }
+    EngineConfig::with_alpha(0.6)
+}
+
+/// One explain under a subset cap, which bounds adversarial
+/// non-answers whose exact minimal-contingency search would be
+/// astronomically large. A capped one-task plan stops with the same
+/// typed progress every time, so only its wall clock (`elapsed_ms`,
+/// cleared here) is left out of the bit-identity contract.
+fn capped(session: &dyn ExplainSession, q: &Point, an: ObjectId) -> Result<CrpOutcome, CrpError> {
+    let request = ExplainRequest::explain(q, an).with_subset_budget(20_000);
+    session.run(&[request]).into_single().map_err(|e| match e {
+        CrpError::Partial(mut p) => {
+            p.elapsed_ms = 0;
+            CrpError::Partial(p)
+        }
+        e => e,
+    })
 }
 
 /// Builds a discrete engine warmed with one explain (so the update
@@ -252,7 +291,7 @@ fn concurrent_readers_stay_bit_identical_to_serial_replay_discrete() {
     let mut rng = Rng(0x5EED_0001);
     let base =
         UncertainDataset::from_objects((0..48u32).map(|id| discrete_object(id, &mut rng))).unwrap();
-    let (_, batches) = make_batches(base.len(), 6, &mut rng, discrete_object);
+    let (_, batches) = make_batches(base.len(), 6, &INSERT_HEAVY, &mut rng, discrete_object);
     let q = Point::from([4.0, 4.0]);
     run_stress(
         &batches,
@@ -263,11 +302,30 @@ fn concurrent_readers_stay_bit_identical_to_serial_replay_discrete() {
     );
 }
 
+/// Multi-sample objects (two to four samples) under a delete-heavy
+/// 45/45/10 insert/delete/replace mix.
+#[test]
+fn concurrent_readers_stay_bit_identical_to_serial_replay_multi_sample() {
+    let mut rng = Rng(0x5EED_0004);
+    let base =
+        UncertainDataset::from_objects((0..64u32).map(|id| multi_sample_object(id, &mut rng)))
+            .unwrap();
+    let (_, batches) = make_batches(base.len(), 6, &DELETE_HEAVY, &mut rng, multi_sample_object);
+    let q = Point::from([4.0, 4.0]);
+    run_stress(
+        &batches,
+        &q,
+        |mvcc, batch| mvcc.apply_batch(batch),
+        |depth| discrete_engine(&base, &batches, depth, &q),
+        "multi-sample",
+    );
+}
+
 #[test]
 fn concurrent_readers_stay_bit_identical_to_serial_replay_pdf() {
     let mut rng = Rng(0x5EED_0002);
     let base = PdfDataset::from_objects((0..16u32).map(|id| pdf_object(id, &mut rng))).unwrap();
-    let (_, batches) = make_batches(base.len(), 4, &mut rng, pdf_object);
+    let (_, batches) = make_batches(base.len(), 4, &INSERT_HEAVY, &mut rng, pdf_object);
     let q = Point::from([4.0, 4.0]);
     run_stress(
         &batches,

@@ -8,7 +8,7 @@
 
 use crp_core::{
     oracle_cp, oracle_cr, CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine,
-    ExplainRequest, ExplainSession, ExplainStrategy,
+    ExplainRequest, ExplainSession, ExplainStrategy, StopReason,
 };
 use crp_geom::Point;
 use crp_rtree::RTreeParams;
@@ -321,21 +321,24 @@ fn unpruned() -> CpConfig {
     }
 }
 
-/// The unbudgeted unpruned explain of `an`, or `None` when it would
-/// spend more than 40,000 subset checks (an unpruned search at 20
-/// candidates can run to millions) — too deep to compare.
+/// The unpruned explain of `an`, or `None` when a 40,000-subset cap
+/// stops it (an unpruned search at 20 candidates can run to millions) —
+/// too deep to compare.
 fn unpruned_reference(
     engine: &ExplainEngine,
     q: &Point,
     an: ObjectId,
     alpha: f64,
 ) -> Option<Result<CrpOutcome, CrpError>> {
-    let capped = CpConfig {
-        max_subsets: Some(40_000),
-        ..unpruned()
-    };
-    let out = explain(engine, ExplainStrategy::Cp, q, an, alpha, capped);
-    (!matches!(out, Err(CrpError::BudgetExhausted { .. }))).then_some(out)
+    let out = engine
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(ExplainStrategy::Cp)
+            .with_alpha(alpha)
+            .with_cp(unpruned())
+            .with_subset_budget(40_000)])
+        .into_single();
+    let capped = matches!(&out, Err(CrpError::Partial(p)) if p.reason == StopReason::SubsetBudget);
+    (!capped).then_some(out)
 }
 
 /// Pruned and unpruned outcomes agree on everything but the search

@@ -5,7 +5,8 @@
 //! and a starved plan leaves nothing behind that a rerun would replay.
 
 use crp_core::{
-    CrpError, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, PlanLimits, StopReason,
+    CrpError, EngineConfig, ExplainEngine, ExplainRequest, ExplainSession, ExplainStrategy,
+    PlanLimits, StopReason,
 };
 use crp_geom::Point;
 use crp_uncertain::{ObjectId, UncertainDataset, UncertainObject};
@@ -192,4 +193,53 @@ fn partial_outcomes_are_never_cached() {
             other => panic!("a starved run poisoned the session: {other:?}"),
         }
     }
+}
+
+/// Every subset cap is one mechanism: on the same hard explain, a Naive
+/// strategy's own cap field, `with_subset_budget` and `with_limits`
+/// stop at equal typed progress, and a one-task plan stops at the same
+/// progress on every run. The wall clock (`elapsed_ms`) is the only
+/// field left out.
+#[test]
+fn every_subset_cap_stops_at_the_same_typed_progress() {
+    let q = pt(5.0, 5.0);
+    let naive = |max_subsets| {
+        ExplainRequest::explain(&q, ObjectId(0))
+            .with_strategy(ExplainStrategy::NaiveI { max_subsets })
+    };
+    let cap = 5_000;
+    // The explain is hard: uncapped, Naive-I walks several cancellation
+    // intervals past the cap.
+    let full = fixture()
+        .run(&[naive(None)])
+        .into_single()
+        .expect("a non-answer");
+    assert!(full.stats.subsets_examined > 4 * cap);
+    let stopped = |request: ExplainRequest| {
+        let err = fixture()
+            .run(&[request])
+            .into_single()
+            .expect_err("the cap must stop the explain");
+        let CrpError::Partial(mut progress) = err else {
+            panic!("expected a typed Partial, got {err:?}");
+        };
+        progress.elapsed_ms = 0;
+        *progress
+    };
+    let by_field = stopped(naive(Some(cap)));
+    assert_eq!(by_field.reason, StopReason::SubsetBudget);
+    assert_eq!((by_field.tasks_total, by_field.tasks_completed), (1, 0));
+    assert!(by_field.subsets_examined > cap);
+    let by_budget = stopped(naive(None).with_subset_budget(cap));
+    assert_eq!(by_field, by_budget, "the strategy field is a plan limit");
+    let limits = PlanLimits {
+        max_subsets: Some(cap),
+        ..PlanLimits::default()
+    };
+    assert_eq!(stopped(naive(None).with_limits(limits)), by_budget);
+    assert_eq!(
+        stopped(naive(None).with_subset_budget(cap)),
+        by_budget,
+        "a rerun must stop at the same progress"
+    );
 }

@@ -35,17 +35,21 @@ fn main() {
     // explain the first couple whose cause lists print nicely.
     let mut order: Vec<&UncertainObject> = ds.iter().collect();
     order.sort_by_key(|o| o.expectation().distance(&q) as u64);
-    let config = CpConfig::with_budget(2_000_000);
     let mut explained = 0;
     for obj in order {
         if explained >= 2 {
             break;
         }
-        let outcome =
-            match engine.explain_configured(ExplainStrategy::Cp, &q, alpha, obj.id(), &config) {
-                Ok(o) if (3..=60).contains(&o.causes.len()) => o,
-                _ => continue,
-            };
+        // A subset cap skips the deep non-answers (a capped explain
+        // stops with a typed `Partial`).
+        let request = ExplainRequest::explain(&q, obj.id())
+            .with_strategy(ExplainStrategy::Cp)
+            .with_alpha(alpha)
+            .with_subset_budget(2_000_000);
+        let outcome = match engine.run(&[request]).into_single() {
+            Ok(o) if (3..=60).contains(&o.causes.len()) => o,
+            _ => continue,
+        };
         explained += 1;
         println!(
             "\n=== {} is NOT a candidate (α = {alpha}) — the competition: ===",

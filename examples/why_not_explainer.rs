@@ -33,13 +33,10 @@ fn main() {
         None => {
             let mut pick = None;
             for obj in ds.iter() {
-                if let Ok(out) = engine.explain_configured(
-                    ExplainStrategy::Cp,
-                    &q,
-                    alpha,
-                    obj.id(),
-                    &CpConfig::with_budget(500_000),
-                ) {
+                let request = ExplainRequest::explain(&q, obj.id())
+                    .with_strategy(ExplainStrategy::Cp)
+                    .with_subset_budget(500_000);
+                if let Ok(out) = engine.run(&[request]).into_single() {
                     if out.causes.len() >= 3 {
                         pick = Some(obj.id());
                         break;

@@ -8,7 +8,7 @@
 //! # Why is an object missing? (CR for point data, CP for season data.)
 //! crp explain --data cars.csv --schema points  --query 11580,49000 --object 42
 //! crp explain --data nba.csv  --schema seasons --query 3500,1500,600,800 \
-//!             --alpha 0.5 --object 23 [--budget 2000000]
+//!             --alpha 0.5 --object 23 [--budget-subsets 2000000]
 //!
 //! # Explain many non-answers in one engine session (rayon-parallel;
 //! # --objects takes comma-separated ids, or "all" for every object).
@@ -67,6 +67,11 @@
 //! (certain data), `seasons` = `player_id,label,a1..aD` (uncertain data,
 //! equal sample probabilities per id).
 //!
+//! `explain`, `explain-batch`, `sweep` and `replay` cap the subset
+//! checks of each command's plan with `--budget-subsets N` (default
+//! 5,000,000), shared by every explain of a multi-object plan; a capped
+//! explain reports a typed partial result.
+//!
 //! Unknown flags are rejected with a usage error and a nonzero exit —
 //! a typo like `--aplha` fails loudly instead of silently running with
 //! the default.
@@ -87,9 +92,9 @@ const USAGE: &str = "usage: crp <query|explain|explain-batch|sweep|replay|serve|
      [--data FILE \
      --schema points|seasons --query a1,a2,… --alpha A --object ID \
      --objects ID,ID,…|all --alphas A,A,… --q-grid d1:d2,d1:d2,… \
-     --budget N --serial --workload FILE --readers N --session-dir DIR \
+     --budget-subsets N --serial --workload FILE --readers N --session-dir DIR \
      --inject seed=N[,eio-every=K,enospc-at=K,torn-at=K,lying-every=K] \
-     --deadline-ms N --budget-nodes N --budget-subsets N \
+     --deadline-ms N --budget-nodes N \
      --addr HOST:PORT --window-max N --window-ms N --queue-cap N \
      --class interactive|batch|best-effort --update FILE \
      --candidates ID --stats --shutdown \
@@ -115,7 +120,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--schema", true),
         ("--query", true),
         ("--alpha", true),
-        ("--budget", true),
+        ("--budget-subsets", true),
         ("--object", true),
     ];
     const EXPLAIN_BATCH: &[(&str, bool)] = &[
@@ -123,7 +128,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--schema", true),
         ("--query", true),
         ("--alpha", true),
-        ("--budget", true),
+        ("--budget-subsets", true),
         ("--objects", true),
         ("--serial", false),
     ];
@@ -132,7 +137,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--schema", true),
         ("--query", true),
         ("--alpha", true),
-        ("--budget", true),
+        ("--budget-subsets", true),
         ("--workload", true),
         ("--serial", false),
         ("--readers", true),
@@ -140,7 +145,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--inject", true),
         ("--deadline-ms", true),
         ("--budget-nodes", true),
-        ("--budget-subsets", true),
     ];
     const SWEEP: &[(&str, bool)] = &[
         ("--data", true),
@@ -149,7 +153,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--alpha", true),
         ("--alphas", true),
         ("--q-grid", true),
-        ("--budget", true),
+        ("--budget-subsets", true),
         ("--objects", true),
         ("--serial", false),
     ];
@@ -158,7 +162,6 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--schema", true),
         ("--query", true),
         ("--alpha", true),
-        ("--budget", true),
         ("--serial", false),
         ("--addr", true),
         ("--window-max", true),
@@ -331,29 +334,22 @@ fn cmd_query(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), String>
     Ok(())
 }
 
+/// The subset cap of a CLI plan when `--budget-subsets` is not given.
+const DEFAULT_SUBSET_BUDGET: u64 = 5_000_000;
+
 /// The session configuration every CLI engine shares: auto strategy
-/// (CR for certain data, CP otherwise), the library's CP configuration
-/// and the CLI's subset budget.
-fn cli_engine_config(alpha: f64, budget: Option<u64>, parallel: bool) -> EngineConfig {
+/// (CR for certain data, CP otherwise) and the library's CP
+/// configuration. Work caps ride on each request, not the session.
+fn cli_engine_config(alpha: f64, parallel: bool) -> EngineConfig {
     EngineConfig {
         alpha,
-        cp: CpConfig {
-            max_subsets: budget,
-            ..CpConfig::default()
-        },
         parallel,
         ..EngineConfig::default()
     }
 }
 
-fn build_engine(
-    ds: UncertainDataset,
-    alpha: f64,
-    budget: Option<u64>,
-    parallel: bool,
-) -> Result<ExplainEngine, String> {
-    let config = cli_engine_config(alpha, budget, parallel);
-    ExplainEngine::new(ds, config).map_err(|e| e.to_string())
+fn build_engine(ds: UncertainDataset, alpha: f64, parallel: bool) -> Result<ExplainEngine, String> {
+    ExplainEngine::new(ds, cli_engine_config(alpha, parallel)).map_err(|e| e.to_string())
 }
 
 fn print_outcome(ds: &UncertainDataset, object: ObjectId, outcome: &CrpOutcome) {
@@ -376,9 +372,15 @@ fn print_outcome(ds: &UncertainDataset, object: ObjectId, outcome: &CrpOutcome) 
     }
 }
 
-fn cmd_explain(engine: &ExplainEngine, q: &Point, object: ObjectId) -> Result<(), String> {
+fn cmd_explain(
+    engine: &ExplainEngine,
+    q: &Point,
+    object: ObjectId,
+    budget: u64,
+) -> Result<(), String> {
     let ds = engine.dataset();
-    match engine.explain(q, object) {
+    let request = ExplainRequest::explain(q, object).with_subset_budget(budget);
+    match engine.run(&[request]).into_single() {
         Ok(out) => {
             print_outcome(ds, object, &out);
             Ok(())
@@ -396,15 +398,17 @@ fn cmd_explain(engine: &ExplainEngine, q: &Point, object: ObjectId) -> Result<()
 }
 
 /// `explain-batch`: one engine session, many non-answers, one
-/// rayon-parallel `explain_batch` call.
+/// rayon-parallel plan under one subset cap.
 fn cmd_explain_batch(
     engine: &ExplainEngine,
     q: &Point,
     objects: &[ObjectId],
+    budget: u64,
 ) -> Result<(), String> {
     let ds = engine.dataset();
     let started = std::time::Instant::now();
-    let outcomes = engine.explain_batch(q, objects);
+    let request = ExplainRequest::batch(q, objects).with_subset_budget(budget);
+    let outcomes = engine.run(&[request]).results;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
     let mut non_answers = 0usize;
@@ -447,7 +451,12 @@ fn cmd_explain_batch(
 /// (condense + reinsert on the R-trees) — the dataset is never
 /// re-indexed from scratch — and the session's maintenance counters are
 /// reported at the end.
-fn cmd_replay(engine: &mut ExplainEngine, q: &Point, ops: &[WorkloadOp]) -> Result<(), String> {
+fn cmd_replay(
+    engine: &mut ExplainEngine,
+    q: &Point,
+    ops: &[WorkloadOp],
+    budget: u64,
+) -> Result<(), String> {
     let started = std::time::Instant::now();
     let mut updates = 0usize;
     let mut explains = 0usize;
@@ -473,7 +482,8 @@ fn cmd_replay(engine: &mut ExplainEngine, q: &Point, ops: &[WorkloadOp]) -> Resu
                 };
                 explains += ids.len();
                 let ds = engine.dataset();
-                for (&object, outcome) in ids.iter().zip(engine.explain_batch(q, &ids)) {
+                let request = ExplainRequest::batch(q, &ids).with_subset_budget(budget);
+                for (&object, outcome) in ids.iter().zip(engine.run(&[request]).results) {
                     match outcome {
                         Ok(out) => print_outcome(ds, object, &out),
                         Err(CrpError::NotANonAnswer { prob }) => {
@@ -619,8 +629,7 @@ fn cmd_replay_mvcc(
                 // The serving executor: contiguous chunks, one planner
                 // window per reader; concatenating the per-window
                 // results restores workload order. Each explain
-                // carries the CLI's budget limits (a no-op when none
-                // were given).
+                // carries the CLI's budget limits.
                 let requests: Vec<ExplainRequest> = ids
                     .iter()
                     .map(|&id| ExplainRequest::explain(q, id).with_limits(limits))
@@ -700,10 +709,12 @@ fn cmd_sweep(
     objects: &[ObjectId],
     alphas: Vec<f64>,
     serial: bool,
+    budget: u64,
 ) -> Result<(), String> {
     let ds = engine.dataset();
-    let mut request =
-        ExplainRequest::query_sweep(queries.clone(), objects).with_alphas(alphas.clone());
+    let mut request = ExplainRequest::query_sweep(queries.clone(), objects)
+        .with_alphas(alphas.clone())
+        .with_subset_budget(budget);
     if serial {
         request = request.serial();
     }
@@ -863,7 +874,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
         None => None,
     };
     let alpha: f64 = cli.parse("--alpha")?.unwrap_or(0.5);
-    let budget = cli.parse("--budget")?.or(Some(5_000_000));
     let ds = load(schema, data)?;
     if let (Some(q), Some(dim)) = (&default_query, ds.dim()) {
         if q.dim() != dim {
@@ -882,9 +892,8 @@ fn cmd_serve(cli: &Cli) -> Result<(), String> {
     };
     let objects = ds.len();
     let parallel = !cli.has("--serial");
-    let make = move |ds: UncertainDataset| {
-        ExplainEngine::new(ds, cli_engine_config(alpha, budget, parallel))
-    };
+    let make =
+        move |ds: UncertainDataset| ExplainEngine::new(ds, cli_engine_config(alpha, parallel));
     let backend: Arc<dyn ServeBackend> = match cli.get("--session-dir") {
         Some(dir) => {
             let session = DurableSession::open(dir, ds, make).map_err(|e| e.to_string())?;
@@ -1103,7 +1112,8 @@ fn run() -> Result<(), String> {
             if cli.command == "query" {
                 return cmd_query(&ds, &q, alpha);
             }
-            let budget = cli.parse("--budget")?.or(Some(5_000_000));
+            let given_budget: Option<u64> = cli.parse("--budget-subsets")?;
+            let budget = given_budget.unwrap_or(DEFAULT_SUBSET_BUDGET);
             if cli.command == "replay" {
                 let ops =
                     load_workload(cli.require("--workload", "FILE")?).map_err(|e| e.to_string())?;
@@ -1112,7 +1122,7 @@ fn run() -> Result<(), String> {
                 let limits = PlanLimits {
                     deadline_ms: cli.parse("--deadline-ms")?,
                     max_node_accesses: cli.parse("--budget-nodes")?,
-                    max_subsets: cli.parse("--budget-subsets")?,
+                    max_subsets: given_budget,
                 };
                 let inject = cli.parse::<FaultSpec>("--inject")?;
                 if inject.is_some() && session_dir.is_none() {
@@ -1121,8 +1131,14 @@ fn run() -> Result<(), String> {
                             .into(),
                     );
                 }
+                // The path follows the flags the user gave; the default
+                // subset cap alone keeps the in-place session.
                 if readers > 0 || session_dir.is_some() || !limits.is_unlimited() {
-                    let config = cli_engine_config(alpha, budget, !cli.has("--serial"));
+                    let config = cli_engine_config(alpha, !cli.has("--serial"));
+                    let limits = PlanLimits {
+                        max_subsets: Some(budget),
+                        ..limits
+                    };
                     return cmd_replay_mvcc(
                         ds,
                         &q,
@@ -1134,8 +1150,8 @@ fn run() -> Result<(), String> {
                         inject,
                     );
                 }
-                let mut engine = build_engine(ds, alpha, budget, !cli.has("--serial"))?;
-                return cmd_replay(&mut engine, &q, &ops);
+                let mut engine = build_engine(ds, alpha, !cli.has("--serial"))?;
+                return cmd_replay(&mut engine, &q, &ops, budget);
             }
             if cli.command == "sweep" {
                 let raw = cli.require("--objects", "ID,ID,… (or 'all')")?;
@@ -1148,8 +1164,9 @@ fn run() -> Result<(), String> {
                     Some(raw) => parse_q_grid(raw, &q)?,
                     None => vec![q.clone()],
                 };
-                let engine = build_engine(ds, alpha, budget, !cli.has("--serial"))?;
-                return cmd_sweep(&engine, queries, &objects, alphas, cli.has("--serial"));
+                let engine = build_engine(ds, alpha, !cli.has("--serial"))?;
+                let serial = cli.has("--serial");
+                return cmd_sweep(&engine, queries, &objects, alphas, serial, budget);
             }
             if cli.command == "explain" {
                 let id = ObjectId(
@@ -1157,13 +1174,13 @@ fn run() -> Result<(), String> {
                         .parse()
                         .map_err(|e| format!("bad --object: {e}"))?,
                 );
-                let engine = build_engine(ds, alpha, budget, true)?;
-                cmd_explain(&engine, &q, id)
+                let engine = build_engine(ds, alpha, true)?;
+                cmd_explain(&engine, &q, id, budget)
             } else {
                 let raw = cli.require("--objects", "ID,ID,… (or 'all')")?;
                 let ids = parse_objects(raw, &ds)?;
-                let engine = build_engine(ds, alpha, budget, !cli.has("--serial"))?;
-                cmd_explain_batch(&engine, &q, &ids)
+                let engine = build_engine(ds, alpha, !cli.has("--serial"))?;
+                cmd_explain_batch(&engine, &q, &ids, budget)
             }
         }
         _ => unreachable!("parse_cli rejects unknown commands"),
@@ -1492,13 +1509,32 @@ mod tests {
             &["--inject", "seed=1"][..],
             &["--deadline-ms", "100"][..],
             &["--budget-nodes", "10"][..],
-            &["--budget-subsets", "10"][..],
         ] {
             for command in ["query", "explain", "explain-batch", "sweep", "generate"] {
                 let mut argv = vec![command];
                 argv.extend_from_slice(flag);
                 assert!(parse_cli(&args(&argv)).is_err(), "{command} {flag:?}");
             }
+        }
+    }
+
+    #[test]
+    fn one_subset_budget_flag() {
+        // --budget-subsets is the one subset cap of every explaining
+        // command…
+        for command in ["explain", "explain-batch", "sweep", "replay"] {
+            let cli = parse_cli(&args(&[command, "--budget-subsets", "7"])).unwrap();
+            assert_eq!(cli.parse::<u64>("--budget-subsets").unwrap(), Some(7));
+            assert!(parse_cli(&args(&[command, "--budget-subsets"])).is_err());
+        }
+        for command in ["query", "serve", "client", "generate"] {
+            assert!(parse_cli(&args(&[command, "--budget-subsets", "7"])).is_err());
+        }
+        // …and the old per-explain flag is gone everywhere.
+        for command in ["explain", "explain-batch", "sweep", "replay", "serve"] {
+            let argv = format!("{command} --budget 5");
+            let argv: Vec<&str> = argv.split(' ').collect();
+            assert!(parse_cli(&args(&argv)).is_err(), "{argv:?}");
         }
     }
 }

@@ -30,6 +30,22 @@ fn explain(
         .into_single()
 }
 
+/// One CP explain capped at `max_subsets` subset checks.
+fn capped_cp(
+    engine: &ExplainEngine,
+    q: &Point,
+    an: ObjectId,
+    alpha: f64,
+    max_subsets: u64,
+) -> Result<CrpOutcome, CrpError> {
+    engine
+        .run(&[ExplainRequest::explain(q, an)
+            .with_strategy(ExplainStrategy::Cp)
+            .with_alpha(alpha)
+            .with_subset_budget(max_subsets)])
+        .into_single()
+}
+
 #[test]
 fn synthetic_uncertain_pipeline() {
     let ds = uncertain_dataset(&UncertainConfig {
@@ -51,8 +67,7 @@ fn synthetic_uncertain_pipeline() {
         if explained >= 6 {
             break;
         }
-        let budget = CpConfig::with_budget(50_000);
-        let Ok(out) = explain(&engine, ExplainStrategy::Cp, &q, obj.id(), alpha, budget) else {
+        let Ok(out) = capped_cp(&engine, &q, obj.id(), alpha, 50_000) else {
             continue;
         };
         explained += 1;
@@ -141,13 +156,12 @@ fn nba_case_study_pipeline() {
     // skipping cheap.
     let mut order: Vec<&UncertainObject> = ds.iter().collect();
     order.sort_by_key(|o| o.expectation().distance(&q) as u64);
-    let config = CpConfig::with_budget(60_000);
     let mut explained = 0;
     for obj in order.into_iter().take(80) {
         if explained >= 2 {
             break;
         }
-        let Ok(out) = explain(&engine, ExplainStrategy::Cp, &q, obj.id(), 0.5, config) else {
+        let Ok(out) = capped_cp(&engine, &q, obj.id(), 0.5, 60_000) else {
             continue;
         };
         if out.causes.is_empty() {

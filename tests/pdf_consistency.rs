@@ -5,13 +5,13 @@
 use prsq_crp::data::{pdf_dataset, UncertainConfig};
 use prsq_crp::prelude::*;
 
-/// One CP explain of `an` at `alpha` under a 200k-subset budget.
+/// One CP explain of `an` at `alpha` under a 200k-subset cap.
 fn cp(engine: &ExplainEngine, q: &Point, an: ObjectId, alpha: f64) -> Result<CrpOutcome, CrpError> {
     engine
         .run(&[ExplainRequest::explain(q, an)
             .with_strategy(ExplainStrategy::Cp)
             .with_alpha(alpha)
-            .with_cp(CpConfig::with_budget(200_000))])
+            .with_subset_budget(200_000)])
         .into_single()
 }
 
