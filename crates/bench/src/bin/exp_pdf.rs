@@ -51,7 +51,7 @@ fn main() {
         let id = ds.objects()[i].id();
         let request = ExplainRequest::explain(&q, id)
             .with_strategy(ExplainStrategy::Cp)
-            .with_subset_budget(200_000);
+            .with_check_budget(200_000);
         if let Ok(out) = coarse.run(&[request]).into_single() {
             if !out.causes.is_empty() && out.stats.candidates <= 16 {
                 subjects.push(id);

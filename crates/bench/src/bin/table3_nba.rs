@@ -61,7 +61,7 @@ fn main() {
         // what makes the Table-3-sized cases (|Γ| in the tens) tractable.
         let request = ExplainRequest::explain(&q, id)
             .with_strategy(ExplainStrategy::Cp)
-            .with_subset_budget(20_000_000);
+            .with_check_budget(20_000_000);
         let out = match engine.run(&[request]).into_single() {
             Ok(o) => o,
             Err(_) => continue,

@@ -54,7 +54,7 @@ fn explain(engine: &ExplainEngine, q: &Point, an: ObjectId) -> Result<CrpOutcome
         .run(&[ExplainRequest::explain(q, an)
             .with_strategy(ExplainStrategy::Cp)
             .with_alpha(ALPHA)
-            .with_subset_budget(SUBSET_BUDGET)])
+            .with_check_budget(SUBSET_BUDGET)])
         .into_single()
 }
 
@@ -310,7 +310,7 @@ fn main() {
     let report = sweep_engine.run(&[
         ExplainRequest::alpha_sweep(&q, sweep_target, alphas.clone())
             .with_strategy(ExplainStrategy::Cp)
-            .with_subset_budget(SUBSET_BUDGET),
+            .with_check_budget(SUBSET_BUDGET),
     ]);
     let sweep_ms = ms(t);
     let sweep_traversals = report.counters.stage1_traversals;

@@ -56,7 +56,7 @@ fn record(
     let ms = start.elapsed().as_secs_f64() * 1e3;
     match result {
         Ok(out) => agg.absorb(&out, ms),
-        Err(CrpError::Partial(p)) if p.reason == StopReason::SubsetBudget => agg.skipped += 1,
+        Err(CrpError::Partial(p)) if p.reason == StopReason::CheckBudget => agg.skipped += 1,
         Err(CrpError::NotANonAnswer { .. }) => agg.skipped += 1,
         Err(e) => panic!("experiment failure on {id}: {e}"),
     }
@@ -169,7 +169,7 @@ fn run_capped_over(
         ExplainRequest::explain(q, id)
             .with_strategy(strategy)
             .with_alpha(alpha)
-            .with_subset_budget(max_subsets)
+            .with_check_budget(max_subsets)
     })
 }
 

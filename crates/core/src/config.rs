@@ -11,8 +11,10 @@
 /// lemma switches: an explain whose exact minimal-contingency search
 /// would be astronomically large (the search is NP-hard in general; the
 /// paper's Theorem 1 gives `O(|Cc|·2^|Cc−Ca∪Cb|)`) is capped by a plan
-/// limit ([`crate::PlanLimits::max_subsets`], set per request with
-/// [`crate::ExplainRequest::with_subset_budget`]).
+/// limit ([`crate::PlanLimits::max_checks`], set per request with
+/// [`crate::ExplainRequest::with_check_budget`]), which counts the
+/// completion-bound checks of the pruned walk along with its subset
+/// checks, so it bounds the work with the probability bound on too.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CpConfig {
     /// Lemma 4: objects dominating `q` w.r.t. *every* sample of `an` with
@@ -31,7 +33,8 @@ pub struct CpConfig {
     /// skip the contingency cardinalities of each candidate, and inside
     /// a cardinality the subtrees of the subset walk, that provably
     /// cannot lift `Pr(an)` to `α` even when removing the most damaging
-    /// members of what is left of its search space. Exact: it skips
+    /// members of what is left of its search space. One completion
+    /// bound serves both: at the empty prefix it bounds a whole level. Exact: it skips
     /// only levels and subtrees that provably hold no contingency set,
     /// so causes and contingency sets are unchanged; only the search
     /// counters drop.

@@ -12,6 +12,7 @@
 //!   subset enumeration, kept as the baseline the figures compare
 //!   against.
 
+use super::budget::Meter;
 use crate::combinations::for_each_combination;
 use crate::error::CrpError;
 use crate::types::{Cause, CrpOutcome, RunStats};
@@ -98,8 +99,8 @@ impl CertainSearch for Lemma7ClosedForm {
 /// Naive-II: verifies each candidate by enumerating subsets of the
 /// other candidates in ascending cardinality and testing both
 /// contingency conditions — the insight-free baseline whose cost IS the
-/// motivation for Lemma 7. Its only cap is the plan budget's
-/// cancellation poll.
+/// motivation for Lemma 7. Its only cap is the plan budget, charged
+/// through the one [`Meter`].
 pub struct SubsetVerify;
 
 impl CertainSearch for SubsetVerify {
@@ -118,16 +119,12 @@ impl CertainSearch for SubsetVerify {
         // per subset, which is what makes it slow.
         let k_total = dominators.len();
         let mut causes: Vec<Cause> = Vec::new();
-        let cancel = super::budget::active();
-        let mut cancel_err: Option<CrpError> = None;
-        let mut uncharged: u64 = 0;
+        let mut meter = Meter::active();
         for cc in 0..k_total {
-            // Plan-budget boundary: settle the previous candidate's
-            // subset charge and poll before starting the next one.
-            if let Some(c) = &cancel {
-                c.charge_subsets(uncharged);
-                uncharged = 0;
-                c.check()?;
+            // Plan-budget boundary: poll before starting the next
+            // candidate.
+            if !meter.poll() {
+                break;
             }
             let others: Vec<ObjectId> = dominators
                 .iter()
@@ -135,19 +132,10 @@ impl CertainSearch for SubsetVerify {
                 .filter(|&id| id != dominators[cc])
                 .collect();
             let mut found: Option<Vec<ObjectId>> = None;
-            'sizes: for k in 0..=others.len() {
+            for k in 0..=others.len() {
                 let stop = for_each_combination(others.len(), k, |combo| {
-                    stats.subsets_examined += 1;
-                    uncharged += 1;
-                    if uncharged >= super::budget::CHECK_INTERVAL {
-                        if let Some(c) = &cancel {
-                            c.charge_subsets(uncharged);
-                            if let Err(e) = c.check() {
-                                cancel_err = Some(e);
-                                return true;
-                            }
-                        }
-                        uncharged = 0;
+                    if !meter.subset(stats) {
+                        return true;
                     }
                     stats.prsq_evaluations += 2;
                     // Condition (i): a dominator survives in P − Γ (cc
@@ -157,18 +145,18 @@ impl CertainSearch for SubsetVerify {
                     let covers_all = combo.len() == others.len();
                     if covers_all {
                         found = Some(combo.iter().map(|&i| others[i]).collect());
-                        return true;
                     }
-                    false
+                    covers_all
                 });
-                if let Some(e) = cancel_err.take() {
-                    return Err(e);
-                }
-                if stop && found.is_some() {
-                    break 'sizes;
+                if stop {
+                    break;
                 }
             }
-            let gamma = found.expect("the full candidate set always verifies");
+            // The full candidate set always verifies, so only a stopped
+            // meter leaves a candidate without a set.
+            let Some(gamma) = found else {
+                break;
+            };
             causes.push(Cause {
                 id: dominators[cc],
                 responsibility: 1.0 / (1.0 + gamma.len() as f64),
@@ -176,9 +164,7 @@ impl CertainSearch for SubsetVerify {
                 min_contingency: gamma,
             });
         }
-        if let Some(c) = &cancel {
-            c.charge_subsets(uncharged);
-        }
+        meter.finish()?;
         if k_total == 1 {
             stats.counterfactuals = 1;
         }

@@ -28,17 +28,15 @@
 //! way, a level the cardinality screen certifies inert is counted in
 //! closed form instead of walked.
 
-use super::budget::{Cancel, CHECK_INTERVAL};
+use super::budget::Meter;
 use super::refine::RefinePlan;
 use crate::combinations::{binomial, walk_combinations, Prefix, SubsetWalk};
 use crate::config::CpConfig;
-use crate::error::CrpError;
 use crate::matrix::{DominanceMatrix, FastVerdict, PrEvaluator, Scratch, GUARD};
 use crate::types::RunStats;
 use crp_geom::PROB_EPSILON;
 use crp_rtree::QueryStats;
 use std::cell::Cell;
-use std::sync::Arc;
 
 /// A cause expressed in candidate indices (mapped to object ids by the
 /// pipeline driver).
@@ -273,7 +271,7 @@ impl<'m> Checker<'m> {
     /// the delta state at the forced base — that every size-`k` subset
     /// keeps both FMCS conditions provably `< α − GUARD` (see
     /// [`PrEvaluator::cardinality_below`]). The caller then counts the
-    /// level in closed form ([`Meter::inert_level`]): classifications
+    /// level in closed form ([`Meter::subsets`]): classifications
     /// and every counter are exactly what per-subset probing would
     /// produce.
     pub(crate) fn cardinality_is_inert(
@@ -350,93 +348,6 @@ pub(crate) fn order_by_impact(search: &mut [usize], impacts: &[f64]) {
     search.sort_by(|&a, &b| impacts[b].partial_cmp(&impacts[a]).expect("finite impacts"));
 }
 
-/// The subset accounting of one candidate search against the plan
-/// budget's cancellation poll. Every reached subset is counted and
-/// charged; a poll comes every [`CHECK_INTERVAL`] subset checks and
-/// completion-bound checks, so a deadline stays responsive in heavily
-/// pruned searches.
-struct Meter {
-    cancel: Option<Arc<Cancel>>,
-    /// Subsets reached since the last charge (plan budget only).
-    uncharged: u64,
-    /// Subset and completion-bound checks since the last poll (plan
-    /// budget only).
-    since_poll: u64,
-    /// Why the search stopped early, if it did.
-    stop: Option<CrpError>,
-}
-
-impl Meter {
-    /// Counts one reached subset; `false` stops the search.
-    fn subset(&mut self, stats: &mut RunStats) -> bool {
-        stats.subsets_examined += 1;
-        if self.cancel.is_none() {
-            return true;
-        }
-        self.uncharged += 1;
-        self.tick()
-    }
-
-    /// Counts one check toward the next poll; `false` stops the search.
-    fn tick(&mut self) -> bool {
-        if self.cancel.is_none() {
-            return true;
-        }
-        self.since_poll += 1;
-        self.since_poll < CHECK_INTERVAL || self.poll()
-    }
-
-    /// Charges the uncharged subsets and polls the plan budget.
-    fn poll(&mut self) -> bool {
-        self.since_poll = 0;
-        let Some(cancel) = &self.cancel else {
-            return true;
-        };
-        cancel.charge_subsets(std::mem::take(&mut self.uncharged));
-        match cancel.check() {
-            Ok(()) => true,
-            Err(e) => {
-                self.stop = Some(e);
-                false
-            }
-        }
-    }
-
-    /// Counts a certified-inert level of `count` subsets exactly as
-    /// walking it would — each subset reached, charged and polled in
-    /// turn, with both conditions screened fast — in one step per poll
-    /// instead of one per subset. A plan poll that ends mid-level stops
-    /// at the same subset with the same counters. `false` stops the
-    /// search.
-    fn inert_level(&mut self, count: u128, stats: &mut RunStats) -> bool {
-        // Counts beyond u64 saturate the counters anyway.
-        let mut left = u64::try_from(count).unwrap_or(u64::MAX);
-        let credit = |stats: &mut RunStats, subsets: u64| {
-            stats.prsq_evaluations = stats.prsq_evaluations.saturating_add(2 * subsets);
-            stats.query.eval_fast = stats.query.eval_fast.saturating_add(2 * subsets);
-        };
-        while left > 0 {
-            let take = match self.cancel {
-                Some(_) => left.min(CHECK_INTERVAL - self.since_poll),
-                None => left,
-            };
-            left -= take;
-            stats.subsets_examined = stats.subsets_examined.saturating_add(take);
-            if self.cancel.is_some() {
-                self.uncharged += take;
-                self.since_poll += take;
-            }
-            if self.since_poll >= CHECK_INTERVAL && !self.poll() {
-                // The polling subset stops before its evaluations.
-                credit(stats, take - 1);
-                return false;
-            }
-            credit(stats, take);
-        }
-        true
-    }
-}
-
 /// One cardinality level's walk: the [`SubsetWalk`] consumer of FMCS.
 /// Search-space positions map to candidates through `search`.
 struct LevelWalk<'a, 'm> {
@@ -467,7 +378,7 @@ impl SubsetWalk for LevelWalk<'_, '_> {
         let Some(cut) = self.cut else {
             return Prefix::Descend;
         };
-        if !self.meter.tick() {
+        if !self.meter.bound_check() {
             return Prefix::Stop;
         }
         // Removal only raises `Pr(an)`, and the bound covers every
@@ -505,8 +416,9 @@ impl SubsetWalk for LevelWalk<'_, '_> {
 
 /// FMCS for a single candidate `cc`: walk candidate contingency sets in
 /// ascending cardinality over the search space (on top of the forced
-/// set), strictly below the witness size. Returns the minimal
-/// contingency set found below that bound, if any.
+/// set), strictly below the witness size, counting every check through
+/// `meter`. Returns the minimal contingency set found below that bound,
+/// if any, or `None` also when the meter stopped the walk.
 #[allow(clippy::too_many_arguments)]
 fn search_candidate(
     matrix: &DominanceMatrix,
@@ -520,7 +432,8 @@ fn search_candidate(
     checker: &Checker<'_>,
     scratch: &mut Scratch,
     stats: &mut RunStats,
-) -> Result<Option<Vec<usize>>, CrpError> {
+    meter: &mut Meter,
+) -> Option<Vec<usize>> {
     let n = matrix.candidates();
     // The index buffers are borrowed out of the scratch for the whole
     // candidate search (the checker only touches the mask, delta and
@@ -543,52 +456,63 @@ fn search_candidate(
     // Loosening bound of the cardinality screen (one O(|search|)
     // scan per candidate search).
     let search_maxneg = checker.search_neg_bound(&search);
-    // Probability pruning: a level whose bound over this candidate's
-    // own search space (forced set and cc removed, the Lemma 5
-    // exclusions kept) stays below α − PROB_EPSILON − GUARD provably
-    // holds no Γ — even its most damaging removals leave condition (ii)
-    // false under the exact product. The bound never decreases with
-    // the level, so the walk starts at the first level that reaches it;
-    // inside a level the completion bound prunes per prefix.
+    // Probability pruning: a level whose completion bound at the empty
+    // prefix — over this candidate's own search space, forced set and
+    // cc removed, the Lemma 5 exclusions kept — stays below
+    // α − PROB_EPSILON − GUARD provably holds no Γ: even its most
+    // damaging removals leave condition (ii) false under the exact
+    // product. The bound never decreases with the level, so once one
+    // level reaches the cut every later one does; inside a level the
+    // same bound prunes per prefix.
     let cut = config
         .use_probability_bound
         .then(|| checker.completion_cut(alpha))
         .flatten();
-    let first_level = match cut {
-        Some(cut) => scratch
-            .level_bounds(
-                matrix,
-                |c| c != cc && !forced_mask[c] && excluded[c],
-                &search,
-            )
-            .partition_point(|&bound| bound < cut.floor),
-        None => 0,
-    };
-
-    let mut meter = Meter {
-        cancel: super::budget::active(),
-        uncharged: 0,
-        since_poll: 0,
-        stop: None,
-    };
-    // Completion slots the tables cover for this candidate's search
-    // space; grown (at least doubling) when a deeper level needs more.
+    let mut reached = cut.is_none();
+    if !reached {
+        checker.evaluator.level_tables(&search, scratch);
+    }
+    // Completion slots the suffix tables cover for this candidate's
+    // search space once a level walk needs them; grown (at least
+    // doubling) when a deeper level needs more.
     let mut table_slots = 0;
     let mut found: Option<Vec<usize>> = None;
-    for total in forced.len() + first_level..upper_exclusive {
+    // Whether the maintained removal set has left the forced base since
+    // the last reset: the level checks need the base, and only a walk
+    // moves it.
+    let mut moved = true;
+    for total in forced.len()..upper_exclusive {
         let k = total - forced.len();
         if k > search.len() {
             break;
         }
-        checker.begin(&forced, scratch);
+        if moved {
+            checker.begin(&forced, scratch);
+            moved = false;
+        }
+        if let (Some(cut), false) = (cut, reached) {
+            if !meter.bound_check() {
+                break;
+            }
+            if checker.completion_below(cc, 0, k, cut, scratch) {
+                continue;
+            }
+            reached = true;
+        }
         // Whole-cardinality certification: when every size-k subset is
         // provably inert, the level is counted, not walked.
         if checker.cardinality_is_inert(cc, k, search_maxneg, alpha, scratch) {
-            if !meter.inert_level(binomial(search.len(), k), stats) {
+            let inert = |stats: &mut RunStats, subsets: u64| {
+                // Both conditions screened fast, per subset.
+                stats.prsq_evaluations = stats.prsq_evaluations.saturating_add(2 * subsets);
+                stats.query.eval_fast = stats.query.eval_fast.saturating_add(2 * subsets);
+            };
+            if !meter.subsets(binomial(search.len(), k), stats, inert) {
                 break;
             }
             continue;
         }
+        // A prefix inside the level leaves at most `k − 1` slots.
         if cut.is_some() && k >= 2 && table_slots < k - 1 {
             table_slots = (k - 1).max(2 * table_slots).max(4).min(search.len() - 1);
             checker
@@ -603,9 +527,10 @@ fn search_candidate(
             cut,
             scratch,
             stats,
-            meter: &mut meter,
+            meter,
             found: false,
         };
+        moved = true;
         if walk_combinations(search.len(), k, &mut path, &mut level) {
             if level.found {
                 // Γ = the maintained mask, already ascending.
@@ -624,17 +549,13 @@ fn search_candidate(
     scratch.forced = forced;
     scratch.search = search;
     scratch.path = path;
-    if let Some(c) = &meter.cancel {
-        c.charge_subsets(meter.uncharged);
-    }
-    match meter.stop {
-        Some(e) => Err(e),
-        None => Ok(found),
-    }
+    found
 }
 
 /// The FMCS driver with Lemma 6 witness propagation — stage 3 of the
-/// pipeline.
+/// pipeline. Counts its checks through `meter`; once the meter stops,
+/// the causes found so far are returned and the caller reports the
+/// stop.
 pub(crate) fn search(
     matrix: &DominanceMatrix,
     alpha: f64,
@@ -642,7 +563,8 @@ pub(crate) fn search(
     plan: RefinePlan<'_>,
     stats: &mut RunStats,
     scratch: &mut Scratch,
-) -> Result<Vec<CauseRec>, CrpError> {
+    meter: &mut Meter,
+) -> Vec<CauseRec> {
     let RefinePlan {
         forced_mask,
         excluded,
@@ -653,12 +575,11 @@ pub(crate) fn search(
     } = plan;
     if complete {
         results.sort_by_key(|r| r.cand);
-        return Ok(results);
+        return results;
     }
 
     let n = matrix.candidates();
     let impacts = impacts(matrix);
-    let cancel = super::budget::active();
     let mut witness: Vec<Option<Vec<usize>>> = vec![None; n];
     for cc in 0..n {
         if done[cc] {
@@ -666,9 +587,9 @@ pub(crate) fn search(
         }
         // Per-candidate budget poll: a deadline is honored at the next
         // candidate boundary even when each candidate stays under
-        // CHECK_INTERVAL subsets.
-        if let Some(c) = &cancel {
-            c.check()?;
+        // CHECK_INTERVAL checks.
+        if !meter.poll() {
+            break;
         }
         let found = search_candidate(
             matrix,
@@ -682,7 +603,11 @@ pub(crate) fn search(
             &checker,
             scratch,
             stats,
-        )?;
+            meter,
+        );
+        if meter.stopped() {
+            break;
+        }
 
         // Nothing strictly smaller than the witness: the witness set is
         // minimal (Algorithm 1, lines 23–24).
@@ -728,7 +653,7 @@ pub(crate) fn search(
     }
 
     results.sort_by_key(|r| r.cand);
-    Ok(results)
+    results
 }
 
 #[cfg(test)]
@@ -743,85 +668,6 @@ mod tests {
         let mut search = vec![0, 1, 2];
         order_by_impact(&mut search, &scores);
         assert_eq!(search, vec![1, 2, 0]);
-    }
-
-    /// A certified-inert level counted in closed form leaves every
-    /// counter, charge and stop exactly where walking it subset by
-    /// subset leaves them — plan polls that end mid-level, and levels
-    /// that start mid-interval, included.
-    #[test]
-    fn inert_level_counts_as_the_walk_would() {
-        use super::super::budget::{Cancel, PlanLimits};
-        let meter = |plan: Option<u64>| Meter {
-            cancel: plan.and_then(|max| {
-                let limits = PlanLimits {
-                    max_subsets: Some(max),
-                    ..PlanLimits::default()
-                };
-                Cancel::new(limits, 1)
-            }),
-            uncharged: 0,
-            since_poll: 0,
-            stop: None,
-        };
-        // What a run leaves behind, with the wall clock left out.
-        let state = |m: &Meter, stats: &RunStats, go: bool| {
-            let stop = match &m.stop {
-                Some(CrpError::Partial(p)) => format!("{:?} {}", p.reason, p.subsets_examined),
-                other => format!("{other:?}"),
-            };
-            let charged = m.cancel.as_ref().map(|c| c.subsets_charged());
-            (
-                go,
-                stop,
-                charged,
-                m.uncharged,
-                m.since_poll,
-                stats.subsets_examined,
-                stats.prsq_evaluations,
-                stats.query.eval_fast,
-            )
-        };
-        let mut stopped_mid_level = 0;
-        for plan in [None, Some(0), Some(4_000), Some(8_191), Some(1 << 40)] {
-            // Subsets reached by earlier levels.
-            for before in [0u64, 1, 4_000, 4_095, 4_096] {
-                for count in [0u128, 1, 95, 4_095, 4_096, 4_097, 12_345] {
-                    let mut runs = [
-                        (meter(plan), RunStats::default()),
-                        (meter(plan), RunStats::default()),
-                    ];
-                    for (m, stats) in &mut runs {
-                        for _ in 0..before {
-                            if !m.subset(stats) {
-                                break;
-                            }
-                        }
-                    }
-                    if runs[0].0.stop.is_some() {
-                        continue;
-                    }
-                    let [(walk, walked), (closed, counted)] = &mut runs;
-                    let mut go = true;
-                    for _ in 0..count {
-                        if !walk.subset(walked) {
-                            go = false;
-                            break;
-                        }
-                        walked.prsq_evaluations += 2;
-                        walked.query.eval_fast += 2;
-                    }
-                    let got = closed.inert_level(count, counted);
-                    stopped_mid_level += usize::from(!go);
-                    assert_eq!(
-                        state(closed, counted, got),
-                        state(walk, walked, go),
-                        "plan {plan:?}, before {before}, count {count}"
-                    );
-                }
-            }
-        }
-        assert!(stopped_mid_level > 0);
     }
 
     /// A certain non-answer facing six candidates of distinct dominance
@@ -930,37 +776,13 @@ mod tests {
         }
     }
 
-    /// Near-α at the level bound's thresholds: α is placed so that the
-    /// prune threshold `α − PROB_EPSILON − GUARD`, or the answer test's
-    /// edge `α − PROB_EPSILON`, lands within a few ulps of a candidate's
-    /// level bound.
-    #[test]
-    fn level_bound_threshold_agrees_with_oracle() {
-        let fx = NearAlpha::new();
-        let mut scratch = Scratch::default();
-        let (mut below, mut reached) = (0, 0);
-        for cc in 0..NearAlpha::SHAPES.len() {
-            let others: Vec<usize> = (0..NearAlpha::SHAPES.len()).filter(|&c| c != cc).collect();
-            let bounds = scratch
-                .level_bounds(&fx.matrix, |_| false, &others)
-                .to_vec();
-            // From level 1 up a bound exceeds every singleton removal,
-            // so near it no candidate is counterfactual and the
-            // engine's search space for `cc` is exactly `others`.
-            for &bound in &bounds[1..] {
-                let (b, r) = fx.sweep(bound, &format!("cc {cc}"));
-                below += b;
-                reached += r;
-            }
-        }
-        // The sweep really straddles the prune threshold.
-        assert!(below > 0 && reached > 0, "{below} below, {reached} reached");
-    }
-
-    /// Near-α at the completion bound's thresholds: α is placed within a
-    /// few ulps of the bound of every prefix the walk can test (depth
-    /// ≥ 1, at least one slot left) over a candidate's impact-ordered
-    /// search space, offset by `PROB_EPSILON` and `GUARD` as above.
+    /// Near-α at the completion bound's thresholds: α is placed within
+    /// a few ulps of the bound of every prefix the walk can test over a
+    /// candidate's impact-ordered search space — the empty prefix at
+    /// every level (the level bound) and every deeper prefix with at
+    /// least one slot left — so that the prune threshold
+    /// `α − PROB_EPSILON − GUARD`, or the answer test's edge
+    /// `α − PROB_EPSILON`, lands on it.
     #[test]
     fn completion_bound_threshold_agrees_with_oracle() {
         let fx = NearAlpha::new();
@@ -974,10 +796,11 @@ mod tests {
             order_by_impact(&mut search, &scores);
             let width = search.len();
             scratch.reset_for(&fx.matrix);
-            ev.completion_tables(&search, width - 1, &mut scratch);
-            // Every non-empty prefix of positions, with `from` one past
-            // its last position and 1..=|suffix| slots left.
-            for prefix in 1u32..1 << width {
+            ev.completion_tables(&search, width, &mut scratch);
+            // Every prefix of positions, with `from` one past its last
+            // position: the empty one with every level's slots, the
+            // others with 1..=|suffix| slots left.
+            for prefix in 0u32..1 << width {
                 let from = 32 - prefix.leading_zeros() as usize;
                 ev.delta_begin(&mut scratch);
                 scratch.clear_mask();
@@ -987,7 +810,7 @@ mod tests {
                         ev.delta_add(c, &mut scratch);
                     }
                 }
-                for slots in 1..=width - from {
+                for slots in usize::from(prefix != 0)..=width - from {
                     let FastVerdict::Value(bound) =
                         ev.completion_bound(cc, from, slots, &scratch, f64::NEG_INFINITY)
                     else {

@@ -96,11 +96,11 @@ pub enum ExplainStrategy {
     CpUnindexed,
     /// The Naive-I baseline: CP's filter, exhaustive refinement.
     NaiveI {
-        /// A subset cap (`None` = none). Its only reader is the plan
+        /// A check cap (`None` = none). Its only reader is the plan
         /// executor, which merges it into the request's
         /// [`PlanLimits`] (`merge_min`), so it stops with the same
         /// typed `Partial` as
-        /// [`ExplainRequest::with_subset_budget`]. Kept only because
+        /// [`ExplainRequest::with_check_budget`]. Kept only because
         /// `perfbench/src/offline.rs` builds `NaiveI { max_subsets:
         /// None }`; the next benchmark change drops it.
         max_subsets: Option<u64>,
@@ -112,7 +112,7 @@ pub enum ExplainStrategy {
     CrKskyband { k: usize },
     /// The Naive-II baseline: CR's filter, subset verification.
     NaiveII {
-        /// A subset cap, merged into the plan limits exactly like
+        /// A check cap, merged into the plan limits exactly like
         /// Naive-I's (and dropped with it).
         max_subsets: Option<u64>,
     },

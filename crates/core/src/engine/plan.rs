@@ -159,7 +159,7 @@ impl ExplainRequest {
 
     /// Wall deadline in milliseconds: past it, unfinished tasks return
     /// [`CrpError::Partial`] (honored within one cancellation-check
-    /// interval, [`budget::CHECK_INTERVAL`] subset checks).
+    /// interval, [`budget::CHECK_INTERVAL`] checks).
     pub fn with_deadline_ms(mut self, ms: u64) -> Self {
         self.limits.deadline_ms = Some(ms);
         self
@@ -171,15 +171,17 @@ impl ExplainRequest {
         self
     }
 
-    /// Caps subset checks (FMCS, Naive-I and Naive-II) across the plan
-    /// this request joins — the library's one subset cap. Past it,
-    /// unfinished tasks return [`CrpError::Partial`] with
-    /// [`StopReason::SubsetBudget`](super::StopReason::SubsetBudget),
-    /// up to one [`budget::CHECK_INTERVAL`] of checks past the cap. On
-    /// a single explain this caps that explain; tasks of a larger plan
+    /// Caps checks across the plan this request joins — the library's
+    /// one work cap: every subset check (FMCS, Naive-I, Naive-II and
+    /// the Lemma 5 sweep) and every completion-bound check of the
+    /// pruned FMCS walk counts one. Past it, unfinished tasks return
+    /// [`CrpError::Partial`] with
+    /// [`StopReason::CheckBudget`](super::StopReason::CheckBudget), up
+    /// to one [`budget::CHECK_INTERVAL`] of checks past the cap. On a
+    /// single explain this caps that explain; tasks of a larger plan
     /// share it, as they share the deadline.
-    pub fn with_subset_budget(mut self, max: u64) -> Self {
-        self.limits.max_subsets = Some(max);
+    pub fn with_check_budget(mut self, max: u64) -> Self {
+        self.limits.max_checks = Some(max);
         self
     }
 
@@ -478,13 +480,13 @@ fn validate_task(workload: &Workload, q: &Point, task: &Task) -> Result<(), CrpE
     }
 }
 
-/// The subset cap a Naive strategy carries in its own field, as a plan
+/// The cap a Naive strategy carries in its own field, as a plan check
 /// limit; no limit for every other strategy.
 fn strategy_limits(strategy: ExplainStrategy) -> PlanLimits {
     match strategy {
         ExplainStrategy::NaiveI { max_subsets } | ExplainStrategy::NaiveII { max_subsets } => {
             PlanLimits {
-                max_subsets,
+                max_checks: max_subsets,
                 ..PlanLimits::default()
             }
         }
@@ -500,7 +502,7 @@ pub(crate) fn execute(engine: &ExplainEngine, requests: &[ExplainRequest]) -> Pl
     let config = &engine.config;
     // One budget handle for the whole plan: the most restrictive limit
     // of each kind across the joined requests (a Naive strategy's own
-    // subset field included). `None` (the common case) costs nothing on
+    // cap field included). `None` (the common case) costs nothing on
     // the hot paths.
     let limits = requests.iter().fold(PlanLimits::default(), |acc, r| {
         let strategy = r.strategy.unwrap_or(config.strategy);

@@ -36,6 +36,7 @@
 //! set. We start at cardinality 0 (i.e. `Γ = G1`), which matches
 //! Definitions 1–2 and the brute-force oracle (pinned by a unit test).
 
+use super::budget::Meter;
 use super::fmcs::{self, CauseRec, Checker};
 use crate::config::CpConfig;
 use crate::error::CrpError;
@@ -56,8 +57,13 @@ pub(crate) fn refine(
     stats: &mut RunStats,
     scratch: &mut Scratch,
 ) -> Result<Vec<CauseRec>, CrpError> {
-    let plan = classify(matrix, alpha, config, stats, scratch);
-    fmcs::search(matrix, alpha, config, plan, stats, scratch)
+    // One meter counts the whole refinement's checks: the Lemma 5 sweep
+    // and every FMCS walk.
+    let mut meter = Meter::active();
+    let plan = classify(matrix, alpha, config, stats, scratch, &mut meter);
+    let causes = fmcs::search(matrix, alpha, config, plan, stats, scratch, &mut meter);
+    meter.finish()?;
+    Ok(causes)
 }
 
 /// The classification stage's output, consumed by the FMCS stage.
@@ -82,13 +88,16 @@ pub(crate) struct RefinePlan<'m> {
 /// Runs the classification. `matrix` must contain only genuine
 /// candidates (positive dominance mass; Lemma 1 filtering is stage 1's
 /// job). `scratch` is the per-thread hot-path workspace, re-shaped here
-/// (via [`Checker::new`]) and shared with stage 3.
+/// (via [`Checker::new`]) and shared with stage 3. The Lemma 5 sweep's
+/// singleton checks are counted through `meter`; when it stops them,
+/// the sweep classifies nothing and stage 3 stops at its first poll.
 fn classify<'m>(
     matrix: &'m DominanceMatrix,
     alpha: f64,
     config: &CpConfig,
     stats: &mut RunStats,
     scratch: &mut Scratch,
+    meter: &mut Meter,
 ) -> RefinePlan<'m> {
     let n = matrix.candidates();
     stats.candidates = n;
@@ -127,12 +136,14 @@ fn classify<'m>(
     // `excluded[c]` removes c from every later search space.
     let mut excluded = vec![false; n];
     let mut done = vec![false; n];
-    if config.use_lemma5 {
+    // The singleton probes are subset checks too, counted in bulk so a
+    // plan budget meters refine-only explains (certain data under
+    // Lemma 7 never reaches the FMCS subset loop).
+    if config.use_lemma5 && meter.subsets(n as u128, stats, |_, _| {}) {
         // All |Cc| singleton probabilities in one prefix/suffix pass
         // over the complement matrix, each settled guard-banded.
         checker.batch_singletons(scratch);
         for c in 0..n {
-            stats.subsets_examined += 1;
             stats.prsq_evaluations += 1;
             if checker.settle_singleton(c, scratch.batch_prs[c], alpha, &mut stats.query) {
                 excluded[c] = true;
@@ -145,13 +156,6 @@ fn classify<'m>(
             }
         }
         stats.counterfactuals = results.len();
-        // The singleton probes are subset checks too: charge them so a
-        // plan budget meters refine-only explains (certain data under
-        // Lemma 7 never reaches the FMCS subset loop). The next check
-        // site — the FMCS driver or the following task — observes it.
-        if let Some(cancel) = super::budget::active() {
-            cancel.charge_subsets(n as u64);
-        }
     }
 
     RefinePlan {
@@ -453,7 +457,7 @@ mod tests {
         use crate::engine::budget::{with_cancel, Cancel, PlanLimits, StopReason};
         let m = matrix(&[&[0.3], &[0.3], &[0.3], &[0.3], &[0.3]]);
         let limits = PlanLimits {
-            max_subsets: Some(3),
+            max_checks: Some(3),
             ..PlanLimits::default()
         };
         let cancel = Cancel::new(limits, 1).expect("a limit is set");
@@ -463,7 +467,7 @@ mod tests {
         })
         .unwrap_err();
         assert!(
-            matches!(&err, CrpError::Partial(p) if p.reason == StopReason::SubsetBudget),
+            matches!(&err, CrpError::Partial(p) if p.reason == StopReason::CheckBudget),
             "{err:?}"
         );
     }

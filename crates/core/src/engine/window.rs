@@ -43,7 +43,7 @@ pub enum ClientClass {
     #[default]
     Interactive,
     /// Throughput work: no deadline and no node ceiling (only the
-    /// subset ceiling every class shares), but shed once the queue is
+    /// check ceiling every class shares), but shed once the queue is
     /// full.
     Batch,
     /// Opportunistic: smallest budgets, shed first (at half the queue
@@ -95,19 +95,16 @@ fn load_level(pending: usize, queue_cap: usize) -> u64 {
     (pending.min(cap) * 4 / cap) as u64
 }
 
-/// The subset ceiling of every served explain, whatever its class or
-/// the load: one adversarial non-answer cannot hold a reader forever,
-/// and a capped explain replies a typed `Partial`. Flat, so it never
-/// splits a window (windows group requests by equal limits).
-const SERVE_MAX_SUBSETS: u64 = 5_000_000;
-
 /// The plan budget a request admitted at this queue depth runs under.
 /// Pure and integer-only: same (class, depth, capacity) → same
-/// limits on every host. Every class shares the subset ceiling
-/// `SERVE_MAX_SUBSETS` (5,000,000).
+/// limits on every host. Every class shares the check ceiling
+/// [`PlanLimits::DEFAULT_MAX_CHECKS`] (5,000,000): one adversarial
+/// non-answer cannot hold a reader forever, and a capped explain
+/// replies a typed `Partial`. It is flat, so it never splits a window
+/// (windows group requests by equal limits).
 ///
 /// * [`Batch`](ClientClass::Batch) has no deadline and no node
-///   ceiling — batch work runs whole, short of the subset ceiling, or
+///   ceiling — batch work runs whole, short of the check ceiling, or
 ///   is shed at the door.
 /// * [`Interactive`](ClientClass::Interactive) starts at a 1000 ms
 ///   deadline and tightens to 200 ms as the queue fills.
@@ -116,7 +113,7 @@ const SERVE_MAX_SUBSETS: u64 = 5_000_000;
 pub fn derive_limits(class: ClientClass, pending: usize, queue_cap: usize) -> PlanLimits {
     let load = load_level(pending, queue_cap);
     let ceiling = PlanLimits {
-        max_subsets: Some(SERVE_MAX_SUBSETS),
+        max_checks: Some(PlanLimits::DEFAULT_MAX_CHECKS),
         ..PlanLimits::default()
     };
     match class {
@@ -299,15 +296,15 @@ mod tests {
         let cap = 32;
         let mut last_interactive = u64::MAX;
         let mut last_best_effort = (u64::MAX, u64::MAX);
-        let ceiling = Some(SERVE_MAX_SUBSETS);
+        let ceiling = Some(PlanLimits::DEFAULT_MAX_CHECKS);
         for pending in 0..=cap {
             assert_eq!(
                 derive_limits(ClientClass::Batch, pending, cap),
                 PlanLimits {
-                    max_subsets: ceiling,
+                    max_checks: ceiling,
                     ..PlanLimits::default()
                 },
-                "batch has only the shared subset ceiling"
+                "batch has only the shared check ceiling"
             );
             let i = derive_limits(ClientClass::Interactive, pending, cap);
             let d = i.deadline_ms.expect("interactive always has a deadline");
@@ -316,9 +313,9 @@ mod tests {
             last_interactive = d;
 
             let b = derive_limits(ClientClass::BestEffort, pending, cap);
-            // One flat subset ceiling for every class at every load, so
+            // One flat check ceiling for every class at every load, so
             // it never splits a window.
-            assert_eq!((i.max_subsets, b.max_subsets), (ceiling, ceiling));
+            assert_eq!((i.max_checks, b.max_checks), (ceiling, ceiling));
             let bd = (b.deadline_ms.unwrap(), b.max_node_accesses.unwrap());
             assert!(bd.0 <= last_best_effort.0 && bd.1 <= last_best_effort.1);
             last_best_effort = bd;

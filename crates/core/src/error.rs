@@ -136,6 +136,7 @@ mod tests {
                     tasks_completed: 1,
                     node_accesses: 7,
                     subsets_examined: 9,
+                    bound_checks: 2,
                     elapsed_ms: 12,
                 })),
                 "deadline",

@@ -241,30 +241,6 @@ impl DominanceMatrix {
     pub fn evaluator(&self) -> PrEvaluator<'_> {
         PrEvaluator::new(self)
     }
-
-    /// For each subset size `t`, an upper bound on `Pr(an | P − Γ)` over
-    /// all `Γ` with `|Γ| ≤ t`, ranging over every candidate.
-    ///
-    /// Per sample `i`, removing `Γ` divides out at most the `t` smallest
-    /// factors `(1 − dp[c][i])`; dropping those factors entirely bounds
-    /// the reachable product from above. Sound because each per-sample
-    /// bound is independent of which `Γ` is chosen.
-    ///
-    /// A test reference only: FMCS prunes with the per-candidate level
-    /// bound of `Scratch::level_bounds`, which ranges over one
-    /// candidate's own search space and is never above this one.
-    pub fn max_pr_after_removing(&self, t: usize) -> f64 {
-        let n = self.candidates;
-        let mut total = 0.0;
-        for (i, &w) in self.weights.iter().enumerate() {
-            // Collect the factors, keep all but the t smallest.
-            let mut factors: Vec<f64> = self.comp[i * n..(i + 1) * n].to_vec();
-            factors.sort_by(|a, b| a.partial_cmp(b).expect("finite probabilities"));
-            let prod: f64 = factors.iter().skip(t.min(factors.len())).product();
-            total += w * prod;
-        }
-        total
-    }
 }
 
 /// Reusable workspace of the refine/FMCS hot path: every buffer a
@@ -272,7 +248,7 @@ impl DominanceMatrix {
 /// steady state allocates **nothing per candidate** (and nothing per
 /// explain once the per-thread pool is warm — see [`with_scratch`]).
 ///
-/// Holds five groups of state:
+/// Holds four groups of state:
 ///
 /// * the current **removal mask** over candidates (`true` = removed),
 ///   maintained by delta moves; the drift-refresh and exact-fallback
@@ -281,10 +257,7 @@ impl DominanceMatrix {
 ///   annihilator count and log-factor sum of the currently removed set,
 ///   refreshed from the mask every [`DELTA_REFRESH_INTERVAL`] moves so
 ///   floating-point drift stays far inside the guard band,
-/// * the **level-bound buffers** of the probability pruning: one
-///   sample's search-space factors, sorted, and one bound per
-///   cardinality level of the current candidate's search,
-/// * the **completion tables** of the in-level bound: per search-space
+/// * the **completion tables** of the probability bound: per search-space
 ///   suffix and sample, the annihilators left in the suffix and the
 ///   sums of its largest `−ln(1 − dp)` (see
 ///   [`PrEvaluator::completion_tables`]),
@@ -304,10 +277,6 @@ pub struct Scratch {
     delta_logq: Vec<f64>,
     /// Delta moves since the last drift refresh.
     delta_moves: u64,
-    /// One sample's search-space factors, ascending (level-bound pass).
-    bound_factors: Vec<f64>,
-    /// Per cardinality level `k`: the current candidate's level bound.
-    level_bounds: Vec<f64>,
     /// Completion slots the completion tables cover (see
     /// [`PrEvaluator::completion_tables`]).
     completion_slots: usize,
@@ -368,51 +337,6 @@ impl Scratch {
     #[inline]
     pub(crate) fn is_removed(&self, c: usize) -> bool {
         self.mask[c]
-    }
-
-    /// The level bound of one candidate's contingency search: for every
-    /// `k` in `0..=search.len()`, an upper bound on `Pr(an | P − R)`
-    /// over every removal set `R` whose survivors are the candidates
-    /// marked by `kept` plus all but `k` members of `search`.
-    ///
-    /// FMCS asks it about `R = forced ∪ Γ ∪ {cc}` (condition (ii)),
-    /// keeping the factors outside the search space (the Lemma 5
-    /// exclusions). Per sample, the `k` removals that leave the largest
-    /// product drop the `k` smallest search-space factors; the product
-    /// runs from the largest factor down, so every step multiplies by a
-    /// factor `≤ 1` and, rounding being monotone, the bound never
-    /// decreases in `k` — in floating point too. The caller can therefore
-    /// start at the first level that reaches its threshold. Its rounding
-    /// differs from the exact product's by at most one step per factor,
-    /// far inside the guard band the caller leaves.
-    pub(crate) fn level_bounds(
-        &mut self,
-        matrix: &DominanceMatrix,
-        kept: impl Fn(usize) -> bool,
-        search: &[usize],
-    ) -> &[f64] {
-        let n = matrix.candidates();
-        let levels = search.len();
-        self.level_bounds.clear();
-        self.level_bounds.resize(levels + 1, 0.0);
-        for (i, &w) in matrix.weights.iter().enumerate() {
-            let row = &matrix.comp[i * n..(i + 1) * n];
-            let mut product = w;
-            for (c, &f) in row.iter().enumerate() {
-                if kept(c) {
-                    product *= f;
-                }
-            }
-            self.bound_factors.clear();
-            self.bound_factors.extend(search.iter().map(|&c| row[c]));
-            self.bound_factors.sort_unstable_by(f64::total_cmp);
-            self.level_bounds[levels] += product;
-            for k in (0..levels).rev() {
-                product *= self.bound_factors[k];
-                self.level_bounds[k] += product;
-            }
-        }
-        &self.level_bounds
     }
 
     /// Clears the removal mask (delta state is reset separately by
@@ -693,24 +617,31 @@ impl<'a> PrEvaluator<'a> {
         }
     }
 
-    // --- the in-level completion bound ---------------------------------
+    // --- the completion bound ----------------------------------------
     //
     // FMCS walks one cardinality level depth first over the impact-ordered
     // search space. At a prefix with `slots` members still to choose, all
     // from the suffix `search[from..]`, condition (ii) of every completion
     // `T` is `Pr(an | P − R − T − {cc})` with `R` the maintained removal
-    // set. Per sample, `T` can add at most the `slots` largest
-    // `−ln(1 − dp)` of the suffix to the log term, and the sample is live
-    // only if the annihilators `R ∪ {cc}` leaves are all in the suffix and
-    // fit in `slots`. Removal only raises `Pr(an)`, so the per-sample
-    // maximum summed over samples bounds every completion.
+    // set. A sample is live only if the `a` annihilators `R ∪ {cc}` leaves
+    // are all in the suffix and fit in `slots`; then `T` holds them, and
+    // its other `slots − a` members add at most the `slots − a` largest
+    // `−ln(1 − dp)` of the suffix to the log term. Removal only raises
+    // `Pr(an)`, so the per-sample maximum summed over samples bounds every
+    // completion. At the empty prefix (`from = 0`, `slots = k`, `R` the
+    // forced set) it bounds a whole level `k`; it never decreases with
+    // `slots`, because every step adds a non-negative term, in floating
+    // point too.
 
     /// Fills the completion tables of one candidate's search space for
     /// completions of up to `slots` members: per suffix start
-    /// `from ∈ 0..=search.len()` and sample, the annihilators in
-    /// `search[from..]` and, for every `m ≤ slots`, the sum of its `m`
-    /// largest `−ln(1 − dp)` (annihilators count 0). `O(|search|·L·slots)`
-    /// into reused buffers.
+    /// `from ∈ 0..=search.len()` and sample, the annihilators `a` in
+    /// `search[from..]` and, for every `m ≤ slots` the suffix can fill,
+    /// the most a completion of `m` members holding all `a` adds to the
+    /// log term — the sum of the suffix's `m − a` largest `−ln(1 − dp)`,
+    /// or `−∞` when `m < a`. `O(|search|·L·slots)` into reused buffers;
+    /// an entry wider than its suffix is left unwritten, since no
+    /// completion reads it.
     pub(crate) fn completion_tables(&self, search: &[usize], slots: usize, scratch: &mut Scratch) {
         let l = self.matrix.samples();
         let n = search.len();
@@ -723,9 +654,7 @@ impl<'a> PrEvaluator<'a> {
             ..
         } = scratch;
         *completion_slots = slots;
-        completion_top.clear();
         completion_top.resize((n + 1) * stride * l, 0.0);
-        completion_ann.clear();
         completion_ann.resize((n + 1) * l, 0);
         for i in 0..l {
             best.clear();
@@ -741,17 +670,37 @@ impl<'a> PrEvaluator<'a> {
                     }
                 }
                 completion_ann[from * l + i] = ann;
-                let mut sum = 0.0;
-                for (m, &v) in best.iter().enumerate() {
-                    sum += v;
-                    completion_top[(from * stride + m + 1) * l + i] = sum;
-                }
-                // A suffix shorter than `slots` never serves a wider
-                // completion; its entries keep the whole suffix's sum.
-                for m in best.len() + 1..=slots {
-                    completion_top[(from * stride + m) * l + i] = sum;
-                }
+                let row = &mut completion_top[from * stride * l + i..];
+                completion_row(row, l, ann as usize, best);
             }
+        }
+    }
+
+    /// The whole search space's row (`from = 0`) of
+    /// [`PrEvaluator::completion_tables`] for every slot count up to
+    /// `search.len()`: all the empty prefix reads, so the bound of every
+    /// level. One sort per sample, `O(L·|search|·log|search|)`; its
+    /// entries are bit-identical to the full tables', being the same
+    /// descending values summed in the same order.
+    pub(crate) fn level_tables(&self, search: &[usize], scratch: &mut Scratch) {
+        let l = self.matrix.samples();
+        let Scratch {
+            completion_slots,
+            completion_top,
+            completion_ann,
+            completion_best: best,
+            ..
+        } = scratch;
+        *completion_slots = search.len();
+        completion_top.resize((search.len() + 1) * l, 0.0);
+        completion_ann.resize(l, 0);
+        for i in 0..l {
+            best.clear();
+            best.extend(search.iter().map(|&c| -self.log_factors[c * l + i]));
+            best.sort_unstable_by(|a, b| b.total_cmp(a));
+            let ann = search.iter().map(|&c| self.annihilates[c * l + i]).sum();
+            completion_ann[i] = ann;
+            completion_row(&mut completion_top[i..], l, ann as usize, best);
         }
     }
 
@@ -776,10 +725,8 @@ impl<'a> PrEvaluator<'a> {
         let top = &scratch.completion_top[(from * stride + slots) * l..][..l];
         let ann = &scratch.completion_ann[from * l..][..l];
         let (cc_ann, cc_logs) = self.column(cc);
-        let live = |i: usize| {
-            let left = self.ones[i] - scratch.delta_ones[i] - cc_ann[i];
-            left == ann[i] && left as usize <= slots
-        };
+        // Too many annihilators for the slots shows as a `−∞` entry.
+        let live = |i: usize| self.ones[i] - scratch.delta_ones[i] - cc_ann[i] == ann[i];
         let d = |i: usize| self.log_prod[i] - scratch.delta_logq[i] - cc_logs[i] + top[i];
         let mut dmax = f64::NEG_INFINITY;
         for i in 0..l {
@@ -890,6 +837,25 @@ impl<'a> PrEvaluator<'a> {
     }
 }
 
+/// Writes one sample's entries of one completion-table row, `l` apart
+/// in `row`: for `m` up to `best.len()` (the suffix's largest values,
+/// descending, at most the table's slots), `−∞` while `m < ann`, then
+/// the sum of the `m − ann` largest.
+fn completion_row(row: &mut [f64], l: usize, ann: usize, best: &[f64]) {
+    for m in 0..ann.min(best.len() + 1) {
+        row[m * l] = f64::NEG_INFINITY;
+    }
+    if ann > best.len() {
+        return;
+    }
+    row[ann * l] = 0.0;
+    let mut sum = 0.0;
+    for (j, &v) in best[..best.len() - ann].iter().enumerate() {
+        sum += v;
+        row[(ann + j + 1) * l] = sum;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,25 +919,6 @@ mod tests {
         let one = m.pr_with_removed(&[true, false, false]);
         let two = m.pr_with_removed(&[true, true, false]);
         assert!(base <= one && one <= two);
-    }
-
-    #[test]
-    fn probability_bound_is_sound_and_tight_at_extremes() {
-        let (ds, q) = fixture();
-        let m = DominanceMatrix::build(&ds, 0, &q, &[1, 2, 3]);
-        // t = 0: bound equals Pr(an).
-        assert!((m.max_pr_after_removing(0) - m.pr_full()).abs() < 1e-12);
-        // t = all: bound is 1 (everything removable).
-        assert!((m.max_pr_after_removing(3) - 1.0).abs() < 1e-12);
-        // Bound dominates every actual removal of size <= t.
-        for mask in 0u32..8 {
-            let removed: Vec<bool> = (0..3).map(|c| mask & (1 << c) != 0).collect();
-            let t = removed.iter().filter(|r| **r).count();
-            assert!(
-                m.pr_with_removed(&removed) <= m.max_pr_after_removing(t) + 1e-12,
-                "mask {mask:b}"
-            );
-        }
     }
 
     #[test]
@@ -1107,83 +1054,6 @@ mod tests {
                 let mut removed = vec![false; n];
                 removed[c] = true;
                 assert_eq!(exact.to_bits(), m.pr_with_removed(&removed).to_bits());
-            }
-        }
-    }
-
-    /// Allocating twin of [`Scratch::level_bounds`]: the same products
-    /// in the same order, with fresh vectors per sample.
-    fn level_bounds_reference(m: &DominanceMatrix, kept: &[bool], search: &[usize]) -> Vec<f64> {
-        let n = m.candidates();
-        let mut bounds = vec![0.0; search.len() + 1];
-        for i in 0..m.samples() {
-            let row = &m.comp[i * n..(i + 1) * n];
-            let outside = (0..n)
-                .filter(|&c| kept[c])
-                .fold(m.weight(i), |p, c| p * row[c]);
-            let mut factors: Vec<f64> = search.iter().map(|&c| row[c]).collect();
-            factors.sort_by(|a, b| a.partial_cmp(b).expect("finite probabilities"));
-            for (k, bound) in bounds.iter_mut().enumerate() {
-                *bound += factors[k..].iter().rev().fold(outside, |p, &f| p * f);
-            }
-        }
-        bounds
-    }
-
-    /// The scratch-served level bound is bit-identical to its
-    /// allocating twin, never decreases with the level, is never above
-    /// the global bound over all candidates, and bounds every removal
-    /// set it stands for.
-    #[test]
-    fn scratch_bound_is_bit_identical_to_reference() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(0xB0_07);
-        let mut scratch = Scratch::default();
-        for round in 0..60 {
-            let n: usize = rng.random_range(1..=10);
-            let l = rng.random_range(1..=4);
-            let m = random_matrix(&mut rng, n, l);
-            scratch.reset_for(&m);
-            // A random split into cc, forced, kept (excluded) and search.
-            let cc = rng.random_range(0..n);
-            let role: Vec<u8> = (0..n)
-                .map(|c| if c == cc { 3 } else { rng.random_range(0..3) })
-                .collect();
-            let forced: Vec<usize> = (0..n).filter(|&c| role[c] == 0).collect();
-            let kept: Vec<bool> = role.iter().map(|&r| r == 1).collect();
-            let search: Vec<usize> = (0..n).filter(|&c| role[c] == 2).collect();
-            let reference = level_bounds_reference(&m, &kept, &search);
-            let served = scratch.level_bounds(&m, |c| kept[c], &search).to_vec();
-            let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&served), bits(&reference), "round {round}");
-            for (k, pair) in served.windows(2).enumerate() {
-                assert!(
-                    pair[0] <= pair[1],
-                    "round {round}: level {k} above level {}",
-                    k + 1
-                );
-            }
-            for (k, &bound) in served.iter().enumerate() {
-                let global = m.max_pr_after_removing(forced.len() + k + 1);
-                assert!(bound <= global + 1e-12, "round {round}, k = {k}");
-            }
-            // Every R = forced ∪ S ∪ {cc} with S ⊆ search stays under
-            // its level's bound.
-            for subset in 0u32..1 << search.len() {
-                let mut removed = vec![false; n];
-                removed[cc] = true;
-                for &c in &forced {
-                    removed[c] = true;
-                }
-                for (s, &c) in search.iter().enumerate() {
-                    removed[c] = subset & (1 << s) != 0;
-                }
-                let k = subset.count_ones() as usize;
-                assert!(
-                    m.pr_with_removed(&removed) <= served[k] + 1e-12,
-                    "round {round}, subset {subset:b}"
-                );
             }
         }
     }
@@ -1397,11 +1267,15 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
         /// The completion bound is sound: on random matrices with
-        /// annihilators, at every prefix the walk can reach (the empty one
-        /// included) and every slot count, it is at least the largest
+        /// annihilators, at every prefix (the empty one included) and
+        /// every slot count, it is at least the largest
         /// `Pr(an | P − forced − prefix − T − {cc})` over every completion
         /// `T` drawn from the suffix, and a screened `Below` only stands
-        /// for completions that really stay below the cut.
+        /// for completions that really stay below the cut. It is tight
+        /// when one completion is left (no slot, or the whole suffix),
+        /// and at the empty prefix — the level bound of FMCS — it never
+        /// decreases with the level and reads the same from the level
+        /// tables as from the full ones.
         #[test]
         fn completion_bound_covers_every_completion(seed in proptest::prelude::any::<u64>()) {
             use rand::rngs::StdRng;
@@ -1422,14 +1296,29 @@ mod tests {
                 search.swap(i, rng.random_range(0..=i));
             }
             let width = search.len();
+            let forced = |scratch: &mut Scratch| {
+                scratch.reset_for(&m);
+                ev.delta_begin(scratch);
+                for c in (0..n).filter(|&c| role[c] == 0) {
+                    scratch.set_removed(c);
+                    ev.delta_add(c, scratch);
+                }
+            };
             let mut scratch = Scratch::default();
-            scratch.reset_for(&m);
-            ev.delta_begin(&mut scratch);
-            for c in (0..n).filter(|&c| role[c] == 0) {
-                scratch.set_removed(c);
-                ev.delta_add(c, &mut scratch);
+            forced(&mut scratch);
+            ev.completion_tables(&search, width, &mut scratch);
+            // The level tables alone serve the empty prefix with the same
+            // bits.
+            let mut whole = Scratch::default();
+            forced(&mut whole);
+            ev.level_tables(&search, &mut whole);
+            for slots in 0..=width {
+                let bits = |s: &Scratch| match ev.completion_bound(cc, 0, slots, s, f64::NEG_INFINITY) {
+                    FastVerdict::Value(b) => b.to_bits(),
+                    FastVerdict::Below => panic!("a disabled screen certified a bound"),
+                };
+                proptest::prop_assert_eq!(bits(&whole), bits(&scratch));
             }
-            ev.completion_tables(&search, width.saturating_sub(1), &mut scratch);
             let cuts: Vec<(f64, f64)> = [0.05, 0.3, 0.6, 0.95]
                 .iter()
                 .map(|&a: &f64| {
@@ -1448,7 +1337,8 @@ mod tests {
                         ev.delta_add(c, &mut scratch);
                     }
                 }
-                for slots in 1..=(width - from).min(width.saturating_sub(1)) {
+                let mut last = f64::NEG_INFINITY;
+                for slots in 0..=width - from {
                     let mut best = 0.0f64;
                     crate::combinations::for_each_combination(width - from, slots, |tail| {
                         let mut removed = scratch.mask.clone();
@@ -1468,6 +1358,18 @@ mod tests {
                         bound >= best - 1e-12,
                         "prefix {prefix:b}, slots {slots}: bound {bound} < completion {best}"
                     );
+                    // Exact up to rounding and to the annihilators' factors
+                    // (`≤ PROB_EPSILON`) that the bound counts as zero.
+                    if slots == 0 || slots == width - from {
+                        proptest::prop_assert!(
+                            (bound - best).abs() <= 1e-11,
+                            "prefix {prefix:b}, slots {slots}: one completion, bound {bound} ≠ {best}"
+                        );
+                    }
+                    if prefix == 0 {
+                        proptest::prop_assert!(bound >= last, "level {slots} below level {}", slots - 1);
+                        last = bound;
+                    }
                     for &(floor, ln_cut) in &cuts {
                         if let FastVerdict::Below = ev.completion_bound(cc, from, slots, &scratch, ln_cut) {
                             proptest::prop_assert!(bound < floor && best < floor);
@@ -1482,7 +1384,7 @@ mod tests {
                     }
                 }
             }
-            proptest::prop_assert!(width < 2 || checked > 0);
+            proptest::prop_assert!(checked >= 1 << width);
         }
     }
 

@@ -134,13 +134,13 @@ mod tests {
         let err = engine
             .run(&[ExplainRequest::explain(&pt(50.0, 50.0), ObjectId(0))
                 .with_strategy(ExplainStrategy::NaiveII { max_subsets: None })
-                .with_subset_budget(10_000)])
+                .with_check_budget(10_000)])
             .into_single()
             .unwrap_err();
         let CrpError::Partial(progress) = err else {
             panic!("expected a typed Partial, got {err:?}");
         };
-        assert_eq!(progress.reason, StopReason::SubsetBudget);
+        assert_eq!(progress.reason, StopReason::CheckBudget);
         // The cap stops at the next poll: past it, by at most one
         // check interval.
         assert!(progress.subsets_examined > 10_000);

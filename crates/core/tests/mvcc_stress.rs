@@ -232,7 +232,7 @@ fn stress_config() -> EngineConfig {
 /// typed progress every time, so only its wall clock (`elapsed_ms`,
 /// cleared here) is left out of the bit-identity contract.
 fn capped(session: &dyn ExplainSession, q: &Point, an: ObjectId) -> Result<CrpOutcome, CrpError> {
-    let request = ExplainRequest::explain(q, an).with_subset_budget(20_000);
+    let request = ExplainRequest::explain(q, an).with_check_budget(20_000);
     session.run(&[request]).into_single().map_err(|e| match e {
         CrpError::Partial(mut p) => {
             p.elapsed_ms = 0;

@@ -335,9 +335,9 @@ fn unpruned_reference(
             .with_strategy(ExplainStrategy::Cp)
             .with_alpha(alpha)
             .with_cp(unpruned())
-            .with_subset_budget(40_000)])
+            .with_check_budget(40_000)])
         .into_single();
-    let capped = matches!(&out, Err(CrpError::Partial(p)) if p.reason == StopReason::SubsetBudget);
+    let capped = matches!(&out, Err(CrpError::Partial(p)) if p.reason == StopReason::CheckBudget);
     (!capped).then_some(out)
 }
 
@@ -401,7 +401,7 @@ proptest! {
                 .run(&[ExplainRequest::batch(&q, &ids)
                     .with_alpha(alpha)
                     .with_cp(cp)
-                    .with_subset_budget(budget)
+                    .with_check_budget(budget)
                     .serial()])
                 .results
         };

@@ -76,7 +76,7 @@ fn subset_budget_trips_with_typed_reason_and_consistent_progress() {
     assert!(total_subsets > 0, "fixture examines no subsets — rework it");
 
     // A fresh engine, so this run is independent of the baseline.
-    let report = fixture().run(&[request().with_subset_budget(0)]);
+    let report = fixture().run(&[request().with_check_budget(0)]);
     let partials: Vec<_> = report.results.iter().filter_map(progress_of).collect();
     assert!(
         !partials.is_empty(),
@@ -84,7 +84,7 @@ fn subset_budget_trips_with_typed_reason_and_consistent_progress() {
         report.results
     );
     for progress in &partials {
-        assert_eq!(progress.reason, StopReason::SubsetBudget);
+        assert_eq!(progress.reason, StopReason::CheckBudget);
         assert!(progress.subsets_examined > 0, "the trip records the charge");
         assert!(progress.tasks_completed < progress.tasks_total);
         assert_eq!(progress.tasks_total, 3);
@@ -121,7 +121,7 @@ fn progress_is_monotone_in_the_budget() {
     let mut last_completed = 0u64;
     for budget in [0u64, 1, 10, 1_000, 1_000_000] {
         // A fresh engine per budget keeps the runs independent.
-        let report = fixture().run(&[request().with_subset_budget(budget)]);
+        let report = fixture().run(&[request().with_check_budget(budget)]);
         let completed = report
             .results
             .iter()
@@ -129,7 +129,7 @@ fn progress_is_monotone_in_the_budget() {
             .count() as u64;
         assert!(
             completed >= last_completed,
-            "raising the subset budget to {budget} lost progress \
+            "raising the check budget to {budget} lost progress \
              ({completed} < {last_completed})"
         );
         last_completed = completed;
@@ -149,7 +149,7 @@ fn generous_budgets_are_bit_identical_to_unbudgeted_runs() {
     let limits = PlanLimits {
         deadline_ms: Some(3_600_000),
         max_node_accesses: Some(u64::MAX),
-        max_subsets: Some(u64::MAX),
+        max_checks: Some(u64::MAX),
     };
     // A fresh engine, so the budgeted run is independent of the
     // reference run.
@@ -195,8 +195,8 @@ fn partial_outcomes_are_never_cached() {
     }
 }
 
-/// Every subset cap is one mechanism: on the same hard explain, a Naive
-/// strategy's own cap field, `with_subset_budget` and `with_limits`
+/// Every check cap is one mechanism: on the same hard explain, a Naive
+/// strategy's own cap field, `with_check_budget` and `with_limits`
 /// stop at equal typed progress, and a one-task plan stops at the same
 /// progress on every run. The wall clock (`elapsed_ms`) is the only
 /// field left out.
@@ -227,19 +227,56 @@ fn every_subset_cap_stops_at_the_same_typed_progress() {
         *progress
     };
     let by_field = stopped(naive(Some(cap)));
-    assert_eq!(by_field.reason, StopReason::SubsetBudget);
+    assert_eq!(by_field.reason, StopReason::CheckBudget);
     assert_eq!((by_field.tasks_total, by_field.tasks_completed), (1, 0));
     assert!(by_field.subsets_examined > cap);
-    let by_budget = stopped(naive(None).with_subset_budget(cap));
+    let by_budget = stopped(naive(None).with_check_budget(cap));
     assert_eq!(by_field, by_budget, "the strategy field is a plan limit");
     let limits = PlanLimits {
-        max_subsets: Some(cap),
+        max_checks: Some(cap),
         ..PlanLimits::default()
     };
     assert_eq!(stopped(naive(None).with_limits(limits)), by_budget);
     assert_eq!(
-        stopped(naive(None).with_subset_budget(cap)),
+        stopped(naive(None).with_check_budget(cap)),
         by_budget,
         "a rerun must stop at the same progress"
     );
+}
+
+/// The check cap bounds a pruned CP search: on the synthetic NBA league
+/// at q = (3500, 1500, 600, 800), α = 0.5, objects 24, 23 and 10 are deep
+/// non-answers whose branch and bound spends most of its work on
+/// completion-bound checks. Under a 100,000-check cap each stops with a
+/// typed `CheckBudget` partial within one poll interval of the cap,
+/// however its work splits between subset and bound checks.
+#[test]
+fn check_budget_bounds_the_pruned_search() {
+    use crp_core::engine::budget::CHECK_INTERVAL;
+    use crp_data::{nba_dataset, NbaConfig};
+
+    let cap = 100_000;
+    let engine = ExplainEngine::new(
+        nba_dataset(&NbaConfig::default()),
+        EngineConfig::with_alpha(0.5),
+    )
+    .unwrap();
+    let q = Point::from([3500.0, 1500.0, 600.0, 800.0]);
+    for an in [24, 23, 10] {
+        let err = engine
+            .run(&[ExplainRequest::explain(&q, ObjectId(an)).with_check_budget(cap)])
+            .into_single()
+            .expect_err("the cap must stop the explain");
+        let CrpError::Partial(progress) = err else {
+            panic!("object {an}: expected a typed Partial, got {err:?}");
+        };
+        assert_eq!(progress.reason, StopReason::CheckBudget, "object {an}");
+        let checks = progress.subsets_examined + progress.bound_checks;
+        assert!(
+            checks > cap && checks <= cap + CHECK_INTERVAL,
+            "object {an}: {} subset + {} bound checks against a cap of {cap}",
+            progress.subsets_examined,
+            progress.bound_checks
+        );
+    }
 }

@@ -482,8 +482,9 @@ pub enum WireStop {
     Deadline,
     /// The node-access ceiling was reached.
     Nodes,
-    /// The subset-check ceiling was reached.
-    Subsets,
+    /// The check ceiling (subset and completion-bound checks) was
+    /// reached.
+    Checks,
 }
 
 impl WireStop {
@@ -492,7 +493,7 @@ impl WireStop {
         match self {
             WireStop::Deadline => "deadline",
             WireStop::Nodes => "nodes",
-            WireStop::Subsets => "subsets",
+            WireStop::Checks => "checks",
         }
     }
 }
@@ -504,7 +505,7 @@ impl std::str::FromStr for WireStop {
         match s {
             "deadline" => Ok(WireStop::Deadline),
             "nodes" => Ok(WireStop::Nodes),
-            "subsets" => Ok(WireStop::Subsets),
+            "checks" => Ok(WireStop::Checks),
             other => Err(malformed(format!("unknown stop reason {other:?}"))),
         }
     }
@@ -538,6 +539,8 @@ pub struct WirePartial {
     pub nodes: u64,
     /// Subset checks charged so far.
     pub subsets: u64,
+    /// Completion-bound checks charged so far.
+    pub bound_checks: u64,
     /// Wall milliseconds to the trip.
     pub ms: u64,
 }
@@ -682,12 +685,13 @@ fn encode_result(r: &WireResult) -> String {
         }
         WireResult::Answer { prob } => format!("answer p={prob}"),
         WireResult::Partial(p) => format!(
-            "partial reason={} done={} total={} nodes={} subsets={} ms={}",
+            "partial reason={} done={} total={} nodes={} subsets={} bound_checks={} ms={}",
             p.reason.as_str(),
             p.done,
             p.total,
             p.nodes,
             p.subsets,
+            p.bound_checks,
             p.ms
         ),
         WireResult::Failed { message } => format!("fail {}", flatten(message)),
@@ -724,6 +728,7 @@ fn parse_result(line: &str) -> Result<WireResult, WireError> {
                 total: 0,
                 nodes: 0,
                 subsets: 0,
+                bound_checks: 0,
                 ms: 0,
             };
             let mut saw_reason = false;
@@ -737,6 +742,7 @@ fn parse_result(line: &str) -> Result<WireResult, WireError> {
                     ("total", v) => p.total = parse_u64(v, "total")?,
                     ("nodes", v) => p.nodes = parse_u64(v, "nodes")?,
                     ("subsets", v) => p.subsets = parse_u64(v, "subsets")?,
+                    ("bound_checks", v) => p.bound_checks = parse_u64(v, "bound_checks")?,
                     ("ms", v) => p.ms = parse_u64(v, "ms")?,
                     (key, _) => return Err(malformed(format!("unknown partial field {key:?}"))),
                 }
@@ -889,6 +895,15 @@ mod tests {
     use super::*;
 
     #[test]
+    fn stop_reasons_name_what_they_count() {
+        for stop in [WireStop::Deadline, WireStop::Nodes, WireStop::Checks] {
+            assert_eq!(stop.as_str().parse::<WireStop>().unwrap(), stop);
+        }
+        assert_eq!(WireStop::Checks.as_str(), "checks");
+        assert!("subsets".parse::<WireStop>().is_err());
+    }
+
+    #[test]
     fn frames_round_trip() {
         let frame = encode_frame("hello class=batch").unwrap();
         let (payload, consumed) = decode_frame(&frame).unwrap().unwrap();
@@ -1013,6 +1028,7 @@ mod tests {
                         total: 4,
                         nodes: 4096,
                         subsets: 12,
+                        bound_checks: 30,
                         ms: 18,
                     }),
                     WireResult::Failed {

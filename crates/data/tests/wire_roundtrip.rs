@@ -138,23 +138,26 @@ fn result_strategy() -> impl Strategy<Value = WireResult> {
             0..100u64,
             0..100u64,
             0..1_000_000u64,
-            0..1_000_000u64,
+            (0..1_000_000u64, 0..1_000_000u64),
             0..100_000u64
         )
-            .prop_map(|(reason, done, total, nodes, subsets, ms)| {
-                WireResult::Partial(WirePartial {
-                    reason: match reason {
-                        0 => WireStop::Deadline,
-                        1 => WireStop::Nodes,
-                        _ => WireStop::Subsets,
-                    },
-                    done,
-                    total,
-                    nodes,
-                    subsets,
-                    ms,
-                })
-            }),
+            .prop_map(
+                |(reason, done, total, nodes, (subsets, bound_checks), ms)| {
+                    WireResult::Partial(WirePartial {
+                        reason: match reason {
+                            0 => WireStop::Deadline,
+                            1 => WireStop::Nodes,
+                            _ => WireStop::Checks,
+                        },
+                        done,
+                        total,
+                        nodes,
+                        subsets,
+                        bound_checks,
+                        ms,
+                    })
+                }
+            ),
         prop::collection::vec(0..255u8, 0..40).prop_map(|b| WireResult::Failed {
             message: text_of(&b)
         }),

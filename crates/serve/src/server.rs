@@ -131,12 +131,13 @@ fn wire_result(result: &Result<crp_core::CrpOutcome, CrpError>) -> WireResult {
             reason: match p.reason {
                 StopReason::DeadlineExceeded => WireStop::Deadline,
                 StopReason::NodeAccessBudget => WireStop::Nodes,
-                StopReason::SubsetBudget => WireStop::Subsets,
+                StopReason::CheckBudget => WireStop::Checks,
             },
             done: p.tasks_completed,
             total: p.tasks_total,
             nodes: p.node_accesses,
             subsets: p.subsets_examined,
+            bound_checks: p.bound_checks,
             ms: p.elapsed_ms,
         }),
         Err(other) => WireResult::Failed {

@@ -45,7 +45,7 @@ fn main() {
         let request = ExplainRequest::explain(&q, obj.id())
             .with_strategy(ExplainStrategy::Cp)
             .with_alpha(alpha)
-            .with_subset_budget(2_000_000);
+            .with_check_budget(2_000_000);
         let outcome = match engine.run(&[request]).into_single() {
             Ok(o) if (3..=60).contains(&o.causes.len()) => o,
             _ => continue,

@@ -35,7 +35,7 @@ fn main() {
             for obj in ds.iter() {
                 let request = ExplainRequest::explain(&q, obj.id())
                     .with_strategy(ExplainStrategy::Cp)
-                    .with_subset_budget(500_000);
+                    .with_check_budget(500_000);
                 if let Ok(out) = engine.run(&[request]).into_single() {
                     if out.causes.len() >= 3 {
                         pick = Some(obj.id());

@@ -8,7 +8,7 @@
 //! # Why is an object missing? (CR for point data, CP for season data.)
 //! crp explain --data cars.csv --schema points  --query 11580,49000 --object 42
 //! crp explain --data nba.csv  --schema seasons --query 3500,1500,600,800 \
-//!             --alpha 0.5 --object 23 [--budget-subsets 2000000]
+//!             --alpha 0.5 --object 23 [--budget-checks 2000000]
 //!
 //! # Explain many non-answers in one engine session (rayon-parallel;
 //! # --objects takes comma-separated ids, or "all" for every object).
@@ -67,10 +67,12 @@
 //! (certain data), `seasons` = `player_id,label,a1..aD` (uncertain data,
 //! equal sample probabilities per id).
 //!
-//! `explain`, `explain-batch`, `sweep` and `replay` cap the subset
-//! checks of each command's plan with `--budget-subsets N` (default
-//! 5,000,000), shared by every explain of a multi-object plan; a capped
-//! explain reports a typed partial result.
+//! `explain`, `explain-batch`, `sweep` and `replay` cap the checks of
+//! each command's plan — every subset check and every completion-bound
+//! check of the contingency search — with `--budget-checks N` (default
+//! `PlanLimits::DEFAULT_MAX_CHECKS`, 5,000,000), shared by every explain
+//! of a multi-object plan; a capped explain reports a typed partial
+//! result.
 //!
 //! Unknown flags are rejected with a usage error and a nonzero exit —
 //! a typo like `--aplha` fails loudly instead of silently running with
@@ -92,7 +94,7 @@ const USAGE: &str = "usage: crp <query|explain|explain-batch|sweep|replay|serve|
      [--data FILE \
      --schema points|seasons --query a1,a2,… --alpha A --object ID \
      --objects ID,ID,…|all --alphas A,A,… --q-grid d1:d2,d1:d2,… \
-     --budget-subsets N --serial --workload FILE --readers N --session-dir DIR \
+     --budget-checks N --serial --workload FILE --readers N --session-dir DIR \
      --inject seed=N[,eio-every=K,enospc-at=K,torn-at=K,lying-every=K] \
      --deadline-ms N --budget-nodes N \
      --addr HOST:PORT --window-max N --window-ms N --queue-cap N \
@@ -120,7 +122,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--schema", true),
         ("--query", true),
         ("--alpha", true),
-        ("--budget-subsets", true),
+        ("--budget-checks", true),
         ("--object", true),
     ];
     const EXPLAIN_BATCH: &[(&str, bool)] = &[
@@ -128,7 +130,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--schema", true),
         ("--query", true),
         ("--alpha", true),
-        ("--budget-subsets", true),
+        ("--budget-checks", true),
         ("--objects", true),
         ("--serial", false),
     ];
@@ -137,7 +139,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--schema", true),
         ("--query", true),
         ("--alpha", true),
-        ("--budget-subsets", true),
+        ("--budget-checks", true),
         ("--workload", true),
         ("--serial", false),
         ("--readers", true),
@@ -153,7 +155,7 @@ fn accepted_flags(command: &str) -> Option<&'static [(&'static str, bool)]> {
         ("--alpha", true),
         ("--alphas", true),
         ("--q-grid", true),
-        ("--budget-subsets", true),
+        ("--budget-checks", true),
         ("--objects", true),
         ("--serial", false),
     ];
@@ -334,9 +336,6 @@ fn cmd_query(ds: &UncertainDataset, q: &Point, alpha: f64) -> Result<(), String>
     Ok(())
 }
 
-/// The subset cap of a CLI plan when `--budget-subsets` is not given.
-const DEFAULT_SUBSET_BUDGET: u64 = 5_000_000;
-
 /// The session configuration every CLI engine shares: auto strategy
 /// (CR for certain data, CP otherwise) and the library's CP
 /// configuration. Work caps ride on each request, not the session.
@@ -379,7 +378,7 @@ fn cmd_explain(
     budget: u64,
 ) -> Result<(), String> {
     let ds = engine.dataset();
-    let request = ExplainRequest::explain(q, object).with_subset_budget(budget);
+    let request = ExplainRequest::explain(q, object).with_check_budget(budget);
     match engine.run(&[request]).into_single() {
         Ok(out) => {
             print_outcome(ds, object, &out);
@@ -398,7 +397,7 @@ fn cmd_explain(
 }
 
 /// `explain-batch`: one engine session, many non-answers, one
-/// rayon-parallel plan under one subset cap.
+/// rayon-parallel plan under one check cap.
 fn cmd_explain_batch(
     engine: &ExplainEngine,
     q: &Point,
@@ -407,7 +406,7 @@ fn cmd_explain_batch(
 ) -> Result<(), String> {
     let ds = engine.dataset();
     let started = std::time::Instant::now();
-    let request = ExplainRequest::batch(q, objects).with_subset_budget(budget);
+    let request = ExplainRequest::batch(q, objects).with_check_budget(budget);
     let outcomes = engine.run(&[request]).results;
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
@@ -482,7 +481,7 @@ fn cmd_replay(
                 };
                 explains += ids.len();
                 let ds = engine.dataset();
-                let request = ExplainRequest::batch(q, &ids).with_subset_budget(budget);
+                let request = ExplainRequest::batch(q, &ids).with_check_budget(budget);
                 for (&object, outcome) in ids.iter().zip(engine.run(&[request]).results) {
                     match outcome {
                         Ok(out) => print_outcome(ds, object, &out),
@@ -714,7 +713,7 @@ fn cmd_sweep(
     let ds = engine.dataset();
     let mut request = ExplainRequest::query_sweep(queries.clone(), objects)
         .with_alphas(alphas.clone())
-        .with_subset_budget(budget);
+        .with_check_budget(budget);
     if serial {
         request = request.serial();
     }
@@ -982,12 +981,14 @@ fn print_wire_results(results: &[WireResult]) {
             }
             WireResult::Answer { prob } => println!("task #{i}: ANSWER (Pr = {prob:.3})"),
             WireResult::Partial(p) => println!(
-                "task #{i}: PARTIAL ({}) — {}/{} task(s), {} node(s), {} subset(s), {} ms",
+                "task #{i}: PARTIAL ({}) — {}/{} task(s), {} node(s), {} subset(s), \
+                 {} bound check(s), {} ms",
                 p.reason.as_str(),
                 p.done,
                 p.total,
                 p.nodes,
                 p.subsets,
+                p.bound_checks,
                 p.ms,
             ),
             WireResult::Failed { message } => println!("task #{i}: FAILED — {message}"),
@@ -1112,8 +1113,8 @@ fn run() -> Result<(), String> {
             if cli.command == "query" {
                 return cmd_query(&ds, &q, alpha);
             }
-            let given_budget: Option<u64> = cli.parse("--budget-subsets")?;
-            let budget = given_budget.unwrap_or(DEFAULT_SUBSET_BUDGET);
+            let given_budget: Option<u64> = cli.parse("--budget-checks")?;
+            let budget = given_budget.unwrap_or(PlanLimits::DEFAULT_MAX_CHECKS);
             if cli.command == "replay" {
                 let ops =
                     load_workload(cli.require("--workload", "FILE")?).map_err(|e| e.to_string())?;
@@ -1122,7 +1123,7 @@ fn run() -> Result<(), String> {
                 let limits = PlanLimits {
                     deadline_ms: cli.parse("--deadline-ms")?,
                     max_node_accesses: cli.parse("--budget-nodes")?,
-                    max_subsets: given_budget,
+                    max_checks: given_budget,
                 };
                 let inject = cli.parse::<FaultSpec>("--inject")?;
                 if inject.is_some() && session_dir.is_none() {
@@ -1132,11 +1133,11 @@ fn run() -> Result<(), String> {
                     );
                 }
                 // The path follows the flags the user gave; the default
-                // subset cap alone keeps the in-place session.
+                // check cap alone keeps the in-place session.
                 if readers > 0 || session_dir.is_some() || !limits.is_unlimited() {
                     let config = cli_engine_config(alpha, !cli.has("--serial"));
                     let limits = PlanLimits {
-                        max_subsets: Some(budget),
+                        max_checks: Some(budget),
                         ..limits
                     };
                     return cmd_replay_mvcc(
@@ -1467,7 +1468,7 @@ mod tests {
             "250",
             "--budget-nodes",
             "5000",
-            "--budget-subsets",
+            "--budget-checks",
             "100000",
         ]))
         .unwrap();
@@ -1478,7 +1479,7 @@ mod tests {
         assert_eq!(spec.enospc_at, None);
         assert_eq!(cli.parse::<u64>("--deadline-ms").unwrap(), Some(250));
         assert_eq!(cli.parse::<u64>("--budget-nodes").unwrap(), Some(5000));
-        assert_eq!(cli.parse::<u64>("--budget-subsets").unwrap(), Some(100_000));
+        assert_eq!(cli.parse::<u64>("--budget-checks").unwrap(), Some(100_000));
 
         // Bad values fail at parse with the flag named — never silently.
         let cli = parse_cli(&args(&["replay", "--inject", "eio-every=3"])).unwrap();
@@ -1500,7 +1501,7 @@ mod tests {
             "--inject",
             "--deadline-ms",
             "--budget-nodes",
-            "--budget-subsets",
+            "--budget-checks",
         ] {
             assert!(parse_cli(&args(&["replay", flag])).is_err(), "{flag}");
         }
@@ -1520,15 +1521,15 @@ mod tests {
 
     #[test]
     fn one_subset_budget_flag() {
-        // --budget-subsets is the one subset cap of every explaining
+        // --budget-checks is the one work cap of every explaining
         // command…
         for command in ["explain", "explain-batch", "sweep", "replay"] {
-            let cli = parse_cli(&args(&[command, "--budget-subsets", "7"])).unwrap();
-            assert_eq!(cli.parse::<u64>("--budget-subsets").unwrap(), Some(7));
-            assert!(parse_cli(&args(&[command, "--budget-subsets"])).is_err());
+            let cli = parse_cli(&args(&[command, "--budget-checks", "7"])).unwrap();
+            assert_eq!(cli.parse::<u64>("--budget-checks").unwrap(), Some(7));
+            assert!(parse_cli(&args(&[command, "--budget-checks"])).is_err());
         }
         for command in ["query", "serve", "client", "generate"] {
-            assert!(parse_cli(&args(&[command, "--budget-subsets", "7"])).is_err());
+            assert!(parse_cli(&args(&[command, "--budget-checks", "7"])).is_err());
         }
         // …and the old per-explain flag is gone everywhere.
         for command in ["explain", "explain-batch", "sweep", "replay", "serve"] {

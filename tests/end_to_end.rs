@@ -42,7 +42,7 @@ fn capped_cp(
         .run(&[ExplainRequest::explain(q, an)
             .with_strategy(ExplainStrategy::Cp)
             .with_alpha(alpha)
-            .with_subset_budget(max_subsets)])
+            .with_check_budget(max_subsets)])
         .into_single()
 }
 

@@ -11,7 +11,7 @@ fn cp(engine: &ExplainEngine, q: &Point, an: ObjectId, alpha: f64) -> Result<Crp
         .run(&[ExplainRequest::explain(q, an)
             .with_strategy(ExplainStrategy::Cp)
             .with_alpha(alpha)
-            .with_subset_budget(200_000)])
+            .with_check_budget(200_000)])
         .into_single()
 }
 
