@@ -27,7 +27,7 @@
 //! so rayon-spawned unit tasks see it too) and the hot loops poll it
 //! at bounded intervals — before each task, at the refinement
 //! entry, per FMCS candidate, and every [`CHECK_INTERVAL`] checks.
-//! Every walk counts its checks through one [`Meter`], the only code
+//! Every walk counts its checks through one `Meter`, the only code
 //! that charges them, so a check cap stops up to one interval past its
 //! limit. A tripped budget surfaces as [`CrpError::Partial`]
 //! carrying a

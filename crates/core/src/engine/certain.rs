@@ -100,7 +100,7 @@ impl CertainSearch for Lemma7ClosedForm {
 /// other candidates in ascending cardinality and testing both
 /// contingency conditions — the insight-free baseline whose cost IS the
 /// motivation for Lemma 7. Its only cap is the plan budget, charged
-/// through the one [`Meter`].
+/// through the one `budget::Meter`.
 pub struct SubsetVerify;
 
 impl CertainSearch for SubsetVerify {
