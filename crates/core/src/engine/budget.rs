@@ -66,8 +66,8 @@ pub struct PlanLimits {
 
 impl PlanLimits {
     /// The check ceiling the `crp` CLI and `crp serve` apply when none
-    /// is given: one adversarial non-answer stops within seconds with a
-    /// typed `Partial`, and no ordinary explain comes near it.
+    /// is given: a plan whose searches outgrow it stops with a typed
+    /// `Partial` instead of holding its thread.
     pub const DEFAULT_MAX_CHECKS: u64 = 5_000_000;
 
     /// True when no limit is set — the executor skips all polling.

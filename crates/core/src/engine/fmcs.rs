@@ -5,8 +5,9 @@
 //! The stage consumes a [`RefinePlan`](super::refine::RefinePlan)
 //! produced by stage 2 and emits every actual cause with a minimal
 //! contingency set. [`search`] visits the open candidates in ascending
-//! order under the plan's subset budget, seeding Lemma 6 witnesses as
-//! it goes.
+//! order under the plan's check budget (every subset check and every
+//! completion-bound check is charged through one
+//! [`Meter`]), seeding Lemma 6 witnesses as it goes.
 //!
 //! Each cardinality level is one depth-first lexicographic walk over the
 //! impact-ordered search space ([`walk_combinations`]): every node adds
@@ -17,10 +18,11 @@
 //! `O(L)` per subset, no allocation per candidate.
 //!
 //! With the probability bound on (`CpConfig::use_probability_bound`),
-//! the search is a branch and bound. The level bound picks the first
+//! the search is a branch and bound on one bound, the completion bound
+//! ([`PrEvaluator::completion_bound`]), which bounds condition (ii) over
+//! every completion of a prefix. At the empty prefix it picks the first
 //! level that can hold a contingency set; inside a level, after each
-//! add, the completion bound ([`PrEvaluator::completion_bound`]) bounds
-//! condition (ii) over every completion of the prefix, and a subtree
+//! add, it bounds the completions of the new prefix, and a subtree
 //! whose bound stays below `α − PROB_EPSILON − GUARD` is skipped: it
 //! provably holds no contingency set. The visit order is unchanged, so
 //! the first set found — the outcome — is the unpruned walk's. With the
@@ -477,19 +479,12 @@ fn search_candidate(
     // doubling) when a deeper level needs more.
     let mut table_slots = 0;
     let mut found: Option<Vec<usize>> = None;
-    // Whether the maintained removal set has left the forced base since
-    // the last reset: the level checks need the base, and only a walk
-    // moves it.
-    let mut moved = true;
     for total in forced.len()..upper_exclusive {
         let k = total - forced.len();
         if k > search.len() {
             break;
         }
-        if moved {
-            checker.begin(&forced, scratch);
-            moved = false;
-        }
+        checker.begin(&forced, scratch);
         if let (Some(cut), false) = (cut, reached) {
             if !meter.bound_check() {
                 break;
@@ -502,12 +497,12 @@ fn search_candidate(
         // Whole-cardinality certification: when every size-k subset is
         // provably inert, the level is counted, not walked.
         if checker.cardinality_is_inert(cc, k, search_maxneg, alpha, scratch) {
-            let inert = |stats: &mut RunStats, subsets: u64| {
+            let credit = |stats: &mut RunStats, subsets: u64| {
                 // Both conditions screened fast, per subset.
                 stats.prsq_evaluations = stats.prsq_evaluations.saturating_add(2 * subsets);
                 stats.query.eval_fast = stats.query.eval_fast.saturating_add(2 * subsets);
             };
-            if !meter.subsets(binomial(search.len(), k), stats, inert) {
+            if !meter.subsets(binomial(search.len(), k), stats, credit) {
                 break;
             }
             continue;
@@ -530,7 +525,6 @@ fn search_candidate(
             meter,
             found: false,
         };
-        moved = true;
         if walk_combinations(search.len(), k, &mut path, &mut level) {
             if level.found {
                 // Γ = the maintained mask, already ascending.

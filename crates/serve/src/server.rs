@@ -35,7 +35,8 @@ use crp_core::{
     admission, execute_window, Admission, ClientClass, CrpError, ExplainRequest, PlanLimits,
 };
 use crp_data::wire::{
-    decode_frame, write_frame, Request, Response, WireCause, WirePartial, WireResult, WireStop,
+    decode_frame, write_frame, Request, Response, WireCause, WireError, WirePartial, WireResult,
+    WireStop,
 };
 use crp_geom::Point;
 use crp_uncertain::{UncertainObject, Update};
@@ -104,10 +105,17 @@ struct Conn {
 
 impl Conn {
     /// Best-effort framed reply; a client that hung up just stops
-    /// receiving.
+    /// receiving. A reply over [`MAX_FRAME`] is replaced by an error
+    /// naming its size and the cap, so the client never waits on a
+    /// reply that was never sent.
     fn send(&self, resp: &Response) {
         let mut w = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        let _ = write_frame(&mut *w, &resp.encode());
+        if let Err(e @ WireError::TooLarge { .. }) = write_frame(&mut *w, &resp.encode()) {
+            let err = Response::Error {
+                message: format!("reply not sent: {e}"),
+            };
+            let _ = write_frame(&mut *w, &err.encode());
+        }
     }
 }
 

@@ -318,3 +318,34 @@ fn graceful_shutdown_serves_everything_already_queued() {
     assert_eq!((outcomes, byes), (3, 1), "drained, then said goodbye");
     server.join();
 }
+
+#[test]
+fn oversized_reply_is_a_typed_error_not_silence() {
+    // A certain non-answer with 700 dominators: CR gives every one of
+    // them the other 699 as contingency, about 490,000 ids — well past
+    // the 1 MiB frame cap once encoded.
+    let an = Point::new(vec![100.0, 100.0]);
+    let dominators =
+        (0..700).map(|i| Point::new(vec![80.0 + f64::from(i % 40), 90.0 + f64::from(i / 40)]));
+    let ds = UncertainDataset::from_points(std::iter::once(an).chain(dominators)).unwrap();
+    let engine = ExplainEngine::new(ds, EngineConfig::default()).unwrap();
+    let server = Server::start(
+        Arc::new(VolatileBackend::new(engine)),
+        ServeConfig::default(),
+    )
+    .unwrap();
+    let (mut client, _) = Client::connect_as(server.local_addr(), ClientClass::Batch).unwrap();
+    let q = Point::new(vec![0.0, 0.0]);
+    let err = client.explain(&[ObjectId(0)], Some(&q), &[]).unwrap_err();
+    let ClientError::Server(message) = err else {
+        panic!("expected a server error, got {err}");
+    };
+    assert!(
+        message.contains(&format!("{}-byte cap", crp_data::wire::MAX_FRAME)),
+        "the error names the cap: {message}"
+    );
+    // The conversation stays in step after the dropped reply.
+    assert!(client.stats().is_ok());
+    client.shutdown().unwrap();
+    server.join();
+}

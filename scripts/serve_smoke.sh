@@ -19,7 +19,12 @@
 #                       queue gets a typed Busy with retry-after,
 #                       while the in-flight interactive request
 #                       completes normally.
-#   5. graceful exit  — every server drains and exits 0 on the
+#   5. check ceiling  — on the full NBA data, a batch explain of a
+#                       hard non-answer stops at the flat check
+#                       ceiling with a typed Partial within 10 s, and
+#                       an interactive explain sent after it still
+#                       gets a reply.
+#   6. graceful exit  — every server drains and exits 0 on the
 #                       shutdown verb, printing its summary line.
 #
 # All server logs and client transcripts land in $SMOKE_OUT (default
@@ -210,8 +215,31 @@ wait "$victim" || fail "the in-flight interactive request should still succeed"
 grep -Eq '^ *shed 1$' "$OUT/shed_stats.txt" || fail "shed counter did not move"
 echo "ok: best-effort shed with retry-after; interactive request completed"
 
-echo "== 5. graceful shutdown =="
-for port in "$PW" "$PP" "$PS"; do
+echo "== 5. check ceiling: a hard batch explain stops, interactive still served =="
+# Object 24 at this query is a deep non-answer whose pruned search
+# spends its work in completion-bound checks; the flat 5,000,000-check
+# ceiling every client class runs under must stop it, so it cannot
+# hold the collector from the interactive request queued behind it.
+start_server "$OUT/server_ceiling.log" --data "$OUT/nba_full.csv" --schema seasons \
+  --alpha 0.5 --addr 127.0.0.1:0
+PC=$PORT
+HARD_QUERY="3500,1500,600,800"
+timeout 10 "$BIN" client --addr "127.0.0.1:$PC" --class batch --objects 24 \
+  --query "$HARD_QUERY" >"$OUT/ceiling_batch.txt" 2>&1 &
+hard=$!
+sleep 0.3
+timeout 30 "$BIN" client --addr "127.0.0.1:$PC" --class interactive --objects 1000 \
+  --query "$HARD_QUERY" >"$OUT/ceiling_interactive.txt" 2>&1 \
+  || fail "the interactive explain behind the hard batch explain got no reply"
+grep -q '^task #0: ' "$OUT/ceiling_interactive.txt" \
+  || fail "the interactive reply carries no result"
+wait "$hard" || fail "the hard batch explain did not reply within 10 s"
+grep -q '^task #0: PARTIAL (checks)' "$OUT/ceiling_batch.txt" \
+  || fail "the hard batch explain should stop at the check ceiling"
+echo "ok: hard batch explain stopped at the check ceiling; interactive reply followed"
+
+echo "== 6. graceful shutdown =="
+for port in "$PW" "$PP" "$PS" "$PC"; do
   "$BIN" client --addr "127.0.0.1:$port" --shutdown >/dev/null 2>&1 \
     || fail "shutdown verb on :$port"
 done
@@ -219,10 +247,10 @@ for pid in "${SERVER_PIDS[@]}"; do
   wait "$pid" || fail "a server exited nonzero"
 done
 SERVER_PIDS=()
-for log in server_windowed server_per_request server_shed; do
+for log in server_windowed server_per_request server_shed server_ceiling; do
   grep -q '^shutdown: ' "$OUT/$log.log" \
     || fail "$log did not print its drain summary"
 done
-echo "ok: all 3 servers drained and exited 0"
+echo "ok: all 4 servers drained and exited 0"
 
 echo "serve smoke: PASS"
