@@ -165,7 +165,7 @@ fn serve_run(
                 let barrier = Arc::clone(&barrier);
                 scope.spawn(move || {
                     // Batch class: no deadline or node ceiling, and
-                    // these explains stay far below the subset ceiling
+                    // these explains stay far below the check ceiling
                     // every class shares, so outcomes are deterministic
                     // and comparable to offline.
                     let (mut client, _) =

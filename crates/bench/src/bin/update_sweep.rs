@@ -36,7 +36,7 @@ use std::time::Instant;
 
 const ALPHA: f64 = 0.6;
 
-/// The subset cap of every explain in the sweep: like the CLI's, it
+/// The check cap of every explain in the sweep: like the CLI's, it
 /// and the default probability bound keep adversarial non-answers
 /// (centroid queries over large cardinalities can have thousands of
 /// candidates) from hijacking the measurement.

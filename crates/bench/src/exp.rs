@@ -31,7 +31,7 @@ pub struct MeasuredAlgo {
     pub causes: AggregateStats,
     /// Threshold evaluations of Pr(an) per non-answer.
     pub prsq_evals: AggregateStats,
-    /// Non-answers skipped (a subset cap tripped, or the classification
+    /// Non-answers skipped (a check cap tripped, or the classification
     /// flipped).
     pub skipped: usize,
 }
@@ -155,7 +155,7 @@ pub fn run_cp_over(
     })
 }
 
-/// Runs a baseline over each non-answer under a per-explain subset cap;
+/// Runs a baseline over each non-answer under a per-explain check cap;
 /// a capped explain is counted as skipped.
 fn run_capped_over(
     engine: &ExplainEngine,
@@ -163,26 +163,26 @@ fn run_capped_over(
     q: &Point,
     ids: &[ObjectId],
     alpha: f64,
-    max_subsets: u64,
+    max_checks: u64,
 ) -> MeasuredAlgo {
     run_over(engine, ids, |id| {
         ExplainRequest::explain(q, id)
             .with_strategy(strategy)
             .with_alpha(alpha)
-            .with_check_budget(max_subsets)
+            .with_check_budget(max_checks)
     })
 }
 
-/// Runs Naive-I over each non-answer under a subset cap.
+/// Runs Naive-I over each non-answer under a check cap.
 pub fn run_naive_i_over(
     engine: &ExplainEngine,
     q: &Point,
     ids: &[ObjectId],
     alpha: f64,
-    max_subsets: u64,
+    max_checks: u64,
 ) -> MeasuredAlgo {
     let naive = ExplainStrategy::NaiveI { max_subsets: None };
-    run_capped_over(engine, naive, q, ids, alpha, max_subsets)
+    run_capped_over(engine, naive, q, ids, alpha, max_checks)
 }
 
 /// Runs CR over each non-answer.
@@ -190,15 +190,15 @@ pub fn run_cr_over(engine: &ExplainEngine, q: &Point, ids: &[ObjectId]) -> Measu
     run_strategy_over(engine, ExplainStrategy::Cr, q, ids, 0.5)
 }
 
-/// Runs Naive-II over each non-answer under a subset cap.
+/// Runs Naive-II over each non-answer under a check cap.
 pub fn run_naive_ii_over(
     engine: &ExplainEngine,
     q: &Point,
     ids: &[ObjectId],
-    max_subsets: u64,
+    max_checks: u64,
 ) -> MeasuredAlgo {
     let naive = ExplainStrategy::NaiveII { max_subsets: None };
-    run_capped_over(engine, naive, q, ids, 0.5, max_subsets)
+    run_capped_over(engine, naive, q, ids, 0.5, max_checks)
 }
 
 /// One timed [`batch_with`] call: total wall-clock

@@ -215,15 +215,6 @@ impl Cancel {
         }
     }
 
-    /// Subset and completion-bound checks charged so far.
-    #[cfg(test)]
-    fn checks_charged(&self) -> (u64, u64) {
-        (
-            self.subsets.load(Ordering::Relaxed),
-            self.bound_checks.load(Ordering::Relaxed),
-        )
-    }
-
     pub(crate) fn task_completed(&self) {
         self.tasks_completed.fetch_add(1, Ordering::Relaxed);
     }
@@ -444,6 +435,14 @@ impl Meter {
 mod tests {
     use super::*;
 
+    /// Subset and completion-bound checks charged to `cancel` so far.
+    fn charged(cancel: &Cancel) -> (u64, u64) {
+        (
+            cancel.subsets.load(Ordering::Relaxed),
+            cancel.bound_checks.load(Ordering::Relaxed),
+        )
+    }
+
     #[test]
     fn unlimited_limits_make_no_handle() {
         assert!(PlanLimits::default().is_unlimited());
@@ -523,11 +522,10 @@ mod tests {
                 }
                 other => format!("{other:?}"),
             };
-            let charged = m.cancel.as_ref().map(|c| c.checks_charged());
             (
                 go,
                 stop,
-                charged,
+                m.cancel.as_deref().map(charged),
                 m.subsets,
                 m.bound_checks,
                 stats.subsets_examined,
@@ -605,7 +603,7 @@ mod tests {
         assert!((0..3).all(|_| meter.subset(&mut stats)));
         assert!(meter.bound_check());
         assert!(meter.finish().is_ok());
-        assert_eq!(cancel.checks_charged(), (3, 1), "finish charges the rest");
+        assert_eq!(charged(&cancel), (3, 1), "finish charges the rest");
         assert_eq!(stats.subsets_examined, 3, "bound checks are not subsets");
 
         // A full interval of bound checks alone trips the cap.

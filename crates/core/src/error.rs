@@ -48,7 +48,7 @@ pub enum CrpError {
     },
     /// A plan limit tripped before this task could finish
     /// ([`crate::PlanLimits`]: a wall deadline, a node-access cap or a
-    /// subset cap — the library's only work caps): the result is
+    /// check cap — the library's only work caps): the result is
     /// missing, never wrong. Carries monotone progress counters of the
     /// plan so far.
     Partial(Box<PartialProgress>),

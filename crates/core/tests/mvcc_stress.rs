@@ -226,7 +226,7 @@ fn stress_config() -> EngineConfig {
     EngineConfig::with_alpha(0.6)
 }
 
-/// One explain under a subset cap, which bounds adversarial
+/// One explain under a check cap, which bounds adversarial
 /// non-answers whose exact minimal-contingency search would be
 /// astronomically large. A capped one-task plan stops with the same
 /// typed progress every time, so only its wall clock (`elapsed_ms`,

@@ -321,7 +321,7 @@ fn unpruned() -> CpConfig {
     }
 }
 
-/// The unpruned explain of `an`, or `None` when a 40,000-subset cap
+/// The unpruned explain of `an`, or `None` when a 40,000-check cap
 /// stops it (an unpruned search at 20 candidates can run to millions) —
 /// too deep to compare.
 fn unpruned_reference(
@@ -382,7 +382,7 @@ proptest! {
         }
     }
 
-    /// Under a plan-wide subset budget the pruned batch resolves at
+    /// Under a plan-wide check budget the pruned batch resolves at
     /// least as many non-answers as the unpruned one, and every outcome
     /// it does resolve is the unpruned outcome.
     #[test]

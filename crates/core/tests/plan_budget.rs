@@ -80,7 +80,7 @@ fn subset_budget_trips_with_typed_reason_and_consistent_progress() {
     let partials: Vec<_> = report.results.iter().filter_map(progress_of).collect();
     assert!(
         !partials.is_empty(),
-        "a zero subset budget must cut the batch short: {:?}",
+        "a zero check budget must cut the batch short: {:?}",
         report.results
     );
     for progress in &partials {

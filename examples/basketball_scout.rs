@@ -40,7 +40,7 @@ fn main() {
         if explained >= 2 {
             break;
         }
-        // A subset cap skips the deep non-answers (a capped explain
+        // A check cap skips the deep non-answers (a capped explain
         // stops with a typed `Partial`).
         let request = ExplainRequest::explain(&q, obj.id())
             .with_strategy(ExplainStrategy::Cp)

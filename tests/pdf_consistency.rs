@@ -5,7 +5,7 @@
 use prsq_crp::data::{pdf_dataset, UncertainConfig};
 use prsq_crp::prelude::*;
 
-/// One CP explain of `an` at `alpha` under a 200k-subset cap.
+/// One CP explain of `an` at `alpha` under a 200k-check cap.
 fn cp(engine: &ExplainEngine, q: &Point, an: ObjectId, alpha: f64) -> Result<CrpOutcome, CrpError> {
     engine
         .run(&[ExplainRequest::explain(q, an)
