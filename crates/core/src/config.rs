@@ -34,10 +34,10 @@ pub struct CpConfig {
     /// a cardinality the subtrees of the subset walk, that provably
     /// cannot lift `Pr(an)` to `α` even when removing the most damaging
     /// members of what is left of its search space. One completion
-    /// bound serves both: at the empty prefix it bounds a whole level. Exact: it skips
-    /// only levels and subtrees that provably hold no contingency set,
-    /// so causes and contingency sets are unchanged; only the search
-    /// counters drop.
+    /// bound serves both: at the empty prefix it bounds a whole level.
+    /// Exact: it skips only levels and subtrees that provably hold no
+    /// contingency set, so causes and contingency sets are unchanged;
+    /// only the search counters drop.
     pub use_probability_bound: bool,
 }
 
