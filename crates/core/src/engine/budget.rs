@@ -304,8 +304,8 @@ pub(crate) fn active() -> Option<Arc<Cancel>> {
 /// check is one unit. Every [`CHECK_INTERVAL`] units it charges them
 /// and polls the plan budget, so a check cap or a deadline stops a walk
 /// within one interval however heavily it prunes. An unlimited plan
-/// has no `Cancel`, and then nothing is tallied: a subset check only
-/// bumps the outcome's `subsets_examined`.
+/// has no `Cancel`, and then nothing is tallied: a check only bumps
+/// the outcome's `subsets_examined` or `bound_checks`.
 pub(crate) struct Meter {
     cancel: Option<Arc<Cancel>>,
     /// Subset checks since the last poll (budgeted plans only).
@@ -344,7 +344,8 @@ impl Meter {
     }
 
     /// Counts one completion-bound check; `false` stops the walk.
-    pub(crate) fn bound_check(&mut self) -> bool {
+    pub(crate) fn bound_check(&mut self, stats: &mut RunStats) -> bool {
+        stats.bound_checks += 1;
         if self.cancel.is_none() {
             return true;
         }
@@ -559,7 +560,7 @@ mod tests {
                         ];
                         let mut stopped = false;
                         for (m, stats) in &mut runs {
-                            let before = (0..bounds).all(|_| m.bound_check())
+                            let before = (0..bounds).all(|_| m.bound_check(stats))
                                 && (0..subsets).all(|_| m.subset(stats))
                                 && (!polled || m.poll());
                             stopped = !before;
@@ -601,15 +602,19 @@ mod tests {
         let mut meter = Meter::charging(Some(cancel.clone()));
         let mut stats = RunStats::default();
         assert!((0..3).all(|_| meter.subset(&mut stats)));
-        assert!(meter.bound_check());
+        assert!(meter.bound_check(&mut stats));
         assert!(meter.finish().is_ok());
         assert_eq!(charged(&cancel), (3, 1), "finish charges the rest");
         assert_eq!(stats.subsets_examined, 3, "bound checks are not subsets");
+        assert_eq!(stats.bound_checks, 1);
 
         // A full interval of bound checks alone trips the cap.
         let mut meter = Meter::charging(Some(cancel.clone()));
-        assert!((0..CHECK_INTERVAL - 1).all(|_| meter.bound_check()));
-        assert!(!meter.bound_check(), "4 + 4096 checks are past 3000");
+        assert!((0..CHECK_INTERVAL - 1).all(|_| meter.bound_check(&mut stats)));
+        assert!(
+            !meter.bound_check(&mut stats),
+            "4 + 4096 checks are past 3000"
+        );
         assert!(!meter.poll(), "a stopped meter stays stopped");
         let err = meter.finish().unwrap_err();
         assert!(
@@ -620,9 +625,49 @@ mod tests {
 
         // Without a plan budget nothing is tallied.
         let mut meter = Meter::charging(None);
-        assert!((0..2 * CHECK_INTERVAL).all(|_| meter.bound_check() && meter.subset(&mut stats)));
+        assert!((0..2 * CHECK_INTERVAL)
+            .all(|_| meter.bound_check(&mut stats) && meter.subset(&mut stats)));
         assert_eq!((meter.subsets, meter.bound_checks), (0, 0));
         assert!(meter.finish().is_ok());
+    }
+
+    /// A plan that finishes under its cap was charged exactly the
+    /// checks its outcome reports, subset checks and completion-bound
+    /// checks alike.
+    #[test]
+    fn finished_plan_reports_what_it_charged() {
+        use crate::config::CpConfig;
+        use crate::matrix::{with_scratch, DominanceMatrix};
+        // Fourteen one-sample candidates at α = 0.9: the cause needs a
+        // deep contingency set, so the completion bound skips levels
+        // and prunes subtrees on the way there.
+        let dp: Vec<f64> = (0..14).map(|i| 0.2 + 0.01 * i as f64).collect();
+        let m = DominanceMatrix::from_parts(dp, vec![1.0], 14);
+        let limits = PlanLimits {
+            max_checks: Some(1 << 40),
+            ..PlanLimits::default()
+        };
+        let cancel = Cancel::new(limits, 1).unwrap();
+        let mut stats = RunStats::default();
+        with_cancel(Some(&cancel), || {
+            with_scratch(|s| {
+                super::super::refine::refine(&m, 0.9, &CpConfig::default(), &mut stats, s)
+            })
+        })
+        .expect("the plan finishes under its cap");
+        assert!(
+            stats.subsets_examined > 0 && stats.bound_checks > 0,
+            "{stats:?}"
+        );
+        let (subsets, bounds) = charged(&cancel);
+        assert_eq!(
+            subsets + bounds,
+            stats.subsets_examined + stats.bound_checks
+        );
+        assert_eq!(
+            (subsets, bounds),
+            (stats.subsets_examined, stats.bound_checks)
+        );
     }
 
     #[test]

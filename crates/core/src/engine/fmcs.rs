@@ -380,7 +380,7 @@ impl SubsetWalk for LevelWalk<'_, '_> {
         let Some(cut) = self.cut else {
             return Prefix::Descend;
         };
-        if !self.meter.bound_check() {
+        if !self.meter.bound_check(self.stats) {
             return Prefix::Stop;
         }
         // Removal only raises `Pr(an)`, and the bound covers every
@@ -486,7 +486,7 @@ fn search_candidate(
         }
         checker.begin(&forced, scratch);
         if let (Some(cut), false) = (cut, reached) {
-            if !meter.bound_check() {
+            if !meter.bound_check(stats) {
                 break;
             }
             if checker.completion_below(cc, 0, k, cut, scratch) {

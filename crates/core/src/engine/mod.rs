@@ -78,8 +78,8 @@ use crp_geom::{HyperRect, Point};
 use crp_rtree::{AtomicQueryStats, PackedRTree, QueryStats, RTree, RTreeParams};
 use crp_skyline::build_object_rtree;
 use crp_uncertain::{
-    Epoch, ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainError, UncertainObject,
-    Update,
+    Dataset, Epoch, Identified, ObjectId, PdfDataset, PdfObject, UncertainDataset, UncertainError,
+    UncertainObject, Update,
 };
 use filter::{FilterStage, SampleWindowFilter, ScanFilter};
 use std::sync::OnceLock;
@@ -238,6 +238,36 @@ pub(crate) enum Workload {
     Pdf { ds: PdfDataset, resolution: usize },
 }
 
+/// Where each object model keeps its store in a [`Workload`] — what
+/// lets one update body serve both models.
+trait Model: Identified + Sized {
+    /// The store of this model, or the error for an update sent to a
+    /// session of the other model.
+    fn store(data: &mut Workload) -> Result<&mut Dataset<Self>, CrpError>;
+}
+
+impl Model for UncertainObject {
+    fn store(data: &mut Workload) -> Result<&mut UncertainDataset, CrpError> {
+        match data {
+            Workload::Discrete(ds) => Ok(ds),
+            Workload::Pdf { .. } => Err(CrpError::InvalidUpdate {
+                reason: "discrete update applied to a pdf session".into(),
+            }),
+        }
+    }
+}
+
+impl Model for PdfObject {
+    fn store(data: &mut Workload) -> Result<&mut PdfDataset, CrpError> {
+        match data {
+            Workload::Pdf { ds, .. } => Ok(ds),
+            Workload::Discrete(_) => Err(CrpError::InvalidUpdate {
+                reason: "pdf update applied to a discrete session".into(),
+            }),
+        }
+    }
+}
+
 /// Clones a lazily initialised slot: a built value is cloned into the
 /// fork, an unbuilt one stays unbuilt (the fork pays the same lazy
 /// build a fresh engine would).
@@ -338,10 +368,15 @@ impl ExplainEngine {
         }
     }
 
-    fn rtree_params(&self, dim: usize) -> RTreeParams {
-        self.config
+    /// Bulk-loads the object tree of either model in the configured
+    /// shape, or the paper's default for the dataset's dimensionality.
+    fn build_tree<O: Identified>(&self, ds: &Dataset<O>) -> RTree<ObjectId> {
+        let dim = ds.dim().expect("cannot index an empty dataset");
+        let params = self
+            .config
             .rtree
-            .unwrap_or_else(|| RTreeParams::paper_default(dim))
+            .unwrap_or_else(|| RTreeParams::paper_default(dim));
+        build_object_rtree(ds, params)
     }
 
     /// The object-MBR R-tree (regions, for pdf sessions), built on
@@ -353,14 +388,8 @@ impl ExplainEngine {
     pub fn object_tree(&self) -> &RTree<ObjectId> {
         self.object_tree.get_or_init(|| {
             let tree = match &self.data {
-                Workload::Discrete(ds) => {
-                    let dim = ds.dim().expect("cannot index an empty dataset");
-                    build_object_rtree(ds, self.rtree_params(dim))
-                }
-                Workload::Pdf { ds, .. } => {
-                    let dim = ds.dim().expect("cannot index an empty dataset");
-                    crate::pdf::build_pdf_rtree(ds, self.rtree_params(dim))
-                }
+                Workload::Discrete(ds) => self.build_tree(ds),
+                Workload::Pdf { ds, .. } => self.build_tree(ds),
             };
             // The first image is part of the build; only rebuilds after
             // updates count as refreezes.
@@ -411,91 +440,67 @@ impl ExplainEngine {
     /// fresh engine built on the final dataset (pinned by the
     /// engine-agreement property tests).
     pub fn apply(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError> {
-        let Workload::Discrete(_) = &self.data else {
-            return Err(CrpError::InvalidUpdate {
-                reason: "discrete update applied to a pdf session".into(),
-            });
-        };
-        let touched = update.id();
-        match update {
-            Update::Insert(obj) => {
-                let mbr = obj.mbr();
-                self.discrete_mut().push(obj).map_err(update_error)?;
-                self.patch_object_tree(None, Some((mbr, touched)));
-                self.io.absorb(QueryStats {
-                    inserts: 1,
-                    ..Default::default()
-                });
-            }
-            Update::Delete(id) => {
-                let old = self
-                    .discrete_mut()
-                    .remove(id)
-                    .ok_or(CrpError::UnknownObject(id))?;
-                self.patch_object_tree(Some((old.mbr(), id)), None);
-                self.io.absorb(QueryStats {
-                    removes: 1,
-                    ..Default::default()
-                });
-            }
-            Update::Replace(obj) => {
-                let new_mbr = obj.mbr();
-                let old = self.discrete_mut().replace(obj).map_err(update_error)?;
-                self.patch_object_tree(Some((old.mbr(), touched)), Some((new_mbr, touched)));
-                self.io.absorb(QueryStats {
-                    inserts: 1,
-                    removes: 1,
-                    ..Default::default()
-                });
-            }
-        }
-        Ok(self.discrete().epoch())
+        self.apply_one(update)
     }
 
     /// [`ExplainEngine::apply`] for continuous-pdf sessions.
     pub fn apply_pdf(&mut self, update: Update<PdfObject>) -> Result<Epoch, CrpError> {
-        let Workload::Pdf { .. } = &self.data else {
-            return Err(CrpError::InvalidUpdate {
-                reason: "pdf update applied to a discrete session".into(),
-            });
-        };
+        self.apply_one(update)
+    }
+
+    /// The update body of both models: mutates the store, patches the
+    /// object tree and counts the logical insert and remove. A failed
+    /// update changes nothing: every store mutator validates first.
+    fn apply_one<O: Model>(&mut self, update: Update<O>) -> Result<Epoch, CrpError> {
+        let ds = O::store(&mut self.data)?;
         let touched = update.id();
-        match update {
+        let (old, new) = match update {
             Update::Insert(obj) => {
-                let region = obj.region().clone();
-                self.pdf_mut().push(obj).map_err(update_error)?;
-                self.patch_object_tree(None, Some((region, touched)));
-                self.io.absorb(QueryStats {
-                    inserts: 1,
-                    ..Default::default()
-                });
+                let mbr = obj.mbr();
+                ds.push(obj).map_err(update_error)?;
+                (None, Some(mbr))
             }
             Update::Delete(id) => {
-                let old = self
-                    .pdf_mut()
-                    .remove(id)
-                    .ok_or(CrpError::UnknownObject(id))?;
-                self.patch_object_tree(Some((old.region().clone(), id)), None);
-                self.io.absorb(QueryStats {
-                    removes: 1,
-                    ..Default::default()
-                });
+                let old = ds.remove(id).ok_or(CrpError::UnknownObject(id))?;
+                (Some(old.mbr()), None)
             }
             Update::Replace(obj) => {
-                let new_region = obj.region().clone();
-                let old = self.pdf_mut().replace(obj).map_err(update_error)?;
-                self.patch_object_tree(
-                    Some((old.region().clone(), touched)),
-                    Some((new_region, touched)),
-                );
-                self.io.absorb(QueryStats {
-                    inserts: 1,
-                    removes: 1,
-                    ..Default::default()
-                });
+                let mbr = obj.mbr();
+                let old = ds.replace(obj).map_err(update_error)?;
+                (Some(old.mbr()), Some(mbr))
             }
+        };
+        let epoch = ds.epoch();
+        let counted = QueryStats {
+            inserts: u64::from(new.is_some()),
+            removes: u64::from(old.is_some()),
+            ..Default::default()
+        };
+        patch_rect_tree(
+            &mut self.object_tree,
+            old.map(|r| (r, touched)),
+            new.map(|r| (r, touched)),
+            &self.io,
+        );
+        self.io.absorb(counted);
+        Ok(epoch)
+    }
+
+    /// Applies a whole batch, or none of it: the store checks the
+    /// batch ([`Dataset::check_batch`]) before the first update
+    /// applies, so a rejected batch leaves the session untouched. An
+    /// unknown id is reported as [`CrpError::UnknownObject`].
+    fn apply_all<O: Model>(&mut self, batch: Vec<Update<O>>) -> Result<Epoch, CrpError> {
+        O::store(&mut self.data)?
+            .check_batch(&batch)
+            .map_err(|e| match e {
+                UncertainError::UnknownId(id) => CrpError::UnknownObject(ObjectId(id)),
+                e => update_error(e),
+            })?;
+        for update in batch {
+            self.apply_one(update)?;
         }
-        Ok(self.pdf().epoch())
+        Ok(self.epoch())
     }
 
     /// Rebuilds the object tree's packed image if updates invalidated
@@ -514,37 +519,15 @@ impl ExplainEngine {
     fn discrete(&self) -> &UncertainDataset {
         match &self.data {
             Workload::Discrete(ds) => ds,
-            Workload::Pdf { .. } => unreachable!("guarded by apply"),
-        }
-    }
-
-    fn discrete_mut(&mut self) -> &mut UncertainDataset {
-        match &mut self.data {
-            Workload::Discrete(ds) => ds,
-            Workload::Pdf { .. } => unreachable!("guarded by apply"),
+            Workload::Pdf { .. } => unreachable!("guarded by the planner"),
         }
     }
 
     fn pdf(&self) -> &PdfDataset {
         match &self.data {
             Workload::Pdf { ds, .. } => ds,
-            Workload::Discrete(_) => unreachable!("guarded by apply_pdf"),
+            Workload::Discrete(_) => unreachable!("guarded by the planner"),
         }
-    }
-
-    fn pdf_mut(&mut self) -> &mut PdfDataset {
-        match &mut self.data {
-            Workload::Pdf { ds, .. } => ds,
-            Workload::Discrete(_) => unreachable!("guarded by apply_pdf"),
-        }
-    }
-
-    fn patch_object_tree(
-        &mut self,
-        remove: Option<(HyperRect, ObjectId)>,
-        insert: Option<(HyperRect, ObjectId)>,
-    ) {
-        patch_rect_tree(&mut self.object_tree, remove, insert, &self.io);
     }
 
     /// Explains one non-answer with the configured strategy and `α` —

@@ -6,8 +6,8 @@
 //! ## Architecture
 //!
 //! * The **writer** owns the authoritative mutable engine behind a
-//!   mutex. [`MvccEngine::apply_batch`] applies a whole batch,
-//!   re-freezes the packed R-tree image once for the batch, then
+//!   mutex. [`MvccEngine::apply_batch`] checks the whole batch, applies
+//!   it, re-freezes the packed R-tree image once for the batch, then
 //!   [forks](super::ExplainEngine::fork) an immutable snapshot of the
 //!   post-batch state and publishes it. The fork shares the dataset's
 //!   objects, the R-tree nodes and the fresh packed image with the
@@ -15,13 +15,16 @@
 //!   data (plus the one image rebuild), and the writer's next batch
 //!   copies only the object slots and root-to-leaf tree paths it
 //!   touches.
+//! * Batches apply **whole or not at all**: the writer checks a batch
+//!   against its store ([`Dataset::check_batch`](crp_uncertain::Dataset::check_batch))
+//!   before its first update applies, so a rejected batch leaves the
+//!   writer untouched and the next publish carries only its own
+//!   updates.
 //! * **Publication** is `ArcSwap`-style: the current snapshot lives in
 //!   an `RwLock<Arc<_>>` whose lock scope is a pointer clone (readers)
 //!   or a pointer store (writer) — readers never block behind a batch,
-//!   and the writer never waits for in-flight explains to drain.
-//! * A bounded **epoch ring** retains recent snapshots so sessions can
-//!   pin a specific epoch ([`MvccEngine::pin_at`]); when the ring
-//!   overflows, the oldest snapshot is retired — its memory is freed
+//!   and the writer never waits for in-flight explains to drain. The
+//!   session holds only the published snapshot; a replaced one is freed
 //!   when the last reader still holding its `Arc` drops it.
 //!
 //! Readers can never observe a torn epoch: a snapshot is forked only
@@ -41,13 +44,12 @@ use super::session::ExplainSession;
 use super::ExplainEngine;
 use crate::error::CrpError;
 use crp_uncertain::{Epoch, PdfObject, UncertainDataset, UncertainObject, Update};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
-/// What the MVCC session needs from an engine: single-writer update
+/// What the MVCC session needs from an engine: single-writer batch
 /// application plus an immutable snapshot fork for readers. Implemented
-/// by [`ExplainEngine`]; test and benchmark adapters wrap it.
+/// by [`ExplainEngine`].
 pub trait SnapshotEngine: ExplainSession + Send + Sync {
     /// Forks an immutable reader snapshot of the current state.
     fn fork_snapshot(&self) -> Self
@@ -59,11 +61,9 @@ pub trait SnapshotEngine: ExplainSession + Send + Sync {
     /// fork, so readers find them warm.
     fn refreeze(&mut self);
 
-    /// Applies one discrete-sample update.
-    fn apply_update(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError>;
-
-    /// Applies one continuous-pdf update.
-    fn apply_pdf_update(&mut self, update: Update<PdfObject>) -> Result<Epoch, CrpError>;
+    /// Applies a discrete-sample update batch whole, or — when any of
+    /// its updates would fail — none of it.
+    fn apply_batch(&mut self, batch: Vec<Update<UncertainObject>>) -> Result<Epoch, CrpError>;
 
     /// The discrete dataset this session serves, `None` for a
     /// continuous-pdf session. Durable sessions use this to validate a
@@ -81,12 +81,8 @@ impl SnapshotEngine for ExplainEngine {
         ExplainEngine::refreeze(self)
     }
 
-    fn apply_update(&mut self, update: Update<UncertainObject>) -> Result<Epoch, CrpError> {
-        self.apply(update)
-    }
-
-    fn apply_pdf_update(&mut self, update: Update<PdfObject>) -> Result<Epoch, CrpError> {
-        self.apply_pdf(update)
+    fn apply_batch(&mut self, batch: Vec<Update<UncertainObject>>) -> Result<Epoch, CrpError> {
+        self.apply_all(batch)
     }
 
     fn discrete_dataset(&self) -> Option<&UncertainDataset> {
@@ -127,10 +123,8 @@ impl<E> EpochSnapshot<E> {
 pub struct MvccCounters {
     /// Snapshots published so far, including the construction snapshot.
     pub published: u64,
-    /// Snapshots evicted from the epoch ring (no longer pinnable by
-    /// epoch; freed once their last reader drops them).
-    pub retired: u64,
-    /// Snapshots currently held by the ring.
+    /// Snapshots the session holds: always 1, the published one.
+    /// Older snapshots live only as long as a reader's `Arc`.
     pub live: usize,
     /// The currently published epoch.
     pub epoch: Epoch,
@@ -144,37 +138,22 @@ pub struct MvccEngine<E> {
     /// The currently published snapshot; lock scope is a pointer
     /// clone/store, never a computation.
     published: RwLock<Arc<EpochSnapshot<E>>>,
-    /// Recent snapshots, newest last, bounded by `ring_capacity`.
-    ring: Mutex<VecDeque<Arc<EpochSnapshot<E>>>>,
-    ring_capacity: usize,
     published_count: AtomicU64,
-    retired: AtomicU64,
 }
 
 impl<E: SnapshotEngine> MvccEngine<E> {
     /// Wraps an engine into an MVCC session, publishing its current
-    /// state as the first snapshot. Default epoch-ring capacity is 8.
-    pub fn new(engine: E) -> Self {
-        Self::with_ring_capacity(engine, 8)
-    }
-
-    /// [`MvccEngine::new`] with an explicit epoch-ring capacity
-    /// (clamped to ≥ 1 — the published snapshot always stays pinnable).
-    pub fn with_ring_capacity(mut engine: E, capacity: usize) -> Self {
+    /// state as the first snapshot.
+    pub fn new(mut engine: E) -> Self {
         engine.refreeze();
         let snapshot = Arc::new(EpochSnapshot {
             epoch: engine.epoch(),
             engine: engine.fork_snapshot(),
         });
-        let mut ring = VecDeque::new();
-        ring.push_back(Arc::clone(&snapshot));
         Self {
             writer: Mutex::new(engine),
             published: RwLock::new(snapshot),
-            ring: Mutex::new(ring),
-            ring_capacity: capacity.max(1),
             published_count: AtomicU64::new(1),
-            retired: AtomicU64::new(0),
         }
     }
 
@@ -196,18 +175,6 @@ impl<E: SnapshotEngine> MvccEngine<E> {
         )
     }
 
-    /// Pins a specific epoch from the ring, `None` when it was never
-    /// published at a batch boundary or has already been retired.
-    /// Poison-tolerant like [`MvccEngine::pin`].
-    pub fn pin_at(&self, epoch: Epoch) -> Option<Arc<EpochSnapshot<E>>> {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .find(|s| s.epoch == epoch)
-            .cloned()
-    }
-
     /// Whether a panicked batch has poisoned the writer. Readers are
     /// unaffected either way; write entry points return
     /// [`CrpError::WriterPoisoned`] instead of publishing from a state
@@ -227,56 +194,48 @@ impl<E: SnapshotEngine> MvccEngine<E> {
     /// Applies one discrete update batch and publishes the post-batch
     /// epoch atomically. Readers keep serving the previous snapshot
     /// until the new one is fully built; they never see a partially
-    /// applied batch. On a mid-batch error nothing is published (the
-    /// writer state may have absorbed the batch's valid prefix; callers
-    /// that need all-or-nothing batches should validate first — the WAL
-    /// layer does, by replaying only committed batches). Returns
+    /// applied batch. The batch applies whole or not at all: a batch
+    /// with an update that would fail is rejected before its first
+    /// update applies, and publishes nothing. Returns
     /// [`CrpError::WriterPoisoned`] once a previous batch panicked.
     pub fn apply_batch(
         &self,
         updates: impl IntoIterator<Item = Update<UncertainObject>>,
     ) -> Result<Epoch, CrpError> {
-        let mut writer = self.writer_guard()?;
-        for update in updates {
-            writer.apply_update(update)?;
-        }
-        Ok(self.publish(&mut writer))
+        self.write(|writer| writer.apply_batch(updates.into_iter().collect()))
     }
 
-    /// [`MvccEngine::apply_batch`] for continuous-pdf sessions.
-    pub fn apply_pdf_batch(
+    /// Runs one whole-or-nothing batch on the writer and publishes the
+    /// result; a rejected batch publishes nothing.
+    fn write(
         &self,
-        updates: impl IntoIterator<Item = Update<PdfObject>>,
+        batch: impl FnOnce(&mut E) -> Result<Epoch, CrpError>,
     ) -> Result<Epoch, CrpError> {
         let mut writer = self.writer_guard()?;
-        for update in updates {
-            writer.apply_pdf_update(update)?;
-        }
+        batch(&mut writer)?;
         Ok(self.publish(&mut writer))
     }
 
     /// Refreezes, forks and publishes the writer's current state. Both
     /// run while readers still serve the old snapshot; only the pointer
-    /// swap takes the publication write lock.
+    /// swap takes the publication write lock, and the replaced snapshot
+    /// is dropped after the lock is released, so no reader waits on
+    /// its free.
     fn publish(&self, writer: &mut E) -> Epoch {
         writer.refreeze();
         let snapshot = Arc::new(EpochSnapshot {
             epoch: writer.epoch(),
             engine: writer.fork_snapshot(),
         });
-        {
-            let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-            ring.push_back(Arc::clone(&snapshot));
-            while ring.len() > self.ring_capacity {
-                ring.pop_front();
-                self.retired.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let epoch = snapshot.epoch;
-        *self
-            .published
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = snapshot;
+        let replaced = std::mem::replace(
+            &mut *self
+                .published
+                .write()
+                .unwrap_or_else(PoisonError::into_inner),
+            snapshot,
+        );
+        drop(replaced);
         self.published_count.fetch_add(1, Ordering::Relaxed);
         epoch
     }
@@ -285,12 +244,7 @@ impl<E: SnapshotEngine> MvccEngine<E> {
     pub fn counters(&self) -> MvccCounters {
         MvccCounters {
             published: self.published_count.load(Ordering::Relaxed),
-            retired: self.retired.load(Ordering::Relaxed),
-            live: self
-                .ring
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len(),
+            live: 1,
             epoch: self.pin().epoch(),
         }
     }
@@ -303,6 +257,16 @@ impl<E: SnapshotEngine> MvccEngine<E> {
     pub fn with_writer<R>(&self, f: impl FnOnce(&mut E) -> R) -> Result<R, CrpError> {
         let mut guard = self.writer_guard()?;
         Ok(f(&mut guard))
+    }
+}
+
+impl MvccEngine<ExplainEngine> {
+    /// [`MvccEngine::apply_batch`] for continuous-pdf sessions.
+    pub fn apply_pdf_batch(
+        &self,
+        updates: impl IntoIterator<Item = Update<PdfObject>>,
+    ) -> Result<Epoch, CrpError> {
+        self.write(|writer| writer.apply_all(updates.into_iter().collect()))
     }
 }
 
@@ -362,22 +326,19 @@ mod tests {
             .cause(ObjectId(9))
             .is_some());
 
-        // Both epochs stay pinnable through the ring.
-        assert_eq!(mvcc.pin_at(Epoch(4)).unwrap().epoch(), Epoch(4));
-        assert_eq!(mvcc.pin_at(Epoch(5)).unwrap().epoch(), Epoch(5));
-        assert!(mvcc.pin_at(Epoch(99)).is_none());
+        // The old pin is still held, by the reader alone.
+        assert_eq!(pinned.epoch(), Epoch(4));
         let counters = mvcc.counters();
         assert_eq!(counters.published, 2);
-        assert_eq!(counters.live, 2);
-        assert_eq!(counters.retired, 0);
+        assert_eq!(counters.live, 1);
         assert_eq!(counters.epoch, Epoch(5));
     }
 
     #[test]
-    fn ring_overflow_retires_oldest_epochs() {
+    fn held_snapshots_outlive_later_publishes() {
         let engine = ExplainEngine::new(fixture(), EngineConfig::with_alpha(0.75)).unwrap();
-        let mvcc = MvccEngine::with_ring_capacity(engine, 2);
-        // Pin the construction snapshot, then push it out of the ring.
+        let mvcc = MvccEngine::new(engine);
+        // Pin the construction snapshot, then publish three more.
         let oldest = mvcc.pin();
         for i in 0..3u32 {
             mvcc.apply_batch(vec![Update::Insert(UncertainObject::certain(
@@ -388,11 +349,10 @@ mod tests {
         }
         let counters = mvcc.counters();
         assert_eq!(counters.published, 4);
-        assert_eq!(counters.live, 2);
-        assert_eq!(counters.retired, 2);
-        // The retired epoch is no longer pinnable from the ring…
-        assert!(mvcc.pin_at(Epoch(4)).is_none());
-        // …but the reader that pinned it earlier still owns it.
+        assert_eq!(counters.live, 1);
+        // The session let go of the old snapshot; the reader that
+        // pinned it still owns it, unchanged.
+        assert_eq!(Arc::strong_count(&oldest), 1);
         assert_eq!(oldest.epoch(), Epoch(4));
         assert_eq!(oldest.engine().dataset().len(), 4);
     }
@@ -427,13 +387,11 @@ mod tests {
         );
 
         // Readers are untouched: old pins replay bit-identically, fresh
-        // pins still resolve, the ring still serves epochs, counters
-        // still read.
+        // pins still resolve, counters still read.
         assert_eq!(pinned.engine().explain(&q, ObjectId(0)).unwrap(), before);
         let fresh = mvcc.pin();
         assert_eq!(fresh.epoch(), Epoch(4));
         assert_eq!(fresh.engine().explain(&q, ObjectId(0)).unwrap(), before);
-        assert_eq!(mvcc.pin_at(Epoch(4)).unwrap().epoch(), Epoch(4));
         assert_eq!(mvcc.counters().published, 1);
     }
 
@@ -451,6 +409,55 @@ mod tests {
         // Readers still serve the last complete epoch.
         assert_eq!(mvcc.pin().epoch(), Epoch(4));
         assert_eq!(mvcc.counters().published, 1);
+        // The rejected batch left the writer untouched: the next batch
+        // publishes its own object alone, one epoch on.
+        let e = mvcc
+            .apply_batch(vec![Update::Insert(UncertainObject::certain(
+                ObjectId(6),
+                pt(50.0, 50.0),
+            ))])
+            .unwrap();
+        assert_eq!(e, Epoch(5));
+        let ids: Vec<u32> = mvcc
+            .pin()
+            .engine()
+            .dataset()
+            .iter()
+            .map(|o| o.id().0)
+            .collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 6]);
+    }
+
+    #[test]
+    fn mid_batch_error_publishes_nothing_pdf() {
+        use crp_geom::HyperRect;
+        use crp_uncertain::{PdfDataset, PdfObject};
+        let region = |x: f64| HyperRect::new(pt(x, x), pt(x + 1.0, x + 1.0));
+        let ds = PdfDataset::from_objects(
+            (0..3).map(|i| PdfObject::uniform(ObjectId(i), region(10.0 * i as f64))),
+        )
+        .unwrap();
+        let engine = ExplainEngine::for_pdf(ds, 2, EngineConfig::with_alpha(0.75)).unwrap();
+        let mvcc = MvccEngine::new(engine);
+        let err = mvcc
+            .apply_pdf_batch(vec![
+                Update::Insert(PdfObject::uniform(ObjectId(5), region(5.0))),
+                Update::Delete(ObjectId(99)),
+            ])
+            .unwrap_err();
+        assert_eq!(err, CrpError::UnknownObject(ObjectId(99)));
+        assert_eq!(mvcc.pin().epoch(), Epoch(3));
+        let e = mvcc
+            .apply_pdf_batch(vec![Update::Insert(PdfObject::uniform(
+                ObjectId(6),
+                region(50.0),
+            ))])
+            .unwrap();
+        assert_eq!(e, Epoch(4));
+        let pinned = mvcc.pin();
+        let (published, _) = pinned.engine().pdf_dataset().unwrap();
+        let ids: Vec<u32> = published.iter().map(|o| o.id().0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 6]);
     }
 
     #[test]

@@ -40,7 +40,6 @@
 //!   [`ExplainEngine::explain_batch`] are the session-default
 //!   shorthands.
 
-mod answers;
 mod combinations;
 mod config;
 mod cp;
@@ -56,7 +55,6 @@ mod pdf;
 mod testkit;
 mod types;
 
-pub use answers::answer_causes;
 pub use combinations::{binomial, for_each_combination};
 pub use config::CpConfig;
 pub use cp::collect_candidates;
@@ -79,5 +77,4 @@ pub use crp_uncertain::{Epoch, Update};
 // tests/binaries) need no direct crp-rtree dependency.
 pub use crp_rtree::QueryStats;
 pub use oracle::{oracle_cp, oracle_cr, oracle_crp, OracleCause};
-pub use pdf::build_pdf_rtree;
 pub use types::{Cause, CrpOutcome, RunStats};

@@ -20,23 +20,11 @@
 //! The pipeline driver lives in [`crate::engine`]
 //! (`pipeline::run_pdf`) and runs in a session built with
 //! [`crate::ExplainEngine::for_pdf`]; this module keeps the
-//! pdf-specific filter geometry and the index builder.
+//! pdf-specific filter geometry. The region index is the one object
+//! tree (`crp_skyline::build_object_rtree`), whose entries are the
+//! regions.
 
 use crp_geom::{dominance_rect, quadrant_corners, HyperRect, Point};
-use crp_rtree::{RTree, RTreeParams};
-use crp_uncertain::{ObjectId, PdfDataset};
-
-/// Builds an R-tree over the uncertain regions of a pdf dataset.
-///
-/// # Panics
-///
-/// Panics if the dataset is empty.
-pub fn build_pdf_rtree(ds: &PdfDataset, params: RTreeParams) -> RTree<ObjectId> {
-    let dim = ds.dim().expect("cannot index an empty dataset");
-    let items: Vec<(HyperRect, ObjectId)> =
-        ds.iter().map(|o| (o.region().clone(), o.id())).collect();
-    RTree::bulk_load(dim, params, items)
-}
 
 /// The pdf-model filter windows of a non-answer region: one dominance
 /// rectangle per overlapped sub-quadrant, centred at the farthest point
@@ -54,7 +42,7 @@ mod tests {
     use super::*;
     use crate::testkit::{cp, pdf_session, session};
     use crate::CrpError;
-    use crp_uncertain::PdfObject;
+    use crp_uncertain::{ObjectId, PdfDataset, PdfObject};
 
     fn rect(lo: [f64; 2], hi: [f64; 2]) -> HyperRect {
         HyperRect::new(Point::from(lo), Point::from(hi))

@@ -54,6 +54,10 @@ pub struct RunStats {
     /// completion bound stays below the cut and the subtrees the completion bound pruned are not counted. A
     /// level certified inert is counted whole, as if walked.
     pub subsets_examined: u64,
+    /// Completion-bound checks the pruned FMCS walk evaluated (zero with
+    /// the probability bound off). A check cap charges these and
+    /// `subsets_examined` alike.
+    pub bound_checks: u64,
     /// Threshold evaluations of `Pr(an)` (each subset check needs up to
     /// two).
     pub prsq_evaluations: u64,
@@ -68,6 +72,7 @@ impl RunStats {
         self.forced += other.forced;
         self.counterfactuals += other.counterfactuals;
         self.subsets_examined += other.subsets_examined;
+        self.bound_checks += other.bound_checks;
         self.prsq_evaluations += other.prsq_evaluations;
     }
 }
@@ -142,12 +147,14 @@ mod tests {
         };
         let b = RunStats {
             candidates: 3,
+            bound_checks: 4,
             prsq_evaluations: 7,
             ..RunStats::default()
         };
         a.absorb(&b);
         assert_eq!(a.candidates, 5);
         assert_eq!(a.subsets_examined, 10);
+        assert_eq!(a.bound_checks, 4);
         assert_eq!(a.prsq_evaluations, 7);
     }
 }

@@ -1017,7 +1017,7 @@ proptest! {
         // image.
         let engine = ExplainEngine::for_pdf(ds.clone(), 3, EngineConfig::default())
             .expect("valid engine config");
-        let image = crp_core::build_pdf_rtree(&ds, RTreeParams::paper_default(2)).freeze();
+        let image = crp_skyline::build_object_rtree(&ds, RTreeParams::paper_default(2)).freeze();
         for obj in ds.iter() {
             let an = obj.id();
             let windows: Vec<HyperRect> = crp_geom::quadrant_corners(&q, obj.region())

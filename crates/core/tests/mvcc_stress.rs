@@ -146,7 +146,7 @@ where
     A: Fn(&MvccEngine<ExplainEngine>, Vec<U>) -> Result<Epoch, CrpError>,
     M: Fn(usize) -> ExplainEngine,
 {
-    let mvcc = MvccEngine::with_ring_capacity(make_engine(0), batches.len() + 1);
+    let mvcc = MvccEngine::new(make_engine(0));
     let base_epoch = mvcc.pin().epoch();
 
     // Epoch → replay depth. Filled by the writer below; pre-seeded with

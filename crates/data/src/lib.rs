@@ -43,9 +43,7 @@ pub use vfs::{
     classify, retry, CrashMode, FaultClass, FaultSpec, FaultVfs, MemVfs, RealVfs, RetryPolicy, Vfs,
     VfsFile,
 };
-pub use wal::{
-    recover_session, recover_wal, write_snapshot, Manifest, WalBatch, WalRecovery, WriteAheadLog,
-};
+pub use wal::{recover_session, Manifest, WalBatch, WalRecovery, WriteAheadLog};
 pub use wire::{
     decode_frame, encode_frame, read_frame, write_frame, Request, Response, WireCause, WireError,
     WirePartial, WireResult, WireStop, MAX_FRAME,

@@ -196,7 +196,7 @@ pub struct WalBatch {
     pub epoch: Epoch,
 }
 
-/// What [`recover_wal`] salvaged from a log.
+/// What [`recover_wal_text`] salvaged from a log.
 #[derive(Debug, Default)]
 pub struct WalRecovery {
     /// Every complete (committed) batch, in log order.
@@ -271,14 +271,10 @@ pub fn recover_wal_text(text: &str) -> WalRecovery {
     recovery
 }
 
-/// [`recover_wal_text`] from a file; a missing file recovers to the
-/// empty log (a fresh session directory has no WAL yet).
-pub fn recover_wal(path: impl AsRef<Path>) -> Result<WalRecovery, CsvError> {
-    recover_wal_with(&RealVfs, path.as_ref())
-}
-
-/// [`recover_wal`] through an injectable [`Vfs`]. The read is
-/// idempotent, so transient faults are retried with backoff.
+/// [`recover_wal_text`] from a file through an injectable [`Vfs`]; a
+/// missing file recovers to the empty log (a fresh session directory
+/// has no WAL yet). The read is idempotent, so transient faults are
+/// retried with backoff.
 pub fn recover_wal_with(vfs: &dyn Vfs, path: &Path) -> Result<WalRecovery, CsvError> {
     if !vfs.exists(path) {
         return Ok(WalRecovery::default());
@@ -378,15 +374,11 @@ pub struct Manifest {
     pub snapshot: String,
 }
 
-/// Checkpoints a dataset: writes `snapshot-<epoch>.crp` (insert lines)
-/// and then the [`MANIFEST_FILE`], each via tmp-file + fsync + rename +
+/// Checkpoints a dataset through an injectable [`Vfs`]: writes
+/// `snapshot-<epoch>.crp` (insert lines) and then the
+/// [`MANIFEST_FILE`], each via tmp-file + fsync + rename +
 /// parent-directory fsync so a crash mid-checkpoint never clobbers the
 /// previous one. Returns the manifest it published.
-pub fn write_snapshot(dir: impl AsRef<Path>, ds: &UncertainDataset) -> Result<Manifest, CsvError> {
-    write_snapshot_with(&RealVfs, dir.as_ref(), ds)
-}
-
-/// [`write_snapshot`] through an injectable [`Vfs`].
 pub fn write_snapshot_with(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -442,12 +434,8 @@ fn atomic_write(vfs: &dyn Vfs, path: &Path, body: &str) -> Result<(), CsvError> 
     Ok(())
 }
 
-/// Reads the manifest, `None` when the directory has no checkpoint yet.
-pub fn read_manifest(dir: impl AsRef<Path>) -> Result<Option<Manifest>, CsvError> {
-    read_manifest_with(&RealVfs, dir.as_ref())
-}
-
-/// [`read_manifest`] through an injectable [`Vfs`].
+/// Reads the manifest through an injectable [`Vfs`], `None` when the
+/// directory has no checkpoint yet.
 pub fn read_manifest_with(vfs: &dyn Vfs, dir: &Path) -> Result<Option<Manifest>, CsvError> {
     let path = dir.join(MANIFEST_FILE);
     if !vfs.exists(&path) {
@@ -490,18 +478,11 @@ pub fn read_manifest_with(vfs: &dyn Vfs, dir: &Path) -> Result<Option<Manifest>,
     }
 }
 
-/// Loads the checkpoint a manifest names and restores its epoch, so the
-/// recovered dataset continues the WAL's numbering. Snapshot files are
-/// written atomically, so parsing is strict — a malformed snapshot is
-/// corruption, not a crash artefact.
-pub fn load_snapshot(
-    dir: impl AsRef<Path>,
-    manifest: &Manifest,
-) -> Result<UncertainDataset, CsvError> {
-    load_snapshot_with(&RealVfs, dir.as_ref(), manifest)
-}
-
-/// [`load_snapshot`] through an injectable [`Vfs`].
+/// Loads the checkpoint a manifest names through an injectable
+/// [`Vfs`] and restores its epoch, so the recovered dataset continues
+/// the WAL's numbering. Snapshot files are written atomically, so
+/// parsing is strict — a malformed snapshot is corruption, not a crash
+/// artefact.
 pub fn load_snapshot_with(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -650,9 +631,12 @@ mod tests {
         let mut ds = UncertainDataset::new();
         ds.push(obj(1, &[(1.0, 2.0)])).unwrap();
         ds.push(obj(2, &[(3.0, 4.0), (5.0, 6.0)])).unwrap();
-        let manifest = write_snapshot(&dir, &ds).unwrap();
+        let manifest = write_snapshot_with(&RealVfs, &dir, &ds).unwrap();
         assert_eq!(manifest.epoch, Epoch(2));
-        assert_eq!(read_manifest(&dir).unwrap().unwrap(), manifest);
+        assert_eq!(
+            read_manifest_with(&RealVfs, &dir).unwrap().unwrap(),
+            manifest
+        );
 
         // …epochs 3..=4 via WAL, plus a torn tail.
         let wal_path = dir.join(WAL_FILE);

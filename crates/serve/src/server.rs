@@ -619,8 +619,8 @@ fn collector_loop(
 /// One group-committed write batch. Every contributor's ops apply as a
 /// single backend batch — one publish — and each contributor is acked
 /// with the shared epoch and its own op count. On rejection the whole
-/// group receives the error: a durable session validates the batch
-/// before logging it, so nothing from a rejected group applies.
+/// group receives the error: every backend applies a batch whole or
+/// not at all, so nothing from a rejected group applies.
 fn apply_updates(
     backend: &dyn ServeBackend,
     stats: &ServeStats,

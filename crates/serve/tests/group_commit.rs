@@ -2,9 +2,10 @@
 //! the collector together group-commit into ONE backend batch (one
 //! snapshot publish), every rider acked with the shared epoch — and
 //! `window_max = 1` switches that off, publishing each request alone.
+//! A rejected group applies nothing.
 
-use crp_core::{EngineConfig, ExplainEngine};
-use crp_data::wire::{Request, Response};
+use crp_core::{CrpError, EngineConfig, ExplainEngine};
+use crp_data::wire::{Request, Response, WireResult};
 use crp_data::{uncertain_dataset, UncertainConfig};
 use crp_geom::Point;
 use crp_serve::{Client, ServeConfig, Server, VolatileBackend};
@@ -101,6 +102,42 @@ fn per_request_serving_publishes_each_update_alone() {
     let fields = client.stats().unwrap();
     assert_eq!(stat(&fields, "updates"), 3);
     assert_eq!(stat(&fields, "update_batches"), 3);
+    server.request_shutdown();
+    server.join();
+}
+
+#[test]
+fn a_rejected_group_applies_nothing() {
+    let server = start(ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (before, _) = client.update(vec![Update::Delete(ObjectId(0))]).unwrap();
+
+    // A valid insert riding with a delete of an unknown id: the whole
+    // group is rejected.
+    let rejected = Request::Update {
+        updates: vec![
+            Update::Insert(UncertainObject::certain(
+                ObjectId(1000),
+                Point::from([9000.0, 9000.0]),
+            )),
+            Update::Delete(ObjectId(99_999)),
+        ],
+    };
+    let reply = client.request(&rejected).unwrap();
+    assert!(matches!(reply, Response::Error { .. }), "{reply:?}");
+
+    // The next group publishes its own op alone, one epoch on, and the
+    // rejected insert never became visible.
+    let acks = acked_epochs(&client.pipeline(&[insert(1001)]).unwrap());
+    assert_eq!(acks, vec![Epoch(before.0 + 1)]);
+    let q = Point::from([5000.0, 5000.0]);
+    let (_, results) = client.explain(&[ObjectId(1000)], Some(&q), &[]).unwrap();
+    assert_eq!(
+        results,
+        vec![WireResult::Failed {
+            message: CrpError::UnknownObject(ObjectId(1000)).to_string()
+        }]
+    );
     server.request_shutdown();
     server.join();
 }

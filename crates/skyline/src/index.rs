@@ -2,19 +2,20 @@
 
 use crp_geom::HyperRect;
 use crp_rtree::{RTree, RTreeParams};
-use crp_uncertain::{ObjectId, UncertainDataset};
+use crp_uncertain::{Dataset, Identified, ObjectId};
 
 /// Builds an R-tree over the objects' MBRs (one entry per uncertain
-/// object, as in Lian & Chen and the paper). Uses STR bulk loading. A
+/// object, as in Lian & Chen and the paper) — sample MBRs for discrete
+/// data, uncertain regions for pdf data. Uses STR bulk loading. A
 /// certain object's MBR is its point, so on certain data this is the
 /// point index CR's dominance window reads.
 ///
 /// # Panics
 ///
 /// Panics if the dataset is empty.
-pub fn build_object_rtree(ds: &UncertainDataset, params: RTreeParams) -> RTree<ObjectId> {
+pub fn build_object_rtree<O: Identified>(ds: &Dataset<O>, params: RTreeParams) -> RTree<ObjectId> {
     let dim = ds.dim().expect("cannot index an empty dataset");
-    let items: Vec<(HyperRect, ObjectId)> = ds.iter().map(|o| (o.mbr(), o.id())).collect();
+    let items: Vec<(HyperRect, ObjectId)> = ds.iter().map(|o| (o.mbr(), o.object_id())).collect();
     RTree::bulk_load(dim, params, items)
 }
 
@@ -23,7 +24,7 @@ mod tests {
     use super::*;
     use crp_geom::Point;
     use crp_rtree::QueryStats;
-    use crp_uncertain::UncertainObject;
+    use crp_uncertain::{UncertainDataset, UncertainObject};
 
     #[test]
     fn object_rtree_indexes_mbrs() {

@@ -1,41 +1,74 @@
-//! Datasets of uncertain objects.
+//! The object store both data models share.
 
 use crate::error::UncertainError;
 use crate::object::{ObjectId, UncertainObject};
-use crate::update::{Epoch, Update};
+use crate::pdf::PdfObject;
+use crate::update::{Epoch, Identified, Update};
 use crp_geom::Point;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A validated collection of independent uncertain objects sharing one
-/// dimensionality (the paper's `𝒫`).
+/// dimensionality (the paper's `𝒫`), generic over the object model:
+/// [`UncertainDataset`] holds discrete-sample objects (Section 3.1),
+/// [`PdfDataset`] continuous-pdf objects (Section 3.2). The store sees
+/// only what [`Identified`] exposes — an id, a dimensionality, an MBR
+/// and whether the object is certain.
 ///
-/// The dataset is **mutable**: [`push`](UncertainDataset::push),
-/// [`remove`](UncertainDataset::remove) and
-/// [`replace`](UncertainDataset::replace) (or [`apply`](Self::apply)
-/// over an [`Update`]) each advance a monotone [`Epoch`]. Removal is
-/// *order-preserving* — surviving objects keep their relative
-/// (insertion) order — which is what lets an incrementally maintained
-/// engine session produce the same candidate orderings as a fresh
-/// session built on the final object sequence.
+/// The dataset is **mutable**: [`push`](Self::push),
+/// [`remove`](Self::remove) and [`replace`](Self::replace) (or
+/// [`apply`](Self::apply) over an [`Update`]) each advance a monotone
+/// [`Epoch`]. Removal is *order-preserving* — surviving objects keep
+/// their relative (insertion) order — which is what lets an
+/// incrementally maintained engine session produce the same candidate
+/// orderings as a fresh session built on the final object sequence.
 ///
 /// Objects are held behind [`Arc`]s: a clone (an epoch snapshot) shares
 /// every object with its source, and a mutation swaps only the slot it
 /// touches.
-#[derive(Clone, Debug, Default)]
-pub struct UncertainDataset {
-    objects: Vec<Arc<UncertainObject>>,
+#[derive(Debug)]
+pub struct Dataset<O> {
+    objects: Vec<Arc<O>>,
     by_id: HashMap<ObjectId, usize>,
     epoch: Epoch,
     /// Objects that are *not* certain, maintained by every mutator so
     /// [`UncertainDataset::is_certain`] is O(1) — engines consult it on
-    /// each update to decide whether the point tree survives, and an
-    /// O(n) scan there would dominate the otherwise-logarithmic
-    /// incremental update path.
+    /// every explain to pick CR or CP, where an O(n) scan would cost
+    /// more than the explain itself.
     uncertain: usize,
 }
 
-impl UncertainDataset {
+/// A dataset of discrete-sample objects.
+pub type UncertainDataset = Dataset<UncertainObject>;
+
+/// A dataset of continuous-pdf objects.
+pub type PdfDataset = Dataset<PdfObject>;
+
+// Written by hand so that neither puts a bound on `O`: a clone copies
+// handles, whatever the model.
+impl<O> Clone for Dataset<O> {
+    fn clone(&self) -> Self {
+        Self {
+            objects: self.objects.clone(),
+            by_id: self.by_id.clone(),
+            epoch: self.epoch,
+            uncertain: self.uncertain,
+        }
+    }
+}
+
+impl<O> Default for Dataset<O> {
+    fn default() -> Self {
+        Self {
+            objects: Vec::new(),
+            by_id: HashMap::new(),
+            epoch: Epoch::default(),
+            uncertain: 0,
+        }
+    }
+}
+
+impl<O: Identified> Dataset<O> {
     /// An empty dataset.
     pub fn new() -> Self {
         Self::default()
@@ -43,9 +76,7 @@ impl UncertainDataset {
 
     /// Builds a dataset from objects, validating id uniqueness and
     /// dimensional consistency.
-    pub fn from_objects(
-        objects: impl IntoIterator<Item = UncertainObject>,
-    ) -> Result<Self, UncertainError> {
+    pub fn from_objects(objects: impl IntoIterator<Item = O>) -> Result<Self, UncertainError> {
         let mut ds = Self::new();
         for o in objects {
             ds.push(o)?;
@@ -53,31 +84,18 @@ impl UncertainDataset {
         Ok(ds)
     }
 
-    /// Convenience constructor for certain datasets: one point per object,
-    /// ids assigned by position.
-    pub fn from_points(points: impl IntoIterator<Item = Point>) -> Result<Self, UncertainError> {
-        Self::from_objects(
-            points
-                .into_iter()
-                .enumerate()
-                .map(|(i, p)| UncertainObject::certain(ObjectId(i as u32), p)),
-        )
-    }
-
     /// Appends an object.
-    pub fn push(&mut self, object: UncertainObject) -> Result<(), UncertainError> {
-        if let Some(first) = self.objects.first() {
-            if first.dim() != object.dim() {
-                return Err(UncertainError::DimensionMismatch {
-                    expected: first.dim(),
-                    got: object.dim(),
-                });
-            }
+    pub fn push(&mut self, object: O) -> Result<(), UncertainError> {
+        if let Some(expected) = self.dim().filter(|&d| d != object.dim()) {
+            return Err(UncertainError::DimensionMismatch {
+                expected,
+                got: object.dim(),
+            });
         }
-        if self.by_id.contains_key(&object.id()) {
-            return Err(UncertainError::DuplicateId(object.id().0));
+        if self.by_id.contains_key(&object.object_id()) {
+            return Err(UncertainError::DuplicateId(object.object_id().0));
         }
-        self.by_id.insert(object.id(), self.objects.len());
+        self.by_id.insert(object.object_id(), self.objects.len());
         if !object.is_certain() {
             self.uncertain += 1;
         }
@@ -89,7 +107,7 @@ impl UncertainDataset {
     /// Removes the object with this id, preserving the relative order
     /// of the survivors. Returns the removed object, or `None` when the
     /// id is unknown (the epoch then does not advance).
-    pub fn remove(&mut self, id: ObjectId) -> Option<Arc<UncertainObject>> {
+    pub fn remove(&mut self, id: ObjectId) -> Option<Arc<O>> {
         let pos = self.by_id.remove(&id)?;
         let removed = self.objects.remove(pos);
         if !removed.is_certain() {
@@ -104,24 +122,18 @@ impl UncertainDataset {
         Some(removed)
     }
 
-    /// Swaps the stored object with `object.id()` for `object`, keeping
-    /// its position. Returns the previous version.
-    pub fn replace(
-        &mut self,
-        object: UncertainObject,
-    ) -> Result<Arc<UncertainObject>, UncertainError> {
+    /// Swaps the stored object with `object.object_id()` for `object`,
+    /// keeping its position. Returns the previous version.
+    pub fn replace(&mut self, object: O) -> Result<Arc<O>, UncertainError> {
         let pos = *self
             .by_id
-            .get(&object.id())
-            .ok_or(UncertainError::UnknownId(object.id().0))?;
-        if self.objects.len() > 1 {
-            let expected = self.dim().expect("non-empty dataset");
-            if object.dim() != expected {
-                return Err(UncertainError::DimensionMismatch {
-                    expected,
-                    got: object.dim(),
-                });
-            }
+            .get(&object.object_id())
+            .ok_or(UncertainError::UnknownId(object.object_id().0))?;
+        if let Some(expected) = self.dim().filter(|&d| self.len() > 1 && d != object.dim()) {
+            return Err(UncertainError::DimensionMismatch {
+                expected,
+                got: object.dim(),
+            });
         }
         if !self.objects[pos].is_certain() {
             self.uncertain -= 1;
@@ -135,7 +147,7 @@ impl UncertainDataset {
     }
 
     /// Applies one [`Update`], returning the epoch it produced.
-    pub fn apply(&mut self, update: Update<UncertainObject>) -> Result<Epoch, UncertainError> {
+    pub fn apply(&mut self, update: Update<O>) -> Result<Epoch, UncertainError> {
         match update {
             Update::Insert(obj) => self.push(obj)?,
             Update::Delete(id) => {
@@ -156,7 +168,7 @@ impl UncertainDataset {
     /// whole batch lands on, or the error of the first update that
     /// would fail — what [`apply`](Self::apply)ing the batch to a clone
     /// reports, at O(batch) instead of O(dataset) cost.
-    pub fn check_batch(&self, batch: &[Update<UncertainObject>]) -> Result<Epoch, UncertainError> {
+    pub fn check_batch(&self, batch: &[Update<O>]) -> Result<Epoch, UncertainError> {
         let mut overlay: HashMap<ObjectId, bool> = HashMap::new();
         let mut len = self.objects.len();
         let mut dim = self.dim();
@@ -239,29 +251,42 @@ impl UncertainDataset {
     }
 
     /// Object lookup by id.
-    pub fn get(&self, id: ObjectId) -> Option<&UncertainObject> {
+    pub fn get(&self, id: ObjectId) -> Option<&O> {
         self.by_id.get(&id).map(|&i| &*self.objects[i])
     }
 
     /// Positional access.
-    pub fn object_at(&self, index: usize) -> &UncertainObject {
+    pub fn object_at(&self, index: usize) -> &O {
         &self.objects[index]
     }
 
-    /// Position of an object id within [`UncertainDataset::objects`].
+    /// Position of an object id within [`Dataset::objects`].
     pub fn index_of(&self, id: ObjectId) -> Option<usize> {
         self.by_id.get(&id).copied()
     }
 
     /// All objects, in insertion order, behind the [`Arc`]s clones of
     /// this dataset share.
-    pub fn objects(&self) -> &[Arc<UncertainObject>] {
+    pub fn objects(&self) -> &[Arc<O>] {
         &self.objects
     }
 
     /// Iterator over the objects.
-    pub fn iter(&self) -> impl Iterator<Item = &UncertainObject> {
+    pub fn iter(&self) -> impl Iterator<Item = &O> {
         self.into_iter()
+    }
+}
+
+impl UncertainDataset {
+    /// Convenience constructor for certain datasets: one point per object,
+    /// ids assigned by position.
+    pub fn from_points(points: impl IntoIterator<Item = Point>) -> Result<Self, UncertainError> {
+        Self::from_objects(
+            points
+                .into_iter()
+                .enumerate()
+                .map(|(i, p)| UncertainObject::certain(ObjectId(i as u32), p)),
+        )
     }
 
     /// True when every object is certain (single sample, probability 1) —
@@ -278,12 +303,9 @@ impl UncertainDataset {
     }
 }
 
-impl<'a> IntoIterator for &'a UncertainDataset {
-    type Item = &'a UncertainObject;
-    type IntoIter = std::iter::Map<
-        std::slice::Iter<'a, Arc<UncertainObject>>,
-        fn(&Arc<UncertainObject>) -> &UncertainObject,
-    >;
+impl<'a, O> IntoIterator for &'a Dataset<O> {
+    type Item = &'a O;
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, Arc<O>>, fn(&Arc<O>) -> &O>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.objects.iter().map(|o| &**o)

@@ -8,12 +8,14 @@
 //!
 //! This crate provides:
 //!
-//! * [`UncertainObject`] / [`UncertainDataset`] — the discrete-sample
-//!   model, validated at construction,
+//! * [`Dataset`] — the one object store both models share, with its
+//!   aliases [`UncertainDataset`] and [`PdfDataset`],
+//! * [`UncertainObject`] — the discrete-sample model, validated at
+//!   construction,
 //! * [`possible_worlds`] — exhaustive possible-world enumeration, the
 //!   ground truth used by the test suites to validate the closed-form
 //!   probability computations (Eq. 2–3),
-//! * [`ContinuousPdf`] / [`PdfObject`] / [`PdfDataset`] — the continuous
+//! * [`ContinuousPdf`] / [`PdfObject`] — the continuous
 //!   model (Section 3.2) with uniform-box and piecewise-constant grid
 //!   densities, closed-form box integrals, and midpoint-grid
 //!   discretisation.
@@ -25,9 +27,9 @@ mod pdf;
 mod update;
 mod worlds;
 
-pub use dataset::UncertainDataset;
+pub use dataset::{Dataset, PdfDataset, UncertainDataset};
 pub use error::UncertainError;
 pub use object::{ObjectId, Sample, UncertainObject};
-pub use pdf::{BoxUniform, ContinuousPdf, GridDensity, PdfDataset, PdfObject};
+pub use pdf::{BoxUniform, ContinuousPdf, GridDensity, PdfObject};
 pub use update::{Epoch, Identified, Update};
 pub use worlds::{possible_worlds, world_count, PossibleWorld, WorldIter};

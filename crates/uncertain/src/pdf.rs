@@ -13,10 +13,10 @@
 //! variant of the CP algorithm evaluates `Pr(an)` ("the integration of
 //! the whole uncertain object" in the paper's words).
 
+use crate::dataset::{PdfDataset, UncertainDataset};
 use crate::error::UncertainError;
 use crate::object::{ObjectId, UncertainObject};
 use crp_geom::{HyperRect, Point};
-use std::collections::HashMap;
 
 /// Uniform density over a hyper-rectangle.
 ///
@@ -296,152 +296,11 @@ impl PdfObject {
     }
 }
 
-/// A dataset of pdf-model objects. Mutable like
-/// [`UncertainDataset`](crate::UncertainDataset): push/remove/replace
-/// (or [`apply`](PdfDataset::apply)) advance a monotone
-/// [`Epoch`](crate::Epoch), and removal preserves the survivors'
-/// relative order.
-#[derive(Clone, Debug, Default)]
-pub struct PdfDataset {
-    objects: Vec<PdfObject>,
-    by_id: HashMap<ObjectId, usize>,
-    epoch: crate::update::Epoch,
-}
-
 impl PdfDataset {
-    /// An empty dataset.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds a dataset, validating id uniqueness and dimensions.
-    pub fn from_objects(
-        objects: impl IntoIterator<Item = PdfObject>,
-    ) -> Result<Self, UncertainError> {
-        let mut ds = Self::new();
-        for o in objects {
-            ds.push(o)?;
-        }
-        Ok(ds)
-    }
-
-    /// Appends an object.
-    pub fn push(&mut self, object: PdfObject) -> Result<(), UncertainError> {
-        if let Some(first) = self.objects.first() {
-            if first.region().dim() != object.region().dim() {
-                return Err(UncertainError::DimensionMismatch {
-                    expected: first.region().dim(),
-                    got: object.region().dim(),
-                });
-            }
-        }
-        if self.by_id.contains_key(&object.id()) {
-            return Err(UncertainError::DuplicateId(object.id().0));
-        }
-        self.by_id.insert(object.id(), self.objects.len());
-        self.objects.push(object);
-        self.epoch = self.epoch.next();
-        Ok(())
-    }
-
-    /// Removes the object with this id, preserving the relative order
-    /// of the survivors. `None` (and no epoch bump) for unknown ids.
-    pub fn remove(&mut self, id: ObjectId) -> Option<PdfObject> {
-        let pos = self.by_id.remove(&id)?;
-        let removed = self.objects.remove(pos);
-        for p in self.by_id.values_mut() {
-            if *p > pos {
-                *p -= 1;
-            }
-        }
-        self.epoch = self.epoch.next();
-        Some(removed)
-    }
-
-    /// Swaps the stored object with `object.id()` for `object`, keeping
-    /// its position. Returns the previous version.
-    pub fn replace(&mut self, object: PdfObject) -> Result<PdfObject, UncertainError> {
-        let pos = *self
-            .by_id
-            .get(&object.id())
-            .ok_or(UncertainError::UnknownId(object.id().0))?;
-        if self.objects.len() > 1 {
-            let expected = self.dim().expect("non-empty dataset");
-            if object.region().dim() != expected {
-                return Err(UncertainError::DimensionMismatch {
-                    expected,
-                    got: object.region().dim(),
-                });
-            }
-        }
-        let old = std::mem::replace(&mut self.objects[pos], object);
-        self.epoch = self.epoch.next();
-        Ok(old)
-    }
-
-    /// Applies one [`crate::Update`], returning the epoch it produced.
-    pub fn apply(
-        &mut self,
-        update: crate::update::Update<PdfObject>,
-    ) -> Result<crate::update::Epoch, UncertainError> {
-        match update {
-            crate::update::Update::Insert(obj) => self.push(obj)?,
-            crate::update::Update::Delete(id) => {
-                self.remove(id).ok_or(UncertainError::UnknownId(id.0))?;
-            }
-            crate::update::Update::Replace(obj) => {
-                self.replace(obj)?;
-            }
-        }
-        Ok(self.epoch)
-    }
-
-    /// The dataset version: advanced by every successful mutation.
-    pub fn epoch(&self) -> crate::update::Epoch {
-        self.epoch
-    }
-
-    /// Position of an object id within [`PdfDataset::objects`].
-    pub fn index_of(&self, id: ObjectId) -> Option<usize> {
-        self.by_id.get(&id).copied()
-    }
-
-    /// Number of objects.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
-    }
-
-    /// Dimensionality (`None` when empty).
-    pub fn dim(&self) -> Option<usize> {
-        self.objects.first().map(|o| o.region().dim())
-    }
-
-    /// Lookup by id.
-    pub fn get(&self, id: ObjectId) -> Option<&PdfObject> {
-        self.by_id.get(&id).map(|&i| &self.objects[i])
-    }
-
-    /// All objects in insertion order.
-    pub fn objects(&self) -> &[PdfObject] {
-        &self.objects
-    }
-
-    /// Iterator over the objects.
-    pub fn iter(&self) -> impl Iterator<Item = &PdfObject> {
-        self.objects.iter()
-    }
-
     /// Discretises the whole dataset (for cross-model validation).
-    pub fn discretize(&self, resolution: usize) -> crate::dataset::UncertainDataset {
-        crate::dataset::UncertainDataset::from_objects(
-            self.objects.iter().map(|o| o.discretize(resolution)),
-        )
-        .expect("pdf dataset invariants carry over")
+    pub fn discretize(&self, resolution: usize) -> UncertainDataset {
+        UncertainDataset::from_objects(self.iter().map(|o| o.discretize(resolution)))
+            .expect("pdf dataset invariants carry over")
     }
 }
 

@@ -15,6 +15,7 @@
 
 use crate::object::{ObjectId, UncertainObject};
 use crate::pdf::PdfObject;
+use crp_geom::HyperRect;
 use std::fmt;
 
 /// A monotone dataset version. Every successful mutation (push, remove,
@@ -52,21 +53,58 @@ pub enum Update<O> {
     Replace(O),
 }
 
-/// Object models that expose their identifier — what [`Update::id`]
-/// needs to name the touched object uniformly.
+/// What the object store, the index and the write path see of an object
+/// model — the same for discrete samples and continuous pdfs: an id
+/// (what [`Update::id`] names), a dimensionality, an MBR and whether
+/// all of its mass sits on one point.
 pub trait Identified {
+    /// The object's identifier.
     fn object_id(&self) -> ObjectId;
+
+    /// Dimensionality of the object's region.
+    fn dim(&self) -> usize;
+
+    /// Minimum bounding rectangle of the uncertain region — what the
+    /// object R-tree indexes.
+    fn mbr(&self) -> HyperRect;
+
+    /// True when the object is certain data (all mass on one point).
+    fn is_certain(&self) -> bool;
 }
 
 impl Identified for UncertainObject {
     fn object_id(&self) -> ObjectId {
         self.id()
     }
+
+    fn dim(&self) -> usize {
+        UncertainObject::dim(self)
+    }
+
+    fn mbr(&self) -> HyperRect {
+        UncertainObject::mbr(self)
+    }
+
+    fn is_certain(&self) -> bool {
+        UncertainObject::is_certain(self)
+    }
 }
 
 impl Identified for PdfObject {
     fn object_id(&self) -> ObjectId {
         self.id()
+    }
+
+    fn dim(&self) -> usize {
+        self.region().dim()
+    }
+
+    fn mbr(&self) -> HyperRect {
+        self.region().clone()
+    }
+
+    fn is_certain(&self) -> bool {
+        self.region().lo() == self.region().hi()
     }
 }
 

@@ -15,23 +15,19 @@
 //! crp explain-batch --data cars.csv --schema points --query 11580,49000 \
 //!                   --objects 42,57,93 [--serial]
 //!
-//! # Replay a live-session workload: interleaved inserts/deletes/
-//! # replaces and explain calls against one mutable engine session
-//! # (incremental index maintenance; see crp_data::workload for the
-//! # file format). Ends with the session's update counters.
+//! # Replay a live-session workload (see crp_data::workload for the
+//! # file format) through an MVCC session: consecutive updates apply
+//! # as one all-or-nothing batch publishing an epoch snapshot (a
+//! # rejected batch is reported and the replay goes on), and every
+//! # explain op fans its ids across N reader threads (default 1)
+//! # pinned to the snapshot — readers never block behind the writer.
+//! # --session-dir adds durability: batches are write-ahead logged
+//! # before they apply, the session checkpoints on exit, and reopening
+//! # the directory resumes from the last complete epoch (the workload
+//! # file can then be the next day's update stream). Ends with the
+//! # session's update counters.
 //! crp replay --data cars.csv --schema points --query 11580,49000 \
-//!            --workload ops.txt
-//!
-//! # Concurrent replay (MVCC): consecutive updates are applied as one
-//! # batch publishing an epoch snapshot, and every explain op fans its
-//! # ids across N reader threads pinned to the snapshot — readers
-//! # never block behind the writer. --session-dir adds durability:
-//! # batches are write-ahead logged before they apply, the session
-//! # checkpoints on exit, and reopening the directory resumes from the
-//! # last complete epoch (the workload file can then be the next day's
-//! # update stream).
-//! crp replay --data cars.csv --schema points --query 11580,49000 \
-//!            --workload ops.txt --readers 4 [--session-dir state/]
+//!            --workload ops.txt [--readers 4 --session-dir state/]
 //!
 //! # Plan a whole workload — an α range and/or a grid of nearby
 //! # queries over a fixed non-answer set — as ONE request: the planner
@@ -445,76 +441,8 @@ fn cmd_explain_batch(
     Ok(())
 }
 
-/// `replay`: one mutable engine session serving an interleaved stream
-/// of updates and explain calls. Updates are applied incrementally
-/// (condense + reinsert on the R-trees) — the dataset is never
-/// re-indexed from scratch — and the session's maintenance counters are
-/// reported at the end.
-fn cmd_replay(
-    engine: &mut ExplainEngine,
-    q: &Point,
-    ops: &[WorkloadOp],
-    budget: u64,
-) -> Result<(), String> {
-    let started = std::time::Instant::now();
-    let mut updates = 0usize;
-    let mut explains = 0usize;
-    let mut failures = 0usize;
-    for op in ops {
-        match op {
-            WorkloadOp::Update(update) => {
-                updates += 1;
-                let verb = update.verb();
-                let id = update.id();
-                match engine.apply(update.clone()) {
-                    Ok(epoch) => println!("{verb} {id} → {epoch}"),
-                    Err(e) => {
-                        failures += 1;
-                        println!("{verb} {id} FAILED: {e}");
-                    }
-                }
-            }
-            WorkloadOp::Explain(_) | WorkloadOp::ExplainAll => {
-                let ids: Vec<ObjectId> = match op {
-                    WorkloadOp::Explain(ids) => ids.clone(),
-                    _ => engine.dataset().iter().map(|o| o.id()).collect(),
-                };
-                explains += ids.len();
-                let ds = engine.dataset();
-                let request = ExplainRequest::batch(q, &ids).with_check_budget(budget);
-                for (&object, outcome) in ids.iter().zip(engine.run(&[request]).results) {
-                    match outcome {
-                        Ok(out) => print_outcome(ds, object, &out),
-                        Err(CrpError::NotANonAnswer { prob }) => {
-                            println!("{} is an ANSWER (Pr = {prob:.3})", label_of(ds, object))
-                        }
-                        Err(e) => {
-                            failures += 1;
-                            println!("{}: {e}", label_of(ds, object));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    let io = engine.accumulated_io();
-    println!(
-        "replay of {updates} update(s) + {explains} explain call(s) in {elapsed_ms:.1} ms \
-         ({failures} failure(s))"
-    );
-    println!(
-        "session totals: {} node accesses | updates: {} inserted, {} removed, {} reinserted",
-        io.node_accesses, io.inserts, io.removes, io.reinserts
-    );
-    if failures > 0 {
-        return Err(format!("{failures} operation(s) failed"));
-    }
-    Ok(())
-}
-
-/// What `--readers`/`--session-dir` replay runs against: a volatile
-/// MVCC session, or one whose batches are write-ahead logged first.
+/// What `replay` runs against: a volatile MVCC session, or, with
+/// `--session-dir`, one whose batches are write-ahead logged first.
 enum ReplaySession {
     Volatile(MvccEngine<ExplainEngine>),
     Durable(DurableSession<ExplainEngine>),
@@ -538,18 +466,21 @@ impl ReplaySession {
     }
 }
 
-/// `replay --readers N [--session-dir DIR]`: the same workload stream,
-/// served MVCC-style. Consecutive updates coalesce into one batch that
-/// publishes a single epoch snapshot; each explain op first flushes the
-/// pending batch, then pins the published snapshot and fans its ids
-/// across `readers` threads — every thread explains against the same
-/// immutable epoch, so output is bit-identical to the serial path and
-/// deterministic regardless of thread interleaving. With a session
-/// directory, batches are fsynced to the write-ahead log *before* they
-/// apply and the session checkpoints on exit; reopening the directory
-/// resumes from the last complete epoch, ignoring `--data`.
+/// `replay [--readers N] [--session-dir DIR]`: one session serving an
+/// interleaved stream of updates and explain calls, MVCC-style.
+/// Consecutive updates coalesce into one batch that applies whole or
+/// not at all and publishes a single epoch snapshot; a rejected batch
+/// is printed and counted as a failure, and the replay goes on. Each
+/// explain op first flushes the pending batch, then pins the published
+/// snapshot and fans its ids across `readers` threads — every thread
+/// explains against the same immutable epoch, so output is
+/// bit-identical to the serial path and deterministic regardless of
+/// thread interleaving. With a session directory, batches are fsynced
+/// to the write-ahead log *before* they apply and the session
+/// checkpoints on exit; reopening the directory resumes from the last
+/// complete epoch, ignoring `--data`.
 #[allow(clippy::too_many_arguments)]
-fn cmd_replay_mvcc(
+fn cmd_replay(
     ds: UncertainDataset,
     q: &Point,
     ops: &[WorkloadOp],
@@ -587,19 +518,26 @@ fn cmd_replay_mvcc(
         None => ReplaySession::Volatile(MvccEngine::new(make(ds).map_err(|e| e.to_string())?)),
     };
 
+    /// Applies the pending batch, if any; a rejected batch is printed
+    /// and counted as a failure.
     fn flush(
         session: &mut ReplaySession,
         pending: &mut Vec<Update<UncertainObject>>,
         batches: &mut usize,
-    ) -> Result<(), String> {
+        failures: &mut usize,
+    ) {
         if pending.is_empty() {
-            return Ok(());
+            return;
         }
         let n = pending.len();
-        let epoch = session.apply_batch(std::mem::take(pending))?;
         *batches += 1;
-        println!("batch of {n} update(s) → {epoch}");
-        Ok(())
+        match session.apply_batch(std::mem::take(pending)) {
+            Ok(epoch) => println!("batch of {n} update(s) → {epoch}"),
+            Err(e) => {
+                *failures += 1;
+                println!("batch of {n} update(s) FAILED: {e}");
+            }
+        }
     }
 
     let started = std::time::Instant::now();
@@ -609,6 +547,8 @@ fn cmd_replay_mvcc(
     let mut explains = 0usize;
     let mut failures = 0usize;
     let mut partials = 0usize;
+    // Reads run on snapshot forks, each with its own I/O accumulator.
+    let mut read_io = QueryStats::default();
     for op in ops {
         match op {
             WorkloadOp::Update(update) => {
@@ -616,7 +556,7 @@ fn cmd_replay_mvcc(
                 pending.push(update.clone());
             }
             WorkloadOp::Explain(_) | WorkloadOp::ExplainAll => {
-                flush(&mut session, &mut pending, &mut batches)?;
+                flush(&mut session, &mut pending, &mut batches, &mut failures);
                 let snapshot = session.mvcc().pin();
                 let engine = snapshot.engine();
                 let ds = engine.dataset();
@@ -639,6 +579,7 @@ fn cmd_replay_mvcc(
                         .flat_map(|window| window.per_request)
                         .flatten()
                         .collect();
+                read_io.absorb(engine.reset_io());
                 for (&object, outcome) in ids.iter().zip(&outcomes) {
                     match outcome {
                         Ok(out) => print_outcome(ds, object, out),
@@ -658,13 +599,14 @@ fn cmd_replay_mvcc(
             }
         }
     }
-    flush(&mut session, &mut pending, &mut batches)?;
+    flush(&mut session, &mut pending, &mut batches, &mut failures);
 
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
-    let io = session
+    let mut io = session
         .mvcc()
         .with_writer(|writer| writer.accumulated_io())
         .map_err(|e| e.to_string())?;
+    io.absorb(read_io);
     println!(
         "replay of {updates} update(s) in {batches} batch(es) + {explains} explain call(s) \
          across {readers} reader(s) in {elapsed_ms:.1} ms \
@@ -679,8 +621,8 @@ fn cmd_replay_mvcc(
     );
     let counters = session.mvcc().counters();
     println!(
-        "mvcc: {} snapshot(s) published, {} retired, {} live in ring, serving {}",
-        counters.published, counters.retired, counters.live, counters.epoch
+        "mvcc: {} snapshot(s) published, serving {}",
+        counters.published, counters.epoch
     );
     if let ReplaySession::Durable(durable) = &session {
         let manifest = durable.checkpoint().map_err(|e| e.to_string())?;
@@ -1118,12 +1060,12 @@ fn run() -> Result<(), String> {
             if cli.command == "replay" {
                 let ops =
                     load_workload(cli.require("--workload", "FILE")?).map_err(|e| e.to_string())?;
-                let readers = cli.parse::<usize>("--readers")?.unwrap_or(0);
+                let readers = cli.parse::<usize>("--readers")?.unwrap_or(1);
                 let session_dir = cli.get("--session-dir");
                 let limits = PlanLimits {
                     deadline_ms: cli.parse("--deadline-ms")?,
                     max_node_accesses: cli.parse("--budget-nodes")?,
-                    max_checks: given_budget,
+                    max_checks: Some(budget),
                 };
                 let inject = cli.parse::<FaultSpec>("--inject")?;
                 if inject.is_some() && session_dir.is_none() {
@@ -1132,27 +1074,17 @@ fn run() -> Result<(), String> {
                             .into(),
                     );
                 }
-                // The path follows the flags the user gave; the default
-                // check cap alone keeps the in-place session.
-                if readers > 0 || session_dir.is_some() || !limits.is_unlimited() {
-                    let config = cli_engine_config(alpha, !cli.has("--serial"));
-                    let limits = PlanLimits {
-                        max_checks: Some(budget),
-                        ..limits
-                    };
-                    return cmd_replay_mvcc(
-                        ds,
-                        &q,
-                        &ops,
-                        readers.max(1),
-                        session_dir,
-                        config,
-                        limits,
-                        inject,
-                    );
-                }
-                let mut engine = build_engine(ds, alpha, !cli.has("--serial"))?;
-                return cmd_replay(&mut engine, &q, &ops, budget);
+                let config = cli_engine_config(alpha, !cli.has("--serial"));
+                return cmd_replay(
+                    ds,
+                    &q,
+                    &ops,
+                    readers.max(1),
+                    session_dir,
+                    config,
+                    limits,
+                    inject,
+                );
             }
             if cli.command == "sweep" {
                 let raw = cli.require("--objects", "ID,ID,… (or 'all')")?;

@@ -80,10 +80,10 @@ pub use session::{DurableSession, SessionError};
 pub mod prelude {
     pub use crate::session::{DurableSession, SessionError};
     pub use crp_core::{
-        admission, answer_causes, derive_limits, execute_window, fan_out, oracle_cp, oracle_cr,
-        Admission, Cause, ClientClass, CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine,
-        ExplainRequest, ExplainSession, ExplainStrategy, MvccCounters, MvccEngine, PartialProgress,
-        PlanCounters, PlanLimits, PlanReport, RunStats, SnapshotEngine, StopReason, WindowReport,
+        admission, derive_limits, execute_window, fan_out, oracle_cp, oracle_cr, Admission, Cause,
+        ClientClass, CpConfig, CrpError, CrpOutcome, EngineConfig, ExplainEngine, ExplainRequest,
+        ExplainSession, ExplainStrategy, MvccCounters, MvccEngine, PartialProgress, PlanCounters,
+        PlanLimits, PlanReport, RunStats, SnapshotEngine, StopReason, WindowReport,
     };
     pub use crp_geom::{dominance_rect, dominates, dominates_min, HyperRect, Point};
     pub use crp_rtree::{QueryStats, RTree, RTreeParams};

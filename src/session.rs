@@ -17,7 +17,9 @@
 //!    and fsynced ([`WriteAheadLog::append_batch`]); the commit epoch is
 //!    the one the check computed (one epoch per update),
 //! 3. **apply** — only then does [`MvccEngine::apply_batch`] run and
-//!    publish the new snapshot to readers.
+//!    publish the new snapshot to readers. Its own whole-or-nothing
+//!    check is the same [`UncertainDataset::check_batch`], so there is
+//!    one validator.
 //!
 //! A crash between 2 and 3 is absorbed on restart: recovery replays the
 //! committed batch the engine never saw. A crash *during* 2 leaves a
@@ -266,7 +268,7 @@ impl<E: SnapshotEngine> DurableSession<E> {
         self.mvcc.pin().epoch()
     }
 
-    /// Convenience: the epoch-ring lifecycle counters.
+    /// Convenience: the MVCC lifecycle counters.
     pub fn counters(&self) -> MvccCounters {
         self.mvcc.counters()
     }
